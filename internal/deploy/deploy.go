@@ -11,7 +11,8 @@ package deploy
 import (
 	"fmt"
 	"math"
-	"sync"
+	"slices"
+	"sort"
 
 	"wsncover/internal/geom"
 	"wsncover/internal/grid"
@@ -20,20 +21,19 @@ import (
 	"wsncover/internal/randx"
 )
 
-// deployScratch is the pooled working set of the deployment hot path:
-// the permutation buffer of PickHoleCells and the hole marks and
-// occupied-cell list of Controlled. On large grids these dominated
-// per-trial allocation (a 256x256 permutation alone is 512 KB), so the
-// replicate engine's steady state recycles them through a sync.Pool.
-// Scratch is returned to the pool with hole marks cleared; slice
-// contents are garbage and re-truncated on every use.
-type deployScratch struct {
-	perm     []int
-	occupied []grid.Coord
-	hole     []bool
-}
+// holeRanks is the sorted, de-duplicated list of the cell indices a
+// deployment excludes (holes, or vacant cells). It maps the rank of a
+// non-excluded cell — its position among those cells in index order — to
+// the cell's index without materializing the O(cells) list of them.
+type holeRanks []int
 
-var scratchPool = sync.Pool{New: func() any { return new(deployScratch) }}
+// cell returns the index of the rank-k non-excluded cell. That cell is k
+// plus the number of excluded cells before it, and h[j]-j — the number
+// of non-excluded cells before h[j] — is non-decreasing in j, so the
+// count is a binary search.
+func (h holeRanks) cell(k int) int {
+	return k + sort.Search(len(h), func(j int) bool { return h[j]-j > k })
+}
 
 // Uniform scatters count nodes uniformly at random over the whole field.
 // This is the paper's deployment model.
@@ -101,43 +101,33 @@ func Clustered(w *network.Network, count, k int, sigma float64, rng *randx.Rand)
 // simultaneous holes and exactly spares spare nodes (the paper's N).
 func Controlled(w *network.Network, spares int, holeCells []grid.Coord, rng *randx.Rand) error {
 	sys := w.System()
+	holes := make(holeRanks, 0, len(holeCells))
 	for _, h := range holeCells {
 		if !sys.Contains(h) {
 			return fmt.Errorf("controlled deploy: hole %v off-grid", h)
 		}
+		holes = append(holes, sys.Index(h))
 	}
-	sc := scratchPool.Get().(*deployScratch)
-	defer scratchPool.Put(sc)
+	slices.Sort(holes)
+	holes = slices.Compact(holes)
 	n := sys.NumCells()
-	if cap(sc.hole) < n {
-		sc.hole = make([]bool, n)
-	}
-	hole := sc.hole[:n]
-	for _, h := range holeCells {
-		hole[sys.Index(h)] = true
-	}
-	occupied := sc.occupied[:0]
-	for idx := 0; idx < n; idx++ {
-		if !hole[idx] {
-			occupied = append(occupied, sys.CoordAt(idx))
-		}
-	}
-	sc.occupied = occupied
-	// Clear the marks immediately so the scratch returns to the pool
-	// clean on every exit path.
-	for _, h := range holeCells {
-		hole[sys.Index(h)] = false
-	}
-	if len(occupied) == 0 && spares > 0 {
+	occupied := n - len(holes)
+	if occupied == 0 && spares > 0 {
 		return fmt.Errorf("controlled deploy: no non-hole cells for %d spares", spares)
 	}
-	for _, c := range occupied {
-		if _, err := w.AddNodeAt(rng.InRect(sys.CellRect(c))); err != nil {
+	w.GrowNodes(occupied + max(spares, 0))
+	next := 0 // position in holes of the first hole at or after idx
+	for idx := 0; idx < n; idx++ {
+		if next < len(holes) && holes[next] == idx {
+			next++
+			continue
+		}
+		if _, err := w.AddNodeAt(rng.InRect(sys.CellRect(sys.CoordAt(idx)))); err != nil {
 			return fmt.Errorf("controlled deploy: %w", err)
 		}
 	}
 	for i := 0; i < spares; i++ {
-		c := occupied[rng.Intn(len(occupied))]
+		c := sys.CoordAt(holes.cell(rng.Intn(occupied)))
 		if _, err := w.AddNodeAt(rng.InRect(sys.CellRect(c))); err != nil {
 			return fmt.Errorf("controlled deploy: %w", err)
 		}
@@ -160,23 +150,19 @@ func Resupply(w *network.Network, count int, rng *randx.Rand) error {
 		return nil
 	}
 	sys := w.System()
-	sc := scratchPool.Get().(*deployScratch)
-	defer scratchPool.Put(sc)
-	occupied := sc.occupied[:0]
-	for idx := 0; idx < sys.NumCells(); idx++ {
-		c := sys.CoordAt(idx)
-		if !w.IsVacant(c) {
-			occupied = append(occupied, c)
-		}
+	vacant := w.VacantCells(nil)
+	holes := make(holeRanks, len(vacant))
+	for i, c := range vacant {
+		holes[i] = sys.Index(c)
 	}
-	sc.occupied = occupied
-	wipeout := len(occupied) == 0
+	occupied := sys.NumCells() - len(holes)
+	wipeout := occupied == 0
 	for i := 0; i < count; i++ {
 		var c grid.Coord
 		if wipeout {
 			c = sys.CoordAt(rng.Intn(sys.NumCells()))
 		} else {
-			c = occupied[rng.Intn(len(occupied))]
+			c = sys.CoordAt(holes.cell(rng.Intn(occupied)))
 		}
 		if _, err := w.AddNodeAt(rng.InRect(sys.CellRect(c))); err != nil {
 			return fmt.Errorf("resupply: %w", err)
@@ -246,31 +232,31 @@ func FailDepleted(w *network.Network, budget float64) int {
 // PickHoleCells chooses count distinct cells uniformly at random to become
 // holes. When avoidAdjacent is set, no two chosen cells are edge-adjacent,
 // which keeps each hole's replacement walk initially independent.
+//
+// The picks are the first admissible cells of a uniform permutation of
+// the cell indices, of which only the prefix that can be scanned is
+// held. Without avoidAdjacent that is count entries. With it, every
+// scanned cell is either picked or a neighbour of an earlier pick, and
+// each pick rules out at most 4 neighbours, so a scan of 5*count entries
+// always completes the set; fewer picks than count can happen only after
+// the whole permutation was scanned.
 func PickHoleCells(sys *grid.System, count int, avoidAdjacent bool, rng *randx.Rand) ([]grid.Coord, error) {
-	if count < 0 || count > sys.NumCells() {
-		return nil, fmt.Errorf("deploy: cannot pick %d holes from %d cells", count, sys.NumCells())
+	n := sys.NumCells()
+	if count < 0 || count > n {
+		return nil, fmt.Errorf("deploy: cannot pick %d holes from %d cells", count, n)
 	}
-	sc := scratchPool.Get().(*deployScratch)
-	defer scratchPool.Put(sc)
-	sc.perm = rng.PermInto(sc.perm, sys.NumCells())
-	perm := sc.perm
-	var out []grid.Coord
-	for _, idx := range perm {
+	scan := count
+	if avoidAdjacent {
+		scan = min(n, 5*count)
+	}
+	out := make([]grid.Coord, 0, count)
+	for _, idx := range rng.PermPrefixInto(nil, n, scan) {
 		if len(out) == count {
 			break
 		}
 		c := sys.CoordAt(idx)
-		if avoidAdjacent {
-			conflict := false
-			for _, prev := range out {
-				if c.IsNeighbor(prev) {
-					conflict = true
-					break
-				}
-			}
-			if conflict {
-				continue
-			}
+		if avoidAdjacent && slices.ContainsFunc(out, c.IsNeighbor) {
+			continue
 		}
 		out = append(out, c)
 	}

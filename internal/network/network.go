@@ -286,6 +286,17 @@ func (w *Network) AddNodeAt(p geom.Point) (node.ID, error) {
 	return id, nil
 }
 
+// GrowNodes ensures capacity for n more nodes, so a deployment that
+// knows its population up front fills the node columns and the
+// membership list without reallocating them.
+func (w *Network) GrowNodes(n int) {
+	if n <= 0 {
+		return
+	}
+	w.store.Grow(n)
+	w.nextInCell = slices.Grow(w.nextInCell, n)
+}
+
 // Node returns the handle of the node with the given id; the handle of an
 // out-of-range id reports !Valid().
 func (w *Network) Node(id node.ID) node.Ref { return w.store.Ref(id) }
@@ -679,6 +690,17 @@ func (w *Network) HeadGraphConnected() bool {
 	if total == 0 {
 		return false
 	}
+	if total == len(w.heads) {
+		// Every cell holds a head: the head graph is the full
+		// rectangular grid graph, which is connected.
+		return true
+	}
+	return w.headGraphSearch() == total
+}
+
+// headGraphSearch returns the number of head cells reachable from the
+// lowest-index head cell under grid adjacency; there must be one.
+func (w *Network) headGraphSearch() int {
 	start := -1
 	for idx, h := range w.heads {
 		if h != 0 {
@@ -710,7 +732,7 @@ func (w *Network) HeadGraphConnected() bool {
 	}
 	w.bfsQueue = queue[:0]
 	w.bfsNbr = buf
-	return reached == total
+	return reached
 }
 
 // AllHeadsPresent reports whether every cell has a head, the paper's

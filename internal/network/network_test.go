@@ -442,3 +442,36 @@ func TestCentralTargetStaysInCentralArea(t *testing.T) {
 		}
 	}
 }
+
+// TestHeadGraphFullCoverageFastPath checks the O(1) answer for a fully
+// headed field against the breadth-first search it skips, on single
+// rows, single columns and rectangles, and that removing one head
+// falls back to a search that agrees with it.
+func TestHeadGraphFullCoverageFastPath(t *testing.T) {
+	for _, dim := range [][2]int{{1, 1}, {1, 7}, {7, 1}, {2, 2}, {5, 3}, {3, 5}, {16, 16}} {
+		w := newNet(t, dim[0], dim[1], 1)
+		for _, c := range w.System().AllCoords() {
+			addAt(t, w, w.System().Center(c))
+		}
+		w.ElectHeads()
+		cells := w.System().NumCells()
+		if !w.AllHeadsPresent() || !w.HeadGraphConnected() || w.headGraphSearch() != cells {
+			t.Fatalf("%dx%d full coverage: connected=%v, search reached %d of %d",
+				dim[0], dim[1], w.HeadGraphConnected(), w.headGraphSearch(), cells)
+		}
+		if cells < 3 {
+			continue
+		}
+		// Empty a middle cell: the fast path no longer applies, and the
+		// answer must be the search's.
+		mid := w.System().CoordAt(cells / 2)
+		w.DisableAllInCell(mid)
+		want := w.headGraphSearch() == cells-1
+		if got := w.HeadGraphConnected(); got != want {
+			t.Errorf("%dx%d minus %v: connected=%v, search says %v", dim[0], dim[1], mid, got, want)
+		}
+		if (dim[0] == 1 || dim[1] == 1) && want {
+			t.Errorf("%dx%d: a line cut in the middle must disconnect", dim[0], dim[1])
+		}
+	}
+}

@@ -13,6 +13,7 @@ package node
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"wsncover/internal/geom"
 )
@@ -118,6 +119,21 @@ func (s *Store) Reset() {
 	s.traveled = s.traveled[:0]
 	s.energy = s.energy[:0]
 	s.enabled = s.enabled[:0]
+}
+
+// Grow ensures capacity for n more nodes, so the next n Adds append
+// without reallocating any column.
+func (s *Store) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	s.loc = slices.Grow(s.loc, n)
+	s.status = slices.Grow(s.status, n)
+	s.role = slices.Grow(s.role, n)
+	s.moves = slices.Grow(s.moves, n)
+	s.traveled = slices.Grow(s.traveled, n)
+	s.energy = slices.Grow(s.energy, n)
+	s.enabled = slices.Grow(s.enabled, (len(s.loc)+n+63)/64-len(s.enabled))
 }
 
 // Add appends an enabled spare node at loc and returns its id (always

@@ -213,3 +213,24 @@ func TestStringers(t *testing.T) {
 		t.Error("invalid Ref String empty")
 	}
 }
+
+// TestGrowReservesEveryColumn checks that after Grow(n) the next n Adds
+// allocate nothing, from an empty store and from a partly filled one
+// whose enabled bitset ends mid-word.
+func TestGrowReservesEveryColumn(t *testing.T) {
+	for _, start := range []int{0, 70} {
+		var s Store
+		for i := 0; i < start; i++ {
+			s.Add(geom.Pt(float64(i), 0))
+		}
+		s.Grow(400) // AllocsPerRun adds a warm-up call: 2 x 200 Adds
+		if allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 200; i++ {
+				s.Add(geom.Pt(float64(i), 1))
+			}
+		}); allocs != 0 {
+			t.Errorf("start %d: %v allocs adding into reserved capacity", start, allocs)
+		}
+		s.Grow(-1) // no-op
+	}
+}

@@ -70,6 +70,33 @@ func (r *Rand) PermInto(dst []int, n int) []int {
 	return dst
 }
 
+// PermPrefixInto writes the first min(k, n) entries of the permutation
+// PermInto(dst, n) would produce into dst, reusing its capacity, and
+// returns them. It draws the same n variates as PermInto, so the stream
+// ends in the same state, but holds only the prefix: the inside-out
+// shuffle never moves a value from position i >= k back below k, so past
+// the prefix the only update that matters is the new value i landing at
+// a prefix position j. Memory is O(k) instead of O(n), and the n-entry
+// random-access buffer of a large field never exists.
+func (r *Rand) PermPrefixInto(dst []int, n, k int) []int {
+	k = max(0, min(k, n))
+	if cap(dst) < k {
+		dst = make([]int, k)
+	}
+	dst = dst[:k]
+	for i := 0; i < k; i++ {
+		j := r.src.Intn(i + 1)
+		dst[i] = dst[j]
+		dst[j] = i
+	}
+	for i := k; i < n; i++ {
+		if j := r.src.Intn(i + 1); j < k {
+			dst[j] = i
+		}
+	}
+	return dst
+}
+
 // Shuffle randomly permutes n elements using the provided swap function.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 

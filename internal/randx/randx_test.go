@@ -236,3 +236,40 @@ func TestPermIntoReusesCapacity(t *testing.T) {
 		t.Errorf("PermInto with sufficient capacity allocates %.1f times", allocs)
 	}
 }
+
+// TestPermPrefixIntoMatchesPermPrefix pins stream identity: the prefix
+// form returns exactly Perm(n)[:k] and leaves the stream where Perm
+// leaves it, for k below, at and above n.
+func TestPermPrefixIntoMatchesPermPrefix(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 64, 1000, 5000} {
+		for _, k := range []int{0, 1, n / 3, n - 1, n, n + 1, 5*n + 3} {
+			for seed := int64(1); seed <= 3; seed++ {
+				a, b := New(seed), New(seed)
+				want := a.Perm(n)[:max(0, min(k, n))]
+				got := b.PermPrefixInto(nil, n, k)
+				if len(got) != len(want) {
+					t.Fatalf("n=%d k=%d: len %d, want %d", n, k, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d k=%d seed=%d: diverges at %d: %d vs %d", n, k, seed, i, got[i], want[i])
+					}
+				}
+				if a.Int63() != b.Int63() {
+					t.Fatalf("n=%d k=%d seed=%d: stream state diverged", n, k, seed)
+				}
+			}
+		}
+	}
+}
+
+func TestPermPrefixIntoReusesCapacity(t *testing.T) {
+	r := New(7)
+	buf := make([]int, 0, 16)
+	allocs := testing.AllocsPerRun(10, func() {
+		buf = r.PermPrefixInto(buf[:0], 10000, 16)
+	})
+	if allocs > 0 {
+		t.Errorf("PermPrefixInto with sufficient capacity allocates %.1f times", allocs)
+	}
+}

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"runtime"
+	"sync"
+
 	"wsncover/internal/ar"
 	"wsncover/internal/async"
 	"wsncover/internal/core"
@@ -45,12 +48,14 @@ func (s *schemeScratch) forAsync() *async.Scratch {
 // TrialArena is the pooled replicate engine's per-worker world: it owns
 // a Network (with its node storage and cell registries), the metrics
 // collector, the controllers' dense scratch state, and — via the
-// hamilton.Shared cache and the deploy package's scratch pool — every
-// other piece of per-trial setup that does not depend on the seed. Consecutive trials with the same grid
+// hamilton.Shared cache — every other piece of per-trial setup that does
+// not depend on the seed. Consecutive trials with the same grid
 // dimensions, communication range, and energy model Reset the network
 // in place instead of rebuilding it, which removes the deployment
 // allocations (~1.4 MB and ~9k objects per 64x64 trial) that dominated
-// campaign cost after the round loop went allocation-free.
+// campaign cost after the round loop went allocation-free. Campaign
+// runners draw arenas from a process-lived free list (acquireArena), so
+// the reuse spans campaigns too.
 //
 // Pooling is purely a memory optimization: an arena-run trial is
 // byte-identical to the fresh-built RunTrial for the same TrialConfig —
@@ -77,6 +82,53 @@ type TrialArena struct {
 // NewTrialArena returns an empty arena; the first trial populates it.
 func NewTrialArena() *TrialArena {
 	return &TrialArena{col: metrics.NewCollector()}
+}
+
+// freeArenas is the process-lived free list of idle arenas. Campaigns
+// take their workers' arenas from it and hand them back when they end,
+// so back-to-back campaigns (a sweep service, a benchmark loop) reuse
+// the world the previous campaign built instead of paying a cold
+// network.New and regrowing the node store from zero. Reuse is always
+// safe: networkFor rebuilds whenever geometry or energy model differ.
+// The list keeps at most GOMAXPROCS arenas — enough for one campaign at
+// full parallelism — and leaves the rest to the collector. It is not a
+// sync.Pool because the collector empties those between (and within)
+// campaigns, which is exactly the rebuild this list exists to avoid.
+var freeArenas struct {
+	sync.Mutex
+	list []*TrialArena
+}
+
+// acquireArena returns an idle arena from the free list, or a new one.
+func acquireArena() *TrialArena {
+	freeArenas.Lock()
+	defer freeArenas.Unlock()
+	if n := len(freeArenas.list); n > 0 {
+		a := freeArenas.list[n-1]
+		freeArenas.list = freeArenas.list[:n-1]
+		return a
+	}
+	return NewTrialArena()
+}
+
+// releaseArenas returns the non-nil arenas to the free list. The caller
+// must not touch them afterwards. When the list overflows, the arenas
+// idle longest are dropped: the next campaign most likely has the shape
+// of the last one.
+func releaseArenas(arenas []*TrialArena) {
+	freeArenas.Lock()
+	defer freeArenas.Unlock()
+	for _, a := range arenas {
+		if a != nil {
+			freeArenas.list = append(freeArenas.list, a)
+		}
+	}
+	list := freeArenas.list
+	if over := len(list) - runtime.GOMAXPROCS(0); over > 0 {
+		n := copy(list, list[over:])
+		clear(list[n:])
+		freeArenas.list = list[:n]
+	}
 }
 
 // networkFor returns a pristine network for the normalized trial

@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"context"
+	"runtime"
+	"sync"
 	"testing"
 
 	"wsncover/internal/experiment"
@@ -120,8 +122,8 @@ func TestCampaignManifestsBitIdenticalAcrossPooling(t *testing.T) {
 // RNG streams, the controller's maps, and the workload closures; what
 // it excludes is everything proportional to the world size (node
 // objects, cell registries, topology tables, permutation buffers),
-// which the arena, the topology cache, and the deploy scratch pool
-// amortize across replicates. Since the controllers moved to pooled
+// which the arena and the topology cache amortize across replicates and
+// deployment no longer materializes. Since the controllers moved to pooled
 // dense tables (core/ar Scratch), the budget no longer admits maps —
 // what remains is the per-trial RNG stream split and the workload
 // closures.
@@ -147,5 +149,107 @@ func TestSteadyStateReplicateAllocBudget(t *testing.T) {
 		if allocs > budget {
 			t.Errorf("%v steady-state replicate allocates %.0f times, budget %d", scheme, allocs, budget)
 		}
+	}
+}
+
+// TestConsecutiveCampaignsReuseArenas runs back-to-back campaigns that
+// alternate grid size and energy model, so each campaign picks up an
+// arena the previous one left in the process-lived free list built for
+// a different world. Every manifest must still equal the fresh build.
+func TestConsecutiveCampaignsReuseArenas(t *testing.T) {
+	holes := CampaignSpec{
+		Schemes:    []SchemeKind{SR, AR},
+		Grids:      []GridSize{{16, 16}},
+		Spares:     []int{10, 40},
+		Holes:      []int{2},
+		Replicates: 2,
+		BaseSeed:   71,
+	}
+	depletion := CampaignSpec{
+		Schemes:    []SchemeKind{SR},
+		Grids:      []GridSize{{32, 32}},
+		Spares:     []int{30},
+		Workloads:  []WorkloadSpec{{Kind: WorkloadDepletion, Budget: 20}},
+		Replicates: 2,
+		BaseSeed:   72,
+	}
+	for i, spec := range []CampaignSpec{holes, depletion, holes, depletion} {
+		for _, workers := range []int{1, 2} {
+			if got, ref := pooledManifestBytes(t, spec, false, workers), pooledManifestBytes(t, spec, true, 1); !bytes.Equal(got, ref) {
+				t.Fatalf("campaign %d (workers=%d): pooled manifest differs from fresh", i, workers)
+			}
+		}
+	}
+}
+
+// TestConcurrentCampaignsShareFreeList runs campaigns on several
+// goroutines at once, each taking arenas from and returning them to the
+// shared free list; run under -race it checks the list's locking, and
+// the manifests check that no arena is ever used by two trials at once.
+func TestConcurrentCampaignsShareFreeList(t *testing.T) {
+	specs := []CampaignSpec{
+		{Schemes: []SchemeKind{SR}, Grids: []GridSize{{12, 12}}, Spares: []int{20}, Holes: []int{3}, Replicates: 4, BaseSeed: 81},
+		{Schemes: []SchemeKind{AR}, Grids: []GridSize{{10, 10}}, Spares: []int{15}, Holes: []int{2}, Replicates: 4, BaseSeed: 82},
+	}
+	refs := make([][]byte, len(specs))
+	for i, spec := range specs {
+		refs[i] = pooledManifestBytes(t, spec, true, 1)
+	}
+	var wg sync.WaitGroup
+	for round := 0; round < 3; round++ {
+		for i := range specs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if got := pooledManifestBytes(t, specs[i], false, 2); !bytes.Equal(got, refs[i]) {
+					t.Errorf("spec %d: concurrent pooled manifest differs from fresh", i)
+				}
+			}(i)
+		}
+	}
+	wg.Wait()
+}
+
+// TestWarmCampaignAllocBudget pins what a campaign allocates per trial
+// once an earlier campaign has left a same-shape arena in the free
+// list: the 256x256 world (node columns, cell registries, controller
+// tables) is reused, so per-trial allocation is the trial's own
+// bookkeeping (mostly its RNG streams) plus a share of the campaign's
+// fixed overhead. A campaign that builds its own arena instead measured
+// 129 allocs and 4.4 MB per trial here.
+func TestWarmCampaignAllocBudget(t *testing.T) {
+	const (
+		allocBudget = 80       // allocs/trial (measured 45)
+		byteBudget  = 64 << 10 // bytes/trial (measured 38 KiB)
+	)
+	spec := CampaignSpec{
+		Schemes:         []SchemeKind{SR},
+		Grids:           []GridSize{{256, 256}},
+		Spares:          []int{1200},
+		Holes:           []int{64},
+		AdjacentHolesOK: true,
+		Replicates:      4,
+		Workers:         1,
+	}
+	run := func() {
+		if err := RunCampaignStream(context.Background(), spec, experiment.Options{},
+			func(TrialJob, experiment.Sample) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm: leaves a 256x256 arena in the free list
+	trials := float64(spec.NumJobs())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / trials
+	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / trials
+	t.Logf("warm 256x256 campaign: %.0f allocs/trial, %.0f B/trial", allocs, bytesPer)
+	if allocs > allocBudget {
+		t.Errorf("warm campaign allocates %.0f times per trial, budget %d", allocs, allocBudget)
+	}
+	if bytesPer > byteBudget {
+		t.Errorf("warm campaign allocates %.0f B per trial, budget %d", bytesPer, byteBudget)
 	}
 }

@@ -494,10 +494,11 @@ func RunCampaignStream(ctx context.Context, spec CampaignSpec, opts experiment.O
 // stitching.
 //
 // Each worker goroutine runs its trials inside a pooled TrialArena
-// (unless spec.FreshBuild), so consecutive replicates of a campaign
-// group reuse the previous trial's memory instead of rebuilding the
-// world; the differential tests pin that pooling never changes a byte
-// of output.
+// (unless spec.FreshBuild), taken from the process-lived free list and
+// returned when the campaign ends, so consecutive replicates — and
+// consecutive campaigns — reuse the previous trial's memory instead of
+// rebuilding the world; the differential tests pin that pooling never
+// changes a byte of output.
 func RunCampaignSubset(ctx context.Context, spec CampaignSpec, opts experiment.Options, keep func(TrialJob) bool, sink func(TrialJob, experiment.Sample) error) error {
 	spec.normalize()
 	if err := spec.Validate(); err != nil {
@@ -521,6 +522,7 @@ func RunCampaignSubset(ctx context.Context, spec CampaignSpec, opts experiment.O
 		total = len(included)
 	}
 	arenas := make([]*TrialArena, opts.WorkerCount(total))
+	defer releaseArenas(arenas)
 	return experiment.RunStreamWorkers(ctx, total, opts,
 		func(_ context.Context, w, i int) (experiment.Sample, error) {
 			j := jobs.At(index(i))
@@ -530,9 +532,14 @@ func RunCampaignSubset(ctx context.Context, spec CampaignSpec, opts experiment.O
 				res, err = RunTrial(j.config(spec))
 			} else {
 				if arenas[w] == nil {
-					arenas[w] = NewTrialArena()
+					arenas[w] = acquireArena()
 				}
-				res, err = arenas[w].RunTrial(j.config(spec))
+				if res, err = arenas[w].RunTrial(j.config(spec)); err != nil {
+					// A trial that failed part-way may leave the arena's
+					// controller scratch mid-run; keep it out of the
+					// free list.
+					arenas[w] = nil
+				}
 			}
 			if err != nil {
 				return experiment.Sample{}, fmt.Errorf("%s N=%d replicate %d: %w",

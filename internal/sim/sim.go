@@ -530,6 +530,7 @@ func RunSweepContext(ctx context.Context, cfg SweepConfig) ([]SweepPoint, error)
 	total := len(cfg.Ns) * cfg.Trials
 	opts := experiment.Options{Workers: cfg.Workers}
 	arenas := make([]*TrialArena, opts.WorkerCount(total))
+	defer releaseArenas(arenas)
 	results := make([]TrialResult, total)
 	err := experiment.RunStreamWorkers(ctx, total, opts,
 		func(_ context.Context, w, i int) (TrialResult, error) {
@@ -537,10 +538,11 @@ func RunSweepContext(ctx context.Context, cfg SweepConfig) ([]SweepPoint, error)
 			tc.Spares = cfg.Ns[i/cfg.Trials]
 			tc.Seed = cfg.BaseSeed + int64(i%cfg.Trials)
 			if arenas[w] == nil {
-				arenas[w] = NewTrialArena()
+				arenas[w] = acquireArena()
 			}
 			res, err := arenas[w].RunTrial(tc)
 			if err != nil {
+				arenas[w] = nil // see RunCampaignSubset
 				return TrialResult{}, fmt.Errorf("sim: sweep N=%d trial %d: %w",
 					tc.Spares, i%cfg.Trials, err)
 			}

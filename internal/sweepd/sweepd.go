@@ -374,33 +374,26 @@ func (d *Daemon) runnerLoop() {
 // credited with checkpointed cells, an aborted one records its partial
 // progress honestly).
 func (d *Daemon) finish(c *Campaign, status, manifestPath string, ran int, runErr error) {
+	finished := time.Now().UTC()
 	d.mu.Lock()
-	c.Status = status
-	c.Finished = time.Now().UTC()
-	if manifestPath != "" {
-		c.ManifestPath = manifestPath
+	if manifestPath == "" {
+		manifestPath = c.ManifestPath
 	}
-	if runErr != nil {
-		c.Err = runErr.Error()
-	}
-	delete(d.inflight, c.SpecHash)
 	d.mu.Unlock()
-	if c.hub != nil {
-		c.hub.Close()
-	}
-	close(c.done)
-
+	// The record is appended before the terminal status is published, so
+	// a client that sees the status (or the done channel) also sees the
+	// run in the ledger.
 	wall := 0.0
 	if !c.Started.IsZero() {
-		wall = c.Finished.Sub(c.Started).Seconds()
+		wall = finished.Sub(c.Started).Seconds()
 	}
 	rec := telemetry.Record{
-		Time:     c.Finished,
+		Time:     finished,
 		Name:     c.Name,
 		Mode:     "sweepd",
 		Status:   status,
 		SpecHash: c.SpecHash,
-		Manifest: c.ManifestPath,
+		Manifest: manifestPath,
 		Jobs:     ran,
 		Workers:  c.Spec.Workers,
 		WallS:    wall,
@@ -422,9 +415,24 @@ func (d *Daemon) finish(c *Campaign, status, manifestPath string, ran int, runEr
 	if err := telemetry.AppendRecord(d.store.LedgerPath(), rec); err != nil {
 		d.log.Error("ledger append failed", "path", d.store.LedgerPath(), "err", err)
 	}
+
+	d.mu.Lock()
+	c.Status = status
+	c.Finished = finished
+	c.ManifestPath = manifestPath
+	if runErr != nil {
+		c.Err = runErr.Error()
+	}
+	delete(d.inflight, c.SpecHash)
+	d.mu.Unlock()
+	if c.hub != nil {
+		c.hub.Close()
+	}
+	close(c.done)
+
 	switch status {
 	case StatusCompleted:
-		d.log.Info("campaign completed", "id", c.ID, "name", c.Name, "manifest", c.ManifestPath, "wall_s", wall)
+		d.log.Info("campaign completed", "id", c.ID, "name", c.Name, "manifest", manifestPath, "wall_s", wall)
 	default:
 		d.log.Warn("campaign ended unhealthy", "id", c.ID, "name", c.Name, "status", status, "err", c.Err)
 	}
