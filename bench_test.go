@@ -27,6 +27,7 @@ import (
 	"wsncover/internal/geom"
 	"wsncover/internal/grid"
 	"wsncover/internal/hamilton"
+	"wsncover/internal/metrics"
 	"wsncover/internal/network"
 	"wsncover/internal/node"
 	"wsncover/internal/randx"
@@ -599,6 +600,80 @@ func BenchmarkReplicateSteadyState(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFieldPhases splits the pooled 1024x1024 replicate
+// (ReplicateSteadyState/pooled-1024x1024, the field-1024 workload of
+// perfbench) into its two halves, so a change to either names the layer
+// it moved. "deploy" is world construction on a reused network: Reset,
+// hole picking, and the controlled deployment with head election.
+// "step" is the SR protocol from a freshly deployed world to
+// convergence; the deployment and controller set-up before each run are
+// off the clock. Both draw the replicate's random streams and rotate
+// seeds like it.
+func BenchmarkFieldPhases(b *testing.B) {
+	const cols, rows, spares, holes = 1024, 1024, 4800, 256
+	sys, err := grid.NewForCommRange(cols, rows, sim.PaperCommRange, geom.Pt(0, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo, err := hamilton.Shared(sys)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := network.New(sys, node.EnergyModel{})
+	build := func(b *testing.B, seed int64) *randx.Rand {
+		net.Reset()
+		rng := randx.New(seed)
+		cells, err := deploy.PickHoleCells(sys, holes, false, rng.Split(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := deploy.Controlled(net, spares, cells, rng.Split(2)); err != nil {
+			b.Fatal(err)
+		}
+		return rng
+	}
+	b.Run("deploy", func(b *testing.B) {
+		build(b, 0) // settle the pooled capacity
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			build(b, int64(i%8))
+		}
+	})
+	b.Run("step", func(b *testing.B) {
+		var scratch core.Scratch
+		col := metrics.NewCollector()
+		converge := func(seed int64) {
+			rng := build(b, seed)
+			ctrl, err := core.New(net, core.Config{
+				Topology: topo, RNG: rng.Split(3), Collector: col, Scratch: &scratch,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			for rounds := 0; rounds == 0 || !ctrl.Done(); rounds++ {
+				if rounds == 4*cols*rows {
+					b.Fatal("SR did not converge")
+				}
+				if err := ctrl.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if !net.AllHeadsPresent() {
+				b.Fatal("SR converged with holes left")
+			}
+		}
+		converge(0) // settle the pooled buffers
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			converge(int64(i % 8))
+		}
+	})
 }
 
 // BenchmarkTelemetrySteadyState reruns the pooled 64x64 steady state

@@ -144,21 +144,19 @@ type Controller struct {
 
 	// fullScan selects the reference O(cells) detector.
 	fullScan bool
-	// holeList/holePos are the event-driven detector's standing set of
-	// vacant cells: holeList the members (unordered; candidates are
-	// sorted per round), holePos each cell's position+1 (0 = absent).
-	// Seeded from a one-time scan at construction, then maintained from
-	// the network's vacancy journal, so per-round detection is O(holes)
-	// instead of O(cells).
-	holeList []grid.Coord
-	holePos  []int32
+	// holes is the event-driven detector's standing set of vacant cell
+	// indices. Seeded from a one-time scan at construction, then
+	// maintained from the network's vacancy journal, so per-round
+	// detection is O(holes) instead of O(cells).
+	holes dense.IndexSet
 
 	// Scratch buffers reused across rounds so the hot loop does not
 	// allocate: the inbox snapshot, the vacant-cell candidates (scanned
-	// or journal-fed), the journal drain, and the neighbor-classification
-	// lists of pickNext.
+	// or journal-fed) and their sorted indices, the journal drain, and
+	// the neighbor-classification lists of pickNext.
 	inboxBuf []network.Message
 	vacBuf   []grid.Coord
+	idxBuf   []int32
 	eventBuf []grid.Coord
 	nbrBuf   []grid.Coord
 	spareBuf []grid.Coord
@@ -194,6 +192,8 @@ func New(net *network.Network, cfg Config) *Controller {
 		c = new(Controller)
 	}
 	n := net.System().NumCells()
+	holes := c.holes
+	holes.Reset(n)
 	// Field-by-field reinit: slices keep their backing arrays (truncated
 	// or cleared), everything else is overwritten, so a pooled controller
 	// starts byte-identical to a fresh one.
@@ -214,11 +214,11 @@ func New(net *network.Network, cfg Config) *Controller {
 		departing: dense.Bits(c.departing, n),
 		pending:   c.pending[:0],
 
-		holeList: c.holeList[:0],
-		holePos:  dense.Int32s(c.holePos, n),
+		holes: holes,
 
 		inboxBuf: c.inboxBuf[:0],
 		vacBuf:   c.vacBuf[:0],
+		idxBuf:   c.idxBuf[:0],
 		eventBuf: c.eventBuf[:0],
 		nbrBuf:   c.nbrBuf[:0],
 		spareBuf: c.spareBuf[:0],
@@ -236,7 +236,7 @@ func New(net *network.Network, cfg Config) *Controller {
 		c.net.DiscardVacancyEvents()
 		c.eventBuf = c.net.VacantCells(c.eventBuf[:0])
 		for _, g := range c.eventBuf {
-			c.holeAdd(g)
+			c.holes.Add(c.sys.Index(g))
 		}
 	}
 	return c
@@ -283,31 +283,6 @@ func (c *Controller) visitedHas(p *proc, g grid.Coord) bool {
 func (c *Controller) markVisited(p *proc, g grid.Coord) {
 	c.visited[p.id*c.maxHops+int(p.nvis)] = g
 	p.nvis++
-}
-
-// holeAdd inserts g into the standing hole set (no-op when present).
-func (c *Controller) holeAdd(g grid.Coord) {
-	idx := c.sys.Index(g)
-	if c.holePos[idx] != 0 {
-		return
-	}
-	c.holeList = append(c.holeList, g)
-	c.holePos[idx] = int32(len(c.holeList))
-}
-
-// holeRemove deletes g from the standing hole set by swap-removal.
-func (c *Controller) holeRemove(g grid.Coord) {
-	idx := c.sys.Index(g)
-	pos := c.holePos[idx]
-	if pos == 0 {
-		return
-	}
-	last := len(c.holeList) - 1
-	moved := c.holeList[last]
-	c.holeList[int(pos)-1] = moved
-	c.holePos[c.sys.Index(moved)] = pos
-	c.holeList = c.holeList[:last]
-	c.holePos[idx] = 0
 }
 
 // isDeparting reports whether the head of g is committed to a move.
@@ -560,13 +535,17 @@ func (c *Controller) vacantCandidates() []grid.Coord {
 	c.eventBuf = c.net.DrainVacancyEvents(c.eventBuf[:0])
 	for _, g := range c.eventBuf {
 		if c.net.IsVacant(g) {
-			c.holeAdd(g)
+			c.holes.Add(c.sys.Index(g))
 		} else {
-			c.holeRemove(g)
+			c.holes.Remove(c.sys.Index(g))
 		}
 	}
-	buf := append(c.vacBuf[:0], c.holeList...)
-	slices.SortFunc(buf, func(a, b grid.Coord) int { return c.sys.Index(a) - c.sys.Index(b) })
+	c.idxBuf = append(c.idxBuf[:0], c.holes.Members()...)
+	slices.Sort(c.idxBuf)
+	buf := c.vacBuf[:0]
+	for _, idx := range c.idxBuf {
+		buf = append(buf, c.sys.CoordAt(int(idx)))
+	}
 	return buf
 }
 
@@ -646,14 +625,15 @@ func (c *Controller) AuditClaims() []string {
 		// Cells with undrained journal flips are lag, not disagreement: a
 		// mover filled them during the final detect pass, after its drain;
 		// the next drain would resync. See core.Controller.AuditClaims.
-		for _, g := range c.holeList {
+		for _, idx := range c.holes.Members() {
+			g := c.sys.CoordAt(int(idx))
 			if !c.net.IsVacant(g) && !c.net.VacancyFlipPending(g) {
 				bad = append(bad, fmt.Sprintf(
 					"ar: standing hole set contains occupied cell %v", g))
 			}
 		}
 		for _, g := range c.net.VacantCells(nil) {
-			if c.holePos[c.sys.Index(g)] != 0 || c.net.VacancyFlipPending(g) {
+			if c.holes.Has(c.sys.Index(g)) || c.net.VacancyFlipPending(g) {
 				continue
 			}
 			bad = append(bad, fmt.Sprintf(

@@ -118,6 +118,14 @@ type claim struct {
 	round int
 }
 
+// claimSlot is one cell's entry of the claims registry: pid+1 of the
+// owning process (0 = unclaimed) and the round the claim was placed. The
+// two are read together, so they share a record.
+type claimSlot struct {
+	pid   int32
+	round int32
+}
+
 // departure is a head movement scheduled for the start of the next round,
 // after its cascade notification has been received (Algorithm 1, steps b
 // and c).
@@ -154,12 +162,9 @@ type Controller struct {
 	procs  []proc
 	active int
 
-	// claimPID/claimRound are the per-cell claims registry: claimPID
-	// holds pid+1 of the owning process (0 = unclaimed), claimRound the
-	// round the claim was placed. Vacant grids with a live claim are
-	// never treated as fresh holes.
-	claimPID   []int32
-	claimRound []int32
+	// claims is the per-cell claims registry, indexed by cell index.
+	// Vacant grids with a live claim are never treated as fresh holes.
+	claims []claimSlot
 	// failedOrigins marks holes whose process exhausted the walk without
 	// finding a spare; they stay claimed so detection does not re-fire
 	// every round. ResetFailed clears them for dynamic scenarios.
@@ -170,21 +175,18 @@ type Controller struct {
 
 	// fullScan selects the reference O(cells) detector.
 	fullScan bool
-	// holeList/holePos are the event-driven detector's standing set of
-	// vacant cells awaiting a live claim: holeList the members (unordered;
-	// detection sorts a copy), holePos each cell's position+1 in it (0 =
-	// absent). Seeded from a one-time scan at construction, then
+	// holes is the event-driven detector's standing set of vacant cell
+	// indices. Seeded from a one-time scan at construction, then
 	// maintained from the network's vacancy journal, so per-round
 	// detection is O(holes), not O(cells).
-	holeList []grid.Coord
-	holePos  []int32
+	holes dense.IndexSet
 
 	// Scratch buffers reused across rounds so the round loop does not
-	// allocate: inbox snapshot, journal drain, detection candidates, and
+	// allocate: inbox snapshot, journal drain, detection sort keys, and
 	// the shortcut's neighbor probe.
 	inboxBuf []network.Message
 	eventBuf []grid.Coord
-	candBuf  []grid.Coord
+	keyBuf   []uint64
 	nbrBuf   []grid.Coord
 	watchBuf []grid.Coord
 }
@@ -223,6 +225,8 @@ func New(net *network.Network, cfg Config) (*Controller, error) {
 		c = new(Controller)
 	}
 	n := ns.NumCells()
+	holes := c.holes
+	holes.Reset(n)
 	// Field-by-field reinit: slices keep their backing arrays (truncated
 	// or cleared), everything else is overwritten, so a pooled controller
 	// starts byte-identical to a fresh one.
@@ -241,18 +245,16 @@ func New(net *network.Network, cfg Config) (*Controller, error) {
 		lieBudget: c.lieBudget[:0],
 		procs:     c.procs[:0],
 
-		claimPID:      dense.Int32s(c.claimPID, n),
-		claimRound:    dense.Int32s(c.claimRound, n),
+		claims:        dense.Zeroed(c.claims, n),
 		failedOrigins: dense.Bits(c.failedOrigins, n),
 		departing:     dense.Bits(c.departing, n),
 		pending:       c.pending[:0],
 
-		holeList: c.holeList[:0],
-		holePos:  dense.Int32s(c.holePos, n),
+		holes: holes,
 
 		inboxBuf: c.inboxBuf[:0],
 		eventBuf: c.eventBuf[:0],
-		candBuf:  c.candBuf[:0],
+		keyBuf:   c.keyBuf[:0],
 		nbrBuf:   c.nbrBuf[:0],
 		watchBuf: c.watchBuf[:0],
 	}
@@ -289,7 +291,7 @@ func New(net *network.Network, cfg Config) (*Controller, error) {
 		c.net.DiscardVacancyEvents()
 		c.eventBuf = c.net.VacantCells(c.eventBuf[:0])
 		for _, g := range c.eventBuf {
-			c.holeAdd(g)
+			c.holes.Add(ns.Index(g))
 		}
 	}
 	return c, nil
@@ -336,59 +338,32 @@ func (c *Controller) startProc(p proc) *proc {
 
 // claimAt reads the claims registry for cell s.
 func (c *Controller) claimAt(s grid.Coord) (claim, bool) {
-	idx := c.sys.Index(s)
-	if c.claimPID[idx] == 0 {
+	sl := c.claims[c.sys.Index(s)]
+	if sl.pid == 0 {
 		return claim{}, false
 	}
-	return claim{pid: int(c.claimPID[idx] - 1), round: int(c.claimRound[idx])}, true
+	return claim{pid: int(sl.pid - 1), round: int(sl.round)}, true
 }
 
 // setClaim records a claim on cell s.
 func (c *Controller) setClaim(s grid.Coord, cl claim) {
-	idx := c.sys.Index(s)
-	c.claimPID[idx] = int32(cl.pid) + 1
-	c.claimRound[idx] = int32(cl.round)
+	c.claims[c.sys.Index(s)] = claimSlot{pid: int32(cl.pid) + 1, round: int32(cl.round)}
 }
 
 // dropClaim removes any claim on cell s.
-func (c *Controller) dropClaim(s grid.Coord) { c.claimPID[c.sys.Index(s)] = 0 }
+func (c *Controller) dropClaim(s grid.Coord) { c.claims[c.sys.Index(s)].pid = 0 }
 
 // isDeparting reports whether the head of g is committed to a move.
 func (c *Controller) isDeparting(g grid.Coord) bool { return dense.Has(c.departing, c.sys.Index(g)) }
-
-// holeAdd inserts g into the standing hole set (no-op when present).
-func (c *Controller) holeAdd(g grid.Coord) {
-	idx := c.sys.Index(g)
-	if c.holePos[idx] != 0 {
-		return
-	}
-	c.holeList = append(c.holeList, g)
-	c.holePos[idx] = int32(len(c.holeList))
-}
-
-// holeRemove deletes g from the standing hole set by swap-removal.
-func (c *Controller) holeRemove(g grid.Coord) {
-	idx := c.sys.Index(g)
-	pos := c.holePos[idx]
-	if pos == 0 {
-		return
-	}
-	last := len(c.holeList) - 1
-	moved := c.holeList[last]
-	c.holeList[int(pos)-1] = moved
-	c.holePos[c.sys.Index(moved)] = pos
-	c.holeList = c.holeList[:last]
-	c.holePos[idx] = 0
-}
 
 // ResetFailed clears the failed-origin registry and every claim left by a
 // dead process so that holes that could not be repaired earlier (no
 // spares) are re-detected, e.g. after new nodes arrive in a dynamic
 // scenario.
 func (c *Controller) ResetFailed() {
-	for idx, pid := range c.claimPID {
-		if pid != 0 && !c.alive(int(pid-1)) {
-			c.claimPID[idx] = 0
+	for idx, sl := range c.claims {
+		if sl.pid != 0 && !c.alive(int(sl.pid-1)) {
+			c.claims[idx].pid = 0
 		}
 	}
 	clear(c.failedOrigins)
@@ -676,18 +651,26 @@ func (c *Controller) detect() error {
 	c.eventBuf = c.net.DrainVacancyEvents(c.eventBuf[:0])
 	for _, g := range c.eventBuf {
 		if c.net.IsVacant(g) {
-			c.holeAdd(g)
+			c.holes.Add(c.sys.Index(g))
 		} else {
-			c.holeRemove(g)
+			c.holes.Remove(c.sys.Index(g))
 		}
 	}
-	c.candBuf = append(c.candBuf[:0], c.holeList...)
-	// Sort by the monitor scan key. Keys are unique: a monitor watches at
-	// most two grids and ranks split that tie.
-	slices.SortFunc(c.candBuf, func(a, b grid.Coord) int {
-		return c.detectKey(a) - c.detectKey(b)
-	})
-	for _, s := range c.candBuf {
+	// Sort by the monitor scan key — (monitor cell index, rank within the
+	// monitor's watch list), the visit order of the reference full scan —
+	// looked up once per hole, with the hole's cell index in the low
+	// half. Keys are unique (a monitor watches at most two grids and
+	// ranks split that tie), so the index never decides the order; it
+	// only rides along.
+	keys := c.keyBuf[:0]
+	for _, idx := range c.holes.Members() {
+		key := c.topo.ScanKey(c.sys.CoordAt(int(idx)))
+		keys = append(keys, uint64(key)<<32|uint64(idx))
+	}
+	slices.Sort(keys)
+	c.keyBuf = keys
+	for _, k := range keys {
+		s := c.sys.CoordAt(int(uint32(k)))
 		g := c.topo.MonitorOf(s)
 		if c.net.HeadOf(g) == node.Invalid || c.isDeparting(g) {
 			continue
@@ -703,12 +686,6 @@ func (c *Controller) detect() error {
 		}
 	}
 	return nil
-}
-
-// detectKey orders hole s by (monitor cell index, rank within the
-// monitor's watch list), the visit order of the reference full scan.
-func (c *Controller) detectKey(s grid.Coord) int {
-	return c.sys.Index(c.topo.MonitorOf(s))*2 + c.topo.MonitorRank(s)
 }
 
 // admitClaimed applies the claim-liveness rule shared by both detectors:
@@ -821,13 +798,13 @@ func (c *Controller) Finalize() {
 // drained by the last Step.
 func (c *Controller) AuditClaims() []string {
 	var bad []string
-	for idx, pid := range c.claimPID {
-		if pid == 0 {
+	for idx, sl := range c.claims {
+		if sl.pid == 0 {
 			continue
 		}
-		if g := c.sys.CoordAt(idx); !c.alive(int(pid-1)) && !c.net.IsVacant(g) {
+		if g := c.sys.CoordAt(idx); !c.alive(int(sl.pid-1)) && !c.net.IsVacant(g) {
 			bad = append(bad, fmt.Sprintf(
-				"core: claim on occupied cell %v owned by dead process %d", g, int(pid-1)))
+				"core: claim on occupied cell %v owned by dead process %d", g, int(sl.pid-1)))
 		}
 	}
 	if !c.fullScan {
@@ -836,14 +813,15 @@ func (c *Controller) AuditClaims() []string {
 		// pass's drain, and the next drain would resync it. That is the
 		// only post-drain mutation a Step performs, so at rest the two
 		// views must agree everywhere else.
-		for _, g := range c.holeList {
+		for _, idx := range c.holes.Members() {
+			g := c.sys.CoordAt(int(idx))
 			if !c.net.IsVacant(g) && !c.net.VacancyFlipPending(g) {
 				bad = append(bad, fmt.Sprintf(
 					"core: standing hole set contains occupied cell %v", g))
 			}
 		}
 		for _, g := range c.net.VacantCells(nil) {
-			if c.holePos[c.sys.Index(g)] != 0 || c.net.VacancyFlipPending(g) {
+			if c.holes.Has(c.sys.Index(g)) || c.net.VacancyFlipPending(g) {
 				continue
 			}
 			bad = append(bad, fmt.Sprintf(

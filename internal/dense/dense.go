@@ -1,9 +1,10 @@
 // Package dense holds the tiny resize-and-clear helpers behind the
-// pooled controllers' per-cell scratch tables: int32 columns (biased by
-// one so the zero value means "none") and bitsets. Every helper reuses
-// the backing array when it is large enough, so a trial arena's tables
-// settle at the largest grid they have seen and subsequent trials cost
-// one memclr instead of an allocation.
+// pooled controllers' per-cell scratch tables: columns of int32s or small
+// records (biased by one so the zero value means "none"), bitsets, and
+// the index set the controllers keep their standing holes in. Every
+// helper reuses the backing array when it is large enough, so a trial
+// arena's tables settle at the largest grid they have seen and
+// subsequent trials cost one memclr instead of an allocation.
 package dense
 
 import "math/bits"
@@ -41,11 +42,60 @@ func Count(b []uint64) int {
 }
 
 // Int32s returns s resized to n elements, all zero, reusing capacity.
-func Int32s(s []int32, n int) []int32 {
+func Int32s(s []int32, n int) []int32 { return Zeroed(s, n) }
+
+// Zeroed returns s resized to n elements, all zero, reusing capacity.
+func Zeroed[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)
 	return s
 }
+
+// IndexSet is a set of indices in [0, n) with O(1) insertion, removal
+// and membership: an unordered member list plus each index's position in
+// it. The zero value is an empty set over no indices; Reset sizes it.
+type IndexSet struct {
+	list []int32 // members, unordered
+	pos  []int32 // pos[i] = position of i in list + 1, 0 = absent
+}
+
+// Reset empties the set and sizes it for indices in [0, n), reusing
+// capacity.
+func (s *IndexSet) Reset(n int) {
+	s.list = s.list[:0]
+	s.pos = Int32s(s.pos, n)
+}
+
+// Has reports whether i is a member.
+func (s *IndexSet) Has(i int) bool { return s.pos[i] != 0 }
+
+// Add inserts i (no-op when present).
+func (s *IndexSet) Add(i int) {
+	if s.pos[i] != 0 {
+		return
+	}
+	s.list = append(s.list, int32(i))
+	s.pos[i] = int32(len(s.list))
+}
+
+// Remove deletes i by swap-removal (no-op when absent).
+func (s *IndexSet) Remove(i int) {
+	pos := s.pos[i]
+	if pos == 0 {
+		return
+	}
+	last := len(s.list) - 1
+	moved := s.list[last]
+	s.list[pos-1] = moved
+	s.pos[moved] = pos
+	s.list = s.list[:last]
+	s.pos[i] = 0
+}
+
+// Members returns the members in no particular order. The slice belongs
+// to the set: callers must not modify it, and it is valid until the next
+// Add, Remove or Reset.
+func (s *IndexSet) Members() []int32 { return s.list }

@@ -116,15 +116,11 @@ func Controlled(w *network.Network, spares int, holeCells []grid.Coord, rng *ran
 		return fmt.Errorf("controlled deploy: no non-hole cells for %d spares", spares)
 	}
 	w.GrowNodes(occupied + max(spares, 0))
-	next := 0 // position in holes of the first hole at or after idx
-	for idx := 0; idx < n; idx++ {
-		if next < len(holes) && holes[next] == idx {
-			next++
-			continue
-		}
-		if _, err := w.AddNodeAt(rng.InRect(sys.CellRect(sys.CoordAt(idx)))); err != nil {
-			return fmt.Errorf("controlled deploy: %w", err)
-		}
+	err := w.AddOnePerCell(holes, func(c grid.Coord) geom.Point {
+		return rng.InRect(sys.CellRect(c))
+	})
+	if err != nil {
+		return fmt.Errorf("controlled deploy: %w", err)
 	}
 	for i := 0; i < spares; i++ {
 		c := sys.CoordAt(holes.cell(rng.Intn(occupied)))

@@ -129,6 +129,7 @@ func RunStreamWorkers[T any](ctx context.Context, total int, opts Options, fn fu
 	if total == 0 {
 		return ctx.Err()
 	}
+	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -165,15 +166,20 @@ func RunStreamWorkers[T any](ctx context.Context, total int, opts Options, fn fu
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= total || ctx.Err() != nil {
+				if i >= total {
 					return
 				}
 				mu.Lock()
 				for i >= nextFlush+window && ctx.Err() == nil {
 					gate.Wait()
 				}
+				// After a failure only the jobs before the failing index
+				// still run: every lower index is already claimed, so the
+				// lowest failing job is the one reported, whichever worker
+				// failed first. A parent cancellation stops everything.
+				stop := parent.Err() != nil || ctx.Err() != nil && i > errIndex
 				mu.Unlock()
-				if ctx.Err() != nil {
+				if stop {
 					return
 				}
 				res, err := fn(ctx, worker, i)

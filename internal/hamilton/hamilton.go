@@ -49,28 +49,29 @@ type Topology struct {
 	sys  *grid.System
 	kind Kind
 
-	// Single-cycle state: succ and pred are dense-index maps around the
-	// cycle. Only set for KindCycle.
-	succ []int
-	pred []int
+	// Single-cycle state: succ is the dense-index map around the cycle.
+	// Only set for KindCycle. The predecessor map is scanKey's monitor
+	// half, since on a cycle every grid's monitor is its predecessor.
+	// Every index table is int32: a cascade reads entries at cells a grid
+	// row apart, so smaller tables spread those reads over fewer pages.
+	succ []int32
 
 	// Dual-path state. sharedOrder runs from D to C and covers every grid
 	// except a and b; sharedNext/sharedPrev are dense-index maps along it
 	// (-1 where undefined). Only set for KindDualPath.
 	a, b, c, d  grid.Coord
 	sharedOrder []grid.Coord
-	sharedNext  []int
-	sharedPrev  []int
+	sharedNext  []int32
+	sharedPrev  []int32
 
-	// monitor is the precomputed reverse monitoring relation: for every
-	// grid index, the dense index of the unique grid whose head watches it
-	// for vacancy. monitorRank is the grid's position within its monitor's
+	// scanKey is the precomputed reverse monitoring relation: for every
+	// grid index, 2*m + r, where m is the dense index of the unique grid
+	// whose head watches it for vacancy and r its position within m's
 	// Monitored list (only grid B of the dual-path construction has rank
-	// 1: C watches A first, then B). Together they give event-driven hole
-	// detection an O(1) "who detects this hole, and in what scan order"
-	// lookup. Set for both kinds.
-	monitor     []int
-	monitorRank []uint8
+	// 1: C watches A first, then B). It gives event-driven hole detection
+	// an O(1) "who detects this hole, and in what scan order" lookup in a
+	// single load. Set for both kinds.
+	scanKey []int32
 }
 
 // Build constructs the appropriate topology for the grid system: a single
@@ -102,15 +103,13 @@ func Build(sys *grid.System) (*Topology, error) {
 // forward Monitored lists, so MonitorOf is a single slice lookup.
 func (t *Topology) buildMonitorIndex() {
 	n := t.sys.NumCells()
-	t.monitor = make([]int, n)
-	t.monitorRank = make([]uint8, n)
+	t.scanKey = make([]int32, n)
 	var buf []grid.Coord
 	for idx := 0; idx < n; idx++ {
 		g := t.sys.CoordAt(idx)
 		buf = t.Monitored(buf[:0], g)
 		for rank, s := range buf {
-			t.monitor[t.sys.Index(s)] = idx
-			t.monitorRank[t.sys.Index(s)] = uint8(rank)
+			t.scanKey[t.sys.Index(s)] = int32(2*idx + rank)
 		}
 	}
 }
@@ -141,7 +140,7 @@ func (t *Topology) CycleOrder() []grid.Coord {
 	cur := start
 	for {
 		out = append(out, cur)
-		cur = t.sys.CoordAt(t.succ[t.sys.Index(cur)])
+		cur = t.sys.CoordAt(int(t.succ[t.sys.Index(cur)]))
 		if cur == start {
 			break
 		}
@@ -163,13 +162,14 @@ func (t *Topology) SharedOrder() []grid.Coord {
 // Succ returns the successor of cell g around a single Hamilton cycle. It
 // must only be called on a KindCycle topology.
 func (t *Topology) Succ(g grid.Coord) grid.Coord {
-	return t.sys.CoordAt(t.succ[t.sys.Index(g)])
+	return t.sys.CoordAt(int(t.succ[t.sys.Index(g)]))
 }
 
-// Pred returns the predecessor of cell g around a single Hamilton cycle. It
-// must only be called on a KindCycle topology.
+// Pred returns the predecessor of cell g around a single Hamilton cycle,
+// which on a cycle is g's monitor. It must only be called on a KindCycle
+// topology.
 func (t *Topology) Pred(g grid.Coord) grid.Coord {
-	return t.sys.CoordAt(t.pred[t.sys.Index(g)])
+	return t.MonitorOf(g)
 }
 
 // MonitorOf returns the unique grid whose head is responsible for
@@ -183,7 +183,7 @@ func (t *Topology) Pred(g grid.Coord) grid.Coord {
 // The relation is precomputed at Build time; the call is a single slice
 // lookup, suitable for per-event hot paths.
 func (t *Topology) MonitorOf(g grid.Coord) grid.Coord {
-	return t.sys.CoordAt(t.monitor[t.sys.Index(g)])
+	return t.sys.CoordAt(int(t.scanKey[t.sys.Index(g)] >> 1))
 }
 
 // MonitorRank returns g's position within MonitorOf(g)'s Monitored list.
@@ -192,8 +192,12 @@ func (t *Topology) MonitorOf(g grid.Coord) grid.Coord {
 // (monitor index, rank) as the scan-order key that reproduces a full
 // index-order sweep over monitors.
 func (t *Topology) MonitorRank(g grid.Coord) int {
-	return int(t.monitorRank[t.sys.Index(g)])
+	return int(t.scanKey[t.sys.Index(g)] & 1)
 }
+
+// ScanKey returns 2*Index(MonitorOf(g)) + MonitorRank(g), the
+// detection scan-order key of g, in one lookup.
+func (t *Topology) ScanKey(g grid.Coord) int { return int(t.scanKey[t.sys.Index(g)]) }
 
 // Monitored appends to dst the grids whose vacancy the head of g must
 // watch for, and returns the extended slice. Every grid has exactly one
@@ -215,7 +219,7 @@ func (t *Topology) Monitored(dst []grid.Coord, g grid.Coord) []grid.Coord {
 		if next < 0 {
 			return dst
 		}
-		return append(dst, t.sys.CoordAt(next))
+		return append(dst, t.sys.CoordAt(int(next)))
 	}
 }
 
@@ -313,7 +317,7 @@ func (t *Topology) nextBack(origin, cur grid.Coord, probe SpareProbe) (grid.Coor
 	}
 	var next grid.Coord
 	if t.kind == KindCycle {
-		next = t.sys.CoordAt(t.pred[t.sys.Index(cur)])
+		next = t.MonitorOf(cur)
 	} else {
 		switch cur {
 		case t.a:
@@ -336,7 +340,7 @@ func (t *Topology) nextBack(origin, cur grid.Coord, probe SpareProbe) (grid.Coor
 				// always preferred before stretching along path one.
 				next = t.a
 			} else {
-				next = t.sys.CoordAt(t.sharedPrev[t.sys.Index(t.c)])
+				next = t.sys.CoordAt(int(t.sharedPrev[t.sys.Index(t.c)]))
 			}
 		case t.d:
 			switch origin {
@@ -363,7 +367,7 @@ func (t *Topology) nextBack(origin, cur grid.Coord, probe SpareProbe) (grid.Coor
 			if prev < 0 {
 				return grid.Coord{}, false
 			}
-			next = t.sys.CoordAt(prev)
+			next = t.sys.CoordAt(int(prev))
 		}
 	}
 	if next == origin {
@@ -390,13 +394,10 @@ func buildCycle(sys *grid.System) (*Topology, error) {
 	t := &Topology{
 		sys:  sys,
 		kind: KindCycle,
-		succ: make([]int, sys.NumCells()),
-		pred: make([]int, sys.NumCells()),
+		succ: make([]int32, sys.NumCells()),
 	}
 	for i, g := range order {
-		nxt := order[(i+1)%len(order)]
-		t.succ[sys.Index(g)] = sys.Index(nxt)
-		t.pred[sys.Index(nxt)] = sys.Index(g)
+		t.succ[sys.Index(g)] = int32(sys.Index(order[(i+1)%len(order)]))
 	}
 	return t, nil
 }
@@ -465,16 +466,16 @@ func buildDualPath(sys *grid.System) (*Topology, error) {
 		d:    grid.C(n-1, m-2),
 	}
 	t.sharedOrder = dualSharedOrder(n, m)
-	t.sharedNext = make([]int, sys.NumCells())
-	t.sharedPrev = make([]int, sys.NumCells())
+	t.sharedNext = make([]int32, sys.NumCells())
+	t.sharedPrev = make([]int32, sys.NumCells())
 	for i := range t.sharedNext {
 		t.sharedNext[i] = -1
 		t.sharedPrev[i] = -1
 	}
 	for i, g := range t.sharedOrder {
 		if i+1 < len(t.sharedOrder) {
-			t.sharedNext[sys.Index(g)] = sys.Index(t.sharedOrder[i+1])
-			t.sharedPrev[sys.Index(t.sharedOrder[i+1])] = sys.Index(g)
+			t.sharedNext[sys.Index(g)] = int32(sys.Index(t.sharedOrder[i+1]))
+			t.sharedPrev[sys.Index(t.sharedOrder[i+1])] = int32(sys.Index(g))
 		}
 	}
 	return t, nil

@@ -253,6 +253,9 @@ func TestMonitorRankMatchesMonitoredPosition(t *testing.T) {
 					t.Errorf("%dx%d: MonitorRank(%v) = %d, want %d",
 						dims[0], dims[1], watched, got, rank)
 				}
+				if got, want := topo.ScanKey(watched), 2*topo.System().Index(g)+rank; got != want {
+					t.Errorf("%dx%d: ScanKey(%v) = %d, want %d", dims[0], dims[1], watched, got, want)
+				}
 				if rank > 0 {
 					ranked++
 				}

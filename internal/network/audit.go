@@ -26,9 +26,9 @@ func (w *Network) Audit() []string {
 	var bad []string
 
 	registered := make(map[node.ID]int, w.store.Len()) // id -> cell index
-	for idx := range w.cellFirst {
+	for idx := range w.cells {
 		n := 0
-		for cur := w.cellFirst[idx]; cur != 0; cur = w.nextInCell[cur-1] {
+		for cur := w.cells[idx].first; cur != 0; cur = w.nextInCell[cur-1] {
 			id := node.ID(cur - 1)
 			if prev, dup := registered[id]; dup {
 				bad = append(bad, fmt.Sprintf("node %d registered in cells %v and %v",
@@ -38,9 +38,9 @@ func (w *Network) Audit() []string {
 			registered[id] = idx
 			n++
 		}
-		if n != int(w.cellCount[idx]) {
+		if n != int(w.cells[idx].count) {
 			bad = append(bad, fmt.Sprintf("cell %v count = %d, list walk = %d",
-				w.sys.CoordAt(idx), w.cellCount[idx], n))
+				w.sys.CoordAt(idx), w.cells[idx].count, n))
 		}
 		occBit := w.occ[idx>>6]&(1<<(uint(idx)&63)) != 0
 		if occBit != (n > 0) {
@@ -83,19 +83,20 @@ func (w *Network) Audit() []string {
 		}
 	}
 
-	for idx, h := range w.heads {
+	for idx := range w.cells {
+		h := w.cells[idx].head
 		c := w.sys.CoordAt(idx)
 		if h == 0 {
-			if w.cellCount[idx] > 0 {
+			if w.cells[idx].count > 0 {
 				bad = append(bad, fmt.Sprintf("cell %v has %d enabled nodes but no head",
-					c, w.cellCount[idx]))
+					c, w.cells[idx].count))
 			}
 			continue
 		}
 		headID := node.ID(h - 1)
 		member := false
 		headRoles := 0
-		for cur := w.cellFirst[idx]; cur != 0; cur = w.nextInCell[cur-1] {
+		for cur := w.cells[idx].first; cur != 0; cur = w.nextInCell[cur-1] {
 			id := node.ID(cur - 1)
 			if id == headID {
 				member = true
@@ -118,12 +119,12 @@ func (w *Network) Audit() []string {
 	// Brute-force recounts against the word-parallel derivations: this is
 	// where "popcount agrees with a full scan" is enforced.
 	enabled, headed, vacant := 0, 0, 0
-	for idx := range w.cellFirst {
-		enabled += int(w.cellCount[idx])
-		if w.heads[idx] != 0 {
+	for idx := range w.cells {
+		enabled += int(w.cells[idx].count)
+		if w.cells[idx].head != 0 {
 			headed++
 		}
-		if w.cellCount[idx] == 0 {
+		if w.cells[idx].count == 0 {
 			vacant++
 		}
 	}
@@ -146,7 +147,7 @@ func (w *Network) Audit() []string {
 	for _, word := range w.vacancyDirty {
 		dirty += bits.OnesCount64(word)
 	}
-	for idx := range w.cellFirst {
+	for idx := range w.cells {
 		if w.vacancyDirty[idx>>6]&(1<<(uint(idx)&63)) == 0 {
 			continue
 		}

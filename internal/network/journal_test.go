@@ -91,9 +91,9 @@ func TestIncrementalCountersMatchRecount(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		enabled, vacant := 0, 0
-		for idx := range w.cellFirst {
+		for idx := range w.cells {
 			n := 0
-			for cur := w.cellFirst[idx]; cur != 0; cur = w.nextInCell[cur-1] {
+			for cur := w.cells[idx].first; cur != 0; cur = w.nextInCell[cur-1] {
 				n++
 			}
 			enabled += n
@@ -102,7 +102,7 @@ func TestIncrementalCountersMatchRecount(t *testing.T) {
 			}
 		}
 		spares := 0
-		for idx := range w.cellFirst {
+		for idx := range w.cells {
 			spares += w.SpareCount(w.sys.CoordAt(idx))
 		}
 		if w.EnabledCount() != enabled {

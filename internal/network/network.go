@@ -6,10 +6,14 @@
 // can reach every node of the four edge-adjacent cells, so messages between
 // heads of neighboring grids are delivered reliably, one round later.
 //
-// Storage is struct-of-arrays throughout. Node attributes live in a
-// node.Store (one dense array per attribute, indexed by id); cell
-// membership is an intrusive linked list threaded through a single
-// per-node next array, with per-cell first pointers; occupancy and the
+// Storage is dense and columnar, packed where fields are read together.
+// Node attributes live in a node.Store (a location column, a packed
+// per-node record, an enabled bitset); cell membership is an intrusive
+// linked list threaded through a single per-node next array. Each cell's
+// list head, member count and head id share one 12-byte record, because
+// every membership walk, count update and head lookup of a cell reads
+// them together, and a replacement cascade visits cells a whole grid row
+// apart — one cache line per cell instead of three. Occupancy and the
 // vacancy journal's dedup marks are bitset words, so vacant-cell counts
 // and scans are word-parallel popcounts instead of per-cell loops. All
 // list and head references are stored biased by one (0 means none), which
@@ -70,18 +74,15 @@ type Network struct {
 
 	// store holds every node attribute as a dense parallel array.
 	store node.Store
-	// Cell membership as intrusive singly linked lists: cellFirst[idx] is
-	// the biased id (id+1, 0 = empty) of one enabled node of the cell,
+	// cells is the per-cell registry, indexed by cell index. Membership
+	// is an intrusive singly linked list: cells[idx].first is the biased
+	// id (id+1, 0 = empty) of one enabled node of the cell,
 	// nextInCell[id] the biased id of the next member. New members are
 	// pushed at the front; every consumer of a cell's membership is an
 	// order-independent reduction (min-distance election, min-id rotation,
 	// counts), so list order is unobservable.
-	cellFirst  []int32
+	cells      []cell
 	nextInCell []int32
-	// cellCount[idx] is the enabled-node count of the cell.
-	cellCount []int32
-	// heads[idx] is the biased id of the cell's head, 0 when vacant.
-	heads []int32
 	// occ is the occupancy bitset: bit idx set iff cell idx has at least
 	// one enabled node. VacantCount and VacantCells derive from it by
 	// popcount over the complement.
@@ -127,6 +128,17 @@ type Network struct {
 	bfsNbr     []grid.Coord
 }
 
+// cell is one cell's registry record. Its fields are read together by
+// every membership walk, count update and head lookup of the cell.
+type cell struct {
+	// first is the biased id of the cell's first list member.
+	first int32
+	// count is the cell's enabled-node count.
+	count int32
+	// head is the biased id of the cell's head, 0 when it has none.
+	head int32
+}
+
 // wordsFor returns the number of 64-bit words covering n bits.
 func wordsFor(n int) int { return (n + 63) / 64 }
 
@@ -140,9 +152,7 @@ func New(sys *grid.System, energy node.EnergyModel) *Network {
 	return &Network{
 		sys:          sys,
 		energy:       energy,
-		cellFirst:    make([]int32, n),
-		cellCount:    make([]int32, n),
-		heads:        make([]int32, n),
+		cells:        make([]cell, n),
 		occ:          make([]uint64, wordsFor(n)),
 		occTailMask:  tail,
 		vacancyDirty: make([]uint64, wordsFor(n)),
@@ -216,9 +226,7 @@ func (w *Network) DrainVacancyEvents(dst []grid.Coord) []grid.Coord {
 // (sim.TrialArena) call this between trials instead of rebuilding the
 // world.
 func (w *Network) Reset() {
-	clear(w.cellFirst)
-	clear(w.cellCount)
-	clear(w.heads)
+	clear(w.cells)
 	clear(w.occ)
 	clear(w.vacancyDirty)
 	w.vacancyEvents = w.vacancyEvents[:0]
@@ -275,15 +283,75 @@ func (w *Network) AddNodeAt(p geom.Point) (node.ID, error) {
 		return node.Invalid, fmt.Errorf("network: point %v outside field %v", p, w.sys.Bounds())
 	}
 	id := w.store.Add(p)
-	idx := w.sys.Index(c)
-	w.nextInCell = append(w.nextInCell, w.cellFirst[idx])
-	w.cellFirst[idx] = int32(id) + 1
-	if w.cellCount[idx] == 0 {
+	w.nextInCell = append(w.nextInCell, 0)
+	w.link(id, w.sys.Index(c))
+	return id, nil
+}
+
+// link pushes node id onto the membership list of cell idx, counts it,
+// and marks and journals the cell occupied when it was vacant.
+// nextInCell must already hold a slot for id.
+func (w *Network) link(id node.ID, idx int) {
+	cl := &w.cells[idx]
+	w.nextInCell[id] = cl.first
+	cl.first = int32(id) + 1
+	if cl.count == 0 {
 		w.occ[idx>>6] |= 1 << (uint(idx) & 63)
 		w.noteVacancyFlip(idx)
 	}
-	w.cellCount[idx]++
-	return id, nil
+	cl.count++
+}
+
+// AddOnePerCell adds one enabled spare node to every cell whose index is
+// not in skip, visiting cells in index order and placing each node at
+// the point at returns for its cell. It is equivalent to calling
+// AddNodeAt(at(c)) for those cells in that order — same ids, same
+// registry, same vacancy journal; each point registers in the cell
+// grid.CoordOf assigns it, which for a point on a cell edge need not be
+// c — but grows the node columns once and fills them in bulk instead of
+// appending node by node. skip may be unsorted and hold duplicates; it
+// is sorted in place. When a point lies outside the field, the nodes
+// before it stay added and an error is returned, as AddNodeAt would.
+func (w *Network) AddOnePerCell(skip []int, at func(c grid.Coord) geom.Point) error {
+	n := w.sys.NumCells()
+	if !slices.IsSorted(skip) {
+		slices.Sort(skip)
+	}
+	distinct := 0
+	for i, idx := range skip {
+		if idx < 0 || idx >= n {
+			return fmt.Errorf("network: skipped cell index %d outside [0, %d)", idx, n)
+		}
+		if i == 0 || idx != skip[i-1] {
+			distinct++
+		}
+	}
+	first := w.store.Len()
+	locs := w.store.Extend(n - distinct)
+	w.nextInCell = slices.Grow(w.nextInCell, len(locs))[:first+len(locs)]
+	id, next, idx := first, 0, -1
+	for y := 0; y < w.sys.Rows(); y++ {
+		for x := 0; x < w.sys.Cols(); x++ {
+			idx++
+			if next < len(skip) && skip[next] == idx {
+				for next < len(skip) && skip[next] == idx {
+					next++
+				}
+				continue
+			}
+			p := at(grid.C(x, y))
+			c, ok := w.sys.CoordOf(p)
+			if !ok {
+				w.store.Truncate(id)
+				w.nextInCell = w.nextInCell[:id]
+				return fmt.Errorf("network: point %v outside field %v", p, w.sys.Bounds())
+			}
+			locs[id-first] = p
+			w.link(node.ID(id), w.sys.Index(c))
+			id++
+		}
+	}
+	return nil
 }
 
 // GrowNodes ensures capacity for n more nodes, so a deployment that
@@ -332,11 +400,12 @@ func (w *Network) CellOf(id node.ID) (grid.Coord, bool) {
 // removeFromCell unlinks id from the cell's membership list.
 func (w *Network) removeFromCell(id node.ID, c grid.Coord) {
 	idx := w.sys.Index(c)
+	cl := &w.cells[idx]
 	b := int32(id) + 1
-	if w.cellFirst[idx] == b {
-		w.cellFirst[idx] = w.nextInCell[id]
+	if cl.first == b {
+		cl.first = w.nextInCell[id]
 	} else {
-		prev := w.cellFirst[idx]
+		prev := cl.first
 		for prev != 0 && w.nextInCell[prev-1] != b {
 			prev = w.nextInCell[prev-1]
 		}
@@ -344,13 +413,13 @@ func (w *Network) removeFromCell(id node.ID, c grid.Coord) {
 			w.nextInCell[prev-1] = w.nextInCell[id]
 		}
 	}
-	w.cellCount[idx]--
-	if w.cellCount[idx] == 0 {
+	cl.count--
+	if cl.count == 0 {
 		w.occ[idx>>6] &^= 1 << (uint(idx) & 63)
 		w.noteVacancyFlip(idx)
 	}
-	if w.heads[idx] == b {
-		w.heads[idx] = 0
+	if cl.head == b {
+		cl.head = 0
 		w.headCount--
 		w.electLocked(c)
 	}
@@ -384,7 +453,7 @@ func (w *Network) DisableNode(id node.ID) error {
 func (w *Network) DisableAllInCell(c grid.Coord) int {
 	idx := w.sys.Index(c)
 	w.idScratch = w.idScratch[:0]
-	for cur := w.cellFirst[idx]; cur != 0; cur = w.nextInCell[cur-1] {
+	for cur := w.cells[idx].first; cur != 0; cur = w.nextInCell[cur-1] {
 		w.idScratch = append(w.idScratch, node.ID(cur-1))
 	}
 	for _, id := range w.idScratch {
@@ -400,13 +469,13 @@ func (w *Network) DisableAllInCell(c grid.Coord) int {
 // determinism.
 func (w *Network) electLocked(c grid.Coord) node.ID {
 	idx := w.sys.Index(c)
-	if h := w.heads[idx]; h != 0 {
+	if h := w.cells[idx].head; h != 0 {
 		return node.ID(h - 1)
 	}
 	center := w.sys.Center(c)
 	best := node.Invalid
 	bestD := 0.0
-	for cur := w.cellFirst[idx]; cur != 0; cur = w.nextInCell[cur-1] {
+	for cur := w.cells[idx].first; cur != 0; cur = w.nextInCell[cur-1] {
 		id := node.ID(cur - 1)
 		d := w.store.Ref(id).Location().Dist2(center)
 		if best == node.Invalid || d < bestD || (d == bestD && id < best) {
@@ -414,10 +483,10 @@ func (w *Network) electLocked(c grid.Coord) node.ID {
 		}
 	}
 	if best != node.Invalid {
-		w.heads[idx] = int32(best) + 1
+		w.cells[idx].head = int32(best) + 1
 		w.headCount++
 		w.store.Ref(best).SetRole(node.Head)
-		for cur := w.cellFirst[idx]; cur != 0; cur = w.nextInCell[cur-1] {
+		for cur := w.cells[idx].first; cur != 0; cur = w.nextInCell[cur-1] {
 			if id := node.ID(cur - 1); id != best {
 				w.store.Ref(id).SetRole(node.Spare)
 			}
@@ -431,10 +500,26 @@ func (w *Network) electLocked(c grid.Coord) node.ID {
 
 // ElectHeads runs head election in every cell that lacks a head,
 // establishing the invariant that a cell is vacant iff it has no enabled
-// nodes.
+// nodes. Cells are visited in index order. Empty and headed cells are
+// skipped on their record alone, and a cell with a single member
+// promotes it directly — the only candidate the election could pick —
+// so the pass over a freshly deployed field reads each cell once.
 func (w *Network) ElectHeads() {
-	for idx := range w.cellFirst {
-		w.electLocked(w.sys.CoordAt(idx))
+	for idx := range w.cells {
+		cl := &w.cells[idx]
+		switch {
+		case cl.count == 0 || cl.head != 0:
+		case cl.count == 1:
+			id := node.ID(cl.first - 1)
+			cl.head = cl.first
+			w.headCount++
+			w.store.Ref(id).SetRole(node.Head)
+			if w.obs != nil {
+				w.obs.HeadElected(id, w.sys.CoordAt(idx))
+			}
+		default:
+			w.electLocked(w.sys.CoordAt(idx))
+		}
 	}
 }
 
@@ -443,12 +528,12 @@ func (w *Network) ElectHeads() {
 // role can be rotated within the grid to balance energy.
 func (w *Network) RotateHead(c grid.Coord) node.ID {
 	idx := w.sys.Index(c)
-	curHead := node.ID(w.heads[idx] - 1)
-	if w.heads[idx] == 0 || w.cellCount[idx] < 2 {
+	curHead := node.ID(w.cells[idx].head - 1)
+	if w.cells[idx].head == 0 || w.cells[idx].count < 2 {
 		return curHead
 	}
 	next := node.Invalid
-	for cur := w.cellFirst[idx]; cur != 0; cur = w.nextInCell[cur-1] {
+	for cur := w.cells[idx].first; cur != 0; cur = w.nextInCell[cur-1] {
 		id := node.ID(cur - 1)
 		if id == curHead {
 			continue
@@ -459,13 +544,13 @@ func (w *Network) RotateHead(c grid.Coord) node.ID {
 	}
 	w.store.Ref(curHead).SetRole(node.Spare)
 	w.store.Ref(next).SetRole(node.Head)
-	w.heads[idx] = int32(next) + 1
+	w.cells[idx].head = int32(next) + 1
 	return next
 }
 
 // HeadOf returns the head of cell c, or node.Invalid when vacant.
 func (w *Network) HeadOf(c grid.Coord) node.ID {
-	return node.ID(w.heads[w.sys.Index(c)] - 1)
+	return node.ID(w.cells[w.sys.Index(c)].head - 1)
 }
 
 // IsVacant reports whether cell c has no enabled nodes. Under the election
@@ -477,9 +562,9 @@ func (w *Network) IsVacant(c grid.Coord) bool {
 
 // Spares appends the enabled non-head nodes of cell c to dst.
 func (w *Network) Spares(dst []node.ID, c grid.Coord) []node.ID {
-	idx := w.sys.Index(c)
-	for cur := w.cellFirst[idx]; cur != 0; cur = w.nextInCell[cur-1] {
-		if cur != w.heads[idx] {
+	cl := &w.cells[w.sys.Index(c)]
+	for cur := cl.first; cur != 0; cur = w.nextInCell[cur-1] {
+		if cur != cl.head {
 			dst = append(dst, node.ID(cur-1))
 		}
 	}
@@ -488,11 +573,11 @@ func (w *Network) Spares(dst []node.ID, c grid.Coord) []node.ID {
 
 // SpareCount returns the number of spare nodes in cell c.
 func (w *Network) SpareCount(c grid.Coord) int {
-	idx := w.sys.Index(c)
-	if w.heads[idx] == 0 {
-		return int(w.cellCount[idx])
+	cl := &w.cells[w.sys.Index(c)]
+	if cl.head == 0 {
+		return int(cl.count)
 	}
-	return int(w.cellCount[idx]) - 1
+	return int(cl.count) - 1
 }
 
 // HasSpare reports whether cell c holds at least one spare node.
@@ -504,13 +589,17 @@ func (w *Network) TotalSpares() int { return w.EnabledCount() - w.headCount }
 
 // SpareNearest returns the spare of cell c whose location is closest to
 // target, or node.Invalid when the cell has no spare. Ties break on the
-// lower id.
+// lower id. A cell holding only its head — the common case along a
+// cascade — is answered from its record without walking the list.
 func (w *Network) SpareNearest(c grid.Coord, target geom.Point) node.ID {
-	idx := w.sys.Index(c)
+	cl := &w.cells[w.sys.Index(c)]
+	if cl.count == 0 || cl.count == 1 && cl.head != 0 {
+		return node.Invalid
+	}
 	best := node.Invalid
 	bestD := 0.0
-	for cur := w.cellFirst[idx]; cur != 0; cur = w.nextInCell[cur-1] {
-		if cur == w.heads[idx] {
+	for cur := cl.first; cur != 0; cur = w.nextInCell[cur-1] {
+		if cur == cl.head {
 			continue
 		}
 		id := node.ID(cur - 1)
@@ -594,15 +683,9 @@ func (w *Network) MoveNodeDist(id node.ID, target geom.Point) (float64, error) {
 	if from != to {
 		w.removeFromCell(id, from)
 		idx := w.sys.Index(to)
-		w.nextInCell[id] = w.cellFirst[idx]
-		w.cellFirst[idx] = int32(id) + 1
-		if w.cellCount[idx] == 0 {
-			w.occ[idx>>6] |= 1 << (uint(idx) & 63)
-			w.noteVacancyFlip(idx)
-		}
-		w.cellCount[idx]++
-		if w.heads[idx] == 0 {
-			w.heads[idx] = int32(id) + 1
+		w.link(id, idx)
+		if cl := &w.cells[idx]; cl.head == 0 {
+			cl.head = int32(id) + 1
 			w.headCount++
 			nd.SetRole(node.Head)
 			if w.obs != nil {
@@ -690,7 +773,7 @@ func (w *Network) HeadGraphConnected() bool {
 	if total == 0 {
 		return false
 	}
-	if total == len(w.heads) {
+	if total == len(w.cells) {
 		// Every cell holds a head: the head graph is the full
 		// rectangular grid graph, which is connected.
 		return true
@@ -702,16 +785,16 @@ func (w *Network) HeadGraphConnected() bool {
 // lowest-index head cell under grid adjacency; there must be one.
 func (w *Network) headGraphSearch() int {
 	start := -1
-	for idx, h := range w.heads {
-		if h != 0 {
+	for idx := range w.cells {
+		if w.cells[idx].head != 0 {
 			start = idx
 			break
 		}
 	}
-	if cap(w.bfsVisited) < wordsFor(len(w.heads)) {
-		w.bfsVisited = make([]uint64, wordsFor(len(w.heads)))
+	if cap(w.bfsVisited) < wordsFor(len(w.cells)) {
+		w.bfsVisited = make([]uint64, wordsFor(len(w.cells)))
 	}
-	visited := w.bfsVisited[:wordsFor(len(w.heads))]
+	visited := w.bfsVisited[:wordsFor(len(w.cells))]
 	clear(visited)
 	queue := append(w.bfsQueue[:0], int32(start))
 	visited[start>>6] |= 1 << (uint(start) & 63)
@@ -723,7 +806,7 @@ func (w *Network) headGraphSearch() int {
 		for _, nb := range buf {
 			nidx := w.sys.Index(nb)
 			bit := uint64(1) << (uint(nidx) & 63)
-			if w.heads[nidx] != 0 && visited[nidx>>6]&bit == 0 {
+			if w.cells[nidx].head != 0 && visited[nidx>>6]&bit == 0 {
 				visited[nidx>>6] |= bit
 				reached++
 				queue = append(queue, int32(nidx))
@@ -755,7 +838,7 @@ func (w *Network) NodesWithin(dst []node.ID, p geom.Point, radius float64) []nod
 				continue
 			}
 			idx := w.sys.Index(c)
-			for cur := w.cellFirst[idx]; cur != 0; cur = w.nextInCell[cur-1] {
+			for cur := w.cells[idx].first; cur != 0; cur = w.nextInCell[cur-1] {
 				id := node.ID(cur - 1)
 				if w.store.Ref(id).Location().Dist2(p) <= r2 {
 					dst = append(dst, id)

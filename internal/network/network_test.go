@@ -121,6 +121,15 @@ func TestSpareNearest(t *testing.T) {
 		t.Errorf("SpareNearest on empty cell = %v", got)
 	}
 	_ = far
+	// A lone member is a spare until an election makes it the head.
+	lone := addAt(t, w, geom.Pt(12, 5))
+	if got := w.SpareNearest(grid.C(1, 0), target); got != lone {
+		t.Errorf("SpareNearest on an unelected lone member = %v, want %v", got, lone)
+	}
+	w.ElectHeads()
+	if got := w.SpareNearest(grid.C(1, 0), target); got != node.Invalid {
+		t.Errorf("SpareNearest on a head-only cell = %v", got)
+	}
 }
 
 func TestDisableNode(t *testing.T) {

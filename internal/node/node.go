@@ -2,12 +2,18 @@
 // location, enabled/disabled status, role within a grid (head or spare),
 // and a movement odometer with a simple energy account.
 //
-// Storage is struct-of-arrays: a Store holds one dense parallel array per
-// attribute, indexed by ID, plus a bitset of enabled ids. A Ref is a
-// value handle (store pointer + id) exposing the per-node API; it is what
-// the rest of the system passes around instead of a heap object, so
-// scans over one attribute touch contiguous memory and trial resets are
-// slice truncations rather than object-graph rebuilds.
+// Storage is a struct of three dense columns indexed by ID: locations,
+// one packed record per node holding everything a movement reads or
+// writes besides the location (status, role, move count, distance
+// traveled, energy spent), and a bitset of enabled ids. Locations stay a
+// column of their own because head election and spare selection scan
+// them across a cell's members; the other attributes are always touched
+// together, one node at a time, so packing them puts a move's
+// bookkeeping on one cache line (two for a quarter of the records)
+// instead of five. A Ref is a value handle (store pointer + id) exposing
+// the per-node API; it is what the rest of the system passes around
+// instead of a heap object, and trial resets are slice truncations
+// rather than object-graph rebuilds.
 package node
 
 import (
@@ -90,34 +96,42 @@ func (m EnergyModel) Cost(distance float64) float64 {
 	return m.PerMeter*distance + m.PerMove
 }
 
-// Store is the struct-of-arrays backing of a node population. One slice
-// per attribute, all indexed by ID; statuses and roles pack one byte per
-// node, and the enabled set is additionally mirrored as bitset words so
-// enabled counts and enabled scans are word-parallel. Stores are mutated
-// only through Ref and the owning network, never concurrently.
+// record is the packed per-node state: every attribute except the
+// location. Fields are ordered widest first so the record is 22 bytes of
+// data padded to 24.
+type record struct {
+	traveled float64
+	energy   float64
+	moves    int32
+	status   uint8 // Status
+	role     uint8 // Role
+}
+
+// fresh is the record of a newly added node: an enabled spare with a
+// zero odometer.
+var fresh = record{status: uint8(Enabled), role: uint8(Spare)}
+
+// Store is the columnar backing of a node population: locations, packed
+// records and the enabled bitset, all indexed by ID. The enabled set is
+// mirrored as bitset words so enabled counts and enabled scans are
+// word-parallel. Stores are mutated only through Ref and the owning
+// network, never concurrently.
 type Store struct {
-	loc      []geom.Point
-	status   []uint8 // Status, one byte per node
-	role     []uint8 // Role, one byte per node
-	moves    []int32
-	traveled []float64
-	energy   []float64
-	enabled  []uint64 // bitset: bit id set iff status[id] == Enabled
+	loc     []geom.Point
+	recs    []record
+	enabled []uint64 // bitset: bit id set iff recs[id].status == Enabled
 }
 
 // Len returns the number of nodes in the store.
 func (s *Store) Len() int { return len(s.loc) }
 
 // Reset empties the store in place, keeping capacity for reuse. Stale
-// contents need no clearing: Add overwrites every attribute, and the
-// word holding a new id's bit is rewritten whole when the id opens it.
+// contents need no clearing: Add and Extend overwrite every attribute,
+// and the word holding a new id's bit is rewritten whole when the id
+// opens it.
 func (s *Store) Reset() {
 	s.loc = s.loc[:0]
-	s.status = s.status[:0]
-	s.role = s.role[:0]
-	s.moves = s.moves[:0]
-	s.traveled = s.traveled[:0]
-	s.energy = s.energy[:0]
+	s.recs = s.recs[:0]
 	s.enabled = s.enabled[:0]
 }
 
@@ -128,11 +142,7 @@ func (s *Store) Grow(n int) {
 		return
 	}
 	s.loc = slices.Grow(s.loc, n)
-	s.status = slices.Grow(s.status, n)
-	s.role = slices.Grow(s.role, n)
-	s.moves = slices.Grow(s.moves, n)
-	s.traveled = slices.Grow(s.traveled, n)
-	s.energy = slices.Grow(s.energy, n)
+	s.recs = slices.Grow(s.recs, n)
 	s.enabled = slices.Grow(s.enabled, (len(s.loc)+n+63)/64-len(s.enabled))
 }
 
@@ -141,11 +151,7 @@ func (s *Store) Grow(n int) {
 func (s *Store) Add(loc geom.Point) ID {
 	id := ID(len(s.loc))
 	s.loc = append(s.loc, loc)
-	s.status = append(s.status, uint8(Enabled))
-	s.role = append(s.role, uint8(Spare))
-	s.moves = append(s.moves, 0)
-	s.traveled = append(s.traveled, 0)
-	s.energy = append(s.energy, 0)
+	s.recs = append(s.recs, fresh)
 	if int(id)&63 == 0 {
 		// First id of a word: append writes the word whole, discarding
 		// whatever a previous trial left in the reused capacity.
@@ -154,6 +160,45 @@ func (s *Store) Add(loc geom.Point) ID {
 		s.enabled[int(id)>>6] |= 1 << (uint(id) & 63)
 	}
 	return id
+}
+
+// Extend appends n enabled spare nodes in one step — each column grows
+// once and the records and enabled bits are filled in bulk — and returns
+// their location slots, ids Len()-n through Len()-1 in order. The slots
+// hold stale data until the caller writes them; every one must be
+// written (or cut off by Truncate) before the nodes are used.
+func (s *Store) Extend(n int) []geom.Point {
+	lo := len(s.loc)
+	hi := lo + n
+	s.loc = slices.Grow(s.loc, n)[:hi]
+	s.recs = slices.Grow(s.recs, n)[:hi]
+	for i := range s.recs[lo:] {
+		s.recs[lo+i] = fresh
+	}
+	words := (hi + 63) / 64
+	s.enabled = slices.Grow(s.enabled, words-len(s.enabled))
+	if lo&63 != 0 {
+		// The first new ids share the last existing word, whose bits
+		// from lo up are clear; set the run that falls in it.
+		top := min(hi, (lo|63)+1)
+		s.enabled[lo>>6] |= (1<<(uint(top-lo)) - 1) << (uint(lo) & 63)
+		lo = top
+	}
+	for ; lo < hi; lo += 64 {
+		s.enabled = append(s.enabled, ^uint64(0)>>(64-uint(min(hi-lo, 64))))
+	}
+	return s.loc[hi-n : hi]
+}
+
+// Truncate cuts the store back to its first n nodes, as if the later
+// ones had never been added. n must not exceed Len.
+func (s *Store) Truncate(n int) {
+	s.loc = s.loc[:n]
+	s.recs = s.recs[:n]
+	s.enabled = s.enabled[:(n+63)/64]
+	if tail := uint(n) & 63; tail != 0 {
+		s.enabled[len(s.enabled)-1] &= 1<<tail - 1
+	}
 }
 
 // Ref returns the handle for id. The handle of an out-of-range id is not
@@ -193,43 +238,48 @@ func (r Ref) ID() ID { return r.id }
 func (r Ref) Location() geom.Point { return r.s.loc[r.id] }
 
 // Status returns the node's life-cycle state.
-func (r Ref) Status() Status { return Status(r.s.status[r.id]) }
+func (r Ref) Status() Status { return Status(r.s.recs[r.id].status) }
 
 // Enabled reports whether the node participates in the collaboration.
-func (r Ref) Enabled() bool { return Status(r.s.status[r.id]) == Enabled }
+// It reads the enabled bitset rather than the record: the bitset is a
+// few pages that stay cached, so a liveness check does not pay for
+// loading the node's record.
+func (r Ref) Enabled() bool { return r.s.enabled[int(r.id)>>6]&(1<<(uint(r.id)&63)) != 0 }
 
 // Role returns the node's current role. The role of a disabled node is
 // meaningless.
-func (r Ref) Role() Role { return Role(r.s.role[r.id]) }
+func (r Ref) Role() Role { return Role(r.s.recs[r.id].role) }
 
 // IsHead reports whether the node is an enabled grid head.
 func (r Ref) IsHead() bool {
-	return Status(r.s.status[r.id]) == Enabled && Role(r.s.role[r.id]) == Head
+	rec := &r.s.recs[r.id]
+	return Status(rec.status) == Enabled && Role(rec.role) == Head
 }
 
 // Moves returns how many movements the node has performed.
-func (r Ref) Moves() int { return int(r.s.moves[r.id]) }
+func (r Ref) Moves() int { return int(r.s.recs[r.id].moves) }
 
 // Traveled returns the node's total moving distance.
-func (r Ref) Traveled() float64 { return r.s.traveled[r.id] }
+func (r Ref) Traveled() float64 { return r.s.recs[r.id].traveled }
 
 // EnergySpent returns the accumulated movement energy under the models
 // passed to MoveTo.
-func (r Ref) EnergySpent() float64 { return r.s.energy[r.id] }
+func (r Ref) EnergySpent() float64 { return r.s.recs[r.id].energy }
 
 // SetRole changes the node's role.
-func (r Ref) SetRole(ro Role) { r.s.role[r.id] = uint8(ro) }
+func (r Ref) SetRole(ro Role) { r.s.recs[r.id].role = uint8(ro) }
 
 // Disable removes the node from the collaboration.
 func (r Ref) Disable() {
-	r.s.status[r.id] = uint8(Disabled)
+	r.s.recs[r.id].status = uint8(Disabled)
 	r.s.enabled[int(r.id)>>6] &^= 1 << (uint(r.id) & 63)
 }
 
 // Enable returns the node to the collaboration as a spare.
 func (r Ref) Enable() {
-	r.s.status[r.id] = uint8(Enabled)
-	r.s.role[r.id] = uint8(Spare)
+	rec := &r.s.recs[r.id]
+	rec.status = uint8(Enabled)
+	rec.role = uint8(Spare)
 	r.s.enabled[int(r.id)>>6] |= 1 << (uint(r.id) & 63)
 }
 
@@ -238,14 +288,15 @@ func (r Ref) Enable() {
 // nodes cannot move. Returning the distance lets the network and the
 // controllers share one computation per move instead of re-deriving it.
 func (r Ref) MoveTo(target geom.Point, energy EnergyModel) (float64, error) {
-	if Status(r.s.status[r.id]) != Enabled {
-		return 0, fmt.Errorf("node %d: cannot move while %v", r.id, Status(r.s.status[r.id]))
+	rec := &r.s.recs[r.id]
+	if Status(rec.status) != Enabled {
+		return 0, fmt.Errorf("node %d: cannot move while %v", r.id, Status(rec.status))
 	}
 	d := r.s.loc[r.id].Dist(target)
 	r.s.loc[r.id] = target
-	r.s.moves[r.id]++
-	r.s.traveled[r.id] += d
-	r.s.energy[r.id] += energy.Cost(d)
+	rec.moves++
+	rec.traveled += d
+	rec.energy += energy.Cost(d)
 	return d, nil
 }
 
