@@ -200,62 +200,6 @@ func (e *fleetJSON) update(snap dispatch.FleetSnapshot) {
 	e.w.Write(snap.Fleet.MarshalLine())
 }
 
-// checkpointer rewrites the manifest after every completed campaign
-// cell, atomically (tmp + rename), so a run killed mid-campaign leaves
-// a valid partial manifest at the real path for -resume to pick up.
-// Only fully completed (group, N) cells are written: -resume skips
-// whole cells, so a partial cell's trials would be rerun anyway.
-type checkpointer struct {
-	path      string // final manifest path; checkpoints land here atomically
-	name      string
-	spec      sim.CampaignSpec
-	prior     []experiment.Point
-	priorJobs int
-	workers   int
-	acc       *experiment.Accumulator
-	cellTotal map[resumeKey]int
-	cellDone  map[resumeKey]int
-	completed map[resumeKey]bool
-	doneJobs  int
-	log       *slog.Logger
-}
-
-// trialDone records one finished trial; when its cell completes, the
-// manifest checkpoint is rewritten.
-func (c *checkpointer) trialDone(k resumeKey) error {
-	c.cellDone[k]++
-	if c.cellDone[k] < c.cellTotal[k] {
-		return nil
-	}
-	c.completed[k] = true
-	c.doneJobs += c.cellTotal[k]
-	if err := c.write(); err != nil {
-		return err
-	}
-	c.log.Debug("checkpoint written",
-		"manifest", c.path, "group", k.group, "x", k.x,
-		"cells", len(c.completed), "done_jobs", c.doneJobs)
-	return nil
-}
-
-func (c *checkpointer) write() error {
-	pts := make([]experiment.Point, 0, len(c.completed))
-	for _, p := range c.acc.Points() {
-		if c.completed[resumeKey{p.Group, p.X}] {
-			pts = append(pts, p)
-		}
-	}
-	pts = mergePoints(c.prior, pts)
-	manifest, err := experiment.NewManifest(c.name, c.spec, c.priorJobs+c.doneJobs, c.workers, pts)
-	if err != nil {
-		return err
-	}
-	// WriteAtomic uses a uniquely named temp file, so two attempts at the
-	// same shard (a straggler and its speculative duplicate sharing the
-	// out directory) never clobber each other's in-flight checkpoint.
-	return manifest.WriteAtomic(c.path)
-}
-
 // dashNotify is a test hook: when set, it runs with the dashboard's
 // bound address (and its hub) after the server starts and before the
 // campaign does, so a test can subscribe ahead of the first event.
@@ -308,42 +252,6 @@ func (d *dashRig) finish(runErr error) {
 		time.Sleep(d.linger)
 	}
 	d.server.Close()
-}
-
-// shardViews and groupViews convert a fleet snapshot's vectors into the
-// telemetry package's wire shapes — the conversion lives here because
-// telemetry must not import dispatch (the dependency runs the other
-// way: nothing below the command layer knows about the dashboard).
-func shardViews(shards []dispatch.ShardStatus) []telemetry.ShardView {
-	now := time.Now()
-	out := make([]telemetry.ShardView, len(shards))
-	for i, s := range shards {
-		out[i] = telemetry.ShardView{
-			Shard:    s.Shard,
-			State:    s.State.String(),
-			Done:     s.Progress.Done,
-			Total:    s.Progress.Total,
-			Attempts: s.Attempts,
-			Slot:     s.Slot,
-			Leases:   s.Leases,
-			BeatAgeS: -1,
-		}
-		if s.Attempts > 1 {
-			out[i].Retries = s.Attempts - 1
-		}
-		if !s.LastBeat.IsZero() {
-			out[i].BeatAgeS = now.Sub(s.LastBeat).Seconds()
-		}
-	}
-	return out
-}
-
-func groupViews(groups []dispatch.GroupProgress) []telemetry.GroupView {
-	out := make([]telemetry.GroupView, len(groups))
-	for i, g := range groups {
-		out[i] = telemetry.GroupView{Group: g.Group, Done: g.Done, Total: g.Total}
-	}
-	return out
 }
 
 // fleetStats rides the dispatch progress callback and captures what the
@@ -460,12 +368,6 @@ func writeTables(w io.Writer, points []experiment.Point, metricsS, outDir, name 
 	return nil
 }
 
-// resumeKey identifies one aggregated campaign cell in a manifest.
-type resumeKey struct {
-	group string
-	x     float64
-}
-
 // resumeCompatible rejects a resume whose prior manifest was produced
 // under different trial physics or seeding: dimension lists may differ
 // freely (extending the campaign is the point of -resume, and the
@@ -519,21 +421,25 @@ func resumeCompatible(priorSpec json.RawMessage, spec sim.CampaignSpec) error {
 	return nil
 }
 
-// mergePoints combines the retained points of a prior manifest with the
-// freshly computed ones and restores the canonical (group, X) order, so
-// a resumed manifest is indistinguishable from a single-run one. The
-// resume filter guarantees the two sets are disjoint.
-func mergePoints(prior, fresh []experiment.Point) []experiment.Point {
-	merged := make([]experiment.Point, 0, len(prior)+len(fresh))
-	merged = append(merged, prior...)
-	merged = append(merged, fresh...)
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Group != merged[j].Group {
-			return merged[i].Group < merged[j].Group
-		}
-		return merged[i].X < merged[j].X
-	})
-	return merged
+// loadResumeManifest reads the manifest a -resume run extends and
+// vets it with resumeCompatible; a missing file means there is nothing
+// to resume from, so the full campaign runs.
+func loadResumeManifest(path string, spec sim.CampaignSpec) (*experiment.Manifest, error) {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var prior experiment.Manifest
+	if err := json.Unmarshal(data, &prior); err != nil {
+		return nil, fmt.Errorf("resume manifest %s: %w", path, err)
+	}
+	if err := resumeCompatible(prior.Spec, spec); err != nil {
+		return nil, fmt.Errorf("resume manifest %s: %w", path, err)
+	}
+	return &prior, nil
 }
 
 func splitList(s string) []string {
@@ -693,13 +599,7 @@ func runDispatch(ctx context.Context, w io.Writer, spec sim.CampaignSpec, opts d
 	stats := newFleetStats()
 	sinks = append(sinks, stats.update)
 	if rig != nil {
-		sinks = append(sinks, func(s dispatch.FleetSnapshot) {
-			final := s.Terminal()
-			if !rig.pub.Due(final) {
-				return
-			}
-			rig.pub.Publish(s.Fleet, shardViews(s.Shards), groupViews(s.Groups), final)
-		})
+		sinks = append(sinks, func(s dispatch.FleetSnapshot) { dispatch.PublishFleet(rig.pub, s) })
 	}
 	opts.OnProgress = func(s dispatch.FleetSnapshot) {
 		for _, sink := range sinks {
@@ -1087,103 +987,36 @@ func run(args []string) (err error) {
 		return fmt.Errorf("-lease-timeout and -max-retries only apply to dispatch mode (-dispatch or -fleet)")
 	}
 
-	// -resume: load the existing manifest (if any) and mark its
-	// aggregated (group, N) cells as done, so only missing cells run.
+	// -resume: the existing manifest (if any) seeds the run; its cells
+	// inside the current job space are skipped and carried over.
 	manifestPath := filepath.Join(*outDir, *name+".json")
-	var priorPoints []experiment.Point
-	done := make(map[resumeKey]bool)
+	var prior *experiment.Manifest
 	if *resume {
-		data, err := os.ReadFile(manifestPath)
-		switch {
-		case err == nil:
-			var prior experiment.Manifest
-			if err := json.Unmarshal(data, &prior); err != nil {
-				return fmt.Errorf("resume manifest %s: %w", manifestPath, err)
-			}
-			if err := resumeCompatible(prior.Spec, spec); err != nil {
-				return fmt.Errorf("resume manifest %s: %w", manifestPath, err)
-			}
-			// Only prior cells inside the current job space count: they
-			// are skipped and retained. Orphans (cells of a dimension
-			// value the current spec dropped) are discarded so the
-			// written manifest stays consistent with its recorded spec.
-			current := make(map[resumeKey]bool)
-			js := spec.JobSpace()
-			for i := 0; i < js.Len(); i++ {
-				j := js.At(i)
-				current[resumeKey{j.Group(), float64(j.Spares)}] = true
-			}
-			orphans := 0
-			for _, p := range prior.Points {
-				if !current[resumeKey{p.Group, p.X}] {
-					orphans++
-					continue
-				}
-				priorPoints = append(priorPoints, p)
-				done[resumeKey{p.Group, p.X}] = true
-			}
-			if orphans > 0 {
-				logger.Info("resume: dropping cells outside the current spec",
-					"manifest", manifestPath, "orphans", orphans)
-			}
-		case os.IsNotExist(err):
-			// Nothing to resume from; run the full campaign.
-		default:
+		if prior, err = loadResumeManifest(manifestPath, spec); err != nil {
 			return err
 		}
 	}
-	var keep func(sim.TrialJob) bool
-	if len(done) > 0 {
-		keep = func(j sim.TrialJob) bool {
-			return !done[resumeKey{j.Group(), float64(j.Spares)}]
-		}
+	ckPath := ""
+	if *checkpoint {
+		ckPath = manifestPath
+	}
+	local := dispatch.PlanLocal(spec, *name, prior, ckPath)
+	if local.Orphans > 0 {
+		logger.Info("resume: dropping cells outside the current spec",
+			"manifest", manifestPath, "orphans", local.Orphans)
 	}
 
-	// Count the jobs that will actually run (after the shard and resume
-	// filters) and their per-group totals for the meter's breakdown.
-	// ExecutedJobs applies exactly the filter RunCampaignSubset executes,
-	// so the meter's — and the JSON protocol's — total always matches
-	// the delivered stream: under -shard it is the shard's own trial
-	// count, never the full campaign's replicate range.
-	executed := 0
-	groupTotal := make(map[string]int)
-	var groupOrder []string
-	spec.ExecutedJobs(keep, func(j sim.TrialJob) {
-		executed++
-		g := j.Group()
-		if _, ok := groupTotal[g]; !ok {
-			groupOrder = append(groupOrder, g)
-		}
-		groupTotal[g]++
-	})
-	// cellAll is every cell's expected trial count under the shard range
-	// alone (no resume filter): the checkpointer needs it to tell a
-	// completed cell from a partial one, and the Jobs accounting below
-	// needs it to credit resumed-over prior cells.
-	cellAll := make(map[resumeKey]int)
-	spec.ExecutedJobs(nil, func(j sim.TrialJob) {
-		cellAll[resumeKey{j.Group(), float64(j.Spares)}]++
-	})
-	priorJobs := 0
-	for k := range done {
-		priorJobs += cellAll[k]
-	}
-	totalJobs := spec.NumJobs()
-	if spec.ShardCount > 0 {
-		// A shard manifest records the trials it represents: the ones
-		// this run executed plus the ones a resumed prior manifest
-		// already carried — never the full campaign's count, and never
-		// undercounting after a checkpointed retry.
-		totalJobs = executed + priorJobs
-	}
-	opts := experiment.Options{Workers: spec.Workers}
+	// Progress displays count only the trials that will actually run
+	// (after the shard and resume filters): under -shard the total is
+	// the shard's own trial count, never the full campaign's.
+	executed := local.Executed
 	var meter *dispatch.Meter
 	if progressMode == "meter" {
-		meter = dispatch.NewMeter(os.Stderr, executed, groupTotal)
+		meter = dispatch.NewMeter(os.Stderr, executed, local.GroupTotal)
 	}
 	var emitter *jsonProgress
 	if progressMode == "json" && executed > 0 {
-		emitter = newJSONProgress(progressOut, executed, groupTotal)
+		emitter = newJSONProgress(progressOut, executed, local.GroupTotal)
 	}
 	// The dashboard tracker and the ledger's group timer ride the same
 	// ordered sink as the meter; with a dashboard the tracker does both
@@ -1192,32 +1025,9 @@ func run(args []string) (err error) {
 	var gtimer *telemetry.GroupTimer
 	switch {
 	case dash != nil:
-		tracker = telemetry.NewTracker(dash.pub, executed, groupOrder, groupTotal)
+		tracker = telemetry.NewTracker(dash.pub, executed, local.GroupOrder, local.GroupTotal)
 	case ledPath != "":
 		gtimer = telemetry.NewGroupTimer()
-	}
-	// Trials stream into online per-(group, N) accumulators: campaign
-	// memory is O(groups), not O(trials). The meter rides the same
-	// ordered sink, so its per-group counts advance deterministically.
-	acc := experiment.NewAccumulator()
-	var ck *checkpointer
-	if *checkpoint {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			return err
-		}
-		ck = &checkpointer{
-			path:      manifestPath,
-			name:      *name,
-			spec:      spec,
-			prior:     priorPoints,
-			priorJobs: priorJobs,
-			workers:   opts.Workers,
-			acc:       acc,
-			cellTotal: cellAll,
-			cellDone:  make(map[resumeKey]int, len(cellAll)),
-			completed: make(map[resumeKey]bool, len(cellAll)),
-			log:       logger,
-		}
 	}
 	// Test-only crash hook: WSNSWEEP_EXIT_AFTER=k kills the process
 	// after k completed trials (checkpoint written first), simulating a
@@ -1228,52 +1038,43 @@ func run(args []string) (err error) {
 		exitAfter, _ = strconv.Atoi(s)
 	}
 	chaos := chaosFromEnv(logger)
-	ran := 0
 	ctx, stop := signalContext(logger)
 	defer stop()
 	start := time.Now()
-	err = sim.RunCampaignSubset(ctx, spec, opts, keep,
-		func(j sim.TrialJob, s experiment.Sample) error {
-			acc.Add(s)
-			ran++
-			group := j.Group()
-			if meter != nil {
-				meter.JobDone(group)
-			}
-			if emitter != nil {
-				emitter.emit(ran, group)
-			}
-			if tracker != nil {
-				tracker.TrialDone(group)
-			} else if gtimer != nil {
-				gtimer.Observe(group)
-			}
-			if ck != nil {
-				if err := ck.trialDone(resumeKey{group, float64(j.Spares)}); err != nil {
-					return err
-				}
-			}
-			if exitAfter > 0 && ran == exitAfter {
-				os.Exit(7)
-			}
-			if chaos != nil {
-				chaos.trialDone(ran)
-			}
-			return nil
-		})
+	manifest, ran, err := local.Run(ctx, func(j sim.TrialJob, ran int) error {
+		group := j.Group()
+		if meter != nil {
+			meter.JobDone(group)
+		}
+		if emitter != nil {
+			emitter.emit(ran, group)
+		}
+		if tracker != nil {
+			tracker.TrialDone(group)
+		} else if gtimer != nil {
+			gtimer.Observe(group)
+		}
+		if exitAfter > 0 && ran == exitAfter {
+			os.Exit(7)
+		}
+		if chaos != nil {
+			chaos.trialDone(ran)
+		}
+		return nil
+	})
 	wall := time.Since(start)
+	if tracker != nil {
+		tracker.Final()
+	}
+	mode := "run"
+	if spec.ShardCount > 0 {
+		mode = "shard"
+	}
 	if err != nil {
 		// A failed or drained run still records itself: the checkpoints
 		// the manifest path holds are only half the story, the ledger says
 		// how the run ended so cmd/runlog surfaces unhealthy history.
-		if tracker != nil {
-			tracker.Final()
-		}
 		if ledPath != "" {
-			mode := "run"
-			if spec.ShardCount > 0 {
-				mode = "shard"
-			}
 			rec := telemetry.Record{
 				Name:       *name,
 				Mode:       mode,
@@ -1292,25 +1093,16 @@ func run(args []string) (err error) {
 		}
 		return err
 	}
-	if tracker != nil {
-		tracker.Final()
-	}
-	points := acc.Points()
-	if len(done) > 0 {
+	if local.Resumed > 0 {
 		logger.Info("resume: skipped completed cells",
-			"manifest", manifestPath, "cells", len(done), "new_trials", acc.Samples())
-		points = mergePoints(priorPoints, points)
+			"manifest", manifestPath, "cells", local.Resumed, "new_trials", ran)
 	}
-
-	manifest, err := experiment.NewManifest(*name, spec, totalJobs, opts.Workers, points)
-	if err != nil {
-		return err
-	}
+	points := manifest.Points
 	path, err := manifest.Save(*outDir)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(infoW, "wrote %s (%d jobs, %d points)\n", path, totalJobs, len(points))
+	fmt.Fprintf(infoW, "wrote %s (%d jobs, %d points)\n", path, manifest.Jobs, len(points))
 	if err := installCached(cacheStore, cacheHash, path, logger); err != nil {
 		return err
 	}
@@ -1326,10 +1118,6 @@ func run(args []string) (err error) {
 	}
 
 	if ledPath != "" {
-		mode := "run"
-		if spec.ShardCount > 0 {
-			mode = "shard"
-		}
 		var groupS map[string]float64
 		switch {
 		case tracker != nil:
@@ -1342,7 +1130,7 @@ func run(args []string) (err error) {
 			Mode:         mode,
 			Status:       telemetry.StatusCompleted,
 			Manifest:     path,
-			Jobs:         totalJobs,
+			Jobs:         manifest.Jobs,
 			Points:       len(points),
 			Workers:      spec.Workers,
 			ShardFirst:   spec.ShardFirst,

@@ -28,6 +28,10 @@
 // its own template for heterogeneous fleets (see ParseFleetInventory).
 // The default template re-executes the current binary, which is what
 // cmd/sweep -dispatch uses.
+//
+// Inside each worker — and inside every other run that computes trials
+// in-process, sweepd's included — the campaign runs on LocalRun, the
+// one owner of checkpoint, resume, and point merging.
 package dispatch
 
 import (
@@ -365,7 +369,7 @@ func Run(ctx context.Context, spec sim.CampaignSpec, opts Options) (*experiment.
 		}
 		// Atomic like every other artifact: a driver killed mid-write
 		// must never leave a torn spec for a resume rerun to trip on.
-		if err := writeFileAtomic(specPath, append(data, '\n')); err != nil {
+		if err := experiment.WriteFileAtomic(specPath, append(data, '\n')); err != nil {
 			return nil, none, fmt.Errorf("dispatch: %w", err)
 		}
 		f.specs[i] = specPath
@@ -428,35 +432,6 @@ func Run(ctx context.Context, spec sim.CampaignSpec, opts Options) (*experiment.
 		return nil, none, fmt.Errorf("dispatch: merging fleet manifests: %w", err)
 	}
 	return manifest, mergedSpec, nil
-}
-
-// writeFileAtomic lands data at path via temp-file-and-rename, so a
-// reader (or a killed writer) sees the old content or the new, never a
-// prefix.
-func writeFileAtomic(path string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }
 
 // blockName labels shard i's artifacts.

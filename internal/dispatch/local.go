@@ -1,0 +1,200 @@
+package dispatch
+
+import (
+	"context"
+	"os"
+	"path/filepath"
+	"sort"
+
+	"wsncover/internal/experiment"
+	"wsncover/internal/sim"
+)
+
+// LocalRun is one campaign executed in this process: the single runner
+// behind every cmd/sweep run that computes trials (plain, -shard,
+// -resume, -checkpoint, and so every dispatch worker) and behind
+// sweepd's in-process campaigns. It owns the resumable state: a prior
+// manifest's complete (group, N) cells are skipped and carried over,
+// and the checkpoint — rewritten atomically after every completed cell
+// — is itself a manifest a later run resumes from. Only whole cells are
+// checkpointed, because a resume skips whole cells; a partial cell's
+// trials would be rerun anyway.
+//
+// How the prior manifest is found and vetted stays with the caller:
+// cmd/sweep pins the trial physics of its -resume manifest, sweepd
+// re-hashes its checkpoint's spec.
+type LocalRun struct {
+	// Executed is the number of trials Run executes: the spec's job
+	// space under its shard range, minus the cells the prior manifest
+	// already holds.
+	Executed int
+	// GroupOrder lists the groups of the executed trials in job order,
+	// and GroupTotal counts those trials per group.
+	GroupOrder []string
+	GroupTotal map[string]int
+	// Resumed is the number of prior cells kept and skipped; Orphans the
+	// number of prior cells outside the spec's job space, which are
+	// dropped so the manifest stays consistent with its recorded spec.
+	Resumed, Orphans int
+
+	spec       sim.CampaignSpec
+	name       string
+	checkpoint string
+	prior      []experiment.Point
+	priorJobs  int
+	done       map[cell]bool
+	cellTotal  map[cell]int
+}
+
+// cell identifies one aggregated campaign cell in a manifest.
+type cell struct {
+	group string
+	x     float64
+}
+
+// PlanLocal sizes the in-process run of spec (normalized, validated)
+// named name. prior, when non-nil, is a manifest of the same campaign
+// whose cells are kept instead of recomputed. A non-empty checkpoint
+// path enables the per-cell checkpoint there.
+func PlanLocal(spec sim.CampaignSpec, name string, prior *experiment.Manifest, checkpoint string) *LocalRun {
+	r := &LocalRun{
+		GroupTotal: make(map[string]int),
+		spec:       spec,
+		name:       name,
+		checkpoint: checkpoint,
+		done:       make(map[cell]bool),
+		cellTotal:  make(map[cell]int),
+	}
+	// One pass over the job space: every cell's trial count under the
+	// shard range, in order of first appearance.
+	var order []cell
+	spec.ExecutedJobs(nil, func(j sim.TrialJob) {
+		k := cell{j.Group(), float64(j.Spares)}
+		if _, seen := r.cellTotal[k]; !seen {
+			order = append(order, k)
+		}
+		r.cellTotal[k]++
+	})
+	if prior != nil {
+		for _, p := range prior.Points {
+			k := cell{p.Group, p.X}
+			if _, ok := r.cellTotal[k]; !ok {
+				r.Orphans++
+				continue
+			}
+			r.prior = append(r.prior, p)
+			r.done[k] = true
+		}
+	}
+	r.Resumed = len(r.done)
+	// Every trial of a cell not yet done executes, so a group's first
+	// executed trial is the first job of its earliest such cell: walking
+	// cells in first-appearance order yields the groups in the order
+	// their first executed trial arrives.
+	for _, k := range order {
+		n := r.cellTotal[k]
+		if r.done[k] {
+			r.priorJobs += n
+			continue
+		}
+		r.Executed += n
+		if _, ok := r.GroupTotal[k.group]; !ok {
+			r.GroupOrder = append(r.GroupOrder, k.group)
+		}
+		r.GroupTotal[k.group] += n
+	}
+	return r
+}
+
+// Run executes the planned trials and returns the campaign manifest
+// (not yet saved) and the number of trials executed. onTrial, when
+// non-nil, observes every completed trial in job order with the count
+// executed so far, after that trial's checkpoint has landed; an error
+// from it stops the run. The manifest's Jobs is the campaign's NumJobs,
+// or under a shard range the trials this run executed plus those the
+// prior manifest carried. On error — ctx cancelled included — the
+// checkpoint holds every cell completed so far.
+func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) error) (*experiment.Manifest, int, error) {
+	var keep func(sim.TrialJob) bool
+	if len(r.done) > 0 {
+		keep = func(j sim.TrialJob) bool { return !r.done[cell{j.Group(), float64(j.Spares)}] }
+	}
+	if r.checkpoint != "" {
+		if err := os.MkdirAll(filepath.Dir(r.checkpoint), 0o755); err != nil {
+			return nil, 0, err
+		}
+	}
+	// Trials stream into online per-(group, N) accumulators: campaign
+	// memory is O(cells), not O(trials).
+	acc := experiment.NewAccumulator()
+	cellDone := make(map[cell]int)
+	completed := make(map[cell]bool)
+	doneJobs, ran := 0, 0
+	err := sim.RunCampaignSubset(ctx, r.spec, experiment.Options{Workers: r.spec.Workers}, keep,
+		func(j sim.TrialJob, s experiment.Sample) error {
+			acc.Add(s)
+			ran++
+			if r.checkpoint != "" {
+				k := cell{s.Group, s.X}
+				cellDone[k]++
+				if cellDone[k] == r.cellTotal[k] {
+					completed[k] = true
+					doneJobs += r.cellTotal[k]
+					if err := r.writeCheckpoint(acc, completed, doneJobs); err != nil {
+						return err
+					}
+				}
+			}
+			if onTrial != nil {
+				return onTrial(j, ran)
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, ran, err
+	}
+	jobs := r.spec.NumJobs()
+	if r.spec.ShardCount > 0 {
+		// A shard manifest records the trials it represents, never the
+		// full campaign's count, and never undercounts after a resume.
+		jobs = ran + r.priorJobs
+	}
+	m, err := experiment.NewManifest(r.name, r.spec, jobs, r.spec.Workers, mergePoints(r.prior, acc.Points()))
+	return m, ran, err
+}
+
+// writeCheckpoint rewrites the checkpoint with the prior cells plus the
+// completed fresh ones. The write goes through a uniquely named temp
+// file, so two attempts at the same shard sharing a directory (a
+// straggler and its speculative duplicate) never clobber each other's
+// in-flight checkpoint.
+func (r *LocalRun) writeCheckpoint(acc *experiment.Accumulator, completed map[cell]bool, doneJobs int) error {
+	var pts []experiment.Point
+	for _, p := range acc.Points() {
+		if completed[cell{p.Group, p.X}] {
+			pts = append(pts, p)
+		}
+	}
+	m, err := experiment.NewManifest(r.name, r.spec, r.priorJobs+doneJobs, r.spec.Workers, mergePoints(r.prior, pts))
+	if err != nil {
+		return err
+	}
+	return m.WriteAtomic(r.checkpoint)
+}
+
+// mergePoints combines prior points with fresh ones in the canonical
+// (group, X) order, so a resumed manifest is indistinguishable from a
+// single-run one. The resume filter keeps the two sets disjoint.
+func mergePoints(prior, fresh []experiment.Point) []experiment.Point {
+	if len(prior) == 0 {
+		return fresh // Accumulator.Points is already in canonical order
+	}
+	merged := append(append(make([]experiment.Point, 0, len(prior)+len(fresh)), prior...), fresh...)
+	sort.Slice(merged, func(i, j int) bool {
+		if merged[i].Group != merged[j].Group {
+			return merged[i].Group < merged[j].Group
+		}
+		return merged[i].X < merged[j].X
+	})
+	return merged
+}

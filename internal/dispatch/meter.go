@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"wsncover/internal/telemetry"
 )
 
 // meterThrottle is the minimum interval between non-final redraws; it
@@ -243,4 +245,40 @@ func shardCell(s ShardStatus, now time.Time) string {
 		}
 	}
 	return cell
+}
+
+// PublishFleet forwards a fleet snapshot to a dashboard publisher in
+// the telemetry wire shapes, throttled by pub.Due (terminal snapshots
+// always go out). The conversion lives here because telemetry must not
+// import dispatch.
+func PublishFleet(pub *telemetry.Publisher, s FleetSnapshot) {
+	final := s.Terminal()
+	if !pub.Due(final) {
+		return
+	}
+	now := time.Now()
+	shards := make([]telemetry.ShardView, len(s.Shards))
+	for i, sh := range s.Shards {
+		shards[i] = telemetry.ShardView{
+			Shard:    sh.Shard,
+			State:    sh.State.String(),
+			Done:     sh.Progress.Done,
+			Total:    sh.Progress.Total,
+			Attempts: sh.Attempts,
+			Slot:     sh.Slot,
+			Leases:   sh.Leases,
+			BeatAgeS: -1,
+		}
+		if sh.Attempts > 1 {
+			shards[i].Retries = sh.Attempts - 1
+		}
+		if !sh.LastBeat.IsZero() {
+			shards[i].BeatAgeS = now.Sub(sh.LastBeat).Seconds()
+		}
+	}
+	groups := make([]telemetry.GroupView, len(s.Groups))
+	for i, g := range s.Groups {
+		groups[i] = telemetry.GroupView{Group: g.Group, Done: g.Done, Total: g.Total}
+	}
+	pub.Publish(s.Fleet, shards, groups, final)
 }

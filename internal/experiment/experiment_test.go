@@ -328,3 +328,39 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Error("saved manifest differs from written manifest")
 	}
 }
+
+// TestWriteFileAtomic: the file lands with the given bytes and mode
+// 0644, and a failed rename (the target is a directory) reports the
+// error and leaves no temp file behind.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a.json")
+	for _, data := range []string{"first\n", "second\n"} {
+		if err := WriteFileAtomic(path, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != data {
+			t.Fatalf("read back %q, %v; want %q", got, err, data)
+		}
+	}
+	if info, err := os.Stat(path); err != nil || info.Mode().Perm() != 0o644 {
+		t.Fatalf("mode = %v, %v; want 0644", info.Mode().Perm(), err)
+	}
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(blocked, []byte("x")); err == nil {
+		t.Fatal("renaming over a non-empty directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp") {
+			t.Errorf("failed write left temp file %s", e.Name())
+		}
+	}
+}

@@ -61,16 +61,31 @@ func (m *Manifest) Save(dir string) (string, error) {
 }
 
 // WriteAtomic atomically replaces path with the serialized manifest
-// (unique temp file in the same directory + rename). Concurrent writers
-// of identical content — duplicate attempts of a deterministic shard —
-// are safe: each rename installs a complete manifest.
-func (m *Manifest) WriteAtomic(path string) error {
+// (see WriteFileAtomic).
+func (m *Manifest) WriteAtomic(path string) error { return writeAtomic(path, m.Write) }
+
+// WriteFileAtomic lands data at path via a uniquely named temp file in
+// the same directory and a rename, so a reader (or a writer killed
+// mid-write) sees the old content or the new, never a prefix.
+// Concurrent writers of identical content — duplicate attempts of a
+// deterministic shard — are safe: each rename installs a complete file.
+func WriteFileAtomic(path string, data []byte) error {
+	return writeAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// writeAtomic is WriteFileAtomic with the content streamed by write,
+// so a manifest is encoded straight into the temp file. The temp file
+// is removed on every failure path.
+func writeAtomic(path string, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("experiment: %w", err)
 	}
 	tmp := f.Name()
-	if err := m.Write(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

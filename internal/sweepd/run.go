@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"sort"
-	"time"
 
 	"wsncover/internal/dispatch"
 	"wsncover/internal/experiment"
@@ -14,20 +12,41 @@ import (
 )
 
 // execute runs one campaign to a manifest installed in the store. It
-// returns the stored manifest path and how many trials this run
-// executed (for the ledger; a resumed run is not credited with cells
-// its checkpoint already carried). Cancellation (drain) surfaces as
-// context.Canceled; the checkpoint left in the campaign's run
-// directory seeds the next submission of the same spec.
-func (d *Daemon) execute(c *Campaign) (string, int, error) {
+// returns the stored manifest path, the manifest's point count, and how
+// many trials this run executed (for the ledger; a resumed run is not
+// credited with cells its checkpoint already carried). Cancellation
+// (drain) surfaces as context.Canceled; the checkpoint left in the
+// campaign's run directory seeds the next submission of the same spec.
+// Once the manifest is installed the run directory is spent and
+// removed.
+func (d *Daemon) execute(c *Campaign) (path string, points, ran int, err error) {
 	runDir, err := d.store.RunDir(c.SpecHash)
 	if err != nil {
-		return "", 0, err
+		return "", 0, 0, err
 	}
+	var m *experiment.Manifest
 	if d.opts.FleetSlots > 1 {
-		return d.executeFleet(c, runDir)
+		m, ran, err = d.executeFleet(c, runDir)
+	} else {
+		m, ran, err = d.executeInProcess(c, runDir)
 	}
-	return d.executeInProcess(c, runDir)
+	if err != nil {
+		return "", 0, ran, err
+	}
+	local, err := m.Save(runDir)
+	if err != nil {
+		return "", 0, ran, err
+	}
+	stored, err := d.store.Install(c.SpecHash, local)
+	if err != nil {
+		return "", 0, ran, err
+	}
+	if err := os.RemoveAll(runDir); err != nil {
+		// The manifest is safe in the store; a leftover directory only
+		// costs disk, and the next run of the spec reuses it.
+		d.log.Warn("removing spent run directory", "dir", runDir, "err", err)
+	}
+	return stored, len(m.Points), ran, nil
 }
 
 // testTrialHook, when non-nil, observes every completed trial of an
@@ -36,186 +55,46 @@ func (d *Daemon) execute(c *Campaign) (string, int, error) {
 // for wall-clock racing.
 var testTrialHook func(c *Campaign, ran int)
 
-// cellKey identifies one aggregated campaign cell (group, X).
-type cellKey struct {
-	group string
-	x     float64
-}
-
-// ckpt rewrites the campaign's checkpoint manifest atomically after
-// every completed cell — the same contract cmd/sweep -checkpoint
-// honors, so a drained daemon run and a killed CLI run leave
-// indistinguishable resume state.
-type ckpt struct {
-	path      string
-	name      string
-	spec      sim.CampaignSpec
-	prior     []experiment.Point
-	priorJobs int
-	acc       *experiment.Accumulator
-	cellTotal map[cellKey]int
-	cellDone  map[cellKey]int
-	completed map[cellKey]bool
-	doneJobs  int
-}
-
-func (k *ckpt) trialDone(key cellKey) error {
-	k.cellDone[key]++
-	if k.cellDone[key] < k.cellTotal[key] {
-		return nil
-	}
-	k.completed[key] = true
-	k.doneJobs += k.cellTotal[key]
-	pts := make([]experiment.Point, 0, len(k.completed))
-	for _, p := range k.acc.Points() {
-		if k.completed[cellKey{p.Group, p.X}] {
-			pts = append(pts, p)
-		}
-	}
-	pts = mergePoints(k.prior, pts)
-	manifest, err := experiment.NewManifest(k.name, k.spec, k.priorJobs+k.doneJobs, k.spec.Workers, pts)
-	if err != nil {
-		return err
-	}
-	return manifest.WriteAtomic(k.path)
-}
-
-// mergePoints combines retained prior points with fresh ones in the
-// canonical (group, X) order; the resume filter keeps them disjoint.
-func mergePoints(prior, fresh []experiment.Point) []experiment.Point {
-	merged := make([]experiment.Point, 0, len(prior)+len(fresh))
-	merged = append(merged, prior...)
-	merged = append(merged, fresh...)
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Group != merged[j].Group {
-			return merged[i].Group < merged[j].Group
-		}
-		return merged[i].X < merged[j].X
-	})
-	return merged
-}
-
 // loadCheckpoint reads a prior checkpoint manifest for this campaign,
-// verifying that its embedded spec re-hashes to the campaign's hash (a
-// stale or foreign file is ignored rather than merged), and returns
-// its points and completed-cell set.
-func (d *Daemon) loadCheckpoint(path, wantHash string, cellTotal map[cellKey]int) ([]experiment.Point, map[cellKey]bool) {
+// verifying that its embedded spec re-hashes to the campaign's hash; a
+// missing, stale, or foreign file yields nil rather than a merge.
+func (d *Daemon) loadCheckpoint(path, wantHash string) *experiment.Manifest {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil
-	}
-	gotHash, err := readManifestSpecHash(path)
-	if err != nil || gotHash != wantHash {
-		d.log.Warn("ignoring checkpoint with mismatched spec", "path", path, "got", gotHash, "want", wantHash)
-		return nil, nil
+		return nil
 	}
 	var prior experiment.Manifest
 	if err := json.Unmarshal(data, &prior); err != nil {
 		d.log.Warn("ignoring unreadable checkpoint", "path", path, "err", err)
-		return nil, nil
+		return nil
 	}
-	done := make(map[cellKey]bool, len(prior.Points))
-	var points []experiment.Point
-	for _, p := range prior.Points {
-		k := cellKey{p.Group, p.X}
-		if _, ok := cellTotal[k]; !ok {
-			continue // a cell outside this spec's job space
-		}
-		points = append(points, p)
-		done[k] = true
+	if got, err := telemetry.SpecHash(prior.Spec); err != nil || got != wantHash {
+		d.log.Warn("ignoring checkpoint with mismatched spec", "path", path, "got", got, "want", wantHash)
+		return nil
 	}
-	if len(done) > 0 {
-		d.log.Info("resuming from checkpoint", "path", path, "cells", len(done))
-	}
-	return points, done
+	return &prior
 }
 
 // executeInProcess runs the campaign on the embedded engine — no
-// subprocess, the daemon is the worker. The manifest construction
-// mirrors cmd/sweep exactly (same name, spec, NumJobs accounting, and
-// worker count), so the stored manifest is byte-identical to what the
-// CLI writes for the same submission.
-func (d *Daemon) executeInProcess(c *Campaign, runDir string) (string, int, error) {
-	spec := c.Spec
+// subprocess, the daemon is the worker — through the same
+// dispatch.LocalRun as cmd/sweep, so the stored manifest is
+// byte-identical to what the CLI writes for the same submission.
+func (d *Daemon) executeInProcess(c *Campaign, runDir string) (*experiment.Manifest, int, error) {
 	ckPath := filepath.Join(runDir, "checkpoint.json")
-
-	cellTotal := make(map[cellKey]int)
-	spec.ExecutedJobs(nil, func(j sim.TrialJob) {
-		cellTotal[cellKey{j.Group(), float64(j.Spares)}]++
-	})
-	priorPoints, done := d.loadCheckpoint(ckPath, c.SpecHash, cellTotal)
-	var keep func(sim.TrialJob) bool
-	if len(done) > 0 {
-		keep = func(j sim.TrialJob) bool {
-			return !done[cellKey{j.Group(), float64(j.Spares)}]
+	run := dispatch.PlanLocal(c.Spec, c.Name, d.loadCheckpoint(ckPath, c.SpecHash), ckPath)
+	if run.Resumed > 0 {
+		d.log.Info("resuming from checkpoint", "path", ckPath, "cells", run.Resumed)
+	}
+	tracker := telemetry.NewTracker(telemetry.NewPublisher(c.hub), run.Executed, run.GroupOrder, run.GroupTotal)
+	m, ran, err := run.Run(d.ctx, func(j sim.TrialJob, ran int) error {
+		tracker.TrialDone(j.Group())
+		if testTrialHook != nil {
+			testTrialHook(c, ran)
 		}
-	}
-	priorJobs := 0
-	for k := range done {
-		priorJobs += cellTotal[k]
-	}
-
-	executed := 0
-	groupTotal := make(map[string]int)
-	var groupOrder []string
-	spec.ExecutedJobs(keep, func(j sim.TrialJob) {
-		executed++
-		g := j.Group()
-		if _, ok := groupTotal[g]; !ok {
-			groupOrder = append(groupOrder, g)
-		}
-		groupTotal[g]++
+		return nil
 	})
-
-	pub := telemetry.NewPublisher(c.hub)
-	tracker := telemetry.NewTracker(pub, executed, groupOrder, groupTotal)
-	acc := experiment.NewAccumulator()
-	ck := &ckpt{
-		path:      ckPath,
-		name:      c.Name,
-		spec:      spec,
-		prior:     priorPoints,
-		priorJobs: priorJobs,
-		acc:       acc,
-		cellTotal: cellTotal,
-		cellDone:  make(map[cellKey]int, len(cellTotal)),
-		completed: make(map[cellKey]bool, len(cellTotal)),
-	}
-
-	ran := 0
-	err := sim.RunCampaignSubset(d.ctx, spec, experiment.Options{Workers: spec.Workers}, keep,
-		func(j sim.TrialJob, s experiment.Sample) error {
-			acc.Add(s)
-			ran++
-			tracker.TrialDone(j.Group())
-			if err := ck.trialDone(cellKey{j.Group(), float64(j.Spares)}); err != nil {
-				return err
-			}
-			if testTrialHook != nil {
-				testTrialHook(c, ran)
-			}
-			return nil
-		})
 	tracker.Final()
-	if err != nil {
-		return "", ran, err
-	}
-
-	points := mergePoints(priorPoints, acc.Points())
-	manifest, err := experiment.NewManifest(c.Name, spec, spec.NumJobs(), spec.Workers, points)
-	if err != nil {
-		return "", ran, err
-	}
-	local, err := manifest.Save(runDir)
-	if err != nil {
-		return "", ran, err
-	}
-	stored, err := d.store.Install(c.SpecHash, local)
-	if err != nil {
-		return "", ran, err
-	}
-	os.Remove(ckPath)
-	return stored, ran, nil
+	return m, ran, err
 }
 
 // executeFleet runs the campaign as a dispatch fleet of WorkerBin
@@ -223,69 +102,19 @@ func (d *Daemon) executeInProcess(c *Campaign, runDir string) (string, int, erro
 // campaign's hub. Shard artifacts and checkpoints land in the
 // campaign's run directory; Resume is always on, so a drained fleet's
 // surviving shards seed the next submission.
-func (d *Daemon) executeFleet(c *Campaign, runDir string) (string, int, error) {
+func (d *Daemon) executeFleet(c *Campaign, runDir string) (*experiment.Manifest, int, error) {
 	pub := telemetry.NewPublisher(c.hub)
-	opts := dispatch.Options{
-		Slots:  d.opts.FleetSlots,
-		OutDir: runDir,
-		Name:   c.Name,
-		Resume: true,
-		Worker: []string{d.opts.WorkerBin},
-		Logger: d.log.With("campaign", c.ID),
-		OnProgress: func(s dispatch.FleetSnapshot) {
-			final := s.Terminal()
-			if !pub.Due(final) {
-				return
-			}
-			pub.Publish(s.Fleet, fleetShardViews(s.Shards), fleetGroupViews(s.Groups), final)
-		},
-	}
-	manifest, _, err := dispatch.Run(d.ctx, c.Spec, opts)
+	m, _, err := dispatch.Run(d.ctx, c.Spec, dispatch.Options{
+		Slots:      d.opts.FleetSlots,
+		OutDir:     runDir,
+		Name:       c.Name,
+		Resume:     true,
+		Worker:     []string{d.opts.WorkerBin},
+		Logger:     d.log.With("campaign", c.ID),
+		OnProgress: func(s dispatch.FleetSnapshot) { dispatch.PublishFleet(pub, s) },
+	})
 	if err != nil {
-		return "", 0, err
+		return nil, 0, err
 	}
-	local, err := manifest.Save(runDir)
-	if err != nil {
-		return "", 0, err
-	}
-	stored, err := d.store.Install(c.SpecHash, local)
-	if err != nil {
-		return "", 0, err
-	}
-	return stored, manifest.Jobs, nil
-}
-
-// fleetShardViews and fleetGroupViews convert dispatch snapshot
-// vectors to telemetry wire shapes — duplicated from cmd/sweep because
-// telemetry must not import dispatch; this package may import both.
-func fleetShardViews(shards []dispatch.ShardStatus) []telemetry.ShardView {
-	now := time.Now()
-	out := make([]telemetry.ShardView, len(shards))
-	for i, s := range shards {
-		out[i] = telemetry.ShardView{
-			Shard:    s.Shard,
-			State:    s.State.String(),
-			Done:     s.Progress.Done,
-			Total:    s.Progress.Total,
-			Attempts: s.Attempts,
-			Slot:     s.Slot,
-			Leases:   s.Leases,
-			BeatAgeS: -1,
-		}
-		if s.Attempts > 1 {
-			out[i].Retries = s.Attempts - 1
-		}
-		if !s.LastBeat.IsZero() {
-			out[i].BeatAgeS = now.Sub(s.LastBeat).Seconds()
-		}
-	}
-	return out
-}
-
-func fleetGroupViews(groups []dispatch.GroupProgress) []telemetry.GroupView {
-	out := make([]telemetry.GroupView, len(groups))
-	for i, g := range groups {
-		out[i] = telemetry.GroupView{Group: g.Group, Done: g.Done, Total: g.Total}
-	}
-	return out
+	return m, m.Jobs, nil
 }

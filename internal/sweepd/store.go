@@ -15,13 +15,13 @@
 package sweepd
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
+	"wsncover/internal/experiment"
 	"wsncover/internal/telemetry"
 )
 
@@ -29,7 +29,8 @@ import (
 // directory:
 //
 //	<dir>/manifests/sha256-<hex>.json   completed campaign manifests
-//	<dir>/runs/<hex>/                   per-campaign working directories
+//	<dir>/runs/<hex>/                   per-campaign working directories,
+//	                                    removed once the manifest is installed
 //	<dir>/ledger.ndjson                 the run ledger (telemetry.Record)
 //
 // Keys are telemetry.SpecHash values ("sha256:<64 hex>"). Only full,
@@ -121,7 +122,7 @@ func (s *Store) Install(hash, src string) (string, error) {
 		return "", fmt.Errorf("sweepd: store install: %w", err)
 	}
 	dst := s.manifestPath(hex)
-	if err := writeFileAtomic(dst, data); err != nil {
+	if err := experiment.WriteFileAtomic(dst, data); err != nil {
 		return "", fmt.Errorf("sweepd: store install: %w", err)
 	}
 	return dst, nil
@@ -193,49 +194,4 @@ func (s *Store) List() ([]Entry, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].SpecHash < out[j].SpecHash })
 	return out, nil
-}
-
-// writeFileAtomic lands data at path via temp-file-and-rename, so a
-// reader never observes a torn manifest.
-func writeFileAtomic(path string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// readManifestSpecHash re-derives the spec hash of the manifest at
-// path from its embedded spec — the integrity check the runner applies
-// to a checkpoint before resuming from it.
-func readManifestSpecHash(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	var m struct {
-		Spec json.RawMessage `json:"spec"`
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		return "", fmt.Errorf("sweepd: manifest %s: %w", path, err)
-	}
-	return telemetry.SpecHash(m.Spec)
 }

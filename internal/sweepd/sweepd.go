@@ -346,7 +346,7 @@ func (d *Daemon) runnerLoop() {
 	defer d.wg.Done()
 	for c := range d.queue {
 		if d.ctx.Err() != nil {
-			d.finish(c, StatusAborted, "", 0, fmt.Errorf("queued campaign aborted by drain"))
+			d.finish(c, StatusAborted, "", 0, 0, fmt.Errorf("queued campaign aborted by drain"))
 			continue
 		}
 		d.mu.Lock()
@@ -354,14 +354,14 @@ func (d *Daemon) runnerLoop() {
 		c.Started = time.Now().UTC()
 		d.mu.Unlock()
 		d.log.Info("campaign started", "id", c.ID, "name", c.Name, "spec_hash", c.SpecHash)
-		path, ran, err := d.execute(c)
+		path, points, ran, err := d.execute(c)
 		switch {
 		case err == nil:
-			d.finish(c, StatusCompleted, path, ran, nil)
+			d.finish(c, StatusCompleted, path, points, ran, nil)
 		case errors.Is(err, context.Canceled):
-			d.finish(c, StatusAborted, "", ran, err)
+			d.finish(c, StatusAborted, "", 0, ran, err)
 		default:
-			d.finish(c, StatusFailed, "", ran, err)
+			d.finish(c, StatusFailed, "", 0, ran, err)
 		}
 	}
 }
@@ -369,11 +369,12 @@ func (d *Daemon) runnerLoop() {
 // finish moves a campaign to its terminal status, releases its
 // in-flight slot, closes its hub and done channel, and appends the
 // ledger record. The ledger gets every outcome — completed, failed,
-// aborted — so the store's run history shows unhealthy runs too; ran
-// is the trial count this run actually executed (a resumed run is not
-// credited with checkpointed cells, an aborted one records its partial
-// progress honestly).
-func (d *Daemon) finish(c *Campaign, status, manifestPath string, ran int, runErr error) {
+// aborted — so the store's run history shows unhealthy runs too;
+// points is the completed manifest's point count, and ran the trial
+// count this run actually executed (a resumed run is not credited with
+// checkpointed cells, an aborted one records its partial progress
+// honestly).
+func (d *Daemon) finish(c *Campaign, status, manifestPath string, points, ran int, runErr error) {
 	finished := time.Now().UTC()
 	d.mu.Lock()
 	if manifestPath == "" {
@@ -403,11 +404,7 @@ func (d *Daemon) finish(c *Campaign, status, manifestPath string, ran int, runEr
 		// campaign, resumed-over cells included; the rate credits only
 		// the trials this run executed.
 		rec.Jobs = c.Spec.NumJobs()
-		cells := make(map[cellKey]struct{})
-		c.Spec.ExecutedJobs(nil, func(j sim.TrialJob) {
-			cells[cellKey{j.Group(), float64(j.Spares)}] = struct{}{}
-		})
-		rec.Points = len(cells)
+		rec.Points = points
 	}
 	if wall > 0 && ran > 0 {
 		rec.TrialsPerS = float64(ran) / wall
