@@ -9,10 +9,15 @@ import "wsncover/internal/randx"
 // seed heads an uncorrelated child stream. Callers assign seeds[i] to
 // job i before dispatching the batch to Run.
 func Seeds(base int64, n int) []int64 {
-	root := randx.New(base)
+	// Each child is drawn from once and released, so the set reseeds one
+	// stream in place instead of allocating n.
+	var set randx.Streams
+	root := set.New(base)
 	out := make([]int64, n)
 	for i := range out {
-		out[i] = root.Split(int64(i + 1)).Int63()
+		child := root.Split(int64(i + 1))
+		out[i] = child.Int63()
+		child.Release()
 	}
 	return out
 }

@@ -3,6 +3,15 @@
 // that trials are reproducible from a single seed and sub-streams can be
 // split without correlation (each trial, deployment, and scheme draws from
 // its own derived stream).
+//
+// The contract: for every seed, a stream is bit-identical to
+// rand.New(rand.NewSource(seed)), method for method. Go 1 compatibility
+// freezes math/rand's generator and its Intn, Float64, NormFloat64, Perm
+// and Shuffle algorithms, so every stream, and every result the simulator
+// derives from one, is fixed across Go releases. randx owns only the
+// source (see source.go), whose seeding is cheaper than math/rand's but
+// lands in the same state; every draw still runs the stdlib's *rand.Rand
+// code.
 package randx
 
 import (
@@ -15,21 +24,81 @@ import (
 // the geometry-aware helpers the simulator needs.
 type Rand struct {
 	src *rand.Rand
+	// set is the Streams this stream came from, and the one its Split
+	// children come from; idx is its position there. A stream from New
+	// has no set.
+	set *Streams
+	idx int
+	rng source
 }
 
 // New returns a stream seeded with seed.
 func New(seed int64) *Rand {
-	return &Rand{src: rand.New(rand.NewSource(seed))}
+	r := new(Rand)
+	r.rng.Seed(seed)
+	r.src = rand.New(&r.rng)
+	return r
 }
 
 // Split derives an independent child stream. The child's seed mixes the
 // parent stream state with the supplied label so that distinct labels give
 // distinct streams even when requested in a different order across runs of
-// the same code path.
+// the same code path. A stream from a Streams set splits its children off
+// the same set; any other stream allocates them.
 func (r *Rand) Split(label int64) *Rand {
 	const golden = int64(0x9E3779B97F4A7C15 & 0x7FFFFFFFFFFFFFFF)
 	mix := r.src.Int63() ^ (label * golden)
+	if r.set != nil {
+		return r.set.New(mix)
+	}
 	return New(mix)
+}
+
+// Streams is a reusable set of streams. New hands out a stream that draws
+// exactly what the package-level New's would, reseeding a free stream of
+// the set in place when there is one, so a warm set allocates nothing.
+// Split children of its streams come from the same set.
+//
+// The lifetime rule: Reset invalidates every stream the set has handed
+// out, since each is then reseeded under whoever still holds it. An
+// owner that resets its set once per unit of work hands out streams that
+// die with that unit. sim.TrialArena resets its set at the start of each
+// trial, so a stream from an arena is invalid after that arena's next
+// trial, and nothing a trial builds may keep one beyond it.
+//
+// The zero value is an empty set. A Streams is not safe for concurrent
+// use.
+type Streams struct {
+	list []*Rand
+	used int // list[:used] are handed out
+}
+
+// Reset returns every stream of the set to it, invalidating them all.
+func (s *Streams) Reset() { s.used = 0 }
+
+// New returns a stream of the set seeded with seed.
+func (s *Streams) New(seed int64) *Rand {
+	if s.used < len(s.list) {
+		r := s.list[s.used]
+		s.used++
+		r.src.Seed(seed)
+		return r
+	}
+	r := New(seed)
+	r.set, r.idx = s, len(s.list)
+	s.list = append(s.list, r)
+	s.used++
+	return r
+}
+
+// Release returns r, and every stream its set handed out after r, to the
+// set; none of them may be used afterwards. It scopes a short-lived
+// stream (one event firing's) so a long trial reuses one slot instead of
+// growing the set. On a stream from New it does nothing.
+func (r *Rand) Release() {
+	if r.set != nil && r.idx < r.set.used {
+		r.set.used = r.idx
+	}
 }
 
 // Int63 returns a non-negative 63-bit integer.

@@ -12,6 +12,7 @@ import (
 	"wsncover/internal/metrics"
 	"wsncover/internal/network"
 	"wsncover/internal/node"
+	"wsncover/internal/randx"
 )
 
 // schemeScratch lazily holds one pooled state block per controller
@@ -47,7 +48,8 @@ func (s *schemeScratch) forAsync() *async.Scratch {
 
 // TrialArena is the pooled replicate engine's per-worker world: it owns
 // a Network (with its node storage and cell registries), the metrics
-// collector, the controllers' dense scratch state, and — via the
+// collector, the controllers' dense scratch state, the trial's random
+// streams (reseeded in place, never reallocated), and — via the
 // hamilton.Shared cache — every other piece of per-trial setup that does
 // not depend on the seed. Consecutive trials with the same grid
 // dimensions, communication range, and energy model Reset the network
@@ -66,11 +68,15 @@ func (s *schemeScratch) forAsync() *async.Scratch {
 // An arena is not safe for concurrent use; the experiment engine gives
 // each worker goroutine its own (see RunCampaignStream). State exposed
 // by a finished trial (Trial.Network, the scheme's Collector) is
-// invalidated by the arena's next RunTrial.
+// invalidated by the arena's next RunTrial. So is every random stream
+// the trial handed out: the network's loss stream (network.Reset drops
+// it), the controller's Config.RNG, the trial's event stream and its
+// per-firing children. Each is reseeded for the next trial.
 type TrialArena struct {
-	net *network.Network
-	col *metrics.Collector
-	scr schemeScratch
+	net     *network.Network
+	col     *metrics.Collector
+	scr     schemeScratch
+	streams randx.Streams
 
 	// Geometry and physics the pooled network was built with; a trial
 	// that differs in any of them rebuilds instead of resetting.

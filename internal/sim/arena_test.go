@@ -56,6 +56,12 @@ func pooledManifestBytes(t *testing.T, spec CampaignSpec, fresh bool, workers in
 	if err != nil {
 		t.Fatal(err)
 	}
+	return samplesManifestBytes(t, spec, samples)
+}
+
+// samplesManifestBytes serializes the manifest of a campaign's samples.
+func samplesManifestBytes(t *testing.T, spec CampaignSpec, samples []experiment.Sample) []byte {
+	t.Helper()
 	points := experiment.Aggregate(samples)
 	// The FreshBuild flag is execution strategy, not a result; pin it in
 	// the echoed spec so the byte comparison covers results only.
@@ -70,6 +76,53 @@ func pooledManifestBytes(t *testing.T, spec CampaignSpec, fresh bool, workers in
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestOneArenaAlternatingCampaignsMatchFresh runs lossy, churn and holes
+// campaigns back to back, twice over, through one arena, so every
+// trial's random streams are ones the previous trial's workload left
+// behind: a lossy trial's loss stream, a churn trial's event stream and
+// per-firing children, a holes trial's deployment streams. Each
+// campaign's manifest must equal the FreshBuild one byte for byte, which
+// holds only if no stream outlives its trial.
+func TestOneArenaAlternatingCampaignsMatchFresh(t *testing.T) {
+	base := CampaignSpec{
+		Schemes:    []SchemeKind{SR, AR},
+		Grids:      []GridSize{{10, 10}},
+		Spares:     []int{6, 30},
+		Holes:      []int{3},
+		Replicates: 3,
+	}
+	lossy, churn, holes := base, base, base
+	lossy.Schemes = []SchemeKind{SR, SRShortcut} // a lossy radio needs an SR-family scheme
+	lossy.Workloads = []WorkloadSpec{{Kind: WorkloadLossy, Loss: 0.3, TTL: 6}}
+	lossy.BaseSeed = 91
+	churn.Workloads = []WorkloadSpec{{Kind: WorkloadChurn, Every: 2, Waves: 4}}
+	churn.BaseSeed = 92
+	holes.BaseSeed = 93
+	campaigns := []struct {
+		name string
+		spec CampaignSpec
+	}{{"lossy", lossy}, {"churn", churn}, {"holes", holes}}
+	arena := NewTrialArena()
+	for pass := 0; pass < 2; pass++ {
+		for _, c := range campaigns {
+			js := c.spec.JobSpace()
+			samples := make([]experiment.Sample, js.Len())
+			for i := range samples {
+				j := js.At(i)
+				res, err := arena.RunTrial(j.config(c.spec.Normalized()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				samples[i] = SampleOf(j, res)
+			}
+			got := samplesManifestBytes(t, c.spec, samples)
+			if want := pooledManifestBytes(t, c.spec, true, 1); !bytes.Equal(got, want) {
+				t.Fatalf("pass %d, %s campaign: one-arena manifest differs from FreshBuild", pass, c.name)
+			}
+		}
+	}
 }
 
 // TestCampaignManifestsBitIdenticalAcrossPooling is the tentpole
@@ -118,17 +171,17 @@ func TestCampaignManifestsBitIdenticalAcrossPooling(t *testing.T) {
 
 // TestSteadyStateReplicateAllocBudget pins the arena's steady state
 // under a small fixed allocation budget per trial — the replicate-level
-// companion of the 0-allocs/round pin. The budget admits the per-trial
-// RNG streams, the controller's maps, and the workload closures; what
-// it excludes is everything proportional to the world size (node
-// objects, cell registries, topology tables, permutation buffers),
-// which the arena and the topology cache amortize across replicates and
-// deployment no longer materializes. Since the controllers moved to pooled
-// dense tables (core/ar Scratch), the budget no longer admits maps —
-// what remains is the per-trial RNG stream split and the workload
-// closures.
+// companion of the 0-allocs/round pin. What it excludes is everything
+// proportional to the world size (node objects, cell registries,
+// topology tables, permutation buffers), which the arena and the
+// topology cache amortize across replicates and deployment no longer
+// materializes, and the controllers' tables, which live in pooled dense
+// scratch (core/ar Scratch). The trial's random streams are reseeded in
+// the arena's randx.Streams, so they allocate nothing either; what
+// remains is the trial's own bookkeeping: the Trial, its schedule and
+// event cursor, and the workload closures.
 func TestSteadyStateReplicateAllocBudget(t *testing.T) {
-	const budget = 40 // allocs/trial (measured 22 for both SR and AR; fresh 16x16 builds cost ~200)
+	const budget = 16 // allocs/trial (measured 8 for both SR and AR; fresh 16x16 builds cost ~200)
 	for _, scheme := range []SchemeKind{SR, AR} {
 		arena := NewTrialArena()
 		cfg := TrialConfig{Cols: 16, Rows: 16, Scheme: scheme, Spares: 40, Holes: 2}
@@ -146,6 +199,7 @@ func TestSteadyStateReplicateAllocBudget(t *testing.T) {
 			run(seed % 8)
 			seed++
 		})
+		t.Logf("%v steady-state 16x16 replicate: %.0f allocs/trial", scheme, allocs)
 		if allocs > budget {
 			t.Errorf("%v steady-state replicate allocates %.0f times, budget %d", scheme, allocs, budget)
 		}
@@ -213,14 +267,14 @@ func TestConcurrentCampaignsShareFreeList(t *testing.T) {
 // TestWarmCampaignAllocBudget pins what a campaign allocates per trial
 // once an earlier campaign has left a same-shape arena in the free
 // list: the 256x256 world (node columns, cell registries, controller
-// tables) is reused, so per-trial allocation is the trial's own
-// bookkeeping (mostly its RNG streams) plus a share of the campaign's
-// fixed overhead. A campaign that builds its own arena instead measured
-// 129 allocs and 4.4 MB per trial here.
+// tables) and the trial's random streams are reused, so per-trial
+// allocation is the trial's own bookkeeping plus a share of the
+// campaign's fixed overhead. A campaign that builds its own arena
+// instead measured 129 allocs and 4.4 MB per trial here.
 func TestWarmCampaignAllocBudget(t *testing.T) {
 	const (
-		allocBudget = 80       // allocs/trial (measured 45)
-		byteBudget  = 64 << 10 // bytes/trial (measured 38 KiB)
+		allocBudget = 40       // allocs/trial (measured 28)
+		byteBudget  = 16 << 10 // bytes/trial (measured 7 KiB)
 	)
 	spec := CampaignSpec{
 		Schemes:         []SchemeKind{SR},

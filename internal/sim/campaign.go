@@ -343,7 +343,15 @@ type jobBlock struct {
 // AR on identical damage.
 func (s CampaignSpec) JobSpace() JobSpace {
 	s.normalize()
-	js := JobSpace{spec: s, seeds: experiment.Seeds(s.BaseSeed, s.Replicates)}
+	js := s.layout()
+	js.seeds = experiment.Seeds(s.BaseSeed, s.Replicates)
+	return js
+}
+
+// layout lays out the normalized spec's job blocks without deriving the
+// replicate seeds, which only At needs.
+func (s CampaignSpec) layout() JobSpace {
+	js := JobSpace{spec: s}
 	for _, wl := range s.workloadDim() {
 		// A workload that does not scale with the holes dimension (jam's
 		// disc decides; a pinned hole count overrides) collapses it, so
@@ -404,9 +412,12 @@ func (js JobSpace) At(i int) TrialJob {
 	}
 }
 
-// NumJobs returns the job count of the normalized spec without expanding
-// it.
-func (s CampaignSpec) NumJobs() int { return s.JobSpace().Len() }
+// NumJobs returns the job count of the normalized spec: the sum of its
+// block sizes, without expanding the jobs or deriving their seeds.
+func (s CampaignSpec) NumJobs() int {
+	s.normalize()
+	return s.layout().total
+}
 
 // jobFilter wraps keep with the spec's replicate shard range. It is the
 // single definition of "which jobs execute": RunCampaignSubset applies

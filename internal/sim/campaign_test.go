@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -256,6 +258,33 @@ func TestJobSpaceMatchesJobs(t *testing.T) {
 			}()
 			js.At(bad)
 		}()
+	}
+}
+
+// TestNumJobsMatchesJobSpace checks the seed-free job count against the
+// indexed job space over the checked-in campaign specs and the
+// all-defaults spec.
+func TestNumJobsMatchesJobSpace(t *testing.T) {
+	paths, err := filepath.Glob("../../specs/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no spec fixtures: %v", err)
+	}
+	specs := map[string]CampaignSpec{"defaults": {}}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spec CampaignSpec
+		if err := UnmarshalSpecJSON(data, &spec); err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		specs[filepath.Base(p)] = spec
+	}
+	for name, spec := range specs {
+		if got, want := spec.NumJobs(), spec.JobSpace().Len(); got != want {
+			t.Errorf("%s: NumJobs = %d, JobSpace().Len() = %d", name, got, want)
+		}
 	}
 }
 

@@ -71,11 +71,15 @@ func newTrial(cfg TrialConfig, arena *TrialArena) (*Trial, error) {
 	if cfg.Runner == RunAsync && (cfg.ClaimTTL != 0 || cfg.MessageLoss != 0 || cfg.ByzantineFrac != 0) {
 		return nil, fmt.Errorf("sim: ClaimTTL, MessageLoss, and byzantine monitors require the sync runner")
 	}
-	rng := randx.New(cfg.Seed)
+	var rng *randx.Rand
 	var net *network.Network
 	var col *metrics.Collector
 	var scr *schemeScratch
 	if arena != nil {
+		// The root and every stream split off it are reseeded in place:
+		// the previous trial's streams die here (see randx.Streams).
+		arena.streams.Reset()
+		rng = arena.streams.New(cfg.Seed)
 		scr = &arena.scr
 		// The workload may have installed its energy model into cfg
 		// above, so pool compatibility is decided on the resolved config.
@@ -84,6 +88,7 @@ func newTrial(cfg TrialConfig, arena *TrialArena) (*Trial, error) {
 		}
 		col = arena.col
 	} else {
+		rng = randx.New(cfg.Seed)
 		sys, err := grid.NewForCommRange(cfg.Cols, cfg.Rows, cfg.CommRange, geom.Pt(0, 0))
 		if err != nil {
 			return nil, err
@@ -274,14 +279,19 @@ func (c *eventCursor) quiescent(since int) bool {
 
 // applyDue fires every event due at or before round. The per-firing RNG
 // streams derive from evRNG sequentially; the firing order is a pure
-// function of the schedule, so equal trials see equal streams.
+// function of the schedule, so equal trials see equal streams. A firing's
+// stream lives only for its Apply call: on an arena it is Released
+// afterwards, so a trial of any length holds one event stream.
 func (t *Trial) applyDue(cur *eventCursor, round int) error {
 	for {
 		ev, ok := cur.pop(round)
 		if !ok {
 			return nil
 		}
-		if err := ev.Apply(t.net, t.evRNG.Split(int64(round)), round); err != nil {
+		rng := t.evRNG.Split(int64(round))
+		err := ev.Apply(t.net, rng, round)
+		rng.Release()
+		if err != nil {
 			return err
 		}
 		if ev.Rally {

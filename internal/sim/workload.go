@@ -332,8 +332,9 @@ type Event struct {
 	// restores resources (resupply) makes abandoned holes eligible for
 	// repair again.
 	Rally bool
-	// Apply injects the damage. rng is a per-firing derived stream;
-	// round is the current trial round.
+	// Apply injects the damage. rng is a per-firing derived stream,
+	// valid only for the duration of the call: Apply must not keep it,
+	// or any stream split off it. round is the current trial round.
 	Apply func(net *network.Network, rng *randx.Rand, round int) error
 }
 
