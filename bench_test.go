@@ -371,7 +371,7 @@ func BenchmarkCampaign16Cells(b *testing.B) {
 		Schemes:    []sim.SchemeKind{sim.SR, sim.AR},
 		Grids:      []sim.GridSize{{Cols: 16, Rows: 16}},
 		Spares:     []int{40, 200},
-		Failures:   []sim.FailureMode{sim.FailHoles, sim.FailJam},
+		Workloads:  []sim.WorkloadSpec{{Kind: sim.WorkloadHoles}, {Kind: sim.WorkloadJam}},
 		Replicates: 4,
 		BaseSeed:   31,
 	}

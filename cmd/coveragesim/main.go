@@ -8,21 +8,19 @@
 //	            [-seed s] [-show] [-adjacent]
 //
 // -show renders the grid occupancy before and after recovery. -failure
-// jam replaces the random vacant cells with a jammed disc at a random
-// center (the region attack of Xu et al.).
+// names the trial's damage workload: holes (the default, random vacant
+// cells) or jam, a jammed disc at a random center (the region attack of
+// Xu et al.) whose hole count is emergent from -jam-radius. The damage
+// line lists the vacant cells the network has before the scheme runs.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"wsncover/internal/coverage"
-	"wsncover/internal/geom"
-	"wsncover/internal/grid"
-	"wsncover/internal/network"
-	"wsncover/internal/node"
-	"wsncover/internal/randx"
 	"wsncover/internal/sim"
 	"wsncover/internal/visual"
 )
@@ -66,49 +64,34 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	failure, err := sim.ParseFailureMode(*failureS)
-	if err != nil {
-		return err
+	failure := strings.ToLower(strings.TrimSpace(*failureS))
+	if failure != sim.WorkloadHoles && failure != sim.WorkloadJam {
+		return fmt.Errorf("unknown failure mode %q (want holes or jam)", *failureS)
 	}
 
-	// Build the network explicitly (rather than via sim.RunTrial) so the
-	// -show option can render intermediate state; ApplyDamage keeps the
-	// damage identical to a sim trial at the same seed.
-	rng := randx.New(*seed)
-	sys, err := grid.NewForCommRange(cols, rows, sim.PaperCommRange, geom.Pt(0, 0))
-	if err != nil {
-		return err
-	}
-	net := network.New(sys, node.EnergyModel{})
-	damage, err := sim.ApplyDamage(net, sim.TrialConfig{
+	// Assemble the trial explicitly (rather than via sim.RunTrial) so
+	// -show can render the damaged network before the scheme runs; the
+	// trial is the one sim.RunTrial runs at the same seed.
+	trial, err := sim.NewTrial(sim.TrialConfig{
 		Cols: cols, Rows: rows, Scheme: scheme, Spares: *spares,
 		Holes: *holes, AdjacentHolesOK: *adjacent,
-		Failure: failure, JamRadius: *jamRadius,
-	}, rng)
+		Workload: sim.WorkloadSpec{Kind: failure}, JamRadius: *jamRadius,
+		Seed: *seed,
+	})
 	if err != nil {
 		return err
 	}
-	if failure == sim.FailJam {
-		fmt.Printf("grid %dx%d (r=%.4f m, R=%.1f m), N=%d spares, jam disc radius %.2f m at (%.1f, %.1f): %d nodes down, %d hole(s)\n",
-			cols, rows, sys.CellSize(), sys.CommRange(), *spares,
-			damage.JamRadius, damage.JamCenter.X, damage.JamCenter.Y,
-			damage.Killed, coverage.HoleCount(net))
-	} else {
-		fmt.Printf("grid %dx%d (r=%.4f m, R=%.1f m), N=%d spares, %d hole(s) at %v\n",
-			cols, rows, sys.CellSize(), sys.CommRange(), *spares, *holes, damage.HoleCells)
-	}
+	net := trial.Network()
+	sys := net.System()
+	holeCells := coverage.Holes(net)
+	fmt.Printf("grid %dx%d (r=%.4f m, R=%.1f m), N=%d spares, %s damage: %d hole(s) at %v\n",
+		cols, rows, sys.CellSize(), sys.CommRange(), *spares, failure, len(holeCells), holeCells)
 	if *show {
 		fmt.Println("before:")
 		fmt.Print(visual.Network(net))
 	}
 
-	ctrl, err := sim.BuildScheme(net, sim.TrialConfig{
-		Cols: cols, Rows: rows, Scheme: scheme,
-	}, rng.Split(3))
-	if err != nil {
-		return err
-	}
-	rounds, err := sim.RunToConvergence(ctrl, 2*cols*rows+16)
+	res, err := trial.Run()
 	if err != nil {
 		return err
 	}
@@ -117,14 +100,13 @@ func run(args []string) error {
 		fmt.Println("after:")
 		fmt.Print(visual.Network(net))
 	}
-	s := ctrl.Collector().Summarize()
-	rep := coverage.Snapshot(net)
-	fmt.Printf("scheme=%s rounds=%d\n", ctrl.Name(), rounds)
+	s := res.Summary
+	fmt.Printf("scheme=%s rounds=%d\n", scheme, res.Rounds)
 	fmt.Printf("processes initiated=%d converged=%d failed=%d success=%.1f%%\n",
 		s.Initiated, s.Converged, s.Failed, s.SuccessRate())
 	fmt.Printf("node movements=%d total distance=%.2f m messages=%d\n",
 		s.Moves, s.Distance, s.Messages)
 	fmt.Printf("coverage: holes=%d complete=%v connected=%v\n",
-		rep.Holes, rep.Complete, rep.HeadConnected)
+		res.HolesAfter, res.Complete, res.Connected)
 	return nil
 }

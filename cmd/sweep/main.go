@@ -7,7 +7,7 @@
 // Usage:
 //
 //	sweep [-schemes SR,AR] [-grids 16x16] [-spares 10,55,200]
-//	      [-holes 1] [-workloads holes,churn | -failures holes,jam]
+//	      [-holes 1] [-workloads holes,jam,churn]
 //	      [-runners sync,async] [-replicates 20] [-seed s]
 //	      [-workers w] [-metrics moves,success_rate|all] [-out dir]
 //	      [-name sweep] [-resume] [-shard i/n] [-checkpoint]
@@ -22,7 +22,10 @@
 //
 // A spec file is the JSON form of sim.CampaignSpec and replaces the
 // dimension flags; workload parameters ({"kind": "churn", "every": 5})
-// are available only there — the -workloads flag names bare kinds.
+// are available only there — the -workloads flag names bare kinds
+// (default holes, the paper's random vacant cells). Spec files and
+// manifests that list damage the older way, "failures": ["holes",
+// "jam"], still decode, as the equivalent workloads.
 // Results are bit-identical for any -workers value.
 //
 // -resume merges into an existing manifest: every (group, N) cell
@@ -381,7 +384,7 @@ func resumeCompatible(priorSpec json.RawMessage, spec sim.CampaignSpec) error {
 		return nil
 	}
 	var prev sim.CampaignSpec
-	if err := json.Unmarshal(priorSpec, &prev); err != nil {
+	if err := sim.UnmarshalSpecJSON(priorSpec, &prev); err != nil {
 		return fmt.Errorf("unreadable spec in manifest: %w", err)
 	}
 	type pinned struct {
@@ -484,18 +487,6 @@ func parseGrids(s string) ([]sim.GridSize, error) {
 			return nil, err
 		}
 		out = append(out, g)
-	}
-	return out, nil
-}
-
-func parseFailures(s string) ([]sim.FailureMode, error) {
-	var out []sim.FailureMode
-	for _, f := range splitList(s) {
-		m, err := sim.ParseFailureMode(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
 	}
 	return out, nil
 }
@@ -719,8 +710,7 @@ func run(args []string) (err error) {
 		gridsS     = fs.String("grids", "16x16", "comma-separated grid sizes, CxR")
 		sparesS    = fs.String("spares", "", "comma-separated spare counts N (default: the paper's x axis)")
 		holesS     = fs.String("holes", "1", "comma-separated simultaneous hole counts")
-		failuresS  = fs.String("failures", "holes", "comma-separated legacy damage models: holes, jam")
-		workloadsS = fs.String("workloads", "", "comma-separated workload kinds: "+strings.Join(sim.WorkloadKinds(), ", ")+" (parameters via -spec)")
+		workloadsS = fs.String("workloads", "", "comma-separated workload kinds (default holes): "+strings.Join(sim.WorkloadKinds(), ", ")+" (parameters via -spec)")
 		listWk     = fs.Bool("list-workloads", false, "print the registered workload kinds with parameters and exit")
 		ttlsS      = fs.String("ttls", "", "comma-separated claim TTLs in rounds (adds a campaign dimension; SR-family sync runs only, 0 = claims never expire)")
 		runnersS   = fs.String("runners", "", "comma-separated trial runners: sync, async (default sync)")
@@ -831,8 +821,6 @@ func run(args []string) (err error) {
 		}
 		spec = loaded
 	} else {
-		failuresFlagSet := false
-		fs.Visit(func(f *flag.Flag) { failuresFlagSet = failuresFlagSet || f.Name == "failures" })
 		var err error
 		if spec.Schemes, err = parseSchemes(*schemesS); err != nil {
 			return err
@@ -849,14 +837,7 @@ func run(args []string) (err error) {
 		if spec.ClaimTTLs, err = parseInts(*ttlsS); err != nil {
 			return err
 		}
-		if *workloadsS != "" {
-			if failuresFlagSet {
-				return fmt.Errorf("set -workloads or -failures, not both")
-			}
-			if spec.Workloads, err = parseWorkloads(*workloadsS); err != nil {
-				return err
-			}
-		} else if spec.Failures, err = parseFailures(*failuresS); err != nil {
+		if spec.Workloads, err = parseWorkloads(*workloadsS); err != nil {
 			return err
 		}
 		if spec.Runners, err = parseRunners(*runnersS); err != nil {

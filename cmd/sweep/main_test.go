@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"wsncover/internal/dispatch"
 	"wsncover/internal/experiment"
 	"wsncover/internal/sim"
 )
@@ -44,14 +45,6 @@ func TestParseHelpers(t *testing.T) {
 		if _, err := parseGrids(bad); err == nil {
 			t.Errorf("parseGrids(%q) should fail", bad)
 		}
-	}
-
-	fails, err := parseFailures("holes,jam")
-	if err != nil || !reflect.DeepEqual(fails, []sim.FailureMode{sim.FailHoles, sim.FailJam}) {
-		t.Errorf("parseFailures = %v, %v", fails, err)
-	}
-	if _, err := parseFailures("flood"); err == nil {
-		t.Error("bad failure should fail")
 	}
 }
 
@@ -209,13 +202,9 @@ func TestRunWorkloadsFlag(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "churnflag.json")); err != nil {
 		t.Error(err)
 	}
-	// -workloads and an explicit -failures conflict.
-	err = run([]string{
-		"-workloads", "churn", "-failures", "jam",
-		"-out", dir, "-quiet",
-	})
-	if err == nil {
-		t.Error("-workloads with -failures should fail")
+	// The removed -failures flag is an error, not silently ignored.
+	if err := run([]string{"-failures", "jam", "-out", dir, "-quiet"}); err == nil {
+		t.Error("-failures should fail")
 	}
 }
 
@@ -280,6 +269,80 @@ func TestRunResume(t *testing.T) {
 	if !bytes.Equal(again, ref) {
 		t.Error("no-op resume changed the manifest")
 	}
+
+	// Phase 4: the same complete manifest with its echoed spec in the
+	// older "failures" spelling, as manifests written before workloads
+	// replaced that list read. It is the same campaign: manifestdiff
+	// finds nothing, and resuming from it runs no trial and writes the
+	// cold run's bytes.
+	oldPath := filepath.Join(dir, "res.json")
+	if err := os.WriteFile(oldPath, withFailuresEcho(t, ref), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	diffs, err := dispatch.DiffManifests(oldPath, filepath.Join(refDir, "res.json"), 0)
+	if err != nil || len(diffs) != 0 {
+		t.Errorf("failures-spelled manifest differs from the cold run: %v %v", diffs, err)
+	}
+	spec := sim.CampaignSpec{
+		Schemes: []sim.SchemeKind{sim.SR, sim.AR}, Grids: []sim.GridSize{{Cols: 8, Rows: 8}},
+		Spares: []int{8, 24}, Replicates: 3, BaseSeed: 11,
+	}.Normalized()
+	prior, err := loadResumeManifest(oldPath, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := dispatch.PlanLocal(spec, "res", prior, ""); plan.Executed != 0 || plan.Orphans != 0 {
+		t.Errorf("resume from the failures-spelled manifest plans %d trials and %d orphans, want none",
+			plan.Executed, plan.Orphans)
+	}
+	if err := run(append([]string{"-spares", "8,24", "-resume"}, base...)); err != nil {
+		t.Fatal(err)
+	}
+	if again, err = os.ReadFile(oldPath); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, ref) {
+		t.Error("resume from the failures-spelled manifest differs from the cold run")
+	}
+}
+
+// withFailuresEcho rewrites a manifest's echoed spec into the older
+// spelling of the damage dimension: a "failures" list of kind names in
+// place of the "workloads" list.
+func withFailuresEcho(t *testing.T, data []byte) []byte {
+	t.Helper()
+	var m experiment.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(m.Spec, &fields); err != nil {
+		t.Fatal(err)
+	}
+	var wls []sim.WorkloadSpec
+	if err := json.Unmarshal(fields["workloads"], &wls); err != nil || len(wls) == 0 {
+		t.Fatalf("manifest echoes no workloads: %s (%v)", m.Spec, err)
+	}
+	var names []string
+	for _, w := range wls {
+		names = append(names, w.Kind)
+	}
+	delete(fields, "workloads")
+	var err error
+	if fields["failures"], err = json.Marshal(names); err != nil {
+		t.Fatal(err)
+	}
+	if m.Spec, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"failures"`) {
+		t.Fatal("rewrite lost the failures list")
+	}
+	return buf.Bytes()
 }
 
 // TestRunResumeDropsOrphanCells pins manifest self-consistency: prior
@@ -350,7 +413,7 @@ func TestRunErrors(t *testing.T) {
 		{"-grids", "16"},
 		{"-spares", "ten"},
 		{"-holes", "1.5"},
-		{"-failures", "flood"},
+		{"-workloads", "flood"},
 		{"-metrics", "unknown_metric", "-grids", "8x8", "-spares", "8", "-replicates", "1", "-quiet"},
 		{"-spec", "/nonexistent/spec.json"},
 	}
@@ -404,7 +467,7 @@ func TestParseShard(t *testing.T) {
 func TestShardMergeMatchesUnsharded(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{
-		"-schemes", "SR,AR", "-grids", "8x8", "-spares", "8,24",
+		"-schemes", "SR,AR", "-grids", "8x8", "-spares", "8,24", "-workloads", "holes,jam",
 		"-replicates", "5", "-seed", "21", "-out", dir, "-metrics", "moves", "-quiet",
 	}
 	if err := run(append([]string{"-name", "full"}, base...)); err != nil {
@@ -464,6 +527,29 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 	// The merged tables exist like a normal run's.
 	if _, err := os.Stat(filepath.Join(dir, "merged-moves.csv")); err != nil {
 		t.Error(err)
+	}
+
+	// A shard whose spec names its damage with the older "failures"
+	// list is the same campaign and merges into the same bytes.
+	oldDir := t.TempDir()
+	data, err := os.ReadFile(shardPaths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldShard := filepath.Join(oldDir, "shard1.json")
+	if err := os.WriteFile(oldShard, withFailuresEcho(t, data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mergeArgs = []string{"-merge", "-out", oldDir, "-name", "merged", "-metrics", "", oldShard, shardPaths[1], shardPaths[2]}
+	if err := run(mergeArgs); err != nil {
+		t.Fatalf("merge with a failures-spelled shard: %v", err)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, "merged.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(oldDir, "merged.json")); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("merge with a failures-spelled shard differs (%v)", err)
 	}
 }
 

@@ -92,7 +92,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rounds, err := sim.RunToConvergence(sctrl, 500)
+	rounds, err := sim.RunSchedule(sctrl, netS, sim.Schedule{}, nil, 500)
 	if err != nil {
 		return err
 	}

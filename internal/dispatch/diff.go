@@ -12,7 +12,10 @@ import (
 
 // LoadManifest reads a manifest and its spec with execution metadata
 // cleared — worker counts, fresh-build and shard-range fields change
-// wall clock, never results, so the merge contract ignores them.
+// wall clock, never results, so the merge contract ignores them. The
+// spec decodes through sim.UnmarshalSpecJSON, so a manifest that names
+// its damage with the older "failures" list compares equal to one that
+// spells the same workloads.
 func LoadManifest(path string) (experiment.Manifest, sim.CampaignSpec, error) {
 	var m experiment.Manifest
 	var spec sim.CampaignSpec
@@ -24,7 +27,7 @@ func LoadManifest(path string) (experiment.Manifest, sim.CampaignSpec, error) {
 		return m, spec, fmt.Errorf("%s: %w", path, err)
 	}
 	if len(m.Spec) > 0 {
-		if err := json.Unmarshal(m.Spec, &spec); err != nil {
+		if err := sim.UnmarshalSpecJSON(m.Spec, &spec); err != nil {
 			return m, spec, fmt.Errorf("%s: unreadable spec: %w", path, err)
 		}
 	}

@@ -65,7 +65,7 @@ func MergeShardManifests(paths []string, name string) (*experiment.Manifest, sim
 			return nil, none, fmt.Errorf("shard manifest %s: %w", path, err)
 		}
 		var spec sim.CampaignSpec
-		if err := json.Unmarshal(m.Spec, &spec); err != nil {
+		if err := sim.UnmarshalSpecJSON(m.Spec, &spec); err != nil {
 			return nil, none, fmt.Errorf("shard manifest %s: unreadable spec: %w", path, err)
 		}
 		spec = spec.Normalized()

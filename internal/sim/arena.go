@@ -160,13 +160,8 @@ func (a *TrialArena) networkFor(cfg *TrialConfig) (*network.Network, error) {
 
 // RunTrial executes one trial inside the arena, reusing pooled state
 // where the configuration allows. Results are byte-identical to the
-// package-level RunTrial. Configurations that force the reference
-// assembly (LegacyAssembly) bypass the pool entirely — that path is the
-// executable spec and stays verbatim.
+// package-level RunTrial.
 func (a *TrialArena) RunTrial(cfg TrialConfig) (TrialResult, error) {
-	if cfg.LegacyAssembly {
-		return runTrialLegacy(cfg)
-	}
 	t, err := newTrial(cfg, a)
 	if err != nil {
 		return TrialResult{}, err

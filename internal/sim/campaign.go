@@ -46,13 +46,10 @@ type CampaignSpec struct {
 	// workloads that do not scale with it (jam, or any workload pinning
 	// its own hole count).
 	Holes []int `json:"holes,omitempty"`
-	// Failures lists damage models via the legacy enum; kept so existing
-	// spec files keep working. A spec sets Failures or Workloads, never
-	// both. Empty (with Workloads also empty) means {FailHoles}.
-	Failures []FailureMode `json:"failures,omitempty"`
-	// Workloads lists damage models as named workload specs — the
-	// composable successor of Failures. Each entry is one value of the
-	// campaign's damage dimension.
+	// Workloads lists damage models as named workload specs; each entry
+	// is one value of the campaign's damage dimension. Empty means
+	// {holes}. Spec files written with the older "failures" name list
+	// decode onto this field (see UnmarshalSpecJSON).
 	Workloads []WorkloadSpec `json:"workloads,omitempty"`
 	// Runners lists trial runners (sync rounds, async event stepping);
 	// empty means {sync}. The async runner supports SR only.
@@ -98,11 +95,6 @@ type CampaignSpec struct {
 	// event-driven detectors reproduce the seed's campaign output byte
 	// for byte.
 	legacyDetect bool
-	// legacyAssembly routes every trial through the pre-workload
-	// assembly path (ApplyDamage + RunToConvergence); set only by the
-	// differential tests that prove the workload path reproduces the
-	// enum path byte for byte.
-	legacyAssembly bool
 }
 
 func (s *CampaignSpec) normalize() {
@@ -118,24 +110,21 @@ func (s *CampaignSpec) normalize() {
 	if len(s.Holes) == 0 {
 		s.Holes = []int{1}
 	}
-	if len(s.Failures) == 0 && len(s.Workloads) == 0 {
-		s.Failures = []FailureMode{FailHoles}
+	if len(s.Workloads) == 0 {
+		s.Workloads = []WorkloadSpec{{Kind: WorkloadHoles}}
 	}
 	if s.Replicates == 0 {
 		s.Replicates = 20
 	}
 }
 
-// Validate rejects specs the job space cannot execute: conflicting
-// damage dimensions, unregistered workload kinds, and runner/scheme
-// pairings the trial assembly would refuse. RunCampaignStream validates
+// Validate rejects specs the job space cannot execute: unregistered
+// workload kinds, bad shard ranges, and runner/scheme pairings the
+// trial assembly would refuse. RunCampaignStream validates
 // automatically; CLIs call it early for friendlier errors.
 func (s CampaignSpec) Validate() error {
 	s.normalize()
-	if len(s.Failures) > 0 && len(s.Workloads) > 0 {
-		return fmt.Errorf("sim: campaign sets both failures and workloads; use workloads")
-	}
-	for _, w := range s.workloadDim() {
+	for _, w := range s.Workloads {
 		if _, err := BuildWorkload(w); err != nil {
 			return err
 		}
@@ -200,21 +189,6 @@ func (s CampaignSpec) ValidateUnsharded() error {
 	return s.Validate()
 }
 
-// workloadDim resolves the campaign's damage dimension: the explicit
-// Workloads list, or the legacy Failures enum mapped onto its workload
-// re-expressions. The mapping preserves order, so legacy specs keep
-// their job indexing.
-func (s CampaignSpec) workloadDim() []WorkloadSpec {
-	if len(s.Workloads) > 0 {
-		return s.Workloads
-	}
-	out := make([]WorkloadSpec, len(s.Failures))
-	for i, f := range s.Failures {
-		out[i] = WorkloadSpec{Kind: f.String()}
-	}
-	return out
-}
-
 // ttlDim resolves the claim-TTL dimension; empty means {0} (claims
 // never expire), so legacy specs keep their job indexing.
 func (s CampaignSpec) ttlDim() []int {
@@ -242,13 +216,40 @@ func (s CampaignSpec) Normalized() CampaignSpec {
 
 // UnmarshalSpecJSON decodes a campaign spec strictly: unknown fields are
 // an error, so a typoed dimension name fails loudly instead of silently
-// running the default campaign. cmd/sweep's -spec files and the
-// dispatch driver's generated shard specs both decode through this.
+// running the default campaign. Every reader of a spec decodes through
+// it: cmd/sweep's -spec files and -resume manifests, the dispatch
+// driver's shard specs and merges, manifest diffs and sweepd
+// submissions.
+//
+// It is also the one place that reads the older spelling of the damage
+// dimension, a "failures" list of names ("holes" or "jam", any case;
+// an empty name means holes). Each name becomes the workload of that
+// kind, in order, so an old spec file, manifest or shard runs the same
+// jobs and hashes like its "workloads" equivalent. A spec that sets
+// both lists is rejected.
 func UnmarshalSpecJSON(data []byte, spec *CampaignSpec) error {
+	in := struct {
+		*CampaignSpec
+		Failures []string `json:"failures"`
+	}{CampaignSpec: spec}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(spec); err != nil {
+	if err := dec.Decode(&in); err != nil {
 		return fmt.Errorf("sim: campaign spec: %w", err)
+	}
+	if len(in.Failures) > 0 && len(spec.Workloads) > 0 {
+		return fmt.Errorf("sim: campaign spec sets both failures and workloads; use workloads")
+	}
+	for _, f := range in.Failures {
+		kind := strings.ToLower(strings.TrimSpace(f))
+		switch kind {
+		case "":
+			kind = WorkloadHoles
+		case WorkloadHoles, WorkloadJam:
+		default:
+			return fmt.Errorf("sim: campaign spec: unknown failure mode %q (want holes or jam)", f)
+		}
+		spec.Workloads = append(spec.Workloads, WorkloadSpec{Kind: kind})
 	}
 	return nil
 }
@@ -307,7 +308,6 @@ func (j TrialJob) config(s CampaignSpec) TrialConfig {
 		ARInitProb:      s.ARInitProb,
 		ARMaxHops:       s.ARMaxHops,
 		LegacyDetect:    s.legacyDetect,
-		LegacyAssembly:  s.legacyAssembly,
 	}
 }
 
@@ -335,12 +335,12 @@ type jobBlock struct {
 
 // JobSpace normalizes the spec and indexes its job list in the fixed
 // nested order (workload, runner, ttl, grid, holes, scheme, spares,
-// replicate); legacy specs — one sync runner, the {0} TTL dimension,
-// workloads derived from Failures — keep the pre-redesign indexing
-// exactly. Replicate r uses the r-th seed derived from BaseSeed across
-// every cell, so all schemes and configurations face statistically
-// paired layouts, mirroring the paper's methodology of comparing SR and
-// AR on identical damage.
+// replicate); specs with one sync runner and the {0} TTL dimension keep
+// the indexing they had before those dimensions existed. Replicate r
+// uses the r-th seed derived from BaseSeed across every cell, so all
+// schemes and configurations face statistically paired layouts,
+// mirroring the paper's methodology of comparing SR and AR on identical
+// damage.
 func (s CampaignSpec) JobSpace() JobSpace {
 	s.normalize()
 	js := s.layout()
@@ -352,7 +352,7 @@ func (s CampaignSpec) JobSpace() JobSpace {
 // replicate seeds, which only At needs.
 func (s CampaignSpec) layout() JobSpace {
 	js := JobSpace{spec: s}
-	for _, wl := range s.workloadDim() {
+	for _, wl := range s.Workloads {
 		// A workload that does not scale with the holes dimension (jam's
 		// disc decides; a pinned hole count overrides) collapses it, so
 		// the campaign never replicates identical (config, seed) jobs

@@ -7,14 +7,17 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wsncover/internal/experiment"
+	"wsncover/internal/telemetry"
 )
 
 func TestRunTrialJamFailure(t *testing.T) {
 	res, err := RunTrial(TrialConfig{
-		Cols: 16, Rows: 16, Scheme: SR, Spares: 80, Failure: FailJam, Seed: 5,
+		Cols: 16, Rows: 16, Scheme: SR, Spares: 80,
+		Workload: WorkloadSpec{Kind: WorkloadJam}, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,8 +34,8 @@ func TestRunTrialJamFailure(t *testing.T) {
 
 	// A wider jam kills more cells.
 	wide, err := RunTrial(TrialConfig{
-		Cols: 16, Rows: 16, Scheme: SR, Spares: 80, Failure: FailJam,
-		JamRadius: 15, Seed: 5,
+		Cols: 16, Rows: 16, Scheme: SR, Spares: 80,
+		Workload: WorkloadSpec{Kind: WorkloadJam}, JamRadius: 15, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -42,9 +45,9 @@ func TestRunTrialJamFailure(t *testing.T) {
 	}
 
 	if _, err := RunTrial(TrialConfig{
-		Cols: 8, Rows: 8, Scheme: SR, Failure: FailureMode(9),
+		Cols: 8, Rows: 8, Scheme: SR, Workload: WorkloadSpec{Kind: "flood"},
 	}); err == nil {
-		t.Error("invalid failure mode should fail")
+		t.Error("unknown workload kind should fail")
 	}
 	if _, err := RunTrial(TrialConfig{
 		Cols: 8, Rows: 8, Scheme: SR, JamRadius: -1,
@@ -99,12 +102,12 @@ func TestCampaignJobsExpansion(t *testing.T) {
 		Grids:      []GridSize{{8, 8}, {12, 12}},
 		Spares:     []int{10, 30},
 		Holes:      []int{1, 2},
-		Failures:   []FailureMode{FailHoles, FailJam},
+		Workloads:  []WorkloadSpec{{Kind: WorkloadHoles}, {Kind: WorkloadJam}},
 		Replicates: 3,
 		BaseSeed:   77,
 	}
 	jobs := spec.Jobs()
-	// FailHoles expands the holes dimension; FailJam ignores hole counts
+	// holes expands the holes dimension; jam ignores hole counts
 	// (the disc decides), so it contributes a single holes value — no
 	// duplicate (config, seed) jobs inflating the jam statistics.
 	want := 2*2*2*2*3 + 2*2*1*2*3
@@ -235,7 +238,7 @@ func TestJobSpaceMatchesJobs(t *testing.T) {
 		Grids:      []GridSize{{8, 8}, {12, 12}},
 		Spares:     []int{10, 30, 50},
 		Holes:      []int{1, 2},
-		Failures:   []FailureMode{FailHoles, FailJam},
+		Workloads:  []WorkloadSpec{{Kind: WorkloadHoles}, {Kind: WorkloadJam}},
 		Replicates: 3,
 		BaseSeed:   5,
 	}
@@ -293,43 +296,81 @@ func TestCampaignSpecJSON(t *testing.T) {
 		"schemes": ["SR", "sr+shortcut", "AR"],
 		"grids": [{"cols": 16, "rows": 16}],
 		"spares": [10, 55],
-		"failures": ["holes", "jam"],
+		"workloads": [{"kind": "holes"}, {"kind": "jam"}],
 		"replicates": 5,
 		"seed": 42
 	}`
 	var spec CampaignSpec
-	if err := json.Unmarshal([]byte(in), &spec); err != nil {
+	if err := UnmarshalSpecJSON([]byte(in), &spec); err != nil {
 		t.Fatal(err)
 	}
 	if len(spec.Schemes) != 3 || spec.Schemes[1] != SRShortcut {
 		t.Errorf("schemes = %v", spec.Schemes)
 	}
-	if len(spec.Failures) != 2 || spec.Failures[1] != FailJam {
-		t.Errorf("failures = %v", spec.Failures)
+	if len(spec.Workloads) != 2 || spec.Workloads[1].Kind != WorkloadJam {
+		t.Errorf("workloads = %v", spec.Workloads)
 	}
 	out, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var back CampaignSpec
-	if err := json.Unmarshal(out, &back); err != nil {
+	if err := UnmarshalSpecJSON(out, &back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(spec, back) {
 		t.Errorf("round trip:\n%+v\n%+v", spec, back)
 	}
-	if err := json.Unmarshal([]byte(`{"schemes": ["XR"]}`), &spec); err == nil {
-		t.Error("bad scheme name should fail")
+
+	// The older "failures" spelling of the damage dimension decodes to
+	// the same spec as its "workloads" equivalent, so it hashes alike
+	// and runs the same jobs.
+	for old, equiv := range map[string]string{
+		`{"failures": ["holes", "jam"]}`: `{"workloads": [{"kind": "holes"}, {"kind": "jam"}]}`,
+		strings.Replace(in, `"workloads": [{"kind": "holes"}, {"kind": "jam"}]`, `"failures": ["holes", "jam"]`, 1): in,
+	} {
+		var a, b CampaignSpec
+		if err := UnmarshalSpecJSON([]byte(old), &a); err != nil {
+			t.Fatalf("%s: %v", old, err)
+		}
+		if err := UnmarshalSpecJSON([]byte(equiv), &b); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s decodes to\n%+v, want\n%+v", old, a, b)
+		}
+		ha, errA := telemetry.SpecHash(a.Normalized())
+		hb, errB := telemetry.SpecHash(b.Normalized())
+		if errA != nil || errB != nil || ha != hb {
+			t.Errorf("%s: spec hash %s, want %s (%v, %v)", old, ha, hb, errA, errB)
+		}
+		if a.NumJobs() != b.NumJobs() || !reflect.DeepEqual(a.Jobs(), b.Jobs()) {
+			t.Errorf("%s: job list differs from its workloads equivalent", old)
+		}
 	}
-	if err := json.Unmarshal([]byte(`{"failures": ["flood"]}`), &spec); err == nil {
-		t.Error("bad failure name should fail")
+
+	for _, bad := range []string{
+		`{"schemes": ["XR"]}`,
+		`{"failures": ["flood"]}`,
+		`{"failures": ["jam"], "workloads": [{"kind": "jam"}]}`,
+		`{"failure": ["jam"]}`,
+	} {
+		var spec CampaignSpec
+		if err := UnmarshalSpecJSON([]byte(bad), &spec); err == nil {
+			t.Errorf("%s should fail to decode", bad)
+		}
 	}
 }
 
 func TestCampaignSpecNormalized(t *testing.T) {
-	n := CampaignSpec{}.Normalized()
+	var n CampaignSpec
+	if err := UnmarshalSpecJSON([]byte(`{}`), &n); err != nil {
+		t.Fatal(err)
+	}
+	n = n.Normalized()
 	if n.Replicates != 20 || len(n.Schemes) != 2 || len(n.Spares) == 0 ||
-		len(n.Grids) != 1 || len(n.Holes) != 1 || len(n.Failures) != 1 {
+		len(n.Grids) != 1 || len(n.Holes) != 1 ||
+		!reflect.DeepEqual(n.Workloads, []WorkloadSpec{{Kind: WorkloadHoles}}) {
 		t.Errorf("defaults not filled: %+v", n)
 	}
 	// Set fields survive.
@@ -363,22 +404,23 @@ func TestParseSchemeKindAndFailureMode(t *testing.T) {
 	if _, err := ParseSchemeKind("bogus"); err == nil {
 		t.Error("bogus scheme should fail")
 	}
-	for in, want := range map[string]FailureMode{
-		"holes": FailHoles, "": FailHoles, "JAM": FailJam,
+	// The failure-mode names of the older "failures" spec spelling.
+	for in, want := range map[string]string{
+		"holes": WorkloadHoles, "": WorkloadHoles, "JAM": WorkloadJam, " jam ": WorkloadJam,
 	} {
-		got, err := ParseFailureMode(in)
-		if err != nil || got != want {
-			t.Errorf("ParseFailureMode(%q) = %v, %v", in, got, err)
+		data, err := json.Marshal(map[string][]string{"failures": {in}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spec CampaignSpec
+		if err := UnmarshalSpecJSON(data, &spec); err != nil ||
+			!reflect.DeepEqual(spec.Workloads, []WorkloadSpec{{Kind: want}}) {
+			t.Errorf("failures [%q] = %v, %v", in, spec.Workloads, err)
 		}
 	}
-	if _, err := ParseFailureMode("flood"); err == nil {
+	var spec CampaignSpec
+	if err := UnmarshalSpecJSON([]byte(`{"failures": ["flood"]}`), &spec); err == nil {
 		t.Error("bogus mode should fail")
-	}
-	if FailJam.String() != "jam" || FailHoles.String() != "holes" {
-		t.Error("FailureMode strings")
-	}
-	if FailureMode(9).String() == "" {
-		t.Error("invalid mode should render")
 	}
 }
 
@@ -463,7 +505,7 @@ func TestValidateUnsharded(t *testing.T) {
 	if err := spec.ValidateUnsharded(); err == nil {
 		t.Error("shard-pinned spec must be rejected by ValidateUnsharded")
 	}
-	bad := CampaignSpec{Replicates: 10, Failures: []FailureMode{FailHoles}, Workloads: []WorkloadSpec{{Kind: "churn"}}}
+	bad := CampaignSpec{Replicates: 10, Workloads: []WorkloadSpec{{Kind: "flood"}}}
 	if err := bad.ValidateUnsharded(); err == nil {
 		t.Error("ValidateUnsharded must still apply Validate")
 	}

@@ -43,7 +43,7 @@ func TestCampaignManifestsBitIdenticalAcrossDetectors(t *testing.T) {
 			Grids:      []GridSize{{8, 8}, {9, 9}}, // cycle and dual path
 			Spares:     []int{4, 20},
 			Holes:      []int{1, 3},
-			Failures:   []FailureMode{FailHoles, FailJam},
+			Workloads:  []WorkloadSpec{{Kind: WorkloadHoles}, {Kind: WorkloadJam}},
 			Replicates: 3,
 			BaseSeed:   101,
 		},

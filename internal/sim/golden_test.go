@@ -19,7 +19,13 @@ import (
 // FNV/SplitMix RNG and float64 arithmetic used by trials are
 // deterministic across conforming platforms, so a mismatch means a
 // semantics change, not an environment difference.
-const goldenCampaignHash = "390c2fc1946b13ffaec94c9196837f4f1b3a1cc8228e519c47705759b472dfff"
+//
+// Re-pinned once without any trial result moving: spec #2 sets no damage
+// dimension, and its default echoes as "workloads":[{"kind":"holes"}]
+// since the "failures" enum was folded into workloads (it echoed as
+// "failures":["holes"] before). The value is what the earlier code gives
+// for the same three specs with spec #2's workloads spelled out.
+const goldenCampaignHash = "d9c01013de97d42d12d2ccb6b7d5e0c29b26bb0a8d4e15d9eb02305395f4a741"
 
 // goldenCampaignSpecs spans the axes the byte-identity contract promises:
 // schemes x grids x workloads (legacy, adversarial, composed) x runners,

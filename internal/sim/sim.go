@@ -12,10 +12,7 @@ import (
 
 	"wsncover/internal/ar"
 	"wsncover/internal/core"
-	"wsncover/internal/deploy"
 	"wsncover/internal/experiment"
-	"wsncover/internal/geom"
-	"wsncover/internal/grid"
 	"wsncover/internal/hamilton"
 	"wsncover/internal/metrics"
 	"wsncover/internal/network"
@@ -107,67 +104,6 @@ func (k *SchemeKind) UnmarshalJSON(data []byte) error {
 // PaperCommRange is the experimental communication range, R = 10 m.
 const PaperCommRange = 10.0
 
-// FailureMode selects how a trial damages the network before the scheme
-// starts. The zero value is the paper's model.
-//
-// FailureMode is the legacy two-value damage enum, kept working for
-// existing call sites and spec files. New code names its damage model
-// with a WorkloadSpec ({Kind: "churn", ...}); the "holes" and "jam"
-// workloads re-express this enum byte-identically.
-type FailureMode int
-
-const (
-	// FailHoles vacates randomly chosen cells (the paper's Section 5
-	// configuration): the chosen cells receive no nodes at all.
-	FailHoles FailureMode = iota
-	// FailJam deploys complete coverage first, then disables every node
-	// within a jammed disc at a random center — the region-wide attack
-	// of Xu et al. [8] cited in the paper's introduction. The hole count
-	// is emergent from the jam radius rather than configured.
-	FailJam
-)
-
-// String implements fmt.Stringer.
-func (m FailureMode) String() string {
-	switch m {
-	case FailHoles:
-		return "holes"
-	case FailJam:
-		return "jam"
-	default:
-		return fmt.Sprintf("FailureMode(%d)", int(m))
-	}
-}
-
-// ParseFailureMode inverts String.
-func ParseFailureMode(s string) (FailureMode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "holes", "":
-		return FailHoles, nil
-	case "jam":
-		return FailJam, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown failure mode %q (want holes or jam)", s)
-	}
-}
-
-// MarshalJSON renders the mode by name.
-func (m FailureMode) MarshalJSON() ([]byte, error) { return json.Marshal(m.String()) }
-
-// UnmarshalJSON parses a mode name.
-func (m *FailureMode) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
-	parsed, err := ParseFailureMode(s)
-	if err != nil {
-		return err
-	}
-	*m = parsed
-	return nil
-}
-
 // TrialConfig describes one simulation trial.
 type TrialConfig struct {
 	// Cols and Rows give the grid system size; the paper uses 16x16.
@@ -179,26 +115,22 @@ type TrialConfig struct {
 	// Spares is the number of spare nodes N left in the network.
 	Spares int
 	// Holes is the number of simultaneous holes; the trial creates them
-	// before the scheme starts. Zero means 1. Ignored under FailJam,
-	// where the jammed disc determines the damage.
+	// before the scheme starts. Zero means 1. Ignored by the jam
+	// workload, where the jammed disc determines the damage.
 	Holes int
 	// AdjacentHolesOK permits holes in adjacent cells (harder case:
 	// monitors of holes may themselves be vacant).
 	AdjacentHolesOK bool
-	// Failure selects the damage model via the legacy enum; the zero
-	// value (FailHoles) is the paper's random vacant cells. Ignored —
-	// and required to stay zero — when Workload names a kind.
-	Failure FailureMode
 	// Workload selects the damage model as a named, parameterized spec
-	// ({Kind: "churn", Every: 5, ...}). The zero value falls back to the
-	// legacy Failure enum.
+	// ({Kind: "churn", Every: 5, ...}). An empty Kind means the holes
+	// workload, the paper's random vacant cells.
 	Workload WorkloadSpec
 	// Runner selects how the controller is stepped: synchronous global
 	// rounds (the zero value, the paper's system model) or the
 	// event-driven internal/async realization (SR only).
 	Runner RunnerKind
-	// JamRadius is the jammed-disc radius under FailJam; zero means 1.5
-	// cell sizes (a handful of neighboring cells).
+	// JamRadius is the jam workload's disc radius when its spec sets no
+	// Radius; zero means 1.5 cell sizes (a handful of neighboring cells).
 	JamRadius float64
 	// Scheme selects the controller.
 	Scheme SchemeKind
@@ -234,10 +166,13 @@ type TrialConfig struct {
 	// the network vacancy journal. Each pair is bit-identical; the flag
 	// exists for differential testing and benchmarking.
 	LegacyDetect bool
-	// LegacyAssembly routes the trial through the pre-workload assembly
-	// path (ApplyDamage + RunToConvergence), the executable reference
-	// the workload schedule path is differential-tested against. Only
-	// the holes and jam workloads with the sync runner exist there.
+	// LegacyAssembly once selected the trial assembly that predates
+	// workloads. That assembly is gone; the field stays only so code
+	// that still reads it compiles.
+	//
+	// Deprecated: it has no effect. Every trial runs through the
+	// workload schedule, which reproduced the old assembly byte for byte
+	// on every configuration it accepted.
 	LegacyAssembly bool
 }
 
@@ -260,21 +195,11 @@ func (cfg *TrialConfig) normalize() error {
 	if cfg.Spares < 0 {
 		return fmt.Errorf("sim: negative spare count %d", cfg.Spares)
 	}
-	if cfg.Workload.IsZero() {
-		if cfg.Failure != FailHoles && cfg.Failure != FailJam {
-			return fmt.Errorf("sim: unknown failure mode %v", cfg.Failure)
-		}
-		cfg.Workload = WorkloadSpec{Kind: cfg.Failure.String()}
-	} else {
-		if cfg.Failure != FailHoles {
-			return fmt.Errorf("sim: set Workload or Failure, not both")
-		}
-		if cfg.Workload.Kind == "" {
-			// Parameters without a kind mean the default kind; the
-			// builder then rejects parameters it does not take, so a
-			// forgotten Kind fails loudly instead of being ignored.
-			cfg.Workload.Kind = WorkloadHoles
-		}
+	if cfg.Workload.Kind == "" {
+		// Parameters without a kind mean the default kind; the builder
+		// then rejects parameters it does not take, so a forgotten Kind
+		// fails loudly instead of being ignored.
+		cfg.Workload.Kind = WorkloadHoles
 	}
 	if cfg.Runner != RunSync && cfg.Runner != RunAsync {
 		return fmt.Errorf("sim: unknown runner %v", cfg.Runner)
@@ -325,9 +250,6 @@ type TrialResult struct {
 // nodes), its schedule events interleave with controller rounds, and the
 // trial converges once no process and no barrier event is outstanding.
 func RunTrial(cfg TrialConfig) (TrialResult, error) {
-	if cfg.LegacyAssembly {
-		return runTrialLegacy(cfg)
-	}
 	t, err := NewTrial(cfg)
 	if err != nil {
 		return TrialResult{}, err
@@ -335,70 +257,13 @@ func RunTrial(cfg TrialConfig) (TrialResult, error) {
 	return t.Run()
 }
 
-// DamageReport describes the failure a trial injected.
-type DamageReport struct {
-	// HoleCells are the vacated cells under FailHoles.
-	HoleCells []grid.Coord
-	// JamCenter, JamRadius, and Killed describe the FailJam disc: its
-	// random center, the effective radius, and the nodes it disabled.
-	JamCenter geom.Point
-	JamRadius float64
-	Killed    int
-}
-
-// ApplyDamage deploys the trial population on an empty network and
-// injects cfg's failure, drawing from rng with a fixed stream-split
-// discipline: equal seeds damage the network identically wherever the
-// trial is assembled. It is the legacy enum-path damage step — the
-// executable reference the holes and jam workloads are
-// differential-tested against — and still serves CLIs that assemble
-// networks by hand (cmd/coveragesim). cfg is taken as given — call
-// sites must set Holes themselves.
-func ApplyDamage(net *network.Network, cfg TrialConfig, rng *randx.Rand) (DamageReport, error) {
-	sys := net.System()
-	switch cfg.Failure {
-	case FailJam:
-		// Deploy complete coverage, then jam a disc at a random center:
-		// every node inside it dies, heads included, and the vacated
-		// cells become the holes the scheme must repair.
-		damage := rng.Split(1)
-		if err := deploy.Controlled(net, cfg.Spares, nil, rng.Split(2)); err != nil {
-			return DamageReport{}, err
-		}
-		radius := cfg.JamRadius
-		if radius == 0 {
-			radius = 1.5 * sys.CellSize()
-		}
-		center := damage.InRect(sys.Bounds())
-		return DamageReport{
-			JamCenter: center,
-			JamRadius: radius,
-			Killed:    deploy.FailRegion(net, center, radius),
-		}, nil
-	default:
-		holes, err := deploy.PickHoleCells(sys, cfg.Holes, !cfg.AdjacentHolesOK, rng.Split(1))
-		if err != nil {
-			return DamageReport{}, err
-		}
-		if err := deploy.Controlled(net, cfg.Spares, holes, rng.Split(2)); err != nil {
-			return DamageReport{}, err
-		}
-		return DamageReport{HoleCells: holes}, nil
-	}
-}
-
-// BuildScheme constructs the configured controller over an existing
-// network. The Hamilton topology comes from the process-wide
-// hamilton.Shared cache: it depends only on the grid geometry, so every
-// trial of a campaign shares one instance instead of rebuilding the
-// O(cells) tables per trial.
-func BuildScheme(net *network.Network, cfg TrialConfig, rng *randx.Rand) (Scheme, error) {
-	return buildScheme(net, cfg, rng, nil, nil)
-}
-
-// buildScheme is BuildScheme with an optional reusable metrics
-// collector and controller scratch (the trial arena's; nil allocates
-// fresh).
+// buildScheme constructs the configured controller over a deployed
+// network, with an optional reusable metrics collector and controller
+// scratch (the trial arena's; nil allocates fresh). The Hamilton
+// topology comes from the process-wide hamilton.Shared cache: it
+// depends only on the grid geometry, so every trial of a campaign
+// shares one instance instead of rebuilding the O(cells) tables per
+// trial.
 func buildScheme(net *network.Network, cfg TrialConfig, rng *randx.Rand, col *metrics.Collector, scr *schemeScratch) (Scheme, error) {
 	switch cfg.Scheme {
 	case SR, SRShortcut:
@@ -444,32 +309,6 @@ func buildScheme(net *network.Network, cfg TrialConfig, rng *randx.Rand, col *me
 	default:
 		return nil, fmt.Errorf("sim: unknown scheme %v", cfg.Scheme)
 	}
-}
-
-// RunToConvergence steps the scheme until it has been idle for a few
-// consecutive rounds (detections can lag when a hole's monitor grid is
-// itself vacant) or the round budget is exhausted, in which case
-// still-active processes are failed. It returns the number of rounds run.
-func RunToConvergence(s Scheme, maxRounds int) (int, error) {
-	const idleGrace = 3
-	idle := 0
-	rounds := 0
-	for rounds < maxRounds {
-		if err := s.Step(); err != nil {
-			return rounds, err
-		}
-		rounds++
-		if s.Done() {
-			idle++
-			if idle >= idleGrace {
-				return rounds, nil
-			}
-		} else {
-			idle = 0
-		}
-	}
-	s.Finalize()
-	return rounds, nil
 }
 
 // SweepPoint aggregates the trials of one scheme at one spare count.

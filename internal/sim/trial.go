@@ -306,9 +306,13 @@ func (t *Trial) applyDue(cur *eventCursor, round int) error {
 	}
 }
 
-// runSync is the synchronous event loop. With an empty schedule it is
-// exactly RunToConvergence over the deployed damage, which is what keeps
-// the holes and jam workloads byte-identical to the pre-workload path.
+// runSync is the synchronous event loop, and the only one: RunSchedule
+// drives hand-assembled schemes through it too. With an empty schedule
+// (the holes and jam workloads, whose damage is all in the deployment)
+// it steps the scheme until it has been idle for idleGrace consecutive
+// rounds — detections can lag when a hole's monitor grid is itself
+// vacant — or the round budget runs out, in which case still-active
+// processes are failed.
 func (t *Trial) runSync() (rounds, holesBefore int, err error) {
 	const idleGrace = 3
 	cur := newEventCursor(t.sched.Events)
@@ -395,7 +399,8 @@ func (t *Trial) asyncRounds() int {
 // callers that deployed their own network (the wsncover facade's
 // Scenario). The schedule's Deploy is ignored — the caller's network is
 // taken as already populated — and the schedule itself is not mutated.
-// It returns the number of rounds run.
+// An empty Schedule, with a nil evRNG, just steps the scheme to
+// convergence. It returns the number of rounds run.
 func RunSchedule(s Scheme, net *network.Network, sched Schedule, evRNG *randx.Rand, maxRounds int) (int, error) {
 	if err := validateEvents(sched.Events); err != nil {
 		return 0, err
@@ -409,51 +414,4 @@ func RunSchedule(s Scheme, net *network.Network, sched Schedule, evRNG *randx.Ra
 	}
 	rounds, _, err := t.runSync()
 	return rounds, err
-}
-
-// runTrialLegacy is the pre-workload trial assembly, kept verbatim as the
-// executable reference the workload path is differential-tested against:
-// ApplyDamage's FailureMode switch followed by RunToConvergence.
-func runTrialLegacy(cfg TrialConfig) (TrialResult, error) {
-	if err := cfg.normalize(); err != nil {
-		return TrialResult{}, err
-	}
-	switch cfg.Workload.Kind {
-	case WorkloadHoles:
-		cfg.Failure = FailHoles
-	case WorkloadJam:
-		cfg.Failure = FailJam
-		if cfg.Workload.Radius != 0 {
-			cfg.JamRadius = cfg.Workload.Radius
-		}
-	default:
-		return TrialResult{}, fmt.Errorf("sim: legacy assembly supports workloads %q and %q, not %q",
-			WorkloadHoles, WorkloadJam, cfg.Workload.Kind)
-	}
-	if cfg.Runner != RunSync {
-		return TrialResult{}, fmt.Errorf("sim: legacy assembly supports the sync runner only")
-	}
-	rng := randx.New(cfg.Seed)
-	sys, err := grid.NewForCommRange(cfg.Cols, cfg.Rows, cfg.CommRange, geom.Pt(0, 0))
-	if err != nil {
-		return TrialResult{}, err
-	}
-	net := network.New(sys, cfg.EnergyModel)
-	if _, err := ApplyDamage(net, cfg, rng); err != nil {
-		return TrialResult{}, err
-	}
-	scheme, err := BuildScheme(net, cfg, rng.Split(3))
-	if err != nil {
-		return TrialResult{}, err
-	}
-	res := TrialResult{HolesBefore: coverage.HoleCount(net)}
-	res.Rounds, err = RunToConvergence(scheme, cfg.MaxRounds)
-	if err != nil {
-		return TrialResult{}, err
-	}
-	res.Summary = scheme.Collector().Summarize()
-	res.HolesAfter = coverage.HoleCount(net)
-	res.Complete = coverage.Complete(net)
-	res.Connected = net.HeadGraphConnected()
-	return res, nil
 }

@@ -21,8 +21,10 @@ import (
 	"wsncover/internal/randx"
 )
 
-// Built-in workload kinds. The two legacy kinds re-express the former
-// FailureMode enum and are differential-tested byte-identical to it.
+// Built-in workload kinds. The holes and jam kinds are the paper's
+// Section 5 damage and its jamming extension; they are
+// differential-tested byte-identical to the trial assembly that
+// predates workloads, kept as a test-only reference.
 const (
 	// WorkloadHoles vacates randomly chosen cells before round 0 (the
 	// paper's Section 5 configuration).
@@ -169,17 +171,6 @@ type WorkloadSpec struct {
 	// Children are the sub-workloads of a combinator kind (sequence,
 	// overlay), composed recursively.
 	Children []WorkloadSpec `json:"children,omitempty"`
-}
-
-// IsZero reports whether the spec is entirely unset — the condition under
-// which a trial falls back to the legacy Failure enum. (The struct is not
-// comparable once Children exists, so this replaces == WorkloadSpec{}.)
-func (w WorkloadSpec) IsZero() bool {
-	return w.Kind == "" && w.Holes == 0 && w.Every == 0 && w.Waves == 0 &&
-		w.Radius == 0 && w.Budget == 0 && w.PerMeter == 0 && w.PerMove == 0 &&
-		w.TTL == 0 && w.Loss == 0 && w.Frac == 0 && w.Prob == 0 &&
-		w.Batch == 0 && w.At == 0 && w.Count == 0 && w.Pick == 0 &&
-		len(w.Children) == 0
 }
 
 // String renders the spec compactly: the kind plus its non-zero
@@ -519,8 +510,8 @@ func rejectParams(spec WorkloadSpec, fields map[string]bool) error {
 
 // holesWorkload is the paper's model: vacate random cells before round 0.
 // Its deployment and damage are one act (the hole cells receive no nodes
-// at all) and its random-stream discipline is byte-identical to the
-// pre-workload FailHoles path.
+// at all): hole cells are picked from seed stream 1, then the network is
+// deployed from stream 2.
 type holesWorkload struct{ spec WorkloadSpec }
 
 func buildHolesWorkload(spec WorkloadSpec) (Workload, error) {
@@ -548,8 +539,8 @@ func (w holesWorkload) Schedule(cfg *TrialConfig) (Schedule, error) {
 }
 
 // jamWorkload deploys complete coverage and jams a disc at a random
-// center; the hole count is emergent from the radius. Byte-identical to
-// the pre-workload FailJam path.
+// center; the hole count is emergent from the radius. The disc center
+// draws from seed stream 1 and the deployment from stream 2.
 type jamWorkload struct{ spec WorkloadSpec }
 
 func buildJamWorkload(spec WorkloadSpec) (Workload, error) {
@@ -572,7 +563,7 @@ func (w jamWorkload) Schedule(cfg *TrialConfig) (Schedule, error) {
 	spares := cfg.Spares
 	return Schedule{Deploy: func(net *network.Network, rng *randx.Rand) error {
 		// The damage stream is split before the deployment stream, the
-		// legacy ApplyDamage discipline the differential tests pin.
+		// discipline the differential tests pin.
 		damage := rng.Split(1)
 		if err := deploy.Controlled(net, spares, nil, rng.Split(2)); err != nil {
 			return err

@@ -14,14 +14,13 @@ import (
 	"wsncover/internal/randx"
 )
 
-// assemblyManifestBytes runs the campaign through the chosen trial
-// assembly (workload schedule vs the pre-redesign enum path) and
-// serializes the aggregated manifest; any byte difference is an assembly
-// divergence. Both arms marshal the same spec struct, so the comparison
+// assemblyManifestBytes runs the campaign through the workload path and
+// serializes the aggregated manifest like referenceManifestBytes does
+// for the reference assembly; any byte difference is an assembly
+// divergence. Both marshal the same spec struct, so the comparison
 // covers results only.
-func assemblyManifestBytes(t *testing.T, spec CampaignSpec, legacyAssembly bool, workers int) []byte {
+func assemblyManifestBytes(t *testing.T, spec CampaignSpec, workers int) []byte {
 	t.Helper()
-	spec.legacyAssembly = legacyAssembly
 	samples, err := RunCampaignSamples(context.Background(), spec, experiment.Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
@@ -39,10 +38,11 @@ func assemblyManifestBytes(t *testing.T, spec CampaignSpec, legacyAssembly bool,
 }
 
 // TestLegacySpecBitIdenticalThroughWorkloadPath is the acceptance
-// criterion of the workload redesign: a legacy CampaignSpec (schemes x
-// grids x spares x holes x failures) must produce a byte-identical
-// manifest through the new workload path as through the pre-redesign
-// enum path (ApplyDamage + RunToConvergence), at any worker count.
+// criterion of the workload redesign: a campaign over the paper's damage
+// dimension (schemes x grids x spares x holes x {holes, jam}) must
+// produce a byte-identical manifest through the workload path as
+// through the pre-workload reference assembly (reference_test.go), at
+// any worker count.
 func TestLegacySpecBitIdenticalThroughWorkloadPath(t *testing.T) {
 	specs := []CampaignSpec{
 		{
@@ -50,7 +50,7 @@ func TestLegacySpecBitIdenticalThroughWorkloadPath(t *testing.T) {
 			Grids:      []GridSize{{8, 8}, {9, 9}}, // cycle and dual path
 			Spares:     []int{4, 20},
 			Holes:      []int{1, 3},
-			Failures:   []FailureMode{FailHoles, FailJam},
+			Workloads:  []WorkloadSpec{{Kind: WorkloadHoles}, {Kind: WorkloadJam}},
 			Replicates: 3,
 			BaseSeed:   311,
 		},
@@ -60,19 +60,18 @@ func TestLegacySpecBitIdenticalThroughWorkloadPath(t *testing.T) {
 			Spares:          []int{0, 8}, // spare drought: exhausted walks
 			Holes:           []int{4},
 			AdjacentHolesOK: true,
-			Failures:        []FailureMode{FailJam},
+			Workloads:       []WorkloadSpec{{Kind: WorkloadJam}},
 			JamRadius:       12,
 			Replicates:      4,
 			BaseSeed:        422,
 		},
 	}
 	for i, spec := range specs {
-		ref := assemblyManifestBytes(t, spec, true, 1)
-		if got := assemblyManifestBytes(t, spec, false, 1); !bytes.Equal(got, ref) {
-			t.Errorf("spec %d: workload-path manifest differs from enum-path manifest (workers=1)", i)
-		}
-		if got := assemblyManifestBytes(t, spec, false, 8); !bytes.Equal(got, ref) {
-			t.Errorf("spec %d: workload-path manifest differs at workers=8", i)
+		ref := referenceManifestBytes(t, spec)
+		for _, workers := range []int{1, 8} {
+			if got := assemblyManifestBytes(t, spec, workers); !bytes.Equal(got, ref) {
+				t.Errorf("spec %d: workload-path manifest differs from the reference assembly's (workers=%d)", i, workers)
+			}
 		}
 	}
 }
@@ -271,28 +270,13 @@ func TestWorkloadSpecValidation(t *testing.T) {
 		t.Errorf("WorkloadKinds() = %v, want %v", kinds, want)
 	}
 
-	// Conflicting campaign dimensions are rejected.
-	err := CampaignSpec{
-		Failures:  []FailureMode{FailJam},
-		Workloads: []WorkloadSpec{{Kind: WorkloadChurn}},
-	}.Validate()
-	if err == nil || !strings.Contains(err.Error(), "both") {
-		t.Errorf("failures+workloads Validate() = %v", err)
-	}
 	// Async x non-SR scheme is rejected up front.
-	err = CampaignSpec{
+	err := CampaignSpec{
 		Schemes: []SchemeKind{SR, AR},
 		Runners: []RunnerKind{RunSync, RunAsync},
 	}.Validate()
 	if err == nil {
 		t.Error("async runner with AR scheme should fail Validate")
-	}
-	// Trial-level conflict: Workload and a non-default Failure.
-	if _, err := RunTrial(TrialConfig{
-		Cols: 8, Rows: 8, Scheme: SR, Failure: FailJam,
-		Workload: WorkloadSpec{Kind: WorkloadChurn},
-	}); err == nil {
-		t.Error("Workload+Failure trial should fail")
 	}
 }
 
@@ -449,15 +433,15 @@ func TestCampaignSpecWorkloadJSONRoundTrip(t *testing.T) {
 		t.Error("bad runner name should fail")
 	}
 
-	// A legacy spec marshals without the new dimensions, so pre-redesign
-	// manifests and freshly written ones stay mergeable.
-	legacy := CampaignSpec{Failures: []FailureMode{FailJam}, Replicates: 2}
+	// A spec without runner or TTL dimensions marshals without them, so
+	// manifests written before those dimensions existed stay mergeable.
+	legacy := CampaignSpec{Workloads: []WorkloadSpec{{Kind: WorkloadJam}}, Replicates: 2}
 	raw, err := json.Marshal(legacy.Normalized())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(raw), "workloads") || strings.Contains(string(raw), "runners") {
-		t.Errorf("legacy spec marshals new dimensions: %s", raw)
+	if strings.Contains(string(raw), "runners") || strings.Contains(string(raw), "claim_ttls") {
+		t.Errorf("spec marshals unset dimensions: %s", raw)
 	}
 }
 

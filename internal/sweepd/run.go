@@ -1,7 +1,8 @@
 package sweepd
 
 import (
-	"encoding/json"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -56,23 +57,17 @@ func (d *Daemon) execute(c *Campaign) (path string, points, ran int, err error) 
 var testTrialHook func(c *Campaign, ran int)
 
 // loadCheckpoint reads a prior checkpoint manifest for this campaign,
-// verifying that its embedded spec re-hashes to the campaign's hash; a
-// missing, stale, or foreign file yields nil rather than a merge.
+// verified like a store hit; a missing, unreadable, stale, or foreign
+// file yields nil rather than a merge.
 func (d *Daemon) loadCheckpoint(path, wantHash string) *experiment.Manifest {
-	data, err := os.ReadFile(path)
+	prior, err := readVerifiedManifest(path, wantHash)
 	if err != nil {
+		if !errors.Is(err, fs.ErrNotExist) {
+			d.log.Warn("ignoring checkpoint", "err", err)
+		}
 		return nil
 	}
-	var prior experiment.Manifest
-	if err := json.Unmarshal(data, &prior); err != nil {
-		d.log.Warn("ignoring unreadable checkpoint", "path", path, "err", err)
-		return nil
-	}
-	if got, err := telemetry.SpecHash(prior.Spec); err != nil || got != wantHash {
-		d.log.Warn("ignoring checkpoint with mismatched spec", "path", path, "got", got, "want", wantHash)
-		return nil
-	}
-	return &prior
+	return prior
 }
 
 // executeInProcess runs the campaign on the embedded engine — no

@@ -15,6 +15,7 @@
 package sweepd
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -95,17 +96,43 @@ func (s *Store) manifestPath(hex string) string {
 	return filepath.Join(s.dir, "manifests", "sha256-"+hex+".json")
 }
 
-// Get returns the stored manifest path for hash and whether it exists.
+// Get returns the stored manifest path for hash and whether the store
+// holds a verified manifest for it: one that parses and whose echoed
+// spec re-hashes to hash. Any other file under the key (a truncated or
+// corrupt write, another campaign's manifest) is a miss, so the
+// campaign is recomputed and Install replaces the file.
 func (s *Store) Get(hash string) (string, bool) {
 	hex, err := hashHex(hash)
 	if err != nil {
 		return "", false
 	}
 	path := s.manifestPath(hex)
-	if _, err := os.Stat(path); err != nil {
+	if _, err := readVerifiedManifest(path, hash); err != nil {
 		return "", false
 	}
 	return path, true
+}
+
+// readVerifiedManifest reads the manifest at path and checks that its
+// echoed spec re-hashes to wantHash, the key it is stored or
+// checkpointed under.
+func readVerifiedManifest(path, wantHash string) (*experiment.Manifest, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var m experiment.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, fmt.Errorf("unreadable manifest %s: %w", path, err)
+	}
+	got, err := telemetry.SpecHash(m.Spec)
+	if err != nil {
+		return nil, err
+	}
+	if got != wantHash {
+		return nil, fmt.Errorf("manifest %s has spec hash %s, want %s", path, got, wantHash)
+	}
+	return &m, nil
 }
 
 // Install copies the manifest at src into the store under hash,

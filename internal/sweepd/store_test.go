@@ -1,6 +1,8 @@
 package sweepd
 
 import (
+	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,8 +50,11 @@ func TestStoreInstallGetResolveList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := store.Get(hashA); !ok || got != pathA {
-		t.Fatalf("Get(%s) = %q, %v; want %q, true", hashA, got, ok, pathA)
+	// The file is there, but it carries no spec hashing to hashA, so Get
+	// does not serve it (TestStoreGetRecomputesUnverifiedManifests
+	// covers verified hits).
+	if _, ok := store.Get(hashA); ok {
+		t.Fatalf("Get(%s) served a manifest whose spec does not hash to the key", hashA)
 	}
 	if _, err := store.Install(hashB, src); err != nil {
 		t.Fatal(err)
@@ -96,6 +101,63 @@ func TestStoreInstallGetResolveList(t *testing.T) {
 	}
 	if entries[0].Bytes == 0 {
 		t.Error("entry A should report its size")
+	}
+}
+
+// TestStoreGetRecomputesUnverifiedManifests: a file under a campaign's
+// key is a cache hit only when it parses and its spec re-hashes to the
+// key. A truncated write, garbage, or another campaign's manifest is a
+// miss: the submission runs the campaign again, and the manifest then
+// served is the cold run's, byte for byte.
+func TestStoreGetRecomputesUnverifiedManifests(t *testing.T) {
+	d, store := newTestDaemon(t, Options{})
+	spec, other := smallSpec(), smallSpec()
+	other.BaseSeed++
+	cold := referenceManifest(t, spec, "verify")
+	hash, err := telemetry.SpecHash(spec.Normalized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(wantRun bool) {
+		t.Helper()
+		v, created, err := d.Submit(mustJSON(t, spec), "verify")
+		if err != nil || created != wantRun {
+			t.Fatalf("Submit = %+v, created %v, %v; want created %v", v, created, err, wantRun)
+		}
+		if !d.Wait(context.Background(), v.ID) {
+			t.Fatal("campaign never finished")
+		}
+		done, _ := d.Campaign(v.ID)
+		served, err := os.ReadFile(done.Manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(served, cold) {
+			t.Fatalf("served manifest (status %s) differs from the cold run", done.Status)
+		}
+	}
+	submit(true)
+	path, ok := store.Get(hash)
+	if !ok {
+		t.Fatal("completed campaign is not a store hit")
+	}
+	submit(false)
+
+	for name, bad := range map[string][]byte{
+		"truncated":      cold[:len(cold)/2],
+		"garbage":        []byte("not a manifest\n"),
+		"other campaign": referenceManifest(t, other, "verify"),
+	} {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := store.Get(hash); ok {
+			t.Errorf("%s: Get served the file", name)
+		}
+		submit(true)
+		if _, ok := store.Get(hash); !ok {
+			t.Errorf("%s: the recomputed manifest is not a store hit", name)
+		}
 	}
 }
 

@@ -250,7 +250,7 @@ func (sc *Scenario) Run() (Result, error) {
 	if ctrl, ok := sc.ctrl.(*core.Controller); ok {
 		ctrl.ResetFailed()
 	}
-	rounds, err := sim.RunToConvergence(sc.ctrl, 2*sc.sys.NumCells()+16)
+	rounds, err := sim.RunSchedule(sc.ctrl, sc.net, sim.Schedule{}, nil, 2*sc.sys.NumCells()+16)
 	if err != nil {
 		return Result{}, err
 	}
