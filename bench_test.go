@@ -16,12 +16,15 @@ package wsncover_test
 
 import (
 	"context"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"wsncover/internal/analytic"
 	"wsncover/internal/core"
 	"wsncover/internal/deploy"
+	"wsncover/internal/dispatch"
 	"wsncover/internal/experiment"
 	"wsncover/internal/figures"
 	"wsncover/internal/geom"
@@ -384,6 +387,43 @@ func BenchmarkCampaign16Cells(b *testing.B) {
 		points = len(pts)
 	}
 	b.ReportMetric(float64(points), "points")
+}
+
+// BenchmarkLocalRunCheckpoint runs the service-mix base campaign (32
+// cells, 512 16x16 trials, workers 1) through dispatch.PlanLocal without
+// a checkpoint and with one, so the per-cell checkpoint's cost is the
+// difference between the two rows. Every checkpointed run starts a
+// fresh log, as each sweepd campaign does in its new run directory.
+func BenchmarkLocalRunCheckpoint(b *testing.B) {
+	spec := sim.CampaignSpec{
+		Schemes:    []sim.SchemeKind{sim.SR, sim.AR},
+		Grids:      []sim.GridSize{{Cols: 16, Rows: 16}},
+		Spares:     []int{10, 25, 40, 55, 70, 100, 150, 200},
+		Holes:      []int{1, 3},
+		Workloads:  []sim.WorkloadSpec{{Kind: sim.WorkloadHoles}},
+		Replicates: 16,
+		BaseSeed:   1000,
+		Workers:    1,
+	}.Normalized()
+	for _, checkpoint := range []bool{false, true} {
+		name := "none"
+		if checkpoint {
+			name = "log"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			dir := b.TempDir()
+			for i := 0; i < b.N; i++ {
+				ck := ""
+				if checkpoint {
+					ck = filepath.Join(dir, strconv.Itoa(i)+".cells.ndjson")
+				}
+				if _, _, err := dispatch.PlanLocal(spec, "camp", nil, ck).Run(context.Background(), nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkCampaignAggregation contrasts the aggregation layer's memory

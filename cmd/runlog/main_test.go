@@ -194,11 +194,18 @@ func buildStore(t *testing.T) (dir string, ledgered, bare string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := writeManifest(t, t.TempDir(), "daemon-run", 5)
+	var src experiment.Manifest
+	data, err := os.ReadFile(writeManifest(t, t.TempDir(), "daemon-run", 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &src); err != nil {
+		t.Fatal(err)
+	}
 	ledgered = "sha256:" + strings.Repeat("aa", 32)
 	bare = "sha256:" + strings.Repeat("bb", 32)
 	for _, h := range []string{ledgered, bare} {
-		if _, err := store.Install(h, src); err != nil {
+		if _, err := store.Install(h, &src); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,7 +20,7 @@ import (
 //	                          crash            exit non-zero mid-run (retry path)
 //	                          slow             sleep per trial (steal path)
 //	                          corrupt-progress emit a malformed progress line
-//	                          partial-manifest exit 0 with only a checkpoint on disk
+//	                          partial-manifest exit 0 with only the cell log on disk
 //	WSNSWEEP_CHAOS_DIR      claim directory: each mode fires in exactly one
 //	                        process across the whole fleet (O_EXCL claim
 //	                        files), so retries and siblings run clean.
@@ -28,9 +28,13 @@ import (
 //	WSNSWEEP_CHAOS_AFTER    completed trials before a fault fires (default 2)
 //	WSNSWEEP_CHAOS_SLOW_MS  slow mode's per-trial sleep (default 150)
 //
-// Faults fire from the trial sink, after the checkpoint for the
-// completed cell is written — exactly where a real worker loss hurts:
-// state on disk is a valid prefix, in-memory progress is gone.
+// Faults fire from the trial sink, after a completed cell's line is
+// appended to the checkpoint log (<name>.cells.ndjson, see
+// experiment.CellLog) — exactly where a real worker loss hurts: state
+// on disk is a valid prefix of cells, in-memory progress is gone. The
+// log is not fsynced, which is enough here: every fault kills or
+// abandons the process, never the machine, and a line torn by a kill
+// mid-write only makes its cell rerun.
 type chaosInjector struct {
 	modes  map[string]bool
 	dir    string
@@ -107,7 +111,7 @@ func (c *chaosInjector) claim(mode string) bool {
 }
 
 // trialDone fires pending faults; called from the campaign sink after
-// each completed trial (checkpoint already flushed).
+// each completed trial (a cell it completed is already logged).
 func (c *chaosInjector) trialDone(ran int) {
 	if c.modes["slow"] {
 		time.Sleep(time.Duration(c.slowMS) * time.Millisecond)
@@ -123,9 +127,9 @@ func (c *chaosInjector) trialDone(ran int) {
 		progressOut.Write([]byte("\n"))
 	}
 	if c.modes["partial-manifest"] && c.claim("partial-manifest") {
-		// Exit 0 with only the checkpoint on disk: a worker that lies
+		// Exit 0 with only the cell log on disk: a worker that lies
 		// about being done. The driver's manifest validation must catch
-		// the short job count and requeue.
+		// the missing manifest and requeue; the retry resumes from the log.
 		c.log.Warn("chaos: clean exit with partial manifest", "trials", ran)
 		os.Exit(0)
 	}

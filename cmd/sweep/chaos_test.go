@@ -67,6 +67,11 @@ func TestChaosMatrix(t *testing.T) {
 			}
 			assertManifestsEquivalent(t,
 				filepath.Join(dir, "camp.json"), filepath.Join(refDir, "camp.json"))
+			// Every shard's checkpoint log is spent once its manifest
+			// lands, a killed straggler's included.
+			if logs, _ := filepath.Glob(filepath.Join(dir, "*.cells.ndjson")); len(logs) > 0 {
+				t.Errorf("converged fleet left checkpoint logs behind: %v", logs)
+			}
 		})
 	}
 }

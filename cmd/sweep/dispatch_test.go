@@ -141,9 +141,9 @@ func TestShardResumeJobsAccounting(t *testing.T) {
 }
 
 // TestCheckpointResumeAfterKill is the worker failure-path satellite: a
-// shard worker killed mid-run leaves a checkpoint manifest of its
-// completed cells, a -resume rerun finishes only the missing cells, and
-// the final manifest is byte-identical to an uninterrupted run.
+// shard worker killed mid-run leaves a checkpoint log of its completed
+// cells, a -resume rerun finishes only the missing cells, and the final
+// manifest is byte-identical to an uninterrupted run.
 func TestCheckpointResumeAfterKill(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{
@@ -162,14 +162,10 @@ func TestCheckpointResumeAfterKill(t *testing.T) {
 		t.Fatalf("worker = %v (output %q), want exit code 7", err, out)
 	}
 
-	// The partial manifest holds exactly the completed cell.
-	partial, err := os.ReadFile(filepath.Join(dir, "ck.json"))
+	// The checkpoint log holds exactly the completed cell.
+	pm, err := experiment.ReadCellLog(filepath.Join(dir, "ck.cells.ndjson"))
 	if err != nil {
-		t.Fatalf("no checkpoint manifest after the kill: %v", err)
-	}
-	var pm experiment.Manifest
-	if err := json.Unmarshal(partial, &pm); err != nil {
-		t.Fatal(err)
+		t.Fatalf("no checkpoint log after the kill: %v", err)
 	}
 	if len(pm.Points) != 1 || pm.Points[0].X != 8 || pm.Jobs != 3 {
 		t.Fatalf("checkpoint = %d points (X=%g) %d jobs, want the completed N=8 cell and 3 jobs",

@@ -28,15 +28,16 @@
 // "jam"], still decode, as the equivalent workloads.
 // Results are bit-identical for any -workers value.
 //
-// -resume merges into an existing manifest: every (group, N) cell
-// already present is skipped, freshly run cells are added, and the
-// merged manifest plus its metric tables are rewritten. Manifests are
-// written on successful completion, so -resume grows a campaign in
-// stages: run a narrow spec first, then rerun with added spare counts,
-// schemes, grids, or workloads and only the new cells compute. The
-// seed, replicate count, and pass-through trial parameters must match
-// the prior manifest's; cells of dimension values the current spec no
-// longer lists are dropped from the merged output.
+// -resume merges into an existing manifest and into the cell log a
+// -checkpoint run left beside it: every (group, N) cell either holds is
+// skipped, freshly run cells are added, and the merged manifest plus
+// its metric tables are rewritten. Manifests are written on successful
+// completion, so -resume grows a campaign in stages: run a narrow spec
+// first, then rerun with added spare counts, schemes, grids, or
+// workloads and only the new cells compute. The seed, replicate count,
+// and pass-through trial parameters must match the prior manifest's and
+// the log's; cells of dimension values the current spec no longer lists
+// are dropped from the merged output.
 //
 // -shard i/n runs only the i-th of n contiguous replicate blocks of
 // every campaign cell (1-based), so one campaign splits across boxes:
@@ -62,7 +63,7 @@
 // every slot its own prefix). Progress events on the worker's stdout
 // renew the lease: a worker silent for -lease-timeout is killed and its
 // block re-queued, failed blocks are retried with -resume from their
-// checkpoint manifests after a jittered backoff (-max-retries caps
+// checkpoint logs after a jittered backoff (-max-retries caps
 // relaunches per block), idle slots steal speculative duplicates of
 // straggling blocks (first completion wins; duplicates are
 // byte-identical by determinism), and slots that keep failing are
@@ -88,10 +89,13 @@
 // ({"done":..,"total":..,"group":..,"group_done":..}) on stdout — the
 // protocol dispatch supervisors consume; combined with -dispatch it
 // emits the merged fleet's progress instead, so a supervisor of
-// supervisors composes — and "none" is silent. -checkpoint rewrites the
-// manifest (atomically) every time a campaign cell completes, so a
-// killed run leaves a partial manifest a later -resume picks up; the
-// dispatch driver enables it for every worker.
+// supervisors composes — and "none" is silent. -checkpoint appends one
+// line to <out>/<name>.cells.ndjson every time a campaign cell
+// completes (experiment.CellLog: a single O_APPEND write, no fsync, so
+// it survives a killed process but not a power cut), and a later
+// -resume picks those cells up; a torn last line only means its cell
+// reruns. The log is removed once the manifest lands, and the dispatch
+// driver enables it for every worker.
 //
 // Observability: -dash addr serves the live telemetry dashboard
 // (internal/telemetry) while the campaign runs — an HTML page at /, the
@@ -313,13 +317,13 @@ func resolveLedger(flagVal, outDir string) string {
 	return flagVal
 }
 
-// installCached copies a finished manifest into the -if-cached store so
+// installCached writes a finished manifest into the -if-cached store so
 // the next run of the same spec is a hit; a nil store is a no-op.
-func installCached(store *sweepd.Store, hash, manifestPath string, logger *slog.Logger) error {
+func installCached(store *sweepd.Store, hash string, m *experiment.Manifest, logger *slog.Logger) error {
 	if store == nil {
 		return nil
 	}
-	stored, err := store.Install(hash, manifestPath)
+	stored, err := store.Install(hash, m)
 	if err != nil {
 		return fmt.Errorf("installing manifest in store: %w", err)
 	}
@@ -424,9 +428,48 @@ func resumeCompatible(priorSpec json.RawMessage, spec sim.CampaignSpec) error {
 	return nil
 }
 
+// loadResumeState reads what a -resume run extends: the union of the
+// prior manifest and the checkpoint log, each vetted by
+// resumeCompatible. Either or both may be missing; with neither there
+// is nothing to resume from, so the full campaign runs. A cell both
+// hold is taken from the manifest (the bytes are identical by
+// determinism).
+func loadResumeState(manifestPath, logPath string, spec sim.CampaignSpec) (*experiment.Manifest, error) {
+	prior, err := loadResumeManifest(manifestPath, spec)
+	if err != nil {
+		return nil, err
+	}
+	log, err := experiment.ReadCellLog(logPath)
+	if errors.Is(err, os.ErrNotExist) {
+		return prior, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("resume: %w", err)
+	}
+	if err := resumeCompatible(log.Spec, spec); err != nil {
+		return nil, fmt.Errorf("resume log %s: %w", logPath, err)
+	}
+	if prior == nil {
+		return log, nil
+	}
+	type cell struct {
+		group string
+		x     float64
+	}
+	have := make(map[cell]bool, len(prior.Points))
+	for _, p := range prior.Points {
+		have[cell{p.Group, p.X}] = true
+	}
+	for _, p := range log.Points {
+		if !have[cell{p.Group, p.X}] {
+			prior.Points = append(prior.Points, p)
+		}
+	}
+	return prior, nil
+}
+
 // loadResumeManifest reads the manifest a -resume run extends and
-// vets it with resumeCompatible; a missing file means there is nothing
-// to resume from, so the full campaign runs.
+// vets it with resumeCompatible; a missing file yields nil.
 func loadResumeManifest(path string, spec sim.CampaignSpec) (*experiment.Manifest, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -571,7 +614,7 @@ func loadSpec(path string) (sim.CampaignSpec, error) {
 // the ledger's stats capture; all ride the same serialized callback.
 // A fleet that fails or is aborted still gets its ledger record, with
 // Status saying how it ended, so the run history shows unhealthy runs.
-func runDispatch(ctx context.Context, w io.Writer, spec sim.CampaignSpec, opts dispatch.Options, metricsS string, ascii bool, progressMode string, logger *slog.Logger, rig *dashRig, ledPath string) error {
+func runDispatch(ctx context.Context, w io.Writer, spec sim.CampaignSpec, opts dispatch.Options, metricsS string, ascii bool, progressMode string, logger *slog.Logger, rig *dashRig, ledPath string) (*experiment.Manifest, error) {
 	outDir, name := opts.OutDir, opts.Name
 	var sinks []func(dispatch.FleetSnapshot)
 	if progressMode == "meter" {
@@ -612,16 +655,16 @@ func runDispatch(ctx context.Context, w io.Writer, spec sim.CampaignSpec, opts d
 			}
 			appendLedger(ledPath, rec, spec, logger)
 		}
-		return err
+		return nil, err
 	}
 	path, err := manifest.Save(outDir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "dispatched fleet; merged into %s (%d jobs, %d points)\n",
 		path, manifest.Jobs, len(manifest.Points))
 	if err := writeTables(w, manifest.Points, metricsS, outDir, name, mergedSpec.Replicates, ascii); err != nil {
-		return err
+		return nil, err
 	}
 	if progressMode != "json" {
 		printSummary(w, manifest.Points)
@@ -647,7 +690,7 @@ func runDispatch(ctx context.Context, w io.Writer, spec sim.CampaignSpec, opts d
 		}
 		appendLedger(ledPath, rec, mergedSpec, logger)
 	}
-	return nil
+	return manifest, nil
 }
 
 // runStatus classifies how a run ended for the ledger: a context
@@ -723,7 +766,7 @@ func run(args []string) (err error) {
 		leaseS     = fs.Duration("lease-timeout", 0, "dispatch heartbeat deadline: a worker silent this long is killed and its shard re-queued (0 = 2m; set above the slowest trial)")
 		retriesN   = fs.Int("max-retries", 0, "dispatch relaunch budget per shard (0 = default 2, negative = none)")
 		progressS  = fs.String("progress", "meter", "progress display: meter, json (event protocol on stdout), none")
-		checkpoint = fs.Bool("checkpoint", false, "rewrite the manifest after every completed cell so a killed run can -resume")
+		checkpoint = fs.Bool("checkpoint", false, "append every completed cell to <out>/<name>.cells.ndjson (one line, no fsync) so a killed run can -resume; removed once the manifest lands")
 		replicates = fs.Int("replicates", 20, "trials per campaign cell")
 		seed       = fs.Int64("seed", 1, "base random seed")
 		workers    = fs.Int("workers", 0, "parallel trial workers (0 = all cores)")
@@ -956,10 +999,11 @@ func run(args []string) (err error) {
 		}
 		ctx, stop := signalContext(logger)
 		defer stop()
-		if err := runDispatch(ctx, infoW, spec, dopts, *metricsS, *ascii, progressMode, logger, dash, ledPath); err != nil {
+		merged, err := runDispatch(ctx, infoW, spec, dopts, *metricsS, *ascii, progressMode, logger, dash, ledPath)
+		if err != nil {
 			return err
 		}
-		return installCached(cacheStore, cacheHash, filepath.Join(*outDir, *name+".json"), logger)
+		return installCached(cacheStore, cacheHash, merged, logger)
 	}
 	if *execS != "" {
 		return fmt.Errorf("-exec only applies to -dispatch")
@@ -971,15 +1015,16 @@ func run(args []string) (err error) {
 	// -resume: the existing manifest (if any) seeds the run; its cells
 	// inside the current job space are skipped and carried over.
 	manifestPath := filepath.Join(*outDir, *name+".json")
+	logPath := experiment.CellLogPath(*outDir, *name)
 	var prior *experiment.Manifest
 	if *resume {
-		if prior, err = loadResumeManifest(manifestPath, spec); err != nil {
+		if prior, err = loadResumeState(manifestPath, logPath, spec); err != nil {
 			return err
 		}
 	}
 	ckPath := ""
 	if *checkpoint {
-		ckPath = manifestPath
+		ckPath = logPath
 	}
 	local := dispatch.PlanLocal(spec, *name, prior, ckPath)
 	if local.Orphans > 0 {
@@ -1011,9 +1056,9 @@ func run(args []string) (err error) {
 		gtimer = telemetry.NewGroupTimer()
 	}
 	// Test-only crash hook: WSNSWEEP_EXIT_AFTER=k kills the process
-	// after k completed trials (checkpoint written first), simulating a
-	// worker dying mid-run for the dispatch failure-path tests. The
-	// richer WSNSWEEP_CHAOS fault injector lives in chaos.go.
+	// after k completed trials (a cell they complete is logged first),
+	// simulating a worker dying mid-run for the dispatch failure-path
+	// tests. The richer WSNSWEEP_CHAOS fault injector lives in chaos.go.
 	exitAfter := 0
 	if s := os.Getenv("WSNSWEEP_EXIT_AFTER"); s != "" {
 		exitAfter, _ = strconv.Atoi(s)
@@ -1052,9 +1097,9 @@ func run(args []string) (err error) {
 		mode = "shard"
 	}
 	if err != nil {
-		// A failed or drained run still records itself: the checkpoints
-		// the manifest path holds are only half the story, the ledger says
-		// how the run ended so cmd/runlog surfaces unhealthy history.
+		// A failed or drained run still records itself: the cell log on
+		// disk is only half the story, the ledger says how the run ended
+		// so cmd/runlog surfaces unhealthy history.
 		if ledPath != "" {
 			rec := telemetry.Record{
 				Name:       *name,
@@ -1084,7 +1129,12 @@ func run(args []string) (err error) {
 		return err
 	}
 	fmt.Fprintf(infoW, "wrote %s (%d jobs, %d points)\n", path, manifest.Jobs, len(points))
-	if err := installCached(cacheStore, cacheHash, path, logger); err != nil {
+	// The manifest now holds every cell the log did; a leftover log
+	// would only be unioned back in by a later -resume.
+	if err := os.Remove(logPath); err != nil && !errors.Is(err, os.ErrNotExist) {
+		logger.Warn("removing spent cell log", "path", logPath, "err", err)
+	}
+	if err := installCached(cacheStore, cacheHash, manifest, logger); err != nil {
 		return err
 	}
 

@@ -345,6 +345,103 @@ func withFailuresEcho(t *testing.T, data []byte) []byte {
 	return buf.Bytes()
 }
 
+// TestRunResumeUnionsManifestAndLog: -resume carries the cells of both
+// the prior manifest and the checkpoint log beside it, recomputes only
+// the rest, and removes the spent log; a log whose header echoes
+// another campaign's physics is rejected. The carried cells are marked
+// (a sentinel mean), so the final manifest shows where each came from.
+func TestRunResumeUnionsManifestAndLog(t *testing.T) {
+	args := func(out, spares string, extra ...string) []string {
+		return append([]string{
+			"-schemes", "SR,AR", "-grids", "8x8", "-replicates", "3", "-seed", "11",
+			"-spares", spares, "-out", out, "-name", "res", "-metrics", "", "-quiet",
+		}, extra...)
+	}
+	load := func(path string) experiment.Manifest {
+		t.Helper()
+		m, _, err := dispatch.LoadManifest(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	const sentinel = -1
+	mark := func(p *experiment.Point) {
+		d := p.Metrics["moves"]
+		d.Mean = sentinel
+		p.Metrics["moves"] = d
+	}
+
+	// The prior manifest holds the N=8 cells, SR's one marked.
+	dir := t.TempDir()
+	if err := run(args(dir, "8")); err != nil {
+		t.Fatal(err)
+	}
+	prior := load(filepath.Join(dir, "res.json"))
+	mark(&prior.Points[1]) // canonical order: AR 8x8, SR 8x8
+	if _, err := prior.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	// The log, as a run of N=24 cut short would leave it, holds SR's
+	// N=24 cell, marked.
+	other := t.TempDir()
+	if err := run(args(other, "24")); err != nil {
+		t.Fatal(err)
+	}
+	logged := load(filepath.Join(other, "res.json"))
+	sr24 := logged.Points[1]
+	mark(&sr24)
+	log, err := experiment.CreateCellLog(experiment.CellLogPath(dir, "res"), &logged,
+		[]experiment.CellRecord{{Point: sr24, Trials: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+
+	if err := run(args(dir, "8,24,40", "-resume")); err != nil {
+		t.Fatal(err)
+	}
+	got := load(filepath.Join(dir, "res.json"))
+	refDir := t.TempDir()
+	if err := run(args(refDir, "8,24,40")); err != nil {
+		t.Fatal(err)
+	}
+	want := load(filepath.Join(refDir, "res.json"))
+	if len(got.Points) != len(want.Points) {
+		t.Fatalf("resumed manifest has %d points, want %d", len(got.Points), len(want.Points))
+	}
+	for i, p := range got.Points {
+		carried := p.Group == "SR 8x8" && (p.X == 8 || p.X == 24)
+		if mean := p.Metrics["moves"].Mean; carried != (mean == sentinel) {
+			t.Errorf("%s N=%g: moves mean %g; carried from manifest or log: %v", p.Group, p.X, mean, carried)
+		}
+		if carried {
+			got.Points[i] = want.Points[i]
+		}
+	}
+	if !reflect.DeepEqual(got.Points, want.Points) {
+		t.Error("recomputed cells differ from a from-scratch run")
+	}
+	if _, err := os.Stat(experiment.CellLogPath(dir, "res")); !os.IsNotExist(err) {
+		t.Errorf("the spent cell log survived the final manifest (stat err %v)", err)
+	}
+
+	// A log from a campaign with another seed is not resumable.
+	foreign := t.TempDir()
+	if err := run(append(args(foreign, "8"), "-seed", "12")); err != nil {
+		t.Fatal(err)
+	}
+	head := load(filepath.Join(foreign, "res.json"))
+	bad := t.TempDir()
+	if log, err = experiment.CreateCellLog(experiment.CellLogPath(bad, "res"), &head, nil); err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+	if err := run(args(bad, "8", "-resume")); err == nil || !strings.Contains(err.Error(), "resume log") {
+		t.Errorf("resume over a foreign log: err = %v, want a resume log rejection", err)
+	}
+}
+
 // TestRunResumeDropsOrphanCells pins manifest self-consistency: prior
 // points whose dimension values the current spec no longer lists are
 // dropped, so the written manifest never contains points its recorded

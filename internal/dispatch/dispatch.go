@@ -13,7 +13,7 @@
 // cmd/sweep -progress=json) — and a worker that goes silent past the
 // lease timeout is killed, reaped, and its shard re-queued. Failed
 // attempts retry with capped exponential backoff and jitter, resuming
-// from the checkpoint manifest the dead worker left behind; idle slots
+// from the checkpoint log the dead worker left behind; idle slots
 // steal stragglers by racing a speculative duplicate attempt, with the
 // first validated completion winning. A slot that fails repeatedly
 // retires, shrinking the fleet instead of failing the campaign; the
@@ -185,8 +185,9 @@ type Options struct {
 	// Slots and Worker.
 	Fleet [][]string
 	// OutDir receives the shard spec files, shard manifests, and
-	// checkpoints. With a remote Worker template it must name a
-	// directory the workers and the driver share (NFS or equivalent).
+	// checkpoint logs (<Name>-b<i>.cells.ndjson). With a remote Worker
+	// template it must name a directory the workers and the driver
+	// share (NFS or equivalent).
 	OutDir string
 	// Name is the campaign name; shard artifacts are <Name>-b<i>.
 	Name string
@@ -426,6 +427,9 @@ func Run(ctx context.Context, spec sim.CampaignSpec, opts Options) (*experiment.
 			return nil, none, fmt.Errorf("dispatch: promoting stolen shard manifest: %w", err)
 		}
 		os.RemoveAll(filepath.Dir(w))
+		// The straggler's checkpoint log is a subset of the promoted
+		// manifest; only a leftover on disk, so failing to remove it is harmless.
+		os.Remove(experiment.CellLogPath(opts.OutDir, f.names[i]))
 	}
 	manifest, mergedSpec, err := MergeShardManifests(f.canonical, opts.Name)
 	if err != nil {
@@ -902,10 +906,10 @@ func (f *fleet) superviseStream(att *attempt, r io.Reader) {
 }
 
 // validateShardManifest accepts only a complete shard manifest: it must
-// parse, and its job count must equal the shard's full trial count. A
-// checkpoint (always a strict prefix of the shard) or a truncated write
-// fails, so a worker that exits cleanly without finishing cannot pass a
-// partial manifest off as done.
+// exist, parse, and record the shard's full trial count. A worker that
+// exits cleanly without finishing leaves at most its checkpoint log,
+// which lives beside the manifest path, so it cannot pass partial work
+// off as done.
 func validateShardManifest(path string, wantJobs int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

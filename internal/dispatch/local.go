@@ -4,7 +4,6 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"wsncover/internal/experiment"
 	"wsncover/internal/sim"
@@ -15,14 +14,15 @@ import (
 // -resume, -checkpoint, and so every dispatch worker) and behind
 // sweepd's in-process campaigns. It owns the resumable state: a prior
 // manifest's complete (group, N) cells are skipped and carried over,
-// and the checkpoint — rewritten atomically after every completed cell
-// — is itself a manifest a later run resumes from. Only whole cells are
-// checkpointed, because a resume skips whole cells; a partial cell's
-// trials would be rerun anyway.
+// and the checkpoint is an experiment.CellLog — written once at start
+// with the carried cells, then one appended line per completed cell —
+// which experiment.ReadCellLog turns back into a prior manifest for a
+// later run. Only whole cells are logged, because a resume skips whole
+// cells; a partial cell's trials would be rerun anyway.
 //
 // How the prior manifest is found and vetted stays with the caller:
-// cmd/sweep pins the trial physics of its -resume manifest, sweepd
-// re-hashes its checkpoint's spec.
+// cmd/sweep pins the trial physics of its -resume manifest and log,
+// sweepd re-hashes its log's spec.
 type LocalRun struct {
 	// Executed is the number of trials Run executes: the spec's job
 	// space under its shard range, minus the cells the prior manifest
@@ -55,7 +55,7 @@ type cell struct {
 // PlanLocal sizes the in-process run of spec (normalized, validated)
 // named name. prior, when non-nil, is a manifest of the same campaign
 // whose cells are kept instead of recomputed. A non-empty checkpoint
-// path enables the per-cell checkpoint there.
+// path enables the per-cell checkpoint log there.
 func PlanLocal(spec sim.CampaignSpec, name string, prior *experiment.Manifest, checkpoint string) *LocalRun {
 	r := &LocalRun{
 		GroupTotal: make(map[string]int),
@@ -109,38 +109,39 @@ func PlanLocal(spec sim.CampaignSpec, name string, prior *experiment.Manifest, c
 // Run executes the planned trials and returns the campaign manifest
 // (not yet saved) and the number of trials executed. onTrial, when
 // non-nil, observes every completed trial in job order with the count
-// executed so far, after that trial's checkpoint has landed; an error
-// from it stops the run. The manifest's Jobs is the campaign's NumJobs,
-// or under a shard range the trials this run executed plus those the
-// prior manifest carried. On error — ctx cancelled included — the
-// checkpoint holds every cell completed so far.
+// executed so far, after that trial's cell (if it completed one) has
+// been logged; an error from it stops the run. The manifest's Jobs is
+// the campaign's NumJobs, or under a shard range the trials this run
+// executed plus those the prior manifest carried. On error — ctx
+// cancelled included — the checkpoint log holds every cell completed so
+// far.
 func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) error) (*experiment.Manifest, int, error) {
 	var keep func(sim.TrialJob) bool
 	if len(r.done) > 0 {
 		keep = func(j sim.TrialJob) bool { return !r.done[cell{j.Group(), float64(j.Spares)}] }
 	}
-	if r.checkpoint != "" {
-		if err := os.MkdirAll(filepath.Dir(r.checkpoint), 0o755); err != nil {
-			return nil, 0, err
-		}
-	}
 	// Trials stream into online per-(group, N) accumulators: campaign
 	// memory is O(cells), not O(trials).
 	acc := experiment.NewAccumulator()
+	var log *experiment.CellLog
+	if r.checkpoint != "" {
+		var err error
+		if log, err = r.createLog(); err != nil {
+			return nil, 0, err
+		}
+		defer log.Close() // for the error paths; success checks Close below
+	}
 	cellDone := make(map[cell]int)
-	completed := make(map[cell]bool)
-	doneJobs, ran := 0, 0
+	ran := 0
 	err := sim.RunCampaignSubset(ctx, r.spec, experiment.Options{Workers: r.spec.Workers}, keep,
 		func(j sim.TrialJob, s experiment.Sample) error {
 			acc.Add(s)
 			ran++
-			if r.checkpoint != "" {
+			if log != nil {
 				k := cell{s.Group, s.X}
 				cellDone[k]++
-				if cellDone[k] == r.cellTotal[k] {
-					completed[k] = true
-					doneJobs += r.cellTotal[k]
-					if err := r.writeCheckpoint(acc, completed, doneJobs); err != nil {
+				if n := r.cellTotal[k]; cellDone[k] == n {
+					if err := log.Append(experiment.CellRecord{Point: acc.Point(k.group, k.x), Trials: n}); err != nil {
 						return err
 					}
 				}
@@ -153,6 +154,11 @@ func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) erro
 	if err != nil {
 		return nil, ran, err
 	}
+	if log != nil {
+		if err := log.Close(); err != nil {
+			return nil, ran, err
+		}
+	}
 	jobs := r.spec.NumJobs()
 	if r.spec.ShardCount > 0 {
 		// A shard manifest records the trials it represents, never the
@@ -163,23 +169,23 @@ func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) erro
 	return m, ran, err
 }
 
-// writeCheckpoint rewrites the checkpoint with the prior cells plus the
-// completed fresh ones. The write goes through a uniquely named temp
-// file, so two attempts at the same shard sharing a directory (a
-// straggler and its speculative duplicate) never clobber each other's
-// in-flight checkpoint.
-func (r *LocalRun) writeCheckpoint(acc *experiment.Accumulator, completed map[cell]bool, doneJobs int) error {
-	var pts []experiment.Point
-	for _, p := range acc.Points() {
-		if completed[cell{p.Group, p.X}] {
-			pts = append(pts, p)
-		}
+// createLog starts the checkpoint log: one atomic write of the header
+// and the carried prior cells, replacing any log an earlier run left
+// (whose accepted cells the caller already passed in as the prior
+// manifest). Completed cells are appended from then on.
+func (r *LocalRun) createLog() (*experiment.CellLog, error) {
+	if err := os.MkdirAll(filepath.Dir(r.checkpoint), 0o755); err != nil {
+		return nil, err
 	}
-	m, err := experiment.NewManifest(r.name, r.spec, r.priorJobs+doneJobs, r.spec.Workers, mergePoints(r.prior, pts))
+	head, err := experiment.NewManifest(r.name, r.spec, 0, r.spec.Workers, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return m.WriteAtomic(r.checkpoint)
+	carried := make([]experiment.CellRecord, len(r.prior))
+	for i, p := range r.prior {
+		carried[i] = experiment.CellRecord{Point: p, Trials: r.cellTotal[cell{p.Group, p.X}]}
+	}
+	return experiment.CreateCellLog(r.checkpoint, head, carried)
 }
 
 // mergePoints combines prior points with fresh ones in the canonical
@@ -190,11 +196,6 @@ func mergePoints(prior, fresh []experiment.Point) []experiment.Point {
 		return fresh // Accumulator.Points is already in canonical order
 	}
 	merged := append(append(make([]experiment.Point, 0, len(prior)+len(fresh)), prior...), fresh...)
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Group != merged[j].Group {
-			return merged[i].Group < merged[j].Group
-		}
-		return merged[i].X < merged[j].X
-	})
+	experiment.SortPoints(merged)
 	return merged
 }

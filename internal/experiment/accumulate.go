@@ -83,14 +83,23 @@ func (a *Accumulator) Points() []Point {
 	})
 	out := make([]Point, 0, len(keys))
 	for _, k := range keys {
-		c := a.cells[k]
-		metrics := make(map[string]stats.Description, len(c.metrics))
-		for name, st := range c.metrics {
-			metrics[name] = st.describe()
-		}
-		out = append(out, Point{Group: k.group, X: k.x, Metrics: metrics})
+		out = append(out, a.Point(k.group, k.x))
 	}
 	return out
+}
+
+// Point materializes the aggregate of one (group, x) cell, exactly as
+// Points reports it; a cell with no samples has no metrics.
+func (a *Accumulator) Point(group string, x float64) Point {
+	c, ok := a.cells[accKey{group, x}]
+	if !ok {
+		return Point{Group: group, X: x, Metrics: map[string]stats.Description{}}
+	}
+	metrics := make(map[string]stats.Description, len(c.metrics))
+	for name, st := range c.metrics {
+		metrics[name] = st.describe()
+	}
+	return Point{Group: group, X: x, Metrics: metrics}
 }
 
 // onlineStat maintains the descriptive statistics of one metric stream in

@@ -31,6 +31,17 @@ type Point struct {
 // Mean returns the mean of the named metric, or 0 when absent.
 func (p Point) Mean(metric string) float64 { return p.Metrics[metric].Mean }
 
+// SortPoints sorts points into the canonical manifest order: by group,
+// then by X.
+func SortPoints(pts []Point) {
+	sort.Slice(pts, func(i, j int) bool {
+		if pts[i].Group != pts[j].Group {
+			return pts[i].Group < pts[j].Group
+		}
+		return pts[i].X < pts[j].X
+	})
+}
+
 // Aggregate groups samples by (Group, X) and computes the descriptive
 // statistics of every metric across the group's replicates. Points come
 // back sorted by group then X, and metric values are accumulated in

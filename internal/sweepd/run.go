@@ -16,10 +16,10 @@ import (
 // returns the stored manifest path, the manifest's point count, and how
 // many trials this run executed (for the ledger; a resumed run is not
 // credited with cells its checkpoint already carried). Cancellation
-// (drain) surfaces as context.Canceled; the checkpoint left in the
+// (drain) surfaces as context.Canceled; the checkpoint log left in the
 // campaign's run directory seeds the next submission of the same spec.
-// Once the manifest is installed the run directory is spent and
-// removed.
+// The manifest goes from memory into the store in one atomic write;
+// the run directory is then spent and removed.
 func (d *Daemon) execute(c *Campaign) (path string, points, ran int, err error) {
 	runDir, err := d.store.RunDir(c.SpecHash)
 	if err != nil {
@@ -34,11 +34,7 @@ func (d *Daemon) execute(c *Campaign) (path string, points, ran int, err error) 
 	if err != nil {
 		return "", 0, ran, err
 	}
-	local, err := m.Save(runDir)
-	if err != nil {
-		return "", 0, ran, err
-	}
-	stored, err := d.store.Install(c.SpecHash, local)
+	stored, err := d.store.Install(c.SpecHash, m)
 	if err != nil {
 		return "", 0, ran, err
 	}
@@ -56,11 +52,16 @@ func (d *Daemon) execute(c *Campaign) (path string, points, ran int, err error) 
 // for wall-clock racing.
 var testTrialHook func(c *Campaign, ran int)
 
-// loadCheckpoint reads a prior checkpoint manifest for this campaign,
-// verified like a store hit; a missing, unreadable, stale, or foreign
-// file yields nil rather than a merge.
+// loadCheckpoint reads this campaign's prior checkpoint log as the
+// manifest of its completed cells, verified like a store hit: the
+// header's spec must re-hash to the campaign's key. A missing,
+// unreadable, or foreign log yields nil rather than a merge; a torn
+// tail only drops the cells it held.
 func (d *Daemon) loadCheckpoint(path, wantHash string) *experiment.Manifest {
-	prior, err := readVerifiedManifest(path, wantHash)
+	prior, err := experiment.ReadCellLog(path)
+	if err == nil {
+		err = checkSpecHash(prior, path, wantHash)
+	}
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			d.log.Warn("ignoring checkpoint", "err", err)
@@ -75,7 +76,7 @@ func (d *Daemon) loadCheckpoint(path, wantHash string) *experiment.Manifest {
 // dispatch.LocalRun as cmd/sweep, so the stored manifest is
 // byte-identical to what the CLI writes for the same submission.
 func (d *Daemon) executeInProcess(c *Campaign, runDir string) (*experiment.Manifest, int, error) {
-	ckPath := filepath.Join(runDir, "checkpoint.json")
+	ckPath := filepath.Join(runDir, "checkpoint.ndjson")
 	run := dispatch.PlanLocal(c.Spec, c.Name, d.loadCheckpoint(ckPath, c.SpecHash), ckPath)
 	if run.Resumed > 0 {
 		d.log.Info("resuming from checkpoint", "path", ckPath, "cells", run.Resumed)

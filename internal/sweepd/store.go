@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"wsncover/internal/experiment"
@@ -107,77 +106,87 @@ func (s *Store) Get(hash string) (string, bool) {
 		return "", false
 	}
 	path := s.manifestPath(hex)
-	if _, err := readVerifiedManifest(path, hash); err != nil {
+	if err := verifyManifest(path, hash); err != nil {
 		return "", false
 	}
 	return path, true
 }
 
-// readVerifiedManifest reads the manifest at path and checks that its
-// echoed spec re-hashes to wantHash, the key it is stored or
-// checkpointed under.
-func readVerifiedManifest(path, wantHash string) (*experiment.Manifest, error) {
+// verifyManifest checks that the manifest at path parses and that its
+// echoed spec re-hashes to wantHash, the key it is stored under.
+func verifyManifest(path, wantHash string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var m experiment.Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("unreadable manifest %s: %w", path, err)
+		return fmt.Errorf("unreadable manifest %s: %w", path, err)
 	}
-	got, err := telemetry.SpecHash(m.Spec)
-	if err != nil {
-		return nil, err
-	}
-	if got != wantHash {
-		return nil, fmt.Errorf("manifest %s has spec hash %s, want %s", path, got, wantHash)
-	}
-	return &m, nil
+	return checkSpecHash(&m, path, wantHash)
 }
 
-// Install copies the manifest at src into the store under hash,
-// atomically (temp + rename), and returns the stored path. Installing
-// the same hash twice is fine: determinism guarantees the bytes match,
-// and the rename just replaces like with like.
-func (s *Store) Install(hash, src string) (string, error) {
+// checkSpecHash checks that m's echoed spec (read from path) re-hashes
+// to wantHash.
+func checkSpecHash(m *experiment.Manifest, path, wantHash string) error {
+	got, err := telemetry.SpecHash(m.Spec)
+	if err != nil {
+		return err
+	}
+	if got != wantHash {
+		return fmt.Errorf("%s has spec hash %s, want %s", path, got, wantHash)
+	}
+	return nil
+}
+
+// Install writes m into the store under hash, atomically (temp +
+// rename), and returns the stored path. Installing the same hash twice
+// is fine: determinism guarantees the bytes match, and the rename just
+// replaces like with like.
+func (s *Store) Install(hash string, m *experiment.Manifest) (string, error) {
 	hex, err := hashHex(hash)
 	if err != nil {
 		return "", err
 	}
-	data, err := os.ReadFile(src)
-	if err != nil {
-		return "", fmt.Errorf("sweepd: store install: %w", err)
-	}
 	dst := s.manifestPath(hex)
-	if err := experiment.WriteFileAtomic(dst, data); err != nil {
+	if err := m.WriteAtomic(dst); err != nil {
 		return "", fmt.Errorf("sweepd: store install: %w", err)
 	}
 	return dst, nil
 }
 
-// Resolve finds the unique stored manifest whose hash starts with ref
-// (with or without the "sha256:" prefix), git-style. It returns the
-// full hash and path; an unknown or ambiguous ref errors.
+// Resolve finds the stored manifest a ref names and returns its full
+// hash and path. A full hash (with or without the "sha256:" prefix) is
+// a direct lookup, verified like Get. A shorter ref is a git-style
+// prefix matched against the stored file names only; an unknown or
+// ambiguous prefix errors.
 func (s *Store) Resolve(ref string) (hash, path string, err error) {
 	prefix := strings.TrimPrefix(strings.TrimSpace(ref), "sha256:")
 	if prefix == "" {
 		return "", "", fmt.Errorf("sweepd: empty manifest ref")
 	}
-	entries, err := s.List()
+	if len(prefix) == 64 {
+		hash = "sha256:" + prefix
+		if path, ok := s.Get(hash); ok {
+			return hash, path, nil
+		}
+		return "", "", fmt.Errorf("sweepd: no verified stored manifest for %s", hash)
+	}
+	names, err := s.manifestNames()
 	if err != nil {
 		return "", "", err
 	}
-	var matches []Entry
-	for _, e := range entries {
-		if strings.HasPrefix(strings.TrimPrefix(e.SpecHash, "sha256:"), prefix) {
-			matches = append(matches, e)
+	var matches []storedName
+	for _, n := range names {
+		if strings.HasPrefix(n.hex, prefix) {
+			matches = append(matches, n)
 		}
 	}
 	switch len(matches) {
 	case 0:
 		return "", "", fmt.Errorf("sweepd: no stored manifest matches %q", ref)
 	case 1:
-		return matches[0].SpecHash, matches[0].Path, nil
+		return "sha256:" + matches[0].hex, s.manifestPath(matches[0].hex), nil
 	}
 	return "", "", fmt.Errorf("sweepd: ref %q is ambiguous (%d matches)", ref, len(matches))
 }
@@ -194,9 +203,9 @@ type Entry struct {
 // List scans the store's manifests, sorted by hash, each joined with
 // the latest ledger record carrying its spec hash.
 func (s *Store) List() ([]Entry, error) {
-	names, err := os.ReadDir(filepath.Join(s.dir, "manifests"))
+	names, err := s.manifestNames()
 	if err != nil {
-		return nil, fmt.Errorf("sweepd: store: %w", err)
+		return nil, err
 	}
 	latest := make(map[string]*telemetry.Record)
 	if recs, err := telemetry.ReadLedger(s.LedgerPath()); err == nil {
@@ -205,20 +214,37 @@ func (s *Store) List() ([]Entry, error) {
 		}
 	}
 	var out []Entry
-	for _, de := range names {
-		name := de.Name()
-		hex, ok := strings.CutPrefix(name, "sha256-")
-		hex, ok2 := strings.CutSuffix(hex, ".json")
-		if !ok || !ok2 || len(hex) != 64 {
-			continue
-		}
-		e := Entry{SpecHash: "sha256:" + hex, Path: s.manifestPath(hex)}
-		if info, err := de.Info(); err == nil {
+	for _, n := range names {
+		e := Entry{SpecHash: "sha256:" + n.hex, Path: s.manifestPath(n.hex)}
+		if info, err := n.de.Info(); err == nil {
 			e.Bytes = info.Size()
 		}
 		e.Record = latest[e.SpecHash]
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].SpecHash < out[j].SpecHash })
+	return out, nil
+}
+
+// storedName is one manifest file in the store's manifests directory.
+type storedName struct {
+	hex string
+	de  os.DirEntry
+}
+
+// manifestNames lists the store's manifest files by name alone, sorted
+// by hash (os.ReadDir sorts by file name); other files are skipped.
+func (s *Store) manifestNames() ([]storedName, error) {
+	des, err := os.ReadDir(filepath.Join(s.dir, "manifests"))
+	if err != nil {
+		return nil, fmt.Errorf("sweepd: store: %w", err)
+	}
+	var out []storedName
+	for _, de := range des {
+		hex, ok := strings.CutPrefix(de.Name(), "sha256-")
+		hex, ok2 := strings.CutSuffix(hex, ".json")
+		if ok && ok2 && len(hex) == 64 {
+			out = append(out, storedName{hex, de})
+		}
+	}
 	return out, nil
 }

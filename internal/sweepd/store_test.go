@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"wsncover/internal/experiment"
 	"wsncover/internal/telemetry"
 )
 
@@ -42,10 +43,7 @@ func TestStoreInstallGetResolveList(t *testing.T) {
 		t.Fatal("empty store reported a hit")
 	}
 
-	src := filepath.Join(t.TempDir(), "m.json")
-	if err := os.WriteFile(src, []byte(`{"name":"x","jobs":1,"workers":0,"points":[]}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	src := &experiment.Manifest{Name: "x", Jobs: 1, Points: []experiment.Point{}}
 	pathA, err := store.Install(hashA, src)
 	if err != nil {
 		t.Fatal(err)
@@ -60,12 +58,15 @@ func TestStoreInstallGetResolveList(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Prefix resolution, git-style; ambiguous and unknown refs fail.
+	// Prefix resolution matches file names, git-style; ambiguous and
+	// unknown refs fail. A full hash is a lookup verified like Get, so
+	// these spec-less files do not resolve by full hash
+	// (TestStoreResolveFullHashIsDirect covers verified ones).
 	if h, p, err := store.Resolve("aaaa"); err != nil || h != hashA || p != pathA {
 		t.Errorf("Resolve(aaaa) = %q, %q, %v", h, p, err)
 	}
-	if h, _, err := store.Resolve(hashB); err != nil || h != hashB {
-		t.Errorf("Resolve(full) = %q, %v", h, err)
+	if h, _, err := store.Resolve(hashB); err == nil {
+		t.Errorf("Resolve(full) = %q for a manifest whose spec does not hash to the key", h)
 	}
 	if _, _, err := store.Resolve("a"); err == nil || !strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("Resolve(a) = %v, want ambiguous", err)
@@ -158,6 +159,48 @@ func TestStoreGetRecomputesUnverifiedManifests(t *testing.T) {
 		if _, ok := store.Get(hash); !ok {
 			t.Errorf("%s: the recomputed manifest is not a store hit", name)
 		}
+	}
+}
+
+// TestStoreResolveFullHashIsDirect: a full hash resolves by a verified
+// path lookup, with or without the "sha256:" prefix, and never needs
+// the ledger; a file under the key that fails verification does not
+// resolve.
+func TestStoreResolveFullHashIsDirect(t *testing.T) {
+	store, err := OpenStore(filepath.Join(t.TempDir(), "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := smallSpec().Normalized()
+	hash, err := telemetry.SpecHash(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := experiment.NewManifest("direct", spec, spec.NumJobs(), 0, []experiment.Point{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := store.Install(hash, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A directory where the ledger should be: every ledger read fails.
+	if err := os.Mkdir(store.LedgerPath(), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range []string{hash, strings.TrimPrefix(hash, "sha256:")} {
+		if h, p, err := store.Resolve(ref); err != nil || h != hash || p != path {
+			t.Errorf("Resolve(%s) = %q, %q, %v; want %s at %s", ref, h, p, err, hash, path)
+		}
+	}
+	if h, p, err := store.Resolve(strings.TrimPrefix(hash, "sha256:")[:8]); err != nil || h != hash || p != path {
+		t.Errorf("prefix Resolve = %q, %q, %v", h, p, err)
+	}
+	if err := os.WriteFile(path, []byte("not a manifest\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := store.Resolve(hash); err == nil {
+		t.Error("Resolve served a full-hash file that fails verification")
 	}
 }
 

@@ -469,13 +469,9 @@ func TestDrainAbortsAndResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckPath := filepath.Join(runDir, "checkpoint.json")
-	var ck experiment.Manifest
-	ckData, err := os.ReadFile(ckPath)
+	ckPath := filepath.Join(runDir, "checkpoint.ndjson")
+	ck, err := experiment.ReadCellLog(ckPath)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(ckData, &ck); err != nil {
 		t.Fatal(err)
 	}
 	if ck.Jobs != 8 {
@@ -525,6 +521,95 @@ func TestDrainAbortsAndResumes(t *testing.T) {
 	}
 	if _, err := os.Stat(ckPath); !os.IsNotExist(err) {
 		t.Errorf("checkpoint should be cleared after completion (stat err %v)", err)
+	}
+}
+
+// TestCheckpointLogVetting: an in-process campaign resumes from its
+// run directory's checkpoint log only when the log's header spec
+// re-hashes to the campaign's key, and then only from the complete
+// lines — a torn last cell is rerun. Either way the stored manifest is
+// byte-identical to a cold run.
+func TestCheckpointLogVetting(t *testing.T) {
+	spec, other := smallSpec(), smallSpec()
+	other.BaseSeed++
+	decode := func(data []byte) *experiment.Manifest {
+		t.Helper()
+		var m experiment.Manifest
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		return &m
+	}
+	cold := referenceManifest(t, spec, "vet")
+	for _, tc := range []struct {
+		name    string
+		log     *experiment.Manifest // whose header and cells the log holds
+		tear    bool                 // cut the last line short
+		wantRan int
+	}{
+		{"foreign spec", decode(referenceManifest(t, other, "vet")), false, 4},
+		{"torn last line", decode(cold), true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			ranMax := 0
+			testTrialHook = func(_ *Campaign, ran int) {
+				mu.Lock()
+				defer mu.Unlock()
+				ranMax = max(ranMax, ran)
+			}
+			t.Cleanup(func() { testTrialHook = nil })
+
+			d, store := newTestDaemon(t, Options{})
+			hash, err := telemetry.SpecHash(spec.Normalized())
+			if err != nil {
+				t.Fatal(err)
+			}
+			runDir, err := store.RunDir(hash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck := filepath.Join(runDir, "checkpoint.ndjson")
+			recs := make([]experiment.CellRecord, len(tc.log.Points))
+			for i, p := range tc.log.Points {
+				recs[i] = experiment.CellRecord{Point: p, Trials: 2}
+			}
+			log, err := experiment.CreateCellLog(ck, tc.log, recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log.Close()
+			if tc.tear {
+				data, err := os.ReadFile(ck)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(ck, data[:len(data)-7], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			v, created, err := d.Submit(mustJSON(t, spec), "vet")
+			if err != nil || !created {
+				t.Fatalf("Submit = %+v, %v, %v", v, created, err)
+			}
+			if !d.Wait(context.Background(), v.ID) {
+				t.Fatal("campaign never finished")
+			}
+			done, _ := d.Campaign(v.ID)
+			stored, err := os.ReadFile(done.Manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(stored, cold) {
+				t.Error("stored manifest differs from a cold run")
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if ranMax != tc.wantRan {
+				t.Errorf("campaign ran %d trials, want %d", ranMax, tc.wantRan)
+			}
+		})
 	}
 }
 
@@ -592,8 +677,8 @@ func TestMain(m *testing.M) {
 }
 
 // fakeWorker is the slice of cmd/sweep a dispatch fleet drives: run the
-// shard spec on dispatch.LocalRun, checkpointing into the shard
-// manifest and speaking the JSON progress protocol on stdout.
+// shard spec on dispatch.LocalRun, checkpointing into a cell log beside
+// the shard manifest and speaking the JSON progress protocol on stdout.
 func fakeWorker(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
 	specPath := fs.String("spec", "", "")
@@ -618,7 +703,7 @@ func fakeWorker(args []string) error {
 	spec = spec.Normalized()
 	ck := ""
 	if *checkpoint {
-		ck = filepath.Join(*out, *name+".json")
+		ck = experiment.CellLogPath(*out, *name)
 	}
 	run := dispatch.PlanLocal(spec, *name, nil, ck)
 	os.Stdout.Write(experiment.Progress{Total: run.Executed}.MarshalLine())
