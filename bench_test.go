@@ -720,12 +720,13 @@ func BenchmarkFieldPhases(b *testing.B) {
 
 // BenchmarkTelemetrySteadyState reruns the pooled 64x64 steady state
 // with the full observability pipeline live — hub, a draining SSE-style
-// subscriber, publisher, and the per-trial Tracker hook — pinning that
-// telemetry adds zero allocations to the trial hot path: between
-// throttled publishes a trial costs two map updates and a clock read,
-// so allocs/op must match ReplicateSteadyState/pooled-64x64. The total
-// is oversized so no trial hits the group-boundary or final paths,
-// exactly like a long campaign's interior.
+// subscriber, publisher, and the per-trial LocalProgress hook feeding
+// dispatch.PublishFleet — pinning that telemetry adds zero allocations
+// to the trial hot path: between throttled snapshots a trial costs a
+// map lookup and a clock read, so allocs/op must match
+// ReplicateSteadyState/pooled-64x64. The total is oversized so no timed
+// trial hits the group-boundary or final paths, exactly like a long
+// campaign's interior.
 func BenchmarkTelemetrySteadyState(b *testing.B) {
 	cfg := sim.TrialConfig{
 		Cols: 64, Rows: 64, Scheme: sim.SR,
@@ -741,14 +742,16 @@ func BenchmarkTelemetrySteadyState(b *testing.B) {
 		close(drained)
 	}()
 	pub := telemetry.NewPublisher(hub)
-	tracker := telemetry.NewTracker(pub, 1<<30, []string{group}, map[string]int{group: 1 << 30})
+	prog := dispatch.NewLocalProgress(1<<30, []string{group}, map[string]int{group: 1 << 30},
+		func(s dispatch.FleetSnapshot) { dispatch.PublishFleet(pub, s) })
+	prog.Start()
 	arena := sim.NewTrialArena()
 	for s := int64(0); s < 4; s++ {
 		cfg.Seed = s
 		if _, err := arena.RunTrial(cfg); err != nil {
 			b.Fatal(err)
 		}
-		tracker.TrialDone(group)
+		prog.Trial(group)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -757,7 +760,7 @@ func BenchmarkTelemetrySteadyState(b *testing.B) {
 		if _, err := arena.RunTrial(cfg); err != nil {
 			b.Fatal(err)
 		}
-		tracker.TrialDone(group)
+		prog.Trial(group)
 	}
 	b.StopTimer()
 	hub.Close()

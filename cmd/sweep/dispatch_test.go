@@ -51,7 +51,7 @@ func parseEvents(t *testing.T, raw []byte) []experiment.Progress {
 	t.Helper()
 	var events []experiment.Progress
 	for _, line := range bytes.Split(raw, []byte("\n")) {
-		if ev, ok := experiment.ParseProgressLine(line); ok {
+		if ev, kind := experiment.ClassifyProgressLine(line); kind == experiment.LineEvent {
 			events = append(events, ev)
 		}
 	}
@@ -90,6 +90,70 @@ func TestShardProgressJSONTotals(t *testing.T) {
 		if ev.Total == 8 {
 			t.Errorf("event %+v leaked the full campaign total 8", ev)
 		}
+	}
+}
+
+// TestLocalProgressJSONGroupBoundaries: a local run speaking the JSON
+// protocol opens with 0/total, ends with done == total, and every
+// group's completing trial emits an event carrying that group at its
+// full count — the fleet driver's per-group ledger and heatmap depend
+// on it under throttling. A resumed run with nothing left to execute
+// emits nothing: the protocol has no zero-total event.
+func TestLocalProgressJSONGroupBoundaries(t *testing.T) {
+	buf := captureProgress(t)
+	dir := t.TempDir()
+	// 2 schemes x 2 grids = 4 groups, each 2 spares x 3 replicates = 6 trials.
+	args := []string{
+		"-schemes", "SR,AR", "-grids", "8x8,10x10", "-spares", "8,24",
+		"-replicates", "3", "-seed", "5", "-progress", "json",
+		"-out", dir, "-name", "g", "-metrics", "", "-ledger", "none",
+	}
+	if err := run(args); err != nil {
+		t.Fatal(err)
+	}
+	events := parseEvents(t, buf.Bytes())
+	if len(events) < 2 {
+		t.Fatalf("got %d events:\n%s", len(events), buf.String())
+	}
+	if first := events[0]; first.Done != 0 || first.Total != 24 {
+		t.Errorf("initial event %+v, want 0/24", first)
+	}
+	if last := events[len(events)-1]; last.Done != 24 || last.Total != 24 {
+		t.Errorf("final event %+v, want 24/24", last)
+	}
+	completed := make(map[string]bool)
+	for _, ev := range events {
+		if ev.GroupDone == 6 {
+			completed[ev.Group] = true
+		}
+	}
+	var m experiment.Manifest
+	data, err := os.ReadFile(filepath.Join(dir, "g.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	groups := make(map[string]bool)
+	for _, p := range m.Points {
+		groups[p.Group] = true
+	}
+	if len(groups) != 4 {
+		t.Fatalf("manifest has groups %v, want 4", groups)
+	}
+	for g := range groups {
+		if !completed[g] {
+			t.Errorf("no event carried group %q at its total 6:\n%s", g, buf.String())
+		}
+	}
+
+	buf.Reset()
+	if err := run(append(args, "-resume")); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("a resumed run with nothing to execute emitted %q", buf.String())
 	}
 }
 

@@ -80,22 +80,29 @@
 // fields like -workers never affect the hash — the run is skipped and
 // the cached manifest's path prints on stdout; otherwise the campaign
 // runs and its manifest is installed, so scripts and CI get exactly the
-// dedupe the daemon performs. The spec must be unsharded (results are
-// byte-identical at any worker count, so a cached manifest answers for
-// every execution layout).
+// dedupe the daemon performs. It takes only unsharded in-process runs:
+// their manifests are byte-identical at any worker count, but a shard
+// (-shard) is not the whole campaign, and a merged fleet manifest
+// (-dispatch, -fleet) estimates its medians, so its bytes differ from
+// the in-process manifest the same hash names.
 //
 // -progress selects the progress channel: "meter" is the human line on
 // stderr, "json" emits newline-delimited experiment.Progress events
 // ({"done":..,"total":..,"group":..,"group_done":..}) on stdout — the
 // protocol dispatch supervisors consume; combined with -dispatch it
 // emits the merged fleet's progress instead, so a supervisor of
-// supervisors composes — and "none" is silent. -checkpoint appends one
-// line to <out>/<name>.cells.ndjson every time a campaign cell
-// completes (experiment.CellLog: a single O_APPEND write, no fsync, so
-// it survives a killed process but not a power cut), and a later
-// -resume picks those cells up; a torn last line only means its cell
-// reruns. The log is removed once the manifest lands, and the dispatch
-// driver enables it for every worker.
+// supervisors composes — and "none" is silent. Every mode draws from one
+// stream of dispatch.FleetSnapshot values, throttled once at its source
+// (dispatch.LocalProgress): the first event is done 0 of the total, and
+// every group's first and last trial and the run's last trial always
+// produce one.
+//
+// -checkpoint appends one line to <out>/<name>.cells.ndjson every time
+// a campaign cell completes (experiment.CellLog: a single O_APPEND
+// write, no fsync, so it survives a killed process but not a power
+// cut), and a later -resume picks those cells up; a torn last line only
+// means its cell reruns. The log is removed once the manifest lands,
+// and the dispatch driver enables it for every worker.
 //
 // Observability: -dash addr serves the live telemetry dashboard
 // (internal/telemetry) while the campaign runs — an HTML page at /, the
@@ -146,65 +153,18 @@ func main() {
 // variable only so tests can capture the stream.
 var progressOut io.Writer = os.Stdout
 
-// jsonProgress emits the newline-delimited progress protocol
-// (experiment.Progress events) a dispatch supervisor consumes. The
-// initial and final events always go out — the supervisor needs the
-// totals up front and the completion for certain — and intermediate
-// events are throttled like the human meter so a fast campaign never
-// bottlenecks on pipe writes. Each event carries the current group's
-// completed-trial count (GroupDone), and a group finishing forces an
-// event, so the supervisor's per-group ledger sees every group reach
-// its final count even under throttling.
-type jsonProgress struct {
-	w          io.Writer
-	total      int
-	last       time.Time
-	groupTotal map[string]int
-	groupDone  map[string]int
-}
-
-func newJSONProgress(w io.Writer, total int, groupTotal map[string]int) *jsonProgress {
-	e := &jsonProgress{
-		w: w, total: total,
-		groupTotal: groupTotal,
-		groupDone:  make(map[string]int, len(groupTotal)),
-	}
-	e.w.Write(experiment.Progress{Done: 0, Total: e.total}.MarshalLine())
-	return e
-}
-
-func (e *jsonProgress) emit(done int, group string) {
-	e.groupDone[group]++
-	boundary := e.groupDone[group] == e.groupTotal[group]
-	now := time.Now()
-	if done != e.total && !boundary && now.Sub(e.last) < 200*time.Millisecond {
-		return
-	}
-	e.last = now
-	e.w.Write(experiment.Progress{
-		Done: done, Total: e.total,
-		Group: group, GroupDone: e.groupDone[group],
-	}.MarshalLine())
-}
-
-// fleetJSON re-emits a dispatch fleet's merged progress as the same
-// NDJSON protocol the workers speak — "-dispatch n -progress=json"
+// fleetJSON writes each snapshot's aggregate progress as one line of
+// the NDJSON protocol (experiment.Progress), the stream a dispatch
+// supervisor reads from its workers — so "-dispatch n -progress=json"
 // composes: a supervisor of this process parses the stream exactly as
-// this process parses its workers'. The initial full-total event is
-// written by the caller before the fleet starts; terminal snapshots
-// always go out.
-type fleetJSON struct {
-	w    io.Writer
-	last time.Time
-}
-
-func (e *fleetJSON) update(snap dispatch.FleetSnapshot) {
-	now := time.Now()
-	if !snap.Terminal() && now.Sub(e.last) < 200*time.Millisecond {
-		return
+// this process parses its workers'. A snapshot with nothing to run is
+// skipped, since the protocol requires a positive total.
+func fleetJSON(w io.Writer) func(dispatch.FleetSnapshot) {
+	return func(s dispatch.FleetSnapshot) {
+		if s.Fleet.Total > 0 {
+			w.Write(s.Fleet.MarshalLine())
+		}
 	}
-	e.last = now
-	e.w.Write(snap.Fleet.MarshalLine())
 }
 
 // dashNotify is a test hook: when set, it runs with the dashboard's
@@ -261,10 +221,12 @@ func (d *dashRig) finish(runErr error) {
 	d.server.Close()
 }
 
-// fleetStats rides the dispatch progress callback and captures what the
-// ledger records about a fleet run: worker relaunch counts and each
-// group's active wall span (snapshot-granular — from the first snapshot
-// where the group shows progress to the last where its count advanced).
+// fleetStats rides the progress stream and captures what the ledger
+// records about a run: worker relaunch counts (fleets only) and each
+// group's active wall span, from the first snapshot where the group
+// shows progress to the last where its count advanced. An in-process
+// run snapshots every group's first and last trial, so its spans are
+// exact; a fleet's are snapshot-granular.
 type fleetStats struct {
 	shards    int
 	attempts  []int
@@ -305,6 +267,27 @@ func (f *fleetStats) retries() int {
 	return n
 }
 
+// progressSinks builds the one observer both execution modes hand their
+// snapshots to: the -progress display, the dashboard, and the ledger's
+// stats.
+func progressSinks(mode string, rig *dashRig, stats *fleetStats) func(dispatch.FleetSnapshot) {
+	sinks := []func(dispatch.FleetSnapshot){stats.update}
+	switch mode {
+	case "meter":
+		sinks = append(sinks, dispatch.NewFleetMeter(os.Stderr).Update)
+	case "json":
+		sinks = append(sinks, fleetJSON(progressOut))
+	}
+	if rig != nil {
+		sinks = append(sinks, func(s dispatch.FleetSnapshot) { dispatch.PublishFleet(rig.pub, s) })
+	}
+	return func(s dispatch.FleetSnapshot) {
+		for _, sink := range sinks {
+			sink(s)
+		}
+	}
+}
+
 // resolveLedger turns the -ledger flag into a path: the default is
 // <out>/ledger.ndjson, "none" disables (empty return).
 func resolveLedger(flagVal, outDir string) string {
@@ -317,34 +300,96 @@ func resolveLedger(flagVal, outDir string) string {
 	return flagVal
 }
 
-// installCached writes a finished manifest into the -if-cached store so
-// the next run of the same spec is a hit; a nil store is a no-op.
-func installCached(store *sweepd.Store, hash string, m *experiment.Manifest, logger *slog.Logger) error {
-	if store == nil {
-		return nil
+// output is where a campaign's results go, whichever mode computed
+// them.
+type output struct {
+	w                  io.Writer // informational prints; stderr under -progress json
+	dir, name, metrics string
+	ascii              bool
+	summary            bool   // print the per-point digest
+	ledger             string // run-ledger path; empty disables
+	store              *sweepd.Store
+	hash               string // the spec's hash in store (nil store: unused)
+	logger             *slog.Logger
+}
+
+// finish ends every campaign run. A failed or drained run only records
+// itself in the ledger, with the status saying how it ended, so
+// cmd/runlog surfaces unhealthy history. A completed run saves the
+// manifest, removes the spent cell log, installs the manifest in the
+// -if-cached store, writes the metric tables, prints the summary, and
+// then records itself. ran counts the trials this process (or fleet)
+// executed: the rate is never credited with resumed cells.
+func (o *output) finish(mode string, spec sim.CampaignSpec, m *experiment.Manifest, ran int, wall time.Duration, stats *fleetStats, runErr error) error {
+	rec := telemetry.Record{
+		Name:       o.name,
+		Mode:       mode,
+		Status:     telemetry.StatusCompleted,
+		Jobs:       ran,
+		Workers:    spec.Workers,
+		Shards:     stats.shards,
+		Retries:    stats.retries(),
+		ShardFirst: spec.ShardFirst,
+		ShardCount: spec.ShardCount,
+		WallS:      wall.Seconds(),
 	}
-	stored, err := store.Install(hash, m)
+	if wall > 0 {
+		rec.TrialsPerS = float64(ran) / wall.Seconds()
+	}
+	if runErr != nil {
+		rec.Status = runStatus(runErr)
+		o.record(rec, spec)
+		return runErr
+	}
+	path, err := m.Save(o.dir)
 	if err != nil {
-		return fmt.Errorf("installing manifest in store: %w", err)
+		return err
 	}
-	logger.Info("manifest installed in store", "hash", hash, "path", stored)
+	fmt.Fprintf(o.w, "wrote %s (%d jobs, %d points)\n", path, m.Jobs, len(m.Points))
+	// The manifest now holds every cell the log did; a leftover log
+	// would only be unioned back in by a later -resume.
+	logPath := experiment.CellLogPath(o.dir, o.name)
+	if err := os.Remove(logPath); err != nil && !errors.Is(err, os.ErrNotExist) {
+		o.logger.Warn("removing spent cell log", "path", logPath, "err", err)
+	}
+	if o.store != nil {
+		stored, err := o.store.Install(o.hash, m)
+		if err != nil {
+			return fmt.Errorf("installing manifest in store: %w", err)
+		}
+		o.logger.Info("manifest installed in store", "hash", o.hash, "path", stored)
+	}
+	if err := writeTables(o.w, m.Points, o.metrics, o.dir, o.name, spec.Replicates, o.ascii); err != nil {
+		return err
+	}
+	if o.summary {
+		printSummary(o.w, m.Points)
+	}
+	rec.Manifest, rec.Jobs, rec.Points = path, m.Jobs, len(m.Points)
+	rec.GroupSeconds = stats.groupSpan.Seconds()
+	o.record(rec, spec)
 	return nil
 }
 
-// appendLedger hashes the spec, appends the record, and logs it; a
-// ledger failure is reported but never fails a completed campaign.
-func appendLedger(path string, rec telemetry.Record, spec sim.CampaignSpec, logger *slog.Logger) {
+// record stamps the spec hash and CPU time (reaped workers' included)
+// on rec and appends it to the ledger, if one is enabled; a ledger
+// failure is logged but never fails a campaign.
+func (o *output) record(rec telemetry.Record, spec sim.CampaignSpec) {
+	if o.ledger == "" {
+		return
+	}
 	hash, err := telemetry.SpecHash(spec)
 	if err != nil {
-		logger.Error("ledger: hashing spec", "err", err)
+		o.logger.Error("ledger: hashing spec", "err", err)
 		return
 	}
 	rec.SpecHash = hash
-	if err := telemetry.AppendRecord(path, rec); err != nil {
-		logger.Error("ledger append failed", "path", path, "err", err)
+	rec.CPUS = telemetry.CPUSeconds()
+	if err := telemetry.AppendRecord(o.ledger, rec); err != nil {
+		o.logger.Error("ledger append failed", "path", o.ledger, "err", err)
 		return
 	}
-	logger.Debug("ledger appended", "path", path, "mode", rec.Mode, "spec_hash", hash)
+	o.logger.Debug("ledger appended", "path", o.ledger, "mode", rec.Mode, "spec_hash", hash)
 }
 
 // writeTables exports one CSV/gnuplot table per requested metric,
@@ -606,93 +651,6 @@ func loadSpec(path string) (sim.CampaignSpec, error) {
 	return spec, nil
 }
 
-// runDispatch is the -dispatch / -fleet mode: supervise a fleet of
-// worker slots over the shard work queue, then persist the auto-merged
-// campaign manifest and its tables exactly like an unsharded run would.
-// The fleet's progress stream tees to every observer the flags turned
-// on — terminal meter, NDJSON re-emitter, dashboard publisher — plus
-// the ledger's stats capture; all ride the same serialized callback.
-// A fleet that fails or is aborted still gets its ledger record, with
-// Status saying how it ended, so the run history shows unhealthy runs.
-func runDispatch(ctx context.Context, w io.Writer, spec sim.CampaignSpec, opts dispatch.Options, metricsS string, ascii bool, progressMode string, logger *slog.Logger, rig *dashRig, ledPath string) (*experiment.Manifest, error) {
-	outDir, name := opts.OutDir, opts.Name
-	var sinks []func(dispatch.FleetSnapshot)
-	if progressMode == "meter" {
-		fm := dispatch.NewFleetMeter(os.Stderr)
-		sinks = append(sinks, fm.Update)
-	}
-	if progressMode == "json" {
-		// The initial event goes out before the fleet starts, carrying the
-		// full campaign total — the same contract our own workers honor.
-		total := 0
-		spec.Normalized().ExecutedJobs(nil, func(sim.TrialJob) { total++ })
-		progressOut.Write(experiment.Progress{Done: 0, Total: total}.MarshalLine())
-		fj := &fleetJSON{w: progressOut}
-		sinks = append(sinks, fj.update)
-	}
-	stats := newFleetStats()
-	sinks = append(sinks, stats.update)
-	if rig != nil {
-		sinks = append(sinks, func(s dispatch.FleetSnapshot) { dispatch.PublishFleet(rig.pub, s) })
-	}
-	opts.OnProgress = func(s dispatch.FleetSnapshot) {
-		for _, sink := range sinks {
-			sink(s)
-		}
-	}
-	start := time.Now()
-	manifest, mergedSpec, err := dispatch.Run(ctx, spec, opts)
-	wall := time.Since(start)
-	if err != nil {
-		if ledPath != "" {
-			rec := telemetry.Record{
-				Name:    name,
-				Mode:    "dispatch",
-				Status:  runStatus(err),
-				Retries: stats.retries(),
-				WallS:   wall.Seconds(),
-				CPUS:    telemetry.CPUSeconds(),
-			}
-			appendLedger(ledPath, rec, spec, logger)
-		}
-		return nil, err
-	}
-	path, err := manifest.Save(outDir)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(w, "dispatched fleet; merged into %s (%d jobs, %d points)\n",
-		path, manifest.Jobs, len(manifest.Points))
-	if err := writeTables(w, manifest.Points, metricsS, outDir, name, mergedSpec.Replicates, ascii); err != nil {
-		return nil, err
-	}
-	if progressMode != "json" {
-		printSummary(w, manifest.Points)
-	}
-	if ledPath != "" {
-		rec := telemetry.Record{
-			Name:     name,
-			Mode:     "dispatch",
-			Status:   telemetry.StatusCompleted,
-			Manifest: path,
-			Jobs:     manifest.Jobs,
-			Points:   len(manifest.Points),
-			Workers:  mergedSpec.Workers,
-			Shards:   stats.shards,
-			Retries:  stats.retries(),
-			WallS:    wall.Seconds(),
-			// Workers are reaped children, so their CPU time is in here.
-			CPUS:         telemetry.CPUSeconds(),
-			GroupSeconds: stats.groupSpan.Seconds(),
-		}
-		if wall > 0 {
-			rec.TrialsPerS = float64(manifest.Jobs) / wall.Seconds()
-		}
-		appendLedger(ledPath, rec, mergedSpec, logger)
-	}
-	return manifest, nil
-}
-
 // runStatus classifies how a run ended for the ledger: a context
 // cancellation (SIGINT/SIGTERM drain, a second Ctrl-C racing the first)
 // is an abort; anything else is a failure.
@@ -916,12 +874,22 @@ func run(args []string) (err error) {
 	// -if-cached is the CLI flavor of sweepd's dedupe: a store hit by
 	// spec hash short-circuits the whole run (the path prints on stdout
 	// for scripts to capture), and a miss runs normally then installs
-	// the finished manifest so the next caller hits. Execution-only
-	// fields (workers, shard layout) don't participate in the hash, so
-	// any completed run of the same science is a hit.
-	var cacheStore *sweepd.Store
-	var cacheHash string
+	// the finished manifest so the next caller hits. The worker count
+	// doesn't participate in the hash, so any completed run of the same
+	// science is a hit.
+	dispatched := *dispatchN > 0 || *fleetS != ""
+	out := &output{
+		w: infoW, dir: *outDir, name: *name, metrics: *metricsS, ascii: *ascii,
+		// A worker speaking the JSON protocol skips the per-point digest:
+		// its supervisor prints the merged campaign's once.
+		summary: progressMode != "json",
+		ledger:  resolveLedger(*ledgerS, *outDir),
+		logger:  logger,
+	}
 	if *ifCachedS != "" {
+		if dispatched {
+			return fmt.Errorf("-if-cached stores in-process manifests only; a merged fleet manifest's bytes differ (estimated medians), drop -dispatch/-fleet")
+		}
 		if err := spec.ValidateUnsharded(); err != nil {
 			return fmt.Errorf("-if-cached: %w", err)
 		}
@@ -938,10 +906,9 @@ func run(args []string) (err error) {
 			fmt.Fprintln(os.Stdout, path)
 			return nil
 		}
-		cacheStore, cacheHash = store, hash
+		out.store, out.hash = store, hash
 	}
 
-	ledPath := resolveLedger(*ledgerS, *outDir)
 	if *dashS != "" {
 		rig, derr := startDash(*dashS, *pprofF, *dashLinger, logger)
 		if derr != nil {
@@ -952,58 +919,26 @@ func run(args []string) (err error) {
 		defer func() { rig.finish(err) }()
 		dash = rig
 	}
+	stats := newFleetStats()
+	onProgress := progressSinks(progressMode, dash, stats)
 
-	if *dispatchN > 0 || *fleetS != "" {
-		if spec.ShardCount > 0 {
-			return fmt.Errorf("-dispatch splits the campaign itself; drop -shard (or the spec's shard range)")
-		}
-		if *checkpoint {
-			return fmt.Errorf("-checkpoint belongs to workers; the dispatch driver enables it for every shard")
-		}
-		dopts := dispatch.Options{
-			Slots:        *dispatchN,
-			OutDir:       *outDir,
-			Name:         *name,
-			Resume:       *resume,
-			Retries:      *retriesN,
-			LeaseTimeout: *leaseS,
-			Logger:       logger,
-		}
-		switch {
-		case *fleetS != "" && *execS != "":
-			return fmt.Errorf("-fleet gives every slot its own command prefix; drop -exec")
-		case *fleetS != "":
-			slots, err := dispatch.LoadFleetInventory(*fleetS)
-			if err != nil {
-				return err
-			}
-			exe, err := os.Executable()
-			if err != nil {
-				return err
-			}
-			// Inventory lines are command prefixes; the worker binary rides
-			// at the end of each (remote slots reach it via the shared
-			// filesystem the -out directory already requires).
-			for i, s := range slots {
-				if s != nil {
-					slots[i] = append(s, exe)
-				}
-			}
-			dopts.Fleet = slots
-		case *execS != "":
-			exe, err := os.Executable()
-			if err != nil {
-				return err
-			}
-			dopts.Worker = append(strings.Fields(*execS), exe)
-		}
-		ctx, stop := signalContext(logger)
-		defer stop()
-		merged, err := runDispatch(ctx, infoW, spec, dopts, *metricsS, *ascii, progressMode, logger, dash, ledPath)
+	if dispatched {
+		dopts, err := dispatchOptions(spec, *dispatchN, *fleetS, *execS, *checkpoint)
 		if err != nil {
 			return err
 		}
-		return installCached(cacheStore, cacheHash, merged, logger)
+		dopts.OutDir, dopts.Name, dopts.Resume = *outDir, *name, *resume
+		dopts.Retries, dopts.LeaseTimeout = *retriesN, *leaseS
+		dopts.Logger, dopts.OnProgress = logger, onProgress
+		ctx, stop := signalContext(logger)
+		defer stop()
+		start := time.Now()
+		manifest, _, err := dispatch.Run(ctx, spec, dopts)
+		ran := 0
+		if err == nil {
+			ran = manifest.Jobs
+		}
+		return out.finish("dispatch", spec, manifest, ran, time.Since(start), stats, err)
 	}
 	if *execS != "" {
 		return fmt.Errorf("-exec only applies to -dispatch")
@@ -1026,34 +961,14 @@ func run(args []string) (err error) {
 	if *checkpoint {
 		ckPath = logPath
 	}
+	// Progress counts only the trials that will actually run (after the
+	// shard and resume filters): under -shard the total is the shard's
+	// own trial count, never the full campaign's.
 	local := dispatch.PlanLocal(spec, *name, prior, ckPath)
+	local.OnProgress = onProgress
 	if local.Orphans > 0 {
 		logger.Info("resume: dropping cells outside the current spec",
 			"manifest", manifestPath, "orphans", local.Orphans)
-	}
-
-	// Progress displays count only the trials that will actually run
-	// (after the shard and resume filters): under -shard the total is
-	// the shard's own trial count, never the full campaign's.
-	executed := local.Executed
-	var meter *dispatch.Meter
-	if progressMode == "meter" {
-		meter = dispatch.NewMeter(os.Stderr, executed, local.GroupTotal)
-	}
-	var emitter *jsonProgress
-	if progressMode == "json" && executed > 0 {
-		emitter = newJSONProgress(progressOut, executed, local.GroupTotal)
-	}
-	// The dashboard tracker and the ledger's group timer ride the same
-	// ordered sink as the meter; with a dashboard the tracker does both
-	// jobs, without one a bare timer still feeds the ledger.
-	var tracker *telemetry.Tracker
-	var gtimer *telemetry.GroupTimer
-	switch {
-	case dash != nil:
-		tracker = telemetry.NewTracker(dash.pub, executed, local.GroupOrder, local.GroupTotal)
-	case ledPath != "":
-		gtimer = telemetry.NewGroupTimer()
 	}
 	// Test-only crash hook: WSNSWEEP_EXIT_AFTER=k kills the process
 	// after k completed trials (a cell they complete is logged first),
@@ -1067,19 +982,7 @@ func run(args []string) (err error) {
 	ctx, stop := signalContext(logger)
 	defer stop()
 	start := time.Now()
-	manifest, ran, err := local.Run(ctx, func(j sim.TrialJob, ran int) error {
-		group := j.Group()
-		if meter != nil {
-			meter.JobDone(group)
-		}
-		if emitter != nil {
-			emitter.emit(ran, group)
-		}
-		if tracker != nil {
-			tracker.TrialDone(group)
-		} else if gtimer != nil {
-			gtimer.Observe(group)
-		}
+	manifest, ran, err := local.Run(ctx, func(_ sim.TrialJob, ran int) error {
 		if exitAfter > 0 && ran == exitAfter {
 			os.Exit(7)
 		}
@@ -1089,93 +992,54 @@ func run(args []string) (err error) {
 		return nil
 	})
 	wall := time.Since(start)
-	if tracker != nil {
-		tracker.Final()
+	if err == nil && local.Resumed > 0 {
+		logger.Info("resume: skipped completed cells",
+			"manifest", manifestPath, "cells", local.Resumed, "new_trials", ran)
 	}
 	mode := "run"
 	if spec.ShardCount > 0 {
 		mode = "shard"
 	}
+	return out.finish(mode, spec, manifest, ran, wall, stats, err)
+}
+
+// dispatchOptions checks the -dispatch / -fleet flags and resolves the
+// fleet's worker templates: n local slots, n slots behind an -exec
+// prefix, or one slot per -fleet inventory line.
+func dispatchOptions(spec sim.CampaignSpec, n int, fleetPath, execS string, checkpoint bool) (dispatch.Options, error) {
+	opts := dispatch.Options{Slots: n}
+	if spec.ShardCount > 0 {
+		return opts, fmt.Errorf("-dispatch splits the campaign itself; drop -shard (or the spec's shard range)")
+	}
+	if checkpoint {
+		return opts, fmt.Errorf("-checkpoint belongs to workers; the dispatch driver enables it for every shard")
+	}
+	if fleetPath != "" && execS != "" {
+		return opts, fmt.Errorf("-fleet gives every slot its own command prefix; drop -exec")
+	}
+	if fleetPath == "" && execS == "" {
+		return opts, nil
+	}
+	exe, err := os.Executable()
 	if err != nil {
-		// A failed or drained run still records itself: the cell log on
-		// disk is only half the story, the ledger says how the run ended
-		// so cmd/runlog surfaces unhealthy history.
-		if ledPath != "" {
-			rec := telemetry.Record{
-				Name:       *name,
-				Mode:       mode,
-				Status:     runStatus(err),
-				Jobs:       ran,
-				Workers:    spec.Workers,
-				ShardFirst: spec.ShardFirst,
-				ShardCount: spec.ShardCount,
-				WallS:      wall.Seconds(),
-				CPUS:       telemetry.CPUSeconds(),
-			}
-			if wall > 0 {
-				rec.TrialsPerS = float64(ran) / wall.Seconds()
-			}
-			appendLedger(ledPath, rec, spec, logger)
-		}
-		return err
+		return opts, err
 	}
-	if local.Resumed > 0 {
-		logger.Info("resume: skipped completed cells",
-			"manifest", manifestPath, "cells", local.Resumed, "new_trials", ran)
+	if execS != "" {
+		opts.Worker = append(strings.Fields(execS), exe)
+		return opts, nil
 	}
-	points := manifest.Points
-	path, err := manifest.Save(*outDir)
+	slots, err := dispatch.LoadFleetInventory(fleetPath)
 	if err != nil {
-		return err
+		return opts, err
 	}
-	fmt.Fprintf(infoW, "wrote %s (%d jobs, %d points)\n", path, manifest.Jobs, len(points))
-	// The manifest now holds every cell the log did; a leftover log
-	// would only be unioned back in by a later -resume.
-	if err := os.Remove(logPath); err != nil && !errors.Is(err, os.ErrNotExist) {
-		logger.Warn("removing spent cell log", "path", logPath, "err", err)
-	}
-	if err := installCached(cacheStore, cacheHash, manifest, logger); err != nil {
-		return err
-	}
-
-	if err := writeTables(infoW, points, *metricsS, *outDir, *name, spec.Replicates, *ascii); err != nil {
-		return err
-	}
-
-	// A worker speaking the JSON protocol skips the per-point digest:
-	// its supervisor prints the merged campaign's once.
-	if progressMode != "json" {
-		printSummary(infoW, points)
-	}
-
-	if ledPath != "" {
-		var groupS map[string]float64
-		switch {
-		case tracker != nil:
-			groupS = tracker.GroupSeconds()
-		case gtimer != nil:
-			groupS = gtimer.Seconds()
+	// Inventory lines are command prefixes; the worker binary rides at
+	// the end of each (remote slots reach it via the shared filesystem
+	// the -out directory already requires).
+	for i, s := range slots {
+		if s != nil {
+			slots[i] = append(s, exe)
 		}
-		rec := telemetry.Record{
-			Name:         *name,
-			Mode:         mode,
-			Status:       telemetry.StatusCompleted,
-			Manifest:     path,
-			Jobs:         manifest.Jobs,
-			Points:       len(points),
-			Workers:      spec.Workers,
-			ShardFirst:   spec.ShardFirst,
-			ShardCount:   spec.ShardCount,
-			WallS:        wall.Seconds(),
-			CPUS:         telemetry.CPUSeconds(),
-			GroupSeconds: groupS,
-		}
-		// Rate over trials actually executed: a resumed run is not
-		// credited with the cells it skipped.
-		if wall > 0 {
-			rec.TrialsPerS = float64(ran) / wall.Seconds()
-		}
-		appendLedger(ledPath, rec, spec, logger)
 	}
-	return nil
+	opts.Fleet = slots
+	return opts, nil
 }

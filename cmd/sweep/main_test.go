@@ -822,8 +822,9 @@ func TestBareDashArgumentErrors(t *testing.T) {
 // TestRunIfCached pins the CLI cache path: a first run installs its
 // manifest in the store, a second run of the same science — different
 // out dir, different worker count — is answered from the store without
-// writing a manifest, and shard-pinned specs are refused (a shard is
-// not the whole campaign).
+// writing a manifest, and shard-pinned specs and fleets are refused (a
+// shard is not the whole campaign, and a merged fleet manifest's bytes
+// differ from the in-process one the store keys by spec hash).
 func TestRunIfCached(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "store")
 	out1 := t.TempDir()
@@ -859,9 +860,11 @@ func TestRunIfCached(t *testing.T) {
 		t.Error("stored manifest differs from the direct run's")
 	}
 
-	if err := run(append([]string{"-out", t.TempDir(), "-shard", "1/2"}, campaign...)); err == nil ||
-		!strings.Contains(err.Error(), "-if-cached") {
-		t.Errorf("sharded -if-cached = %v, want rejection", err)
+	for _, layout := range [][]string{{"-shard", "1/2"}, {"-dispatch", "2"}, {"-fleet", "fleet.txt"}} {
+		err := run(append(append([]string{"-out", t.TempDir()}, layout...), campaign...))
+		if err == nil || !strings.Contains(err.Error(), "-if-cached") {
+			t.Errorf("-if-cached with %v = %v, want rejection", layout, err)
+		}
 	}
 }
 

@@ -7,8 +7,7 @@
 //
 // Usage:
 //
-//	sweepd [-addr :8080] [-store dir] [-concurrency n] [-queue n]
-//	       [-fleet-slots n -worker-bin path] [-pprof]
+//	sweepd [-addr :8080] [-store dir] [-concurrency n] [-queue n] [-pprof]
 //
 // Every flag has an environment-variable default (flag beats env):
 //
@@ -16,9 +15,12 @@
 //	SWEEPD_STORE        store directory          (store)
 //	SWEEPD_CONCURRENCY  concurrent campaigns     (1)
 //	SWEEPD_QUEUE        queued-campaign bound    (32)
-//	SWEEPD_FLEET_SLOTS  dispatch-fleet slots     (0 = run in-process)
-//	SWEEPD_WORKER_BIN   sweep binary for fleets
 //	SWEEPD_ADDR_FILE    write the bound address here (":0" discovery)
+//
+// Campaigns run in-process on the engine's worker pool, which already
+// uses every core. There is no fleet mode: a shard-merged manifest is
+// not byte-identical to the in-process one (its medians are
+// estimates), and the store serves one manifest per spec hash.
 //
 // The API is documented on sweepd.Daemon.Handler; see the README's
 // "Running as a service" section for the curl cookbook. Logs are
@@ -78,8 +80,6 @@ func run(args []string) error {
 		storeDir    = fs.String("store", envString("SWEEPD_STORE", "store"), "content-addressed manifest store directory")
 		concurrency = fs.Int("concurrency", envInt("SWEEPD_CONCURRENCY", 1), "campaigns executing at once")
 		queueDepth  = fs.Int("queue", envInt("SWEEPD_QUEUE", 32), "accepted-but-not-started campaign bound")
-		fleetSlots  = fs.Int("fleet-slots", envInt("SWEEPD_FLEET_SLOTS", 0), "run each campaign as a dispatch fleet of this many worker subprocesses (0/1 = in-process)")
-		workerBin   = fs.String("worker-bin", envString("SWEEPD_WORKER_BIN", ""), "sweep binary fleets launch (required with -fleet-slots > 1)")
 		pprofF      = fs.Bool("pprof", false, "expose net/http/pprof on the API server")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -95,8 +95,6 @@ func run(args []string) error {
 		Store:       store,
 		Concurrency: *concurrency,
 		QueueDepth:  *queueDepth,
-		FleetSlots:  *fleetSlots,
-		WorkerBin:   *workerBin,
 		Pprof:       *pprofF,
 		Logger:      logger,
 	})
@@ -110,7 +108,7 @@ func run(args []string) error {
 	}
 	bound := ln.Addr().String()
 	logger.Info("sweepd serving", "addr", bound, "store", store.Dir(),
-		"concurrency", *concurrency, "fleet_slots", *fleetSlots, "pprof", *pprofF)
+		"concurrency", *concurrency, "pprof", *pprofF)
 	// ":0" discovery for scripts and CI: write the bound address where
 	// SWEEPD_ADDR_FILE points, mirroring WSNSWEEP_DASH_ADDR_FILE.
 	if path := os.Getenv("SWEEPD_ADDR_FILE"); path != "" {

@@ -31,7 +31,8 @@
 //
 // Inside each worker — and inside every other run that computes trials
 // in-process, sweepd's included — the campaign runs on LocalRun, the
-// one owner of checkpoint, resume, and point merging.
+// one owner of checkpoint, resume, point merging, and the progress
+// stream (LocalProgress folds it into the fleet's FleetSnapshot shape).
 package dispatch
 
 import (
@@ -131,7 +132,9 @@ type GroupProgress struct {
 }
 
 // FleetSnapshot is one serialized observation of the whole fleet,
-// delivered to Options.OnProgress after every state change.
+// delivered to Options.OnProgress after every state change, or of one
+// in-process run, delivered to LocalRun.OnProgress (no Shards, Slots
+// zero).
 type FleetSnapshot struct {
 	// Fleet is the merged progress of every shard (experiment.MergeProgress).
 	Fleet experiment.Progress
@@ -147,11 +150,16 @@ type FleetSnapshot struct {
 	// failure budget and withdrew from the queue.
 	Slots   int
 	Retired int
+	// final marks an in-process run's last snapshot.
+	final bool
 }
 
-// Terminal reports whether every shard has finished, successfully or
-// not.
+// Terminal reports whether the run has ended: every shard finished,
+// successfully or not, or an in-process run sent its last snapshot.
 func (s FleetSnapshot) Terminal() bool {
+	if s.final {
+		return true
+	}
 	for _, sh := range s.Shards {
 		if sh.State != ShardDone && sh.State != ShardFailed {
 			return false
@@ -221,8 +229,11 @@ type Options struct {
 	// Stderr receives the workers' stderr, each line prefixed with its
 	// shard ("shard 2: ..."); nil means the driver's stderr.
 	Stderr io.Writer
-	// OnProgress, when non-nil, observes every fleet state change.
-	// Calls are serialized; keep it fast (a meter redraw).
+	// OnProgress, when non-nil, observes the opening state and every
+	// fleet state change. Calls are serialized; keep it fast (a meter
+	// redraw). Worker progress arrives throttled at its source (each
+	// worker's LocalProgress), so observers need no throttle of their
+	// own.
 	OnProgress func(FleetSnapshot)
 	// Logger receives structured lifecycle events: launches and clean
 	// exits at debug; retries, lease expiries, steals, malformed
@@ -382,6 +393,10 @@ func Run(ctx context.Context, spec sim.CampaignSpec, opts Options) (*experiment.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	f.cancel = cancel
+
+	// The opening snapshot: every shard pending, nothing done out of the
+	// full campaign total.
+	f.emit()
 
 	// The lease watchdog: ticks well inside the lease timeout so a hung
 	// worker is detected within lease + tick, killed, and its shard

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"time"
 
 	"wsncover/internal/experiment"
 	"wsncover/internal/sim"
@@ -36,6 +37,10 @@ type LocalRun struct {
 	// number of prior cells outside the spec's job space, which are
 	// dropped so the manifest stays consistent with its recorded spec.
 	Resumed, Orphans int
+	// OnProgress, when non-nil, observes the run the way
+	// Options.OnProgress observes a fleet: snapshots without shards,
+	// folded from the ordered trial stream by a LocalProgress.
+	OnProgress func(FleetSnapshot)
 
 	spec       sim.CampaignSpec
 	name       string
@@ -110,11 +115,12 @@ func PlanLocal(spec sim.CampaignSpec, name string, prior *experiment.Manifest, c
 // (not yet saved) and the number of trials executed. onTrial, when
 // non-nil, observes every completed trial in job order with the count
 // executed so far, after that trial's cell (if it completed one) has
-// been logged; an error from it stops the run. The manifest's Jobs is
-// the campaign's NumJobs, or under a shard range the trials this run
-// executed plus those the prior manifest carried. On error — ctx
-// cancelled included — the checkpoint log holds every cell completed so
-// far.
+// been logged and OnProgress has seen it; an error from it stops the
+// run. The manifest's Jobs is the campaign's NumJobs, or under a shard
+// range the trials this run executed plus those the prior manifest
+// carried. On error — ctx cancelled included — the checkpoint log holds
+// every cell completed so far, and OnProgress still gets a terminal
+// snapshot.
 func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) error) (*experiment.Manifest, int, error) {
 	var keep func(sim.TrialJob) bool
 	if len(r.done) > 0 {
@@ -131,6 +137,12 @@ func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) erro
 		}
 		defer log.Close() // for the error paths; success checks Close below
 	}
+	var prog *LocalProgress
+	if r.OnProgress != nil {
+		prog = NewLocalProgress(r.Executed, r.GroupOrder, r.GroupTotal, r.OnProgress)
+		prog.Start()
+		defer prog.End()
+	}
 	cellDone := make(map[cell]int)
 	ran := 0
 	err := sim.RunCampaignSubset(ctx, r.spec, experiment.Options{Workers: r.spec.Workers}, keep,
@@ -145,6 +157,9 @@ func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) erro
 						return err
 					}
 				}
+			}
+			if prog != nil {
+				prog.Trial(s.Group)
 			}
 			if onTrial != nil {
 				return onTrial(j, ran)
@@ -198,4 +213,98 @@ func mergePoints(prior, fresh []experiment.Point) []experiment.Point {
 	merged := append(append(make([]experiment.Point, 0, len(prior)+len(fresh)), prior...), fresh...)
 	experiment.SortPoints(merged)
 	return merged
+}
+
+// progressThrottle is the minimum interval between the snapshots a
+// LocalProgress sends outside group boundaries: fast enough for a live
+// line, slow enough that no observer ever slows the worker pool.
+const progressThrottle = 200 * time.Millisecond
+
+// LocalProgress folds one process's ordered trial stream into
+// FleetSnapshots with no shards: Fleet carries done/total plus the
+// current group and its GroupDone, and Groups follows the run's group
+// order. It is the only progress throttle of a run: a snapshot goes out
+// at the start, at every group's first and last trial, at the end, and
+// otherwise at most every progressThrottle, so every observer — meter,
+// JSON protocol, dashboard, ledger — sees each group reach its total.
+// Between snapshots a trial costs a map lookup and a clock read and
+// allocates nothing. Calls must be serialized (the engine's ordered
+// sink).
+type LocalProgress struct {
+	on    func(FleetSnapshot)
+	now   func() time.Time
+	last  time.Time
+	done  int
+	total int
+	order []string
+	index map[string]int
+	// groupDone and groupTotal are indexed like order; cur is the
+	// group of the latest trial (-1 before the first).
+	groupDone, groupTotal []int
+	cur                   int
+	ended                 bool
+}
+
+// NewLocalProgress sizes a fold for total trials over the groups in
+// order, with groupTotal trials each, delivering snapshots to on.
+func NewLocalProgress(total int, order []string, groupTotal map[string]int, on func(FleetSnapshot)) *LocalProgress {
+	p := &LocalProgress{
+		on: on, now: time.Now, total: total, order: order, cur: -1,
+		index:      make(map[string]int, len(order)),
+		groupDone:  make([]int, len(order)),
+		groupTotal: make([]int, len(order)),
+	}
+	for i, g := range order {
+		p.index[g] = i
+		p.groupTotal[i] = groupTotal[g]
+	}
+	return p
+}
+
+// Start sends the opening snapshot, nothing done out of the total; a
+// run with nothing to execute opens with its terminal snapshot instead.
+func (p *LocalProgress) Start() {
+	if p.total > 0 {
+		p.emit(p.now(), false)
+	}
+}
+
+// Trial records one finished trial of group and sends a snapshot when
+// one is due. The run's last trial sends the terminal snapshot.
+func (p *LocalProgress) Trial(group string) {
+	p.done++
+	i := p.index[group]
+	p.cur = i
+	p.groupDone[i]++
+	now := p.now()
+	if d := p.groupDone[i]; d == 1 || d == p.groupTotal[i] || p.done == p.total ||
+		now.Sub(p.last) >= progressThrottle {
+		p.emit(now, p.done == p.total)
+	}
+}
+
+// End sends the terminal snapshot unless the last trial already did: a
+// run that failed, was cancelled, or had nothing to execute still ends
+// its observers' streams.
+func (p *LocalProgress) End() {
+	if !p.ended {
+		p.emit(p.now(), true)
+	}
+}
+
+func (p *LocalProgress) emit(now time.Time, final bool) {
+	p.last = now
+	p.ended = final
+	s := FleetSnapshot{
+		Fleet:  experiment.Progress{Done: p.done, Total: p.total},
+		Groups: make([]GroupProgress, len(p.order)),
+		final:  final,
+	}
+	if p.cur >= 0 {
+		s.Fleet.Group, s.Fleet.GroupDone = p.order[p.cur], p.groupDone[p.cur]
+	}
+	for i, g := range p.order {
+		s.Groups[i] = GroupProgress{Group: g, Done: p.groupDone[i], Total: p.groupTotal[i]}
+	}
+	p.on(s)
 }

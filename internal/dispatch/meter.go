@@ -10,111 +10,6 @@ import (
 	"wsncover/internal/telemetry"
 )
 
-// meterThrottle is the minimum interval between non-final redraws; it
-// keeps a meter from ever slowing the worker pool or a fleet's event
-// stream.
-const meterThrottle = 200 * time.Millisecond
-
-// Meter renders completed/total with the trial rate and an ETA on one
-// self-overwriting line; on wide campaigns (more than one curve) it adds
-// a per-group breakdown — completed groups out of total plus the cell
-// currently being filled — so a day-long multi-dimensional run shows
-// where it is, not just how much is left. It is the progress display of
-// a single campaign process (cmd/sweep without -dispatch); fleets of
-// shard workers aggregate into a FleetMeter instead.
-//
-// JobDone is called from the engine's serialized sink, so no locking is
-// needed. The total must be the count of trials the run will actually
-// execute — after shard and resume filtering — never the full campaign's
-// replicate range; cmd/sweep sizes it with CampaignSpec.ExecutedJobs and
-// the regression tests pin that a sharded meter renders the shard's own
-// totals.
-type Meter struct {
-	w     io.Writer
-	now   func() time.Time
-	start time.Time
-	last  time.Time
-
-	done  int
-	total int
-
-	// Per-group accounting, enabled when the campaign has > 1 group.
-	groupTotal map[string]int
-	groupDone  map[string]int
-	groupsDone int
-	cur        string
-}
-
-// NewMeter sizes the meter for total trials; groupTotal (the per-group
-// trial counts of the jobs that will actually run) enables the breakdown
-// and may be nil for single-group campaigns.
-func NewMeter(w io.Writer, total int, groupTotal map[string]int) *Meter {
-	m := &Meter{w: w, now: time.Now, total: total}
-	m.start = m.now()
-	m.last = m.start
-	if len(groupTotal) > 1 {
-		m.groupTotal = groupTotal
-		m.groupDone = make(map[string]int, len(groupTotal))
-	}
-	return m
-}
-
-// SetClock replaces the meter's time source (tests); call it before the
-// first JobDone. It resets the start and throttle anchors through the
-// new clock.
-func (m *Meter) SetClock(now func() time.Time) {
-	m.now = now
-	m.start = now()
-	m.last = m.start
-}
-
-// Done returns the number of completed trials recorded so far.
-func (m *Meter) Done() int { return m.done }
-
-// JobDone records one finished trial of the given group and redraws.
-func (m *Meter) JobDone(group string) {
-	m.done++
-	if m.groupTotal != nil {
-		m.groupDone[group]++
-		m.cur = group
-		if m.groupDone[group] == m.groupTotal[group] {
-			m.groupsDone++
-		}
-	}
-	m.report()
-}
-
-func (m *Meter) report() {
-	done, total := m.done, m.total
-	now := m.now()
-	if done < total && now.Sub(m.last) < meterThrottle {
-		return
-	}
-	m.last = now
-	elapsed := now.Sub(m.start).Seconds()
-	rate := 0.0
-	if elapsed > 0 {
-		rate = float64(done) / elapsed
-	}
-	groups := ""
-	if m.groupTotal != nil {
-		groups = fmt.Sprintf("  groups %d/%d", m.groupsDone, len(m.groupTotal))
-		if m.cur != "" && done < total {
-			groups += fmt.Sprintf("  [%s %d/%d]", m.cur, m.groupDone[m.cur], m.groupTotal[m.cur])
-		}
-	}
-	if done == total {
-		fmt.Fprintf(m.w, "\r%d/%d trials  %.0f trials/s%s  in %s   \n",
-			done, total, rate, groups, FormatETA(now.Sub(m.start)))
-		return
-	}
-	eta := "--"
-	if rate > 0 {
-		eta = FormatETA(time.Duration(float64(total-done) / rate * float64(time.Second)))
-	}
-	fmt.Fprintf(m.w, "\r%d/%d trials  %.0f trials/s  ETA %s%s   ", done, total, rate, eta, groups)
-}
-
 // FormatETA renders a duration as s / m+s / h+m. The duration is rounded
 // to whole seconds first so boundary values roll into the larger unit
 // ("60s" never appears; 59.7s renders as 1m00s).
@@ -133,9 +28,10 @@ func FormatETA(d time.Duration) string {
 	}
 }
 
-// FleetMeter folds the progress streams of every shard worker into one
-// self-overwriting fleet line: aggregate done/total, trials/s, ETA, the
-// live slot count, and a per-shard state list —
+// FleetMeter renders progress snapshots as one self-overwriting line:
+// done/total, trials/s, and an ETA (elapsed time once the snapshot is
+// terminal). A fleet's line adds the live slot count and a per-shard
+// state list —
 //
 //	fleet 34/160 trials  12 trials/s  ETA 11s  slots 3/4  shards [1:ok 2:42%x2 3:retry2 4:wait]
 //
@@ -144,21 +40,25 @@ func FormatETA(d time.Duration) string {
 // suffixed with retryN after relaunches, x2 while a speculative
 // duplicate races a straggler, and ~age when the newest heartbeat is
 // stale enough to matter (10s+). "slots a/b" appears once a retired
-// slot shrinks the fleet. Update is throttled like Meter; the final
-// update (every shard terminal) always renders and reports elapsed
-// time.
+// slot shrinks the fleet. An in-process run (no shards) with more than
+// one group instead shows completed groups and the group being filled,
+// so a day-long multi-dimensional run shows where it is, not just how
+// much is left —
+//
+//	34/160 trials  12 trials/s  ETA 11s  groups 1/4  [AR 16x16 2/40]
+//
+// Every snapshot redraws: the sources throttle (LocalProgress), so the
+// meter does not.
 type FleetMeter struct {
 	w     io.Writer
 	now   func() time.Time
 	start time.Time
-	last  time.Time
 }
 
-// NewFleetMeter returns a fleet meter writing to w.
+// NewFleetMeter returns a meter writing to w.
 func NewFleetMeter(w io.Writer) *FleetMeter {
 	f := &FleetMeter{w: w, now: time.Now}
 	f.start = f.now()
-	f.last = f.start
 	return f
 }
 
@@ -167,40 +67,55 @@ func NewFleetMeter(w io.Writer) *FleetMeter {
 func (f *FleetMeter) SetClock(now func() time.Time) {
 	f.now = now
 	f.start = now()
-	f.last = f.start
 }
 
-// Update redraws the fleet line from a snapshot. Snapshots arrive from
-// the dispatcher's serialized progress callback, so no locking is
-// needed.
+// Update redraws the line from a snapshot. Snapshots arrive from a
+// serialized progress callback, so no locking is needed.
 func (f *FleetMeter) Update(snap FleetSnapshot) {
 	final := snap.Terminal()
 	now := f.now()
-	if !final && now.Sub(f.last) < meterThrottle {
-		return
-	}
-	f.last = now
 	agg := snap.Fleet
-	elapsed := now.Sub(f.start).Seconds()
+	elapsed := now.Sub(f.start)
 	rate := 0.0
 	if elapsed > 0 {
-		rate = float64(agg.Done) / elapsed
+		rate = float64(agg.Done) / elapsed.Seconds()
 	}
-	slots := ""
-	if snap.Retired > 0 {
-		slots = fmt.Sprintf("  slots %d/%d", snap.Slots-snap.Retired, snap.Slots)
+	head, tail := "", ""
+	if len(snap.Shards) > 0 {
+		head = "fleet "
+		if snap.Retired > 0 {
+			tail = fmt.Sprintf("  slots %d/%d", snap.Slots-snap.Retired, snap.Slots)
+		}
+		tail += "  shards " + shardList(snap.Shards, now)
+	} else if len(snap.Groups) > 1 {
+		tail = groupSummary(snap, final)
 	}
+	when := "in " + FormatETA(elapsed)
+	if !final {
+		when = "ETA --"
+		if rate > 0 && agg.Total > agg.Done {
+			when = "ETA " + FormatETA(time.Duration(float64(agg.Total-agg.Done)/rate*float64(time.Second)))
+		}
+	}
+	fmt.Fprintf(f.w, "\r%s%d/%d trials  %.0f trials/s  %s%s   ", head, agg.Done, agg.Total, rate, when, tail)
 	if final {
-		fmt.Fprintf(f.w, "\rfleet %d/%d trials  %.0f trials/s  in %s%s  shards %s   \n",
-			agg.Done, agg.Total, rate, FormatETA(now.Sub(f.start)), slots, shardList(snap.Shards, now))
-		return
+		fmt.Fprintln(f.w)
 	}
-	eta := "--"
-	if rate > 0 && agg.Total > agg.Done {
-		eta = FormatETA(time.Duration(float64(agg.Total-agg.Done) / rate * float64(time.Second)))
+}
+
+// groupSummary renders an in-process run's group breakdown: finished
+// groups out of all, then (mid-run) the current group's count.
+func groupSummary(snap FleetSnapshot, final bool) string {
+	finished, cur := 0, ""
+	for _, g := range snap.Groups {
+		if g.Done == g.Total {
+			finished++
+		}
+		if !final && g.Group == snap.Fleet.Group {
+			cur = fmt.Sprintf("  [%s %d/%d]", g.Group, g.Done, g.Total)
+		}
 	}
-	fmt.Fprintf(f.w, "\rfleet %d/%d trials  %.0f trials/s  ETA %s%s  shards %s   ",
-		agg.Done, agg.Total, rate, eta, slots, shardList(snap.Shards, now))
+	return fmt.Sprintf("  groups %d/%d%s", finished, len(snap.Groups), cur)
 }
 
 // staleBeat is the heartbeat age past which a running shard's cell
@@ -247,15 +162,12 @@ func shardCell(s ShardStatus, now time.Time) string {
 	return cell
 }
 
-// PublishFleet forwards a fleet snapshot to a dashboard publisher in
-// the telemetry wire shapes, throttled by pub.Due (terminal snapshots
-// always go out). The conversion lives here because telemetry must not
-// import dispatch.
+// PublishFleet forwards a progress snapshot to a dashboard publisher in
+// the telemetry wire shapes. A terminal snapshot publishes as final and
+// groupless: a finished run has no current group. The conversion lives
+// here because telemetry must not import dispatch.
 func PublishFleet(pub *telemetry.Publisher, s FleetSnapshot) {
 	final := s.Terminal()
-	if !pub.Due(final) {
-		return
-	}
 	now := time.Now()
 	shards := make([]telemetry.ShardView, len(s.Shards))
 	for i, sh := range s.Shards {
@@ -280,5 +192,9 @@ func PublishFleet(pub *telemetry.Publisher, s FleetSnapshot) {
 	for i, g := range s.Groups {
 		groups[i] = telemetry.GroupView{Group: g.Group, Done: g.Done, Total: g.Total}
 	}
-	pub.Publish(s.Fleet, shards, groups, final)
+	fleet := s.Fleet
+	if final {
+		fleet.Group, fleet.GroupDone = "", 0
+	}
+	pub.Publish(fleet, shards, groups, final)
 }

@@ -1,11 +1,13 @@
 package dispatch
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
 	"wsncover/internal/experiment"
+	"wsncover/internal/telemetry"
 )
 
 // testClock is a manually advanced time source.
@@ -17,14 +19,23 @@ func newTestClock() *testClock {
 func (c *testClock) now() time.Time          { return c.t }
 func (c *testClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
+// localMeter wires a LocalProgress into a FleetMeter, both on clock:
+// the in-process progress line, throttled at its source.
+func localMeter(buf *strings.Builder, clock *testClock, total int, order []string, totals map[string]int) *LocalProgress {
+	m := NewFleetMeter(buf)
+	m.SetClock(clock.now)
+	p := NewLocalProgress(total, order, totals, m.Update)
+	p.now = clock.now
+	return p
+}
+
 func TestMeter(t *testing.T) {
 	var buf strings.Builder
 	clock := newTestClock()
-	m := NewMeter(&buf, 400, nil)
-	m.SetClock(clock.now)
-	m.done = 99
+	p := localMeter(&buf, clock, 400, []string{"only"}, map[string]int{"only": 400})
+	p.done = 99
 	clock.advance(2 * time.Second)
-	m.JobDone("only")
+	p.Trial("only")
 	out := buf.String()
 	if !strings.Contains(out, "100/400 trials") {
 		t.Errorf("meter output %q lacks completed/total", out)
@@ -32,25 +43,32 @@ func TestMeter(t *testing.T) {
 	if !strings.Contains(out, "trials/s") || !strings.Contains(out, "ETA") {
 		t.Errorf("meter output %q lacks rate or ETA", out)
 	}
-	if strings.Contains(out, "groups") {
-		t.Errorf("single-group meter %q must not render a group breakdown", out)
+	if strings.Contains(out, "groups") || strings.Contains(out, "fleet") {
+		t.Errorf("single-group meter %q must not render a group breakdown or a fleet", out)
 	}
-	if m.Done() != 100 {
-		t.Errorf("Done() = %d", m.Done())
+	if p.done != 100 {
+		t.Errorf("done = %d", p.done)
 	}
 
 	// Rapid updates are throttled; the final update always renders and
 	// reports the elapsed time instead of an ETA.
 	buf.Reset()
 	clock.advance(50 * time.Millisecond)
-	m.JobDone("only")
+	p.Trial("only")
 	if buf.Len() != 0 {
 		t.Errorf("throttled update rendered %q", buf.String())
 	}
-	m.done = 399
-	m.JobDone("only")
-	if out := buf.String(); !strings.Contains(out, "400/400 trials") || !strings.Contains(out, "in ") {
+	p.done = 399
+	p.Trial("only")
+	if out := buf.String(); !strings.Contains(out, "400/400 trials") || !strings.Contains(out, "in ") ||
+		!strings.HasSuffix(out, "\n") {
 		t.Errorf("final output %q", out)
+	}
+	// The last trial already ended the stream; End adds nothing.
+	buf.Reset()
+	p.End()
+	if buf.Len() != 0 {
+		t.Errorf("End after the last trial rendered %q", buf.String())
 	}
 }
 
@@ -60,12 +78,10 @@ func TestMeter(t *testing.T) {
 func TestMeterGroupBreakdown(t *testing.T) {
 	var buf strings.Builder
 	clock := newTestClock()
-	totals := map[string]int{"SR 16x16": 2, "AR 16x16": 2}
-	m := NewMeter(&buf, 4, totals)
-	m.SetClock(clock.now)
+	p := localMeter(&buf, clock, 4, []string{"SR 16x16", "AR 16x16"}, map[string]int{"SR 16x16": 2, "AR 16x16": 2})
 
 	clock.advance(2 * time.Second)
-	m.JobDone("SR 16x16")
+	p.Trial("SR 16x16")
 	out := buf.String()
 	if !strings.Contains(out, "groups 0/2") || !strings.Contains(out, "[SR 16x16 1/2]") {
 		t.Errorf("meter output %q lacks the group breakdown", out)
@@ -73,16 +89,16 @@ func TestMeterGroupBreakdown(t *testing.T) {
 
 	buf.Reset()
 	clock.advance(time.Second)
-	m.JobDone("SR 16x16")
+	p.Trial("SR 16x16")
 	if out := buf.String(); !strings.Contains(out, "groups 1/2") {
 		t.Errorf("meter output %q should count the finished group", out)
 	}
 
 	clock.advance(time.Second)
-	m.JobDone("AR 16x16")
+	p.Trial("AR 16x16")
 	buf.Reset()
 	clock.advance(time.Second)
-	m.JobDone("AR 16x16")
+	p.Trial("AR 16x16")
 	if out := buf.String(); !strings.Contains(out, "4/4 trials") || !strings.Contains(out, "groups 2/2") {
 		t.Errorf("final output %q", out)
 	}
@@ -91,16 +107,15 @@ func TestMeterGroupBreakdown(t *testing.T) {
 // TestMeterShardTotals pins the sharded-meter contract: a meter sized
 // from a shard's executed jobs renders the shard's own trial count as
 // the denominator, never the full campaign's replicate range. (cmd/sweep
-// feeds ExecutedJobs counts; its CLI-level regression test covers the
-// wiring, this covers the rendering.)
+// sizes LocalProgress from LocalRun.Executed; its CLI-level regression
+// test covers the wiring, this covers the rendering.)
 func TestMeterShardTotals(t *testing.T) {
 	var buf strings.Builder
 	clock := newTestClock()
 	// Campaign: 20 replicates; this shard owns 5 trials.
-	m := NewMeter(&buf, 5, nil)
-	m.SetClock(clock.now)
+	p := localMeter(&buf, clock, 5, []string{"SR 8x8"}, map[string]int{"SR 8x8": 5})
 	clock.advance(time.Second)
-	m.JobDone("SR 8x8")
+	p.Trial("SR 8x8")
 	out := buf.String()
 	if !strings.Contains(out, "1/5 trials") {
 		t.Errorf("shard meter rendered %q, want the shard's own total 1/5", out)
@@ -111,6 +126,118 @@ func TestMeterShardTotals(t *testing.T) {
 	// ETA derives from the shard total too: 1 trial/s, 4 left -> 4s.
 	if !strings.Contains(out, "ETA 4s") {
 		t.Errorf("shard meter %q: ETA must be computed from the shard's remaining trials", out)
+	}
+}
+
+// TestLocalProgressSnapshots pins the source throttle's contract: an
+// opening 0/total snapshot, every group's first and last trial, and the
+// terminal snapshot always go out, and Groups follows the run's group
+// order with no shards.
+func TestLocalProgressSnapshots(t *testing.T) {
+	clock := newTestClock()
+	var got []FleetSnapshot
+	p := NewLocalProgress(5, []string{"SR", "AR"}, map[string]int{"SR": 3, "AR": 2},
+		func(s FleetSnapshot) { got = append(got, s) })
+	p.now = clock.now
+	p.Start()
+	for _, g := range []string{"SR", "SR", "SR", "AR"} {
+		p.Trial(g) // SR#2 is the only throttled trial
+	}
+	clock.advance(time.Second)
+	p.Trial("AR")
+	p.End() // already terminal: no second terminal snapshot
+
+	type ev struct {
+		done, groupDone int
+		group           string
+		final           bool
+	}
+	want := []ev{{0, 0, "", false}, {1, 1, "SR", false}, {3, 3, "SR", false}, {4, 1, "AR", false}, {5, 2, "AR", true}}
+	if len(got) != len(want) {
+		t.Fatalf("got %d snapshots, want %d: %+v", len(got), len(want), got)
+	}
+	for i, s := range got {
+		e := ev{s.Fleet.Done, s.Fleet.GroupDone, s.Fleet.Group, s.Terminal()}
+		if e != want[i] || s.Fleet.Total != 5 || len(s.Shards) != 0 {
+			t.Errorf("snapshot %d = %+v (%+v), want %+v of 5", i, e, s.Fleet, want[i])
+		}
+		if len(s.Groups) != 2 || s.Groups[0].Group != "SR" || s.Groups[1].Group != "AR" ||
+			s.Groups[0].Total != 3 || s.Groups[1].Total != 2 {
+			t.Errorf("snapshot %d groups = %+v, want SR/3 then AR/2", i, s.Groups)
+		}
+	}
+
+	// A run with nothing to execute sends only its terminal snapshot; a
+	// cancelled one ends its stream on End.
+	got = nil
+	empty := NewLocalProgress(0, nil, nil, func(s FleetSnapshot) { got = append(got, s) })
+	empty.Start()
+	empty.End()
+	if len(got) != 1 || !got[0].Terminal() || got[0].Fleet.Total != 0 {
+		t.Errorf("empty run snapshots = %+v, want one terminal 0/0", got)
+	}
+	got = nil
+	cut := NewLocalProgress(4, []string{"SR"}, map[string]int{"SR": 4}, func(s FleetSnapshot) { got = append(got, s) })
+	cut.Trial("SR")
+	cut.End()
+	if len(got) != 2 || !got[1].Terminal() || got[1].Fleet.Done != 1 {
+		t.Errorf("cancelled run snapshots = %+v, want a terminal 1/4 last", got)
+	}
+}
+
+// TestPublishLocalGroupBoundariesAndFinal: an in-process run drives the
+// dashboard through PublishFleet. Throttled trials publish nothing, a
+// group completing forces a publication carrying that group at its
+// total, and the terminal publication is final and groupless.
+func TestPublishLocalGroupBoundariesAndFinal(t *testing.T) {
+	hub := telemetry.NewHub()
+	sub := hub.Subscribe()
+	pub := telemetry.NewPublisher(hub)
+	clock := newTestClock()
+	pub.SetClock(clock.now)
+	p := NewLocalProgress(5, []string{"SR", "AR"}, map[string]int{"SR": 3, "AR": 2},
+		func(s FleetSnapshot) { PublishFleet(pub, s) })
+	p.now = clock.now
+	clock.advance(time.Second)
+	p.Trial("SR") // a group's first trial: publishes
+	p.Trial("SR") // throttled
+	p.Trial("SR") // group boundary: forces a publication
+	p.Trial("AR") // a group's first trial: publishes
+	clock.advance(time.Second)
+	p.Trial("AR") // final
+
+	var got []telemetry.Snapshot
+	for len(sub.Events()) > 0 {
+		var s telemetry.Snapshot
+		if err := json.Unmarshal(<-sub.Events(), &s); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, s)
+	}
+	if len(got) != 4 {
+		t.Fatalf("got %d snapshots, want 4 (first, boundary, first, final): %+v", len(got), got)
+	}
+	boundary := got[1]
+	if boundary.Fleet.Group != "SR" || boundary.Fleet.GroupDone != 3 {
+		t.Errorf("boundary fleet = %+v, want group SR done 3", boundary.Fleet)
+	}
+	if len(boundary.Groups) != 2 || boundary.Groups[0].Group != "SR" || boundary.Groups[0].Done != 3 {
+		t.Errorf("boundary groups = %+v", boundary.Groups)
+	}
+	if boundary.Heatmap == "" || !strings.Contains(boundary.Heatmap, "SR") {
+		t.Errorf("boundary heatmap = %q", boundary.Heatmap)
+	}
+	if len(boundary.Shards) != 0 {
+		t.Errorf("in-process snapshot has shards %+v", boundary.Shards)
+	}
+	final := got[3]
+	if !final.Final || final.Fleet.Done != 5 || final.Fleet.Group != "" {
+		t.Errorf("final = %+v, want groupless 5/5 final", final)
+	}
+	// AR's first and last trials both published, one second apart: the
+	// span the ledger's group timer reads off the stream is exact.
+	if got[2].Fleet.Group != "AR" || final.ElapsedS-got[2].ElapsedS != 1 {
+		t.Errorf("AR spans %v..%v, want its first and last trial 1s apart", got[2], final)
 	}
 }
 
@@ -184,17 +311,10 @@ func TestFleetMeterRendering(t *testing.T) {
 		}
 	}
 
-	// Throttled mid-run, but a terminal snapshot always renders with
-	// elapsed time and per-shard outcomes.
+	// A terminal snapshot renders with elapsed time and per-shard
+	// outcomes.
 	buf.Reset()
 	clock.advance(50 * time.Millisecond)
-	f.Update(snap(
-		ShardStatus{Shard: 1, State: ShardRunning, Attempts: 1, Progress: experiment.Progress{Done: 5, Total: 10}},
-		ShardStatus{Shard: 2, State: ShardRunning, Attempts: 1, Progress: experiment.Progress{Done: 5, Total: 10}},
-	))
-	if buf.Len() != 0 {
-		t.Errorf("throttled fleet update rendered %q", buf.String())
-	}
 	f.Update(snap(
 		ShardStatus{Shard: 1, State: ShardDone, Progress: experiment.Progress{Done: 10, Total: 10}},
 		ShardStatus{Shard: 2, State: ShardFailed, Progress: experiment.Progress{Done: 3, Total: 10}},

@@ -66,17 +66,6 @@ func ClassifyProgressLine(line []byte) (Progress, LineKind) {
 	return p, LineEvent
 }
 
-// ParseProgressLine decodes one line of the progress protocol. Lines
-// that are not progress events — worker chatter, empty lines, malformed
-// near-protocol — return ok=false rather than an error, so a supervisor
-// can scan a mixed stdout stream and fold only the protocol lines.
-// Supervisors that also track liveness use ClassifyProgressLine to tell
-// malformed protocol from harmless chatter.
-func ParseProgressLine(line []byte) (Progress, bool) {
-	p, kind := ClassifyProgressLine(line)
-	return p, kind == LineEvent
-}
-
 func bytesTrimSpace(b []byte) []byte {
 	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\r' || b[0] == '\n') {
 		b = b[1:]

@@ -12,9 +12,9 @@ func TestProgressLineRoundTrip(t *testing.T) {
 	if line[len(line)-1] != '\n' {
 		t.Fatalf("MarshalLine %q must end in newline", line)
 	}
-	got, ok := ParseProgressLine(line)
-	if !ok || got != p {
-		t.Errorf("round trip = %+v, %v; want %+v", got, ok, p)
+	got, kind := ClassifyProgressLine(line)
+	if kind != LineEvent || got != p {
+		t.Errorf("round trip = %+v, %v; want %+v", got, kind, p)
 	}
 	if want := `{"done":12,"total":40,"group":"SR 16x16"}` + "\n"; string(line) != want {
 		t.Errorf("wire form %q, want %q", line, want)
@@ -27,8 +27,8 @@ func TestProgressLineRoundTrip(t *testing.T) {
 }
 
 // TestParseProgressLineSkipsChatter: a supervisor scans the worker's
-// whole stdout; anything that is not a well-formed event is ignored, not
-// an error.
+// whole stdout; anything that is not a well-formed event yields no
+// event, and never an error.
 func TestParseProgressLineSkipsChatter(t *testing.T) {
 	for _, line := range []string{
 		"",
@@ -40,12 +40,12 @@ func TestParseProgressLineSkipsChatter(t *testing.T) {
 		`{"done":-1,"total":4}`, // negative done
 		`{"done":9,"total":4}`,  // done past total
 	} {
-		if p, ok := ParseProgressLine([]byte(line)); ok {
-			t.Errorf("ParseProgressLine(%q) accepted %+v", line, p)
+		if p, kind := ClassifyProgressLine([]byte(line)); kind == LineEvent {
+			t.Errorf("ClassifyProgressLine(%q) accepted %+v", line, p)
 		}
 	}
-	if p, ok := ParseProgressLine([]byte("  {\"done\":4,\"total\":4}\r\n")); !ok || p.Done != 4 {
-		t.Errorf("padded line = %+v, %v", p, ok)
+	if p, kind := ClassifyProgressLine([]byte("  {\"done\":4,\"total\":4}\r\n")); kind != LineEvent || p.Done != 4 {
+		t.Errorf("padded line = %+v, %v", p, kind)
 	}
 }
 
@@ -117,20 +117,20 @@ func TestProgressGroupDone(t *testing.T) {
 	if want := `{"done":12,"total":40,"group":"SR 16x16","group_done":3}` + "\n"; string(line) != want {
 		t.Errorf("wire form %q, want %q", line, want)
 	}
-	got, ok := ParseProgressLine(line)
-	if !ok || got != p {
-		t.Errorf("round trip = %+v, %v; want %+v", got, ok, p)
+	got, kind := ClassifyProgressLine(line)
+	if kind != LineEvent || got != p {
+		t.Errorf("round trip = %+v, %v; want %+v", got, kind, p)
 	}
 	// Older emitters omit group_done; the parser must keep accepting them.
-	if got, ok := ParseProgressLine([]byte(`{"done":2,"total":4,"group":"SR"}`)); !ok || got.GroupDone != 0 {
-		t.Errorf("legacy event = %+v, %v", got, ok)
+	if got, kind := ClassifyProgressLine([]byte(`{"done":2,"total":4,"group":"SR"}`)); kind != LineEvent || got.GroupDone != 0 {
+		t.Errorf("legacy event = %+v, %v", got, kind)
 	}
 	for _, line := range []string{
 		`{"done":2,"total":4,"group":"SR","group_done":-1}`, // negative
 		`{"done":2,"total":4,"group":"SR","group_done":5}`,  // past total
 	} {
-		if p, ok := ParseProgressLine([]byte(line)); ok {
-			t.Errorf("ParseProgressLine(%q) accepted %+v", line, p)
+		if p, kind := ClassifyProgressLine([]byte(line)); kind == LineEvent {
+			t.Errorf("ClassifyProgressLine(%q) accepted %+v", line, p)
 		}
 	}
 }

@@ -12,25 +12,36 @@ import (
 	"wsncover/internal/telemetry"
 )
 
-// execute runs one campaign to a manifest installed in the store. It
-// returns the stored manifest path, the manifest's point count, and how
-// many trials this run executed (for the ledger; a resumed run is not
-// credited with cells its checkpoint already carried). Cancellation
-// (drain) surfaces as context.Canceled; the checkpoint log left in the
-// campaign's run directory seeds the next submission of the same spec.
-// The manifest goes from memory into the store in one atomic write;
-// the run directory is then spent and removed.
+// execute runs one campaign on the embedded engine — no subprocess, the
+// daemon is the worker — through the same dispatch.LocalRun as
+// cmd/sweep, so the stored manifest is byte-identical to what the CLI
+// writes for the same submission, and installs the manifest in the
+// store. It returns the stored manifest path, the manifest's point
+// count, and how many trials this run executed (for the ledger; a
+// resumed run is not credited with cells its checkpoint already
+// carried). Progress snapshots publish on the campaign's hub.
+// Cancellation (drain) surfaces as context.Canceled; the checkpoint log
+// left in the campaign's run directory seeds the next submission of the
+// same spec. The manifest goes from memory into the store in one atomic
+// write; the run directory is then spent and removed.
 func (d *Daemon) execute(c *Campaign) (path string, points, ran int, err error) {
 	runDir, err := d.store.RunDir(c.SpecHash)
 	if err != nil {
 		return "", 0, 0, err
 	}
-	var m *experiment.Manifest
-	if d.opts.FleetSlots > 1 {
-		m, ran, err = d.executeFleet(c, runDir)
-	} else {
-		m, ran, err = d.executeInProcess(c, runDir)
+	ckPath := filepath.Join(runDir, "checkpoint.ndjson")
+	run := dispatch.PlanLocal(c.Spec, c.Name, d.loadCheckpoint(ckPath, c.SpecHash), ckPath)
+	if run.Resumed > 0 {
+		d.log.Info("resuming from checkpoint", "path", ckPath, "cells", run.Resumed)
 	}
+	pub := telemetry.NewPublisher(c.hub)
+	run.OnProgress = func(s dispatch.FleetSnapshot) { dispatch.PublishFleet(pub, s) }
+	m, ran, err := run.Run(d.ctx, func(_ sim.TrialJob, ran int) error {
+		if testTrialHook != nil {
+			testTrialHook(c, ran)
+		}
+		return nil
+	})
 	if err != nil {
 		return "", 0, ran, err
 	}
@@ -46,10 +57,10 @@ func (d *Daemon) execute(c *Campaign) (path string, points, ran int, err error) 
 	return stored, len(m.Points), ran, nil
 }
 
-// testTrialHook, when non-nil, observes every completed trial of an
-// in-process campaign after its checkpoint lands. Tests block in it to
-// hold a campaign mid-run deterministically — trials are far too fast
-// for wall-clock racing.
+// testTrialHook, when non-nil, observes every completed trial of a
+// campaign after its checkpoint lands. Tests block in it to hold a
+// campaign mid-run deterministically — trials are far too fast for
+// wall-clock racing.
 var testTrialHook func(c *Campaign, ran int)
 
 // loadCheckpoint reads this campaign's prior checkpoint log as the
@@ -69,48 +80,4 @@ func (d *Daemon) loadCheckpoint(path, wantHash string) *experiment.Manifest {
 		return nil
 	}
 	return prior
-}
-
-// executeInProcess runs the campaign on the embedded engine — no
-// subprocess, the daemon is the worker — through the same
-// dispatch.LocalRun as cmd/sweep, so the stored manifest is
-// byte-identical to what the CLI writes for the same submission.
-func (d *Daemon) executeInProcess(c *Campaign, runDir string) (*experiment.Manifest, int, error) {
-	ckPath := filepath.Join(runDir, "checkpoint.ndjson")
-	run := dispatch.PlanLocal(c.Spec, c.Name, d.loadCheckpoint(ckPath, c.SpecHash), ckPath)
-	if run.Resumed > 0 {
-		d.log.Info("resuming from checkpoint", "path", ckPath, "cells", run.Resumed)
-	}
-	tracker := telemetry.NewTracker(telemetry.NewPublisher(c.hub), run.Executed, run.GroupOrder, run.GroupTotal)
-	m, ran, err := run.Run(d.ctx, func(j sim.TrialJob, ran int) error {
-		tracker.TrialDone(j.Group())
-		if testTrialHook != nil {
-			testTrialHook(c, ran)
-		}
-		return nil
-	})
-	tracker.Final()
-	return m, ran, err
-}
-
-// executeFleet runs the campaign as a dispatch fleet of WorkerBin
-// subprocesses, bridging the fleet's progress snapshots onto the
-// campaign's hub. Shard artifacts and checkpoints land in the
-// campaign's run directory; Resume is always on, so a drained fleet's
-// surviving shards seed the next submission.
-func (d *Daemon) executeFleet(c *Campaign, runDir string) (*experiment.Manifest, int, error) {
-	pub := telemetry.NewPublisher(c.hub)
-	m, _, err := dispatch.Run(d.ctx, c.Spec, dispatch.Options{
-		Slots:      d.opts.FleetSlots,
-		OutDir:     runDir,
-		Name:       c.Name,
-		Resume:     true,
-		Worker:     []string{d.opts.WorkerBin},
-		Logger:     d.log.With("campaign", c.ID),
-		OnProgress: func(s dispatch.FleetSnapshot) { dispatch.PublishFleet(pub, s) },
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return m, m.Jobs, nil
 }

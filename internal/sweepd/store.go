@@ -3,14 +3,17 @@
 // engine cmd/sweep drives, and serves the resulting manifests from a
 // content-addressed store keyed by telemetry.SpecHash. Determinism is
 // what makes the store a cache: the spec hash ignores execution-only
-// fields (worker count, shard layout), and a campaign's manifest is
-// byte-identical however it was parallelized, so one stored manifest
-// answers every future submission of the same science.
+// fields (worker count, shard layout), and an unsharded campaign's
+// manifest is byte-identical at any worker count, so one stored
+// manifest answers every future submission of the same science. A
+// shard-merged manifest is not (its medians are estimates), so nothing
+// installs one here: the daemon always runs in-process, and cmd/sweep
+// refuses -if-cached with -dispatch.
 //
 // The package splits along the same seams as the rest of the repo:
 // store.go is the artifact store, sweepd.go the daemon (submission,
 // dedupe, the bounded FIFO job queue, drain), run.go the campaign
-// runner (in-process engine or a dispatch fleet), and server.go the
+// runner (the in-process engine), and server.go the
 // HTTP surface. cmd/sweepd wires it to flags and signals.
 package sweepd
 

@@ -46,12 +46,6 @@ type Options struct {
 	// (default 32). A full queue rejects with ErrQueueFull rather than
 	// buffering without bound.
 	QueueDepth int
-	// FleetSlots > 1 executes each campaign as a dispatch fleet of that
-	// many worker subprocesses instead of in-process; it requires
-	// WorkerBin, the sweep binary to launch (the daemon must not re-exec
-	// itself — it is not a worker).
-	FleetSlots int
-	WorkerBin  string
 	// Pprof opts the /debug/pprof endpoints into the API mux; off by
 	// default because the service port is often reachable by more than
 	// the operator.
@@ -134,9 +128,6 @@ func New(opts Options) (*Daemon, error) {
 	}
 	if opts.QueueDepth < 1 {
 		opts.QueueDepth = 32
-	}
-	if opts.FleetSlots > 1 && opts.WorkerBin == "" {
-		return nil, fmt.Errorf("sweepd: FleetSlots > 1 requires WorkerBin (the daemon is not a sweep worker and must not re-exec itself)")
 	}
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.DiscardHandler)

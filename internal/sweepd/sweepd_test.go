@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"wsncover/internal/dispatch"
 	"wsncover/internal/experiment"
 	"wsncover/internal/sim"
 	"wsncover/internal/telemetry"
@@ -650,122 +648,49 @@ func TestSubmitCoalescesInflight(t *testing.T) {
 	waitStatus(t, ts, v1.ID, StatusCompleted)
 }
 
-func TestNewValidatesFleetOptions(t *testing.T) {
-	store, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Options{Store: store, FleetSlots: 4}); err == nil {
-		t.Error("FleetSlots without WorkerBin must be rejected")
-	}
+func TestNewValidatesOptions(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Error("nil store must be rejected")
 	}
 }
 
-// TestMain lets this test binary stand in for the sweep worker a fleet
-// campaign launches (see fakeWorker).
-func TestMain(m *testing.M) {
-	if os.Getenv("SWEEPD_TEST_WORKER") == "1" {
-		if err := fakeWorker(os.Args[1:]); err != nil {
-			fmt.Fprintln(os.Stderr, "worker:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// fakeWorker is the slice of cmd/sweep a dispatch fleet drives: run the
-// shard spec on dispatch.LocalRun, checkpointing into a cell log beside
-// the shard manifest and speaking the JSON progress protocol on stdout.
-func fakeWorker(args []string) error {
-	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
-	specPath := fs.String("spec", "", "")
-	out := fs.String("out", "", "")
-	name := fs.String("name", "", "")
-	checkpoint := fs.Bool("checkpoint", false, "")
-	fs.String("metrics", "", "")
-	fs.String("progress", "", "")
-	fs.String("ledger", "", "")
-	fs.Bool("resume", false, "")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	data, err := os.ReadFile(*specPath)
-	if err != nil {
-		return err
-	}
-	var spec sim.CampaignSpec
-	if err := sim.UnmarshalSpecJSON(data, &spec); err != nil {
-		return err
-	}
-	spec = spec.Normalized()
-	ck := ""
-	if *checkpoint {
-		ck = experiment.CellLogPath(*out, *name)
-	}
-	run := dispatch.PlanLocal(spec, *name, nil, ck)
-	os.Stdout.Write(experiment.Progress{Total: run.Executed}.MarshalLine())
-	m, _, err := run.Run(context.Background(), func(_ sim.TrialJob, ran int) error {
-		_, err := os.Stdout.Write(experiment.Progress{Done: ran, Total: run.Executed}.MarshalLine())
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	_, err = m.Save(*out)
-	return err
-}
-
 // TestCompletedCampaignLeavesNoRunDir: once the manifest is installed
-// the campaign's run directory (checkpoint or shard artifacts, local
-// manifest) is removed, in-process and on a fleet, so the store holds
-// exactly one copy of every completed manifest; the ledger's point
-// count comes from that manifest.
+// the campaign's run directory (checkpoint log) is removed, so the
+// store holds exactly one copy of every completed manifest; the
+// ledger's point count comes from that manifest.
 func TestCompletedCampaignLeavesNoRunDir(t *testing.T) {
-	t.Setenv("SWEEPD_TEST_WORKER", "1") // inherited by fleet workers only
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, opts := range map[string]Options{
-		"in-process": {},
-		"fleet":      {FleetSlots: 2, WorkerBin: exe},
-	} {
-		t.Run(name, func(t *testing.T) {
-			d, store := newTestDaemon(t, opts)
-			v, created, err := d.Submit(mustJSON(t, multiCellSpec()), "leak")
-			if err != nil || !created {
-				t.Fatalf("Submit = %+v, %v, %v", v, created, err)
-			}
-			if !d.Wait(context.Background(), v.ID) {
-				t.Fatal("campaign never finished")
-			}
-			done, _ := d.Campaign(v.ID)
-			if done.Status != StatusCompleted {
-				t.Fatalf("status %q (%s), want completed", done.Status, done.Error)
-			}
-			runDir := filepath.Join(store.Dir(), "runs", strings.TrimPrefix(v.SpecHash, "sha256:"))
-			if _, err := os.Stat(runDir); !os.IsNotExist(err) {
-				entries, _ := os.ReadDir(runDir)
-				t.Fatalf("completed campaign left its run directory behind (stat err %v, entries %v)", err, entries)
-			}
-			var m experiment.Manifest
-			data, err := os.ReadFile(done.Manifest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal(data, &m); err != nil {
-				t.Fatal(err)
-			}
-			recs, err := telemetry.ReadLedger(store.LedgerPath())
-			if err != nil || len(recs) != 1 {
-				t.Fatalf("ledger = %+v, %v; want one record", recs, err)
-			}
-			if recs[0].Points != len(m.Points) || recs[0].Points != 6 {
-				t.Errorf("ledger Points = %d, manifest has %d, want 6", recs[0].Points, len(m.Points))
-			}
-		})
-	}
+	t.Run("in-process", func(t *testing.T) {
+		d, store := newTestDaemon(t, Options{})
+		v, created, err := d.Submit(mustJSON(t, multiCellSpec()), "leak")
+		if err != nil || !created {
+			t.Fatalf("Submit = %+v, %v, %v", v, created, err)
+		}
+		if !d.Wait(context.Background(), v.ID) {
+			t.Fatal("campaign never finished")
+		}
+		done, _ := d.Campaign(v.ID)
+		if done.Status != StatusCompleted {
+			t.Fatalf("status %q (%s), want completed", done.Status, done.Error)
+		}
+		runDir := filepath.Join(store.Dir(), "runs", strings.TrimPrefix(v.SpecHash, "sha256:"))
+		if _, err := os.Stat(runDir); !os.IsNotExist(err) {
+			entries, _ := os.ReadDir(runDir)
+			t.Fatalf("completed campaign left its run directory behind (stat err %v, entries %v)", err, entries)
+		}
+		var m experiment.Manifest
+		data, err := os.ReadFile(done.Manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := telemetry.ReadLedger(store.LedgerPath())
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("ledger = %+v, %v; want one record", recs, err)
+		}
+		if recs[0].Points != len(m.Points) || recs[0].Points != 6 {
+			t.Errorf("ledger Points = %d, manifest has %d, want 6", recs[0].Points, len(m.Points))
+		}
+	})
 }

@@ -6,14 +6,14 @@
 // the env-var-configured slog construction every command shares
 // (log.go).
 //
-// The package only observes: it subscribes to the same ordered progress
-// stream the terminal meters ride (experiment.Progress events and the
-// dispatch driver's fleet snapshots) and never touches trial execution,
-// so a campaign run with a dashboard attached writes a byte-identical
-// manifest to one run dark — the differential tests in cmd/sweep pin
-// that. The per-trial hook (Tracker.TrialDone) is allocation-free in
-// the steady state: publication is throttled, so between publishes a
-// trial costs two map updates and a clock read.
+// The package only observes: it is fed the same ordered progress
+// snapshots the terminal meter draws (dispatch.PublishFleet converts
+// them) and never touches trial execution, so a campaign run with a
+// dashboard attached writes a byte-identical manifest to one run dark —
+// the differential tests in cmd/sweep pin that. Snapshots arrive
+// throttled at their source (dispatch.LocalProgress), so the per-trial
+// cost of a live dashboard is the source's, allocation-free between
+// snapshots.
 package telemetry
 
 import (
@@ -24,11 +24,6 @@ import (
 	"wsncover/internal/experiment"
 	"wsncover/internal/visual"
 )
-
-// Throttle is the minimum interval between non-final snapshot
-// publications, matching the terminal meters: a fast campaign must
-// never bottleneck on telemetry.
-const Throttle = 200 * time.Millisecond
 
 // Snapshot is one serialized observation of a running campaign — the
 // payload of the dashboard's /events stream. Fleet always carries the
@@ -214,16 +209,16 @@ func (h *Hub) Close() {
 }
 
 // Publisher stamps snapshots with elapsed/rate/ETA from an injectable
-// clock, renders the group heatmap, and publishes onto a hub — shared
-// by the single-process Tracker and the dispatch-fleet adapter in
-// cmd/sweep. Callers are expected to be serialized (the engine's
-// ordered sink, the dispatcher's serialized progress callback); the
-// Publisher itself does not lock.
+// clock, renders the group heatmap, and publishes onto a hub — the
+// dashboard end of dispatch.PublishFleet, for fleets and in-process
+// runs alike. It publishes every snapshot it is given: the progress
+// sources throttle, so the dashboard does not. Callers are expected to
+// be serialized (a progress callback); the Publisher itself does not
+// lock.
 type Publisher struct {
 	hub   *Hub
 	now   func() time.Time
 	start time.Time
-	last  time.Time
 }
 
 // NewPublisher returns a publisher anchored at the current time.
@@ -234,33 +229,16 @@ func NewPublisher(hub *Hub) *Publisher {
 }
 
 // SetClock replaces the time source (tests); call before the first
-// Publish. It re-anchors the start and throttle times.
+// Publish. It re-anchors the start time.
 func (p *Publisher) SetClock(now func() time.Time) {
 	p.now = now
 	p.start = now()
-	p.last = time.Time{}
 }
 
-// Due reports whether a publication would go out now — final snapshots
-// always, others at most every Throttle. Hot paths check Due before
-// building snapshot views so a throttled trial allocates nothing.
-func (p *Publisher) Due(final bool) bool {
-	return final || p.now().Sub(p.last) >= Throttle
-}
-
-// ForceDue lets the next publication bypass the throttle — used at
-// group boundaries so a finished curve renders at 100% immediately.
-func (p *Publisher) ForceDue() { p.last = time.Time{} }
-
-// Publish stamps and publishes one snapshot, subject to the throttle;
-// it returns whether the snapshot went out. fleet/shards/groups are
+// Publish stamps and publishes one snapshot. fleet/shards/groups are
 // taken as-is; elapsed, rate, ETA, and the heatmap are computed here.
-func (p *Publisher) Publish(fleet experiment.Progress, shards []ShardView, groups []GroupView, final bool) bool {
-	if !p.Due(final) {
-		return false
-	}
+func (p *Publisher) Publish(fleet experiment.Progress, shards []ShardView, groups []GroupView, final bool) {
 	now := p.now()
-	p.last = now
 	snap := Snapshot{
 		Fleet:    fleet,
 		Shards:   shards,
@@ -279,12 +257,12 @@ func (p *Publisher) Publish(fleet experiment.Progress, shards []ShardView, group
 		snap.Heatmap = visual.Heatmap(heatRows(groups), 24)
 	}
 	p.hub.Publish(snap)
-	return true
 }
 
 // GroupTimer records wall-clock spans per group: the first and last
-// observation of each group's activity. The campaign sink feeds it per
-// trial; the ledger records its Seconds. Observations are
+// observation of each group's activity. cmd/sweep feeds it the groups
+// that advanced in each progress snapshot; the ledger records its
+// Seconds. Observations are
 // allocation-free once a group's entries exist.
 type GroupTimer struct {
 	now   func() time.Time
@@ -317,82 +295,4 @@ func (g *GroupTimer) Seconds() map[string]float64 {
 		out[group] = g.last[group].Sub(f).Seconds()
 	}
 	return out
-}
-
-// Tracker folds a single-process campaign's ordered trial stream into
-// dashboard snapshots: aggregate done/total, per-group completion in
-// job-space order, and per-group wall timing for the ledger. It is
-// driven from the engine's serialized sink, so it does not lock; the
-// steady-state per-trial cost (TrialDone between publications) is
-// allocation-free.
-type Tracker struct {
-	pub        *Publisher
-	timer      *GroupTimer
-	total      int
-	done       int
-	order      []string
-	groupTotal map[string]int
-	groupDone  map[string]int
-	cur        string
-}
-
-// NewTracker sizes a tracker for total trials across the given groups
-// (job-space order; totals per group). Group accounting is skipped when
-// order is empty.
-func NewTracker(pub *Publisher, total int, order []string, groupTotal map[string]int) *Tracker {
-	t := &Tracker{
-		pub:        pub,
-		timer:      NewGroupTimer(),
-		total:      total,
-		order:      order,
-		groupTotal: groupTotal,
-		groupDone:  make(map[string]int, len(groupTotal)),
-	}
-	t.timer.now = pub.now
-	return t
-}
-
-// TrialDone records one finished trial of the given group and publishes
-// a snapshot when one is due. A group completing forces a publication,
-// so the heatmap never sticks below 100% on a finished curve.
-func (t *Tracker) TrialDone(group string) {
-	t.done++
-	t.cur = group
-	t.timer.Observe(group)
-	boundary := false
-	if len(t.order) > 0 {
-		t.groupDone[group]++
-		boundary = t.groupDone[group] == t.groupTotal[group]
-	}
-	final := t.done == t.total
-	if !final && !boundary && !t.pub.Due(false) {
-		return
-	}
-	if boundary {
-		t.pub.ForceDue()
-	}
-	t.publish(final)
-}
-
-// Final publishes the terminal snapshot; call once after the campaign
-// completes (even when done < total, e.g. an aborted run).
-func (t *Tracker) Final() { t.publish(true) }
-
-// GroupSeconds returns per-group wall timing for the ledger.
-func (t *Tracker) GroupSeconds() map[string]float64 { return t.timer.Seconds() }
-
-func (t *Tracker) publish(final bool) {
-	var groups []GroupView
-	if len(t.order) > 0 {
-		groups = make([]GroupView, len(t.order))
-		for i, g := range t.order {
-			groups[i] = GroupView{Group: g, Done: t.groupDone[g], Total: t.groupTotal[g]}
-		}
-	}
-	fleet := experiment.Progress{Done: t.done, Total: t.total}
-	if !final && t.cur != "" {
-		fleet.Group = t.cur
-		fleet.GroupDone = t.groupDone[t.cur]
-	}
-	t.pub.Publish(fleet, nil, groups, final)
 }

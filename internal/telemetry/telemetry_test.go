@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 
@@ -95,37 +94,23 @@ func TestHubCloseDrainsBufferedEvents(t *testing.T) {
 	hub.Close() // idempotent
 }
 
-func TestPublisherThrottleAndStamps(t *testing.T) {
+func TestPublisherStamps(t *testing.T) {
 	hub := NewHub()
 	sub := hub.Subscribe()
 	pub := NewPublisher(hub)
 	clock := time.Unix(1000, 0)
 	pub.SetClock(func() time.Time { return clock })
 
-	fleet := experiment.Progress{Done: 10, Total: 40}
 	clock = clock.Add(2 * time.Second)
-	if !pub.Publish(fleet, nil, nil, false) {
-		t.Fatal("first publication should go out")
-	}
-	// Within the throttle window, non-final publications are suppressed
-	// and Due pre-reports it so hot paths skip building views.
-	clock = clock.Add(Throttle / 2)
-	if pub.Due(false) {
-		t.Error("Due inside the throttle window")
-	}
-	if pub.Publish(fleet, nil, nil, false) {
-		t.Error("throttled publication went out")
-	}
-	if !pub.Due(true) {
-		t.Error("final is always due")
-	}
-	if !pub.Publish(experiment.Progress{Done: 40, Total: 40}, nil, nil, true) {
-		t.Error("final publication suppressed")
-	}
+	pub.Publish(experiment.Progress{Done: 10, Total: 40}, nil, nil, false)
+	// Every publication goes out: the progress sources throttle.
+	clock = clock.Add(time.Millisecond)
+	pub.Publish(experiment.Progress{Done: 11, Total: 40}, nil, nil, false)
+	pub.Publish(experiment.Progress{Done: 40, Total: 40}, nil, nil, true)
 
 	got := drain(sub)
-	if len(got) != 2 {
-		t.Fatalf("got %d snapshots, want 2", len(got))
+	if len(got) != 3 {
+		t.Fatalf("got %d snapshots, want 3", len(got))
 	}
 	first := got[0]
 	if first.ElapsedS != 2 {
@@ -137,7 +122,7 @@ func TestPublisherThrottleAndStamps(t *testing.T) {
 	if first.ETAS != 6 { // 30 remaining / 5 per second
 		t.Errorf("eta = %v, want 6", first.ETAS)
 	}
-	final := got[1]
+	final := got[2]
 	if !final.Final {
 		t.Error("final snapshot unmarked")
 	}
@@ -160,49 +145,6 @@ func TestPublisherZeroElapsedNoDivideByZero(t *testing.T) {
 	}
 	if got[0].TrialsPerS != 0 || got[0].ETAS != -1 {
 		t.Errorf("zero-state snapshot = %+v, want rate 0 and eta -1", got[0])
-	}
-}
-
-func TestTrackerGroupBoundariesAndFinal(t *testing.T) {
-	hub := NewHub()
-	sub := hub.Subscribe()
-	pub := NewPublisher(hub)
-	clock := time.Unix(0, 0)
-	pub.SetClock(func() time.Time { return clock })
-
-	order := []string{"SR", "AR"}
-	tr := NewTracker(pub, 4, order, map[string]int{"SR": 2, "AR": 2})
-	clock = clock.Add(time.Second)
-	tr.TrialDone("SR") // due (first since anchor): publishes
-	tr.TrialDone("SR") // group boundary: forces a publication
-	tr.TrialDone("AR") // throttled
-	clock = clock.Add(time.Second)
-	tr.TrialDone("AR") // final
-
-	got := drain(sub)
-	if len(got) != 3 {
-		t.Fatalf("got %d snapshots, want 3 (due, boundary, final): %+v", len(got), got)
-	}
-	boundary := got[1]
-	if boundary.Fleet.Group != "SR" || boundary.Fleet.GroupDone != 2 {
-		t.Errorf("boundary fleet = %+v, want group SR done 2", boundary.Fleet)
-	}
-	if len(boundary.Groups) != 2 || boundary.Groups[0].Group != "SR" || boundary.Groups[0].Done != 2 {
-		t.Errorf("boundary groups = %+v", boundary.Groups)
-	}
-	if boundary.Heatmap == "" || !strings.Contains(boundary.Heatmap, "SR") {
-		t.Errorf("boundary heatmap = %q", boundary.Heatmap)
-	}
-	final := got[2]
-	if !final.Final || final.Fleet.Done != 4 || final.Fleet.Group != "" {
-		t.Errorf("final = %+v, want groupless 4/4 final", final)
-	}
-	secs := tr.GroupSeconds()
-	if len(secs) != 2 {
-		t.Fatalf("group seconds = %v", secs)
-	}
-	if secs["AR"] != 1 { // first AR trial at t=1s, last at t=2s
-		t.Errorf("AR span = %v, want 1", secs["AR"])
 	}
 }
 
