@@ -1,19 +1,20 @@
-// Command manifestdiff compares two campaign manifests under the shard
-// merge contract, so CI and operators can assert that a sharded (or
-// dispatched) campaign reproduced an unsharded reference:
+// Command manifestdiff compares two campaign manifests, so CI and
+// operators can assert that a sharded (or dispatched) campaign
+// reproduced an unsharded reference:
 //
 //	manifestdiff a.json b.json
 //
 // Structural fields — name, job counts, point identities, metric names,
-// and the exactly-merged statistics (N, min, max) — must match
-// byte-for-byte. Mean, standard deviation, and CI95 must agree within a
-// relative tolerance (-tol, default 1e-9): the pooled-variance merge
-// reassociates floating-point sums, so the last bits legitimately
-// wobble. Medians are compared only when both sides are exact; a median
-// marked median_approx (a multi-shard merge, or the streaming P-squared
-// estimate beyond five replicates) is an estimate and is skipped.
-// Execution metadata — worker counts, fresh-build and shard-range
-// fields — is ignored: it changes wall clock, never results.
+// and N, min, max — must match exactly. Mean, standard deviation, and
+// CI95 must agree within a relative tolerance (-tol, default 1e-9):
+// equal specs reproduce them bit for bit, shard merges included, so the
+// tolerance only forgives floating-point noise between manifests
+// computed differently, such as those of older builds. Medians are
+// compared only when both sides are exact; a median marked
+// median_approx (the streaming P-squared estimate beyond five
+// replicates) is an estimate and is skipped. Execution metadata —
+// worker counts, fresh-build and cell-range fields — is ignored: it
+// changes wall clock, never results. For byte identity, use cmp.
 //
 // The comparison itself is dispatch.DiffManifests; cmd/runlog diff
 // applies the same contract to the manifests of two ledger records.

@@ -27,8 +27,8 @@
 // object {"records": [...], "manifests": [...]} for scripting (show is
 // always JSON; manifests appears only with -store).
 //
-// diff compares two records' manifests under the same shard merge
-// contract cmd/manifestdiff enforces (dispatch.DiffManifests): because
+// diff compares two records' manifests the way cmd/manifestdiff does
+// (dispatch.DiffManifests): because
 // the engine is deterministic, two runs with equal spec hashes must
 // produce equivalent manifests, and diff proves it — across machines,
 // shard layouts, and fleet sizes. Exit status 1 means the manifests

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -61,12 +60,12 @@ func parseEvents(t *testing.T, raw []byte) []experiment.Progress {
 // TestShardProgressJSONTotals is the shard-meter regression test: under
 // -shard i/n every progress total — the denominator the meter and any
 // supervisor computes ETA from — must be the shard's own trial count,
-// never the full campaign's replicate range.
+// never the full campaign's.
 func TestShardProgressJSONTotals(t *testing.T) {
 	buf := captureProgress(t)
 	dir := t.TempDir()
-	// Full campaign: 1 scheme x 2 spares x 4 replicates = 8 trials.
-	// Shard 2/2 owns replicates [2, 4): 4 trials.
+	// Full campaign: 1 scheme x 2 spares x 4 replicates = 8 trials in 2
+	// cells. Shard 2/2 owns the N=24 cell: 4 trials.
 	err := run([]string{
 		"-schemes", "SR", "-grids", "8x8", "-spares", "8,24",
 		"-replicates", "4", "-seed", "5", "-shard", "2/2",
@@ -168,10 +167,12 @@ func TestShardResumeJobsAccounting(t *testing.T) {
 		"-seed", "5", "-shard", "2/2", "-out", dir, "-name", "sh",
 		"-metrics", "", "-quiet",
 	}
-	if err := run(append([]string{"-spares", "8"}, base...)); err != nil {
+	// Shard 2/2 of 2 cells is the N=24 cell; of 4 cells it is N=24 and
+	// N=40, so the resume keeps one cell and computes one.
+	if err := run(append([]string{"-spares", "8,24"}, base...)); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append([]string{"-spares", "8,24", "-resume"}, base...)); err != nil {
+	if err := run(append([]string{"-spares", "8,16,24,40", "-resume"}, base...)); err != nil {
 		t.Fatal(err)
 	}
 	resumed, err := os.ReadFile(filepath.Join(dir, "sh.json"))
@@ -183,7 +184,7 @@ func TestShardResumeJobsAccounting(t *testing.T) {
 	ref := []string{
 		"-schemes", "SR", "-grids", "8x8", "-replicates", "4",
 		"-seed", "5", "-shard", "2/2", "-out", refDir, "-name", "sh",
-		"-metrics", "", "-quiet", "-spares", "8,24",
+		"-metrics", "", "-quiet", "-spares", "8,16,24,40",
 	}
 	if err := run(ref); err != nil {
 		t.Fatal(err)
@@ -199,9 +200,38 @@ func TestShardResumeJobsAccounting(t *testing.T) {
 	if err := json.Unmarshal(resumed, &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Jobs != 4 {
-		t.Errorf("resumed shard manifest jobs = %d, want 4 (2 prior + 2 new)", m.Jobs)
+	if m.Jobs != 8 {
+		t.Errorf("resumed shard manifest jobs = %d, want 8 (4 prior + 4 new)", m.Jobs)
 	}
+}
+
+// TestResumeUnshardedAfterShard: a cell is exact under any layout, so
+// -resume without -shard extends a shard's manifest to the whole
+// campaign, computing only the other shard's cells, and lands on the
+// cold unsharded run's bytes.
+func TestResumeUnshardedAfterShard(t *testing.T) {
+	dir := t.TempDir()
+	// SR,AR x {8, 24}: 4 cells of 3 trials; shard 1/2 holds 2 of them.
+	campaign := []string{
+		"-schemes", "SR,AR", "-grids", "8x8", "-spares", "8,24",
+		"-replicates", "3", "-seed", "13", "-metrics", "", "-ledger", "none",
+	}
+	if err := run(append([]string{"-out", dir, "-name", "c", "-shard", "1/2", "-quiet"}, campaign...)); err != nil {
+		t.Fatal(err)
+	}
+	buf := captureProgress(t)
+	if err := run(append([]string{"-out", dir, "-name", "c", "-resume", "-progress", "json"}, campaign...)); err != nil {
+		t.Fatal(err)
+	}
+	events := parseEvents(t, buf.Bytes())
+	if len(events) == 0 || events[0].Total != 6 || events[len(events)-1].Done != 6 {
+		t.Errorf("resume events %+v, want 6 trials: only the other shard's 2 cells", events)
+	}
+	coldDir := t.TempDir()
+	if err := run(append([]string{"-out", coldDir, "-name", "c", "-quiet"}, campaign...)); err != nil {
+		t.Fatal(err)
+	}
+	assertSameBytes(t, filepath.Join(dir, "c.json"), filepath.Join(coldDir, "c.json"))
 }
 
 // TestCheckpointResumeAfterKill is the worker failure-path satellite: a
@@ -262,66 +292,9 @@ func TestCheckpointResumeAfterKill(t *testing.T) {
 	}
 }
 
-// assertManifestsEquivalent compares a sharded-and-merged campaign
-// manifest against an unsharded reference under the merge contract:
-// count/min/max and every structural field byte-exact, mean/stddev/CI95
-// to within floating-point reassociation (the pooled-variance merge
-// reassociates sums), the median excluded (it is an estimate marked
-// median_approx), and execution metadata (worker counts) ignored.
-func assertManifestsEquivalent(t *testing.T, gotPath, wantPath string) {
-	t.Helper()
-	load := func(path string) (experiment.Manifest, sim.CampaignSpec) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m experiment.Manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			t.Fatal(err)
-		}
-		var spec sim.CampaignSpec
-		if err := json.Unmarshal(m.Spec, &spec); err != nil {
-			t.Fatal(err)
-		}
-		spec.Workers, spec.FreshBuild = 0, false
-		return m, spec
-	}
-	got, gotSpec := load(gotPath)
-	want, wantSpec := load(wantPath)
-	gs, _ := json.Marshal(gotSpec)
-	ws, _ := json.Marshal(wantSpec)
-	if !bytes.Equal(gs, ws) {
-		t.Errorf("specs differ:\n%s\nvs\n%s", gs, ws)
-	}
-	if got.Jobs != want.Jobs || got.Name != want.Name || len(got.Points) != len(want.Points) {
-		t.Fatalf("manifest shape (%s, %d jobs, %d points) vs (%s, %d jobs, %d points)",
-			got.Name, got.Jobs, len(got.Points), want.Name, want.Jobs, len(want.Points))
-	}
-	close := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(b)) }
-	for i, wp := range want.Points {
-		gp := got.Points[i]
-		if gp.Group != wp.Group || gp.X != wp.X || len(gp.Metrics) != len(wp.Metrics) {
-			t.Fatalf("point %d: (%s, %g, %d metrics) vs (%s, %g, %d metrics)",
-				i, gp.Group, gp.X, len(gp.Metrics), wp.Group, wp.X, len(wp.Metrics))
-		}
-		for name, wd := range wp.Metrics {
-			gd := gp.Metrics[name]
-			if gd.N != wd.N || gd.Min != wd.Min || gd.Max != wd.Max {
-				t.Errorf("%s/%s exact fields: (%d,%g,%g) vs (%d,%g,%g)",
-					wp.Group, name, gd.N, gd.Min, gd.Max, wd.N, wd.Min, wd.Max)
-			}
-			if !close(gd.Mean, wd.Mean) || !close(gd.StdDev, wd.StdDev) || !close(gd.CI95, wd.CI95) {
-				t.Errorf("%s/%s moments: (%g,%g,%g) vs (%g,%g,%g)",
-					wp.Group, name, gd.Mean, gd.StdDev, gd.CI95, wd.Mean, wd.StdDev, wd.CI95)
-			}
-		}
-	}
-}
-
 // TestDispatchMatchesUnsharded is the acceptance criterion: -dispatch n
 // runs n supervised shard subprocesses and writes a final merged
-// manifest byte-identical — modulo the now-honest median field and
-// worker-count metadata — to the same campaign run unsharded.
+// manifest byte-identical to the same campaign run unsharded.
 func TestDispatchMatchesUnsharded(t *testing.T) {
 	t.Setenv("WSNSWEEP_WORKER", "1") // shard subprocesses re-enter run()
 	dir := t.TempDir()
@@ -333,7 +306,7 @@ func TestDispatchMatchesUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The fleet leaves shard artifacts plus the merged campaign. With 2
-	// slots the queue defaults to 4 replicate blocks (2 per slot).
+	// slots the queue defaults to 4 blocks (2 per slot), one per cell.
 	for _, f := range []string{
 		"camp.json", "camp-b1.json", "camp-b2.json", "camp-b3.json", "camp-b4.json",
 		"camp-b1.spec.json", "camp-b4.spec.json", "camp-moves.csv",
@@ -346,18 +319,34 @@ func TestDispatchMatchesUnsharded(t *testing.T) {
 	refDir := t.TempDir()
 	if err := run([]string{
 		"-schemes", "SR,AR", "-grids", "8x8", "-spares", "8,24",
-		"-replicates", "4", "-seed", "21", "-workers", "4",
+		"-replicates", "4", "-seed", "21",
 		"-out", refDir, "-name", "camp", "-metrics", "moves", "-quiet",
 	}); err != nil {
 		t.Fatal(err)
 	}
-	assertManifestsEquivalent(t, filepath.Join(dir, "camp.json"), filepath.Join(refDir, "camp.json"))
+	assertSameBytes(t, filepath.Join(dir, "camp.json"), filepath.Join(refDir, "camp.json"))
+}
+
+// assertSameBytes fails the test unless the two files are identical.
+func assertSameBytes(t *testing.T, gotPath, wantPath string) {
+	t.Helper()
+	got, err := os.ReadFile(gotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(wantPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from %s:\n%s\nvs\n%s", gotPath, wantPath, got, want)
+	}
 }
 
 // TestDispatchRetriesDeadWorkerAndResumes: the worker slot 1 launches
 // first is killed mid-run (after checkpointing one completed cell); the
 // driver must retry its shard with -resume and the merged result must
-// still match the unsharded campaign.
+// still equal the unsharded campaign byte for byte.
 func TestDispatchRetriesDeadWorkerAndResumes(t *testing.T) {
 	dir := t.TempDir()
 	died := filepath.Join(dir, "died")
@@ -375,11 +364,12 @@ exec "$@"
 
 	var mu sync.Mutex
 	attempts := 0
+	// 4 cells of 2 trials; each of the 2 blocks holds 2 cells.
 	spec := sim.CampaignSpec{
 		Schemes:    []sim.SchemeKind{sim.SR},
 		Grids:      []sim.GridSize{{Cols: 8, Rows: 8}},
-		Spares:     []int{8, 24},
-		Replicates: 4,
+		Spares:     []int{8, 16, 24, 40},
+		Replicates: 2,
 		BaseSeed:   21,
 	}
 	manifest, _, err := dispatch.Run(context.Background(), spec, dispatch.Options{
@@ -418,13 +408,13 @@ exec "$@"
 
 	refDir := t.TempDir()
 	if err := run([]string{
-		"-schemes", "SR", "-grids", "8x8", "-spares", "8,24",
-		"-replicates", "4", "-seed", "21",
+		"-schemes", "SR", "-grids", "8x8", "-spares", "8,16,24,40",
+		"-replicates", "2", "-seed", "21",
 		"-out", refDir, "-name", "camp", "-metrics", "", "-quiet",
 	}); err != nil {
 		t.Fatal(err)
 	}
-	assertManifestsEquivalent(t, filepath.Join(dir, "camp.json"), filepath.Join(refDir, "camp.json"))
+	assertSameBytes(t, filepath.Join(dir, "camp.json"), filepath.Join(refDir, "camp.json"))
 	// Every shard's manifest accounts for all the trials it represents —
 	// the retried one's checkpointed prefix included.
 	for _, name := range []string{"camp-b1.json", "camp-b2.json"} {
@@ -459,7 +449,7 @@ func TestDispatchFlagConflicts(t *testing.T) {
 		{[]string{"-pprof"}, "requires -dash"},
 	}
 	for _, c := range cases {
-		err := run(append(c.args, "-schemes", "SR", "-grids", "8x8", "-spares", "8",
+		err := run(append(c.args, "-schemes", "SR", "-grids", "8x8", "-spares", "8,24",
 			"-replicates", "4", "-out", dir, "-quiet"))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("run(%v) = %v, want error containing %q", c.args, err, c.want)

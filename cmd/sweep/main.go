@@ -39,28 +39,27 @@
 // the log's; cells of dimension values the current spec no longer lists
 // are dropped from the merged output.
 //
-// -shard i/n runs only the i-th of n contiguous replicate blocks of
-// every campaign cell (1-based), so one campaign splits across boxes:
-// each box runs the same spec with its own -shard and -name, and
-// because replicate seeds derive from the full range, every shard
-// computes exactly the trials the unsharded campaign would. -merge
-// stitches the resulting shard manifests back into one campaign
-// manifest plus metric tables, validating that the shards share one
-// spec and that their replicate ranges tile the full range without
-// overlap, gap, or duplicated shards. A single manifest covering the
-// whole range (-shard 1/1) merges degenerately into the unsharded
-// manifest. Merged medians cannot be recomputed from shard summaries;
-// they are count-weighted estimates marked "median_approx" in the
-// manifest.
+// -shard i/n runs only the i-th of n contiguous blocks of the
+// campaign's cells (1-based; a cell is one (group, N) pair with all its
+// replicates), so one campaign splits across boxes: each box runs the
+// same spec with its own -shard and -name. A cell's trials depend only
+// on its own dimension values, the seed and the replicate count, so
+// every shard computes its cells byte for byte as the unsharded
+// campaign would. -merge unions the resulting shard manifests into one
+// campaign manifest plus metric tables, byte-identical to the unsharded
+// run's: it recomputes no statistic, and it fails if the inputs are not
+// one campaign, if a file is given twice, or if any cell is missing or
+// held by two files.
 //
 // -dispatch n does all of that automatically, and fault-tolerantly: it
-// splits the campaign's replicate range into blocks (two per slot by
-// default) fed to n worker slots from a lease-based work queue. A slot
-// leasing a block runs one supervised worker subprocess (the current
-// binary by default; -exec prefixes the command, with "{slot}" replaced
-// by the slot number, so "ssh box{slot} --" reaches remote machines
-// sharing the -out directory; -fleet names an inventory file giving
-// every slot its own prefix). Progress events on the worker's stdout
+// splits the campaign's cells into blocks (two per slot by default,
+// never more than the cells) fed to n worker slots from a lease-based
+// work queue. A slot leasing a block runs one supervised worker
+// subprocess (the current binary by default; -exec prefixes the
+// command, with "{slot}" replaced by the slot number, so
+// "ssh box{slot} --" reaches remote machines sharing the -out
+// directory; -fleet names an inventory file giving every slot its own
+// prefix). Progress events on the worker's stdout
 // renew the lease: a worker silent for -lease-timeout is killed and its
 // block re-queued, failed blocks are retried with -resume from their
 // checkpoint logs after a jittered backoff (-max-retries caps
@@ -80,11 +79,10 @@
 // fields like -workers never affect the hash — the run is skipped and
 // the cached manifest's path prints on stdout; otherwise the campaign
 // runs and its manifest is installed, so scripts and CI get exactly the
-// dedupe the daemon performs. It takes only unsharded in-process runs:
-// their manifests are byte-identical at any worker count, but a shard
-// (-shard) is not the whole campaign, and a merged fleet manifest
-// (-dispatch, -fleet) estimates its medians, so its bytes differ from
-// the in-process manifest the same hash names.
+// dedupe the daemon performs. It takes in-process and fleet runs
+// (-dispatch, -fleet) alike, since a fleet's merged manifest equals the
+// in-process one byte for byte, but not -shard: a shard is not the
+// whole campaign.
 //
 // -progress selects the progress channel: "meter" is the human line on
 // stderr, "json" emits newline-delimited experiment.Progress events
@@ -322,16 +320,16 @@ type output struct {
 // executed: the rate is never credited with resumed cells.
 func (o *output) finish(mode string, spec sim.CampaignSpec, m *experiment.Manifest, ran int, wall time.Duration, stats *fleetStats, runErr error) error {
 	rec := telemetry.Record{
-		Name:       o.name,
-		Mode:       mode,
-		Status:     telemetry.StatusCompleted,
-		Jobs:       ran,
-		Workers:    spec.Workers,
-		Shards:     stats.shards,
-		Retries:    stats.retries(),
-		ShardFirst: spec.ShardFirst,
-		ShardCount: spec.ShardCount,
-		WallS:      wall.Seconds(),
+		Name:      o.name,
+		Mode:      mode,
+		Status:    telemetry.StatusCompleted,
+		Jobs:      ran,
+		Workers:   spec.Workers,
+		Shards:    stats.shards,
+		Retries:   stats.retries(),
+		CellFirst: spec.CellFirst,
+		CellCount: spec.CellCount,
+		WallS:     wall.Seconds(),
 	}
 	if wall > 0 {
 		rec.TrialsPerS = float64(ran) / wall.Seconds()
@@ -423,7 +421,8 @@ func writeTables(w io.Writer, points []experiment.Point, metricsS, outDir, name 
 // resumeCompatible rejects a resume whose prior manifest was produced
 // under different trial physics or seeding: dimension lists may differ
 // freely (extending the campaign is the point of -resume, and the
-// dimensions are encoded in each point's group/X identity), but the
+// dimensions are encoded in each point's group/X identity), and so may
+// the cell range (a cell is exact under any shard layout), but the
 // seed, replicate count, and pass-through trial parameters must match —
 // they change results without changing any (group, N) label, so a merge
 // would silently mix incomparable points and break the paired-seed
@@ -439,8 +438,6 @@ func resumeCompatible(priorSpec json.RawMessage, spec sim.CampaignSpec) error {
 	type pinned struct {
 		seed            int64
 		replicates      int
-		shardFirst      int
-		shardCount      int
 		commRange       float64
 		jamRadius       float64
 		adjacentHolesOK bool
@@ -457,8 +454,6 @@ func resumeCompatible(priorSpec json.RawMessage, spec sim.CampaignSpec) error {
 		return pinned{
 			seed:            s.BaseSeed,
 			replicates:      s.Replicates,
-			shardFirst:      s.ShardFirst,
-			shardCount:      s.ShardCount,
 			commRange:       s.CommRange,
 			jamRadius:       s.JamRadius,
 			adjacentHolesOK: s.AdjacentHolesOK,
@@ -603,28 +598,27 @@ func parseRunners(s string) ([]sim.RunnerKind, error) {
 	return out, nil
 }
 
-// parseShard resolves "-shard i/n" (1-based) into the contiguous
-// replicate block [first, first+count) of shard i; the even-split math
-// is sim.ShardRange, shared with the dispatch driver so hand-launched
-// and dispatched shards always cover identical ranges.
-func parseShard(s string, replicates int) (first, count int, err error) {
+// parseShard resolves "-shard i/n" (1-based) into the contiguous cell
+// block [first, first+count) of shard i; the even-split math is
+// sim.ShardRange, shared with the dispatch driver so hand-launched and
+// dispatched shards always cover identical ranges.
+func parseShard(s string, cells int) (first, count int, err error) {
 	is, ns, ok := strings.Cut(strings.TrimSpace(s), "/")
 	i, errI := strconv.Atoi(is)
 	n, errN := strconv.Atoi(ns)
 	if !ok || errI != nil || errN != nil {
 		return 0, 0, fmt.Errorf("bad shard %q (want i/n, e.g. 2/4)", s)
 	}
-	return sim.ShardRange(i, n, replicates)
+	return sim.ShardRange(i, n, cells)
 }
 
-// runMerge stitches shard manifests (same spec, disjoint replicate
-// ranges produced with -shard or -dispatch) into one campaign manifest
-// plus metric tables. All validation — overlap, gaps, spec drift, the
-// same shard passed twice, non-shard inputs — lives in
+// runMerge unions shard manifests (same spec, disjoint cell ranges
+// produced with -shard or -dispatch) into one campaign manifest plus
+// metric tables. All validation — spec drift, the same file passed
+// twice, a cell missing or held twice — lives in
 // dispatch.MergeShardManifests and fails loudly; a silent bad merge
 // would corrupt the paired-seed methodology the campaign layer
-// guarantees. A single manifest covering the whole replicate range
-// merges degenerately.
+// guarantees.
 func runMerge(w io.Writer, paths []string, outDir, name, metricsS string, ascii bool) error {
 	manifest, mergedSpec, err := dispatch.MergeShardManifests(paths, name)
 	if err != nil {
@@ -716,7 +710,7 @@ func run(args []string) (err error) {
 		ttlsS      = fs.String("ttls", "", "comma-separated claim TTLs in rounds (adds a campaign dimension; SR-family sync runs only, 0 = claims never expire)")
 		runnersS   = fs.String("runners", "", "comma-separated trial runners: sync, async (default sync)")
 		resume     = fs.Bool("resume", false, "skip (group, N) cells already in the output manifest and merge new results into it")
-		shardS     = fs.String("shard", "", "replicate shard i/n: run only the i-th of n contiguous replicate blocks (stitch with -merge)")
+		shardS     = fs.String("shard", "", "cell shard i/n: run only the i-th of n contiguous blocks of campaign cells (union with -merge)")
 		merge      = fs.Bool("merge", false, "merge the shard manifests given as arguments into one campaign manifest instead of running trials")
 		dispatchN  = fs.Int("dispatch", 0, "run the campaign over n supervised worker slots (lease-based work queue) and auto-merge their manifests")
 		execS      = fs.String("exec", "", "worker command prefix for -dispatch ({slot} = slot number), e.g. \"ssh box{slot} --\"")
@@ -858,14 +852,14 @@ func run(args []string) (err error) {
 	}
 	spec = spec.Normalized()
 	if *shardS != "" {
-		if spec.ShardCount > 0 {
-			return fmt.Errorf("the spec file already pins a shard range; drop -shard or the spec fields")
+		if spec.CellCount > 0 {
+			return fmt.Errorf("the spec file already pins a cell range; drop -shard or the spec fields")
 		}
-		first, count, err := parseShard(*shardS, spec.Replicates)
+		first, count, err := parseShard(*shardS, spec.NumCells())
 		if err != nil {
 			return err
 		}
-		spec.ShardFirst, spec.ShardCount = first, count
+		spec.CellFirst, spec.CellCount = first, count
 	}
 	if err := spec.Validate(); err != nil {
 		return err
@@ -887,9 +881,6 @@ func run(args []string) (err error) {
 		logger:  logger,
 	}
 	if *ifCachedS != "" {
-		if dispatched {
-			return fmt.Errorf("-if-cached stores in-process manifests only; a merged fleet manifest's bytes differ (estimated medians), drop -dispatch/-fleet")
-		}
 		if err := spec.ValidateUnsharded(); err != nil {
 			return fmt.Errorf("-if-cached: %w", err)
 		}
@@ -997,7 +988,7 @@ func run(args []string) (err error) {
 			"manifest", manifestPath, "cells", local.Resumed, "new_trials", ran)
 	}
 	mode := "run"
-	if spec.ShardCount > 0 {
+	if spec.CellCount > 0 {
 		mode = "shard"
 	}
 	return out.finish(mode, spec, manifest, ran, wall, stats, err)
@@ -1008,8 +999,8 @@ func run(args []string) (err error) {
 // prefix, or one slot per -fleet inventory line.
 func dispatchOptions(spec sim.CampaignSpec, n int, fleetPath, execS string, checkpoint bool) (dispatch.Options, error) {
 	opts := dispatch.Options{Slots: n}
-	if spec.ShardCount > 0 {
-		return opts, fmt.Errorf("-dispatch splits the campaign itself; drop -shard (or the spec's shard range)")
+	if spec.CellCount > 0 {
+		return opts, fmt.Errorf("-dispatch splits the campaign itself; drop -shard (or the spec's cell range)")
 	}
 	if checkpoint {
 		return opts, fmt.Errorf("-checkpoint belongs to workers; the dispatch driver enables it for every shard")

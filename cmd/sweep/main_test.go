@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -533,7 +532,7 @@ func TestRunSpecFileRejectsUnknownFields(t *testing.T) {
 }
 
 func TestParseShard(t *testing.T) {
-	// 10 replicates over 3 shards: blocks of 4, 3, 3.
+	// 10 cells over 3 shards: blocks of 4, 3, 3.
 	cases := []struct {
 		s            string
 		first, count int
@@ -559,21 +558,22 @@ func TestParseShard(t *testing.T) {
 
 // TestShardMergeMatchesUnsharded is the multi-box sharding story end to
 // end: run a campaign whole, run it again as three -shard pieces, merge
-// the pieces, and compare. Exact fields (counts, means up to the pooled
-// merge's reassociation, min/max) must agree with the unsharded run.
+// the pieces, and compare: the merge is the unsharded manifest, byte for
+// byte.
 func TestShardMergeMatchesUnsharded(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{
 		"-schemes", "SR,AR", "-grids", "8x8", "-spares", "8,24", "-workloads", "holes,jam",
-		"-replicates", "5", "-seed", "21", "-out", dir, "-metrics", "moves", "-quiet",
+		"-replicates", "5", "-seed", "21", "-metrics", "moves", "-quiet",
 	}
-	if err := run(append([]string{"-name", "full"}, base...)); err != nil {
+	fullDir := t.TempDir()
+	if err := run(append([]string{"-out", fullDir, "-name", "merged"}, base...)); err != nil {
 		t.Fatal(err)
 	}
 	shardPaths := make([]string, 0, 3)
 	for i := 1; i <= 3; i++ {
 		name := fmt.Sprintf("shard%d", i)
-		args := append([]string{"-name", name, "-shard", fmt.Sprintf("%d/3", i)}, base...)
+		args := append([]string{"-out", dir, "-name", name, "-shard", fmt.Sprintf("%d/3", i)}, base...)
 		if err := run(args); err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
@@ -583,44 +583,7 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 	if err := run(mergeArgs); err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-
-	load := func(name string) experiment.Manifest {
-		data, err := os.ReadFile(filepath.Join(dir, name+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m experiment.Manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	full, merged := load("full"), load("merged")
-	if merged.Jobs != full.Jobs {
-		t.Errorf("merged jobs = %d, full = %d", merged.Jobs, full.Jobs)
-	}
-	if len(merged.Points) != len(full.Points) {
-		t.Fatalf("merged has %d points, full has %d", len(merged.Points), len(full.Points))
-	}
-	for i, fp := range full.Points {
-		mp := merged.Points[i]
-		if mp.Group != fp.Group || mp.X != fp.X {
-			t.Fatalf("point %d: (%s, %g) vs (%s, %g)", i, mp.Group, mp.X, fp.Group, fp.X)
-		}
-		for name, fd := range fp.Metrics {
-			md := mp.Metrics[name]
-			if md.N != fd.N || md.Min != fd.Min || md.Max != fd.Max {
-				t.Errorf("%s/%s %s: N/min/max (%d,%g,%g) vs (%d,%g,%g)",
-					fp.Group, name, "exact fields", md.N, md.Min, md.Max, fd.N, fd.Min, fd.Max)
-			}
-			if math.Abs(md.Mean-fd.Mean) > 1e-9*(1+math.Abs(fd.Mean)) {
-				t.Errorf("%s/%s mean %g vs %g", fp.Group, name, md.Mean, fd.Mean)
-			}
-			if math.Abs(md.StdDev-fd.StdDev) > 1e-9*(1+math.Abs(fd.StdDev)) {
-				t.Errorf("%s/%s stddev %g vs %g", fp.Group, name, md.StdDev, fd.StdDev)
-			}
-		}
-	}
+	assertSameBytes(t, filepath.Join(dir, "merged.json"), filepath.Join(fullDir, "merged.json"))
 	// The merged tables exist like a normal run's.
 	if _, err := os.Stat(filepath.Join(dir, "merged-moves.csv")); err != nil {
 		t.Error(err)
@@ -650,13 +613,13 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestMergeRejectsBadShardSets: overlaps, gaps, spec mismatches,
-// non-shard manifests, and the same shard passed twice must all fail
-// loudly instead of merging quietly.
+// TestMergeRejectsBadShardSets: overlaps, gaps, spec mismatches, a
+// shard merged with a whole-campaign manifest, and the same shard
+// passed twice must all fail loudly instead of merging quietly.
 func TestMergeRejectsBadShardSets(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{
-		"-schemes", "SR", "-grids", "8x8", "-spares", "8",
+		"-schemes", "SR", "-grids", "8x8", "-spares", "8,24",
 		"-replicates", "4", "-seed", "3", "-out", dir, "-metrics", "moves", "-quiet",
 	}
 	mk := func(name, shard string, extra ...string) string {
@@ -676,18 +639,18 @@ func TestMergeRejectsBadShardSets(t *testing.T) {
 	whole := mk("whole", "")
 	if err := run([]string{
 		"-name", "o2", "-shard", "2/2", "-schemes", "SR", "-grids", "8x8",
-		"-spares", "8", "-replicates", "4", "-seed", "999", "-out", dir,
+		"-spares", "8,24", "-replicates", "4", "-seed", "999", "-out", dir,
 		"-metrics", "moves", "-quiet",
 	}); err != nil {
 		t.Fatal(err)
 	}
 	o2 := filepath.Join(dir, "o2.json")
-	// A genuinely overlapping range ([1, 4) against [0, 2)) needs a spec
-	// file: -shard only produces even tilings.
+	// A genuinely overlapping range (cells [0, 2) against [0, 1)) needs a
+	// spec file: -shard only produces even tilings.
 	overlapSpec := filepath.Join(dir, "overlap.spec.json")
 	if err := os.WriteFile(overlapSpec, []byte(`{
-		"schemes": ["SR"], "grids": [{"cols": 8, "rows": 8}], "spares": [8],
-		"replicates": 4, "seed": 3, "shard_first": 1, "shard_count": 3
+		"schemes": ["SR"], "grids": [{"cols": 8, "rows": 8}], "spares": [8, 24],
+		"replicates": 4, "seed": 3, "cell_first": 0, "cell_count": 2
 	}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -706,7 +669,7 @@ func TestMergeRejectsBadShardSets(t *testing.T) {
 		{"overlap", []string{s1, ov}, "overlaps"},
 		{"gap", []string{s2}, "missing"},
 		{"missing-tail", []string{s1}, "missing"},
-		{"not-a-shard", []string{s1, whole}, "not a shard manifest"},
+		{"shard-and-whole", []string{s1, whole}, "overlaps"},
 		{"spec-mismatch", []string{s1, o2}, "different campaign specs"},
 		{"no-manifests", nil, "no shard manifests"},
 	}
@@ -719,10 +682,9 @@ func TestMergeRejectsBadShardSets(t *testing.T) {
 	}
 }
 
-// TestMergeSingleShardDegenerate: one manifest covering the whole
-// replicate range (-shard 1/1) merges into a manifest identical to the
-// unsharded run's — same points, exact unmarked medians — with only the
-// shard range stripped from its spec.
+// TestMergeSingleShardDegenerate: one manifest covering every cell
+// (-shard 1/1) merges into a manifest identical to the unsharded run's,
+// with only the cell range stripped from its spec.
 func TestMergeSingleShardDegenerate(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{
@@ -748,8 +710,7 @@ func TestMergeSingleShardDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Identical apart from the artifact name: normalize it and compare
-	// bytes, median field included — a degenerate merge has the real
-	// per-cell samples' statistics, so nothing is approximated.
+	// bytes.
 	norm := strings.Replace(string(merged), `"name": "plain2"`, `"name": "plain"`, 1)
 	if norm != string(plain) {
 		t.Errorf("single-shard merge differs from the unsharded manifest:\n%s\nvs\n%s", norm, plain)
@@ -757,11 +718,11 @@ func TestMergeSingleShardDegenerate(t *testing.T) {
 }
 
 // TestShardManifestRecordsRange: a shard's manifest must carry its
-// replicate range so -merge can validate the tiling.
+// cell range, and account for its own trials only.
 func TestShardManifestRecordsRange(t *testing.T) {
 	dir := t.TempDir()
 	err := run([]string{
-		"-schemes", "SR", "-grids", "8x8", "-spares", "8", "-replicates", "4",
+		"-schemes", "SR", "-grids", "8x8", "-spares", "8,24", "-replicates", "4",
 		"-seed", "5", "-shard", "2/2", "-out", dir, "-name", "s", "-metrics", "moves", "-quiet",
 	})
 	if err != nil {
@@ -779,11 +740,11 @@ func TestShardManifestRecordsRange(t *testing.T) {
 	if err := json.Unmarshal(m.Spec, &spec); err != nil {
 		t.Fatal(err)
 	}
-	if spec.ShardFirst != 2 || spec.ShardCount != 2 {
-		t.Errorf("shard range [%d, +%d), want [2, +2)", spec.ShardFirst, spec.ShardCount)
+	if spec.CellFirst != 1 || spec.CellCount != 1 {
+		t.Errorf("cell range [%d, +%d), want [1, +1)", spec.CellFirst, spec.CellCount)
 	}
-	if m.Jobs != 2 {
-		t.Errorf("shard manifest jobs = %d, want 2 (its own trials)", m.Jobs)
+	if m.Jobs != 4 || len(m.Points) != 1 {
+		t.Errorf("shard manifest jobs = %d, points = %d; want 4 jobs (its own trials), 1 point", m.Jobs, len(m.Points))
 	}
 	var pt struct {
 		Metrics map[string]struct {
@@ -794,8 +755,8 @@ func TestShardManifestRecordsRange(t *testing.T) {
 	if err := json.Unmarshal(raw, &pt); err != nil {
 		t.Fatal(err)
 	}
-	if pt.Metrics["moves"].N != 2 {
-		t.Errorf("shard point N = %d, want 2", pt.Metrics["moves"].N)
+	if pt.Metrics["moves"].N != 4 {
+		t.Errorf("shard point N = %d, want 4", pt.Metrics["moves"].N)
 	}
 }
 
@@ -819,34 +780,29 @@ func TestBareDashArgumentErrors(t *testing.T) {
 	}
 }
 
-// TestRunIfCached pins the CLI cache path: a first run installs its
-// manifest in the store, a second run of the same science — different
-// out dir, different worker count — is answered from the store without
-// writing a manifest, and shard-pinned specs and fleets are refused (a
-// shard is not the whole campaign, and a merged fleet manifest's bytes
-// differ from the in-process one the store keys by spec hash).
+// TestRunIfCached pins the CLI cache path: a fleet run installs a
+// manifest byte-equal to the in-process run's, a later in-process run
+// of the same science — different out dir, different worker count — is
+// answered from the store without writing a manifest, and shard-pinned
+// specs are refused (a shard is not the whole campaign).
 func TestRunIfCached(t *testing.T) {
+	t.Setenv("WSNSWEEP_WORKER", "1") // shard subprocesses re-enter run()
 	store := filepath.Join(t.TempDir(), "store")
-	out1 := t.TempDir()
 	campaign := []string{
 		"-schemes", "SR", "-grids", "8x8", "-spares", "8,16",
 		"-replicates", "2", "-seed", "7", "-metrics", "moves", "-quiet",
-		"-if-cached", store,
 	}
-	if err := run(append([]string{"-out", out1, "-name", "cached"}, campaign...)); err != nil {
+	refDir := t.TempDir()
+	if err := run(append([]string{"-out", refDir, "-name", "cached"}, campaign...)); err != nil {
 		t.Fatal(err)
 	}
-	direct, err := os.ReadFile(filepath.Join(out1, "cached.json"))
+	direct, err := os.ReadFile(filepath.Join(refDir, "cached.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	out2 := t.TempDir()
-	if err := run(append([]string{"-out", out2, "-name", "cached", "-workers", "4"}, campaign...)); err != nil {
+	campaign = append(campaign, "-if-cached", store)
+	if err := run(append([]string{"-out", t.TempDir(), "-name", "cached", "-dispatch", "2"}, campaign...)); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(out2, "cached.json")); !os.IsNotExist(err) {
-		t.Errorf("cache hit still wrote a manifest (stat err %v)", err)
 	}
 	stored, err := filepath.Glob(filepath.Join(store, "manifests", "*.json"))
 	if err != nil || len(stored) != 1 {
@@ -857,14 +813,20 @@ func TestRunIfCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(data, direct) {
-		t.Error("stored manifest differs from the direct run's")
+		t.Errorf("fleet-installed manifest differs from the in-process run's:\n%s\nvs\n%s", data, direct)
 	}
 
-	for _, layout := range [][]string{{"-shard", "1/2"}, {"-dispatch", "2"}, {"-fleet", "fleet.txt"}} {
-		err := run(append(append([]string{"-out", t.TempDir()}, layout...), campaign...))
-		if err == nil || !strings.Contains(err.Error(), "-if-cached") {
-			t.Errorf("-if-cached with %v = %v, want rejection", layout, err)
-		}
+	out2 := t.TempDir()
+	if err := run(append([]string{"-out", out2, "-name", "cached", "-workers", "4"}, campaign...)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(out2, "cached.json")); !os.IsNotExist(err) {
+		t.Errorf("cache hit still wrote a manifest (stat err %v)", err)
+	}
+
+	err = run(append([]string{"-out", t.TempDir(), "-shard", "1/2"}, campaign...))
+	if err == nil || !strings.Contains(err.Error(), "-if-cached") {
+		t.Errorf("-if-cached with -shard = %v, want rejection", err)
 	}
 }
 

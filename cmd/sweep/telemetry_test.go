@@ -108,7 +108,7 @@ func TestDashDispatchAcceptance(t *testing.T) {
 
 	if err := run([]string{
 		"-dispatch", "2", "-schemes", "SR,AR", "-grids", "8x8",
-		"-spares", "8", "-replicates", "4", "-seed", "13",
+		"-spares", "8,24", "-replicates", "4", "-seed", "13",
 		"-out", dir, "-name", "dash", "-metrics", "", "-quiet",
 		"-dash", "127.0.0.1:0",
 	}); err != nil {

@@ -11,11 +11,12 @@ import (
 )
 
 // LoadManifest reads a manifest and its spec with execution metadata
-// cleared — worker counts, fresh-build and shard-range fields change
-// wall clock, never results, so the merge contract ignores them. The
-// spec decodes through sim.UnmarshalSpecJSON, so a manifest that names
-// its damage with the older "failures" list compares equal to one that
-// spells the same workloads.
+// cleared — worker counts, fresh-build and cell-range fields change
+// wall clock or which process computes which cells, never results, so
+// comparisons and merges ignore them. The spec decodes through
+// sim.UnmarshalSpecJSON, so a manifest that names its damage with the
+// older "failures" list compares equal to one that spells the same
+// workloads.
 func LoadManifest(path string) (experiment.Manifest, sim.CampaignSpec, error) {
 	var m experiment.Manifest
 	var spec sim.CampaignSpec
@@ -32,21 +33,22 @@ func LoadManifest(path string) (experiment.Manifest, sim.CampaignSpec, error) {
 		}
 	}
 	spec.Workers, spec.FreshBuild = 0, false
-	spec.ShardFirst, spec.ShardCount = 0, 0
+	spec.CellFirst, spec.CellCount = 0, 0
 	return m, spec, nil
 }
 
-// DiffManifests compares two campaign manifests under the shard merge
-// contract and returns a human-readable list of violations (empty means
-// equivalent). Structural fields — name, job counts, point identities,
-// metric names, and the exactly-merged statistics (N, min, max) — must
-// match byte-for-byte. Mean, standard deviation, and CI95 must agree
-// within the relative tolerance tol: the pooled-variance merge
-// reassociates floating-point sums, so the last bits legitimately
-// wobble. Medians are compared only when both sides are exact; a median
-// marked median_approx is an estimate and is skipped.
+// DiffManifests compares two campaign manifests and returns a
+// human-readable list of differences (empty means equivalent).
+// Structural fields — name, job counts, point identities, metric names,
+// and N, min, max — must match exactly. Mean, standard deviation, and
+// CI95 must agree within the relative tolerance tol: equal specs
+// reproduce them bit for bit (a shard merge included), so tol only
+// forgives floating-point noise between manifests computed differently,
+// such as those of older builds. Medians are compared only when both
+// sides are exact; median_approx marks the streaming P-squared estimate
+// beyond five replicates, an estimate that is skipped.
 //
-// cmd/manifestdiff is the command-line face of this contract;
+// cmd/manifestdiff is the command-line face of this comparison;
 // cmd/runlog diff applies it to the manifests of two ledger records.
 func DiffManifests(pathA, pathB string, tol float64) ([]string, error) {
 	a, specA, err := LoadManifest(pathA)

@@ -38,7 +38,7 @@ func TestDiffManifests(t *testing.T) {
 		Spares: []int{8}, Replicates: 4, BaseSeed: 1,
 	}.Normalized()
 	shardSpec := spec
-	shardSpec.ShardFirst, shardSpec.ShardCount, shardSpec.Workers = 0, 4, 8
+	shardSpec.CellFirst, shardSpec.CellCount, shardSpec.Workers = 0, 1, 8
 
 	a := saveManifest(t, dir, "a", spec, onePoint(5, 4, false))
 	// Same statistics modulo: float wobble on the mean, an estimated

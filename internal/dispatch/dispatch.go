@@ -1,15 +1,17 @@
 // Package dispatch runs one Monte-Carlo campaign as an elastic fleet of
-// worker subprocesses over a replicate-granular work queue and merges
-// the results automatically — the scale-past-one-box driver on top of
+// worker subprocesses over a cell-granular work queue and merges the
+// results automatically — the scale-past-one-box driver on top of
 // cmd/sweep's -shard/-merge plumbing.
 //
-// Run splits a campaign spec into shards (replicate blocks, more of
-// them than worker slots) with sim.CampaignSpec.SplitShards; replicate
-// seeds derive from the full range, so every shard computes
-// byte-identical slices of the unsharded campaign no matter which slot
-// runs it, or how many times. Worker slots lease shards from the queue
-// one at a time; a lease is renewed by heartbeats — valid events on the
-// worker's newline-delimited JSON progress stream (experiment.Progress,
+// Run splits a campaign spec into shards (blocks of whole cells, more
+// of them than worker slots) with sim.CampaignSpec.SplitShards. A cell
+// is one (group, N) pair with all its replicates, and its trials depend
+// only on its own dimension values, the seed and the replicate count,
+// so every shard computes its cells byte for byte as the unsharded
+// campaign would, no matter which slot runs it, or how many times.
+// Worker slots lease shards from the queue one at a time; a lease is
+// renewed by heartbeats — valid events on the worker's
+// newline-delimited JSON progress stream (experiment.Progress,
 // cmd/sweep -progress=json) — and a worker that goes silent past the
 // lease timeout is killed, reaped, and its shard re-queued. Failed
 // attempts retry with capped exponential backoff and jitter, resuming
@@ -18,9 +20,9 @@
 // first validated completion winning. A slot that fails repeatedly
 // retires, shrinking the fleet instead of failing the campaign; the
 // campaign fails only when a shard burns its whole relaunch budget or
-// every slot retires. When every shard finishes, the winning shard
-// manifests merge through MergeShardManifests into the final campaign
-// manifest.
+// every slot retires. When every shard finishes, MergeShardManifests
+// unions the winning shard manifests into the final campaign manifest,
+// byte-identical to the in-process run's.
 //
 // The worker command is a template, so the fleet is not tied to the
 // local box: Options.Worker{"ssh", "box{slot}", "--", "sweep"} runs
@@ -59,8 +61,8 @@ import (
 	"wsncover/internal/sim"
 )
 
-// ShardState is the lifecycle of one shard (replicate block) in the
-// work queue.
+// ShardState is the lifecycle of one shard (cell block) in the work
+// queue.
 type ShardState int
 
 const (
@@ -174,11 +176,12 @@ type Options struct {
 	// concurrently. Ignored when Fleet is set (each inventory line is a
 	// slot).
 	Slots int
-	// Blocks is the work-queue granularity: the campaign's replicate
-	// dimension splits into this many shards. Zero picks twice the slot
-	// count (capped at the replicate count), so a straggling shard holds
-	// at most half a slot's share of the campaign hostage and idle slots
-	// have queue left to drain.
+	// Blocks is the work-queue granularity: the campaign's cells split
+	// into this many shards of whole cells. Zero picks twice the slot
+	// count (capped at the cell count), so a straggling shard holds at
+	// most half a slot's share of the campaign hostage and idle slots
+	// have queue left to drain. A campaign with fewer cells than slots
+	// keeps only that many slots busy.
 	Blocks int
 	// Worker is the argv template invoked for each attempt before the
 	// standard sweep arguments (-spec, -out, -name, -progress=json, ...)
@@ -288,7 +291,7 @@ func (o Options) stealAfter() time.Duration {
 
 // Run executes the campaign as an elastic fleet over a shard work queue
 // and returns the merged manifest (not yet written to disk) plus the
-// merged spec. The spec must not already pin a shard range. On failure
+// merged spec. The spec must not already pin a cell range. On failure
 // — a shard exhausting its relaunch budget cancels the remaining
 // workers; every slot retiring strands the queue — the error lists the
 // root causes; surviving checkpoints and shard manifests stay in
@@ -316,8 +319,8 @@ func Run(ctx context.Context, spec sim.CampaignSpec, opts Options) (*experiment.
 	if blocks <= 0 {
 		blocks = 2 * slots
 	}
-	if blocks > spec.Replicates {
-		blocks = spec.Replicates
+	if cells := spec.NumCells(); blocks > cells {
+		blocks = cells
 	}
 	shardSpecs, err := spec.SplitShards(blocks)
 	if err != nil {

@@ -15,14 +15,14 @@ import (
 )
 
 // fullSpec is the unsharded campaign the stub-worker fleets dispatch:
-// one cell, four replicates, so with Blocks=2 each shard owns two
-// trials.
+// two cells of two replicates, so with Blocks=2 each shard owns one
+// cell of two trials.
 func fullSpec() sim.CampaignSpec {
 	return sim.CampaignSpec{
 		Schemes:    []sim.SchemeKind{sim.SR},
 		Grids:      []sim.GridSize{{Cols: 8, Rows: 8}},
-		Spares:     []int{8},
-		Replicates: 4,
+		Spares:     []int{8, 24},
+		Replicates: 2,
 		BaseSeed:   1,
 	}.Normalized()
 }
@@ -60,8 +60,8 @@ func stubWorker(script string) []string {
 func premade(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	writeManifest(t, dir, "camp-b1", shardSpec(0, 2, 4), 2, 3)
-	writeManifest(t, dir, "camp-b2", shardSpec(2, 2, 4), 2, 5)
+	writeManifest(t, dir, "camp-b1", shardSpec(0, 1), 2, 3)
+	writeManifest(t, dir, "camp-b2", shardSpec(1, 1), 2, 5)
 	return dir
 }
 
@@ -86,19 +86,21 @@ cp "` + pre + `/$6.json" "$4/$6.json"`
 	if err != nil {
 		t.Fatal(err)
 	}
-	if manifest.Jobs != 4 || len(manifest.Points) != 1 {
+	if manifest.Jobs != 4 || len(manifest.Points) != 2 {
 		t.Errorf("merged manifest jobs=%d points=%d", manifest.Jobs, len(manifest.Points))
 	}
-	d := manifest.Points[0].Metrics["moves"]
-	if d.N != 4 || d.Mean != 4 || !d.MedianApprox {
-		t.Errorf("merged cell = %+v, want N=4 mean=4 approx median", d)
+	// The union keeps each shard's cell as delivered.
+	for i, want := range []float64{3, 5} {
+		if d := manifest.Points[i].Metrics["moves"]; d.N != 2 || d.Mean != want || d.MedianApprox {
+			t.Errorf("merged cell %d = %+v, want N=2 mean=%g exact median", i, d, want)
+		}
 	}
-	if spec.ShardCount != 0 {
-		t.Errorf("merged spec keeps a shard range: %+v", spec)
+	if spec.CellCount != 0 {
+		t.Errorf("merged spec keeps a cell range: %+v", spec)
 	}
 
-	// The driver wrote each shard's spec file with its replicate block.
-	for i, wantFirst := range []int{0, 2} {
+	// The driver wrote each shard's spec file with its cell block.
+	for i, wantFirst := range []int{0, 1} {
 		path := filepath.Join(dir, "camp-b"+string(rune('1'+i))+".spec.json")
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -108,8 +110,8 @@ cp "` + pre + `/$6.json" "$4/$6.json"`
 		if err := sim.UnmarshalSpecJSON(data, &sh); err != nil {
 			t.Fatal(err)
 		}
-		if sh.ShardFirst != wantFirst || sh.ShardCount != 2 {
-			t.Errorf("shard %d spec range [%d, +%d), want [%d, +2)", i+1, sh.ShardFirst, sh.ShardCount, wantFirst)
+		if sh.CellFirst != wantFirst || sh.CellCount != 1 {
+			t.Errorf("shard %d spec range [%d, +%d), want [%d, +1)", i+1, sh.CellFirst, sh.CellCount, wantFirst)
 		}
 	}
 
@@ -234,7 +236,7 @@ exec sleep 60`
 func TestRunCleanExitWithoutManifestIsFailure(t *testing.T) {
 	dir := t.TempDir()
 	// Shard 1's manifest "appears" (pre-written); shard 2's never does.
-	writeManifest(t, dir, "camp-b1", shardSpec(0, 2, 4), 2, 3)
+	writeManifest(t, dir, "camp-b1", shardSpec(0, 1), 2, 3)
 	_, _, err := Run(context.Background(), fullSpec(), Options{
 		Slots:   2,
 		Blocks:  2,
@@ -255,8 +257,8 @@ func TestRunCleanExitWithoutManifestIsFailure(t *testing.T) {
 func TestRunRejectsIncompleteManifest(t *testing.T) {
 	dir := t.TempDir()
 	// Jobs=1 of 2: a checkpoint, not a complete shard.
-	writeManifest(t, dir, "camp-b1", shardSpec(0, 2, 4), 1, 3)
-	writeManifest(t, dir, "camp-b2", shardSpec(2, 2, 4), 2, 5)
+	writeManifest(t, dir, "camp-b1", shardSpec(0, 1), 1, 3)
+	writeManifest(t, dir, "camp-b2", shardSpec(1, 1), 2, 5)
 	_, _, err := Run(context.Background(), fullSpec(), Options{
 		Slots:   1,
 		Blocks:  2,
@@ -282,7 +284,7 @@ func TestRunRejectsIncompleteManifest(t *testing.T) {
 func TestRunHungWorkerReissued(t *testing.T) {
 	dir := t.TempDir()
 	pre := t.TempDir()
-	writeManifest(t, pre, "camp-b1", shardSpec(0, 4, 4), 4, 3)
+	writeManifest(t, pre, "camp-b1", shardSpec(0, 2), 4, 3)
 	hung := filepath.Join(dir, "hung-once")
 	script := `
 if [ ! -e "` + hung + `" ]; then
@@ -473,7 +475,7 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		t.Error("zero slots should fail")
 	}
 	pinned := fullSpec()
-	pinned.ShardFirst, pinned.ShardCount = 0, 2
+	pinned.CellFirst, pinned.CellCount = 0, 1
 	if _, _, err := Run(context.Background(), pinned, Options{Slots: 2, OutDir: t.TempDir()}); err == nil {
 		t.Error("dispatching an already sharded spec should fail")
 	}

@@ -26,7 +26,7 @@ import (
 // sweepd re-hashes its log's spec.
 type LocalRun struct {
 	// Executed is the number of trials Run executes: the spec's job
-	// space under its shard range, minus the cells the prior manifest
+	// space under its cell range, minus the cells the prior manifest
 	// already holds.
 	Executed int
 	// GroupOrder lists the groups of the executed trials in job order,
@@ -47,6 +47,7 @@ type LocalRun struct {
 	checkpoint string
 	prior      []experiment.Point
 	priorJobs  int
+	cells      []cell // in job order
 	done       map[cell]bool
 	cellTotal  map[cell]int
 }
@@ -71,12 +72,11 @@ func PlanLocal(spec sim.CampaignSpec, name string, prior *experiment.Manifest, c
 		cellTotal:  make(map[cell]int),
 	}
 	// One pass over the job space: every cell's trial count under the
-	// shard range, in order of first appearance.
-	var order []cell
+	// cell range, in job order.
 	spec.ExecutedJobs(nil, func(j sim.TrialJob) {
 		k := cell{j.Group(), float64(j.Spares)}
 		if _, seen := r.cellTotal[k]; !seen {
-			order = append(order, k)
+			r.cells = append(r.cells, k)
 		}
 		r.cellTotal[k]++
 	})
@@ -96,7 +96,7 @@ func PlanLocal(spec sim.CampaignSpec, name string, prior *experiment.Manifest, c
 	// executed trial is the first job of its earliest such cell: walking
 	// cells in first-appearance order yields the groups in the order
 	// their first executed trial arrives.
-	for _, k := range order {
+	for _, k := range r.cells {
 		n := r.cellTotal[k]
 		if r.done[k] {
 			r.priorJobs += n
@@ -116,11 +116,11 @@ func PlanLocal(spec sim.CampaignSpec, name string, prior *experiment.Manifest, c
 // non-nil, observes every completed trial in job order with the count
 // executed so far, after that trial's cell (if it completed one) has
 // been logged and OnProgress has seen it; an error from it stops the
-// run. The manifest's Jobs is the campaign's NumJobs, or under a shard
-// range the trials this run executed plus those the prior manifest
-// carried. On error — ctx cancelled included — the checkpoint log holds
-// every cell completed so far, and OnProgress still gets a terminal
-// snapshot.
+// run. The manifest's Jobs is the trials this run executed plus those
+// the prior manifest carried: the campaign's NumJobs, or a shard's own
+// trial count under a cell range. On error — ctx cancelled included —
+// the checkpoint log holds every cell completed so far, and OnProgress
+// still gets a terminal snapshot.
 func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) error) (*experiment.Manifest, int, error) {
 	var keep func(sim.TrialJob) bool
 	if len(r.done) > 0 {
@@ -174,13 +174,7 @@ func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) erro
 			return nil, ran, err
 		}
 	}
-	jobs := r.spec.NumJobs()
-	if r.spec.ShardCount > 0 {
-		// A shard manifest records the trials it represents, never the
-		// full campaign's count, and never undercounts after a resume.
-		jobs = ran + r.priorJobs
-	}
-	m, err := experiment.NewManifest(r.name, r.spec, jobs, r.spec.Workers, mergePoints(r.prior, acc.Points()))
+	m, err := experiment.NewManifest(r.name, r.spec, ran+r.priorJobs, r.spec.Workers, mergePoints(r.prior, acc.Points()))
 	return m, ran, err
 }
 

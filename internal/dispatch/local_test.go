@@ -25,8 +25,8 @@ func manifestBytes(t *testing.T, m *experiment.Manifest) []byte {
 // TestLocalRunResumeMatchesUninterrupted cancels a checkpointed run
 // from its trial observer after k trials, resumes from the checkpoint
 // it left, and requires the final manifest to be byte-identical to an
-// uninterrupted run — unsharded, and under a shard range, where the
-// manifest's Jobs must be the executed trials plus the prior ones.
+// uninterrupted run — unsharded, and under a cell range. The manifest's
+// Jobs must be the executed trials plus the prior ones.
 func TestLocalRunResumeMatchesUninterrupted(t *testing.T) {
 	base := sim.CampaignSpec{
 		Schemes:    []sim.SchemeKind{sim.SR, sim.AR},
@@ -37,7 +37,7 @@ func TestLocalRunResumeMatchesUninterrupted(t *testing.T) {
 		Workers:    1,
 	}
 	sharded := base
-	sharded.ShardFirst, sharded.ShardCount = 1, 2
+	sharded.CellFirst, sharded.CellCount = 1, 3
 	for _, tc := range []struct {
 		name string
 		spec sim.CampaignSpec
@@ -98,12 +98,8 @@ func TestLocalRunResumeMatchesUninterrupted(t *testing.T) {
 			if ran2 != resumed.Executed {
 				t.Fatalf("resumed run executed %d trials, planned %d", ran2, resumed.Executed)
 			}
-			if spec.ShardCount > 0 {
-				if got.Jobs != ran2+prior.Jobs {
-					t.Fatalf("sharded manifest Jobs = %d, want executed %d + prior %d", got.Jobs, ran2, prior.Jobs)
-				}
-			} else if got.Jobs != spec.NumJobs() {
-				t.Fatalf("manifest Jobs = %d, want NumJobs %d", got.Jobs, spec.NumJobs())
+			if got.Jobs != ran2+prior.Jobs || got.Jobs != full.Executed {
+				t.Fatalf("manifest Jobs = %d, want executed %d + prior %d = %d", got.Jobs, ran2, prior.Jobs, full.Executed)
 			}
 			if !bytes.Equal(manifestBytes(t, got), want) {
 				t.Error("resumed manifest is not byte-identical to an uninterrupted run")
@@ -146,7 +142,7 @@ func TestPlanLocalDropsOrphans(t *testing.T) {
 // inside its last line, or followed by (or ending in) a garbage line,
 // resumes from exactly its complete cells — the torn or garbled cell is
 // rerun — and finishes byte-identical to an uninterrupted run, with a
-// log that reads back as that manifest. Unsharded and under a shard
+// log that reads back as that manifest. Unsharded and under a cell
 // range.
 func TestLocalRunResumesPastTornLog(t *testing.T) {
 	base := sim.CampaignSpec{
@@ -158,14 +154,14 @@ func TestLocalRunResumesPastTornLog(t *testing.T) {
 		Workers:    1,
 	}
 	sharded := base
-	sharded.ShardFirst, sharded.ShardCount = 1, 2
+	sharded.CellFirst, sharded.CellCount = 1, 3
 	for _, tc := range []struct {
 		name string
 		spec sim.CampaignSpec
 		k    int // trials before the cancel: two whole cells plus a partial one
 	}{
 		{"unsharded", base, 10},
-		{"sharded", sharded, 5},
+		{"sharded", sharded, 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := tc.spec.Normalized()

@@ -1,28 +1,28 @@
 package dispatch
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
 
 	"wsncover/internal/experiment"
 	"wsncover/internal/sim"
 )
 
-// MergeShardManifests stitches shard manifests (same spec, disjoint
-// replicate ranges produced with -shard or a dispatched fleet) into one
-// campaign manifest named name. Overlapping or gapped ranges, diverging
-// specs, asymmetric point sets, and the same shard passed twice all fail
-// loudly — a silent bad merge would corrupt the paired-seed methodology
-// the campaign layer guarantees. The degenerate single-shard merge (one
-// manifest covering the whole replicate range, e.g. -shard 1/1) is
-// valid and simply strips the shard range; its statistics pass through
-// untouched, so medians stay exact. Merges of two or more shards combine
-// per-cell statistics with stats.Description.Merge — exact for
-// count/mean/min/max, pooled variance, and an estimated median marked
-// median_approx in the output manifest.
+// MergeShardManifests unions the shard manifests of one campaign
+// (produced with -shard or by a dispatched fleet) into the campaign
+// manifest named name. A shard computes whole cells, each byte for byte
+// as the unsharded campaign computes it, so the merge recomputes no
+// statistic. It checks that the inputs are one campaign apart from
+// their cell ranges and execution fields, that no file is given twice,
+// and that every cell of the campaign appears in exactly one input: a
+// cell held twice names both files, a gap names the first missing cell.
+// The manifest is then assembled the way an in-process run assembles
+// it — LocalRun with the union as its prior and nothing left to run —
+// so it is byte-identical to the unsharded run's manifest (at the
+// default worker count, which the merged spec records).
 //
 // The returned manifest is not written to disk; callers persist it with
 // Manifest.Save. The merged spec is returned alongside for callers that
@@ -33,9 +33,9 @@ func MergeShardManifests(paths []string, name string) (*experiment.Manifest, sim
 	if len(paths) == 0 {
 		return nil, none, fmt.Errorf("no shard manifests to merge")
 	}
-	// The same file listed twice is always a mistake: the range check
-	// below would flag it as an overlap, but the operator pasting one
-	// path twice deserves the direct diagnosis.
+	// The same file listed twice is always a mistake: the cell check
+	// below would flag it too, but the operator pasting one path twice
+	// deserves the direct diagnosis.
 	seenPath := make(map[string]string, len(paths))
 	for _, path := range paths {
 		abs, err := filepath.Abs(filepath.Clean(path))
@@ -49,99 +49,52 @@ func MergeShardManifests(paths []string, name string) (*experiment.Manifest, sim
 		seenPath[abs] = path
 	}
 
-	type shard struct {
-		path     string
-		spec     sim.CampaignSpec
-		manifest experiment.Manifest
-	}
-	shards := make([]shard, 0, len(paths))
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
+	var spec sim.CampaignSpec
+	var ref []byte
+	union := &experiment.Manifest{}
+	from := make(map[cell]string)
+	for i, path := range paths {
+		m, s, err := LoadManifest(path)
+		if err != nil {
+			return nil, none, fmt.Errorf("shard manifest %w", err)
+		}
+		s = s.Normalized()
+		if err := s.Validate(); err != nil {
+			return nil, none, fmt.Errorf("shard manifest %s: %w", path, err)
+		}
+		key, err := json.Marshal(s)
 		if err != nil {
 			return nil, none, err
 		}
-		var m experiment.Manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			return nil, none, fmt.Errorf("shard manifest %s: %w", path, err)
-		}
-		var spec sim.CampaignSpec
-		if err := sim.UnmarshalSpecJSON(m.Spec, &spec); err != nil {
-			return nil, none, fmt.Errorf("shard manifest %s: unreadable spec: %w", path, err)
-		}
-		spec = spec.Normalized()
-		if spec.ShardCount == 0 {
-			return nil, none, fmt.Errorf("%s is not a shard manifest (no shard range in its spec)", path)
-		}
-		if err := spec.Validate(); err != nil {
-			return nil, none, fmt.Errorf("shard manifest %s: %w", path, err)
-		}
-		shards = append(shards, shard{path: path, spec: spec, manifest: m})
-	}
-
-	// All shards must be the same campaign apart from the shard range
-	// (and execution metadata).
-	common := func(s sim.CampaignSpec) ([]byte, error) {
-		s.ShardFirst, s.ShardCount, s.Workers, s.FreshBuild = 0, 0, 0, false
-		return json.Marshal(s)
-	}
-	ref, err := common(shards[0].spec)
-	if err != nil {
-		return nil, none, err
-	}
-	for _, sh := range shards[1:] {
-		got, err := common(sh.spec)
-		if err != nil {
-			return nil, none, err
-		}
-		if string(got) != string(ref) {
+		if i == 0 {
+			spec, ref = s, key
+		} else if !bytes.Equal(key, ref) {
 			return nil, none, fmt.Errorf("%s and %s were produced by different campaign specs; "+
-				"shards must share everything but the shard range", shards[0].path, sh.path)
+				"shards must share everything but the cell range", paths[0], path)
 		}
+		for _, p := range m.Points {
+			k := cell{p.Group, p.X}
+			if prev, dup := from[k]; dup {
+				return nil, none, fmt.Errorf("%s overlaps %s at cell (%s, N=%g): the same shard twice, "+
+					"or overlapping cell ranges; each cell merges exactly once", path, prev, p.Group, p.X)
+			}
+			from[k] = path
+		}
+		union.Points = append(union.Points, m.Points...)
 	}
 
-	// Two distinct files covering the same replicate range are the same
-	// shard run twice (rerun under a different -name, a copied manifest):
-	// merging both would double-count every trial of the range.
-	byRange := make(map[int]string, len(shards))
-	for _, sh := range shards {
-		if prev, dup := byRange[sh.spec.ShardFirst]; dup {
-			return nil, none, fmt.Errorf("%s and %s cover the same shard (replicates [%d, %d)); "+
-				"the same shard manifest was passed twice", prev, sh.path,
-				sh.spec.ShardFirst, sh.spec.ShardFirst+sh.spec.ShardCount)
+	r := PlanLocal(spec, name, union, "")
+	if r.Orphans > 0 {
+		return nil, none, fmt.Errorf("%d cell(s) of the shard manifests lie outside the campaign", r.Orphans)
+	}
+	for _, k := range r.cells {
+		if !r.done[k] {
+			return nil, none, fmt.Errorf("cell (%s, N=%g) missing: no shard manifest covers it", k.group, k.x)
 		}
-		byRange[sh.spec.ShardFirst] = sh.path
 	}
-
-	// The ranges must tile [0, Replicates) exactly: merge in replicate
-	// order, rejecting overlap, gaps, and missing shards.
-	sort.Slice(shards, func(i, j int) bool { return shards[i].spec.ShardFirst < shards[j].spec.ShardFirst })
-	next := 0
-	pointSets := make([][]experiment.Point, 0, len(shards))
-	jobs := 0
-	for _, sh := range shards {
-		switch {
-		case sh.spec.ShardFirst > next:
-			return nil, none, fmt.Errorf("replicates [%d, %d) missing: no shard covers them", next, sh.spec.ShardFirst)
-		case sh.spec.ShardFirst < next:
-			return nil, none, fmt.Errorf("%s overlaps the preceding shard at replicate %d", sh.path, sh.spec.ShardFirst)
-		}
-		next += sh.spec.ShardCount
-		pointSets = append(pointSets, sh.manifest.Points)
-		jobs += sh.manifest.Jobs
-	}
-	if next != shards[0].spec.Replicates {
-		return nil, none, fmt.Errorf("replicates [%d, %d) missing: no shard covers them", next, shards[0].spec.Replicates)
-	}
-
-	points, err := experiment.MergeShardPoints(pointSets...)
+	m, _, err := r.Run(context.Background(), nil)
 	if err != nil {
 		return nil, none, err
 	}
-	mergedSpec := shards[0].spec
-	mergedSpec.ShardFirst, mergedSpec.ShardCount, mergedSpec.Workers, mergedSpec.FreshBuild = 0, 0, 0, false
-	manifest, err := experiment.NewManifest(name, mergedSpec, jobs, 0, points)
-	if err != nil {
-		return nil, none, err
-	}
-	return manifest, mergedSpec, nil
+	return m, spec, nil
 }

@@ -10,31 +10,29 @@ import (
 	"wsncover/internal/stats"
 )
 
-// shardSpec builds the canonical small campaign restricted to one
-// replicate block.
-func shardSpec(first, count, replicates int) sim.CampaignSpec {
-	return sim.CampaignSpec{
-		Schemes:    []sim.SchemeKind{sim.SR},
-		Grids:      []sim.GridSize{{Cols: 8, Rows: 8}},
-		Spares:     []int{8},
-		Replicates: replicates,
-		BaseSeed:   1,
-		ShardFirst: first,
-		ShardCount: count,
-	}.Normalized()
+// shardSpec builds the canonical small campaign (fullSpec: 2 cells of
+// 2 replicates) restricted to the cell block [first, first+count).
+func shardSpec(first, count int) sim.CampaignSpec {
+	s := fullSpec()
+	s.CellFirst, s.CellCount = first, count
+	return s
 }
 
-// writeManifest persists a one-cell manifest for the given spec and
-// returns its path.
-func writeManifest(t *testing.T, dir, name string, spec sim.CampaignSpec, n int, mean float64) string {
+// writeManifest persists a manifest for the given spec that records
+// jobs trials and one point per cell of the spec's cell range, every
+// cell with the given mean, and returns its path.
+func writeManifest(t *testing.T, dir, name string, spec sim.CampaignSpec, jobs int, mean float64) string {
 	t.Helper()
-	points := []experiment.Point{{
-		Group: "SR 8x8", X: 8,
-		Metrics: map[string]stats.Description{
-			"moves": {N: n, Mean: mean, Min: mean - 1, Max: mean + 1, Median: mean},
-		},
-	}}
-	m, err := experiment.NewManifest(name, spec, n, 0, points)
+	var points []experiment.Point
+	spec.ExecutedJobs(func(j sim.TrialJob) bool { return j.Replicate == 0 }, func(j sim.TrialJob) {
+		points = append(points, experiment.Point{
+			Group: j.Group(), X: float64(j.Spares),
+			Metrics: map[string]stats.Description{
+				"moves": {N: spec.Replicates, Mean: mean, Min: mean - 1, Max: mean + 1, Median: mean},
+			},
+		})
+	})
+	m, err := experiment.NewManifest(name, spec, jobs, 0, points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,19 +44,13 @@ func writeManifest(t *testing.T, dir, name string, spec sim.CampaignSpec, n int,
 
 func TestMergeShardManifests(t *testing.T) {
 	dir := t.TempDir()
-	a := writeManifest(t, dir, "a", shardSpec(0, 2, 4), 2, 3)
-	b := writeManifest(t, dir, "b", shardSpec(2, 2, 4), 2, 5)
-	bCopy := writeManifest(t, dir, "bcopy", shardSpec(2, 2, 4), 2, 5)
-	whole := writeManifest(t, dir, "whole", shardSpec(0, 4, 4), 4, 4)
-	full := writeManifest(t, dir, "full", sim.CampaignSpec{
-		Schemes:    []sim.SchemeKind{sim.SR},
-		Grids:      []sim.GridSize{{Cols: 8, Rows: 8}},
-		Spares:     []int{8},
-		Replicates: 4,
-		BaseSeed:   1,
-	}.Normalized(), 4, 4)
+	a := writeManifest(t, dir, "a", shardSpec(0, 1), 2, 3)
+	b := writeManifest(t, dir, "b", shardSpec(1, 1), 2, 5)
+	bCopy := writeManifest(t, dir, "bcopy", shardSpec(1, 1), 2, 5)
+	whole := writeManifest(t, dir, "whole", shardSpec(0, 2), 4, 4)
+	full := writeManifest(t, dir, "full", fullSpec(), 4, 4)
 	drift := writeManifest(t, dir, "drift", func() sim.CampaignSpec {
-		s := shardSpec(2, 2, 4)
+		s := shardSpec(1, 1)
 		s.BaseSeed = 99
 		return s
 	}(), 2, 5)
@@ -71,11 +63,12 @@ func TestMergeShardManifests(t *testing.T) {
 		{"two-shards", []string{a, b}, ""},
 		{"order-independent", []string{b, a}, ""},
 		{"single-shard-full-range", []string{whole}, ""},
+		{"unsharded", []string{full}, ""},
 		{"single-shard-partial", []string{a}, "missing"},
 		{"same-path-twice", []string{a, a}, "passed twice"},
 		{"same-range-two-files", []string{a, b, bCopy}, "same shard"},
 		{"gap", []string{b}, "missing"},
-		{"not-a-shard", []string{a, full}, "not a shard manifest"},
+		{"shard-and-whole", []string{a, full}, "overlaps"},
 		{"spec-drift", []string{a, drift}, "different campaign specs"},
 		{"empty", nil, "no shard manifests"},
 	}
@@ -91,41 +84,17 @@ func TestMergeShardManifests(t *testing.T) {
 			t.Errorf("%s: %v", c.name, err)
 			continue
 		}
-		if spec.ShardCount != 0 || spec.ShardFirst != 0 {
-			t.Errorf("%s: merged spec keeps shard range [%d, +%d)", c.name, spec.ShardFirst, spec.ShardCount)
+		if spec.CellCount != 0 || spec.CellFirst != 0 {
+			t.Errorf("%s: merged spec keeps cell range [%d, +%d)", c.name, spec.CellFirst, spec.CellCount)
 		}
-		if m.Jobs != 4 || len(m.Points) != 1 {
-			t.Errorf("%s: jobs=%d points=%d, want 4 jobs 1 point", c.name, m.Jobs, len(m.Points))
+		if m.Jobs != 4 || len(m.Points) != 2 {
+			t.Errorf("%s: jobs=%d points=%d, want 4 jobs 2 points", c.name, m.Jobs, len(m.Points))
 		}
-		d := m.Points[0].Metrics["moves"]
-		if d.N != 4 {
-			t.Errorf("%s: merged N = %d, want 4", c.name, d.N)
+		// A union passes every cell's statistics through untouched.
+		for _, p := range m.Points {
+			if d := p.Metrics["moves"]; d.N != 2 || d.MedianApprox {
+				t.Errorf("%s: merged cell %s N=%g = %+v, want the shard's N=2, exact median", c.name, p.Group, p.X, d)
+			}
 		}
-	}
-}
-
-// TestMergeShardManifestsMedianHonesty: a true multi-shard merge cannot
-// know the pooled median and must say so; the degenerate single-shard
-// merge passes the exact median through untouched.
-func TestMergeShardManifestsMedianHonesty(t *testing.T) {
-	dir := t.TempDir()
-	a := writeManifest(t, dir, "a", shardSpec(0, 2, 4), 2, 3)
-	b := writeManifest(t, dir, "b", shardSpec(2, 2, 4), 2, 5)
-	m, _, err := MergeShardManifests([]string{a, b}, "merged")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := m.Points[0].Metrics["moves"]
-	if !d.MedianApprox {
-		t.Errorf("multi-shard merged median %+v must be marked approximate", d)
-	}
-
-	whole := writeManifest(t, dir, "whole", shardSpec(0, 4, 4), 4, 4)
-	single, _, err := MergeShardManifests([]string{whole}, "merged1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := single.Points[0].Metrics["moves"]; d.MedianApprox || d.Median != 4 {
-		t.Errorf("single-shard merge must keep the exact median: %+v", d)
 	}
 }

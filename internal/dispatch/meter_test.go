@@ -106,13 +106,13 @@ func TestMeterGroupBreakdown(t *testing.T) {
 
 // TestMeterShardTotals pins the sharded-meter contract: a meter sized
 // from a shard's executed jobs renders the shard's own trial count as
-// the denominator, never the full campaign's replicate range. (cmd/sweep
+// the denominator, never the full campaign's trial count. (cmd/sweep
 // sizes LocalProgress from LocalRun.Executed; its CLI-level regression
 // test covers the wiring, this covers the rendering.)
 func TestMeterShardTotals(t *testing.T) {
 	var buf strings.Builder
 	clock := newTestClock()
-	// Campaign: 20 replicates; this shard owns 5 trials.
+	// Campaign: 20 trials; this shard owns 5.
 	p := localMeter(&buf, clock, 5, []string{"SR 8x8"}, map[string]int{"SR 8x8": 5})
 	clock.advance(time.Second)
 	p.Trial("SR 8x8")

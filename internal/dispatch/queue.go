@@ -59,7 +59,7 @@ const (
 	finishShadowed
 )
 
-// shardEntry is the queue's record of one shard (one replicate block).
+// shardEntry is the queue's record of one shard (one cell block).
 type shardEntry struct {
 	state     ShardState
 	attempts  int // worker launches, steals included
@@ -70,8 +70,8 @@ type shardEntry struct {
 	err       error
 }
 
-// shardQueue is the replicate-granular work queue at the heart of the
-// elastic scheduler: shards (replicate blocks) move pending → running →
+// shardQueue is the cell-granular work queue at the heart of the
+// elastic scheduler: shards (cell blocks) move pending → running →
 // done/failed, slots lease them one attempt at a time, heartbeats
 // (valid progress events) renew leases, the watchdog expires silent
 // ones, and idle slots open speculative duplicates of stragglers.

@@ -66,16 +66,17 @@ type CampaignSpec struct {
 	BaseSeed int64 `json:"seed,omitempty"`
 	// Workers sizes the worker pool; values below 1 mean GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
-	// ShardFirst and ShardCount restrict execution to the replicate
-	// subrange [ShardFirst, ShardFirst+ShardCount) of every cell, for
-	// sharding one campaign across processes or machines. Replicate
-	// seeds always derive from the full [0, Replicates) range, so a
-	// shard's trials are byte-identical to the same replicates of the
-	// unsharded campaign and disjoint shard manifests stitch back
-	// together (cmd/sweep -merge). A zero ShardCount means the full
-	// range.
-	ShardFirst int `json:"shard_first,omitempty"`
-	ShardCount int `json:"shard_count,omitempty"`
+	// CellFirst and CellCount restrict execution to the campaign cells
+	// [CellFirst, CellFirst+CellCount), for sharding one campaign across
+	// processes or machines. A cell is one (group, N) pair: in job order
+	// it is Replicates consecutive jobs, so cell c is jobs
+	// [c*Replicates, (c+1)*Replicates). A cell's trials depend only on
+	// its own dimension values, the seed and the replicate count, so a
+	// shard computes its cells byte for byte as the unsharded campaign
+	// does, and disjoint shard manifests union into the unsharded
+	// manifest (cmd/sweep -merge). A zero CellCount means every cell.
+	CellFirst int `json:"cell_first,omitempty"`
+	CellCount int `json:"cell_count,omitempty"`
 	// FreshBuild routes every trial through the fresh world-building
 	// path instead of the pooled per-worker TrialArena. Results are
 	// byte-identical either way (the differential tests compare whole
@@ -119,7 +120,7 @@ func (s *CampaignSpec) normalize() {
 }
 
 // Validate rejects specs the job space cannot execute: unregistered
-// workload kinds, bad shard ranges, and runner/scheme pairings the
+// workload kinds, bad cell ranges, and runner/scheme pairings the
 // trial assembly would refuse. RunCampaignStream validates
 // automatically; CLIs call it early for friendlier errors.
 func (s CampaignSpec) Validate() error {
@@ -129,15 +130,17 @@ func (s CampaignSpec) Validate() error {
 			return err
 		}
 	}
-	if s.ShardFirst < 0 || s.ShardCount < 0 {
-		return fmt.Errorf("sim: negative shard range [%d, +%d)", s.ShardFirst, s.ShardCount)
+	if s.CellFirst < 0 || s.CellCount < 0 {
+		return fmt.Errorf("sim: negative cell range [%d, +%d)", s.CellFirst, s.CellCount)
 	}
-	if s.ShardCount == 0 && s.ShardFirst != 0 {
-		return fmt.Errorf("sim: shard_first %d without shard_count", s.ShardFirst)
+	if s.CellCount == 0 && s.CellFirst != 0 {
+		return fmt.Errorf("sim: cell_first %d without cell_count", s.CellFirst)
 	}
-	if s.ShardCount > 0 && s.ShardFirst+s.ShardCount > s.Replicates {
-		return fmt.Errorf("sim: shard range [%d, %d) exceeds %d replicates",
-			s.ShardFirst, s.ShardFirst+s.ShardCount, s.Replicates)
+	if s.CellCount > 0 {
+		if cells := s.NumCells(); s.CellFirst+s.CellCount > cells {
+			return fmt.Errorf("sim: cell range [%d, %d) exceeds the campaign's %d cells",
+				s.CellFirst, s.CellFirst+s.CellCount, cells)
+		}
 	}
 	for _, r := range s.runnerDim() {
 		if r != RunSync && r != RunAsync {
@@ -177,14 +180,14 @@ func (s CampaignSpec) Validate() error {
 
 // ValidateUnsharded is the submission surface for services and caches
 // that address whole campaigns: Validate plus a rejection of specs
-// pinning a replicate shard range. A shard spec's manifest covers only
-// a slice of the campaign, so content-addressing it under the full
-// campaign's spec hash — which deliberately ignores shard layout —
-// would poison the cache with partial results.
+// pinning a cell range. A shard spec's manifest covers only some of the
+// campaign's cells, so content-addressing it under the full campaign's
+// spec hash — which deliberately ignores shard layout — would poison
+// the cache with partial results.
 func (s CampaignSpec) ValidateUnsharded() error {
-	if s.ShardFirst != 0 || s.ShardCount != 0 {
-		return fmt.Errorf("sim: campaign pins the replicate shard range [%d, +%d); "+
-			"submit the unsharded spec and let the service split it", s.ShardFirst, s.ShardCount)
+	if s.CellFirst != 0 || s.CellCount != 0 {
+		return fmt.Errorf("sim: campaign pins the cell range [%d, +%d); "+
+			"submit the unsharded spec and let the service split it", s.CellFirst, s.CellCount)
 	}
 	return s.Validate()
 }
@@ -227,15 +230,26 @@ func (s CampaignSpec) Normalized() CampaignSpec {
 // kind, in order, so an old spec file, manifest or shard runs the same
 // jobs and hashes like its "workloads" equivalent. A spec that sets
 // both lists is rejected.
+//
+// The older shard range, "shard_first"/"shard_count", addressed
+// replicate blocks of every cell; shards now split whole cells
+// (CellFirst/CellCount), so such a spec is rejected with that reason:
+// the shard has to be re-run.
 func UnmarshalSpecJSON(data []byte, spec *CampaignSpec) error {
 	in := struct {
 		*CampaignSpec
-		Failures []string `json:"failures"`
+		Failures   []string        `json:"failures"`
+		ShardFirst json.RawMessage `json:"shard_first"`
+		ShardCount json.RawMessage `json:"shard_count"`
 	}{CampaignSpec: spec}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&in); err != nil {
 		return fmt.Errorf("sim: campaign spec: %w", err)
+	}
+	if in.ShardFirst != nil || in.ShardCount != nil {
+		return fmt.Errorf("sim: campaign spec: shard_first/shard_count split every cell's replicates, " +
+			"which shards no longer do: shards now split whole cells (cell_first/cell_count); re-run the shard")
 	}
 	if len(in.Failures) > 0 && len(spec.Workloads) > 0 {
 		return fmt.Errorf("sim: campaign spec sets both failures and workloads; use workloads")
@@ -419,31 +433,34 @@ func (s CampaignSpec) NumJobs() int {
 	return s.layout().total
 }
 
-// jobFilter wraps keep with the spec's replicate shard range. It is the
-// single definition of "which jobs execute": RunCampaignSubset applies
-// it, and ExecutedJobs exposes the same set to callers sizing progress
-// displays, so the two can never drift apart.
-func (s CampaignSpec) jobFilter(keep func(TrialJob) bool) func(TrialJob) bool {
-	if s.ShardCount == 0 {
-		return keep
+// NumCells returns the cell count of the normalized spec: one cell per
+// (group, N) pair, each Replicates consecutive jobs.
+func (s CampaignSpec) NumCells() int {
+	s.normalize()
+	return s.layout().total / s.Replicates
+}
+
+// jobRange returns the job-index range [lo, hi) the spec's cell range
+// selects out of its total jobs. It is the single definition of "which
+// jobs execute": RunCampaignSubset and ExecutedJobs both walk it.
+func (s CampaignSpec) jobRange(total int) (lo, hi int) {
+	if s.CellCount == 0 {
+		return 0, total
 	}
-	lo, hi := s.ShardFirst, s.ShardFirst+s.ShardCount
-	return func(j TrialJob) bool {
-		return j.Replicate >= lo && j.Replicate < hi && (keep == nil || keep(j))
-	}
+	return s.CellFirst * s.Replicates, (s.CellFirst + s.CellCount) * s.Replicates
 }
 
 // ExecutedJobs calls fn for every job RunCampaignSubset would execute
-// under keep (nil keeps every job) — the shard range applied — in
+// under keep (nil keeps every job) — the cell range applied — in
 // job-index order. cmd/sweep sizes its progress meter and shard
 // manifests with it.
 func (s CampaignSpec) ExecutedJobs(keep func(TrialJob) bool, fn func(TrialJob)) {
 	s.normalize()
 	js := s.JobSpace()
-	admit := s.jobFilter(keep)
-	for i := 0; i < js.Len(); i++ {
+	lo, hi := s.jobRange(js.Len())
+	for i := lo; i < hi; i++ {
 		j := js.At(i)
-		if admit == nil || admit(j) {
+		if keep == nil || keep(j) {
 			fn(j)
 		}
 	}
@@ -501,8 +518,8 @@ func RunCampaignStream(ctx context.Context, spec CampaignSpec, opts experiment.O
 // job-index order, so a subset campaign is bit-identical to the
 // corresponding slice of the full stream — the property cmd/sweep
 // -resume relies on when it merges a partial rerun into an existing
-// manifest, and the spec's shard range relies on for cross-process
-// stitching.
+// manifest, and the spec's cell range relies on for cross-process
+// sharding.
 //
 // Each worker goroutine runs its trials inside a pooled TrialArena
 // (unless spec.FreshBuild), taken from the process-lived free list and
@@ -519,13 +536,14 @@ func RunCampaignSubset(ctx context.Context, spec CampaignSpec, opts experiment.O
 	if opts.Workers == 0 {
 		opts.Workers = spec.Workers
 	}
-	keep = spec.jobFilter(keep)
+	// The executed jobs are lo+index(i) for i in [0, total).
+	lo, hi := spec.jobRange(jobs.Len())
 	index := func(i int) int { return i }
-	total := jobs.Len()
+	total := hi - lo
 	if keep != nil {
 		included := make([]int, 0, total)
 		for i := 0; i < total; i++ {
-			if keep(jobs.At(i)) {
+			if keep(jobs.At(lo + i)) {
 				included = append(included, i)
 			}
 		}
@@ -536,7 +554,7 @@ func RunCampaignSubset(ctx context.Context, spec CampaignSpec, opts experiment.O
 	defer releaseArenas(arenas)
 	return experiment.RunStreamWorkers(ctx, total, opts,
 		func(_ context.Context, w, i int) (experiment.Sample, error) {
-			j := jobs.At(index(i))
+			j := jobs.At(lo + index(i))
 			var res TrialResult
 			var err error
 			if spec.FreshBuild {

@@ -425,9 +425,8 @@ func TestParseSchemeKindAndFailureMode(t *testing.T) {
 }
 
 // TestShardRangeIsSliceOfFullCampaign pins the sharding contract: a
-// spec restricted to a replicate subrange computes exactly the trials
-// of that subrange in the unsharded campaign, byte for byte — the
-// property that makes cross-process shards stitchable.
+// spec restricted to a cell range computes exactly the trials of those
+// cells in the unsharded campaign, byte for byte and in job order.
 func TestShardRangeIsSliceOfFullCampaign(t *testing.T) {
 	spec := CampaignSpec{
 		Schemes:    []SchemeKind{SR, AR},
@@ -440,57 +439,56 @@ func TestShardRangeIsSliceOfFullCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Collect the full run's samples keyed in job order per shard range.
-	shards := []struct{ first, count int }{{0, 2}, {2, 2}, {4, 1}}
+	// 4 cells of 5 jobs: cell c is jobs [5c, 5c+5), so the shards below
+	// tile the full run's sample stream in order.
 	var stitched []experiment.Sample
-	for _, sh := range shards {
+	for _, sh := range []struct{ first, count int }{{0, 1}, {1, 2}, {3, 1}} {
 		s := spec
-		s.ShardFirst, s.ShardCount = sh.first, sh.count
+		s.CellFirst, s.CellCount = sh.first, sh.count
 		part, err := RunCampaignSamples(context.Background(), s, experiment.Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(part) != sh.count*spec.Replicates {
+			t.Fatalf("cells [%d, +%d) produced %d samples, want %d", sh.first, sh.count, len(part), sh.count*spec.Replicates)
+		}
 		stitched = append(stitched, part...)
 	}
-	if len(stitched) != len(full) {
-		t.Fatalf("shards produced %d samples, full campaign %d", len(stitched), len(full))
-	}
-	// Shard delivery order is job order within each shard; regroup the
-	// full run the same way for the comparison.
-	var regrouped []experiment.Sample
-	js := spec.JobSpace()
-	for _, sh := range shards {
-		for i := 0; i < js.Len(); i++ {
-			r := js.At(i).Replicate
-			if r >= sh.first && r < sh.first+sh.count {
-				regrouped = append(regrouped, full[i])
-			}
-		}
-	}
-	for i := range regrouped {
-		if !reflect.DeepEqual(stitched[i], regrouped[i]) {
-			t.Fatalf("sample %d differs:\nshard: %+v\nfull:  %+v", i, stitched[i], regrouped[i])
-		}
+	if !reflect.DeepEqual(stitched, full) {
+		t.Fatalf("stitched cell shards differ from the full campaign:\nshards: %+v\nfull:   %+v", stitched, full)
 	}
 }
 
-// TestCampaignSpecShardValidation rejects malformed shard ranges.
+// TestCampaignSpecShardValidation rejects malformed cell ranges.
 func TestCampaignSpecShardValidation(t *testing.T) {
-	base := CampaignSpec{Replicates: 10}
-	bad := []CampaignSpec{
-		{Replicates: 10, ShardFirst: -1, ShardCount: 2},
-		{Replicates: 10, ShardFirst: 0, ShardCount: -2},
-		{Replicates: 10, ShardFirst: 3, ShardCount: 0},
-		{Replicates: 10, ShardFirst: 8, ShardCount: 3},
-	}
-	for i, spec := range bad {
+	// SR x {8, 24}: 2 cells.
+	base := CampaignSpec{Schemes: []SchemeKind{SR}, Spares: []int{8, 24}, Replicates: 10}
+	for _, r := range [][2]int{{-1, 2}, {0, -2}, {1, 0}, {1, 2}, {2, 1}} {
+		spec := base
+		spec.CellFirst, spec.CellCount = r[0], r[1]
 		if err := spec.Validate(); err == nil {
-			t.Errorf("spec %d (%+v) should fail validation", i, spec)
+			t.Errorf("cell range %v should fail validation", r)
 		}
 	}
-	base.ShardFirst, base.ShardCount = 8, 2
+	base.CellFirst, base.CellCount = 1, 1
 	if err := base.Validate(); err != nil {
-		t.Errorf("valid shard range rejected: %v", err)
+		t.Errorf("valid cell range rejected: %v", err)
+	}
+}
+
+// TestUnmarshalSpecJSONRejectsReplicateShards: a shard spec written
+// before shards split whole cells (here the spec echoed by such a shard
+// manifest) fails with the reason, not a bare unknown-field error.
+func TestUnmarshalSpecJSONRejectsReplicateShards(t *testing.T) {
+	old := `{"schemes":["SR","AR"],"grids":[{"cols":8,"rows":8}],"spares":[8,24],"holes":[1],` +
+		`"workloads":[{"kind":"holes"}],"replicates":4,"seed":21,"shard_first":2,"shard_count":2}`
+	var spec CampaignSpec
+	err := UnmarshalSpecJSON([]byte(old), &spec)
+	if err == nil || !strings.Contains(err.Error(), "whole cells") || !strings.Contains(err.Error(), "re-run the shard") {
+		t.Fatalf("UnmarshalSpecJSON(old shard spec) = %v, want the shards-split-cells error", err)
+	}
+	if strings.Contains(err.Error(), "unknown field") {
+		t.Errorf("error %q is the bare unknown-field error", err)
 	}
 }
 
@@ -501,7 +499,7 @@ func TestValidateUnsharded(t *testing.T) {
 	if err := spec.ValidateUnsharded(); err != nil {
 		t.Errorf("unsharded spec rejected: %v", err)
 	}
-	spec.ShardFirst, spec.ShardCount = 2, 4
+	spec.CellFirst, spec.CellCount = 0, 1
 	if err := spec.ValidateUnsharded(); err == nil {
 		t.Error("shard-pinned spec must be rejected by ValidateUnsharded")
 	}

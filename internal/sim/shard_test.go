@@ -1,14 +1,18 @@
 package sim
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"testing"
+
+	"wsncover/internal/experiment"
 )
 
 func TestShardRange(t *testing.T) {
-	// 10 replicates over 3 shards: blocks of 4, 3, 3.
+	// 10 cells over 3 shards: blocks of 4, 3, 3.
 	cases := []struct {
-		i, n, reps   int
+		i, n, cells  int
 		first, count int
 	}{
 		{1, 3, 10, 0, 4},
@@ -18,10 +22,10 @@ func TestShardRange(t *testing.T) {
 		{2, 5, 5, 1, 1},
 	}
 	for _, c := range cases {
-		first, count, err := ShardRange(c.i, c.n, c.reps)
+		first, count, err := ShardRange(c.i, c.n, c.cells)
 		if err != nil || first != c.first || count != c.count {
 			t.Errorf("ShardRange(%d, %d, %d) = (%d, %d, %v), want (%d, %d)",
-				c.i, c.n, c.reps, first, count, err, c.first, c.count)
+				c.i, c.n, c.cells, first, count, err, c.first, c.count)
 		}
 	}
 	for _, bad := range [][3]int{{0, 3, 10}, {4, 3, 10}, {1, 0, 10}, {1, 20, 10}} {
@@ -31,47 +35,81 @@ func TestShardRange(t *testing.T) {
 	}
 }
 
-// TestSplitShardsTilesReplicates: the shard specs partition the full
-// replicate range exactly and differ from the parent only in the range.
+// TestSplitShardsTilesReplicates: for every shard count n from 1 to the
+// cell count, the shard specs tile the campaign's cells exactly, differ
+// from the parent only in the range, and each shard's aggregated points
+// equal the unsharded run's points for the same cells. The jam workload
+// collapses the holes dimension, so cells are not a plain product of
+// the dimension lists.
 func TestSplitShardsTilesReplicates(t *testing.T) {
 	spec := CampaignSpec{
-		Schemes:    []SchemeKind{SR},
+		Schemes:    []SchemeKind{SR, AR},
 		Grids:      []GridSize{{8, 8}},
 		Spares:     []int{8, 24},
-		Replicates: 10,
+		Holes:      []int{1, 2},
+		Workloads:  []WorkloadSpec{{Kind: WorkloadHoles}, {Kind: WorkloadJam}},
+		Replicates: 3,
 		BaseSeed:   7,
 	}
-	shards, err := spec.SplitShards(3)
+	// holes: 2 holes x 2 schemes x 2 spares; jam: 1 x 2 x 2.
+	cells := spec.NumCells()
+	if cells != 12 {
+		t.Fatalf("NumCells = %d, want 12", cells)
+	}
+	opts := experiment.Options{Workers: 2}
+	full, err := RunCampaign(context.Background(), spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(shards) != 3 {
-		t.Fatalf("got %d shards", len(shards))
+	want := make(map[string]experiment.Point, len(full))
+	for _, p := range full {
+		want[fmt.Sprintf("%s N=%g", p.Group, p.X)] = p
 	}
-	next := 0
-	for i, sh := range shards {
-		if sh.ShardFirst != next {
-			t.Errorf("shard %d starts at %d, want %d", i+1, sh.ShardFirst, next)
+	for n := 1; n <= cells; n++ {
+		shards, err := spec.SplitShards(n)
+		if err != nil {
+			t.Fatal(err)
 		}
-		next = sh.ShardFirst + sh.ShardCount
-		// Everything but the range matches the normalized parent.
-		plain := sh
-		plain.ShardFirst, plain.ShardCount = 0, 0
-		if err := plain.Validate(); err != nil {
-			t.Errorf("shard %d: %v", i+1, err)
+		if len(shards) != n {
+			t.Fatalf("n=%d: got %d shards", n, len(shards))
 		}
-		if plain.Replicates != 10 || plain.BaseSeed != 7 || len(plain.Spares) != 2 {
-			t.Errorf("shard %d drifted from parent: %+v", i+1, plain)
+		next := 0
+		seen := 0
+		for i, sh := range shards {
+			if sh.CellFirst != next || sh.CellCount < 1 {
+				t.Errorf("n=%d: shard %d covers [%d, +%d), want to start at %d", n, i+1, sh.CellFirst, sh.CellCount, next)
+			}
+			next = sh.CellFirst + sh.CellCount
+			plain := sh
+			plain.CellFirst, plain.CellCount = 0, 0
+			if !reflect.DeepEqual(plain, spec.Normalized()) {
+				t.Errorf("n=%d: shard %d drifted from parent: %+v", n, i+1, plain)
+			}
+			points, err := RunCampaign(context.Background(), sh, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(points) != sh.CellCount {
+				t.Errorf("n=%d: shard %d has %d points for %d cells", n, i+1, len(points), sh.CellCount)
+			}
+			for _, p := range points {
+				key := fmt.Sprintf("%s N=%g", p.Group, p.X)
+				if !reflect.DeepEqual(p, want[key]) {
+					t.Errorf("n=%d: shard %d point %s differs from the unsharded run's:\n%+v\nvs\n%+v", n, i+1, key, p, want[key])
+				}
+			}
+			seen += len(points)
 		}
-	}
-	if next != spec.Replicates {
-		t.Errorf("shards cover [0, %d), want [0, %d)", next, spec.Replicates)
+		if next != cells || seen != len(full) {
+			t.Errorf("n=%d: shards cover [0, %d) with %d points, want [0, %d) with %d", n, next, seen, cells, len(full))
+		}
 	}
 }
 
 // TestSplitShardsJobsEqualUnshardedJobs: the union of the shards'
 // executed jobs is exactly the unsharded job list, seeds included — the
-// property that makes dispatched shard manifests byte-identical slices.
+// property that makes dispatched shard manifests hold exactly the
+// unsharded campaign's cells.
 func TestSplitShardsJobsEqualUnshardedJobs(t *testing.T) {
 	spec := CampaignSpec{
 		Schemes:    []SchemeKind{SR, AR},
@@ -103,11 +141,12 @@ func TestSplitShardsJobsEqualUnshardedJobs(t *testing.T) {
 }
 
 func TestSplitShardsErrors(t *testing.T) {
-	spec := CampaignSpec{Replicates: 4}
-	if _, err := spec.SplitShards(5); err == nil {
-		t.Error("splitting 4 replicates into 5 shards should fail")
+	spec := CampaignSpec{Schemes: []SchemeKind{SR}, Spares: []int{8, 24}, Replicates: 4}
+	if _, err := spec.SplitShards(3); err == nil {
+		t.Error("splitting 2 cells into 3 shards should fail")
 	}
-	pinned := CampaignSpec{Replicates: 4, ShardFirst: 0, ShardCount: 2}
+	pinned := spec
+	pinned.CellFirst, pinned.CellCount = 0, 1
 	if _, err := pinned.SplitShards(2); err == nil {
 		t.Error("re-splitting a shard spec should fail")
 	}

@@ -124,54 +124,12 @@ type Description struct {
 	Max    float64
 	Median float64
 	// MedianApprox marks Median as an estimate rather than the exact
-	// order statistic of the described sample: true after merging
-	// summaries (Merge cannot see the underlying samples) and for the
+	// order statistic of the described sample: true only for the
 	// streaming P-squared median beyond five observations. Exact
 	// descriptions — Describe over retained samples, streaming cells of
 	// at most five observations — leave it false, so a manifest reader
-	// can tell an honest median from a reconstruction.
+	// can tell an honest median from an estimate.
 	MedianApprox bool `json:"median_approx,omitempty"`
-}
-
-// Merge combines two descriptions of disjoint samples into the
-// description of their union. Count, mean, min, and max merge exactly;
-// the standard deviation uses the parallel-variance formula of Chan et
-// al. (means and sums of squared deviations combine exactly, up to
-// floating-point reassociation) and CI95 is re-derived from it. The
-// median cannot be reconstructed from summaries alone, so when both
-// sides are non-empty the merge reports the count-weighted mean of the
-// two medians and sets MedianApprox — the weighted mean is NOT the
-// median of the pooled samples and can diverge arbitrarily on skewed
-// shards, so the flag travels with the value into manifests. Merging
-// with an empty description is an identity and stays exact. Campaign
-// shard manifests are stitched with this (cmd/sweep -merge); callers
-// that retained the raw samples should recompute the median with
-// Median or Describe instead of merging summaries.
-func (d Description) Merge(o Description) Description {
-	switch {
-	case d.N == 0:
-		return o
-	case o.N == 0:
-		return d
-	}
-	n := d.N + o.N
-	nf, df, of := float64(n), float64(d.N), float64(o.N)
-	delta := o.Mean - d.Mean
-	mean := d.Mean + delta*of/nf
-	m2 := d.StdDev*d.StdDev*(df-1) + o.StdDev*o.StdDev*(of-1) + delta*delta*df*of/nf
-	out := Description{
-		N:            n,
-		Mean:         mean,
-		Min:          math.Min(d.Min, o.Min),
-		Max:          math.Max(d.Max, o.Max),
-		Median:       (d.Median*df + o.Median*of) / nf,
-		MedianApprox: true,
-	}
-	if n >= 2 {
-		out.StdDev = math.Sqrt(m2 / (nf - 1))
-		out.CI95 = 1.96 * out.StdDev / math.Sqrt(nf)
-	}
-	return out
 }
 
 // Describe computes all descriptive statistics of xs at once.

@@ -138,86 +138,6 @@ func TestMedianBetweenMinMaxProperty(t *testing.T) {
 	}
 }
 
-func TestDescriptionMerge(t *testing.T) {
-	all := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3.5}
-	for _, split := range []int{0, 1, 3, 5, 10} {
-		a := Describe(all[:split])
-		b := Describe(all[split:])
-		m := a.Merge(b)
-		want := Describe(all)
-		if m.N != want.N || m.Min != want.Min || m.Max != want.Max {
-			t.Errorf("split %d: N/min/max (%d,%g,%g), want (%d,%g,%g)",
-				split, m.N, m.Min, m.Max, want.N, want.Min, want.Max)
-		}
-		if math.Abs(m.Mean-want.Mean) > 1e-12 {
-			t.Errorf("split %d: mean %g, want %g", split, m.Mean, want.Mean)
-		}
-		if math.Abs(m.StdDev-want.StdDev) > 1e-12 {
-			t.Errorf("split %d: stddev %g, want %g", split, m.StdDev, want.StdDev)
-		}
-		if math.Abs(m.CI95-want.CI95) > 1e-12 {
-			t.Errorf("split %d: ci95 %g, want %g", split, m.CI95, want.CI95)
-		}
-	}
-	// Empty merges are identities.
-	d := Describe(all)
-	if got := (Description{}).Merge(d); got != d {
-		t.Errorf("empty.Merge(d) = %+v, want %+v", got, d)
-	}
-	if got := d.Merge(Description{}); got != d {
-		t.Errorf("d.Merge(empty) = %+v, want %+v", got, d)
-	}
-}
-
-// TestMergeMedianHonesty pins the merge-statistics bugfix: the merged
-// median is a count-weighted mean of the input medians, which on a
-// skewed split demonstrably diverges from the median of the pooled
-// samples, so Merge must mark it approximate instead of presenting it
-// as exact.
-func TestMergeMedianHonesty(t *testing.T) {
-	left := []float64{1, 2, 3}  // median 2
-	right := []float64{4, 1000} // median 502
-	pooled := append(append([]float64{}, left...), right...)
-
-	a, b := Describe(left), Describe(right)
-	if a.MedianApprox || b.MedianApprox {
-		t.Fatal("Describe over retained samples must report an exact median")
-	}
-	m := a.Merge(b)
-	if !m.MedianApprox {
-		t.Error("Merge of two non-empty descriptions must mark the median approximate")
-	}
-	exact := Median(pooled) // 3
-	if !almost(exact, 3) {
-		t.Fatalf("pooled median = %g, fixture expects 3", exact)
-	}
-	// The divergence the flag exists for: the weighted formula lands two
-	// orders of magnitude away from the pooled median on this split.
-	weighted := (2.0*3 + 502.0*2) / 5 // 202
-	if !almost(m.Median, weighted) {
-		t.Errorf("merged median = %g, want the weighted estimate %g", m.Median, weighted)
-	}
-	if math.Abs(m.Median-exact) < 100 {
-		t.Errorf("fixture not skewed enough: estimate %g vs pooled %g", m.Median, exact)
-	}
-
-	// Merging with an empty side is an identity and stays exact.
-	if got := m.Merge(Description{}); got != m {
-		t.Errorf("m.Merge(empty) = %+v, want %+v", got, m)
-	}
-	if got := (Description{}).Merge(a); got != a || got.MedianApprox {
-		t.Errorf("empty.Merge(exact) = %+v, want exact %+v", got, a)
-	}
-	// Approximation is sticky: once a side is approximate, further merges
-	// cannot launder it back to exact.
-	if got := (Description{}).Merge(m); !got.MedianApprox {
-		t.Error("identity merge dropped MedianApprox")
-	}
-	if got := m.Merge(Describe([]float64{7})); !got.MedianApprox {
-		t.Error("merging an approximate description must stay approximate")
-	}
-}
-
 // TestDescriptionStringMarksApproxMedian: the human rendering
 // distinguishes exact from estimated medians.
 func TestDescriptionStringMarksApproxMedian(t *testing.T) {

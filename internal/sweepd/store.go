@@ -3,12 +3,12 @@
 // engine cmd/sweep drives, and serves the resulting manifests from a
 // content-addressed store keyed by telemetry.SpecHash. Determinism is
 // what makes the store a cache: the spec hash ignores execution-only
-// fields (worker count, shard layout), and an unsharded campaign's
-// manifest is byte-identical at any worker count, so one stored
-// manifest answers every future submission of the same science. A
-// shard-merged manifest is not (its medians are estimates), so nothing
-// installs one here: the daemon always runs in-process, and cmd/sweep
-// refuses -if-cached with -dispatch.
+// fields (worker count, shard layout), and a campaign's manifest is
+// byte-identical at any worker count and under any shard layout once
+// its shards are merged, so one stored manifest answers every future
+// submission of the same science. The daemon runs campaigns
+// in-process; cmd/sweep -if-cached installs in-process and fleet
+// manifests alike.
 //
 // The package splits along the same seams as the rest of the repo:
 // store.go is the artifact store, sweepd.go the daemon (submission,

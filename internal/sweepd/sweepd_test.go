@@ -165,7 +165,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	for name, body := range map[string]string{
 		"not json":      "{",
 		"unknown field": `{"schemes":["SR"],"turbo":true}`,
-		"shard pinned":  `{"replicates":10,"shard_first":2,"shard_count":4}`,
+		"shard pinned":  `{"replicates":10,"cell_first":0,"cell_count":1}`,
 		"bad workload":  `{"workloads":[{"kind":"earthquake"}]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/campaigns", "application/json", strings.NewReader(body))
@@ -177,7 +177,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
 	}
-	if _, _, err := d.Submit([]byte(`{"replicates":10,"shard_first":2,"shard_count":4}`), ""); !errors.Is(err, ErrBadSpec) {
+	if _, _, err := d.Submit([]byte(`{"replicates":10,"cell_first":0,"cell_count":1}`), ""); !errors.Is(err, ErrBadSpec) {
 		t.Errorf("Submit(shard spec) = %v, want ErrBadSpec", err)
 	}
 }

@@ -29,7 +29,7 @@ type Record struct {
 	// Name is the campaign name (the manifest's base name).
 	Name string `json:"name"`
 	// Mode says how the run executed: "run" (single process), "shard"
-	// (one replicate block of a larger campaign), or "dispatch" (a
+	// (one cell block of a larger campaign), or "dispatch" (a
 	// supervised fleet).
 	Mode string `json:"mode"`
 	// Status says how the run ended: StatusCompleted, StatusFailed (a
@@ -51,9 +51,9 @@ type Record struct {
 	Workers int `json:"workers,omitempty"`
 	Shards  int `json:"shards,omitempty"`
 	Retries int `json:"retries,omitempty"`
-	// ShardFirst/ShardCount echo a shard run's replicate range.
-	ShardFirst int `json:"shard_first,omitempty"`
-	ShardCount int `json:"shard_count,omitempty"`
+	// CellFirst/CellCount echo a shard run's cell range.
+	CellFirst int `json:"cell_first,omitempty"`
+	CellCount int `json:"cell_count,omitempty"`
 	// WallS is the run's wall-clock seconds, CPUS the process (and
 	// reaped children's) CPU seconds, TrialsPerS the executed-trial
 	// rate over the wall clock.
@@ -66,13 +66,13 @@ type Record struct {
 }
 
 // execOnlySpecKeys are the top-level campaign-spec JSON fields that
-// change how a run executes — parallelism, memory pooling, which slice
-// of the replicate range a process computes — but never what the full
+// change how a run executes — parallelism, memory pooling, which of the
+// campaign's cells a process computes — but never what the full
 // campaign computes. The spec hash strips them so it identifies the
 // science alone: a campaign run with -workers 1, -workers 8, or split
 // across a dispatch fleet hashes to the same key, and the
 // content-addressed manifest store dedupes them to one entry.
-var execOnlySpecKeys = []string{"workers", "fresh_build", "shard_first", "shard_count"}
+var execOnlySpecKeys = []string{"workers", "fresh_build", "cell_first", "cell_count"}
 
 // SpecHash content-addresses a campaign spec: "sha256:" plus the hex
 // digest of its JSON form with execution-only fields removed. The

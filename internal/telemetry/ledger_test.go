@@ -105,7 +105,7 @@ func TestSpecHashIgnoresExecutionOnlyFields(t *testing.T) {
 		"workers=1":    func(s *sim.CampaignSpec) { s.Workers = 1 },
 		"workers=8":    func(s *sim.CampaignSpec) { s.Workers = 8 },
 		"fresh_build":  func(s *sim.CampaignSpec) { s.FreshBuild = true },
-		"shard layout": func(s *sim.CampaignSpec) { s.ShardFirst, s.ShardCount = 2, 4 },
+		"shard layout": func(s *sim.CampaignSpec) { s.CellFirst, s.CellCount = 1, 2 },
 	}
 	for name, mutate := range variants {
 		v := base
@@ -124,6 +124,24 @@ func TestSpecHashIgnoresExecutionOnlyFields(t *testing.T) {
 	science.Spares = []int{15, 61}
 	if got, _ := SpecHash(science); got == want {
 		t.Error("a different spare list must change the hash")
+	}
+}
+
+// TestSpecHashPinned pins one unsharded spec's hash to the literal the
+// hash had before shards split whole cells: renaming the range fields
+// must not move any store key.
+func TestSpecHashPinned(t *testing.T) {
+	spec := sim.CampaignSpec{
+		Schemes:    []sim.SchemeKind{sim.SR, sim.AR},
+		Grids:      []sim.GridSize{{Cols: 8, Rows: 8}},
+		Spares:     []int{8, 24},
+		Workloads:  []sim.WorkloadSpec{{Kind: sim.WorkloadHoles}, {Kind: sim.WorkloadJam}},
+		Replicates: 12,
+		BaseSeed:   21,
+	}.Normalized()
+	const want = "sha256:66795a58de67690e87af61c55bc1234a160fb4b504cca3315231f1a9f9bc67a5"
+	if got, err := SpecHash(spec); err != nil || got != want {
+		t.Errorf("SpecHash = %s, %v; want %s", got, err, want)
 	}
 }
 
