@@ -82,7 +82,8 @@
 // dedupe the daemon performs. It takes in-process and fleet runs
 // (-dispatch, -fleet) alike, since a fleet's merged manifest equals the
 // in-process one byte for byte, but not -shard: a shard is not the
-// whole campaign.
+// whole campaign. It works on whole manifests only: the daemon's
+// per-cell store is neither read nor written.
 //
 // -progress selects the progress channel: "meter" is the human line on
 // stderr, "json" emits newline-delimited experiment.Progress events
@@ -351,7 +352,7 @@ func (o *output) finish(mode string, spec sim.CampaignSpec, m *experiment.Manife
 		o.logger.Warn("removing spent cell log", "path", logPath, "err", err)
 	}
 	if o.store != nil {
-		stored, err := o.store.Install(o.hash, m)
+		stored, err := o.store.Install(o.hash, m, nil)
 		if err != nil {
 			return fmt.Errorf("installing manifest in store: %w", err)
 		}

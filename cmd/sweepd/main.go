@@ -3,7 +3,9 @@
 // same deterministic engine cmd/sweep drives, and serves the resulting
 // manifests from a content-addressed store keyed by spec hash — so a
 // campaign anyone already ran, at any worker count, is answered from
-// the store without executing a single trial.
+// the store without executing a single trial. The store also keeps
+// every computed cell, verified on reuse, so a campaign sharing cells
+// with earlier ones (a widened sweep) computes only its new cells.
 //
 // Usage:
 //

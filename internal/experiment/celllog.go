@@ -140,7 +140,7 @@ func ParseCellLog(data []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("no complete header line")
 	}
 	var head cellLogHeader
-	if err := strictUnmarshal(line, &head); err != nil {
+	if err := StrictUnmarshal(line, &head); err != nil {
 		return nil, fmt.Errorf("malformed header: %w", err)
 	}
 	if len(head.Spec) == 0 {
@@ -156,7 +156,7 @@ func ParseCellLog(data []byte) (*Manifest, error) {
 			Point  *Point `json:"point"`
 			Trials int    `json:"trials"`
 		}
-		if strictUnmarshal(line, &rec) != nil || rec.Point == nil || rec.Trials <= 0 {
+		if StrictUnmarshal(line, &rec) != nil || rec.Point == nil || rec.Trials <= 0 {
 			break
 		}
 		k := accKey{rec.Point.Group, rec.Point.X}
@@ -171,9 +171,9 @@ func ParseCellLog(data []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// strictUnmarshal decodes exactly one JSON value with no unknown
+// StrictUnmarshal decodes exactly one JSON value with no unknown
 // fields and nothing after it.
-func strictUnmarshal(line []byte, v any) error {
+func StrictUnmarshal(line []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {

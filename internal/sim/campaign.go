@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -120,15 +121,19 @@ func (s *CampaignSpec) normalize() {
 }
 
 // Validate rejects specs the job space cannot execute: unregistered
-// workload kinds, bad cell ranges, and runner/scheme pairings the
-// trial assembly would refuse. RunCampaignStream validates
-// automatically; CLIs call it early for friendlier errors.
+// workload kinds, a value listed twice in a dimension, bad cell ranges,
+// and runner/scheme pairings the trial assembly would refuse.
+// RunCampaignStream validates automatically; CLIs call it early for
+// friendlier errors.
 func (s CampaignSpec) Validate() error {
 	s.normalize()
 	for _, w := range s.Workloads {
 		if _, err := BuildWorkload(w); err != nil {
 			return err
 		}
+	}
+	if err := s.checkCellIdentities(); err != nil {
+		return err
 	}
 	if s.CellFirst < 0 || s.CellCount < 0 {
 		return fmt.Errorf("sim: negative cell range [%d, +%d)", s.CellFirst, s.CellCount)
@@ -178,6 +183,59 @@ func (s CampaignSpec) Validate() error {
 	return nil
 }
 
+// checkCellIdentities rejects a value listed twice in any dimension,
+// and distinct values that label one curve (a workload pinning holes=3
+// beside the swept holes=3). Either gives two cells one (group, N)
+// identity, and the engine would fold them into one point of twice the
+// replicates, every seed counted twice: a point no shard merge accepts
+// and no one-cell content address (CellSpec) describes.
+func (s CampaignSpec) checkCellIdentities() error {
+	for _, err := range []error{
+		repeated("schemes", s.Schemes, equal),
+		repeated("grids", s.Grids, equal),
+		repeated("spares", s.Spares, equal),
+		repeated("holes", s.Holes, equal),
+		repeated("workloads", s.Workloads, func(a, b WorkloadSpec) bool { return reflect.DeepEqual(a, b) }),
+		repeated("runners", s.Runners, equal),
+		repeated("claim_ttls", s.ClaimTTLs, equal),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	groups := make(map[string]bool)
+	for _, b := range s.layout().blocks {
+		for _, g := range s.Grids {
+			for _, h := range b.holes {
+				for _, k := range s.Schemes {
+					j := TrialJob{Scheme: k, Grid: g, Holes: h, Workload: b.workload, Runner: b.runner, ClaimTTL: b.ttl}
+					grp := j.Group()
+					if groups[grp] {
+						return fmt.Errorf("sim: two of the campaign's cells share the group %q; "+
+							"distinct dimension values must label distinct curves", grp)
+					}
+					groups[grp] = true
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// repeated reports the first value vals lists twice, naming the list.
+func repeated[T any](list string, vals []T, same func(a, b T) bool) error {
+	for i, v := range vals {
+		for _, prev := range vals[:i] {
+			if same(v, prev) {
+				return fmt.Errorf("sim: %s lists %v twice", list, v)
+			}
+		}
+	}
+	return nil
+}
+
+func equal[T comparable](a, b T) bool { return a == b }
+
 // ValidateUnsharded is the submission surface for services and caches
 // that address whole campaigns: Validate plus a rejection of specs
 // pinning a cell range. A shard spec's manifest covers only some of the
@@ -214,6 +272,27 @@ func (s CampaignSpec) runnerDim() []RunnerKind {
 // one to echo into artifact labels and manifests.
 func (s CampaignSpec) Normalized() CampaignSpec {
 	s.normalize()
+	return s
+}
+
+// CellSpec returns the one-cell campaign of job j's cell: the
+// normalized spec with every dimension list pinned to j's value (a
+// workload that collapses the holes dimension pins the collapsed 1)
+// and the execution-only fields — workers, fresh_build, the cell range
+// — cleared. A cell's trials depend only on its own dimension values,
+// the seed and the replicate count, so the one-cell campaign computes
+// that cell byte for byte as s does, and its telemetry.SpecHash
+// addresses the cell in any campaign that contains it.
+func (s CampaignSpec) CellSpec(j TrialJob) CampaignSpec {
+	s.normalize()
+	s.Schemes = []SchemeKind{j.Scheme}
+	s.Grids = []GridSize{j.Grid}
+	s.Spares = []int{j.Spares}
+	s.Holes = []int{j.Holes}
+	s.Workloads = []WorkloadSpec{j.Workload}
+	s.Runners = []RunnerKind{j.Runner}
+	s.ClaimTTLs = []int{j.ClaimTTL}
+	s.Workers, s.FreshBuild, s.CellFirst, s.CellCount = 0, false, 0, 0
 	return s
 }
 

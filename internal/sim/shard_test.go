@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wsncover/internal/experiment"
@@ -150,4 +153,106 @@ func TestSplitShardsErrors(t *testing.T) {
 	if _, err := pinned.SplitShards(2); err == nil {
 		t.Error("re-splitting a shard spec should fail")
 	}
+}
+
+// TestValidateRejectsRepeatedValues: a value listed twice in any
+// dimension, or distinct values labelling one curve, would fold two
+// cells into one point of twice the replicates; Validate names the list
+// and the value instead.
+func TestValidateRejectsRepeatedValues(t *testing.T) {
+	base := func() CampaignSpec {
+		return CampaignSpec{Schemes: []SchemeKind{SR}, Grids: []GridSize{{8, 8}}, Spares: []int{8}, Replicates: 2}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*CampaignSpec)
+		want string // "" means valid
+	}{
+		{"distinct", func(s *CampaignSpec) { s.Spares = []int{8, 24} }, ""},
+		{"schemes", func(s *CampaignSpec) { s.Schemes = []SchemeKind{SR, AR, SR} }, "schemes lists SR twice"},
+		{"grids", func(s *CampaignSpec) { s.Grids = []GridSize{{8, 8}, {8, 8}} }, "grids lists 8x8 twice"},
+		{"spares", func(s *CampaignSpec) { s.Spares = []int{8, 8} }, "spares lists 8 twice"},
+		{"holes", func(s *CampaignSpec) { s.Holes = []int{1, 3, 3} }, "holes lists 3 twice"},
+		{"workloads", func(s *CampaignSpec) {
+			s.Workloads = []WorkloadSpec{{Kind: WorkloadJam}, {Kind: WorkloadHoles}, {Kind: WorkloadJam}}
+		}, "workloads lists jam twice"},
+		{"runners", func(s *CampaignSpec) { s.Runners = []RunnerKind{RunAsync, RunAsync} }, "runners lists async twice"},
+		{"claim_ttls", func(s *CampaignSpec) { s.ClaimTTLs = []int{0, 3, 0} }, "claim_ttls lists 0 twice"},
+		{"one curve", func(s *CampaignSpec) {
+			s.Holes = []int{1, 3}
+			s.Workloads = []WorkloadSpec{{Kind: WorkloadHoles}, {Kind: WorkloadHoles, Holes: 3}}
+		}, `share the group "SR 8x8 holes=3"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := base()
+			tc.edit(&s)
+			err := s.Validate()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("Validate = %v, want nil", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("Validate = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestCellSpecRunsAloneExactly: every cell's one-cell campaign, run on
+// its own, yields exactly the bytes of that cell's point in the full
+// campaign — the property that lets a cell computed by one campaign
+// stand in for the same cell of any other. The campaigns cover SR and
+// AR on holes and jam at hole counts 1 and 3 (jam collapses the holes
+// dimension) beside a workload pinning its own hole count, an async SR
+// group, and a claim-TTL sweep.
+func TestCellSpecRunsAloneExactly(t *testing.T) {
+	grid := []GridSize{{8, 8}}
+	for _, spec := range []CampaignSpec{
+		{
+			Schemes: []SchemeKind{SR, AR}, Grids: grid, Spares: []int{6, 20}, Holes: []int{1, 3},
+			Workloads: []WorkloadSpec{{Kind: WorkloadHoles}, {Kind: WorkloadJam}, {Kind: WorkloadHoles, Holes: 2}},
+		},
+		{Schemes: []SchemeKind{SR}, Grids: grid, Spares: []int{6, 20}, Runners: []RunnerKind{RunSync, RunAsync}},
+		{Schemes: []SchemeKind{SR}, Grids: grid, Spares: []int{6, 20}, ClaimTTLs: []int{0, 3}},
+	} {
+		spec.Replicates, spec.BaseSeed = 3, 41
+		full, err := RunCampaign(context.Background(), spec, experiment.Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		byCell := make(map[string][]byte, len(full))
+		for _, p := range full {
+			byCell[fmt.Sprintf("%s N=%g", p.Group, p.X)] = mustMarshal(t, p)
+		}
+		cells := 0
+		spec.Normalized().ExecutedJobs(nil, func(j TrialJob) {
+			if j.Replicate != 0 {
+				return
+			}
+			cells++
+			one := spec.CellSpec(j)
+			if n := one.NumCells(); n != 1 {
+				t.Fatalf("%s N=%d: one-cell spec has %d cells", j.Group(), j.Spares, n)
+			}
+			alone, err := RunCampaign(context.Background(), one, experiment.Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := fmt.Sprintf("%s N=%d", j.Group(), j.Spares)
+			if len(alone) != 1 || !bytes.Equal(mustMarshal(t, alone[0]), byCell[key]) {
+				t.Errorf("%s: the one-cell campaign's point differs from the full campaign's", key)
+			}
+		})
+		if cells != len(full) || cells != spec.NumCells() {
+			t.Errorf("walked %d cells, campaign has %d points and %d cells", cells, len(full), spec.NumCells())
+		}
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

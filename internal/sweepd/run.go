@@ -16,23 +16,36 @@ import (
 // daemon is the worker — through the same dispatch.LocalRun as
 // cmd/sweep, so the stored manifest is byte-identical to what the CLI
 // writes for the same submission, and installs the manifest in the
-// store. It returns the stored manifest path, the manifest's point
-// count, and how many trials this run executed (for the ledger; a
-// resumed run is not credited with cells its checkpoint already
-// carried). Progress snapshots publish on the campaign's hub.
-// Cancellation (drain) surfaces as context.Canceled; the checkpoint log
-// left in the campaign's run directory seeds the next submission of the
-// same spec. The manifest goes from memory into the store in one atomic
-// write; the run directory is then spent and removed.
+// store. Cells the cell store already holds and verifies are not
+// computed again: with the cells of an interrupted run's checkpoint
+// they are the run's prior, which LocalRun skips and carries. It
+// returns the stored manifest path, the manifest's point count, and
+// how many trials this run executed (for the ledger; a run is not
+// credited with the cells it reused or resumed). Progress snapshots
+// publish on the campaign's hub. Cancellation (drain) surfaces as
+// context.Canceled; the checkpoint log left in the campaign's run
+// directory seeds the next submission of the same spec. The manifest
+// goes from memory into the store in one atomic write, the cells this
+// run added to the cell store in one append; the run directory is then
+// spent and removed.
 func (d *Daemon) execute(c *Campaign) (path string, points, ran int, err error) {
 	runDir, err := d.store.RunDir(c.SpecHash)
 	if err != nil {
 		return "", 0, 0, err
 	}
+	cells, err := campaignCells(c.Spec)
+	if err != nil {
+		return "", 0, 0, err
+	}
+	reusable, fresh := d.store.storedCells(cells)
 	ckPath := filepath.Join(runDir, "checkpoint.ndjson")
-	run := dispatch.PlanLocal(c.Spec, c.Name, d.loadCheckpoint(ckPath, c.SpecHash), ckPath)
-	if run.Resumed > 0 {
-		d.log.Info("resuming from checkpoint", "path", ckPath, "cells", run.Resumed)
+	prior, reused := withStoredCells(d.loadCheckpoint(ckPath, c.SpecHash), reusable)
+	run := dispatch.PlanLocal(c.Spec, c.Name, prior, ckPath)
+	if reused > 0 {
+		d.log.Info("reusing stored cells", "cells", reused, "of", len(cells))
+	}
+	if resumed := run.Resumed - reused; resumed > 0 {
+		d.log.Info("resuming from checkpoint", "path", ckPath, "cells", resumed)
 	}
 	pub := telemetry.NewPublisher(c.hub)
 	run.OnProgress = func(s dispatch.FleetSnapshot) { dispatch.PublishFleet(pub, s) }
@@ -45,7 +58,7 @@ func (d *Daemon) execute(c *Campaign) (path string, points, ran int, err error) 
 	if err != nil {
 		return "", 0, ran, err
 	}
-	stored, err := d.store.Install(c.SpecHash, m)
+	stored, err := d.store.Install(c.SpecHash, m, fresh)
 	if err != nil {
 		return "", 0, ran, err
 	}
@@ -55,6 +68,29 @@ func (d *Daemon) execute(c *Campaign) (path string, points, ran int, err error) 
 		d.log.Warn("removing spent run directory", "dir", runDir, "err", err)
 	}
 	return stored, len(m.Points), ran, nil
+}
+
+// withStoredCells adds to the checkpoint's prior manifest (nil when
+// there is none) the stored cell points it does not already hold, and
+// returns the prior and how many stored cells it took.
+func withStoredCells(ck *experiment.Manifest, stored []experiment.Point) (*experiment.Manifest, int) {
+	if len(stored) == 0 {
+		return ck, 0
+	}
+	if ck == nil {
+		return &experiment.Manifest{Points: stored}, len(stored)
+	}
+	have := make(map[cellID]bool, len(ck.Points))
+	for _, p := range ck.Points {
+		have[cellID{p.Group, p.X}] = true
+	}
+	prior := &experiment.Manifest{Points: ck.Points}
+	for _, p := range stored {
+		if !have[cellID{p.Group, p.X}] {
+			prior.Points = append(prior.Points, p)
+		}
+	}
+	return prior, len(prior.Points) - len(ck.Points)
 }
 
 // testTrialHook, when non-nil, observes every completed trial of a

@@ -10,11 +10,19 @@
 // in-process; cmd/sweep -if-cached installs in-process and fleet
 // manifests alike.
 //
+// The same argument holds one level down. A cell — one (group, N) pair
+// with all its replicates — depends only on its own dimension values,
+// the seed and the replicate count, so the store also keeps every cell
+// the daemon computed, keyed by the hash of its one-cell campaign, and
+// a campaign sharing cells with earlier ones (a widened sweep) computes
+// only its new cells. Every stored cell is re-verified when it is
+// reused; one that fails is recomputed.
+//
 // The package splits along the same seams as the rest of the repo:
-// store.go is the artifact store, sweepd.go the daemon (submission,
-// dedupe, the bounded FIFO job queue, drain), run.go the campaign
-// runner (the in-process engine), and server.go the
-// HTTP surface. cmd/sweepd wires it to flags and signals.
+// store.go is the artifact store, cells.go its cell store, sweepd.go
+// the daemon (submission, dedupe, the bounded FIFO job queue, drain),
+// run.go the campaign runner (the in-process engine), and server.go
+// the HTTP surface. cmd/sweepd wires it to flags and signals.
 package sweepd
 
 import (
@@ -23,15 +31,18 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"wsncover/internal/experiment"
 	"wsncover/internal/telemetry"
 )
 
-// Store is a content-addressed campaign-manifest store rooted at one
-// directory:
+// Store is a content-addressed campaign-manifest and cell store rooted
+// at one directory:
 //
 //	<dir>/manifests/sha256-<hex>.json   completed campaign manifests
+//	<dir>/cells.ndjson                  the cell store: one line per computed
+//	                                    cell, appended as campaigns install
 //	<dir>/runs/<hex>/                   per-campaign working directories,
 //	                                    removed once the manifest is installed
 //	<dir>/ledger.ndjson                 the run ledger (telemetry.Record)
@@ -41,8 +52,21 @@ import (
 // that with sim.CampaignSpec.ValidateUnsharded, because the hash
 // deliberately ignores shard layout and a partial manifest stored
 // under the full campaign's key would poison every later cache hit.
+//
+// A cells.ndjson line is {"spec":<one-cell spec>,"point":..,"trials":R}
+// and is keyed by the SpecHash of its spec (Cell), re-derived on every
+// read and never stored. The file is append-only: each Install adds
+// its campaign's new cells in one write(2). An in-memory index from key
+// to line is built by one scan on the first lookup, so opening a store
+// reads nothing; a later line for a key wins.
 type Store struct {
 	dir string
+
+	// mu serializes the cell store: the index and every append.
+	mu sync.Mutex
+	// cellIndex maps cell keys to their lines in cells.ndjson; nil until
+	// the first lookup scans the file.
+	cellIndex map[string]lineAt
 }
 
 // OpenStore opens (creating if needed) the store rooted at dir.
@@ -142,14 +166,19 @@ func checkSpecHash(m *experiment.Manifest, path, wantHash string) error {
 	return nil
 }
 
-// Install writes m into the store under hash, atomically (temp +
-// rename), and returns the stored path. Installing the same hash twice
-// is fine: determinism guarantees the bytes match, and the rename just
-// replaces like with like.
-func (s *Store) Install(hash string, m *experiment.Manifest) (string, error) {
+// Install appends m's points for the fresh cells — the campaign's
+// cells the cell store did not serve (storedCells), or nil — to the
+// cell store in one write, then writes m into the store under hash,
+// atomically (temp + rename), and returns the stored path. Installing
+// the same hash twice is fine: determinism guarantees the bytes match,
+// and the rename just replaces like with like.
+func (s *Store) Install(hash string, m *experiment.Manifest, fresh []Cell) (string, error) {
 	hex, err := hashHex(hash)
 	if err != nil {
 		return "", err
+	}
+	if err := s.appendCells(m, fresh); err != nil {
+		return "", fmt.Errorf("sweepd: store install: cell store: %w", err)
 	}
 	dst := s.manifestPath(hex)
 	if err := m.WriteAtomic(dst); err != nil {

@@ -44,7 +44,7 @@ func TestStoreInstallGetResolveList(t *testing.T) {
 	}
 
 	src := &experiment.Manifest{Name: "x", Jobs: 1, Points: []experiment.Point{}}
-	pathA, err := store.Install(hashA, src)
+	pathA, err := store.Install(hashA, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestStoreInstallGetResolveList(t *testing.T) {
 	if _, ok := store.Get(hashA); ok {
 		t.Fatalf("Get(%s) served a manifest whose spec does not hash to the key", hashA)
 	}
-	if _, err := store.Install(hashB, src); err != nil {
+	if _, err := store.Install(hashB, src, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -180,7 +180,7 @@ func TestStoreResolveFullHashIsDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, err := store.Install(hash, m)
+	path, err := store.Install(hash, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func waitStatus(t *testing.T, ts *httptest.Server, id int, want string) View {
 // referenceManifest runs the campaign in-process the way cmd/sweep
 // does and serializes the manifest — the byte-level oracle stored
 // manifests must match.
-func referenceManifest(t *testing.T, spec sim.CampaignSpec, name string) []byte {
+func referenceManifest(t testing.TB, spec sim.CampaignSpec, name string) []byte {
 	t.Helper()
 	spec = spec.Normalized()
 	acc := experiment.NewAccumulator()
