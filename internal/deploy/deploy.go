@@ -173,8 +173,11 @@ func Resupply(w *network.Network, count int, rng *randx.Rand) error {
 
 // FailRandom disables count enabled nodes chosen uniformly at random,
 // returning how many were actually disabled (fewer when the network has
-// fewer enabled nodes).
+// fewer enabled nodes, none when count <= 0).
 func FailRandom(w *network.Network, count int, rng *randx.Rand) int {
+	if count <= 0 {
+		return 0
+	}
 	var enabled []node.ID
 	for id := node.ID(0); int(id) < w.NumNodes(); id++ {
 		if w.Node(id).Enabled() {

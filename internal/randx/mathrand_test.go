@@ -135,11 +135,120 @@ func TestSourceMatchesMathRandRandomSeeds(t *testing.T) {
 	}
 }
 
-func FuzzSourceMatchesMathRand(f *testing.F) {
-	for _, seed := range edgeSeeds {
-		f.Add(seed)
+// rejectionNs are Intn bounds where Int31n's rejection loop runs often
+// (2^30+1 rejects almost half its draws) or its masks and thresholds
+// sit at an edge: around powers of two and around 2^31-1, the largest n
+// on the Int31n path.
+var rejectionNs = []int64{
+	1, 2, 3, 1<<16 - 1, 1 << 16, 1<<16 + 1, 1<<30 - 1, 1 << 30, 1<<30 + 1,
+	3 << 29, 1<<31 - 3, 1<<31 - 2, 1<<31 - 1, 1 << 31,
+}
+
+// checkDraws reseeds a stream after it has drawn k values of another
+// seed, so the reseed lands at any cursor, then compares k more draws
+// and rounds of Intn(n), Float64 and Int63 with math/rand.
+func checkDraws(t *testing.T, seed int64, k int, n int) {
+	t.Helper()
+	var set Streams
+	got := set.New(^seed)
+	for i := 0; i < k; i++ {
+		got.Int63()
 	}
-	f.Fuzz(func(t *testing.T, seed int64) { checkSeed(t, seed) })
+	set.Reset()
+	got = set.New(seed)
+	want := rand.New(rand.NewSource(seed))
+	for i := 0; i < k; i++ {
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("seed %d, k %d: Int63 #%d: %d, want %d", seed, k, i, g, w)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if g, w := got.Intn(n), want.Intn(n); g != w {
+			t.Fatalf("seed %d, k %d: Intn(%d) #%d: %d, want %d", seed, k, n, i, g, w)
+		}
+		if g, w := got.Float64(), want.Float64(); g != w {
+			t.Fatalf("seed %d, k %d: Float64 #%d: %v, want %v", seed, k, i, g, w)
+		}
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("seed %d, k %d: Int63 #%d after Intn: %d, want %d", seed, k, i, g, w)
+		}
+	}
+}
+
+func FuzzSourceMatchesMathRand(f *testing.F) {
+	for i, seed := range edgeSeeds {
+		f.Add(seed, uint16(i*53), rejectionNs[i%len(rejectionNs)])
+	}
+	for i, n := range rejectionNs {
+		f.Add(int64(i), uint16(rngFeed+i), n)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, k uint16, n int64) {
+		if n <= 0 || int64(int(n)) != n {
+			t.Skip("Intn needs a positive int")
+		}
+		checkSeed(t, seed)
+		checkDraws(t, seed, int(k)%(3*rngLen), int(n))
+	})
+}
+
+// TestReseedAtEveryCursor reseeds a stream after every draw count from
+// 0 through two laps and then some, so the reseed lands inside and at
+// the end of every block, at both lap wraps, and on each side of the
+// first lap's seeding frontier, and then compares 700 draws (past the
+// frontier) with math/rand on every edge seed.
+func TestReseedAtEveryCursor(t *testing.T) {
+	const draws = 700
+	for _, seed := range edgeSeeds {
+		ref := rand.New(rand.NewSource(seed))
+		want := make([]int64, draws)
+		for i := range want {
+			want[i] = ref.Int63()
+		}
+		var set Streams
+		for k := 0; k <= 2*rngLen+40; k++ {
+			set.Reset()
+			r := set.New(^seed)
+			for i := 0; i < k; i++ {
+				r.Int63()
+			}
+			set.Reset()
+			r = set.New(seed)
+			for i, w := range want {
+				if g := r.Int63(); g != w {
+					t.Fatalf("seed %d, reseeded after %d draws: Int63 #%d: %d, want %d", seed, k, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestIntnMatchesMathRandNearRejection runs Intn where Int31n's
+// rejection loop runs, and around its masks and thresholds.
+func TestIntnMatchesMathRandNearRejection(t *testing.T) {
+	for _, n := range rejectionNs {
+		got, want := New(int64(n)), rand.New(rand.NewSource(int64(n)))
+		for i := 0; i < 2000; i++ {
+			if g, w := got.Intn(int(n)), want.Intn(int(n)); g != w {
+				t.Fatalf("Intn(%d) #%d: %d, want %d", n, i, g, w)
+			}
+		}
+	}
+}
+
+// TestFloat64RedrawsOne plants the one Int63 that rounds to 1.0 as the
+// next output and requires Float64 to skip it, as math/rand's does.
+func TestFloat64RedrawsOne(t *testing.T) {
+	r := New(3)
+	r.Int63() // computes a block
+	r.rng.vec[r.rng.next-1] = math.MaxInt64
+	ref := r.rng
+	if ref.Int63() != math.MaxInt64 {
+		t.Fatal("the planted output is not next")
+	}
+	want := float64(ref.Int63()) / (1 << 63)
+	if g := r.Float64(); g != want {
+		t.Fatalf("Float64 = %v, want %v (the draw after the one that rounds to 1)", g, want)
+	}
 }
 
 // TestStreamsReuseMatchesFresh runs a set through several rounds of
@@ -186,6 +295,27 @@ func TestStreamsReuseMatchesFresh(t *testing.T) {
 	}
 	if len(set.list) != 8 {
 		t.Errorf("set grew to %d streams, want 8 (the largest round: root, 6 children, one event slot)", len(set.list))
+	}
+}
+
+// TestStreamsReseedMidBlock reseeds a set's stream that stopped a few
+// draws into a block, and one that stopped during its first lap's
+// seeding, and requires each to draw what a fresh stream draws.
+func TestStreamsReseedMidBlock(t *testing.T) {
+	var set Streams
+	for _, k := range []int{3, rngBlock + 5, rngFeed - 2, rngFeed + 7} {
+		set.Reset()
+		r := set.New(int64(k))
+		for i := 0; i < k; i++ {
+			r.Int63()
+		}
+		if r.rng.next == r.rng.lo {
+			t.Fatalf("%d draws ended a block; the case wants a stream inside one", k)
+		}
+		set.Reset()
+		if err := sameDraws(set.New(77), New(77), 2*rngLen); err != nil {
+			t.Fatalf("reseeded after %d draws: %v", k, err)
+		}
 	}
 }
 
@@ -238,6 +368,26 @@ func BenchmarkSplit(b *testing.B) {
 		r.Split(int64(i))
 	}
 }
+
+// BenchmarkStreamDraws seeds a source and draws k values from it, the
+// cost of a stream that reads k words before its next reseed.
+func BenchmarkStreamDraws(b *testing.B) {
+	for _, k := range []int{0, 4, 256, 1000} {
+		b.Run(fmt.Sprint(k), func(b *testing.B) {
+			var s source
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				s.Seed(int64(i))
+				for j := 0; j < k; j++ {
+					sink ^= s.Uint64()
+				}
+			}
+			benchSink = sink
+		})
+	}
+}
+
+var benchSink uint64
 
 // BenchmarkStreamsReseed is a trial's stream set-up on a warm set: a
 // root and the five Split children a lossy trial takes.

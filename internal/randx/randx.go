@@ -8,10 +8,14 @@
 // rand.New(rand.NewSource(seed)), method for method. Go 1 compatibility
 // freezes math/rand's generator and its Intn, Float64, NormFloat64, Perm
 // and Shuffle algorithms, so every stream, and every result the simulator
-// derives from one, is fixed across Go releases. randx owns only the
-// source (see source.go), whose seeding is cheaper than math/rand's but
-// lands in the same state; every draw still runs the stdlib's *rand.Rand
-// code.
+// derives from one, is fixed across Go releases. randx owns the source
+// (see source.go): it computes math/rand's outputs in blocks and seeds
+// its state words lazily, so a stream costs what it draws, and it lands
+// on the same words. The hot draws (Int63, Float64, Bool, InRect, Pick,
+// Intn up to 2^31-1, PermInto, PermPrefixInto) restate the Go-1-frozen
+// algorithms over that source, so its draw inlines into them; the cold
+// ones (NormFloat64, Perm, Shuffle, larger Intn) still run math/rand's
+// *rand.Rand over the same source, so both paths share one state.
 package randx
 
 import (
@@ -47,7 +51,7 @@ func New(seed int64) *Rand {
 // the same set; any other stream allocates them.
 func (r *Rand) Split(label int64) *Rand {
 	const golden = int64(0x9E3779B97F4A7C15 & 0x7FFFFFFFFFFFFFFF)
-	mix := r.src.Int63() ^ (label * golden)
+	mix := r.Int63() ^ (label * golden)
 	if r.set != nil {
 		return r.set.New(mix)
 	}
@@ -102,19 +106,47 @@ func (r *Rand) Release() {
 }
 
 // Int63 returns a non-negative 63-bit integer.
-func (r *Rand) Int63() int64 { return r.src.Int63() }
+func (r *Rand) Int63() int64 { return int64(r.rng.Uint64() & (1<<63 - 1)) }
 
 // Intn returns a uniform integer in [0, n). n must be positive.
-func (r *Rand) Intn(n int) int { return r.src.Intn(n) }
+//
+// Up to 2^31-1 it is math/rand's Int31n: a power of two masks one Int31,
+// any other n redraws an Int31 above the largest multiple of n and takes
+// the rest. No v <= 2^31-1-n lies above that multiple, so the division
+// that finds it runs only for the rare v beyond.
+func (r *Rand) Intn(n int) int {
+	if n <= 0 || n > 1<<31-1 {
+		return r.src.Intn(n)
+	}
+	m := int32(n)
+	v := int32(r.rng.Uint64() >> 32 & (1<<31 - 1))
+	if m&(m-1) == 0 {
+		return int(v & (m - 1))
+	}
+	if v > 1<<31-1-m {
+		max := int32(1<<31 - 1 - (1<<31)%uint32(m))
+		for v > max {
+			v = int32(r.rng.Uint64() >> 32 & (1<<31 - 1))
+		}
+	}
+	return int(v % m)
+}
 
-// Float64 returns a uniform float in [0, 1).
-func (r *Rand) Float64() float64 { return r.src.Float64() }
+// Float64 returns a uniform float in [0, 1). Like math/rand's, it draws
+// again on the rare Int63 that rounds to 1.
+func (r *Rand) Float64() float64 {
+	for {
+		if f := float64(r.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
 
 // NormFloat64 returns a standard normal variate.
 func (r *Rand) NormFloat64() float64 { return r.src.NormFloat64() }
 
 // Bool returns true with probability p.
-func (r *Rand) Bool(p float64) bool { return r.src.Float64() < p }
+func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
 
 // Perm returns a random permutation of [0, n).
 func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
@@ -132,7 +164,7 @@ func (r *Rand) PermInto(dst []int, n int) []int {
 	// The i=0 iteration is a self-swap but still consumes one Intn(1)
 	// draw, mirroring math/rand.Perm's Go 1 stream compatibility.
 	for i := 0; i < n; i++ {
-		j := r.src.Intn(i + 1)
+		j := r.Intn(i + 1)
 		dst[i] = dst[j]
 		dst[j] = i
 	}
@@ -154,12 +186,12 @@ func (r *Rand) PermPrefixInto(dst []int, n, k int) []int {
 	}
 	dst = dst[:k]
 	for i := 0; i < k; i++ {
-		j := r.src.Intn(i + 1)
+		j := r.Intn(i + 1)
 		dst[i] = dst[j]
 		dst[j] = i
 	}
 	for i := k; i < n; i++ {
-		if j := r.src.Intn(i + 1); j < k {
+		if j := r.Intn(i + 1); j < k {
 			dst[j] = i
 		}
 	}
@@ -172,8 +204,8 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 // InRect returns a point uniformly distributed in rect.
 func (r *Rand) InRect(rect geom.Rect) geom.Point {
 	return geom.Point{
-		X: rect.Min.X + r.src.Float64()*rect.Width(),
-		Y: rect.Min.Y + r.src.Float64()*rect.Height(),
+		X: rect.Min.X + r.Float64()*rect.Width(),
+		Y: rect.Min.Y + r.Float64()*rect.Height(),
 	}
 }
 
@@ -183,12 +215,16 @@ func (r *Rand) Pick(n int) int {
 	if n == 0 {
 		return -1
 	}
-	return r.src.Intn(n)
+	return r.Intn(n)
 }
 
 // Sample picks k distinct integers from [0, n) uniformly at random. When
-// k >= n it returns a permutation of all n integers.
+// k >= n it returns a permutation of all n integers; when k < 0 it
+// returns an empty slice and draws nothing.
 func (r *Rand) Sample(n, k int) []int {
+	if k < 0 {
+		return []int{}
+	}
 	if k >= n {
 		return r.Perm(n)
 	}

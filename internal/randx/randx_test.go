@@ -173,6 +173,20 @@ func TestSample(t *testing.T) {
 	if len(all) != 3 {
 		t.Errorf("Sample(3, 10) = %v", all)
 	}
+	// k < 0 returns an empty slice and draws nothing; k == 0 still
+	// draws the n-entry permutation it always drew.
+	a, b := New(9), New(9)
+	if got := a.Sample(5, -1); got == nil || len(got) != 0 {
+		t.Errorf("Sample(5, -1) = %#v, want an empty slice", got)
+	}
+	if a.Int63() != b.Int63() {
+		t.Error("Sample(5, -1) drew from the stream")
+	}
+	a.Sample(5, 0)
+	b.Perm(5)
+	if a.Int63() != b.Int63() {
+		t.Error("Sample(5, 0) does not draw what Perm(5) draws")
+	}
 }
 
 func TestShuffle(t *testing.T) {

@@ -5,24 +5,42 @@ import "math/rand"
 // source is math/rand's additive lagged-Fibonacci generator (the
 // unexported rngSource, Mitchell and Reeds): 607 words of state, tap
 // 273, x[n] = x[n-607] + x[n-273] mod 2^64. Its output for a given seed
-// is the same as rand.NewSource(seed)'s, word for word. Only seeding
-// differs, in cost and not in result.
+// is the same as rand.NewSource(seed)'s, word for word. Only the order
+// in which the work is done differs, in cost and not in result.
 //
-// math/rand seeds by running the Lehmer generator x -> 48271x mod 2^31-1
-// 1,841 steps from the normalised seed, one serial chain of Schrage
-// steps, and XORing the values into a table of 607 constants. Here the
-// n-th value of that chain is read off in closed form, as 48271^n (from
-// the lehmerPow table) times the start value mod 2^31-1. The three values each state word
-// needs are independent multiply-and-fold operations, with no chain.
+// math/rand writes each output over the state word at its feed
+// position, the feed stepping down from 333 through 0 and then wrapping
+// to 606. The word it adds sits 273 above the feed below 334 and 334
+// below it from 334 up: in both cases the output of 273 draws before
+// (in the first 273 draws, a seeded word). So outputs less than 273
+// draws apart never depend on each other, and source computes them
+// rngBlock at a time: refill writes the next block of outputs in place,
+// vec[lo:next], and Uint64 hands them out from the top down. A draw is a
+// compare, a decrement and a load, small enough to inline into every
+// caller.
+//
+// Seeding is lazy. math/rand seeds by running the Lehmer generator
+// x -> 48271x mod 2^31-1 1,841 steps from the normalised seed, one
+// serial chain of Schrage steps, and XORing the values into a table of
+// 607 constants. Here the n-th value of that chain is read off in closed
+// form, as 48271^n (from the lehmerPow table) times the start value mod
+// 2^31-1, so each state word can be seeded on its own. Seed only stores
+// the start value; during the first lap (the 334 draws down to feed 0)
+// refill seeds each block's feed words and the partners they add from
+// 334 up just before it first reads them. By the end of that lap every
+// word is seeded, and a stream that draws little seeds little.
 type source struct {
-	tap  int
-	feed int
+	next int    // vec[lo:next] are the computed outputs not yet drawn
+	lo   int    // the start of the current block
+	x0   uint64 // the normalised seed while the first lap seeds words; 0 after it
 	vec  [rngLen]int64
 }
 
 const (
-	rngLen = 607
-	rngTap = 273
+	rngLen   = 607
+	rngTap   = 273
+	rngFeed  = rngLen - rngTap // the feed position right after seeding
+	rngBlock = 16              // outputs one refill computes
 
 	lehmerA   = 48271
 	lehmerM   = 1<<31 - 1
@@ -81,10 +99,10 @@ func recoverCooked() [rngLen]int64 {
 	}
 	// rngCooked is still zero here, so seeding leaves seed 1's bare
 	// chain words.
-	var w source
-	w.Seed(1)
+	var w [rngLen]int64
+	seedWords(w[:], 0, normSeed(1))
 	for i := range v {
-		v[i] ^= w.vec[i]
+		v[i] ^= w[i]
 	}
 	return v
 }
@@ -113,31 +131,71 @@ func mulmod(p, x uint64) int64 {
 	return int64(s&lehmerM + s>>31)
 }
 
-// Seed sets the state math/rand's rngSource.Seed sets for seed.
-func (s *source) Seed(seed int64) {
-	s.tap = 0
-	s.feed = rngLen - rngTap
-	x0 := normSeed(seed)
-	for i := range s.vec {
-		pw := &lehmerPow[i]
-		s.vec[i] = mulmod(pw[0], x0)<<40 ^ mulmod(pw[1], x0)<<20 ^ mulmod(pw[2], x0) ^ rngCooked[i]
+// seedWords sets dst to the seeded state words lo, lo+1, ... for the
+// normalised seed x0: three chain values and the constant per word.
+func seedWords(dst []int64, lo int, x0 uint64) {
+	pow := lehmerPow[lo : lo+len(dst)]
+	cooked := rngCooked[lo : lo+len(dst)]
+	for i := range dst {
+		pw := &pow[i]
+		dst[i] = mulmod(pw[0], x0)<<40 ^ mulmod(pw[1], x0)<<20 ^ mulmod(pw[2], x0) ^ cooked[i]
 	}
+}
+
+// Seed sets the state math/rand's rngSource.Seed sets for seed. It
+// computes no state word; the first lap's refills do.
+func (s *source) Seed(seed int64) {
+	s.next, s.lo = rngFeed, rngFeed
+	s.x0 = normSeed(seed)
 }
 
 // Int63 returns a non-negative pseudo-random 63-bit integer.
 func (s *source) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
 
-// Uint64 returns a pseudo-random 64-bit value.
+// Uint64 returns a pseudo-random 64-bit value. It must stay within the
+// compiler's inlining budget: the hot draws of Rand inline it.
 func (s *source) Uint64() uint64 {
-	s.tap--
-	if s.tap < 0 {
-		s.tap += rngLen
+	if s.next == s.lo {
+		s.refill()
 	}
-	s.feed--
-	if s.feed < 0 {
-		s.feed += rngLen
+	s.next--
+	return uint64(s.vec[s.next])
+}
+
+// refill computes the next block of outputs, the up to rngBlock feed
+// positions below next (wrapping from 0 to the top at the end of a
+// lap), in place, and points the cursors at it.
+func (s *source) refill() {
+	hi := s.next
+	if hi == 0 {
+		hi = rngLen
+		s.x0 = 0 // the first lap, and with it seeding, is over
 	}
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
-	return uint64(x)
+	lo := max(hi-rngBlock, 0)
+	s.next, s.lo = hi, lo
+	if s.x0 != 0 {
+		// First lap: hi <= rngFeed. The feed words are unseeded, and so
+		// are their partners from rngFeed up; the partners below, of
+		// feed words under rngFeed-rngTap, are this lap's outputs.
+		seedWords(s.vec[lo:hi], lo, s.x0)
+		if plo := max(lo, rngFeed-rngTap) + rngTap; plo < hi+rngTap {
+			seedWords(s.vec[plo:hi+rngTap], plo, s.x0)
+		}
+	}
+	// Feed positions from rngFeed up add the word rngFeed below, ...
+	if m := max(lo, rngFeed); m < hi {
+		dst := s.vec[m:hi]
+		src := s.vec[m-rngFeed : hi-rngFeed]
+		for i := range dst {
+			dst[i] += src[i]
+		}
+	}
+	// ... and the rest the word rngTap above.
+	if m := min(hi, rngFeed); lo < m {
+		dst := s.vec[lo:m]
+		src := s.vec[lo+rngTap : m+rngTap]
+		for i := range dst {
+			dst[i] += src[i]
+		}
+	}
 }

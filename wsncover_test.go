@@ -125,6 +125,24 @@ func TestFailRandomAPI(t *testing.T) {
 	}
 }
 
+// A non-positive count disables nothing; a negative one used to panic
+// in the sampler.
+func TestFailRandomNonPositiveCount(t *testing.T) {
+	sc, err := NewScenario(Options{Cols: 6, Rows: 6, Spares: 20, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enabled := sc.Network().EnabledCount()
+	for _, count := range []int{0, -1, -1000} {
+		if got := sc.FailRandom(count); got != 0 {
+			t.Errorf("FailRandom(%d) = %d, want 0", count, got)
+		}
+	}
+	if got := sc.Network().EnabledCount(); got != enabled {
+		t.Errorf("enabled nodes %d -> %d after non-positive FailRandom", enabled, got)
+	}
+}
+
 func TestCreateHoleAt(t *testing.T) {
 	sc, err := NewScenario(Options{Cols: 6, Rows: 6, Spares: 5, Seed: 6})
 	if err != nil {
