@@ -1,8 +1,10 @@
 // Command runlog queries the run ledger — the append-only NDJSON
-// history cmd/sweep writes one record into per campaign run, completed
-// or not: list's status column shows FAILED and ABORTED runs so an
-// unhealthy fleet is visible from the run history
-// (internal/telemetry, default <out>/ledger.ndjson).
+// history cmd/sweep writes one record into per campaign run (plain,
+// -shard or -merge), completed or not: list's status column shows
+// FAILED and ABORTED runs so unhealthy runs are visible from the run
+// history (internal/telemetry, default <out>/ledger.ndjson). Records of
+// the retired "dispatch" mode, with their "shards" and "retries" keys,
+// still read.
 //
 // Usage:
 //
@@ -30,8 +32,8 @@
 // diff compares two records' manifests the way cmd/manifestdiff does
 // (dispatch.DiffManifests): because
 // the engine is deterministic, two runs with equal spec hashes must
-// produce equivalent manifests, and diff proves it — across machines,
-// shard layouts, and fleet sizes. Exit status 1 means the manifests
+// produce equivalent manifests, and diff proves it — across machines
+// and shard layouts. Exit status 1 means the manifests
 // differ, 2 usage or read errors.
 //
 // bench is the wall-clock companion: it tabulates each benchmark's

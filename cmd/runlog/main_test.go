@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -39,8 +40,11 @@ func writeManifest(t *testing.T, dir, name string, mean float64) string {
 	return filepath.Join(dir, name+".json")
 }
 
-// buildLedger writes three records: two equivalent runs of one campaign
-// (same spec hash) and one genuinely different run.
+// buildLedger writes five records: two equivalent runs of one campaign
+// (same spec hash), one genuinely different run, a failed and an
+// aborted one. beta and delta are written the way the retired fleet
+// supervisor wrote its records, "shards" and "retries" keys included,
+// so every subcommand also proves that old history stays readable.
 func buildLedger(t *testing.T) (ledger string, hash string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -52,17 +56,40 @@ func buildLedger(t *testing.T) (ledger string, hash string) {
 	base := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 	for i, r := range []telemetry.Record{
 		{Name: "alpha", Mode: "run", SpecHash: hash, Manifest: a, Jobs: 4, Points: 1, WallS: 1.5},
-		{Name: "beta", Mode: "dispatch", Status: telemetry.StatusCompleted, SpecHash: hash, Manifest: b, Jobs: 4, Points: 1, Shards: 2, WallS: 0.9},
+		{Name: "beta", Mode: "dispatch", Status: telemetry.StatusCompleted, SpecHash: hash, Manifest: b, Jobs: 4, Points: 1, WallS: 0.9},
 		{Name: "gamma", Mode: "run", SpecHash: "sha256:ffee00", Manifest: c, Jobs: 4, Points: 1, WallS: 1.1},
 		{Name: "delta", Mode: "dispatch", Status: telemetry.StatusFailed, SpecHash: "sha256:ddcc11", Jobs: 2, WallS: 0.4},
 		{Name: "epsilon", Mode: "run", Status: telemetry.StatusAborted, SpecHash: "sha256:ee4411", Jobs: 1, WallS: 0.2},
 	} {
 		r.Time = base.Add(time.Duration(i) * time.Minute)
+		if r.Mode == "dispatch" {
+			appendDispatchRecord(t, ledger, r)
+			continue
+		}
 		if err := telemetry.AppendRecord(ledger, r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return ledger, hash
+}
+
+// appendDispatchRecord appends r with the "shards" and "retries" keys
+// the fleet supervisor's records carried.
+func appendDispatchRecord(t *testing.T, ledger string, r telemetry.Record) {
+	t.Helper()
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = append(bytes.TrimSuffix(b, []byte("}")), []byte(`,"shards":2,"retries":1}`+"\n")...)
+	f, err := os.OpenFile(ledger, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRunlogList(t *testing.T) {

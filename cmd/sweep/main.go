@@ -11,14 +11,12 @@
 //	      [-runners sync,async] [-replicates 20] [-seed s]
 //	      [-workers w] [-metrics moves,success_rate|all] [-out dir]
 //	      [-name sweep] [-resume] [-shard i/n] [-checkpoint]
-//	      [-progress meter|json|none] [-ascii] [-quiet]
+//	      [-progress meter|none] [-ascii] [-quiet]
 //	      [-dash addr [-pprof] [-dash-linger d]] [-ledger path|none]
 //	      [-if-cached store-dir]
 //	sweep -spec campaign.json [-out dir] [-name sweep] ...
 //	sweep -merge shard1.json shard2.json ... [-out dir] [-name merged]
-//	sweep -dispatch n [-exec "ssh host{slot} --"] [-lease-timeout d]
-//	      [-max-retries r] [campaign flags ...]
-//	sweep -fleet inventory.txt [-lease-timeout d] [-max-retries r] ...
+//	      [-metrics ...] [-ascii] [-ledger path|none] [-if-cached store-dir]
 //
 // A spec file is the JSON form of sim.CampaignSpec and replaces the
 // dimension flags; workload parameters ({"kind": "churn", "every": 5})
@@ -49,59 +47,40 @@
 // campaign manifest plus metric tables, byte-identical to the unsharded
 // run's: it recomputes no statistic, and it fails if the inputs are not
 // one campaign, if a file is given twice, or if any cell is missing or
-// held by two files.
+// held by two files. A merge ends like every run: it writes the metric
+// tables, prints the summary, appends a ledger record (mode "merge"),
+// and under -if-cached installs the manifest in the store.
 //
-// -dispatch n does all of that automatically, and fault-tolerantly: it
-// splits the campaign's cells into blocks (two per slot by default,
-// never more than the cells) fed to n worker slots from a lease-based
-// work queue. A slot leasing a block runs one supervised worker
-// subprocess (the current binary by default; -exec prefixes the
-// command, with "{slot}" replaced by the slot number, so
-// "ssh box{slot} --" reaches remote machines sharing the -out
-// directory; -fleet names an inventory file giving every slot its own
-// prefix). Progress events on the worker's stdout
-// renew the lease: a worker silent for -lease-timeout is killed and its
-// block re-queued, failed blocks are retried with -resume from their
-// checkpoint logs after a jittered backoff (-max-retries caps
-// relaunches per block), idle slots steal speculative duplicates of
-// straggling blocks (first completion wins; duplicates are
-// byte-identical by determinism), and slots that keep failing are
-// retired so a dead box shrinks the fleet instead of stalling it. The
-// driver folds the workers' progress into one live fleet meter and
-// merges the shard manifests into the final campaign manifest.
-// SIGINT/SIGTERM drain gracefully: workers flush checkpoints, the
-// ledger records the abort, and a -resume rerun picks up every
-// surviving checkpoint. The WSNSWEEP_CHAOS harness (see chaos.go)
-// injects worker faults to test all of this end to end.
+// That is the whole multi-box story, under any launcher (xargs -P, an
+// ssh loop, a batch array job): every box runs the spec with its own
+// "-shard i/n -checkpoint -name s<i>", a box that died reruns its
+// command with -resume added (its checkpointed cells are kept), and one
+// -merge assembles the campaign.
 //
 // -if-cached names a sweepd manifest store (internal/sweepd): when the
 // store already holds a manifest for this spec's hash — execution-only
 // fields like -workers never affect the hash — the run is skipped and
 // the cached manifest's path prints on stdout; otherwise the campaign
 // runs and its manifest is installed, so scripts and CI get exactly the
-// dedupe the daemon performs. It takes in-process and fleet runs
-// (-dispatch, -fleet) alike, since a fleet's merged manifest equals the
-// in-process one byte for byte, but not -shard: a shard is not the
-// whole campaign. It works on whole manifests only: the daemon's
-// per-cell store is neither read nor written.
+// dedupe the daemon performs. It takes in-process runs and -merge
+// alike, since a merged manifest equals the in-process one byte for
+// byte, but not -shard: a shard is not the whole campaign. It works on
+// whole manifests only: the daemon's per-cell store is neither read nor
+// written.
 //
-// -progress selects the progress channel: "meter" is the human line on
-// stderr, "json" emits newline-delimited experiment.Progress events
-// ({"done":..,"total":..,"group":..,"group_done":..}) on stdout — the
-// protocol dispatch supervisors consume; combined with -dispatch it
-// emits the merged fleet's progress instead, so a supervisor of
-// supervisors composes — and "none" is silent. Every mode draws from one
-// stream of dispatch.FleetSnapshot values, throttled once at its source
-// (dispatch.LocalProgress): the first event is done 0 of the total, and
-// every group's first and last trial and the run's last trial always
-// produce one.
+// -progress selects the progress display: "meter" is the human line on
+// stderr and "none" is silent. The meter, the dashboard and the
+// ledger's group spans all draw from one stream of
+// dispatch.FleetSnapshot values, throttled once at its source
+// (dispatch.LocalProgress): the first snapshot is done 0 of the total,
+// and every group's first and last trial and the run's last trial
+// always produce one.
 //
 // -checkpoint appends one line to <out>/<name>.cells.ndjson every time
 // a campaign cell completes (experiment.CellLog: a single O_APPEND
 // write, no fsync, so it survives a killed process but not a power
 // cut), and a later -resume picks those cells up; a torn last line only
-// means its cell reruns. The log is removed once the manifest lands,
-// and the dispatch driver enables it for every worker.
+// means its cell reruns. The log is removed once the manifest lands.
 //
 // Observability: -dash addr serves the live telemetry dashboard
 // (internal/telemetry) while the campaign runs — an HTML page at /, the
@@ -144,25 +123,6 @@ func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
-	}
-}
-
-// progressOut is where -progress=json events go. It is the process
-// stdout — a dispatch supervisor reads the worker's stdout — and a
-// variable only so tests can capture the stream.
-var progressOut io.Writer = os.Stdout
-
-// fleetJSON writes each snapshot's aggregate progress as one line of
-// the NDJSON protocol (experiment.Progress), the stream a dispatch
-// supervisor reads from its workers — so "-dispatch n -progress=json"
-// composes: a supervisor of this process parses the stream exactly as
-// this process parses its workers'. A snapshot with nothing to run is
-// skipped, since the protocol requires a positive total.
-func fleetJSON(w io.Writer) func(dispatch.FleetSnapshot) {
-	return func(s dispatch.FleetSnapshot) {
-		if s.Fleet.Total > 0 {
-			w.Write(s.Fleet.MarshalLine())
-		}
 	}
 }
 
@@ -221,14 +181,11 @@ func (d *dashRig) finish(runErr error) {
 }
 
 // fleetStats rides the progress stream and captures what the ledger
-// records about a run: worker relaunch counts (fleets only) and each
-// group's active wall span, from the first snapshot where the group
-// shows progress to the last where its count advanced. An in-process
-// run snapshots every group's first and last trial, so its spans are
-// exact; a fleet's are snapshot-granular.
+// records about a run: each group's active wall span, from the first
+// snapshot where the group shows progress to the last where its count
+// advanced. A run snapshots every group's first and last trial, so the
+// spans are exact.
 type fleetStats struct {
-	shards    int
-	attempts  []int
 	prevDone  map[string]int
 	groupSpan *telemetry.GroupTimer
 }
@@ -238,15 +195,6 @@ func newFleetStats() *fleetStats {
 }
 
 func (f *fleetStats) update(s dispatch.FleetSnapshot) {
-	f.shards = len(s.Shards)
-	if f.attempts == nil {
-		f.attempts = make([]int, len(s.Shards))
-	}
-	for i, sh := range s.Shards {
-		if i < len(f.attempts) && sh.Attempts > f.attempts[i] {
-			f.attempts[i] = sh.Attempts
-		}
-	}
 	for _, g := range s.Groups {
 		if g.Done > f.prevDone[g.Group] {
 			f.prevDone[g.Group] = g.Done
@@ -255,27 +203,12 @@ func (f *fleetStats) update(s dispatch.FleetSnapshot) {
 	}
 }
 
-// retries is the number of worker relaunches the fleet needed.
-func (f *fleetStats) retries() int {
-	n := 0
-	for _, a := range f.attempts {
-		if a > 1 {
-			n += a - 1
-		}
-	}
-	return n
-}
-
-// progressSinks builds the one observer both execution modes hand their
-// snapshots to: the -progress display, the dashboard, and the ledger's
-// stats.
+// progressSinks builds the one observer a run hands its snapshots to:
+// the -progress display, the dashboard, and the ledger's stats.
 func progressSinks(mode string, rig *dashRig, stats *fleetStats) func(dispatch.FleetSnapshot) {
 	sinks := []func(dispatch.FleetSnapshot){stats.update}
-	switch mode {
-	case "meter":
+	if mode == "meter" {
 		sinks = append(sinks, dispatch.NewFleetMeter(os.Stderr).Update)
-	case "json":
-		sinks = append(sinks, fleetJSON(progressOut))
 	}
 	if rig != nil {
 		sinks = append(sinks, func(s dispatch.FleetSnapshot) { dispatch.PublishFleet(rig.pub, s) })
@@ -302,23 +235,48 @@ func resolveLedger(flagVal, outDir string) string {
 // output is where a campaign's results go, whichever mode computed
 // them.
 type output struct {
-	w                  io.Writer // informational prints; stderr under -progress json
 	dir, name, metrics string
 	ascii              bool
-	summary            bool   // print the per-point digest
 	ledger             string // run-ledger path; empty disables
 	store              *sweepd.Store
 	hash               string // the spec's hash in store (nil store: unused)
 	logger             *slog.Logger
 }
 
-// finish ends every campaign run. A failed or drained run only records
-// itself in the ledger, with the status saying how it ended, so
-// cmd/runlog surfaces unhealthy history. A completed run saves the
-// manifest, removes the spent cell log, installs the manifest in the
-// -if-cached store, writes the metric tables, prints the summary, and
-// then records itself. ran counts the trials this process (or fleet)
-// executed: the rate is never credited with resumed cells.
+// useCache resolves -if-cached for the unsharded spec: on a store hit
+// it prints the stored manifest's path on stdout, for scripts to
+// capture, and reports true; on a miss it arms finish to install the
+// finished manifest, so the next caller hits. The worker count doesn't
+// participate in the hash, so any completed run of the same science is
+// a hit.
+func (o *output) useCache(dir string, spec sim.CampaignSpec) (bool, error) {
+	if err := spec.ValidateUnsharded(); err != nil {
+		return false, fmt.Errorf("-if-cached: %w", err)
+	}
+	store, err := sweepd.OpenStore(dir)
+	if err != nil {
+		return false, err
+	}
+	hash, err := telemetry.SpecHash(spec)
+	if err != nil {
+		return false, err
+	}
+	if path, ok := store.Get(hash); ok {
+		o.logger.Info("spec already in store; skipping the run", "hash", hash, "manifest", path)
+		fmt.Fprintln(os.Stdout, path)
+		return true, nil
+	}
+	o.store, o.hash = store, hash
+	return false, nil
+}
+
+// finish ends every campaign run, -merge included. A failed or drained
+// run only records itself in the ledger, with the status saying how it
+// ended, so cmd/runlog surfaces unhealthy history. A completed run
+// saves the manifest, removes the spent cell log, installs the manifest
+// in the -if-cached store, writes the metric tables, prints the
+// summary, and then records itself. ran counts the trials this process
+// executed: the rate is never credited with resumed or merged cells.
 func (o *output) finish(mode string, spec sim.CampaignSpec, m *experiment.Manifest, ran int, wall time.Duration, stats *fleetStats, runErr error) error {
 	rec := telemetry.Record{
 		Name:      o.name,
@@ -326,8 +284,6 @@ func (o *output) finish(mode string, spec sim.CampaignSpec, m *experiment.Manife
 		Status:    telemetry.StatusCompleted,
 		Jobs:      ran,
 		Workers:   spec.Workers,
-		Shards:    stats.shards,
-		Retries:   stats.retries(),
 		CellFirst: spec.CellFirst,
 		CellCount: spec.CellCount,
 		WallS:     wall.Seconds(),
@@ -344,7 +300,7 @@ func (o *output) finish(mode string, spec sim.CampaignSpec, m *experiment.Manife
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(o.w, "wrote %s (%d jobs, %d points)\n", path, m.Jobs, len(m.Points))
+	fmt.Fprintf(os.Stdout, "wrote %s (%d jobs, %d points)\n", path, m.Jobs, len(m.Points))
 	// The manifest now holds every cell the log did; a leftover log
 	// would only be unioned back in by a later -resume.
 	logPath := experiment.CellLogPath(o.dir, o.name)
@@ -358,21 +314,19 @@ func (o *output) finish(mode string, spec sim.CampaignSpec, m *experiment.Manife
 		}
 		o.logger.Info("manifest installed in store", "hash", o.hash, "path", stored)
 	}
-	if err := writeTables(o.w, m.Points, o.metrics, o.dir, o.name, spec.Replicates, o.ascii); err != nil {
+	if err := writeTables(os.Stdout, m.Points, o.metrics, o.dir, o.name, spec.Replicates, o.ascii); err != nil {
 		return err
 	}
-	if o.summary {
-		printSummary(o.w, m.Points)
-	}
+	printSummary(os.Stdout, m.Points)
 	rec.Manifest, rec.Jobs, rec.Points = path, m.Jobs, len(m.Points)
 	rec.GroupSeconds = stats.groupSpan.Seconds()
 	o.record(rec, spec)
 	return nil
 }
 
-// record stamps the spec hash and CPU time (reaped workers' included)
-// on rec and appends it to the ledger, if one is enabled; a ledger
-// failure is logged but never fails a campaign.
+// record stamps the spec hash and CPU time on rec and appends it to
+// the ledger, if one is enabled; a ledger failure is logged but never
+// fails a campaign.
 func (o *output) record(rec telemetry.Record, spec sim.CampaignSpec) {
 	if o.ledger == "" {
 		return
@@ -392,8 +346,7 @@ func (o *output) record(rec telemetry.Record, spec sim.CampaignSpec) {
 }
 
 // writeTables exports one CSV/gnuplot table per requested metric,
-// logging to w (stdout normally, stderr when stdout carries the JSON
-// progress protocol).
+// logging to w.
 func writeTables(w io.Writer, points []experiment.Point, metricsS, outDir, name string, replicates int, ascii bool) error {
 	metrics := splitList(metricsS)
 	if len(metrics) == 1 && metrics[0] == "all" {
@@ -601,8 +554,7 @@ func parseRunners(s string) ([]sim.RunnerKind, error) {
 
 // parseShard resolves "-shard i/n" (1-based) into the contiguous cell
 // block [first, first+count) of shard i; the even-split math is
-// sim.ShardRange, shared with the dispatch driver so hand-launched and
-// dispatched shards always cover identical ranges.
+// sim.ShardRange.
 func parseShard(s string, cells int) (first, count int, err error) {
 	is, ns, ok := strings.Cut(strings.TrimSpace(s), "/")
 	i, errI := strconv.Atoi(is)
@@ -611,27 +563,6 @@ func parseShard(s string, cells int) (first, count int, err error) {
 		return 0, 0, fmt.Errorf("bad shard %q (want i/n, e.g. 2/4)", s)
 	}
 	return sim.ShardRange(i, n, cells)
-}
-
-// runMerge unions shard manifests (same spec, disjoint cell ranges
-// produced with -shard or -dispatch) into one campaign manifest plus
-// metric tables. All validation — spec drift, the same file passed
-// twice, a cell missing or held twice — lives in
-// dispatch.MergeShardManifests and fails loudly; a silent bad merge
-// would corrupt the paired-seed methodology the campaign layer
-// guarantees.
-func runMerge(w io.Writer, paths []string, outDir, name, metricsS string, ascii bool) error {
-	manifest, mergedSpec, err := dispatch.MergeShardManifests(paths, name)
-	if err != nil {
-		return err
-	}
-	path, err := manifest.Save(outDir)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "merged %d shard manifest(s) into %s (%d jobs, %d points)\n",
-		len(paths), path, manifest.Jobs, len(manifest.Points))
-	return writeTables(w, manifest.Points, metricsS, outDir, name, mergedSpec.Replicates, ascii)
 }
 
 func loadSpec(path string) (sim.CampaignSpec, error) {
@@ -657,9 +588,9 @@ func runStatus(err error) string {
 }
 
 // signalContext cancels the returned context on the first SIGINT or
-// SIGTERM, so campaigns drain gracefully — workers flush their
-// checkpoints, the ledger records the abort — and exits immediately on
-// the second signal for the human leaning on Ctrl-C.
+// SIGTERM, so campaigns drain gracefully — the checkpoint log keeps
+// every completed cell, the ledger records the abort — and exits
+// immediately on the second signal for the human leaning on Ctrl-C.
 func signalContext(logger *slog.Logger) (context.Context, func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ch := make(chan os.Signal, 2)
@@ -713,12 +644,7 @@ func run(args []string) (err error) {
 		resume     = fs.Bool("resume", false, "skip (group, N) cells already in the output manifest and merge new results into it")
 		shardS     = fs.String("shard", "", "cell shard i/n: run only the i-th of n contiguous blocks of campaign cells (union with -merge)")
 		merge      = fs.Bool("merge", false, "merge the shard manifests given as arguments into one campaign manifest instead of running trials")
-		dispatchN  = fs.Int("dispatch", 0, "run the campaign over n supervised worker slots (lease-based work queue) and auto-merge their manifests")
-		execS      = fs.String("exec", "", "worker command prefix for -dispatch ({slot} = slot number), e.g. \"ssh box{slot} --\"")
-		fleetS     = fs.String("fleet", "", "fleet inventory file: one worker slot per line (\"local\" or an -exec-style prefix); implies dispatch mode")
-		leaseS     = fs.Duration("lease-timeout", 0, "dispatch heartbeat deadline: a worker silent this long is killed and its shard re-queued (0 = 2m; set above the slowest trial)")
-		retriesN   = fs.Int("max-retries", 0, "dispatch relaunch budget per shard (0 = default 2, negative = none)")
-		progressS  = fs.String("progress", "meter", "progress display: meter, json (event protocol on stdout), none")
+		progressS  = fs.String("progress", "meter", "progress display: meter, none")
 		checkpoint = fs.Bool("checkpoint", false, "append every completed cell to <out>/<name>.cells.ndjson (one line, no fsync) so a killed run can -resume; removed once the manifest lands")
 		replicates = fs.Int("replicates", 20, "trials per campaign cell")
 		seed       = fs.Int64("seed", 1, "base random seed")
@@ -769,30 +695,31 @@ func run(args []string) (err error) {
 
 	logger := telemetry.NewLogger(os.Stderr)
 
-	// Resolve the progress channel early: when stdout carries the JSON
-	// event protocol, every informational print moves to stderr so the
-	// supervisor's stream stays parseable.
 	progressMode := *progressS
 	if *quiet && progressMode == "meter" {
 		progressMode = "none"
 	}
 	switch progressMode {
-	case "meter", "json", "none":
+	case "meter", "none":
 	default:
-		return fmt.Errorf("unknown -progress mode %q (want meter, json, or none)", progressMode)
-	}
-	infoW := io.Writer(os.Stdout)
-	if progressMode == "json" {
-		infoW = os.Stderr
+		return fmt.Errorf("unknown -progress mode %q (want meter or none)", progressMode)
 	}
 	if *pprofF && *dashS == "" {
 		return fmt.Errorf("-pprof rides the dashboard server; it requires -dash")
+	}
+	out := &output{
+		dir: *outDir, name: *name, metrics: *metricsS, ascii: *ascii,
+		ledger: resolveLedger(*ledgerS, *outDir),
+		logger: logger,
 	}
 
 	if *merge {
 		// Only output-shaping flags combine with -merge; any campaign
 		// dimension flag would be silently ignored, so reject it instead.
-		allowed := map[string]bool{"merge": true, "out": true, "name": true, "metrics": true, "ascii": true}
+		allowed := map[string]bool{
+			"merge": true, "out": true, "name": true, "metrics": true, "ascii": true,
+			"ledger": true, "if-cached": true,
+		}
 		var stray []string
 		fs.Visit(func(f *flag.Flag) {
 			if !allowed[f.Name] {
@@ -803,7 +730,22 @@ func run(args []string) (err error) {
 			return fmt.Errorf("-merge takes shard manifests as arguments and no campaign flags (got %s)",
 				strings.Join(stray, ", "))
 		}
-		return runMerge(infoW, positional, *outDir, *name, *metricsS, *ascii)
+		// Bad inputs fail before anything is recorded, like a campaign
+		// spec that fails validation. All checks — spec drift, the same
+		// file passed twice, a cell missing or held twice — live in
+		// dispatch.MergeShardManifests; a silent bad merge would corrupt
+		// the paired-seed methodology the campaign layer guarantees.
+		start := time.Now()
+		manifest, spec, err := dispatch.MergeShardManifests(positional, *name)
+		if err != nil {
+			return err
+		}
+		if *ifCachedS != "" {
+			if hit, err := out.useCache(*ifCachedS, spec); hit || err != nil {
+				return err
+			}
+		}
+		return out.finish("merge", spec, manifest, 0, time.Since(start), newFleetStats(), nil)
 	}
 	if len(positional) > 0 {
 		return fmt.Errorf("unexpected arguments %v (only -merge takes manifests)", positional)
@@ -867,38 +809,11 @@ func run(args []string) (err error) {
 	}
 
 	// -if-cached is the CLI flavor of sweepd's dedupe: a store hit by
-	// spec hash short-circuits the whole run (the path prints on stdout
-	// for scripts to capture), and a miss runs normally then installs
-	// the finished manifest so the next caller hits. The worker count
-	// doesn't participate in the hash, so any completed run of the same
-	// science is a hit.
-	dispatched := *dispatchN > 0 || *fleetS != ""
-	out := &output{
-		w: infoW, dir: *outDir, name: *name, metrics: *metricsS, ascii: *ascii,
-		// A worker speaking the JSON protocol skips the per-point digest:
-		// its supervisor prints the merged campaign's once.
-		summary: progressMode != "json",
-		ledger:  resolveLedger(*ledgerS, *outDir),
-		logger:  logger,
-	}
+	// spec hash short-circuits the whole run.
 	if *ifCachedS != "" {
-		if err := spec.ValidateUnsharded(); err != nil {
-			return fmt.Errorf("-if-cached: %w", err)
-		}
-		store, err := sweepd.OpenStore(*ifCachedS)
-		if err != nil {
+		if hit, err := out.useCache(*ifCachedS, spec); hit || err != nil {
 			return err
 		}
-		hash, err := telemetry.SpecHash(spec)
-		if err != nil {
-			return err
-		}
-		if path, ok := store.Get(hash); ok {
-			logger.Info("spec already in store; skipping the run", "hash", hash, "manifest", path)
-			fmt.Fprintln(os.Stdout, path)
-			return nil
-		}
-		out.store, out.hash = store, hash
 	}
 
 	if *dashS != "" {
@@ -913,31 +828,6 @@ func run(args []string) (err error) {
 	}
 	stats := newFleetStats()
 	onProgress := progressSinks(progressMode, dash, stats)
-
-	if dispatched {
-		dopts, err := dispatchOptions(spec, *dispatchN, *fleetS, *execS, *checkpoint)
-		if err != nil {
-			return err
-		}
-		dopts.OutDir, dopts.Name, dopts.Resume = *outDir, *name, *resume
-		dopts.Retries, dopts.LeaseTimeout = *retriesN, *leaseS
-		dopts.Logger, dopts.OnProgress = logger, onProgress
-		ctx, stop := signalContext(logger)
-		defer stop()
-		start := time.Now()
-		manifest, _, err := dispatch.Run(ctx, spec, dopts)
-		ran := 0
-		if err == nil {
-			ran = manifest.Jobs
-		}
-		return out.finish("dispatch", spec, manifest, ran, time.Since(start), stats, err)
-	}
-	if *execS != "" {
-		return fmt.Errorf("-exec only applies to -dispatch")
-	}
-	if *leaseS != 0 || *retriesN != 0 {
-		return fmt.Errorf("-lease-timeout and -max-retries only apply to dispatch mode (-dispatch or -fleet)")
-	}
 
 	// -resume: the existing manifest (if any) seeds the run; its cells
 	// inside the current job space are skipped and carried over.
@@ -963,23 +853,19 @@ func run(args []string) (err error) {
 			"manifest", manifestPath, "orphans", local.Orphans)
 	}
 	// Test-only crash hook: WSNSWEEP_EXIT_AFTER=k kills the process
-	// after k completed trials (a cell they complete is logged first),
-	// simulating a worker dying mid-run for the dispatch failure-path
-	// tests. The richer WSNSWEEP_CHAOS fault injector lives in chaos.go.
+	// with exit code 7 after k completed trials (a cell they complete is
+	// logged first), simulating a box dying mid-run for the
+	// kill-and-resume tests.
 	exitAfter := 0
 	if s := os.Getenv("WSNSWEEP_EXIT_AFTER"); s != "" {
 		exitAfter, _ = strconv.Atoi(s)
 	}
-	chaos := chaosFromEnv(logger)
 	ctx, stop := signalContext(logger)
 	defer stop()
 	start := time.Now()
 	manifest, ran, err := local.Run(ctx, func(_ sim.TrialJob, ran int) error {
 		if exitAfter > 0 && ran == exitAfter {
 			os.Exit(7)
-		}
-		if chaos != nil {
-			chaos.trialDone(ran)
 		}
 		return nil
 	})
@@ -993,45 +879,4 @@ func run(args []string) (err error) {
 		mode = "shard"
 	}
 	return out.finish(mode, spec, manifest, ran, wall, stats, err)
-}
-
-// dispatchOptions checks the -dispatch / -fleet flags and resolves the
-// fleet's worker templates: n local slots, n slots behind an -exec
-// prefix, or one slot per -fleet inventory line.
-func dispatchOptions(spec sim.CampaignSpec, n int, fleetPath, execS string, checkpoint bool) (dispatch.Options, error) {
-	opts := dispatch.Options{Slots: n}
-	if spec.CellCount > 0 {
-		return opts, fmt.Errorf("-dispatch splits the campaign itself; drop -shard (or the spec's cell range)")
-	}
-	if checkpoint {
-		return opts, fmt.Errorf("-checkpoint belongs to workers; the dispatch driver enables it for every shard")
-	}
-	if fleetPath != "" && execS != "" {
-		return opts, fmt.Errorf("-fleet gives every slot its own command prefix; drop -exec")
-	}
-	if fleetPath == "" && execS == "" {
-		return opts, nil
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return opts, err
-	}
-	if execS != "" {
-		opts.Worker = append(strings.Fields(execS), exe)
-		return opts, nil
-	}
-	slots, err := dispatch.LoadFleetInventory(fleetPath)
-	if err != nil {
-		return opts, err
-	}
-	// Inventory lines are command prefixes; the worker binary rides at
-	// the end of each (remote slots reach it via the shared filesystem
-	// the -out directory already requires).
-	for i, s := range slots {
-		if s != nil {
-			slots[i] = append(s, exe)
-		}
-	}
-	opts.Fleet = slots
-	return opts, nil
 }

@@ -14,6 +14,7 @@ import (
 	"wsncover/internal/dispatch"
 	"wsncover/internal/experiment"
 	"wsncover/internal/sim"
+	"wsncover/internal/telemetry"
 )
 
 func TestParseHelpers(t *testing.T) {
@@ -554,6 +555,19 @@ func TestParseShard(t *testing.T) {
 			t.Errorf("parseShard(%q, 10) should fail", bad)
 		}
 	}
+
+	// A spec that already pins a cell range is a shard; it cannot be
+	// sharded again.
+	dir := t.TempDir()
+	pinned := filepath.Join(dir, "pinned.json")
+	if err := os.WriteFile(pinned, []byte(`{"schemes": ["SR"], "spares": [8, 24], "replicates": 4,
+		"cell_first": 0, "cell_count": 1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-spec", pinned, "-shard", "1/2", "-out", dir, "-quiet"})
+	if err == nil || !strings.Contains(err.Error(), "already pins a cell range") {
+		t.Errorf("-shard on a pinned spec = %v, want the already-pinned error", err)
+	}
 }
 
 // TestShardMergeMatchesUnsharded is the multi-box sharding story end to
@@ -587,6 +601,19 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 	// The merged tables exist like a normal run's.
 	if _, err := os.Stat(filepath.Join(dir, "merged-moves.csv")); err != nil {
 		t.Error(err)
+	}
+	// The merge ledgers itself after the three shards, under the spec
+	// hash of the unsharded run.
+	full, err := telemetry.ReadLedger(filepath.Join(fullDir, "ledger.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := telemetry.ReadLedger(filepath.Join(dir, "ledger.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 4 || recs[3].Mode != "merge" || recs[3].SpecHash != full[0].SpecHash || recs[3].Jobs != full[0].Jobs {
+		t.Errorf("ledger after the merge = %+v, want 3 shard records and a merge record matching %+v", recs, full[0])
 	}
 
 	// A shard whose spec names its damage with the older "failures"
@@ -780,13 +807,13 @@ func TestBareDashArgumentErrors(t *testing.T) {
 	}
 }
 
-// TestRunIfCached pins the CLI cache path: a fleet run installs a
-// manifest byte-equal to the in-process run's, a later in-process run
-// of the same science — different out dir, different worker count — is
-// answered from the store without writing a manifest, and shard-pinned
-// specs are refused (a shard is not the whole campaign).
+// TestRunIfCached pins the CLI cache path: two -shard runs merged with
+// -merge -if-cached install a manifest byte-equal to the in-process
+// run's, a later in-process run of the same science — different out
+// dir, different worker count — is answered from the store without
+// writing a manifest, and shard-pinned specs are refused (a shard is
+// not the whole campaign).
 func TestRunIfCached(t *testing.T) {
-	t.Setenv("WSNSWEEP_WORKER", "1") // shard subprocesses re-enter run()
 	store := filepath.Join(t.TempDir(), "store")
 	campaign := []string{
 		"-schemes", "SR", "-grids", "8x8", "-spares", "8,16",
@@ -800,8 +827,18 @@ func TestRunIfCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	campaign = append(campaign, "-if-cached", store)
-	if err := run(append([]string{"-out", t.TempDir(), "-name", "cached", "-dispatch", "2"}, campaign...)); err != nil {
+	shardDir := t.TempDir()
+	var shards []string
+	for i := 1; i <= 2; i++ {
+		name := fmt.Sprintf("s%d", i)
+		if err := run(append([]string{"-out", shardDir, "-name", name, "-shard", fmt.Sprintf("%d/2", i)}, campaign...)); err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, filepath.Join(shardDir, name+".json"))
+	}
+	mergeDir := t.TempDir()
+	merge := append([]string{"-merge", "-out", mergeDir, "-name", "cached", "-metrics", "moves", "-if-cached", store}, shards...)
+	if err := run(merge); err != nil {
 		t.Fatal(err)
 	}
 	stored, err := filepath.Glob(filepath.Join(store, "manifests", "*.json"))
@@ -813,9 +850,14 @@ func TestRunIfCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(data, direct) {
-		t.Errorf("fleet-installed manifest differs from the in-process run's:\n%s\nvs\n%s", data, direct)
+		t.Errorf("merge-installed manifest differs from the in-process run's:\n%s\nvs\n%s", data, direct)
+	}
+	recs, err := telemetry.ReadLedger(filepath.Join(mergeDir, "ledger.ndjson"))
+	if err != nil || len(recs) != 1 || recs[0].Mode != "merge" || recs[0].Status != telemetry.StatusCompleted {
+		t.Errorf("merge ledger = %+v (%v), want one completed mode-merge record", recs, err)
 	}
 
+	campaign = append(campaign, "-if-cached", store)
 	out2 := t.TempDir()
 	if err := run(append([]string{"-out", out2, "-name", "cached", "-workers", "4"}, campaign...)); err != nil {
 		t.Fatal(err)

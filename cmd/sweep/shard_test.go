@@ -1,0 +1,373 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"wsncover/internal/dispatch"
+	"wsncover/internal/experiment"
+	"wsncover/internal/sim"
+	"wsncover/internal/telemetry"
+)
+
+// TestMain doubles as the entry point of the kill-and-resume tests: they
+// re-execute the current binary, which under `go test` is the test
+// binary. With WSNSWEEP_WORKER=1 set, this process behaves exactly like
+// cmd/sweep, so a killed run exercises the real code path without
+// building a separate binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("WSNSWEEP_WORKER") == "1" {
+		if err := run(os.Args[1:]); err != nil {
+			fmt.Fprintln(os.Stderr, "sweep:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// watchDash subscribes to the dashboard hub of the next run started
+// with -dash and collects every snapshot the run publishes. The
+// returned function waits for the run's dashboard to close and returns
+// the snapshots in publication order.
+func watchDash(t *testing.T) func() []telemetry.Snapshot {
+	t.Helper()
+	type result struct {
+		snaps []telemetry.Snapshot
+		err   error
+	}
+	done := make(chan result, 1)
+	dashNotify = func(_ string, hub *telemetry.Hub) {
+		sub := hub.Subscribe()
+		go func() {
+			var res result
+			for b := range sub.Events() {
+				var s telemetry.Snapshot
+				if err := json.Unmarshal(b, &s); err != nil && res.err == nil {
+					res.err = fmt.Errorf("bad snapshot %s: %w", b, err)
+				}
+				res.snaps = append(res.snaps, s)
+			}
+			done <- res
+		}()
+	}
+	t.Cleanup(func() { dashNotify = nil })
+	return func() []telemetry.Snapshot {
+		t.Helper()
+		select {
+		case res := <-done:
+			if res.err != nil {
+				t.Fatal(res.err)
+			}
+			return res.snaps
+		case <-time.After(10 * time.Second):
+			t.Fatal("the run's dashboard never closed")
+			return nil
+		}
+	}
+}
+
+// TestShardProgressJSONTotals is the shard-meter regression test: under
+// -shard i/n every progress total in the dashboard's JSON snapshots —
+// the denominator the meter computes its ETA from — must be the shard's
+// own trial count, never the full campaign's.
+func TestShardProgressJSONTotals(t *testing.T) {
+	snapshots := watchDash(t)
+	dir := t.TempDir()
+	// Full campaign: 1 scheme x 2 spares x 4 replicates = 8 trials in 2
+	// cells. Shard 2/2 owns the N=24 cell: 4 trials.
+	err := run([]string{
+		"-schemes", "SR", "-grids", "8x8", "-spares", "8,24",
+		"-replicates", "4", "-seed", "5", "-shard", "2/2", "-quiet",
+		"-dash", "127.0.0.1:0", "-out", dir, "-name", "s", "-metrics", "",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := snapshots()
+	if len(snaps) < 2 {
+		t.Fatalf("got %d snapshots, want at least the initial and final ones: %+v", len(snaps), snaps)
+	}
+	if first := snaps[0].Fleet; first.Done != 0 || first.Total != 4 {
+		t.Errorf("initial snapshot %+v, want 0/4 (the shard's own count)", first)
+	}
+	last := snaps[len(snaps)-1]
+	if !last.Final || last.Fleet.Done != 4 || last.Fleet.Total != 4 {
+		t.Errorf("final snapshot %+v, want a final 4/4", last)
+	}
+	for _, s := range snaps {
+		if s.Fleet.Total != 4 {
+			t.Errorf("snapshot %+v does not carry the shard total 4", s.Fleet)
+		}
+	}
+}
+
+// TestLocalProgressJSONGroupBoundaries: a local run's snapshot stream
+// opens with 0/total, never goes backwards, ends with a final
+// done == total, and every group's first and last trial emit a snapshot
+// whatever the throttle does — the ledger's group spans and the
+// dashboard's heatmap depend on it. A resumed run with nothing left to
+// execute emits only its terminal snapshot.
+func TestLocalProgressJSONGroupBoundaries(t *testing.T) {
+	snapshots := watchDash(t)
+	dir := t.TempDir()
+	// 2 schemes x 2 grids = 4 groups, each 2 spares x 3 replicates = 6 trials.
+	args := []string{
+		"-schemes", "SR,AR", "-grids", "8x8,10x10", "-spares", "8,24",
+		"-replicates", "3", "-seed", "5", "-quiet", "-dash", "127.0.0.1:0",
+		"-out", dir, "-name", "g", "-metrics", "", "-ledger", "none",
+	}
+	if err := run(args); err != nil {
+		t.Fatal(err)
+	}
+	snaps := snapshots()
+	if len(snaps) < 2 {
+		t.Fatalf("got %d snapshots: %+v", len(snaps), snaps)
+	}
+	if first := snaps[0].Fleet; first.Done != 0 || first.Total != 24 {
+		t.Errorf("initial snapshot %+v, want 0/24", first)
+	}
+	if last := snaps[len(snaps)-1]; !last.Final || last.Fleet.Done != 24 || last.Fleet.Total != 24 {
+		t.Errorf("final snapshot %+v, want a final 24/24", last)
+	}
+	byDone := make(map[int]telemetry.Snapshot, len(snaps))
+	prev := -1
+	for _, s := range snaps {
+		if s.Fleet.Done < prev {
+			t.Errorf("stream regressed: done %d after %d", s.Fleet.Done, prev)
+		}
+		prev = s.Fleet.Done
+		byDone[s.Fleet.Done] = s
+	}
+
+	// Where each group's first and last trial fall in the run's trial
+	// order, from the spec the manifest records.
+	_, spec, err := dispatch.LoadManifest(filepath.Join(dir, "g.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstAt, lastAt, total := map[string]int{}, map[string]int{}, map[string]int{}
+	ran := 0
+	spec.Normalized().ExecutedJobs(nil, func(j sim.TrialJob) {
+		ran++
+		g := j.Group()
+		if _, ok := firstAt[g]; !ok {
+			firstAt[g] = ran
+		}
+		lastAt[g] = ran
+		total[g]++
+	})
+	if len(firstAt) != 4 {
+		t.Fatalf("campaign has groups %v, want 4", firstAt)
+	}
+	groupDone := func(s telemetry.Snapshot, g string) int {
+		for _, v := range s.Groups {
+			if v.Group == g {
+				return v.Done
+			}
+		}
+		return -1
+	}
+	for g := range firstAt {
+		if s, ok := byDone[firstAt[g]]; !ok || groupDone(s, g) != 1 {
+			t.Errorf("group %q: no snapshot at its first trial (trial %d)", g, firstAt[g])
+		}
+		if s, ok := byDone[lastAt[g]]; !ok || groupDone(s, g) != total[g] {
+			t.Errorf("group %q: no snapshot at its last trial (trial %d)", g, lastAt[g])
+		}
+	}
+
+	snapshots = watchDash(t)
+	if err := run(append(args, "-resume")); err != nil {
+		t.Fatal(err)
+	}
+	if snaps := snapshots(); len(snaps) != 1 || !snaps[0].Final || snaps[0].Fleet.Total != 0 {
+		t.Errorf("a resumed run with nothing to execute published %+v, want only a final 0/0", snaps)
+	}
+}
+
+// TestShardResumeJobsAccounting pins the Jobs bookkeeping fix: a shard
+// manifest grown by -resume must count the trials its points represent
+// (prior retained cells included), exactly like the same shard run in
+// one go — otherwise -merge under-reports the campaign's job count.
+func TestShardResumeJobsAccounting(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{
+		"-schemes", "SR", "-grids", "8x8", "-replicates", "4",
+		"-seed", "5", "-shard", "2/2", "-out", dir, "-name", "sh",
+		"-metrics", "", "-quiet",
+	}
+	// Shard 2/2 of 2 cells is the N=24 cell; of 4 cells it is N=24 and
+	// N=40, so the resume keeps one cell and computes one.
+	if err := run(append([]string{"-spares", "8,24"}, base...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append([]string{"-spares", "8,16,24,40", "-resume"}, base...)); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := os.ReadFile(filepath.Join(dir, "sh.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	refDir := t.TempDir()
+	ref := []string{
+		"-schemes", "SR", "-grids", "8x8", "-replicates", "4",
+		"-seed", "5", "-shard", "2/2", "-out", refDir, "-name", "sh",
+		"-metrics", "", "-quiet", "-spares", "8,16,24,40",
+	}
+	if err := run(ref); err != nil {
+		t.Fatal(err)
+	}
+	direct, err := os.ReadFile(filepath.Join(refDir, "sh.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resumed, direct) {
+		t.Errorf("resumed shard manifest differs from the direct run:\n%s\nvs\n%s", resumed, direct)
+	}
+	var m experiment.Manifest
+	if err := json.Unmarshal(resumed, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Jobs != 8 {
+		t.Errorf("resumed shard manifest jobs = %d, want 8 (4 prior + 4 new)", m.Jobs)
+	}
+}
+
+// TestResumeUnshardedAfterShard: a cell is exact under any layout, so
+// -resume without -shard extends a shard's manifest to the whole
+// campaign, computing only the other shard's cells, and lands on the
+// cold unsharded run's bytes.
+func TestResumeUnshardedAfterShard(t *testing.T) {
+	dir := t.TempDir()
+	// SR,AR x {8, 24}: 4 cells of 3 trials; shard 1/2 holds 2 of them.
+	campaign := []string{
+		"-schemes", "SR,AR", "-grids", "8x8", "-spares", "8,24",
+		"-replicates", "3", "-seed", "13", "-metrics", "", "-ledger", "none",
+	}
+	if err := run(append([]string{"-out", dir, "-name", "c", "-shard", "1/2", "-quiet"}, campaign...)); err != nil {
+		t.Fatal(err)
+	}
+	snapshots := watchDash(t)
+	if err := run(append([]string{"-out", dir, "-name", "c", "-resume", "-quiet", "-dash", "127.0.0.1:0"}, campaign...)); err != nil {
+		t.Fatal(err)
+	}
+	snaps := snapshots()
+	if len(snaps) == 0 || snaps[0].Fleet.Total != 6 || snaps[len(snaps)-1].Fleet.Done != 6 {
+		t.Errorf("resume snapshots %+v, want 6 trials: only the other shard's 2 cells", snaps)
+	}
+	coldDir := t.TempDir()
+	if err := run(append([]string{"-out", coldDir, "-name", "c", "-quiet"}, campaign...)); err != nil {
+		t.Fatal(err)
+	}
+	assertSameBytes(t, filepath.Join(dir, "c.json"), filepath.Join(coldDir, "c.json"))
+}
+
+// TestCheckpointResumeAfterKill is the failure path of a multi-box
+// campaign: a run killed mid-way leaves a checkpoint log of its
+// completed cells, a -resume rerun finishes only the missing cells, and
+// the final manifest is byte-identical to an uninterrupted run.
+func TestCheckpointResumeAfterKill(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{
+		"-schemes", "SR", "-grids", "8x8", "-spares", "8,24",
+		"-replicates", "3", "-seed", "9", "-out", dir, "-name", "ck",
+		"-metrics", "", "-checkpoint", "-quiet",
+	}
+	// Re-exec this test binary as a run that dies (exit 7) right after
+	// its third trial — the moment the first cell completes and
+	// checkpoints.
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "WSNSWEEP_WORKER=1", "WSNSWEEP_EXIT_AFTER=3")
+	out, err := cmd.CombinedOutput()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 7 {
+		t.Fatalf("killed run = %v (output %q), want exit code 7", err, out)
+	}
+
+	// The checkpoint log holds exactly the completed cell.
+	pm, err := experiment.ReadCellLog(filepath.Join(dir, "ck.cells.ndjson"))
+	if err != nil {
+		t.Fatalf("no checkpoint log after the kill: %v", err)
+	}
+	if len(pm.Points) != 1 || pm.Points[0].X != 8 || pm.Jobs != 3 {
+		t.Fatalf("checkpoint = %d points (X=%g) %d jobs, want the completed N=8 cell and 3 jobs",
+			len(pm.Points), pm.Points[0].X, pm.Jobs)
+	}
+
+	// Resume in-process and compare with an uninterrupted run.
+	if err := run(append(append([]string{}, args...), "-resume")); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := os.ReadFile(filepath.Join(dir, "ck.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refDir := t.TempDir()
+	refArgs := []string{
+		"-schemes", "SR", "-grids", "8x8", "-spares", "8,24",
+		"-replicates", "3", "-seed", "9", "-out", refDir, "-name", "ck",
+		"-metrics", "", "-quiet",
+	}
+	if err := run(refArgs); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := os.ReadFile(filepath.Join(refDir, "ck.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resumed, ref) {
+		t.Errorf("resumed-after-kill manifest differs from uninterrupted run:\n%s\nvs\n%s", resumed, ref)
+	}
+}
+
+// assertSameBytes fails the test unless the two files are identical.
+func assertSameBytes(t *testing.T, gotPath, wantPath string) {
+	t.Helper()
+	got, err := os.ReadFile(gotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(wantPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from %s:\n%s\nvs\n%s", gotPath, wantPath, got, want)
+	}
+}
+
+// TestFlagConflicts: flags that cannot compose say so, and the flags
+// of the retired fleet supervisor are unknown.
+func TestFlagConflicts(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-progress", "sometimes"}, "unknown -progress mode"},
+		{[]string{"-progress", "json"}, "unknown -progress mode"},
+		{[]string{"-pprof"}, "requires -dash"},
+		{[]string{"-dispatch", "2"}, "flag provided but not defined: -dispatch"},
+		{[]string{"-exec", "ssh box --"}, "flag provided but not defined: -exec"},
+		{[]string{"-fleet", "inv.txt"}, "flag provided but not defined: -fleet"},
+		{[]string{"-lease-timeout", "30s"}, "flag provided but not defined: -lease-timeout"},
+		{[]string{"-max-retries", "5"}, "flag provided but not defined: -max-retries"},
+	}
+	for _, c := range cases {
+		err := run(append(c.args, "-schemes", "SR", "-grids", "8x8", "-spares", "8,24",
+			"-replicates", "4", "-out", dir, "-quiet"))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%v) = %v, want error containing %q", c.args, err, c.want)
+		}
+	}
+}

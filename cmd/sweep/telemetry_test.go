@@ -17,47 +17,12 @@ import (
 	"wsncover/internal/telemetry"
 )
 
-// TestDispatchProgressJSONEmitsFleetStream: "-dispatch n -progress=json"
-// re-emits the merged fleet's progress as the same NDJSON protocol the
-// workers speak — initial full-total event first, terminal event last —
-// so a supervisor of supervisors composes.
-func TestDispatchProgressJSONEmitsFleetStream(t *testing.T) {
-	t.Setenv("WSNSWEEP_WORKER", "1")
-	buf := captureProgress(t)
-	dir := t.TempDir()
-	if err := run([]string{
-		"-dispatch", "2", "-schemes", "SR", "-grids", "8x8",
-		"-spares", "8,24", "-replicates", "4", "-seed", "11",
-		"-out", dir, "-name", "fj", "-metrics", "", "-progress", "json",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	events := parseEvents(t, buf.Bytes())
-	if len(events) < 2 {
-		t.Fatalf("got %d fleet events, want at least initial and terminal:\n%s", len(events), buf.String())
-	}
-	if first := events[0]; first.Done != 0 || first.Total != 8 {
-		t.Errorf("initial fleet event %+v, want 0/8 (the full campaign total, up front)", first)
-	}
-	if last := events[len(events)-1]; last.Done != 8 || last.Total != 8 {
-		t.Errorf("terminal fleet event %+v, want 8/8", last)
-	}
-	prev := -1
-	for _, ev := range events {
-		if ev.Done < prev {
-			t.Errorf("fleet stream regressed: done %d after %d", ev.Done, prev)
-		}
-		prev = ev.Done
-	}
-}
-
-// TestDashDispatchAcceptance is the PR's acceptance scenario: a
-// dispatched fleet with -dash serves /healthz, streams at least one SSE
-// event whose terminal done/total matches the manifest's job count, and
-// appends exactly one ledger record whose spec hash reproduces from the
+// TestDashAcceptance is the dashboard's end-to-end scenario: a run
+// with -dash serves /healthz, streams at least one SSE event whose
+// terminal done/total matches the manifest's job count, and appends
+// exactly one ledger record whose spec hash reproduces from the
 // manifest's embedded spec.
-func TestDashDispatchAcceptance(t *testing.T) {
-	t.Setenv("WSNSWEEP_WORKER", "1")
+func TestDashAcceptance(t *testing.T) {
 	dir := t.TempDir()
 
 	type sseResult struct {
@@ -107,7 +72,7 @@ func TestDashDispatchAcceptance(t *testing.T) {
 	defer func() { dashNotify = nil }()
 
 	if err := run([]string{
-		"-dispatch", "2", "-schemes", "SR,AR", "-grids", "8x8",
+		"-schemes", "SR,AR", "-grids", "8x8",
 		"-spares", "8,24", "-replicates", "4", "-seed", "13",
 		"-out", dir, "-name", "dash", "-metrics", "", "-quiet",
 		"-dash", "127.0.0.1:0",
@@ -149,19 +114,18 @@ func TestDashDispatchAcceptance(t *testing.T) {
 			last.Fleet.Done, last.Fleet.Total, m.Jobs, m.Jobs)
 	}
 
-	// Exactly one ledger record — workers run with -ledger none, only
-	// the driver appends — and its spec hash reproduces from the spec
-	// the manifest embeds.
+	// Exactly one ledger record, and its spec hash reproduces from the
+	// spec the manifest embeds.
 	recs, err := telemetry.ReadLedger(filepath.Join(dir, "ledger.ndjson"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 {
-		t.Fatalf("ledger has %d records, want exactly 1 (the driver's):\n%+v", len(recs), recs)
+		t.Fatalf("ledger has %d records, want exactly 1:\n%+v", len(recs), recs)
 	}
 	rec := recs[0]
-	if rec.Mode != "dispatch" || rec.Shards != 4 || rec.Jobs != m.Jobs {
-		t.Errorf("ledger record = %+v, want mode dispatch, 4 shards, %d jobs", rec, m.Jobs)
+	if rec.Mode != "run" || rec.Jobs != m.Jobs {
+		t.Errorf("ledger record = %+v, want mode run, %d jobs", rec, m.Jobs)
 	}
 	if rec.Status != telemetry.StatusCompleted {
 		t.Errorf("ledger record status = %q, want completed", rec.Status)

@@ -20,9 +20,10 @@
 //	SWEEPD_ADDR_FILE    write the bound address here (":0" discovery)
 //
 // Campaigns run in-process on the engine's worker pool, which already
-// uses every core. There is no fleet mode: it went while shard merges
-// estimated medians, and it has not been rebuilt now that a fleet's
-// merged manifest is byte-identical to the in-process one.
+// uses every core. A campaign too big for one box runs as cmd/sweep
+// -shard pieces on many boxes; "sweep -merge -if-cached <store>"
+// installs the merged manifest here, byte-identical to the in-process
+// one.
 //
 // The API is documented on sweepd.Daemon.Handler; see the README's
 // "Running as a service" section for the curl cookbook. Logs are

@@ -10,15 +10,15 @@ import (
 	"wsncover/internal/sim"
 )
 
-// LocalRun is one campaign executed in this process: the single runner
-// behind every cmd/sweep run that computes trials (plain, -shard,
-// -resume, -checkpoint, and so every dispatch worker) and behind
-// sweepd's in-process campaigns. It owns the resumable state: a prior
-// manifest's complete (group, N) cells are skipped and carried over,
-// and the checkpoint is an experiment.CellLog — written once at start
-// with the carried cells, then one appended line per completed cell —
-// which experiment.ReadCellLog turns back into a prior manifest for a
-// later run. Only whole cells are logged, because a resume skips whole
+// LocalRun is one campaign executed in this process: the single
+// runner behind every cmd/sweep run that computes trials (plain,
+// -shard, -resume, -checkpoint) and behind sweepd's campaigns. It
+// owns the resumable state: a prior manifest's complete (group, N)
+// cells are skipped and carried over, and the checkpoint is an
+// experiment.CellLog — written once at start with the carried cells,
+// then one appended line per completed cell — which
+// experiment.ReadCellLog turns back into a prior manifest for a later
+// run. Only whole cells are logged, because a resume skips whole
 // cells; a partial cell's trials would be rerun anyway.
 //
 // How the prior manifest is found and vetted stays with the caller:
@@ -37,9 +37,8 @@ type LocalRun struct {
 	// number of prior cells outside the spec's job space, which are
 	// dropped so the manifest stays consistent with its recorded spec.
 	Resumed, Orphans int
-	// OnProgress, when non-nil, observes the run the way
-	// Options.OnProgress observes a fleet: snapshots without shards,
-	// folded from the ordered trial stream by a LocalProgress.
+	// OnProgress, when non-nil, observes the run: snapshots folded from
+	// the ordered trial stream by a LocalProgress.
 	OnProgress func(FleetSnapshot)
 
 	spec       sim.CampaignSpec
@@ -215,12 +214,12 @@ func mergePoints(prior, fresh []experiment.Point) []experiment.Point {
 const progressThrottle = 200 * time.Millisecond
 
 // LocalProgress folds one process's ordered trial stream into
-// FleetSnapshots with no shards: Fleet carries done/total plus the
-// current group and its GroupDone, and Groups follows the run's group
-// order. It is the only progress throttle of a run: a snapshot goes out
-// at the start, at every group's first and last trial, at the end, and
-// otherwise at most every progressThrottle, so every observer — meter,
-// JSON protocol, dashboard, ledger — sees each group reach its total.
+// FleetSnapshots: Fleet carries done/total plus the current group and
+// its GroupDone, and Groups follows the run's group order. It is the
+// only progress throttle of a run: a snapshot goes out at the start, at
+// every group's first and last trial, at the end, and otherwise at most
+// every progressThrottle, so every observer — meter, dashboard, ledger
+// — sees each group reach its total.
 // Between snapshots a trial costs a map lookup and a clock read and
 // allocates nothing. Calls must be serialized (the engine's ordered
 // sink).

@@ -12,13 +12,13 @@ import (
 )
 
 // MergeShardManifests unions the shard manifests of one campaign
-// (produced with -shard or by a dispatched fleet) into the campaign
-// manifest named name. A shard computes whole cells, each byte for byte
-// as the unsharded campaign computes it, so the merge recomputes no
-// statistic. It checks that the inputs are one campaign apart from
-// their cell ranges and execution fields, that no file is given twice,
-// and that every cell of the campaign appears in exactly one input: a
-// cell held twice names both files, a gap names the first missing cell.
+// (produced with -shard) into the campaign manifest named name. A
+// shard computes whole cells, each byte for byte as the unsharded
+// campaign computes it, so the merge recomputes no statistic. It
+// checks that the inputs are one campaign apart from their cell
+// ranges and execution fields, that no file is given twice, and that
+// every cell of the campaign appears in exactly one input: a cell
+// held twice names both files, a gap names the first missing cell.
 // The manifest is then assembled the way an in-process run assembles
 // it — LocalRun with the union as its prior and nothing left to run —
 // so it is byte-identical to the unsharded run's manifest (at the

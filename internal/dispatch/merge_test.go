@@ -10,8 +10,20 @@ import (
 	"wsncover/internal/stats"
 )
 
-// shardSpec builds the canonical small campaign (fullSpec: 2 cells of
-// 2 replicates) restricted to the cell block [first, first+count).
+// fullSpec is the canonical small unsharded campaign: two cells of two
+// replicates.
+func fullSpec() sim.CampaignSpec {
+	return sim.CampaignSpec{
+		Schemes:    []sim.SchemeKind{sim.SR},
+		Grids:      []sim.GridSize{{Cols: 8, Rows: 8}},
+		Spares:     []int{8, 24},
+		Replicates: 2,
+		BaseSeed:   1,
+	}.Normalized()
+}
+
+// shardSpec builds fullSpec restricted to the cell block
+// [first, first+count).
 func shardSpec(first, count int) sim.CampaignSpec {
 	s := fullSpec()
 	s.CellFirst, s.CellCount = first, count

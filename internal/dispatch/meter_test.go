@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"wsncover/internal/experiment"
 	"wsncover/internal/telemetry"
 )
 
@@ -43,8 +42,8 @@ func TestMeter(t *testing.T) {
 	if !strings.Contains(out, "trials/s") || !strings.Contains(out, "ETA") {
 		t.Errorf("meter output %q lacks rate or ETA", out)
 	}
-	if strings.Contains(out, "groups") || strings.Contains(out, "fleet") {
-		t.Errorf("single-group meter %q must not render a group breakdown or a fleet", out)
+	if strings.Contains(out, "groups") {
+		t.Errorf("single-group meter %q must not render a group breakdown", out)
 	}
 	if p.done != 100 {
 		t.Errorf("done = %d", p.done)
@@ -69,6 +68,17 @@ func TestMeter(t *testing.T) {
 	p.End()
 	if buf.Len() != 0 {
 		t.Errorf("End after the last trial rendered %q", buf.String())
+	}
+
+	// A run with nothing left to execute ends on a 0/0 snapshot: no
+	// division by zero, and the elapsed time instead of an ETA.
+	buf.Reset()
+	empty := localMeter(&buf, clock, 0, nil, nil)
+	empty.Start()
+	empty.End()
+	if out := buf.String(); !strings.Contains(out, "0/0 trials  0 trials/s  in ") ||
+		strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
+		t.Errorf("empty-run output %q", out)
 	}
 }
 
@@ -158,7 +168,7 @@ func TestLocalProgressSnapshots(t *testing.T) {
 	}
 	for i, s := range got {
 		e := ev{s.Fleet.Done, s.Fleet.GroupDone, s.Fleet.Group, s.Terminal()}
-		if e != want[i] || s.Fleet.Total != 5 || len(s.Shards) != 0 {
+		if e != want[i] || s.Fleet.Total != 5 {
 			t.Errorf("snapshot %d = %+v (%+v), want %+v of 5", i, e, s.Fleet, want[i])
 		}
 		if len(s.Groups) != 2 || s.Groups[0].Group != "SR" || s.Groups[1].Group != "AR" ||
@@ -227,9 +237,6 @@ func TestPublishLocalGroupBoundariesAndFinal(t *testing.T) {
 	if boundary.Heatmap == "" || !strings.Contains(boundary.Heatmap, "SR") {
 		t.Errorf("boundary heatmap = %q", boundary.Heatmap)
 	}
-	if len(boundary.Shards) != 0 {
-		t.Errorf("in-process snapshot has shards %+v", boundary.Shards)
-	}
 	final := got[3]
 	if !final.Final || final.Fleet.Done != 5 || final.Fleet.Group != "" {
 		t.Errorf("final = %+v, want groupless 5/5 final", final)
@@ -258,178 +265,16 @@ func TestFormatETA(t *testing.T) {
 	}
 }
 
-func snap(shards ...ShardStatus) FleetSnapshot {
-	events := make([]experiment.Progress, len(shards))
-	for i, s := range shards {
-		events[i] = s.Progress
-	}
-	return FleetSnapshot{Fleet: experiment.MergeProgress(events...), Shards: shards}
-}
-
-func TestFleetMeterRendering(t *testing.T) {
-	var buf strings.Builder
-	clock := newTestClock()
-	f := NewFleetMeter(&buf)
-	f.SetClock(clock.now)
-
-	clock.advance(2 * time.Second)
-	s := snap(
-		ShardStatus{Shard: 1, State: ShardDone, Progress: experiment.Progress{Done: 10, Total: 10}},
-		ShardStatus{Shard: 2, State: ShardRunning, Attempts: 1, Slot: 2, Leases: 1,
-			LastBeat: clock.now().Add(-time.Second), Progress: experiment.Progress{Done: 4, Total: 10}},
-		ShardStatus{Shard: 3, State: ShardRunning, Attempts: 2, Slot: 1, Leases: 1,
-			Progress: experiment.Progress{Done: 2, Total: 10}},
-		ShardStatus{Shard: 4, State: ShardPending, Progress: experiment.Progress{Total: 10}},
-	)
-	s.Slots = 2
-	f.Update(s)
-	out := buf.String()
-	for _, want := range []string{"fleet 16/40 trials", "trials/s", "ETA", "[1:ok 2:40% 3:20% retry2 4:wait]"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("fleet line %q lacks %q", out, want)
-		}
-	}
-	if strings.Contains(out, "slots ") {
-		t.Errorf("healthy fleet line %q shows a slot count", out)
-	}
-
-	// Lease-state cells: a speculative race renders x2, a stale
-	// heartbeat its age, and a retired slot shrinks the slots summary.
-	buf.Reset()
-	clock.advance(time.Second)
-	s = snap(
-		ShardStatus{Shard: 1, State: ShardRunning, Attempts: 3, Slot: 1, Leases: 2,
-			LastBeat: clock.now().Add(-30 * time.Second), Progress: experiment.Progress{Done: 4, Total: 10}},
-		ShardStatus{Shard: 2, State: ShardPending, Attempts: 1, Progress: experiment.Progress{Total: 10}},
-	)
-	s.Slots, s.Retired = 3, 1
-	f.Update(s)
-	out = buf.String()
-	for _, want := range []string{"slots 2/3", "1:40% retry3x2~30s", "2:retry1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("degraded fleet line %q lacks %q", out, want)
-		}
-	}
-
-	// A terminal snapshot renders with elapsed time and per-shard
-	// outcomes.
-	buf.Reset()
-	clock.advance(50 * time.Millisecond)
-	f.Update(snap(
-		ShardStatus{Shard: 1, State: ShardDone, Progress: experiment.Progress{Done: 10, Total: 10}},
-		ShardStatus{Shard: 2, State: ShardFailed, Progress: experiment.Progress{Done: 3, Total: 10}},
-	))
-	out = buf.String()
-	for _, want := range []string{"fleet 13/20 trials", "in ", "[1:ok 2:FAIL]"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("terminal fleet line %q lacks %q", out, want)
-		}
-	}
-}
-
-// TestFleetMeterZeroTotalShards: before any shard reports, every total
-// is zero — the meter must render without dividing by zero and show an
-// unknown ETA, not a bogus one.
-func TestFleetMeterZeroTotalShards(t *testing.T) {
-	var buf strings.Builder
-	clock := newTestClock()
-	f := NewFleetMeter(&buf)
-	f.SetClock(clock.now)
-	clock.advance(time.Second)
-	f.Update(snap(
-		ShardStatus{Shard: 1, State: ShardPending},
-		ShardStatus{Shard: 2, State: ShardPending},
-	))
-	out := buf.String()
-	for _, want := range []string{"fleet 0/0 trials", "0 trials/s", "ETA --", "[1:wait 2:wait]"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("cold-fleet line %q lacks %q", out, want)
-		}
-	}
-	if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
-		t.Errorf("cold-fleet line %q leaked a division by zero", out)
-	}
-}
-
-// TestFleetMeterNeverReportingShard: a shard that launches but emits no
-// progress events holds 0/0 while its peers advance; the aggregate and
-// ETA come from the reporting shards alone and never go non-finite.
-func TestFleetMeterNeverReportingShard(t *testing.T) {
-	var buf strings.Builder
-	clock := newTestClock()
-	f := NewFleetMeter(&buf)
-	f.SetClock(clock.now)
-	clock.advance(2 * time.Second)
-	f.Update(snap(
-		ShardStatus{Shard: 1, State: ShardRunning, Attempts: 1, Progress: experiment.Progress{Done: 8, Total: 16}},
-		ShardStatus{Shard: 2, State: ShardRunning, Attempts: 1}, // silent: no event yet
-	))
-	out := buf.String()
-	if !strings.Contains(out, "fleet 8/16 trials") {
-		t.Errorf("fleet line %q should aggregate only reporting shards", out)
-	}
-	// 4 trials/s, 8 remaining -> 2s; the silent shard must not poison it.
-	if !strings.Contains(out, "ETA 2s") {
-		t.Errorf("fleet line %q: ETA must come from known totals", out)
-	}
-	if !strings.Contains(out, "2:0%") {
-		t.Errorf("fleet line %q should show the silent shard at 0%%", out)
-	}
-}
-
-// TestFleetMeterLateInitialEvents: totals grow as shards report in; the
-// ETA must track the known total without regressing to a shorter
-// estimate when a late shard's total lands.
-func TestFleetMeterLateInitialEvents(t *testing.T) {
-	var buf strings.Builder
-	clock := newTestClock()
-	f := NewFleetMeter(&buf)
-	f.SetClock(clock.now)
-
-	clock.advance(time.Second)
-	f.Update(snap(
-		ShardStatus{Shard: 1, State: ShardRunning, Attempts: 1, Progress: experiment.Progress{Done: 4, Total: 8}},
-		ShardStatus{Shard: 2, State: ShardPending},
-	))
-	if out := buf.String(); !strings.Contains(out, "fleet 4/8 trials") || !strings.Contains(out, "ETA 1s") {
-		t.Errorf("early line %q", out)
-	}
-
-	// Shard 2's initial 0/8 arrives late: the denominator jumps from 8
-	// to 16 and the ETA covers the new work (4 trials/s, 8 left -> 2s),
-	// not the stale single-shard total.
-	buf.Reset()
-	clock.advance(time.Second)
-	f.Update(snap(
-		ShardStatus{Shard: 1, State: ShardRunning, Attempts: 1, Progress: experiment.Progress{Done: 8, Total: 8}},
-		ShardStatus{Shard: 2, State: ShardRunning, Attempts: 1, Progress: experiment.Progress{Done: 0, Total: 8}},
-	))
-	if out := buf.String(); !strings.Contains(out, "fleet 8/16 trials") || !strings.Contains(out, "ETA 2s") {
-		t.Errorf("late-total line %q, want denominator 16 and ETA 2s", out)
-	}
-}
-
 func TestFleetSnapshotTerminal(t *testing.T) {
 	if (FleetSnapshot{}).Terminal() {
 		t.Error("empty snapshot is not terminal")
 	}
-	running := snap(ShardStatus{Shard: 1, State: ShardRunning})
-	if running.Terminal() {
-		t.Error("running fleet is not terminal")
-	}
-	ended := snap(ShardStatus{Shard: 1, State: ShardDone}, ShardStatus{Shard: 2, State: ShardFailed})
-	if !ended.Terminal() {
-		t.Error("done+failed fleet is terminal")
-	}
-}
-
-func TestShardStateString(t *testing.T) {
-	for s, want := range map[ShardState]string{
-		ShardPending: "pending", ShardRunning: "running",
-		ShardDone: "done", ShardFailed: "failed", ShardState(9): "ShardState(9)",
-	} {
-		if got := s.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(s), got, want)
-		}
+	var got []FleetSnapshot
+	p := NewLocalProgress(2, []string{"SR"}, map[string]int{"SR": 2}, func(s FleetSnapshot) { got = append(got, s) })
+	p.Start()
+	p.Trial("SR")
+	p.Trial("SR")
+	if len(got) != 3 || got[0].Terminal() || got[1].Terminal() || !got[2].Terminal() {
+		t.Errorf("snapshots %+v, want only the last terminal", got)
 	}
 }

@@ -245,7 +245,7 @@ func equal[T comparable](a, b T) bool { return a == b }
 func (s CampaignSpec) ValidateUnsharded() error {
 	if s.CellFirst != 0 || s.CellCount != 0 {
 		return fmt.Errorf("sim: campaign pins the cell range [%d, +%d); "+
-			"submit the unsharded spec and let the service split it", s.CellFirst, s.CellCount)
+			"submit the unsharded spec (or -merge the shard manifests)", s.CellFirst, s.CellCount)
 	}
 	return s.Validate()
 }
@@ -299,9 +299,8 @@ func (s CampaignSpec) CellSpec(j TrialJob) CampaignSpec {
 // UnmarshalSpecJSON decodes a campaign spec strictly: unknown fields are
 // an error, so a typoed dimension name fails loudly instead of silently
 // running the default campaign. Every reader of a spec decodes through
-// it: cmd/sweep's -spec files and -resume manifests, the dispatch
-// driver's shard specs and merges, manifest diffs and sweepd
-// submissions.
+// it: cmd/sweep's -spec files, -resume manifests and -merge inputs,
+// manifest diffs and sweepd submissions.
 //
 // It is also the one place that reads the older spelling of the damage
 // dimension, a "failures" list of names ("holes" or "jam", any case;

@@ -38,13 +38,32 @@ func TestShardRange(t *testing.T) {
 	}
 }
 
-// TestSplitShardsTilesReplicates: for every shard count n from 1 to the
-// cell count, the shard specs tile the campaign's cells exactly, differ
-// from the parent only in the range, and each shard's aggregated points
-// equal the unsharded run's points for the same cells. The jam workload
-// collapses the holes dimension, so cells are not a plain product of
-// the dimension lists.
-func TestSplitShardsTilesReplicates(t *testing.T) {
+// shardsOf builds the n shard specs of spec the way cmd/sweep -shard
+// i/n does: the normalized campaign with ShardRange's cell block.
+func shardsOf(t *testing.T, spec CampaignSpec, n int) []CampaignSpec {
+	t.Helper()
+	spec = spec.Normalized()
+	shards := make([]CampaignSpec, n)
+	for i := 1; i <= n; i++ {
+		first, count, err := ShardRange(i, n, spec.NumCells())
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[i-1] = spec
+		shards[i-1].CellFirst, shards[i-1].CellCount = first, count
+		if err := shards[i-1].Validate(); err != nil {
+			t.Fatalf("shard %d/%d: %v", i, n, err)
+		}
+	}
+	return shards
+}
+
+// TestShardRangeTilesCells: for every shard count n from 1 to the
+// cell count, the ShardRange blocks tile the campaign's cells exactly,
+// and each shard's aggregated points equal the unsharded run's points
+// for the same cells. The jam workload collapses the holes dimension,
+// so cells are not a plain product of the dimension lists.
+func TestShardRangeTilesCells(t *testing.T) {
 	spec := CampaignSpec{
 		Schemes:    []SchemeKind{SR, AR},
 		Grids:      []GridSize{{8, 8}},
@@ -69,25 +88,13 @@ func TestSplitShardsTilesReplicates(t *testing.T) {
 		want[fmt.Sprintf("%s N=%g", p.Group, p.X)] = p
 	}
 	for n := 1; n <= cells; n++ {
-		shards, err := spec.SplitShards(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(shards) != n {
-			t.Fatalf("n=%d: got %d shards", n, len(shards))
-		}
 		next := 0
 		seen := 0
-		for i, sh := range shards {
+		for i, sh := range shardsOf(t, spec, n) {
 			if sh.CellFirst != next || sh.CellCount < 1 {
 				t.Errorf("n=%d: shard %d covers [%d, +%d), want to start at %d", n, i+1, sh.CellFirst, sh.CellCount, next)
 			}
 			next = sh.CellFirst + sh.CellCount
-			plain := sh
-			plain.CellFirst, plain.CellCount = 0, 0
-			if !reflect.DeepEqual(plain, spec.Normalized()) {
-				t.Errorf("n=%d: shard %d drifted from parent: %+v", n, i+1, plain)
-			}
 			points, err := RunCampaign(context.Background(), sh, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -109,49 +116,53 @@ func TestSplitShardsTilesReplicates(t *testing.T) {
 	}
 }
 
-// TestSplitShardsJobsEqualUnshardedJobs: the union of the shards'
-// executed jobs is exactly the unsharded job list, seeds included — the
-// property that makes dispatched shard manifests hold exactly the
-// unsharded campaign's cells.
-func TestSplitShardsJobsEqualUnshardedJobs(t *testing.T) {
+// TestShardRangeJobsEqualUnshardedJobs: for every shard count, the
+// union of the shards' executed jobs is exactly the unsharded job list,
+// seeds included — the property that makes -shard manifests hold
+// exactly the unsharded campaign's cells.
+func TestShardRangeJobsEqualUnshardedJobs(t *testing.T) {
 	spec := CampaignSpec{
 		Schemes:    []SchemeKind{SR, AR},
 		Grids:      []GridSize{{8, 8}},
-		Spares:     []int{8},
+		Spares:     []int{8, 24},
+		Holes:      []int{1, 2},
+		Workloads:  []WorkloadSpec{{Kind: WorkloadHoles}, {Kind: WorkloadJam}},
 		Replicates: 5,
 		BaseSeed:   3,
 	}
-	shards, err := spec.SplitShards(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// TrialJob is no longer comparable (its workload spec holds child
-	// slices), so key the coverage count by its printed form.
-	sharded := make(map[string]int)
-	for _, sh := range shards {
-		sh.ExecutedJobs(nil, func(j TrialJob) { sharded[fmt.Sprintf("%+v", j)]++ })
-	}
-	full := 0
-	spec.Normalized().ExecutedJobs(nil, func(j TrialJob) {
-		full++
-		if sharded[fmt.Sprintf("%+v", j)] != 1 {
-			t.Errorf("job %+v covered %d times, want exactly once", j, sharded[fmt.Sprintf("%+v", j)])
+	for n := 1; n <= spec.NumCells(); n++ {
+		// TrialJob is not comparable (its workload spec holds child
+		// slices), so key the coverage count by its printed form.
+		sharded := make(map[string]int)
+		for _, sh := range shardsOf(t, spec, n) {
+			sh.ExecutedJobs(nil, func(j TrialJob) { sharded[fmt.Sprintf("%+v", j)]++ })
 		}
-	})
-	if full != len(sharded) {
-		t.Errorf("shards executed %d distinct jobs, unsharded campaign has %d", len(sharded), full)
+		full := 0
+		spec.Normalized().ExecutedJobs(nil, func(j TrialJob) {
+			full++
+			if c := sharded[fmt.Sprintf("%+v", j)]; c != 1 {
+				t.Errorf("n=%d: job %+v covered %d times, want exactly once", n, j, c)
+			}
+		})
+		if full != len(sharded) {
+			t.Errorf("n=%d: shards executed %d distinct jobs, unsharded campaign has %d", n, len(sharded), full)
+		}
 	}
 }
 
-func TestSplitShardsErrors(t *testing.T) {
+// TestShardRangeErrors: a campaign cannot split into more shards than
+// it has cells, and a shard number must lie in 1..n. (cmd/sweep's
+// TestParseShard covers re-sharding a spec that already pins a range.)
+func TestShardRangeErrors(t *testing.T) {
 	spec := CampaignSpec{Schemes: []SchemeKind{SR}, Spares: []int{8, 24}, Replicates: 4}
-	if _, err := spec.SplitShards(3); err == nil {
+	cells := spec.Normalized().NumCells()
+	if _, _, err := ShardRange(3, 3, cells); err == nil {
 		t.Error("splitting 2 cells into 3 shards should fail")
 	}
-	pinned := spec
-	pinned.CellFirst, pinned.CellCount = 0, 1
-	if _, err := pinned.SplitShards(2); err == nil {
-		t.Error("re-splitting a shard spec should fail")
+	for _, in := range [][2]int{{0, 2}, {3, 2}, {1, 0}} {
+		if _, _, err := ShardRange(in[0], in[1], cells); err == nil {
+			t.Errorf("shard %d/%d of %d cells should fail", in[0], in[1], cells)
+		}
 	}
 }
 

@@ -7,8 +7,8 @@
 // byte-identical at any worker count and under any shard layout once
 // its shards are merged, so one stored manifest answers every future
 // submission of the same science. The daemon runs campaigns
-// in-process; cmd/sweep -if-cached installs in-process and fleet
-// manifests alike.
+// in-process; cmd/sweep -if-cached installs the manifests of
+// in-process runs and of -merge (shards run on many boxes) alike.
 //
 // The same argument holds one level down. A cell — one (group, N) pair
 // with all its replicates — depends only on its own dimension values,

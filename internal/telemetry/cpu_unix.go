@@ -4,19 +4,13 @@ package telemetry
 
 import "syscall"
 
-// CPUSeconds returns the user+system CPU time consumed by this process
-// and its reaped children — for a dispatch driver, the supervised
-// worker subprocesses it has already waited on.
+// CPUSeconds returns the user+system CPU time consumed by this process.
 func CPUSeconds() float64 {
-	total := 0.0
-	for _, who := range []int{syscall.RUSAGE_SELF, syscall.RUSAGE_CHILDREN} {
-		var ru syscall.Rusage
-		if err := syscall.Getrusage(who, &ru); err != nil {
-			continue
-		}
-		total += tvSeconds(ru.Utime) + tvSeconds(ru.Stime)
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
 	}
-	return total
+	return tvSeconds(ru.Utime) + tvSeconds(ru.Stime)
 }
 
 func tvSeconds(tv syscall.Timeval) float64 {

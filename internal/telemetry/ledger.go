@@ -29,11 +29,13 @@ type Record struct {
 	// Name is the campaign name (the manifest's base name).
 	Name string `json:"name"`
 	// Mode says how the run executed: "run" (single process), "shard"
-	// (one cell block of a larger campaign), or "dispatch" (a
-	// supervised fleet).
+	// (one cell block of a larger campaign), "merge" (shard manifests
+	// assembled by cmd/sweep -merge), or "sweepd". Ledgers written
+	// before the fleet supervisor was retired also hold "dispatch"
+	// records, whose extra "shards" and "retries" keys decoding ignores.
 	Mode string `json:"mode"`
-	// Status says how the run ended: StatusCompleted, StatusFailed (a
-	// worker or the engine errored), or StatusAborted (drained on
+	// Status says how the run ended: StatusCompleted, StatusFailed (the
+	// engine or an artifact write errored), or StatusAborted (drained on
 	// SIGINT/SIGTERM). Empty means completed (pre-status ledgers).
 	Status string `json:"status,omitempty"`
 	// SpecHash is SpecHash() of the normalized campaign spec — the same
@@ -45,23 +47,18 @@ type Record struct {
 	// Jobs and Points mirror the manifest's accounting.
 	Jobs   int `json:"jobs"`
 	Points int `json:"points"`
-	// Workers is the per-process pool size (0 = all cores); Shards the
-	// fleet size of a dispatch run; Retries the number of worker
-	// relaunches the fleet needed.
+	// Workers is the per-process pool size (0 = all cores).
 	Workers int `json:"workers,omitempty"`
-	Shards  int `json:"shards,omitempty"`
-	Retries int `json:"retries,omitempty"`
 	// CellFirst/CellCount echo a shard run's cell range.
 	CellFirst int `json:"cell_first,omitempty"`
 	CellCount int `json:"cell_count,omitempty"`
-	// WallS is the run's wall-clock seconds, CPUS the process (and
-	// reaped children's) CPU seconds, TrialsPerS the executed-trial
-	// rate over the wall clock.
+	// WallS is the run's wall-clock seconds, CPUS the process's CPU
+	// seconds, TrialsPerS the executed-trial rate over the wall clock.
 	WallS      float64 `json:"wall_s"`
 	CPUS       float64 `json:"cpu_s,omitempty"`
 	TrialsPerS float64 `json:"trials_per_s,omitempty"`
 	// GroupSeconds is each group's active wall span (first to last
-	// completed trial; snapshot-granular for dispatch runs).
+	// completed trial).
 	GroupSeconds map[string]float64 `json:"group_s,omitempty"`
 }
 
@@ -70,7 +67,7 @@ type Record struct {
 // campaign's cells a process computes — but never what the full
 // campaign computes. The spec hash strips them so it identifies the
 // science alone: a campaign run with -workers 1, -workers 8, or split
-// across a dispatch fleet hashes to the same key, and the
+// into -shard runs and merged hashes to the same key, and the
 // content-addressed manifest store dedupes them to one entry.
 var execOnlySpecKeys = []string{"workers", "fresh_build", "cell_first", "cell_count"}
 

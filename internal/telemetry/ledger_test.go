@@ -22,8 +22,8 @@ func TestLedgerRoundTrip(t *testing.T) {
 			GroupSeconds: map[string]float64{"SR": 1.2, "AR": 2.1},
 		},
 		{
-			Name: "churn", Mode: "dispatch", SpecHash: "sha256:0011", Manifest: "out/churn.json",
-			Jobs: 96, Points: 12, Shards: 4, Retries: 1, WallS: 1.1,
+			Name: "churn", Mode: "merge", SpecHash: "sha256:0011", Manifest: "out/churn.json",
+			Jobs: 96, Points: 12, WallS: 1.1,
 		},
 	}
 	for _, r := range recs {
@@ -45,8 +45,28 @@ func TestLedgerRoundTrip(t *testing.T) {
 	if got[1].Time.IsZero() {
 		t.Error("AppendRecord should stamp a zero Time")
 	}
-	if got[1].Shards != 4 || got[1].Retries != 1 {
+	if got[1].Mode != "merge" || got[1].Jobs != 96 {
 		t.Errorf("record 1 = %+v", got[1])
+	}
+
+	// A record of the retired fleet supervisor carries keys Record no
+	// longer has; the history stays readable.
+	old := `{"time":"2026-08-01T12:00:00Z","name":"nightly","mode":"dispatch","status":"completed",` +
+		`"spec_hash":"sha256:0011","manifest":"out/nightly.json","jobs":96,"points":12,"shards":2,"retries":1,"wall_s":0.9}`
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(old + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	got, err = ReadLedger(path)
+	if err != nil {
+		t.Fatalf("a dispatch-era record no longer decodes: %v", err)
+	}
+	if len(got) != 3 || got[2].Mode != "dispatch" || got[2].Name != "nightly" || got[2].Jobs != 96 {
+		t.Errorf("dispatch-era record = %+v", got[len(got)-1])
 	}
 }
 

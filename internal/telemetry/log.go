@@ -11,8 +11,8 @@ import (
 // Environment variables configuring every command's structured logging.
 // WSNSWEEP_LOG sets the level (debug, info, warn, error; default info);
 // WSNSWEEP_LOG_FORMAT selects text (default) or json, the latter making
-// worker-retry and checkpoint-resume events machine-parseable in
-// aggregated fleet logs.
+// resume, install and ledger events machine-parseable in aggregated
+// logs of many boxes.
 const (
 	LogLevelEnv  = "WSNSWEEP_LOG"
 	LogFormatEnv = "WSNSWEEP_LOG_FORMAT"

@@ -43,7 +43,7 @@ func get(t *testing.T, url string) (*http.Response, string) {
 func TestServerIndexAndHealthz(t *testing.T) {
 	_, _, base := startTestServer(t, false)
 	resp, body := get(t, base+"/")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "wsncover fleet") {
+	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "wsncover campaign") {
 		t.Errorf("index: status %d, body %.80q", resp.StatusCode, body)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/html") {

@@ -1,10 +1,9 @@
-// Package telemetry is the observability layer of the campaign fleet:
-// a broadcast hub that fans live progress snapshots out to any number
-// of subscribers, the HTTP dashboard server that serves them as SSE /
+// Package telemetry is the observability layer of campaign runs: a
+// broadcast hub that fans live progress snapshots out to any number of
+// subscribers, the HTTP dashboard server that serves them as SSE /
 // NDJSON plus a single-file HTML page (server.go), the append-only
-// NDJSON run ledger recording every completed campaign (ledger.go), and
-// the env-var-configured slog construction every command shares
-// (log.go).
+// NDJSON run ledger recording every campaign run (ledger.go), and the
+// env-var-configured slog construction every command shares (log.go).
 //
 // The package only observes: it is fed the same ordered progress
 // snapshots the terminal meter draws (dispatch.PublishFleet converts
@@ -27,15 +26,10 @@ import (
 
 // Snapshot is one serialized observation of a running campaign — the
 // payload of the dashboard's /events stream. Fleet always carries the
-// aggregate done/total; Shards and Groups are present when the run
-// tracks them (a dispatched fleet, a campaign with more than one
-// curve).
+// aggregate done/total; Groups is present when the run tracks it.
 type Snapshot struct {
 	// Fleet is the aggregate progress of the whole run.
 	Fleet experiment.Progress `json:"fleet"`
-	// Shards is the per-shard state vector of a dispatched fleet, in
-	// shard order; nil for single-process runs.
-	Shards []ShardView `json:"shards,omitempty"`
 	// Groups is the per-group (curve) completion breakdown in job-space
 	// order; nil when the run has a single group or does not track it.
 	Groups []GroupView `json:"groups,omitempty"`
@@ -52,25 +46,6 @@ type Snapshot struct {
 	Heatmap string `json:"heatmap,omitempty"`
 	// Final marks the run's last snapshot.
 	Final bool `json:"final,omitempty"`
-}
-
-// ShardView is one shard's state in a Snapshot.
-type ShardView struct {
-	Shard    int    `json:"shard"`
-	State    string `json:"state"`
-	Done     int    `json:"done"`
-	Total    int    `json:"total"`
-	Attempts int    `json:"attempts,omitempty"`
-	// Slot is the worker slot holding the newest live lease (0 = none);
-	// Leases counts live attempts (2 while a speculative duplicate races
-	// a straggler); Retries counts relaunches after the first attempt.
-	Slot    int `json:"slot,omitempty"`
-	Leases  int `json:"leases,omitempty"`
-	Retries int `json:"retries,omitempty"`
-	// BeatAgeS is seconds since the shard's last heartbeat (a valid
-	// progress event from a live attempt); negative when no live attempt
-	// has reported yet.
-	BeatAgeS float64 `json:"beat_age_s,omitempty"`
 }
 
 // GroupView is one group's completion in a Snapshot.
@@ -210,7 +185,7 @@ func (h *Hub) Close() {
 
 // Publisher stamps snapshots with elapsed/rate/ETA from an injectable
 // clock, renders the group heatmap, and publishes onto a hub — the
-// dashboard end of dispatch.PublishFleet, for fleets and in-process
+// dashboard end of dispatch.PublishFleet, for cmd/sweep and sweepd
 // runs alike. It publishes every snapshot it is given: the progress
 // sources throttle, so the dashboard does not. Callers are expected to
 // be serialized (a progress callback); the Publisher itself does not
@@ -235,13 +210,12 @@ func (p *Publisher) SetClock(now func() time.Time) {
 	p.start = now()
 }
 
-// Publish stamps and publishes one snapshot. fleet/shards/groups are
-// taken as-is; elapsed, rate, ETA, and the heatmap are computed here.
-func (p *Publisher) Publish(fleet experiment.Progress, shards []ShardView, groups []GroupView, final bool) {
+// Publish stamps and publishes one snapshot. fleet and groups are taken
+// as-is; elapsed, rate, ETA, and the heatmap are computed here.
+func (p *Publisher) Publish(fleet experiment.Progress, groups []GroupView, final bool) {
 	now := p.now()
 	snap := Snapshot{
 		Fleet:    fleet,
-		Shards:   shards,
 		Groups:   groups,
 		ElapsedS: now.Sub(p.start).Seconds(),
 		ETAS:     -1,

@@ -102,11 +102,11 @@ func TestPublisherStamps(t *testing.T) {
 	pub.SetClock(func() time.Time { return clock })
 
 	clock = clock.Add(2 * time.Second)
-	pub.Publish(experiment.Progress{Done: 10, Total: 40}, nil, nil, false)
+	pub.Publish(experiment.Progress{Done: 10, Total: 40}, nil, false)
 	// Every publication goes out: the progress sources throttle.
 	clock = clock.Add(time.Millisecond)
-	pub.Publish(experiment.Progress{Done: 11, Total: 40}, nil, nil, false)
-	pub.Publish(experiment.Progress{Done: 40, Total: 40}, nil, nil, true)
+	pub.Publish(experiment.Progress{Done: 11, Total: 40}, nil, false)
+	pub.Publish(experiment.Progress{Done: 40, Total: 40}, nil, true)
 
 	got := drain(sub)
 	if len(got) != 3 {
@@ -138,7 +138,7 @@ func TestPublisherZeroElapsedNoDivideByZero(t *testing.T) {
 	now := time.Unix(0, 0)
 	pub.SetClock(func() time.Time { return now })
 	// Zero elapsed, zero done: rate 0, ETA unknown.
-	pub.Publish(experiment.Progress{Done: 0, Total: 0}, nil, nil, false)
+	pub.Publish(experiment.Progress{Done: 0, Total: 0}, nil, false)
 	got := drain(sub)
 	if len(got) != 1 {
 		t.Fatal("want one snapshot")

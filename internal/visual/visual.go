@@ -81,7 +81,7 @@ var heatShades = []rune{' ', '░', '▒', '▓', '█'}
 //
 // width is the bar's cell count (<= 0 means 24). Rows with a zero total
 // render a dashed bar instead of dividing by zero, so the chart is safe
-// on fleets whose totals are not known yet.
+// on groups whose totals are not known yet.
 func Heatmap(rows []HeatRow, width int) string {
 	if width <= 0 {
 		width = 24
