@@ -391,9 +391,10 @@ func BenchmarkCampaign16Cells(b *testing.B) {
 
 // BenchmarkLocalRunCheckpoint runs the service-mix base campaign (32
 // cells, 512 16x16 trials, workers 1) through dispatch.PlanLocal without
-// a checkpoint and with one, so the per-cell checkpoint's cost is the
-// difference between the two rows. Every checkpointed run starts a
-// fresh log, as each sweepd campaign does in its new run directory.
+// a cell store and with one, so the cost of storing every cell as it
+// completes is the difference between the two rows. Every stored run
+// starts on an empty store, so it computes every cell, as a cold sweepd
+// campaign does.
 func BenchmarkLocalRunCheckpoint(b *testing.B) {
 	spec := sim.CampaignSpec{
 		Schemes:    []sim.SchemeKind{sim.SR, sim.AR},
@@ -405,20 +406,24 @@ func BenchmarkLocalRunCheckpoint(b *testing.B) {
 		BaseSeed:   1000,
 		Workers:    1,
 	}.Normalized()
-	for _, checkpoint := range []bool{false, true} {
+	for _, stored := range []bool{false, true} {
 		name := "none"
-		if checkpoint {
-			name = "log"
+		if stored {
+			name = "store"
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			dir := b.TempDir()
 			for i := 0; i < b.N; i++ {
-				ck := ""
-				if checkpoint {
-					ck = filepath.Join(dir, strconv.Itoa(i)+".cells.ndjson")
+				var store *dispatch.CellStore
+				if stored {
+					store = dispatch.OpenCellStore(filepath.Join(dir, strconv.Itoa(i)))
 				}
-				if _, _, err := dispatch.PlanLocal(spec, "camp", nil, ck).Run(context.Background(), nil); err != nil {
+				r, err := dispatch.PlanLocal(spec, "camp", store)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := r.Run(context.Background(), nil); err != nil {
 					b.Fatal(err)
 				}
 			}

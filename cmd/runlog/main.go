@@ -1,10 +1,10 @@
 // Command runlog queries the run ledger — the append-only NDJSON
-// history cmd/sweep writes one record into per campaign run (plain,
-// -shard or -merge), completed or not: list's status column shows
-// FAILED and ABORTED runs so unhealthy runs are visible from the run
-// history (internal/telemetry, default <out>/ledger.ndjson). Records of
-// the retired "dispatch" mode, with their "shards" and "retries" keys,
-// still read.
+// history cmd/sweep writes one record into per campaign run (plain
+// or -shard), completed or not: list's status column shows FAILED and
+// ABORTED runs so unhealthy runs are visible from the run history
+// (internal/telemetry, default <out>/ledger.ndjson). Records of the
+// retired "merge" and "dispatch" modes, the latter with its "shards"
+// and "retries" keys, still read.
 //
 // Usage:
 //

@@ -232,7 +232,7 @@ func buildStore(t *testing.T) (dir string, ledgered, bare string) {
 	ledgered = "sha256:" + strings.Repeat("aa", 32)
 	bare = "sha256:" + strings.Repeat("bb", 32)
 	for _, h := range []string{ledgered, bare} {
-		if _, err := store.Install(h, &src, nil); err != nil {
+		if _, err := store.Install(h, &src); err != nil {
 			t.Fatal(err)
 		}
 	}

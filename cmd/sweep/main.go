@@ -10,13 +10,10 @@
 //	      [-holes 1] [-workloads holes,jam,churn]
 //	      [-runners sync,async] [-replicates 20] [-seed s]
 //	      [-workers w] [-metrics moves,success_rate|all] [-out dir]
-//	      [-name sweep] [-resume] [-shard i/n] [-checkpoint]
+//	      [-name sweep] [-shard i/n] [-store dir]
 //	      [-progress meter|none] [-ascii] [-quiet]
 //	      [-dash addr [-pprof] [-dash-linger d]] [-ledger path|none]
-//	      [-if-cached store-dir]
 //	sweep -spec campaign.json [-out dir] [-name sweep] ...
-//	sweep -merge shard1.json shard2.json ... [-out dir] [-name merged]
-//	      [-metrics ...] [-ascii] [-ledger path|none] [-if-cached store-dir]
 //
 // A spec file is the JSON form of sim.CampaignSpec and replaces the
 // dimension flags; workload parameters ({"kind": "churn", "every": 5})
@@ -26,47 +23,32 @@
 // "jam"], still decode, as the equivalent workloads.
 // Results are bit-identical for any -workers value.
 //
-// -resume merges into an existing manifest and into the cell log a
-// -checkpoint run left beside it: every (group, N) cell either holds is
-// skipped, freshly run cells are added, and the merged manifest plus
-// its metric tables are rewritten. Manifests are written on successful
-// completion, so -resume grows a campaign in stages: run a narrow spec
-// first, then rerun with added spare counts, schemes, grids, or
-// workloads and only the new cells compute. The seed, replicate count,
-// and pass-through trial parameters must match the prior manifest's and
-// the log's; cells of dimension values the current spec no longer lists
-// are dropped from the merged output.
+// -store names a cell store directory (dispatch.CellStore: the cells/
+// half of a sweepd store, so the two can share one directory). A cell
+// is one (group, N) pair with all its replicates; it depends only on
+// its own dimension values, the seed and the replicate count, and the
+// store keys it by exactly those. The run looks up every cell of its
+// spec before it starts and computes only the cells the store lacks;
+// each cell it computes is appended to the run's own segment,
+// <dir>/cells/<writer>.ndjson, the moment the cell completes (one
+// O_APPEND write, no fsync: it survives a killed process, not a power
+// cut). So a killed run is resumed by running the same command again,
+// a campaign grows in stages (rerun with added spare counts, schemes,
+// grids or workloads, and only the new cells compute), and a run whose
+// cells are all stored computes nothing. Every run still ends the same
+// way: manifest, metric tables, summary and one ledger record. A changed
+// seed, replicate count or trial parameter addresses other cells, so
+// such a rerun computes every cell.
 //
 // -shard i/n runs only the i-th of n contiguous blocks of the
-// campaign's cells (1-based; a cell is one (group, N) pair with all its
-// replicates), so one campaign splits across boxes: each box runs the
-// same spec with its own -shard and -name. A cell's trials depend only
-// on its own dimension values, the seed and the replicate count, so
-// every shard computes its cells byte for byte as the unsharded
-// campaign would. -merge unions the resulting shard manifests into one
-// campaign manifest plus metric tables, byte-identical to the unsharded
-// run's: it recomputes no statistic, and it fails if the inputs are not
-// one campaign, if a file is given twice, or if any cell is missing or
-// held by two files. A merge ends like every run: it writes the metric
-// tables, prints the summary, appends a ledger record (mode "merge"),
-// and under -if-cached installs the manifest in the store.
-//
-// That is the whole multi-box story, under any launcher (xargs -P, an
-// ssh loop, a batch array job): every box runs the spec with its own
-// "-shard i/n -checkpoint -name s<i>", a box that died reruns its
-// command with -resume added (its checkpointed cells are kept), and one
-// -merge assembles the campaign.
-//
-// -if-cached names a sweepd manifest store (internal/sweepd): when the
-// store already holds a manifest for this spec's hash — execution-only
-// fields like -workers never affect the hash — the run is skipped and
-// the cached manifest's path prints on stdout; otherwise the campaign
-// runs and its manifest is installed, so scripts and CI get exactly the
-// dedupe the daemon performs. It takes in-process runs and -merge
-// alike, since a merged manifest equals the in-process one byte for
-// byte, but not -shard: a shard is not the whole campaign. It works on
-// whole manifests only: the daemon's per-cell store is neither read nor
-// written.
+// campaign's cells (1-based). Every shard computes its cells byte for
+// byte as the unsharded campaign would, so one campaign splits across
+// boxes under any launcher (xargs -P, an ssh loop, a batch array job):
+// every box runs the spec with its own "-shard i/n -store S", a box
+// that died reruns its command, and one unsharded "-store S" run
+// computes nothing and writes the campaign's manifest, byte-identical
+// to an unsharded run's. Boxes without a shared filesystem copy their
+// segments into one S/cells/ first.
 //
 // -progress selects the progress display: "meter" is the human line on
 // stderr and "none" is silent. The meter, the dashboard and the
@@ -75,12 +57,6 @@
 // (dispatch.LocalProgress): the first snapshot is done 0 of the total,
 // and every group's first and last trial and the run's last trial
 // always produce one.
-//
-// -checkpoint appends one line to <out>/<name>.cells.ndjson every time
-// a campaign cell completes (experiment.CellLog: a single O_APPEND
-// write, no fsync, so it survives a killed process but not a power
-// cut), and a later -resume picks those cells up; a torn last line only
-// means its cell reruns. The log is removed once the manifest lands.
 //
 // Observability: -dash addr serves the live telemetry dashboard
 // (internal/telemetry) while the campaign runs — an HTML page at /, the
@@ -97,7 +73,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -115,7 +90,6 @@ import (
 	"wsncover/internal/dispatch"
 	"wsncover/internal/experiment"
 	"wsncover/internal/sim"
-	"wsncover/internal/sweepd"
 	"wsncover/internal/telemetry"
 )
 
@@ -232,51 +206,20 @@ func resolveLedger(flagVal, outDir string) string {
 	return flagVal
 }
 
-// output is where a campaign's results go, whichever mode computed
-// them.
+// output is where a campaign's results go.
 type output struct {
 	dir, name, metrics string
 	ascii              bool
 	ledger             string // run-ledger path; empty disables
-	store              *sweepd.Store
-	hash               string // the spec's hash in store (nil store: unused)
 	logger             *slog.Logger
 }
 
-// useCache resolves -if-cached for the unsharded spec: on a store hit
-// it prints the stored manifest's path on stdout, for scripts to
-// capture, and reports true; on a miss it arms finish to install the
-// finished manifest, so the next caller hits. The worker count doesn't
-// participate in the hash, so any completed run of the same science is
-// a hit.
-func (o *output) useCache(dir string, spec sim.CampaignSpec) (bool, error) {
-	if err := spec.ValidateUnsharded(); err != nil {
-		return false, fmt.Errorf("-if-cached: %w", err)
-	}
-	store, err := sweepd.OpenStore(dir)
-	if err != nil {
-		return false, err
-	}
-	hash, err := telemetry.SpecHash(spec)
-	if err != nil {
-		return false, err
-	}
-	if path, ok := store.Get(hash); ok {
-		o.logger.Info("spec already in store; skipping the run", "hash", hash, "manifest", path)
-		fmt.Fprintln(os.Stdout, path)
-		return true, nil
-	}
-	o.store, o.hash = store, hash
-	return false, nil
-}
-
-// finish ends every campaign run, -merge included. A failed or drained
-// run only records itself in the ledger, with the status saying how it
-// ended, so cmd/runlog surfaces unhealthy history. A completed run
-// saves the manifest, removes the spent cell log, installs the manifest
-// in the -if-cached store, writes the metric tables, prints the
-// summary, and then records itself. ran counts the trials this process
-// executed: the rate is never credited with resumed or merged cells.
+// finish ends every campaign run. A failed or drained run only records
+// itself in the ledger, with the status saying how it ended, so
+// cmd/runlog surfaces unhealthy history. A completed run saves the
+// manifest, writes the metric tables, prints the summary, and then
+// records itself. ran counts the trials this process executed: the
+// rate is never credited with stored cells.
 func (o *output) finish(mode string, spec sim.CampaignSpec, m *experiment.Manifest, ran int, wall time.Duration, stats *fleetStats, runErr error) error {
 	rec := telemetry.Record{
 		Name:      o.name,
@@ -301,19 +244,6 @@ func (o *output) finish(mode string, spec sim.CampaignSpec, m *experiment.Manife
 		return err
 	}
 	fmt.Fprintf(os.Stdout, "wrote %s (%d jobs, %d points)\n", path, m.Jobs, len(m.Points))
-	// The manifest now holds every cell the log did; a leftover log
-	// would only be unioned back in by a later -resume.
-	logPath := experiment.CellLogPath(o.dir, o.name)
-	if err := os.Remove(logPath); err != nil && !errors.Is(err, os.ErrNotExist) {
-		o.logger.Warn("removing spent cell log", "path", logPath, "err", err)
-	}
-	if o.store != nil {
-		stored, err := o.store.Install(o.hash, m, nil)
-		if err != nil {
-			return fmt.Errorf("installing manifest in store: %w", err)
-		}
-		o.logger.Info("manifest installed in store", "hash", o.hash, "path", stored)
-	}
 	if err := writeTables(os.Stdout, m.Points, o.metrics, o.dir, o.name, spec.Replicates, o.ascii); err != nil {
 		return err
 	}
@@ -370,116 +300,6 @@ func writeTables(w io.Writer, points []experiment.Point, metricsS, outDir, name 
 		}
 	}
 	return nil
-}
-
-// resumeCompatible rejects a resume whose prior manifest was produced
-// under different trial physics or seeding: dimension lists may differ
-// freely (extending the campaign is the point of -resume, and the
-// dimensions are encoded in each point's group/X identity), and so may
-// the cell range (a cell is exact under any shard layout), but the
-// seed, replicate count, and pass-through trial parameters must match —
-// they change results without changing any (group, N) label, so a merge
-// would silently mix incomparable points and break the paired-seed
-// methodology.
-func resumeCompatible(priorSpec json.RawMessage, spec sim.CampaignSpec) error {
-	if len(priorSpec) == 0 {
-		return nil
-	}
-	var prev sim.CampaignSpec
-	if err := sim.UnmarshalSpecJSON(priorSpec, &prev); err != nil {
-		return fmt.Errorf("unreadable spec in manifest: %w", err)
-	}
-	type pinned struct {
-		seed            int64
-		replicates      int
-		commRange       float64
-		jamRadius       float64
-		adjacentHolesOK bool
-		arInitProb      float64
-		arMaxHops       int
-	}
-	pin := func(s sim.CampaignSpec) pinned {
-		s = s.Normalized()
-		// Resolve trial-level defaults an explicit spec may spell out,
-		// so "comm_range: 10" and an omitted comm_range compare equal.
-		if s.CommRange == 0 {
-			s.CommRange = sim.PaperCommRange
-		}
-		return pinned{
-			seed:            s.BaseSeed,
-			replicates:      s.Replicates,
-			commRange:       s.CommRange,
-			jamRadius:       s.JamRadius,
-			adjacentHolesOK: s.AdjacentHolesOK,
-			arInitProb:      s.ARInitProb,
-			arMaxHops:       s.ARMaxHops,
-		}
-	}
-	if a, b := pin(prev), pin(spec); a != b {
-		return fmt.Errorf("produced with %+v, current campaign has %+v; "+
-			"rerun with matching parameters or a fresh -name", a, b)
-	}
-	return nil
-}
-
-// loadResumeState reads what a -resume run extends: the union of the
-// prior manifest and the checkpoint log, each vetted by
-// resumeCompatible. Either or both may be missing; with neither there
-// is nothing to resume from, so the full campaign runs. A cell both
-// hold is taken from the manifest (the bytes are identical by
-// determinism).
-func loadResumeState(manifestPath, logPath string, spec sim.CampaignSpec) (*experiment.Manifest, error) {
-	prior, err := loadResumeManifest(manifestPath, spec)
-	if err != nil {
-		return nil, err
-	}
-	log, err := experiment.ReadCellLog(logPath)
-	if errors.Is(err, os.ErrNotExist) {
-		return prior, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("resume: %w", err)
-	}
-	if err := resumeCompatible(log.Spec, spec); err != nil {
-		return nil, fmt.Errorf("resume log %s: %w", logPath, err)
-	}
-	if prior == nil {
-		return log, nil
-	}
-	type cell struct {
-		group string
-		x     float64
-	}
-	have := make(map[cell]bool, len(prior.Points))
-	for _, p := range prior.Points {
-		have[cell{p.Group, p.X}] = true
-	}
-	for _, p := range log.Points {
-		if !have[cell{p.Group, p.X}] {
-			prior.Points = append(prior.Points, p)
-		}
-	}
-	return prior, nil
-}
-
-// loadResumeManifest reads the manifest a -resume run extends and
-// vets it with resumeCompatible; a missing file yields nil.
-func loadResumeManifest(path string, spec sim.CampaignSpec) (*experiment.Manifest, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var prior experiment.Manifest
-	if err := json.Unmarshal(data, &prior); err != nil {
-		return nil, fmt.Errorf("resume manifest %s: %w", path, err)
-	}
-	if err := resumeCompatible(prior.Spec, spec); err != nil {
-		return nil, fmt.Errorf("resume manifest %s: %w", path, err)
-	}
-	return &prior, nil
 }
 
 func splitList(s string) []string {
@@ -588,8 +408,8 @@ func runStatus(err error) string {
 }
 
 // signalContext cancels the returned context on the first SIGINT or
-// SIGTERM, so campaigns drain gracefully — the checkpoint log keeps
-// every completed cell, the ledger records the abort — and exits
+// SIGTERM, so campaigns drain gracefully — a -store keeps every
+// completed cell, the ledger records the abort — and exits
 // immediately on the second signal for the human leaning on Ctrl-C.
 func signalContext(logger *slog.Logger) (context.Context, func()) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -600,7 +420,7 @@ func signalContext(logger *slog.Logger) (context.Context, func()) {
 		if !ok {
 			return
 		}
-		logger.Warn("signal received: draining (checkpoints flush, ledger records the abort); second signal exits immediately",
+		logger.Warn("signal received: draining (completed cells are already stored, ledger records the abort); second signal exits immediately",
 			"signal", sig.String())
 		cancel()
 		if sig, ok := <-ch; ok {
@@ -641,11 +461,9 @@ func run(args []string) (err error) {
 		listWk     = fs.Bool("list-workloads", false, "print the registered workload kinds with parameters and exit")
 		ttlsS      = fs.String("ttls", "", "comma-separated claim TTLs in rounds (adds a campaign dimension; SR-family sync runs only, 0 = claims never expire)")
 		runnersS   = fs.String("runners", "", "comma-separated trial runners: sync, async (default sync)")
-		resume     = fs.Bool("resume", false, "skip (group, N) cells already in the output manifest and merge new results into it")
-		shardS     = fs.String("shard", "", "cell shard i/n: run only the i-th of n contiguous blocks of campaign cells (union with -merge)")
-		merge      = fs.Bool("merge", false, "merge the shard manifests given as arguments into one campaign manifest instead of running trials")
+		shardS     = fs.String("shard", "", "cell shard i/n: run only the i-th of n contiguous blocks of campaign cells")
+		storeS     = fs.String("store", "", "cell store directory: compute only the cells it lacks and store each cell as it completes")
 		progressS  = fs.String("progress", "meter", "progress display: meter, none")
-		checkpoint = fs.Bool("checkpoint", false, "append every completed cell to <out>/<name>.cells.ndjson (one line, no fsync) so a killed run can -resume; removed once the manifest lands")
 		replicates = fs.Int("replicates", 20, "trials per campaign cell")
 		seed       = fs.Int64("seed", 1, "base random seed")
 		workers    = fs.Int("workers", 0, "parallel trial workers (0 = all cores)")
@@ -660,27 +478,12 @@ func run(args []string) (err error) {
 		dashLinger = fs.Duration("dash-linger", 0, "keep the dashboard serving this long after a successful campaign")
 		pprofF     = fs.Bool("pprof", false, "expose net/http/pprof on the dashboard server (requires -dash)")
 		ledgerS    = fs.String("ledger", "", "run-ledger NDJSON path (default <out>/ledger.ndjson; \"none\" disables)")
-		ifCachedS  = fs.String("if-cached", "", "sweepd manifest store directory: on a spec-hash hit print the cached manifest path and exit without running; on a miss run and install the result")
 	)
-	// Collect positional arguments (the -merge shard manifests) while
-	// allowing flags to follow them: the flag package stops at the first
-	// positional, so re-parse the remainder until everything is consumed
-	// ("sweep -merge a.json b.json -out dir" works either way around).
-	var positional []string
-	for rest := args; ; {
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
-		rest = fs.Args()
-		// A lone "-" is a positional too (flag.Parse stops at it without
-		// consuming it); collecting it keeps this loop making progress.
-		for len(rest) > 0 && (rest[0] == "-" || !strings.HasPrefix(rest[0], "-")) {
-			positional = append(positional, rest[0])
-			rest = rest[1:]
-		}
-		if len(rest) == 0 {
-			break
-		}
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
 
 	if *listWk {
@@ -711,44 +514,6 @@ func run(args []string) (err error) {
 		dir: *outDir, name: *name, metrics: *metricsS, ascii: *ascii,
 		ledger: resolveLedger(*ledgerS, *outDir),
 		logger: logger,
-	}
-
-	if *merge {
-		// Only output-shaping flags combine with -merge; any campaign
-		// dimension flag would be silently ignored, so reject it instead.
-		allowed := map[string]bool{
-			"merge": true, "out": true, "name": true, "metrics": true, "ascii": true,
-			"ledger": true, "if-cached": true,
-		}
-		var stray []string
-		fs.Visit(func(f *flag.Flag) {
-			if !allowed[f.Name] {
-				stray = append(stray, "-"+f.Name)
-			}
-		})
-		if len(stray) > 0 {
-			return fmt.Errorf("-merge takes shard manifests as arguments and no campaign flags (got %s)",
-				strings.Join(stray, ", "))
-		}
-		// Bad inputs fail before anything is recorded, like a campaign
-		// spec that fails validation. All checks — spec drift, the same
-		// file passed twice, a cell missing or held twice — live in
-		// dispatch.MergeShardManifests; a silent bad merge would corrupt
-		// the paired-seed methodology the campaign layer guarantees.
-		start := time.Now()
-		manifest, spec, err := dispatch.MergeShardManifests(positional, *name)
-		if err != nil {
-			return err
-		}
-		if *ifCachedS != "" {
-			if hit, err := out.useCache(*ifCachedS, spec); hit || err != nil {
-				return err
-			}
-		}
-		return out.finish("merge", spec, manifest, 0, time.Since(start), newFleetStats(), nil)
-	}
-	if len(positional) > 0 {
-		return fmt.Errorf("unexpected arguments %v (only -merge takes manifests)", positional)
 	}
 
 	var spec sim.CampaignSpec
@@ -808,14 +573,6 @@ func run(args []string) (err error) {
 		return err
 	}
 
-	// -if-cached is the CLI flavor of sweepd's dedupe: a store hit by
-	// spec hash short-circuits the whole run.
-	if *ifCachedS != "" {
-		if hit, err := out.useCache(*ifCachedS, spec); hit || err != nil {
-			return err
-		}
-	}
-
 	if *dashS != "" {
 		rig, derr := startDash(*dashS, *pprofF, *dashLinger, logger)
 		if derr != nil {
@@ -829,33 +586,25 @@ func run(args []string) (err error) {
 	stats := newFleetStats()
 	onProgress := progressSinks(progressMode, dash, stats)
 
-	// -resume: the existing manifest (if any) seeds the run; its cells
-	// inside the current job space are skipped and carried over.
-	manifestPath := filepath.Join(*outDir, *name+".json")
-	logPath := experiment.CellLogPath(*outDir, *name)
-	var prior *experiment.Manifest
-	if *resume {
-		if prior, err = loadResumeState(manifestPath, logPath, spec); err != nil {
-			return err
-		}
-	}
-	ckPath := ""
-	if *checkpoint {
-		ckPath = logPath
+	var store *dispatch.CellStore
+	if *storeS != "" {
+		store = dispatch.OpenCellStore(*storeS)
 	}
 	// Progress counts only the trials that will actually run (after the
-	// shard and resume filters): under -shard the total is the shard's
-	// own trial count, never the full campaign's.
-	local := dispatch.PlanLocal(spec, *name, prior, ckPath)
+	// shard range and the stored cells): under -shard the total is the
+	// shard's own trial count, never the full campaign's.
+	local, err := dispatch.PlanLocal(spec, *name, store)
+	if err != nil {
+		return err
+	}
 	local.OnProgress = onProgress
-	if local.Orphans > 0 {
-		logger.Info("resume: dropping cells outside the current spec",
-			"manifest", manifestPath, "orphans", local.Orphans)
+	if local.Reused > 0 {
+		logger.Info("reusing stored cells", "cells", local.Reused, "of", local.Cells, "store", *storeS)
 	}
 	// Test-only crash hook: WSNSWEEP_EXIT_AFTER=k kills the process
 	// with exit code 7 after k completed trials (a cell they complete is
-	// logged first), simulating a box dying mid-run for the
-	// kill-and-resume tests.
+	// stored first), simulating a box dying mid-run for the
+	// kill-and-rerun tests.
 	exitAfter := 0
 	if s := os.Getenv("WSNSWEEP_EXIT_AFTER"); s != "" {
 		exitAfter, _ = strconv.Atoi(s)
@@ -869,14 +618,9 @@ func run(args []string) (err error) {
 		}
 		return nil
 	})
-	wall := time.Since(start)
-	if err == nil && local.Resumed > 0 {
-		logger.Info("resume: skipped completed cells",
-			"manifest", manifestPath, "cells", local.Resumed, "new_trials", ran)
-	}
 	mode := "run"
 	if spec.CellCount > 0 {
 		mode = "shard"
 	}
-	return out.finish(mode, spec, manifest, ran, wall, stats, err)
+	return out.finish(mode, spec, manifest, ran, time.Since(start), stats, err)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -208,15 +209,32 @@ func TestRunWorkloadsFlag(t *testing.T) {
 	}
 }
 
-// TestRunResume pins the -resume satellite: a manifest produced by a
-// partial campaign plus a resumed run over a wider spec must be
-// byte-identical to the wider campaign run from scratch, and cells
-// already present must not rerun.
+// executed reads the ledger at path and returns, per record, the
+// trials that run executed: its rate times its wall time. A run is
+// never credited with the cells a store served.
+func executed(t *testing.T, path string) []int {
+	t.Helper()
+	recs, err := telemetry.ReadLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]int, len(recs))
+	for i, r := range recs {
+		out[i] = int(math.Round(r.TrialsPerS * r.WallS))
+	}
+	return out
+}
+
+// TestRunResume pins growing a campaign in stages over a -store: a
+// narrow campaign, then the same command over a wider spares axis,
+// computes only the new cells and writes the wider campaign's
+// from-scratch bytes; running it once more computes nothing and writes
+// them again.
 func TestRunResume(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{
 		"-schemes", "SR,AR", "-grids", "8x8", "-replicates", "3",
-		"-seed", "11", "-out", dir, "-name", "res",
+		"-seed", "11", "-out", dir, "-name", "res", "-store", filepath.Join(dir, "store"),
 		"-metrics", "moves", "-quiet",
 	}
 	// Phase 1: the narrow campaign.
@@ -227,8 +245,8 @@ func TestRunResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Phase 2: resume over the widened spares axis.
-	if err := run(append([]string{"-spares", "8,24", "-resume"}, base...)); err != nil {
+	// Phase 2: the widened spares axis over the same store.
+	if err := run(append([]string{"-spares", "8,24"}, base...)); err != nil {
 		t.Fatal(err)
 	}
 	resumed, err := os.ReadFile(filepath.Join(dir, "res.json"))
@@ -236,11 +254,9 @@ func TestRunResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if bytes.Equal(narrow, resumed) {
-		t.Fatal("resume added no points")
+		t.Fatal("the widened run added no points")
 	}
-	// Reference: the widened campaign from scratch. Replicate seeds are
-	// shared across cells, so the N=8 cells agree and the merged
-	// manifest must be byte-identical.
+	// Reference: the widened campaign from scratch, without a store.
 	refDir := t.TempDir()
 	refArgs := []string{
 		"-spares", "8,24", "-schemes", "SR,AR", "-grids", "8x8",
@@ -255,11 +271,11 @@ func TestRunResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(resumed, ref) {
-		t.Errorf("resumed manifest differs from from-scratch manifest:\n%s\nvs\n%s", resumed, ref)
+		t.Errorf("widened manifest over the store differs from the from-scratch manifest:\n%s\nvs\n%s", resumed, ref)
 	}
-	// Phase 3: resuming a complete manifest runs nothing and keeps the
-	// points intact.
-	if err := run(append([]string{"-spares", "8,24", "-resume"}, base...)); err != nil {
+	// Phase 3: with every cell stored the run computes nothing and
+	// writes the same points.
+	if err := run(append([]string{"-spares", "8,24"}, base...)); err != nil {
 		t.Fatal(err)
 	}
 	again, err := os.ReadFile(filepath.Join(dir, "res.json"))
@@ -267,42 +283,21 @@ func TestRunResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again, ref) {
-		t.Error("no-op resume changed the manifest")
+		t.Error("a run over a complete store changed the manifest")
+	}
+	if got := executed(t, filepath.Join(dir, "ledger.ndjson")); !reflect.DeepEqual(got, []int{6, 6, 0}) {
+		t.Errorf("runs executed %v trials, want [6 6 0]: the widening computes only its 2 new cells", got)
 	}
 
-	// Phase 4: the same complete manifest with its echoed spec in the
-	// older "failures" spelling, as manifests written before workloads
-	// replaced that list read. It is the same campaign: manifestdiff
-	// finds nothing, and resuming from it runs no trial and writes the
-	// cold run's bytes.
-	oldPath := filepath.Join(dir, "res.json")
+	// A manifest whose echoed spec names its damage with the older
+	// "failures" list is the same campaign: manifestdiff finds nothing.
+	oldPath := filepath.Join(t.TempDir(), "res.json")
 	if err := os.WriteFile(oldPath, withFailuresEcho(t, ref), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	diffs, err := dispatch.DiffManifests(oldPath, filepath.Join(refDir, "res.json"), 0)
 	if err != nil || len(diffs) != 0 {
 		t.Errorf("failures-spelled manifest differs from the cold run: %v %v", diffs, err)
-	}
-	spec := sim.CampaignSpec{
-		Schemes: []sim.SchemeKind{sim.SR, sim.AR}, Grids: []sim.GridSize{{Cols: 8, Rows: 8}},
-		Spares: []int{8, 24}, Replicates: 3, BaseSeed: 11,
-	}.Normalized()
-	prior, err := loadResumeManifest(oldPath, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan := dispatch.PlanLocal(spec, "res", prior, ""); plan.Executed != 0 || plan.Orphans != 0 {
-		t.Errorf("resume from the failures-spelled manifest plans %d trials and %d orphans, want none",
-			plan.Executed, plan.Orphans)
-	}
-	if err := run(append([]string{"-spares", "8,24", "-resume"}, base...)); err != nil {
-		t.Fatal(err)
-	}
-	if again, err = os.ReadFile(oldPath); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, ref) {
-		t.Error("resume from the failures-spelled manifest differs from the cold run")
 	}
 }
 
@@ -345,16 +340,18 @@ func withFailuresEcho(t *testing.T, data []byte) []byte {
 	return buf.Bytes()
 }
 
-// TestRunResumeUnionsManifestAndLog: -resume carries the cells of both
-// the prior manifest and the checkpoint log beside it, recomputes only
-// the rest, and removes the spent log; a log whose header echoes
-// another campaign's physics is rejected. The carried cells are marked
-// (a sentinel mean), so the final manifest shows where each came from.
-func TestRunResumeUnionsManifestAndLog(t *testing.T) {
-	args := func(out, spares string, extra ...string) []string {
+// TestStoreUnionsWriterSegments: a store is the union of its segments,
+// wherever they were written. The cells of a run into one store, and a
+// segment copied in from a run into another, are carried into a wider
+// campaign over the first store, which recomputes only the rest. The
+// carried cells are marked (a sentinel mean, which verification does
+// not read), so the final manifest shows where each came from.
+func TestStoreUnionsWriterSegments(t *testing.T) {
+	args := func(out, store, spares string, extra ...string) []string {
 		return append([]string{
 			"-schemes", "SR,AR", "-grids", "8x8", "-replicates", "3", "-seed", "11",
 			"-spares", spares, "-out", out, "-name", "res", "-metrics", "", "-quiet",
+			"-store", store,
 		}, extra...)
 	}
 	load := func(path string) experiment.Manifest {
@@ -366,54 +363,83 @@ func TestRunResumeUnionsManifestAndLog(t *testing.T) {
 		return m
 	}
 	const sentinel = -1
-	mark := func(p *experiment.Point) {
-		d := p.Metrics["moves"]
-		d.Mean = sentinel
-		p.Metrics["moves"] = d
+	// mark rewrites the SR 8x8 line of the one segment under store with
+	// the sentinel mean and returns the segment's path.
+	mark := func(store string) string {
+		t.Helper()
+		paths, err := filepath.Glob(filepath.Join(store, "cells", "*.ndjson"))
+		if err != nil || len(paths) != 1 {
+			t.Fatalf("store %s holds segments %v (%v), want one", store, paths, err)
+		}
+		data, err := os.ReadFile(paths[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		for i, line := range lines {
+			var l map[string]json.RawMessage
+			if json.Unmarshal(line, &l) != nil {
+				continue
+			}
+			var p experiment.Point
+			if err := json.Unmarshal(l["point"], &p); err != nil {
+				t.Fatal(err)
+			}
+			if p.Group != "SR 8x8" {
+				continue
+			}
+			d := p.Metrics["moves"]
+			d.Mean = sentinel
+			p.Metrics["moves"] = d
+			if l["point"], err = json.Marshal(p); err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines[i] = append(b, '\n')
+		}
+		if err := os.WriteFile(paths[0], bytes.Join(lines, nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return paths[0]
 	}
 
-	// The prior manifest holds the N=8 cells, SR's one marked.
+	// Store a holds the N=8 cells, store b the N=24 ones; SR's are marked.
 	dir := t.TempDir()
-	if err := run(args(dir, "8")); err != nil {
+	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
+	if err := run(args(dir, a, "8")); err != nil {
 		t.Fatal(err)
 	}
-	prior := load(filepath.Join(dir, "res.json"))
-	mark(&prior.Points[1]) // canonical order: AR 8x8, SR 8x8
-	if _, err := prior.Save(dir); err != nil {
+	mark(a)
+	if err := run(args(t.TempDir(), b, "24")); err != nil {
 		t.Fatal(err)
 	}
-	// The log, as a run of N=24 cut short would leave it, holds SR's
-	// N=24 cell, marked.
-	other := t.TempDir()
-	if err := run(args(other, "24")); err != nil {
-		t.Fatal(err)
-	}
-	logged := load(filepath.Join(other, "res.json"))
-	sr24 := logged.Points[1]
-	mark(&sr24)
-	log, err := experiment.CreateCellLog(experiment.CellLogPath(dir, "res"), &logged,
-		[]experiment.CellRecord{{Point: sr24, Trials: 3}})
+	seg, err := os.ReadFile(mark(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	log.Close()
+	if err := os.WriteFile(filepath.Join(a, "cells", "from-b.ndjson"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	if err := run(args(dir, "8,24,40", "-resume")); err != nil {
+	if err := run(args(dir, a, "8,24,40")); err != nil {
 		t.Fatal(err)
 	}
 	got := load(filepath.Join(dir, "res.json"))
 	refDir := t.TempDir()
-	if err := run(args(refDir, "8,24,40")); err != nil {
+	if err := run(args(refDir, filepath.Join(refDir, "store"), "8,24,40")); err != nil {
 		t.Fatal(err)
 	}
 	want := load(filepath.Join(refDir, "res.json"))
 	if len(got.Points) != len(want.Points) {
-		t.Fatalf("resumed manifest has %d points, want %d", len(got.Points), len(want.Points))
+		t.Fatalf("manifest has %d points, want %d", len(got.Points), len(want.Points))
 	}
 	for i, p := range got.Points {
 		carried := p.Group == "SR 8x8" && (p.X == 8 || p.X == 24)
 		if mean := p.Metrics["moves"].Mean; carried != (mean == sentinel) {
-			t.Errorf("%s N=%g: moves mean %g; carried from manifest or log: %v", p.Group, p.X, mean, carried)
+			t.Errorf("%s N=%g: moves mean %g; carried from a segment: %v", p.Group, p.X, mean, carried)
 		}
 		if carried {
 			got.Points[i] = want.Points[i]
@@ -422,40 +448,26 @@ func TestRunResumeUnionsManifestAndLog(t *testing.T) {
 	if !reflect.DeepEqual(got.Points, want.Points) {
 		t.Error("recomputed cells differ from a from-scratch run")
 	}
-	if _, err := os.Stat(experiment.CellLogPath(dir, "res")); !os.IsNotExist(err) {
-		t.Errorf("the spent cell log survived the final manifest (stat err %v)", err)
-	}
-
-	// A log from a campaign with another seed is not resumable.
-	foreign := t.TempDir()
-	if err := run(append(args(foreign, "8"), "-seed", "12")); err != nil {
-		t.Fatal(err)
-	}
-	head := load(filepath.Join(foreign, "res.json"))
-	bad := t.TempDir()
-	if log, err = experiment.CreateCellLog(experiment.CellLogPath(bad, "res"), &head, nil); err != nil {
-		t.Fatal(err)
-	}
-	log.Close()
-	if err := run(args(bad, "8", "-resume")); err == nil || !strings.Contains(err.Error(), "resume log") {
-		t.Errorf("resume over a foreign log: err = %v, want a resume log rejection", err)
+	if got := executed(t, filepath.Join(dir, "ledger.ndjson")); !reflect.DeepEqual(got, []int{6, 6}) {
+		t.Errorf("runs executed %v trials, want [6 6]: the wide run reuses 4 stored cells and computes 2", got)
 	}
 }
 
-// TestRunResumeDropsOrphanCells pins manifest self-consistency: prior
-// points whose dimension values the current spec no longer lists are
-// dropped, so the written manifest never contains points its recorded
-// spec cannot describe.
+// TestRunResumeDropsOrphanCells pins manifest self-consistency: stored
+// cells whose dimension values the current spec does not list stay out
+// of its manifest, so the written manifest never contains points its
+// recorded spec cannot describe.
 func TestRunResumeDropsOrphanCells(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{
 		"-grids", "8x8", "-spares", "8", "-replicates", "2", "-seed", "3",
 		"-out", dir, "-name", "orph", "-metrics", "moves", "-quiet",
+		"-store", filepath.Join(dir, "store"),
 	}
 	if err := run(append([]string{"-schemes", "SR,AR"}, base...)); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append([]string{"-schemes", "SR", "-resume"}, base...)); err != nil {
+	if err := run(append([]string{"-schemes", "SR"}, base...)); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "orph.json"))
@@ -471,36 +483,53 @@ func TestRunResumeDropsOrphanCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(m.Points) != 1 || m.Points[0].Group != "SR 8x8" {
-		t.Errorf("narrowed resume kept orphan points: %+v", m.Points)
+		t.Errorf("narrowed run kept stored points outside its spec: %+v", m.Points)
 	}
 }
 
-// TestRunResumeRejectsIncompatibleSpec pins the merge-soundness check:
-// a resume may extend dimension lists, but changing the seed, replicate
-// count, or pass-through trial parameters would silently mix
-// incomparable points under unchanged (group, N) labels.
-func TestRunResumeRejectsIncompatibleSpec(t *testing.T) {
+// TestStoreRerunChangedSpecRecomputes: a changed seed, replicate count
+// or trial parameter changes results without changing any (group, N)
+// label, and addresses other cells, so a rerun over the same store
+// computes every cell and writes what a run without a store writes;
+// extending a dimension list reuses the stored cells.
+func TestStoreRerunChangedSpecRecomputes(t *testing.T) {
 	dir := t.TempDir()
+	store := filepath.Join(dir, "store")
 	base := []string{
-		"-schemes", "SR", "-grids", "8x8", "-out", dir, "-name", "inc",
-		"-metrics", "moves", "-quiet",
+		"-schemes", "SR", "-grids", "8x8", "-name", "inc", "-metrics", "moves", "-quiet",
 	}
-	if err := run(append([]string{"-spares", "8", "-seed", "1", "-replicates", "2"}, base...)); err != nil {
+	if err := run(append([]string{"-spares", "8", "-seed", "1", "-replicates", "2", "-out", dir, "-store", store}, base...)); err != nil {
 		t.Fatal(err)
 	}
 	for _, args := range [][]string{
-		{"-spares", "8,24", "-seed", "2", "-replicates", "2", "-resume"},
-		{"-spares", "8,24", "-seed", "1", "-replicates", "5", "-resume"},
-		{"-spares", "8,24", "-seed", "1", "-replicates", "2", "-adjacent", "-resume"},
+		{"-spares", "8,24", "-seed", "2", "-replicates", "2"},
+		{"-spares", "8,24", "-seed", "1", "-replicates", "5"},
+		{"-spares", "8,24", "-seed", "1", "-replicates", "2", "-adjacent"},
+		{"-spares", "8,24", "-seed", "1", "-replicates", "2", "-jam-radius", "9"},
 	} {
-		if err := run(append(args, base...)); err == nil ||
-			!strings.Contains(err.Error(), "resume manifest") {
-			t.Errorf("run(%v) = %v, want incompatible-resume error", args, err)
+		out, ref := t.TempDir(), t.TempDir()
+		if err := run(append(append([]string{"-out", out, "-store", store}, args...), base...)); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(append(append([]string{"-out", ref}, args...), base...)); err != nil {
+			t.Fatal(err)
+		}
+		assertSameBytes(t, filepath.Join(out, "inc.json"), filepath.Join(ref, "inc.json"))
+		want := 2 * 2
+		if args[5] == "5" {
+			want = 2 * 5
+		}
+		if got := executed(t, filepath.Join(out, "ledger.ndjson")); len(got) != 1 || got[0] != want {
+			t.Errorf("run(%v) over the store executed %v trials, want every cell's %d", args, got, want)
 		}
 	}
-	// The compatible extension still works.
-	if err := run(append([]string{"-spares", "8,24", "-seed", "1", "-replicates", "2", "-resume"}, base...)); err != nil {
-		t.Errorf("compatible resume failed: %v", err)
+	// The compatible extension computes only its new cell.
+	out := t.TempDir()
+	if err := run(append([]string{"-spares", "8,24", "-seed", "1", "-replicates", "2", "-out", out, "-store", store}, base...)); err != nil {
+		t.Fatal(err)
+	}
+	if got := executed(t, filepath.Join(out, "ledger.ndjson")); len(got) != 1 || got[0] != 2 {
+		t.Errorf("the extension executed %v trials, want the N=24 cell's 2", got)
 	}
 }
 
@@ -571,11 +600,13 @@ func TestParseShard(t *testing.T) {
 }
 
 // TestShardMergeMatchesUnsharded is the multi-box sharding story end to
-// end: run a campaign whole, run it again as three -shard pieces, merge
-// the pieces, and compare: the merge is the unsharded manifest, byte for
-// byte.
+// end: run a campaign whole, run it again as three -shard pieces into
+// one store, then run it unsharded over that store: that run computes
+// nothing and writes the unsharded manifest, byte for byte, its tables
+// and one ledger record like any run.
 func TestShardMergeMatchesUnsharded(t *testing.T) {
 	dir := t.TempDir()
+	store := filepath.Join(dir, "store")
 	base := []string{
 		"-schemes", "SR,AR", "-grids", "8x8", "-spares", "8,24", "-workloads", "holes,jam",
 		"-replicates", "5", "-seed", "21", "-metrics", "moves", "-quiet",
@@ -584,26 +615,22 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 	if err := run(append([]string{"-out", fullDir, "-name", "merged"}, base...)); err != nil {
 		t.Fatal(err)
 	}
-	shardPaths := make([]string, 0, 3)
 	for i := 1; i <= 3; i++ {
-		name := fmt.Sprintf("shard%d", i)
-		args := append([]string{"-out", dir, "-name", name, "-shard", fmt.Sprintf("%d/3", i)}, base...)
+		args := append([]string{"-out", dir, "-name", fmt.Sprintf("shard%d", i), "-shard", fmt.Sprintf("%d/3", i), "-store", store}, base...)
 		if err := run(args); err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
-		shardPaths = append(shardPaths, filepath.Join(dir, name+".json"))
 	}
-	mergeArgs := append([]string{"-merge", "-out", dir, "-name", "merged", "-metrics", "moves"}, shardPaths...)
-	if err := run(mergeArgs); err != nil {
-		t.Fatalf("merge: %v", err)
+	if err := run(append([]string{"-out", dir, "-name", "merged", "-store", store}, base...)); err != nil {
+		t.Fatalf("assembly: %v", err)
 	}
 	assertSameBytes(t, filepath.Join(dir, "merged.json"), filepath.Join(fullDir, "merged.json"))
-	// The merged tables exist like a normal run's.
+	// The assembled tables exist like a normal run's.
 	if _, err := os.Stat(filepath.Join(dir, "merged-moves.csv")); err != nil {
 		t.Error(err)
 	}
-	// The merge ledgers itself after the three shards, under the spec
-	// hash of the unsharded run.
+	// The assembly ledgers itself after the three shards, under the spec
+	// hash of the unsharded run, with nothing executed.
 	full, err := telemetry.ReadLedger(filepath.Join(fullDir, "ledger.ndjson"))
 	if err != nil {
 		t.Fatal(err)
@@ -612,120 +639,31 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 4 || recs[3].Mode != "merge" || recs[3].SpecHash != full[0].SpecHash || recs[3].Jobs != full[0].Jobs {
-		t.Errorf("ledger after the merge = %+v, want 3 shard records and a merge record matching %+v", recs, full[0])
+	if len(recs) != 4 || recs[3].Mode != "run" || recs[3].SpecHash != full[0].SpecHash || recs[3].Jobs != full[0].Jobs {
+		t.Errorf("ledger after the assembly = %+v, want 3 shard records and a run record matching %+v", recs, full[0])
 	}
-
-	// A shard whose spec names its damage with the older "failures"
-	// list is the same campaign and merges into the same bytes.
-	oldDir := t.TempDir()
-	data, err := os.ReadFile(shardPaths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldShard := filepath.Join(oldDir, "shard1.json")
-	if err := os.WriteFile(oldShard, withFailuresEcho(t, data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mergeArgs = []string{"-merge", "-out", oldDir, "-name", "merged", "-metrics", "", oldShard, shardPaths[1], shardPaths[2]}
-	if err := run(mergeArgs); err != nil {
-		t.Fatalf("merge with a failures-spelled shard: %v", err)
-	}
-	want, err := os.ReadFile(filepath.Join(dir, "merged.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := os.ReadFile(filepath.Join(oldDir, "merged.json")); err != nil || !bytes.Equal(got, want) {
-		t.Errorf("merge with a failures-spelled shard differs (%v)", err)
+	if got := executed(t, filepath.Join(dir, "ledger.ndjson")); got[3] != 0 {
+		t.Errorf("the assembly executed %d trials, want none", got[3])
 	}
 }
 
-// TestMergeRejectsBadShardSets: overlaps, gaps, spec mismatches, a
-// shard merged with a whole-campaign manifest, and the same shard
-// passed twice must all fail loudly instead of merging quietly.
-func TestMergeRejectsBadShardSets(t *testing.T) {
-	dir := t.TempDir()
-	base := []string{
-		"-schemes", "SR", "-grids", "8x8", "-spares", "8,24",
-		"-replicates", "4", "-seed", "3", "-out", dir, "-metrics", "moves", "-quiet",
-	}
-	mk := func(name, shard string, extra ...string) string {
-		args := append([]string{"-name", name}, base...)
-		if shard != "" {
-			args = append(args, "-shard", shard)
-		}
-		args = append(args, extra...)
-		if err := run(args); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return filepath.Join(dir, name+".json")
-	}
-	s1 := mk("s1", "1/2")
-	s2 := mk("s2", "2/2")
-	s2copy := mk("s2copy", "2/2") // same shard rerun under a new name
-	whole := mk("whole", "")
-	if err := run([]string{
-		"-name", "o2", "-shard", "2/2", "-schemes", "SR", "-grids", "8x8",
-		"-spares", "8,24", "-replicates", "4", "-seed", "999", "-out", dir,
-		"-metrics", "moves", "-quiet",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	o2 := filepath.Join(dir, "o2.json")
-	// A genuinely overlapping range (cells [0, 2) against [0, 1)) needs a
-	// spec file: -shard only produces even tilings.
-	overlapSpec := filepath.Join(dir, "overlap.spec.json")
-	if err := os.WriteFile(overlapSpec, []byte(`{
-		"schemes": ["SR"], "grids": [{"cols": 8, "rows": 8}], "spares": [8, 24],
-		"replicates": 4, "seed": 3, "cell_first": 0, "cell_count": 2
-	}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-spec", overlapSpec, "-name", "ov", "-out", dir, "-metrics", "moves", "-quiet"}); err != nil {
-		t.Fatal(err)
-	}
-	ov := filepath.Join(dir, "ov.json")
-
-	cases := []struct {
-		name  string
-		paths []string
-		want  string
-	}{
-		{"same-path-twice", []string{s1, s1}, "passed twice"},
-		{"same-shard-two-files", []string{s1, s2, s2copy}, "same shard"},
-		{"overlap", []string{s1, ov}, "overlaps"},
-		{"gap", []string{s2}, "missing"},
-		{"missing-tail", []string{s1}, "missing"},
-		{"shard-and-whole", []string{s1, whole}, "overlaps"},
-		{"spec-mismatch", []string{s1, o2}, "different campaign specs"},
-		{"no-manifests", nil, "no shard manifests"},
-	}
-	for _, c := range cases {
-		args := append([]string{"-merge", "-out", dir, "-name", "bad", "-metrics", "moves"}, c.paths...)
-		err := run(args)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: run(-merge %v) = %v, want error containing %q", c.name, c.paths, err, c.want)
-		}
-	}
-}
-
-// TestMergeSingleShardDegenerate: one manifest covering every cell
-// (-shard 1/1) merges into a manifest identical to the unsharded run's,
-// with only the cell range stripped from its spec.
+// TestMergeSingleShardDegenerate: one shard covering every cell
+// (-shard 1/1) stored and then assembled by an unsharded run over the
+// store gives a manifest identical to the unsharded run's.
 func TestMergeSingleShardDegenerate(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{
 		"-schemes", "SR", "-grids", "8x8", "-spares", "8",
 		"-replicates", "4", "-seed", "3", "-out", dir, "-metrics", "moves", "-quiet",
 	}
-	if err := run(append([]string{"-name", "solo", "-shard", "1/1"}, base...)); err != nil {
+	store := filepath.Join(dir, "store")
+	if err := run(append([]string{"-name", "solo", "-shard", "1/1", "-store", store}, base...)); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(append([]string{"-name", "plain"}, base...)); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-merge", filepath.Join(dir, "solo.json"),
-		"-out", dir, "-name", "plain2", "-metrics", "moves"}); err != nil {
+	if err := run(append([]string{"-name", "plain2", "-store", store}, base...)); err != nil {
 		t.Fatal(err)
 	}
 	plain, err := os.ReadFile(filepath.Join(dir, "plain.json"))
@@ -740,7 +678,10 @@ func TestMergeSingleShardDegenerate(t *testing.T) {
 	// bytes.
 	norm := strings.Replace(string(merged), `"name": "plain2"`, `"name": "plain"`, 1)
 	if norm != string(plain) {
-		t.Errorf("single-shard merge differs from the unsharded manifest:\n%s\nvs\n%s", norm, plain)
+		t.Errorf("single-shard assembly differs from the unsharded manifest:\n%s\nvs\n%s", norm, plain)
+	}
+	if got := executed(t, filepath.Join(dir, "ledger.ndjson")); !reflect.DeepEqual(got, []int{4, 4, 0}) {
+		t.Errorf("runs executed %v trials, want [4 4 0]", got)
 	}
 }
 
@@ -787,32 +728,28 @@ func TestShardManifestRecordsRange(t *testing.T) {
 	}
 }
 
-// TestBareDashArgumentErrors: a lone "-" must produce an error, not an
-// infinite flag-reparse loop (regression test).
+// TestBareDashArgumentErrors: a lone "-" or any other positional
+// argument is an error, not a hang or a silently ignored input.
 func TestBareDashArgumentErrors(t *testing.T) {
-	done := make(chan error, 1)
-	go func() { done <- run([]string{"-merge", "a.json", "-"}) }()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Error("run(-merge a.json -) should fail")
+	for _, args := range [][]string{{"-quiet", "-"}, {"x.json", "-quiet"}, {"-quiet", "a.json", "b.json"}} {
+		done := make(chan error, 1)
+		go func() { done <- run(append(args, "-out", t.TempDir())) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "unexpected arguments") {
+				t.Errorf("run(%v) = %v, want an unexpected-arguments error", args, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("run(%v) hung", args)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run(-merge a.json -) hung")
-	}
-	// Positionals without -merge are rejected too.
-	if err := run([]string{"x.json", "-out", t.TempDir(), "-quiet"}); err == nil ||
-		!strings.Contains(err.Error(), "unexpected arguments") {
-		t.Errorf("stray positional = %v, want unexpected-arguments error", err)
 	}
 }
 
-// TestRunIfCached pins the CLI cache path: two -shard runs merged with
-// -merge -if-cached install a manifest byte-equal to the in-process
-// run's, a later in-process run of the same science — different out
-// dir, different worker count — is answered from the store without
-// writing a manifest, and shard-pinned specs are refused (a shard is
-// not the whole campaign).
+// TestRunIfCached pins the cache hit of the CLI: a run whose cells are
+// all stored — here by two -shard runs at different worker counts —
+// computes nothing, from any out dir, and still ends like every run:
+// the manifest (byte-equal to the in-process run's), its tables, and
+// one completed ledger record.
 func TestRunIfCached(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "store")
 	campaign := []string{
@@ -823,52 +760,28 @@ func TestRunIfCached(t *testing.T) {
 	if err := run(append([]string{"-out", refDir, "-name", "cached"}, campaign...)); err != nil {
 		t.Fatal(err)
 	}
-	direct, err := os.ReadFile(filepath.Join(refDir, "cached.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	shardDir := t.TempDir()
-	var shards []string
 	for i := 1; i <= 2; i++ {
-		name := fmt.Sprintf("s%d", i)
-		if err := run(append([]string{"-out", shardDir, "-name", name, "-shard", fmt.Sprintf("%d/2", i)}, campaign...)); err != nil {
+		args := append([]string{"-out", shardDir, "-name", fmt.Sprintf("s%d", i), "-shard", fmt.Sprintf("%d/2", i),
+			"-workers", fmt.Sprint(2 * i), "-store", store}, campaign...)
+		if err := run(args); err != nil {
 			t.Fatal(err)
 		}
-		shards = append(shards, filepath.Join(shardDir, name+".json"))
 	}
-	mergeDir := t.TempDir()
-	merge := append([]string{"-merge", "-out", mergeDir, "-name", "cached", "-metrics", "moves", "-if-cached", store}, shards...)
-	if err := run(merge); err != nil {
+	hitDir := t.TempDir()
+	if err := run(append([]string{"-out", hitDir, "-name", "cached", "-store", store}, campaign...)); err != nil {
 		t.Fatal(err)
 	}
-	stored, err := filepath.Glob(filepath.Join(store, "manifests", "*.json"))
-	if err != nil || len(stored) != 1 {
-		t.Fatalf("store holds %d manifests (%v), want 1", len(stored), err)
+	assertSameBytes(t, filepath.Join(hitDir, "cached.json"), filepath.Join(refDir, "cached.json"))
+	if _, err := os.Stat(filepath.Join(hitDir, "cached-moves.csv")); err != nil {
+		t.Error(err)
 	}
-	data, err := os.ReadFile(stored[0])
-	if err != nil {
-		t.Fatal(err)
+	recs, err := telemetry.ReadLedger(filepath.Join(hitDir, "ledger.ndjson"))
+	if err != nil || len(recs) != 1 || recs[0].Mode != "run" || recs[0].Status != telemetry.StatusCompleted {
+		t.Errorf("cache-hit ledger = %+v (%v), want one completed run record", recs, err)
 	}
-	if !bytes.Equal(data, direct) {
-		t.Errorf("merge-installed manifest differs from the in-process run's:\n%s\nvs\n%s", data, direct)
-	}
-	recs, err := telemetry.ReadLedger(filepath.Join(mergeDir, "ledger.ndjson"))
-	if err != nil || len(recs) != 1 || recs[0].Mode != "merge" || recs[0].Status != telemetry.StatusCompleted {
-		t.Errorf("merge ledger = %+v (%v), want one completed mode-merge record", recs, err)
-	}
-
-	campaign = append(campaign, "-if-cached", store)
-	out2 := t.TempDir()
-	if err := run(append([]string{"-out", out2, "-name", "cached", "-workers", "4"}, campaign...)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(out2, "cached.json")); !os.IsNotExist(err) {
-		t.Errorf("cache hit still wrote a manifest (stat err %v)", err)
-	}
-
-	err = run(append([]string{"-out", t.TempDir(), "-shard", "1/2"}, campaign...))
-	if err == nil || !strings.Contains(err.Error(), "-if-cached") {
-		t.Errorf("-if-cached with -shard = %v, want rejection", err)
+	if got := executed(t, filepath.Join(hitDir, "ledger.ndjson")); got[0] != 0 {
+		t.Errorf("the cache hit executed %d trials, want none", got[0])
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 	"wsncover/internal/telemetry"
 )
 
-// TestMain doubles as the entry point of the kill-and-resume tests: they
+// TestMain doubles as the entry point of the kill-and-rerun tests: they
 // re-execute the current binary, which under `go test` is the test
 // binary. With WSNSWEEP_WORKER=1 set, this process behaves exactly like
 // cmd/sweep, so a killed run exercises the real code path without
@@ -114,8 +114,8 @@ func TestShardProgressJSONTotals(t *testing.T) {
 // opens with 0/total, never goes backwards, ends with a final
 // done == total, and every group's first and last trial emit a snapshot
 // whatever the throttle does — the ledger's group spans and the
-// dashboard's heatmap depend on it. A resumed run with nothing left to
-// execute emits only its terminal snapshot.
+// dashboard's heatmap depend on it. A rerun over a store that holds
+// every cell emits only its terminal snapshot.
 func TestLocalProgressJSONGroupBoundaries(t *testing.T) {
 	snapshots := watchDash(t)
 	dir := t.TempDir()
@@ -124,6 +124,7 @@ func TestLocalProgressJSONGroupBoundaries(t *testing.T) {
 		"-schemes", "SR,AR", "-grids", "8x8,10x10", "-spares", "8,24",
 		"-replicates", "3", "-seed", "5", "-quiet", "-dash", "127.0.0.1:0",
 		"-out", dir, "-name", "g", "-metrics", "", "-ledger", "none",
+		"-store", filepath.Join(dir, "store"),
 	}
 	if err := run(args); err != nil {
 		t.Fatal(err)
@@ -186,31 +187,31 @@ func TestLocalProgressJSONGroupBoundaries(t *testing.T) {
 	}
 
 	snapshots = watchDash(t)
-	if err := run(append(args, "-resume")); err != nil {
+	if err := run(args); err != nil {
 		t.Fatal(err)
 	}
 	if snaps := snapshots(); len(snaps) != 1 || !snaps[0].Final || snaps[0].Fleet.Total != 0 {
-		t.Errorf("a resumed run with nothing to execute published %+v, want only a final 0/0", snaps)
+		t.Errorf("a rerun with nothing to execute published %+v, want only a final 0/0", snaps)
 	}
 }
 
-// TestShardResumeJobsAccounting pins the Jobs bookkeeping fix: a shard
-// manifest grown by -resume must count the trials its points represent
-// (prior retained cells included), exactly like the same shard run in
-// one go — otherwise -merge under-reports the campaign's job count.
+// TestShardResumeJobsAccounting pins the Jobs bookkeeping: a shard
+// manifest grown over a store must count the trials its points
+// represent (reused cells included), exactly like the same shard run in
+// one go.
 func TestShardResumeJobsAccounting(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{
 		"-schemes", "SR", "-grids", "8x8", "-replicates", "4",
 		"-seed", "5", "-shard", "2/2", "-out", dir, "-name", "sh",
-		"-metrics", "", "-quiet",
+		"-metrics", "", "-quiet", "-store", filepath.Join(dir, "store"),
 	}
 	// Shard 2/2 of 2 cells is the N=24 cell; of 4 cells it is N=24 and
-	// N=40, so the resume keeps one cell and computes one.
+	// N=40, so the second run reuses one cell and computes one.
 	if err := run(append([]string{"-spares", "8,24"}, base...)); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append([]string{"-spares", "8,16,24,40", "-resume"}, base...)); err != nil {
+	if err := run(append([]string{"-spares", "8,16,24,40"}, base...)); err != nil {
 		t.Fatal(err)
 	}
 	resumed, err := os.ReadFile(filepath.Join(dir, "sh.json"))
@@ -232,60 +233,62 @@ func TestShardResumeJobsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(resumed, direct) {
-		t.Errorf("resumed shard manifest differs from the direct run:\n%s\nvs\n%s", resumed, direct)
+		t.Errorf("shard manifest over the store differs from the direct run:\n%s\nvs\n%s", resumed, direct)
 	}
 	var m experiment.Manifest
 	if err := json.Unmarshal(resumed, &m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Jobs != 8 {
-		t.Errorf("resumed shard manifest jobs = %d, want 8 (4 prior + 4 new)", m.Jobs)
+		t.Errorf("shard manifest jobs = %d, want 8 (4 reused + 4 new)", m.Jobs)
 	}
 }
 
 // TestResumeUnshardedAfterShard: a cell is exact under any layout, so
-// -resume without -shard extends a shard's manifest to the whole
-// campaign, computing only the other shard's cells, and lands on the
-// cold unsharded run's bytes.
+// an unsharded run over the store a shard filled computes only the
+// other shard's cells and lands on the cold unsharded run's bytes.
 func TestResumeUnshardedAfterShard(t *testing.T) {
 	dir := t.TempDir()
 	// SR,AR x {8, 24}: 4 cells of 3 trials; shard 1/2 holds 2 of them.
 	campaign := []string{
 		"-schemes", "SR,AR", "-grids", "8x8", "-spares", "8,24",
 		"-replicates", "3", "-seed", "13", "-metrics", "", "-ledger", "none",
+		"-store", filepath.Join(dir, "store"),
 	}
 	if err := run(append([]string{"-out", dir, "-name", "c", "-shard", "1/2", "-quiet"}, campaign...)); err != nil {
 		t.Fatal(err)
 	}
 	snapshots := watchDash(t)
-	if err := run(append([]string{"-out", dir, "-name", "c", "-resume", "-quiet", "-dash", "127.0.0.1:0"}, campaign...)); err != nil {
+	if err := run(append([]string{"-out", dir, "-name", "c", "-quiet", "-dash", "127.0.0.1:0"}, campaign...)); err != nil {
 		t.Fatal(err)
 	}
 	snaps := snapshots()
 	if len(snaps) == 0 || snaps[0].Fleet.Total != 6 || snaps[len(snaps)-1].Fleet.Done != 6 {
-		t.Errorf("resume snapshots %+v, want 6 trials: only the other shard's 2 cells", snaps)
+		t.Errorf("unsharded run's snapshots %+v, want 6 trials: only the other shard's 2 cells", snaps)
 	}
 	coldDir := t.TempDir()
-	if err := run(append([]string{"-out", coldDir, "-name", "c", "-quiet"}, campaign...)); err != nil {
+	if err := run(append([]string{"-out", coldDir, "-name", "c", "-quiet"}, campaign[:len(campaign)-2]...)); err != nil {
 		t.Fatal(err)
 	}
 	assertSameBytes(t, filepath.Join(dir, "c.json"), filepath.Join(coldDir, "c.json"))
 }
 
 // TestCheckpointResumeAfterKill is the failure path of a multi-box
-// campaign: a run killed mid-way leaves a checkpoint log of its
-// completed cells, a -resume rerun finishes only the missing cells, and
-// the final manifest is byte-identical to an uninterrupted run.
+// campaign: a run killed mid-way leaves no manifest and a store holding
+// exactly its completed cells, and running the same command again
+// finishes only the missing cells, with a manifest byte-identical to an
+// uninterrupted run.
 func TestCheckpointResumeAfterKill(t *testing.T) {
 	dir := t.TempDir()
+	store := filepath.Join(dir, "store")
 	args := []string{
 		"-schemes", "SR", "-grids", "8x8", "-spares", "8,24",
 		"-replicates", "3", "-seed", "9", "-out", dir, "-name", "ck",
-		"-metrics", "", "-checkpoint", "-quiet",
+		"-metrics", "", "-store", store, "-quiet",
 	}
 	// Re-exec this test binary as a run that dies (exit 7) right after
-	// its third trial — the moment the first cell completes and
-	// checkpoints.
+	// its third trial — the moment the first cell completes and is
+	// stored.
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "WSNSWEEP_WORKER=1", "WSNSWEEP_EXIT_AFTER=3")
 	out, err := cmd.CombinedOutput()
@@ -293,19 +296,31 @@ func TestCheckpointResumeAfterKill(t *testing.T) {
 	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 7 {
 		t.Fatalf("killed run = %v (output %q), want exit code 7", err, out)
 	}
+	if _, err := os.Stat(filepath.Join(dir, "ck.json")); !os.IsNotExist(err) {
+		t.Fatalf("the killed run wrote a manifest (stat err %v)", err)
+	}
 
-	// The checkpoint log holds exactly the completed cell.
-	pm, err := experiment.ReadCellLog(filepath.Join(dir, "ck.cells.ndjson"))
+	// The store holds exactly the completed cell: one segment, one line.
+	segs, err := filepath.Glob(filepath.Join(store, "cells", "*.ndjson"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("store holds segments %v (%v), want one", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
 	if err != nil {
-		t.Fatalf("no checkpoint log after the kill: %v", err)
+		t.Fatal(err)
 	}
-	if len(pm.Points) != 1 || pm.Points[0].X != 8 || pm.Jobs != 3 {
-		t.Fatalf("checkpoint = %d points (X=%g) %d jobs, want the completed N=8 cell and 3 jobs",
-			len(pm.Points), pm.Points[0].X, pm.Jobs)
+	var line struct {
+		Point  experiment.Point `json:"point"`
+		Trials int              `json:"trials"`
+	}
+	if bytes.Count(data, []byte("\n")) != 1 || !bytes.HasSuffix(data, []byte("\n")) ||
+		json.Unmarshal(data, &line) != nil || line.Point.X != 8 || line.Trials != 3 {
+		t.Fatalf("store segment %q, want one whole line: the N=8 cell over 3 trials", data)
 	}
 
-	// Resume in-process and compare with an uninterrupted run.
-	if err := run(append(append([]string{}, args...), "-resume")); err != nil {
+	// Run the same command again, in-process, and compare with an
+	// uninterrupted run.
+	if err := run(args); err != nil {
 		t.Fatal(err)
 	}
 	resumed, err := os.ReadFile(filepath.Join(dir, "ck.json"))
@@ -326,7 +341,10 @@ func TestCheckpointResumeAfterKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(resumed, ref) {
-		t.Errorf("resumed-after-kill manifest differs from uninterrupted run:\n%s\nvs\n%s", resumed, ref)
+		t.Errorf("rerun-after-kill manifest differs from uninterrupted run:\n%s\nvs\n%s", resumed, ref)
+	}
+	if got := executed(t, filepath.Join(dir, "ledger.ndjson")); len(got) != 1 || got[0] != 3 {
+		t.Errorf("the rerun executed %v trials, want only the missing cell's 3", got)
 	}
 }
 
@@ -347,7 +365,8 @@ func assertSameBytes(t *testing.T, gotPath, wantPath string) {
 }
 
 // TestFlagConflicts: flags that cannot compose say so, and the flags
-// of the retired fleet supervisor are unknown.
+// of the retired fleet supervisor and of the modes -store replaced are
+// unknown.
 func TestFlagConflicts(t *testing.T) {
 	dir := t.TempDir()
 	cases := []struct {
@@ -362,6 +381,10 @@ func TestFlagConflicts(t *testing.T) {
 		{[]string{"-fleet", "inv.txt"}, "flag provided but not defined: -fleet"},
 		{[]string{"-lease-timeout", "30s"}, "flag provided but not defined: -lease-timeout"},
 		{[]string{"-max-retries", "5"}, "flag provided but not defined: -max-retries"},
+		{[]string{"-checkpoint"}, "flag provided but not defined: -checkpoint"},
+		{[]string{"-resume"}, "flag provided but not defined: -resume"},
+		{[]string{"-merge"}, "flag provided but not defined: -merge"},
+		{[]string{"-if-cached", "store"}, "flag provided but not defined: -if-cached"},
 	}
 	for _, c := range cases {
 		err := run(append(c.args, "-schemes", "SR", "-grids", "8x8", "-spares", "8,24",

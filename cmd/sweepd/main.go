@@ -4,14 +4,16 @@
 // manifests from a content-addressed store keyed by spec hash — so a
 // campaign anyone already ran, at any worker count, is answered from
 // the store without executing a single trial. The store also keeps
-// every computed cell, verified on reuse, so a campaign sharing cells
-// with earlier ones (a widened sweep) computes only its new cells.
+// every computed cell the moment it completes, verified on reuse, so a
+// campaign sharing cells with earlier ones (a widened sweep, a
+// resubmission after a drain) computes only the cells it lacks.
 //
 // Usage:
 //
 //	sweepd [-addr :8080] [-store dir] [-concurrency n] [-queue n] [-pprof]
 //
-// Every flag has an environment-variable default (flag beats env):
+// Every flag has an environment-variable default (flag beats env); a
+// malformed integer value is a startup error naming the variable:
 //
 //	SWEEPD_ADDR         listen address           (:8080)
 //	SWEEPD_STORE        store directory          (store)
@@ -21,9 +23,12 @@
 //
 // Campaigns run in-process on the engine's worker pool, which already
 // uses every core. A campaign too big for one box runs as cmd/sweep
-// -shard pieces on many boxes; "sweep -merge -if-cached <store>"
-// installs the merged manifest here, byte-identical to the in-process
-// one.
+// "-shard i/n -store <store>" pieces on many boxes, which fill the
+// store's cells/ directory; a daemon started on that directory
+// afterwards computes none of those cells. A running daemon indexes the
+// store's cells once, so it sees cells other processes append later
+// only after a restart, and recomputes them (with the same bytes) until
+// then.
 //
 // The API is documented on sweepd.Daemon.Handler; see the README's
 // "Running as a service" section for the curl cookbook. Logs are
@@ -31,9 +36,10 @@
 //
 // SIGINT/SIGTERM drain gracefully: the listener stops accepting,
 // /readyz flips to 503, queued campaigns are recorded aborted in the
-// ledger, and in-flight campaigns stop at the next trial boundary with
-// their checkpoints flushed — resubmitting the same spec after a
-// restart resumes from them. A second signal exits immediately.
+// ledger, and Drain cancels in-flight campaigns at the next trial
+// boundary. Their completed cells are already stored, so resubmitting
+// the same spec after a restart computes only the rest. A second signal
+// exits immediately.
 package main
 
 import (
@@ -59,7 +65,9 @@ func main() {
 	}
 }
 
-// envString and envInt resolve a flag default from the environment.
+// envString and envInt resolve a flag default from the environment. A
+// set value envInt cannot parse is an error naming the variable, never
+// a silent fall back to def.
 func envString(key, def string) string {
 	if v := os.Getenv(key); v != "" {
 		return v
@@ -67,22 +75,33 @@ func envString(key, def string) string {
 	return def
 }
 
-func envInt(key string, def int) int {
-	if v := os.Getenv(key); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			return n
-		}
+func envInt(key string, def int) (int, error) {
+	v := os.Getenv(key)
+	if v == "" {
+		return def, nil
 	}
-	return def
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, fmt.Errorf("%s=%q is not an integer", key, v)
+	}
+	return n, nil
 }
 
 func run(args []string) error {
+	concurrencyDef, err := envInt("SWEEPD_CONCURRENCY", 1)
+	if err != nil {
+		return err
+	}
+	queueDef, err := envInt("SWEEPD_QUEUE", 32)
+	if err != nil {
+		return err
+	}
 	fs := flag.NewFlagSet("sweepd", flag.ContinueOnError)
 	var (
 		addr        = fs.String("addr", envString("SWEEPD_ADDR", ":8080"), "listen address (host:port; port 0 picks a free one)")
 		storeDir    = fs.String("store", envString("SWEEPD_STORE", "store"), "content-addressed manifest store directory")
-		concurrency = fs.Int("concurrency", envInt("SWEEPD_CONCURRENCY", 1), "campaigns executing at once")
-		queueDepth  = fs.Int("queue", envInt("SWEEPD_QUEUE", 32), "accepted-but-not-started campaign bound")
+		concurrency = fs.Int("concurrency", concurrencyDef, "campaigns executing at once")
+		queueDepth  = fs.Int("queue", queueDef, "accepted-but-not-started campaign bound")
 		pprofF      = fs.Bool("pprof", false, "expose net/http/pprof on the API server")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -131,7 +150,7 @@ func run(args []string) error {
 	case err := <-errCh:
 		return fmt.Errorf("serve: %w", err)
 	case sig := <-sigCh:
-		logger.Warn("signal received: draining (in-flight checkpoints flush, queued campaigns record aborted); second signal exits immediately",
+		logger.Warn("signal received: draining (in-flight campaigns cancel with their completed cells stored, queued campaigns record aborted); second signal exits immediately",
 			"signal", sig.String())
 	}
 	go func() {

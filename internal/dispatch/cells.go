@@ -1,0 +1,275 @@
+package dispatch
+
+import (
+	"bufio"
+	"bytes"
+	"crypto/rand"
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+
+	"wsncover/internal/experiment"
+	"wsncover/internal/sim"
+	"wsncover/internal/telemetry"
+)
+
+// CellStore is the one place a computed campaign cell is kept. A cell —
+// one (group, N) pair with all its replicates — depends only on its own
+// dimension values, the seed and the replicate count, so it is keyed by
+// the telemetry.SpecHash of its one-cell campaign
+// (sim.CampaignSpec.CellSpec) and serves every campaign that contains
+// it: a widened sweep, a shard of another box, a killed run's rerun.
+//
+// The store lives under one root directory:
+//
+//	<root>/cells/<writer>.ndjson   one append-only segment per writing process
+//
+// A line is {"engine":E,"spec":<one-cell spec>,"point":..,"trials":R}.
+// Its key is re-derived from the spec on every read, never stored. Each
+// process appends to its own segment, created on its first append, so
+// writers sharing a directory never interleave, and a torn last line
+// can only sit in the segment of a writer that died. Copying segments
+// from other boxes into cells/ merges their results.
+//
+// The index from key to lines covers every segment and is built by one
+// scan on the first lookup, so opening a store reads nothing; lines
+// this store appends are indexed as they land. Appends from other
+// processes after the scan are not seen until the store is opened
+// again. A lookup re-reads a key's lines, latest first, and serves the
+// first that verifies (verifyCellLine); a cell without one is a miss,
+// and is recomputed.
+//
+// A line records the sim.EngineVersion that computed it and a line of
+// another version is a miss, so a change of results never serves a
+// stale cell. There is no fsync: a killed process loses at most the
+// line it was writing, which then misses.
+type CellStore struct {
+	dir    string // <root>/cells
+	writer string // this store's segment file name
+
+	// mu guards the index and the segment.
+	mu    sync.Mutex
+	index map[string][]lineAt // nil until the first lookup
+	size  int64               // bytes appended to the segment
+}
+
+// OpenCellStore opens the cell store rooted at root. It reads and
+// creates nothing until the first lookup or append.
+func OpenCellStore(root string) *CellStore {
+	return &CellStore{dir: filepath.Join(root, "cells"), writer: rand.Text() + ".ndjson"}
+}
+
+// cellAddr addresses one cell of a run in the store: key is the
+// SpecHash of spec, the cell's one-cell campaign in JSON. A stored line
+// serves the cell only when it holds one point at the cell's (group, X)
+// folded from trials trials.
+type cellAddr struct {
+	cell
+	key    string
+	spec   json.RawMessage
+	trials int
+}
+
+// addressCell addresses the cell of job j in spec.
+func addressCell(spec sim.CampaignSpec, j sim.TrialJob) (cellAddr, error) {
+	a := cellAddr{cell: cell{j.Group(), float64(j.Spares)}, trials: spec.Replicates}
+	var err error
+	if a.spec, err = json.Marshal(spec.CellSpec(j)); err == nil {
+		a.key, err = telemetry.SpecHash(a.spec)
+	}
+	return a, err
+}
+
+// cellLine is one line of a segment.
+type cellLine struct {
+	Engine int               `json:"engine"`
+	Spec   json.RawMessage   `json:"spec"`
+	Point  *experiment.Point `json:"point"`
+	Trials int               `json:"trials"`
+}
+
+// lineAt locates one whole line, newline included, in a segment.
+type lineAt struct {
+	seg string
+	off int64
+	n   int
+}
+
+// lookup returns the points the store serves for addrs, in addrs order;
+// a cell without a verified line has none.
+func (s *CellStore) lookup(addrs []cellAddr) []experiment.Point {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.indexLocked()
+	files := make(map[string]*os.File)
+	defer func() {
+		for _, f := range files {
+			if f != nil {
+				f.Close()
+			}
+		}
+	}()
+	var points []experiment.Point
+	for _, a := range addrs {
+		lines := s.index[a.key]
+		for i := len(lines) - 1; i >= 0; i-- {
+			at := lines[i]
+			f, opened := files[at.seg]
+			if !opened {
+				// A segment that will not open stays nil, and its lines miss.
+				f, _ = os.Open(filepath.Join(s.dir, at.seg))
+				files[at.seg] = f
+			}
+			if p, err := readCell(f, at, a); err == nil {
+				points = append(points, p)
+				break
+			}
+		}
+	}
+	return points
+}
+
+// indexLocked builds the index on first use from every segment, in
+// file-name order.
+func (s *CellStore) indexLocked() {
+	if s.index != nil {
+		return
+	}
+	s.index = make(map[string][]lineAt)
+	des, err := os.ReadDir(s.dir)
+	if err != nil {
+		return // nothing stored yet (or an unreadable directory: every lookup misses)
+	}
+	for _, de := range des {
+		if !de.IsDir() && strings.HasSuffix(de.Name(), ".ndjson") {
+			s.indexSegment(de.Name())
+		}
+	}
+}
+
+// indexSegment adds each whole line of segment name to the lines of
+// the key its spec hashes to. Lines of another engine version or
+// without a readable spec are skipped, and a torn last line is not
+// indexed; their cells are misses.
+func (s *CellStore) indexSegment(name string) {
+	f, err := os.Open(filepath.Join(s.dir, name))
+	if err != nil {
+		return
+	}
+	defer f.Close()
+	r := bufio.NewReader(f)
+	var off int64
+	for {
+		line, err := r.ReadBytes('\n')
+		if err != nil {
+			return // EOF, possibly after a torn last line
+		}
+		var l struct {
+			Engine int             `json:"engine"`
+			Spec   json.RawMessage `json:"spec"`
+		}
+		if json.Unmarshal(line, &l) == nil && l.Engine == sim.EngineVersion && len(l.Spec) > 0 {
+			if key, err := telemetry.SpecHash(l.Spec); err == nil {
+				s.index[key] = append(s.index[key], lineAt{name, off, len(line)})
+			}
+		}
+		off += int64(len(line))
+	}
+}
+
+// readCell reads the line at `at` from f and returns its point if the
+// line verifies as a's.
+func readCell(f *os.File, at lineAt, a cellAddr) (experiment.Point, error) {
+	if f == nil {
+		return experiment.Point{}, fmt.Errorf("segment %s unreadable", at.seg)
+	}
+	line := make([]byte, at.n)
+	if _, err := f.ReadAt(line, at.off); err != nil {
+		return experiment.Point{}, err
+	}
+	return verifyCellLine(line, a)
+}
+
+// verifyCellLine returns line's point when line is one whole,
+// newline-terminated cell line of this engine version that decodes
+// strictly (no unknown field, nothing after the object), whose spec
+// re-hashes to a.key, whose one point sits at a's (group, X), and whose
+// trials equal a.trials.
+func verifyCellLine(line []byte, a cellAddr) (experiment.Point, error) {
+	body, ok := bytes.CutSuffix(line, []byte("\n"))
+	if !ok || bytes.IndexByte(body, '\n') >= 0 {
+		return experiment.Point{}, fmt.Errorf("not one whole line")
+	}
+	var l cellLine
+	if err := strictUnmarshal(body, &l); err != nil {
+		return experiment.Point{}, err
+	}
+	if l.Engine != sim.EngineVersion {
+		return experiment.Point{}, fmt.Errorf("cell line from engine %d, this is engine %d", l.Engine, sim.EngineVersion)
+	}
+	if len(l.Spec) == 0 || l.Point == nil {
+		return experiment.Point{}, fmt.Errorf("cell line lacks a spec or a point")
+	}
+	if key, err := telemetry.SpecHash(l.Spec); err != nil || key != a.key {
+		return experiment.Point{}, fmt.Errorf("cell line's spec does not hash to %s", a.key)
+	}
+	if l.Point.Group != a.group || l.Point.X != a.x || l.Trials != a.trials {
+		return experiment.Point{}, fmt.Errorf("cell line holds %q N=%g over %d trials, want %q N=%g over %d",
+			l.Point.Group, l.Point.X, l.Trials, a.group, a.x, a.trials)
+	}
+	return *l.Point, nil
+}
+
+// strictUnmarshal decodes exactly one JSON value with no unknown
+// fields and nothing after it.
+func strictUnmarshal(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data after JSON value")
+	}
+	return nil
+}
+
+// append stores p as the cell a with one write(2) to this store's
+// segment, creating the segment on the first append, and indexes the
+// line if the index is built (an unbuilt index finds it when it scans).
+// The segment is opened and closed around each line, so a store holds
+// no file between appends.
+func (s *CellStore) append(a cellAddr, p experiment.Point) error {
+	line, err := json.Marshal(cellLine{Engine: sim.EngineVersion, Spec: a.spec, Point: &p, Trials: a.trials})
+	if err != nil {
+		return err
+	}
+	line = append(line, '\n')
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.size == 0 {
+		if err := os.MkdirAll(s.dir, 0o755); err != nil {
+			return fmt.Errorf("dispatch: cell store: %w", err)
+		}
+	}
+	f, err := os.OpenFile(filepath.Join(s.dir, s.writer), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return fmt.Errorf("dispatch: cell store: %w", err)
+	}
+	_, err = f.Write(line)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("dispatch: cell store: %w", err)
+	}
+	if s.index != nil {
+		s.index[a.key] = append(s.index[a.key], lineAt{s.writer, s.size, len(line)})
+	}
+	s.size += int64(len(line))
+	return nil
+}

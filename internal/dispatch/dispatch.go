@@ -1,20 +1,21 @@
-// Package dispatch runs campaigns in this process and assembles their
-// results.
+// Package dispatch runs campaigns in this process and keeps their
+// cells.
 //
 // LocalRun is the one runner behind every run that computes trials:
-// cmd/sweep's plain, -shard, -resume and -checkpoint runs, and sweepd's
-// campaigns. It owns checkpoint, resume and point merging.
-// LocalProgress folds its ordered trial stream into FleetSnapshot
-// values, the one progress shape the meter (FleetMeter), the dashboard
-// (PublishFleet) and the ledger's group spans read.
+// cmd/sweep's plain and -shard runs, and sweepd's campaigns. CellStore
+// is the one place a computed cell is kept: a run looks up every cell
+// of its spec before it starts and appends each cell as it completes.
+// Resume, the cache and shard assembly are all that lookup. A killed
+// run is resumed by running it again over the same store. One campaign
+// spans many boxes when any launcher (xargs -P, an ssh loop, a batch
+// array job) starts "-shard i/n -store S" on each box, and one
+// unsharded run over S, or over the segments copied into it, computes
+// nothing and writes the manifest.
 //
-// MergeShardManifests unions the manifests of -shard runs into the
-// campaign manifest, byte-identical to the in-process run's, and
-// DiffManifests compares two manifests. Together with -checkpoint and
-// -resume they are how one campaign spans many boxes: any launcher
-// (xargs -P, an ssh loop, a batch array job) starts "-shard i/n
-// -checkpoint" on each box, a box that died is rerun with -resume, and
-// one -merge assembles the result.
+// LocalProgress folds a run's ordered trial stream into FleetSnapshot
+// values, the one progress shape the meter (FleetMeter), the dashboard
+// (PublishFleet) and the ledger's group spans read. DiffManifests
+// compares two manifests.
 package dispatch
 
 import "wsncover/internal/experiment"

@@ -2,8 +2,6 @@ package dispatch
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"time"
 
 	"wsncover/internal/experiment"
@@ -11,44 +9,38 @@ import (
 )
 
 // LocalRun is one campaign executed in this process: the single
-// runner behind every cmd/sweep run that computes trials (plain,
-// -shard, -resume, -checkpoint) and behind sweepd's campaigns. It
-// owns the resumable state: a prior manifest's complete (group, N)
-// cells are skipped and carried over, and the checkpoint is an
-// experiment.CellLog — written once at start with the carried cells,
-// then one appended line per completed cell — which
-// experiment.ReadCellLog turns back into a prior manifest for a later
-// run. Only whole cells are logged, because a resume skips whole
-// cells; a partial cell's trials would be rerun anyway.
-//
-// How the prior manifest is found and vetted stays with the caller:
-// cmd/sweep pins the trial physics of its -resume manifest and log,
-// sweepd re-hashes its log's spec.
+// runner behind every cmd/sweep run and behind sweepd's campaigns. With
+// a CellStore it looks every cell of its spec up before running, and
+// the cells the store serves are the run's prior, skipped and carried
+// into the manifest; it appends each cell the moment the cell
+// completes, which is the run's checkpoint. A killed run is resumed by
+// running it again over the same store, shards of one campaign on many
+// boxes are assembled by one run over the union of their segments, and
+// a run whose cells are all stored computes nothing.
 type LocalRun struct {
 	// Executed is the number of trials Run executes: the spec's job
-	// space under its cell range, minus the cells the prior manifest
-	// already holds.
+	// space under its cell range, minus the stored cells' trials.
 	Executed int
 	// GroupOrder lists the groups of the executed trials in job order,
 	// and GroupTotal counts those trials per group.
 	GroupOrder []string
 	GroupTotal map[string]int
-	// Resumed is the number of prior cells kept and skipped; Orphans the
-	// number of prior cells outside the spec's job space, which are
-	// dropped so the manifest stays consistent with its recorded spec.
-	Resumed, Orphans int
+	// Cells is the number of cells in the spec's job space, and Reused
+	// the number of them the store served.
+	Cells, Reused int
 	// OnProgress, when non-nil, observes the run: snapshots folded from
 	// the ordered trial stream by a LocalProgress.
 	OnProgress func(FleetSnapshot)
 
-	spec       sim.CampaignSpec
-	name       string
-	checkpoint string
-	prior      []experiment.Point
-	priorJobs  int
-	cells      []cell // in job order
-	done       map[cell]bool
-	cellTotal  map[cell]int
+	spec      sim.CampaignSpec
+	name      string
+	store     *CellStore
+	prior     []experiment.Point
+	priorJobs int
+	cells     []cell // in job order
+	done      map[cell]bool
+	cellTotal map[cell]int
+	addr      map[cell]cellAddr // store runs only
 }
 
 // cell identifies one aggregated campaign cell in a manifest.
@@ -58,39 +50,48 @@ type cell struct {
 }
 
 // PlanLocal sizes the in-process run of spec (normalized, validated)
-// named name. prior, when non-nil, is a manifest of the same campaign
-// whose cells are kept instead of recomputed. A non-empty checkpoint
-// path enables the per-cell checkpoint log there.
-func PlanLocal(spec sim.CampaignSpec, name string, prior *experiment.Manifest, checkpoint string) *LocalRun {
+// named name over store, which may be nil for a run that neither reuses
+// nor keeps cells.
+func PlanLocal(spec sim.CampaignSpec, name string, store *CellStore) (*LocalRun, error) {
 	r := &LocalRun{
 		GroupTotal: make(map[string]int),
 		spec:       spec,
 		name:       name,
-		checkpoint: checkpoint,
+		store:      store,
 		done:       make(map[cell]bool),
 		cellTotal:  make(map[cell]int),
 	}
 	// One pass over the job space: every cell's trial count under the
-	// cell range, in job order.
+	// cell range, in job order, and its store address.
+	var addrs []cellAddr
+	var err error
 	spec.ExecutedJobs(nil, func(j sim.TrialJob) {
 		k := cell{j.Group(), float64(j.Spares)}
 		if _, seen := r.cellTotal[k]; !seen {
 			r.cells = append(r.cells, k)
+			if store != nil && err == nil {
+				var a cellAddr
+				a, err = addressCell(spec, j)
+				addrs = append(addrs, a)
+			}
 		}
 		r.cellTotal[k]++
 	})
-	if prior != nil {
-		for _, p := range prior.Points {
-			k := cell{p.Group, p.X}
-			if _, ok := r.cellTotal[k]; !ok {
-				r.Orphans++
-				continue
-			}
-			r.prior = append(r.prior, p)
-			r.done[k] = true
+	if err != nil {
+		return nil, err
+	}
+	r.Cells = len(r.cells)
+	if store != nil {
+		r.addr = make(map[cell]cellAddr, len(addrs))
+		for _, a := range addrs {
+			r.addr[a.cell] = a
+		}
+		r.prior = store.lookup(addrs)
+		for _, p := range r.prior {
+			r.done[cell{p.Group, p.X}] = true
 		}
 	}
-	r.Resumed = len(r.done)
+	r.Reused = len(r.done)
 	// Every trial of a cell not yet done executes, so a group's first
 	// executed trial is the first job of its earliest such cell: walking
 	// cells in first-appearance order yields the groups in the order
@@ -107,19 +108,19 @@ func PlanLocal(spec sim.CampaignSpec, name string, prior *experiment.Manifest, c
 		}
 		r.GroupTotal[k.group] += n
 	}
-	return r
+	return r, nil
 }
 
 // Run executes the planned trials and returns the campaign manifest
 // (not yet saved) and the number of trials executed. onTrial, when
 // non-nil, observes every completed trial in job order with the count
 // executed so far, after that trial's cell (if it completed one) has
-// been logged and OnProgress has seen it; an error from it stops the
+// been stored and OnProgress has seen it; an error from it stops the
 // run. The manifest's Jobs is the trials this run executed plus those
-// the prior manifest carried: the campaign's NumJobs, or a shard's own
-// trial count under a cell range. On error — ctx cancelled included —
-// the checkpoint log holds every cell completed so far, and OnProgress
-// still gets a terminal snapshot.
+// of the stored cells: the campaign's NumJobs, or a shard's own trial
+// count under a cell range. On error — ctx cancelled included — the
+// store holds every cell completed so far, and OnProgress still gets a
+// terminal snapshot.
 func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) error) (*experiment.Manifest, int, error) {
 	var keep func(sim.TrialJob) bool
 	if len(r.done) > 0 {
@@ -128,14 +129,6 @@ func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) erro
 	// Trials stream into online per-(group, N) accumulators: campaign
 	// memory is O(cells), not O(trials).
 	acc := experiment.NewAccumulator()
-	var log *experiment.CellLog
-	if r.checkpoint != "" {
-		var err error
-		if log, err = r.createLog(); err != nil {
-			return nil, 0, err
-		}
-		defer log.Close() // for the error paths; success checks Close below
-	}
 	var prog *LocalProgress
 	if r.OnProgress != nil {
 		prog = NewLocalProgress(r.Executed, r.GroupOrder, r.GroupTotal, r.OnProgress)
@@ -148,11 +141,11 @@ func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) erro
 		func(j sim.TrialJob, s experiment.Sample) error {
 			acc.Add(s)
 			ran++
-			if log != nil {
+			if r.store != nil {
 				k := cell{s.Group, s.X}
 				cellDone[k]++
-				if n := r.cellTotal[k]; cellDone[k] == n {
-					if err := log.Append(experiment.CellRecord{Point: acc.Point(k.group, k.x), Trials: n}); err != nil {
+				if cellDone[k] == r.cellTotal[k] {
+					if err := r.store.append(r.addr[k], acc.Point(k.group, k.x)); err != nil {
 						return err
 					}
 				}
@@ -168,37 +161,14 @@ func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) erro
 	if err != nil {
 		return nil, ran, err
 	}
-	if log != nil {
-		if err := log.Close(); err != nil {
-			return nil, ran, err
-		}
-	}
 	m, err := experiment.NewManifest(r.name, r.spec, ran+r.priorJobs, r.spec.Workers, mergePoints(r.prior, acc.Points()))
 	return m, ran, err
 }
 
-// createLog starts the checkpoint log: one atomic write of the header
-// and the carried prior cells, replacing any log an earlier run left
-// (whose accepted cells the caller already passed in as the prior
-// manifest). Completed cells are appended from then on.
-func (r *LocalRun) createLog() (*experiment.CellLog, error) {
-	if err := os.MkdirAll(filepath.Dir(r.checkpoint), 0o755); err != nil {
-		return nil, err
-	}
-	head, err := experiment.NewManifest(r.name, r.spec, 0, r.spec.Workers, nil)
-	if err != nil {
-		return nil, err
-	}
-	carried := make([]experiment.CellRecord, len(r.prior))
-	for i, p := range r.prior {
-		carried[i] = experiment.CellRecord{Point: p, Trials: r.cellTotal[cell{p.Group, p.X}]}
-	}
-	return experiment.CreateCellLog(r.checkpoint, head, carried)
-}
-
-// mergePoints combines prior points with fresh ones in the canonical
-// (group, X) order, so a resumed manifest is indistinguishable from a
-// single-run one. The resume filter keeps the two sets disjoint.
+// mergePoints combines stored points with fresh ones in the canonical
+// (group, X) order, so a manifest assembled over a store is
+// indistinguishable from a single-run one. The skip filter keeps the
+// two sets disjoint.
 func mergePoints(prior, fresh []experiment.Point) []experiment.Point {
 	if len(prior) == 0 {
 		return fresh // Accumulator.Points is already in canonical order

@@ -22,12 +22,44 @@ func manifestBytes(t *testing.T, m *experiment.Manifest) []byte {
 	return buf.Bytes()
 }
 
-// TestLocalRunResumeMatchesUninterrupted cancels a checkpointed run
-// from its trial observer after k trials, resumes from the checkpoint
-// it left, and requires the final manifest to be byte-identical to an
-// uninterrupted run — unsharded, and under a cell range. The manifest's
-// Jobs must be the executed trials plus the prior ones.
-func TestLocalRunResumeMatchesUninterrupted(t *testing.T) {
+// plan is PlanLocal that fails the test on error.
+func plan(t testing.TB, spec sim.CampaignSpec, store *CellStore) *LocalRun {
+	t.Helper()
+	r, err := PlanLocal(spec, "camp", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// runBytes runs r to completion and returns its manifest's bytes and
+// the trials it executed.
+func runBytes(t testing.TB, r *LocalRun) ([]byte, int) {
+	t.Helper()
+	m, ran, err := r.Run(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), ran
+}
+
+// segments returns the paths of the segment files under root.
+func segments(t testing.TB, root string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(root, "cells", "*.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// resumeSpecs are the campaigns the kill-and-rerun tests interrupt:
+// 6 cells of 4 replicates, unsharded and under a 3-cell range.
+func resumeSpecs() map[string]sim.CampaignSpec {
 	base := sim.CampaignSpec{
 		Schemes:    []sim.SchemeKind{sim.SR, sim.AR},
 		Grids:      []sim.GridSize{{Cols: 8, Rows: 8}},
@@ -35,85 +67,81 @@ func TestLocalRunResumeMatchesUninterrupted(t *testing.T) {
 		Replicates: 4,
 		BaseSeed:   31,
 		Workers:    1,
-	}
+	}.Normalized()
 	sharded := base
 	sharded.CellFirst, sharded.CellCount = 1, 3
-	for _, tc := range []struct {
-		name string
-		spec sim.CampaignSpec
-		k    int // trials before the cancel: one or two whole cells plus a partial one
-	}{
-		{"unsharded", base, 6},
-		{"sharded", sharded, 5},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			spec := tc.spec.Normalized()
-			if err := spec.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			full := PlanLocal(spec, "camp", nil, "")
-			ref, ranRef, err := full.Run(context.Background(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+	return map[string]sim.CampaignSpec{"unsharded": base, "sharded": sharded}
+}
+
+// cancelAfter runs spec over store, cancelling it from its trial
+// observer after k trials, and returns the trials it executed.
+func cancelAfter(t *testing.T, spec sim.CampaignSpec, store *CellStore, k int) int {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, ran, err := plan(t, spec, store).Run(ctx, func(_ sim.TrialJob, ran int) error {
+		if ran == k {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+	}
+	return ran
+}
+
+// TestLocalRunResumeMatchesUninterrupted cancels a run over a cell
+// store from its trial observer after k trials and reruns it over the
+// same store directory: the rerun reuses exactly the cells the first
+// run completed, computes the rest, and its manifest is byte-identical
+// to an uninterrupted run's — unsharded, and under a cell range. The
+// manifest's Jobs counts the reused cells' trials too. A third run
+// computes nothing and writes the same bytes.
+func TestLocalRunResumeMatchesUninterrupted(t *testing.T) {
+	for name, k := range map[string]int{"unsharded": 6, "sharded": 5} {
+		t.Run(name, func(t *testing.T) {
+			spec := resumeSpecs()[name]
+			full := plan(t, spec, nil)
+			want, ranRef := runBytes(t, full)
 			if ranRef != full.Executed {
 				t.Fatalf("uninterrupted run executed %d trials, planned %d", ranRef, full.Executed)
 			}
-			want := manifestBytes(t, ref)
 
-			ck := filepath.Join(t.TempDir(), "out", "camp.cells.ndjson")
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			_, ran, err := PlanLocal(spec, "camp", nil, ck).Run(ctx, func(_ sim.TrialJob, ran int) error {
-				if ran == tc.k {
-					cancel()
-				}
-				return nil
-			})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+			root := t.TempDir()
+			ran := cancelAfter(t, spec, OpenCellStore(root), k)
+			rerun := plan(t, spec, OpenCellStore(root))
+			stored := rerun.Reused * spec.Replicates
+			if rerun.Reused == 0 || stored > ran || rerun.Executed+stored != full.Executed {
+				t.Fatalf("rerun reuses %d cells after %d trials and plans %d of %d trials; want a strict, non-empty prefix",
+					rerun.Reused, ran, rerun.Executed, full.Executed)
 			}
-			prior, err := experiment.ReadCellLog(ck)
-			if err != nil {
-				t.Fatalf("cancelled run left no checkpoint: %v", err)
+			got, ran2 := runBytes(t, rerun)
+			if ran2 != rerun.Executed {
+				t.Fatalf("rerun executed %d trials, planned %d", ran2, rerun.Executed)
 			}
-			if prior.Jobs == 0 || prior.Jobs > ran || prior.Jobs >= full.Executed {
-				t.Fatalf("checkpoint records %d jobs after %d trials of %d; want a strict, non-empty prefix",
-					prior.Jobs, ran, full.Executed)
+			if !bytes.Equal(got, want) {
+				t.Error("rerun manifest is not byte-identical to an uninterrupted run")
 			}
 
-			resumed := PlanLocal(spec, "camp", prior, ck)
-			if resumed.Resumed != len(prior.Points) || resumed.Orphans != 0 {
-				t.Fatalf("resume kept %d cells (%d orphans), want all %d checkpointed cells",
-					resumed.Resumed, resumed.Orphans, len(prior.Points))
+			again := plan(t, spec, OpenCellStore(root))
+			if again.Executed != 0 || again.Reused != again.Cells {
+				t.Fatalf("third run plans %d trials and reuses %d of %d cells; want everything stored",
+					again.Executed, again.Reused, again.Cells)
 			}
-			if resumed.Executed+prior.Jobs != full.Executed {
-				t.Fatalf("resume plans %d trials on top of %d checkpointed, want %d in total",
-					resumed.Executed, prior.Jobs, full.Executed)
+			if got, _ := runBytes(t, again); !bytes.Equal(got, want) {
+				t.Error("a run over a complete store differs from an uninterrupted run")
 			}
-			got, ran2, err := resumed.Run(context.Background(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ran2 != resumed.Executed {
-				t.Fatalf("resumed run executed %d trials, planned %d", ran2, resumed.Executed)
-			}
-			if got.Jobs != ran2+prior.Jobs || got.Jobs != full.Executed {
-				t.Fatalf("manifest Jobs = %d, want executed %d + prior %d = %d", got.Jobs, ran2, prior.Jobs, full.Executed)
-			}
-			if !bytes.Equal(manifestBytes(t, got), want) {
-				t.Error("resumed manifest is not byte-identical to an uninterrupted run")
-			}
-			// The checkpoint log of a finished run reads back as the manifest itself.
-			if final, err := experiment.ReadCellLog(ck); err != nil || !bytes.Equal(manifestBytes(t, final), want) {
-				t.Errorf("final checkpoint differs from the manifest (err %v)", err)
+			if n := len(segments(t, root)); n != 2 {
+				t.Errorf("store holds %d segments, want one per run that computed a cell (2)", n)
 			}
 		})
 	}
 }
 
-// TestPlanLocalDropsOrphans: prior cells outside the job space are
-// dropped, not skipped or carried over.
+// TestPlanLocalDropsOrphans: cells a store holds outside the spec's job
+// space are neither reused nor carried into the manifest, which equals
+// a run without a store.
 func TestPlanLocalDropsOrphans(t *testing.T) {
 	spec := sim.CampaignSpec{
 		Schemes:    []sim.SchemeKind{sim.SR},
@@ -122,130 +150,93 @@ func TestPlanLocalDropsOrphans(t *testing.T) {
 		Replicates: 3,
 		BaseSeed:   5,
 	}.Normalized()
-	full := PlanLocal(spec, "camp", nil, "")
-	group := full.GroupOrder[0]
-	prior := &experiment.Manifest{Points: []experiment.Point{
-		{Group: group, X: 4},
-		{Group: group, X: 99},
-		{Group: "AR 8x8", X: 4},
-	}}
-	r := PlanLocal(spec, "camp", prior, "")
-	if r.Resumed != 1 || r.Orphans != 2 {
-		t.Fatalf("Resumed, Orphans = %d, %d; want 1, 2", r.Resumed, r.Orphans)
+	other := spec
+	other.Schemes = []sim.SchemeKind{sim.SR, sim.AR}
+	other.Spares = []int{4, 99}
+	root := t.TempDir()
+	runBytes(t, plan(t, other, OpenCellStore(root)))
+
+	r := plan(t, spec, OpenCellStore(root))
+	group := r.GroupOrder[0]
+	if r.Cells != 2 || r.Reused != 1 {
+		t.Fatalf("Cells, Reused = %d, %d; want 2, 1 (only SR N=4 is shared)", r.Cells, r.Reused)
 	}
 	if r.Executed != 3 || r.GroupTotal[group] != 3 {
 		t.Fatalf("Executed = %d, GroupTotal = %v; want the 3 trials of the N=8 cell", r.Executed, r.GroupTotal)
 	}
+	got, _ := runBytes(t, r)
+	if want, _ := runBytes(t, plan(t, spec, nil)); !bytes.Equal(got, want) {
+		t.Error("manifest over a store of a wider campaign differs from a run without a store")
+	}
 }
 
-// TestLocalRunResumesPastTornLog: a checkpoint log torn at any byte
-// inside its last line, or followed by (or ending in) a garbage line,
-// resumes from exactly its complete cells — the torn or garbled cell is
-// rerun — and finishes byte-identical to an uninterrupted run, with a
-// log that reads back as that manifest. Unsharded and under a cell
-// range.
+// TestLocalRunResumesPastTornLog: a segment torn at any byte inside its
+// last line, or followed by (or ending in) a garbage line, serves
+// exactly its complete cells — the torn or garbled cell is recomputed —
+// and the rerun is byte-identical to an uninterrupted run, after which
+// every cell is stored. The damaged segment is another writer's: each
+// rerun appends to its own. Every cut is looked up; the first, middle
+// and last cut, and the garbage cases, are also rerun to the end.
+// Unsharded and under a cell range.
 func TestLocalRunResumesPastTornLog(t *testing.T) {
-	base := sim.CampaignSpec{
-		Schemes:    []sim.SchemeKind{sim.SR, sim.AR},
-		Grids:      []sim.GridSize{{Cols: 8, Rows: 8}},
-		Spares:     []int{4, 8, 12},
-		Replicates: 4,
-		BaseSeed:   31,
-		Workers:    1,
-	}
-	sharded := base
-	sharded.CellFirst, sharded.CellCount = 1, 3
-	for _, tc := range []struct {
-		name string
-		spec sim.CampaignSpec
-		k    int // trials before the cancel: two whole cells plus a partial one
-	}{
-		{"unsharded", base, 10},
-		{"sharded", sharded, 10},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			spec := tc.spec.Normalized()
-			full := PlanLocal(spec, "camp", nil, "")
-			ref, _, err := full.Run(context.Background(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := manifestBytes(t, ref)
+	for name := range resumeSpecs() {
+		t.Run(name, func(t *testing.T) {
+			spec := resumeSpecs()[name]
+			want, _ := runBytes(t, plan(t, spec, nil))
 
-			dir := t.TempDir()
-			ck := filepath.Join(dir, "camp.cells.ndjson")
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			if _, _, err := PlanLocal(spec, "camp", nil, ck).Run(ctx, func(_ sim.TrialJob, ran int) error {
-				if ran == tc.k {
-					cancel()
-				}
-				return nil
-			}); !errors.Is(err, context.Canceled) {
-				t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+			root := t.TempDir()
+			cancelAfter(t, spec, OpenCellStore(root), 10) // two whole cells and a partial one
+			segs := segments(t, root)
+			if len(segs) != 1 {
+				t.Fatalf("cancelled run left %d segments, want 1", len(segs))
 			}
-			log, err := os.ReadFile(ck)
+			seg, err := os.ReadFile(segs[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			whole, err := experiment.ParseCellLog(log)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cells := len(whole.Points)
+			cells := bytes.Count(seg, []byte("\n"))
 			if cells != 2 {
-				t.Fatalf("cancelled run logged %d cells, want 2", cells)
+				t.Fatalf("cancelled run stored %d cells, want 2", cells)
 			}
-			lastStart := bytes.LastIndexByte(log[:len(log)-1], '\n') + 1
+			lastStart := bytes.LastIndexByte(seg[:len(seg)-1], '\n') + 1
 
-			// resume resumes from data as the checkpoint log. In place,
-			// data is written over the run's own log first; otherwise it is
-			// parsed straight from memory and the resume logs under a fresh
-			// name, which keeps the per-offset loop off the slow path of
-			// truncating or renaming over an existing file.
-			resume := func(what string, data []byte, wantCells int, inPlace bool) {
+			// rerun plans spec over a fresh store directory holding data as
+			// another writer's segment and, when full, runs it.
+			rerun := func(what string, data []byte, wantCells int, full bool) {
 				t.Helper()
-				path := filepath.Join(dir, fmt.Sprintf("resume-%d.cells.ndjson", len(data)))
-				var prior *experiment.Manifest
-				var err error
-				if inPlace {
-					path = ck
-					if err := os.WriteFile(path, data, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					prior, err = experiment.ReadCellLog(path)
-				} else {
-					prior, err = experiment.ParseCellLog(data)
+				dir := t.TempDir()
+				if err := os.MkdirAll(filepath.Join(dir, "cells"), 0o755); err != nil {
+					t.Fatal(err)
 				}
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
+				if err := os.WriteFile(filepath.Join(dir, "cells", "dead.ndjson"), data, 0o644); err != nil {
+					t.Fatal(err)
 				}
-				r := PlanLocal(spec, "camp", prior, path)
-				if r.Resumed != wantCells || r.Orphans != 0 || r.Executed+prior.Jobs != full.Executed {
-					t.Fatalf("%s: resume keeps %d cells (%d orphans) and runs %d of %d trials; want %d cells kept",
-						what, r.Resumed, r.Orphans, r.Executed, full.Executed, wantCells)
+				r := plan(t, spec, OpenCellStore(dir))
+				if r.Reused != wantCells || r.Executed+wantCells*spec.Replicates != r.Cells*spec.Replicates {
+					t.Fatalf("%s: rerun reuses %d cells and runs %d trials; want %d cells reused",
+						what, r.Reused, r.Executed, wantCells)
 				}
-				got, ran, err := r.Run(context.Background(), nil)
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
+				if !full {
+					return
 				}
+				got, ran := runBytes(t, r)
 				if ran != r.Executed {
-					t.Fatalf("%s: resumed run executed %d trials, planned %d", what, ran, r.Executed)
+					t.Fatalf("%s: rerun executed %d trials, planned %d", what, ran, r.Executed)
 				}
-				if !bytes.Equal(manifestBytes(t, got), want) {
-					t.Fatalf("%s: resumed manifest is not byte-identical to an uninterrupted run", what)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s: rerun manifest is not byte-identical to an uninterrupted run", what)
 				}
-				if final, err := experiment.ReadCellLog(path); err != nil || !bytes.Equal(manifestBytes(t, final), want) {
-					t.Fatalf("%s: final log does not read back as the manifest (err %v)", what, err)
+				if again := plan(t, spec, OpenCellStore(dir)); again.Reused != again.Cells {
+					t.Fatalf("%s: after the rerun %d of %d cells are stored", what, again.Reused, again.Cells)
 				}
 			}
-			for cut := lastStart; cut < len(log); cut++ {
-				resume(fmt.Sprintf("cut at byte %d of %d", cut, len(log)), log[:cut], cells-1, false)
+			for cut := lastStart; cut < len(seg); cut++ {
+				full := cut == lastStart || cut == (lastStart+len(seg))/2 || cut == len(seg)-1
+				rerun(fmt.Sprintf("cut at byte %d of %d", cut, len(seg)), seg[:cut], cells-1, full)
 			}
 			garbage := []byte("{\"point\": not json\n")
-			resume("garbage line appended", append(append([]byte{}, log...), garbage...), cells, true)
-			resume("last line garbled", append(append([]byte{}, log[:lastStart]...), garbage...), cells-1, true)
-			resume("cut mid-line in place", log[:len(log)-2], cells-1, true)
+			rerun("garbage line appended", append(bytes.Clone(seg), garbage...), cells, true)
+			rerun("last line garbled", append(bytes.Clone(seg[:lastStart]), garbage...), cells-1, true)
 		})
 	}
 }

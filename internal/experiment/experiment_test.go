@@ -329,19 +329,24 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteFileAtomic: the file lands with the given bytes and mode
-// 0644, and a failed rename (the target is a directory) reports the
-// error and leaves no temp file behind.
+// TestWriteFileAtomic: Manifest.WriteAtomic replaces the file with the
+// manifest's bytes in mode 0644, and a failed rename (the target is a
+// directory) reports the error and leaves no temp file behind.
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "a.json")
-	for _, data := range []string{"first\n", "second\n"} {
-		if err := WriteFileAtomic(path, []byte(data)); err != nil {
+	for _, name := range []string{"first", "second"} {
+		m := &Manifest{Name: name, Jobs: 1}
+		if err := m.WriteAtomic(path); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := m.Write(&want); err != nil {
 			t.Fatal(err)
 		}
 		got, err := os.ReadFile(path)
-		if err != nil || string(got) != data {
-			t.Fatalf("read back %q, %v; want %q", got, err, data)
+		if err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("read back %q, %v; want %q", got, err, want.Bytes())
 		}
 	}
 	if info, err := os.Stat(path); err != nil || info.Mode().Perm() != 0o644 {
@@ -351,7 +356,7 @@ func TestWriteFileAtomic(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(blocked, "child"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(blocked, []byte("x")); err == nil {
+	if err := (&Manifest{Name: "x"}).WriteAtomic(blocked); err == nil {
 		t.Fatal("renaming over a non-empty directory succeeded")
 	}
 	entries, err := os.ReadDir(dir)

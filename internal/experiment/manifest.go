@@ -60,25 +60,14 @@ func (m *Manifest) Save(dir string) (string, error) {
 	return path, m.WriteAtomic(path)
 }
 
-// WriteAtomic atomically replaces path with the serialized manifest
-// (see WriteFileAtomic).
+// WriteAtomic atomically replaces path with the serialized manifest:
+// it is encoded into a uniquely named temp file in the same directory,
+// which is then renamed over path, so a reader (or a writer killed
+// mid-write) sees the old content or the new, never a prefix.
 func (m *Manifest) WriteAtomic(path string) error { return writeAtomic(path, m.Write) }
 
-// WriteFileAtomic lands data at path via a uniquely named temp file in
-// the same directory and a rename, so a reader (or a writer killed
-// mid-write) sees the old content or the new, never a prefix.
-// Concurrent writers of identical content — duplicate attempts of a
-// deterministic shard — are safe: each rename installs a complete file.
-func WriteFileAtomic(path string, data []byte) error {
-	return writeAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}
-
-// writeAtomic is WriteFileAtomic with the content streamed by write,
-// so a manifest is encoded straight into the temp file. The temp file
-// is removed on every failure path.
+// writeAtomic lands what write streams at path via a temp file and a
+// rename. The temp file is removed on every failure path.
 func writeAtomic(path string, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {

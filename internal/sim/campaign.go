@@ -74,8 +74,9 @@ type CampaignSpec struct {
 	// [c*Replicates, (c+1)*Replicates). A cell's trials depend only on
 	// its own dimension values, the seed and the replicate count, so a
 	// shard computes its cells byte for byte as the unsharded campaign
-	// does, and disjoint shard manifests union into the unsharded
-	// manifest (cmd/sweep -merge). A zero CellCount means every cell.
+	// does, and the cells of disjoint shards stored in one
+	// dispatch.CellStore assemble into the unsharded manifest. A zero
+	// CellCount means every cell.
 	CellFirst int `json:"cell_first,omitempty"`
 	CellCount int `json:"cell_count,omitempty"`
 	// FreshBuild routes every trial through the fresh world-building
@@ -245,7 +246,7 @@ func equal[T comparable](a, b T) bool { return a == b }
 func (s CampaignSpec) ValidateUnsharded() error {
 	if s.CellFirst != 0 || s.CellCount != 0 {
 		return fmt.Errorf("sim: campaign pins the cell range [%d, +%d); "+
-			"submit the unsharded spec (or -merge the shard manifests)", s.CellFirst, s.CellCount)
+			"submit the unsharded spec", s.CellFirst, s.CellCount)
 	}
 	return s.Validate()
 }
@@ -275,6 +276,14 @@ func (s CampaignSpec) Normalized() CampaignSpec {
 	return s
 }
 
+// EngineVersion numbers the results the trial engine computes. Every
+// cell a dispatch.CellStore keeps records the version that computed it,
+// and a cell of another version is a miss, so a stored cell is never
+// served to an engine that would compute it differently. A change that
+// moves any trial result bumps it and adds the new version's row to
+// goldenCampaignHash (golden_test.go).
+const EngineVersion = 1
+
 // CellSpec returns the one-cell campaign of job j's cell: the
 // normalized spec with every dimension list pinned to j's value (a
 // workload that collapses the holes dimension pins the collapsed 1)
@@ -299,8 +308,7 @@ func (s CampaignSpec) CellSpec(j TrialJob) CampaignSpec {
 // UnmarshalSpecJSON decodes a campaign spec strictly: unknown fields are
 // an error, so a typoed dimension name fails loudly instead of silently
 // running the default campaign. Every reader of a spec decodes through
-// it: cmd/sweep's -spec files, -resume manifests and -merge inputs,
-// manifest diffs and sweepd submissions.
+// it: cmd/sweep's -spec files, manifest diffs and sweepd submissions.
 //
 // It is also the one place that reads the older spelling of the damage
 // dimension, a "failures" list of names ("holes" or "jam", any case;
@@ -594,10 +602,9 @@ func RunCampaignStream(ctx context.Context, spec CampaignSpec, opts experiment.O
 // admits (nil keeps every job). Skipped jobs cost no work and do not
 // reach the sink; the surviving jobs still execute and deliver in
 // job-index order, so a subset campaign is bit-identical to the
-// corresponding slice of the full stream — the property cmd/sweep
-// -resume relies on when it merges a partial rerun into an existing
-// manifest, and the spec's cell range relies on for cross-process
-// sharding.
+// corresponding slice of the full stream — the property a run over
+// stored cells relies on when it computes only the missing ones, and
+// the spec's cell range relies on for cross-process sharding.
 //
 // Each worker goroutine runs its trials inside a pooled TrialArena
 // (unless spec.FreshBuild), taken from the process-lived free list and

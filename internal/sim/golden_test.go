@@ -7,25 +7,31 @@ import (
 	"testing"
 )
 
-// goldenCampaignHash pins the SHA-256 of the golden campaign's manifest
-// bytes as produced by the pre-SoA (pointer-per-node, map-backed
-// controller) substrate. The storage rewrite must reproduce it exactly:
-// unlike the in-process differential tests, this constant crosses the
-// refactor boundary, so "byte-identical to the previous substrate" is
-// checkable long after the old code is gone. Regenerate (and justify in
-// the PR) only when an intentional semantics change lands.
+// goldenCampaignHash pins, for each EngineVersion, the SHA-256 of the
+// golden campaign's manifest bytes. Version 1 is what the pre-SoA
+// (pointer-per-node, map-backed controller) substrate produced; the
+// storage rewrite reproduced it exactly. Unlike the in-process
+// differential tests, this table crosses refactor boundaries, so
+// "byte-identical to the previous substrate" is checkable long after the
+// old code is gone. A change that moves a result adds a row and bumps
+// EngineVersion (justified in its change log), so stored cells of the
+// older engine stop being served; a row is never edited. A bump without
+// a row fails to compile.
 //
-// The hash covers amd64/linux with the repo's pinned Go toolchain; the
+// The hashes cover amd64/linux with the repo's pinned Go toolchain; the
 // FNV/SplitMix RNG and float64 arithmetic used by trials are
 // deterministic across conforming platforms, so a mismatch means a
 // semantics change, not an environment difference.
 //
-// Re-pinned once without any trial result moving: spec #2 sets no damage
-// dimension, and its default echoes as "workloads":[{"kind":"holes"}]
-// since the "failures" enum was folded into workloads (it echoed as
-// "failures":["holes"] before). The value is what the earlier code gives
-// for the same three specs with spec #2's workloads spelled out.
-const goldenCampaignHash = "d9c01013de97d42d12d2ccb6b7d5e0c29b26bb0a8d4e15d9eb02305395f4a741"
+// Version 1's row was re-pinned once without any trial result moving:
+// spec #2 sets no damage dimension, and its default echoes as
+// "workloads":[{"kind":"holes"}] since the "failures" enum was folded
+// into workloads (it echoed as "failures":["holes"] before). The value
+// is what the earlier code gives for the same three specs with spec
+// #2's workloads spelled out.
+var goldenCampaignHash = [...]string{
+	1: "d9c01013de97d42d12d2ccb6b7d5e0c29b26bb0a8d4e15d9eb02305395f4a741",
+}
 
 // goldenCampaignSpecs spans the axes the byte-identity contract promises:
 // schemes x grids x workloads (legacy, adversarial, composed) x runners,
@@ -100,7 +106,7 @@ func TestGoldenCampaignManifestHash(t *testing.T) {
 		h.Write(ref)
 	}
 	sum := hex.EncodeToString(h.Sum(nil))
-	if sum != goldenCampaignHash {
-		t.Errorf("golden campaign hash %s, want %s", sum, goldenCampaignHash)
+	if want := goldenCampaignHash[EngineVersion]; sum != want {
+		t.Errorf("golden campaign hash %s, want engine %d's %s", sum, EngineVersion, want)
 	}
 }

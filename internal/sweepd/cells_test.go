@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"wsncover/internal/experiment"
 	"wsncover/internal/sim"
 	"wsncover/internal/telemetry"
 )
@@ -74,10 +73,80 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
+// segmentPaths lists the segment files of a store's cells/.
+func segmentPaths(t testing.TB, store *Store) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(store.Dir(), "cells", "*.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// cellSegment runs spec on a daemon over a fresh store and returns the
+// one segment it wrote: one line per cell, in job order.
+func cellSegment(t *testing.T, spec sim.CampaignSpec) []byte {
+	t.Helper()
+	d, store := newTestDaemon(t, Options{})
+	submitCounted(t, d, spec, "segment")
+	paths := segmentPaths(t, store)
+	if len(paths) != 1 {
+		t.Fatalf("store holds %d segments, want 1", len(paths))
+	}
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// daemonWithSegments starts a daemon over a fresh store whose cells/
+// holds the given segments, by file name, as other writers left them.
+func daemonWithSegments(t *testing.T, segs map[string][]byte) (*Daemon, *Store) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := os.MkdirAll(filepath.Join(dir, "cells"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range segs {
+		if err := os.WriteFile(filepath.Join(dir, "cells", name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Drain)
+	return d, store
+}
+
+// storedCells copies the cells of store into a fresh store and returns
+// a daemon over it, so a test can resubmit campaigns without hitting
+// their stored manifests.
+func storedCells(t *testing.T, store *Store) *Daemon {
+	t.Helper()
+	segs := make(map[string][]byte)
+	for _, path := range segmentPaths(t, store) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs[filepath.Base(path)] = data
+	}
+	d, _ := daemonWithSegments(t, segs)
+	return d
+}
+
 // TestCellKeyPinned pins one cell's content address, the SpecHash of
 // its one-cell spec, to a literal: a cell key can only move in a
 // recorded step, like TestSpecHashPinned's campaign key. The campaign
-// is TestSpecHashPinned's; the cell is its first, SR 8x8 holes at N=8.
+// is TestSpecHashPinned's; the cell is its first, SR 8x8 holes at N=8,
+// and the key is read back from the line the daemon stored for it.
 func TestCellKeyPinned(t *testing.T) {
 	spec := sim.CampaignSpec{
 		Schemes:    []sim.SchemeKind{sim.SR, sim.AR},
@@ -87,31 +156,42 @@ func TestCellKeyPinned(t *testing.T) {
 		Replicates: 12,
 		BaseSeed:   21,
 	}
-	cells, err := campaignCells(spec)
-	if err != nil {
+	const want = "sha256:06138fcc1f785dc0496033834eb9872f3749fd11e6139aee97d1272ead3bc18c"
+	lines := bytes.SplitAfter(cellSegment(t, spec), []byte("\n"))
+	if got := len(lines) - 1; got != spec.NumCells() {
+		t.Fatalf("%d stored cells, want %d", got, spec.NumCells())
+	}
+	var first struct {
+		Engine int             `json:"engine"`
+		Spec   json.RawMessage `json:"spec"`
+		Point  struct {
+			Group string  `json:"group"`
+			X     float64 `json:"x"`
+		} `json:"point"`
+		Trials int `json:"trials"`
+	}
+	if err := json.Unmarshal(lines[0], &first); err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != spec.NumCells() {
-		t.Fatalf("%d cells, want %d", len(cells), spec.NumCells())
+	key, err := telemetry.SpecHash(first.Spec)
+	if err != nil || first.Point.Group != "SR 8x8" || first.Point.X != 8 || first.Trials != 12 || key != want {
+		t.Errorf("first cell = %q N=%g over %d trials, key %s (%v); want \"SR 8x8\" N=8 over 12, key %s",
+			first.Point.Group, first.Point.X, first.Trials, key, err, want)
 	}
-	const want = "sha256:06138fcc1f785dc0496033834eb9872f3749fd11e6139aee97d1272ead3bc18c"
-	c := cells[0]
-	if c.Group != "SR 8x8" || c.X != 8 || c.Trials != 12 || c.Key != want {
-		t.Errorf("first cell = %q N=%g over %d trials, key %s; want \"SR 8x8\" N=8 over 12, key %s",
-			c.Group, c.X, c.Trials, c.Key, want)
+	if first.Engine != sim.EngineVersion {
+		t.Errorf("stored cell records engine %d, want %d", first.Engine, sim.EngineVersion)
 	}
 	one := spec.CellSpec(spec.Normalized().Jobs()[0])
-	if key, err := telemetry.SpecHash(one); err != nil || key != c.Key {
-		t.Errorf("SpecHash(CellSpec) = %s, %v; the cell key is %s", key, err, c.Key)
+	if key, err := telemetry.SpecHash(one); err != nil || key != want {
+		t.Errorf("SpecHash(CellSpec) = %s, %v; want %s", key, err, want)
 	}
 }
 
 // TestWidenedCampaignComputesOnlyNewCells: a campaign widened by more
 // spare counts, submitted after its base to the same store, executes
 // only its new cells' trials and still stores exactly the manifest a
-// fresh store computes from scratch. The daemon logs the reuse apart
-// from checkpoint resume, and the ledger credits only the executed
-// trials to the run's rate.
+// fresh store computes from scratch. The daemon logs the reuse, and the
+// ledger credits only the executed trials to the run's rate.
 func TestWidenedCampaignComputesOnlyNewCells(t *testing.T) {
 	var logs syncBuffer
 	d, store := newTestDaemon(t, Options{Logger: slog.New(slog.NewTextHandler(&logs, nil))})
@@ -137,9 +217,8 @@ func TestWidenedCampaignComputesOnlyNewCells(t *testing.T) {
 		t.Error("widened manifest differs from a direct in-process run")
 	}
 
-	if out := logs.String(); !strings.Contains(out, `msg="reusing stored cells" cells=6 of=8`) ||
-		strings.Contains(out, "resuming from checkpoint") {
-		t.Errorf("daemon log does not report the 6 reused cells apart from checkpoint resume:\n%s", out)
+	if out := logs.String(); !strings.Contains(out, `msg="reusing stored cells" cells=6 of=8`) {
+		t.Errorf("daemon log does not report the 6 reused cells:\n%s", out)
 	}
 	recs, err := telemetry.ReadLedger(store.LedgerPath())
 	if err != nil || len(recs) != 2 {
@@ -155,8 +234,9 @@ func TestWidenedCampaignComputesOnlyNewCells(t *testing.T) {
 }
 
 // TestDrainedWidenedCampaignResumes: a widened campaign drained part-way
-// resumes on a fresh daemon from its checkpoint, which carries the
-// stored cells it reused, and finishes byte-identical.
+// resumes on a fresh daemon from the store, which holds the base cells
+// and the new cell completed before the drain, and finishes
+// byte-identical.
 func TestDrainedWidenedCampaignResumes(t *testing.T) {
 	d, store := newTestDaemon(t, Options{})
 	base := multiCellSpec()
@@ -195,8 +275,8 @@ func TestDrainedWidenedCampaignResumes(t *testing.T) {
 	if !bytes.Equal(got, referenceManifest(t, widened, "widened")) {
 		t.Error("resumed widened manifest differs from a direct in-process run")
 	}
-	if out := logs.String(); !strings.Contains(out, `msg="resuming from checkpoint"`) {
-		t.Errorf("daemon log does not report the checkpoint resume:\n%s", out)
+	if out := logs.String(); !strings.Contains(out, `msg="reusing stored cells" cells=7 of=8`) {
+		t.Errorf("daemon log does not report the 7 stored cells:\n%s", out)
 	}
 }
 
@@ -243,26 +323,18 @@ func TestCellStoreMissesOnChangedPhysics(t *testing.T) {
 
 // TestCellStoreMissesOnDamagedLines: a stored cell is reused only when
 // its line verifies. A truncated, garbled, spec-swapped or
-// trials-altered line, and an index entry pointing at the wrong line,
-// each make a miss: the cell is recomputed, the manifest is the direct
-// run's, and the recomputed line serves the next lookup.
+// trials-altered line in another writer's segment, and an index entry
+// pointing at the wrong line, each make a miss: the cell is recomputed,
+// the manifest is the direct run's, and the recomputed line serves the
+// next lookup.
 func TestCellStoreMissesOnDamagedLines(t *testing.T) {
 	spec := multiCellSpec()
 	ref := referenceManifest(t, spec, "damaged")
-	cells, err := campaignCells(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, store := newTestDaemon(t, Options{})
-	submitCounted(t, d, spec, "seed")
-	good, err := os.ReadFile(store.cellsPath())
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := cellSegment(t, spec)
 	lines := bytes.SplitAfter(good, []byte("\n"))
 	lines = lines[:len(lines)-1] // the empty remainder after the last newline
-	if len(lines) != len(cells) {
-		t.Fatalf("cell store holds %d lines, want %d", len(lines), len(cells))
+	if len(lines) != spec.NumCells() {
+		t.Fatalf("segment holds %d lines, want %d", len(lines), spec.NumCells())
 	}
 	edit := func(f func(ls [][]byte)) []byte {
 		ls := make([][]byte, len(lines))
@@ -281,6 +353,15 @@ func TestCellStoreMissesOnDamagedLines(t *testing.T) {
 		ls[0] = append(mustJSON(t, a), '\n')
 		ls[1] = append(mustJSON(t, b), '\n')
 	}
+	// allStored fails unless a daemon over a copy of store's cells
+	// computes only the 2 new cells of a widened spec.
+	allStored := func(t *testing.T, store *Store) {
+		t.Helper()
+		if _, ran := submitCounted(t, storedCells(t, store), widen(spec, 20), "widened"); ran != 2*spec.Replicates {
+			t.Errorf("after the recompute a widened run computes %d trials, want only its 2 new cells' %d",
+				ran, 2*spec.Replicates)
+		}
+	}
 	for _, tc := range []struct {
 		name   string
 		file   []byte
@@ -288,26 +369,14 @@ func TestCellStoreMissesOnDamagedLines(t *testing.T) {
 	}{
 		{"intact", good, 0},
 		{"truncated", good[:len(good)-10], 1},
-		{"garbled", edit(func(ls [][]byte) { ls[0] = []byte(`{"spec":{"schemes":["SR"],` + "\n") }), 1},
+		{"garbled", edit(func(ls [][]byte) { ls[0] = []byte(`{"engine":1,"spec":{"schemes":["SR"],` + "\n") }), 1},
 		{"spec-swapped", edit(swapSpecs), 2},
 		{"trials-altered", edit(func(ls [][]byte) {
 			ls[2] = bytes.Replace(ls[2], []byte(`"trials":4}`), []byte(`"trials":5}`), 1)
 		}), 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "cells.ndjson"), tc.file, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			store, err := OpenStore(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d, err := New(Options{Store: store})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer d.Drain()
+			d, store := daemonWithSegments(t, map[string][]byte{"damaged.ndjson": tc.file})
 			got, ran := submitCounted(t, d, spec, "damaged")
 			if want := tc.misses * spec.Replicates; ran != want {
 				t.Errorf("ran %d trials, want %d (%d cells recomputed)", ran, want, tc.misses)
@@ -315,129 +384,36 @@ func TestCellStoreMissesOnDamagedLines(t *testing.T) {
 			if !bytes.Equal(got, ref) {
 				t.Error("manifest differs from a direct in-process run")
 			}
-			if _, fresh := store.storedCells(cells); len(fresh) != 0 {
-				t.Errorf("%d cells still miss after the recompute", len(fresh))
-			}
+			allStored(t, store)
 		})
 	}
 
 	t.Run("wrong offset", func(t *testing.T) {
-		store.mu.Lock()
-		store.cellIndex[cells[0].Key] = store.cellIndex[cells[1].Key]
-		store.mu.Unlock()
+		// The daemon has indexed its own segment; swapping the segment's
+		// first two lines in place leaves their index entries pointing at
+		// the wrong bytes.
+		d, store := newTestDaemon(t, Options{})
+		submitCounted(t, d, spec, "seed")
+		paths := segmentPaths(t, store)
+		if len(paths) != 1 {
+			t.Fatalf("store holds %d segments, want 1", len(paths))
+		}
+		seg, err := os.ReadFile(paths[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls := bytes.SplitAfter(seg, []byte("\n"))
+		ls[0], ls[1] = ls[1], ls[0]
+		if err := os.WriteFile(paths[0], bytes.Join(ls, nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
 		widened := widen(spec, 20)
 		got, ran := submitCounted(t, d, widened, "damaged")
-		if want := 3 * spec.Replicates; ran != want {
-			t.Errorf("ran %d trials, want %d (2 new cells and the misindexed one)", ran, want)
+		if want := 4 * spec.Replicates; ran != want {
+			t.Errorf("ran %d trials, want %d (2 new cells and the 2 misindexed ones)", ran, want)
 		}
 		if !bytes.Equal(got, referenceManifest(t, widened, "damaged")) {
 			t.Error("manifest differs from a direct in-process run")
-		}
-	})
-}
-
-// FuzzCellStore: whatever cells.ndjson holds, the reader never panics
-// and serves a cell only from a whole line of the file that verifies as
-// that cell's. Installing the cells it missed then makes every cell a
-// hit serving the installed points, in this store and in a reopened
-// one, however the file ended.
-func FuzzCellStore(f *testing.F) {
-	spec := smallSpec().Normalized()
-	cells, err := campaignCells(spec)
-	if err != nil {
-		f.Fatal(err)
-	}
-	hash, err := telemetry.SpecHash(spec)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var m experiment.Manifest
-	if err := json.Unmarshal(referenceManifest(f, spec, "fuzz"), &m); err != nil {
-		f.Fatal(err)
-	}
-	seed, err := OpenStore(f.TempDir())
-	if err != nil {
-		f.Fatal(err)
-	}
-	if _, err := seed.Install(hash, &m, cells); err != nil {
-		f.Fatal(err)
-	}
-	good, err := os.ReadFile(seed.cellsPath())
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good)
-	f.Add(good[:len(good)-9])
-	f.Add(append(bytes.Clone(good), good...))
-	f.Add(bytes.Replace(good, []byte(`"trials":2`), []byte(`"trials":3`), 1))
-	f.Add([]byte("not a cell line\n{}\n\n"))
-	f.Add([]byte{})
-
-	pointJSON := func(t *testing.T, p experiment.Point) []byte {
-		b, err := json.Marshal(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "cells.ndjson"), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		store, err := OpenStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		points, fresh := store.storedCells(cells)
-		if len(points)+len(fresh) != len(cells) {
-			t.Fatalf("%d hits and %d misses for %d cells", len(points), len(fresh), len(cells))
-		}
-		// want is the point each cell must serve once its miss is
-		// installed: the verified line's if it hit, m's otherwise.
-		want := make([][]byte, len(cells))
-		wasFresh := make([]bool, len(cells))
-		for i, c := range cells {
-			if len(fresh) > 0 && fresh[0].Key == c.Key {
-				fresh = fresh[1:]
-				wasFresh[i] = true
-				want[i] = pointJSON(t, m.Points[i])
-				continue
-			}
-			want[i] = pointJSON(t, points[0])
-			points = points[1:]
-			verified := false
-			for _, line := range bytes.SplitAfter(data, []byte("\n")) {
-				if p, err := verifyCellLine(line, c); err == nil && bytes.Equal(pointJSON(t, p), want[i]) {
-					verified = true
-					break
-				}
-			}
-			if !verified {
-				t.Fatalf("served %q N=%g from no line of the file that verifies as that cell", c.Group, c.X)
-			}
-		}
-
-		_, fresh = store.storedCells(cells)
-		if _, err := store.Install(hash, &m, fresh); err != nil {
-			t.Fatal(err)
-		}
-		reopened, err := OpenStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range []*Store{store, reopened} {
-			points, fresh := s.storedCells(cells)
-			if len(fresh) != 0 {
-				t.Fatalf("%d cells miss after installing them", len(fresh))
-			}
-			for i, p := range points {
-				// A reopened store rescans the file, where the line that
-				// ended it may have been completed by the install.
-				if (s == store || wasFresh[i]) && !bytes.Equal(pointJSON(t, p), want[i]) {
-					t.Fatalf("cell %d serves a point other than the one it served or was installed with", i)
-				}
-			}
 		}
 	})
 }
@@ -461,7 +437,6 @@ func TestCellStoreConcurrentCampaigns(t *testing.T) {
 		}
 		ids[i] = v.ID
 	}
-	var all []Cell
 	for i, spec := range specs {
 		if !d.Wait(context.Background(), ids[i]) {
 			t.Fatal("campaign never finished")
@@ -474,13 +449,11 @@ func TestCellStoreConcurrentCampaigns(t *testing.T) {
 		if !bytes.Equal(got, referenceManifest(t, spec, "concurrent")) {
 			t.Errorf("campaign %d: manifest differs from a direct in-process run", i)
 		}
-		cells, err := campaignCells(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, cells...)
 	}
-	if _, fresh := store.storedCells(all); len(fresh) != 0 {
-		t.Errorf("%d computed cells are not served afterwards", len(fresh))
+	after := storedCells(t, store)
+	for _, spec := range specs {
+		if _, ran := submitCounted(t, after, spec, "again"); ran != 0 {
+			t.Errorf("a copy of the store recomputes %d trials of a campaign it holds", ran)
+		}
 	}
 }

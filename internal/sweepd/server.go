@@ -220,8 +220,8 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleReadyz reports readiness: a draining daemon answers 503 so a
-// load balancer stops routing submissions to it while in-flight
-// campaigns finish checkpointing.
+// load balancer stops routing submissions to it while Drain cancels
+// the in-flight campaigns, whose completed cells are already stored.
 func (d *Daemon) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if d.Draining() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})

@@ -4,25 +4,25 @@
 // content-addressed store keyed by telemetry.SpecHash. Determinism is
 // what makes the store a cache: the spec hash ignores execution-only
 // fields (worker count, shard layout), and a campaign's manifest is
-// byte-identical at any worker count and under any shard layout once
-// its shards are merged, so one stored manifest answers every future
-// submission of the same science. The daemon runs campaigns
-// in-process; cmd/sweep -if-cached installs the manifests of
-// in-process runs and of -merge (shards run on many boxes) alike.
+// byte-identical at any worker count and under any shard layout, so
+// one stored manifest answers every future submission of the same
+// science.
 //
 // The same argument holds one level down. A cell — one (group, N) pair
 // with all its replicates — depends only on its own dimension values,
-// the seed and the replicate count, so the store also keeps every cell
-// the daemon computed, keyed by the hash of its one-cell campaign, and
-// a campaign sharing cells with earlier ones (a widened sweep) computes
-// only its new cells. Every stored cell is re-verified when it is
-// reused; one that fails is recomputed.
+// the seed and the replicate count, so the store's cells/ directory is
+// a dispatch.CellStore: every cell a campaign computes is stored the
+// moment it completes, and a campaign sharing cells with earlier ones
+// (a widened sweep, a resubmission after a drain, the shards cmd/sweep
+// ran with -store on this directory) computes only the cells it lacks.
+// Every stored cell is re-verified when it is reused; one that fails
+// is recomputed.
 //
 // The package splits along the same seams as the rest of the repo:
-// store.go is the artifact store, cells.go its cell store, sweepd.go
-// the daemon (submission, dedupe, the bounded FIFO job queue, drain),
-// run.go the campaign runner (the in-process engine), and server.go
-// the HTTP surface. cmd/sweepd wires it to flags and signals.
+// store.go is the artifact store, sweepd.go the daemon (submission,
+// dedupe, the bounded FIFO job queue, drain), run.go the campaign
+// runner (the in-process engine), and server.go the HTTP surface.
+// cmd/sweepd wires it to flags and signals.
 package sweepd
 
 import (
@@ -31,8 +31,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
+	"wsncover/internal/dispatch"
 	"wsncover/internal/experiment"
 	"wsncover/internal/telemetry"
 )
@@ -41,10 +41,8 @@ import (
 // at one directory:
 //
 //	<dir>/manifests/sha256-<hex>.json   completed campaign manifests
-//	<dir>/cells.ndjson                  the cell store: one line per computed
-//	                                    cell, appended as campaigns install
-//	<dir>/runs/<hex>/                   per-campaign working directories,
-//	                                    removed once the manifest is installed
+//	<dir>/cells/<writer>.ndjson         the cell store (dispatch.CellStore):
+//	                                    one append-only segment per process
 //	<dir>/ledger.ndjson                 the run ledger (telemetry.Record)
 //
 // Keys are telemetry.SpecHash values ("sha256:<64 hex>"). Only full,
@@ -53,30 +51,22 @@ import (
 // deliberately ignores shard layout and a partial manifest stored
 // under the full campaign's key would poison every later cache hit.
 //
-// A cells.ndjson line is {"spec":<one-cell spec>,"point":..,"trials":R}
-// and is keyed by the SpecHash of its spec (Cell), re-derived on every
-// read and never stored. The file is append-only: each Install adds
-// its campaign's new cells in one write(2). An in-memory index from key
-// to line is built by one scan on the first lookup, so opening a store
-// reads nothing; a later line for a key wins.
+// The cell index is built by one scan of every segment on the first
+// campaign a daemon runs, so opening a store reads nothing. A running
+// daemon therefore sees cells that other processes append to the
+// directory later (cmd/sweep -store runs) only after a restart; until
+// then it recomputes them, with the same bytes.
 type Store struct {
-	dir string
-
-	// mu serializes the cell store: the index and every append.
-	mu sync.Mutex
-	// cellIndex maps cell keys to their lines in cells.ndjson; nil until
-	// the first lookup scans the file.
-	cellIndex map[string]lineAt
+	dir   string
+	cells *dispatch.CellStore
 }
 
 // OpenStore opens (creating if needed) the store rooted at dir.
 func OpenStore(dir string) (*Store, error) {
-	for _, d := range []string{dir, filepath.Join(dir, "manifests"), filepath.Join(dir, "runs")} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("sweepd: store: %w", err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, "manifests"), 0o755); err != nil {
+		return nil, fmt.Errorf("sweepd: store: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, cells: dispatch.OpenCellStore(dir)}, nil
 }
 
 // Dir returns the store's root directory.
@@ -84,22 +74,6 @@ func (s *Store) Dir() string { return s.dir }
 
 // LedgerPath is the store's run-ledger file (telemetry NDJSON records).
 func (s *Store) LedgerPath() string { return filepath.Join(s.dir, "ledger.ndjson") }
-
-// RunDir returns (creating if needed) the working directory for the
-// campaign with the given spec hash — checkpoints and in-flight
-// manifests live here, outside the manifests/ namespace, so a crashed
-// run never pollutes the store with a partial artifact.
-func (s *Store) RunDir(hash string) (string, error) {
-	hex, err := hashHex(hash)
-	if err != nil {
-		return "", err
-	}
-	dir := filepath.Join(s.dir, "runs", hex)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("sweepd: store: %w", err)
-	}
-	return dir, nil
-}
 
 // hashHex validates a spec hash and returns its hex digest — the only
 // component that ever reaches a file name, so a malicious "hash" can
@@ -150,12 +124,6 @@ func verifyManifest(path, wantHash string) error {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return fmt.Errorf("unreadable manifest %s: %w", path, err)
 	}
-	return checkSpecHash(&m, path, wantHash)
-}
-
-// checkSpecHash checks that m's echoed spec (read from path) re-hashes
-// to wantHash.
-func checkSpecHash(m *experiment.Manifest, path, wantHash string) error {
 	got, err := telemetry.SpecHash(m.Spec)
 	if err != nil {
 		return err
@@ -166,19 +134,14 @@ func checkSpecHash(m *experiment.Manifest, path, wantHash string) error {
 	return nil
 }
 
-// Install appends m's points for the fresh cells — the campaign's
-// cells the cell store did not serve (storedCells), or nil — to the
-// cell store in one write, then writes m into the store under hash,
-// atomically (temp + rename), and returns the stored path. Installing
-// the same hash twice is fine: determinism guarantees the bytes match,
-// and the rename just replaces like with like.
-func (s *Store) Install(hash string, m *experiment.Manifest, fresh []Cell) (string, error) {
+// Install writes m into the store under hash, atomically (temp +
+// rename), and returns the stored path. Installing the same hash twice
+// is fine: determinism guarantees the bytes match, and the rename just
+// replaces like with like.
+func (s *Store) Install(hash string, m *experiment.Manifest) (string, error) {
 	hex, err := hashHex(hash)
 	if err != nil {
 		return "", err
-	}
-	if err := s.appendCells(m, fresh); err != nil {
-		return "", fmt.Errorf("sweepd: store install: cell store: %w", err)
 	}
 	dst := s.manifestPath(hex)
 	if err := m.WriteAtomic(dst); err != nil {

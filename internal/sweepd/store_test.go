@@ -44,7 +44,7 @@ func TestStoreInstallGetResolveList(t *testing.T) {
 	}
 
 	src := &experiment.Manifest{Name: "x", Jobs: 1, Points: []experiment.Point{}}
-	pathA, err := store.Install(hashA, src, nil)
+	pathA, err := store.Install(hashA, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestStoreInstallGetResolveList(t *testing.T) {
 	if _, ok := store.Get(hashA); ok {
 		t.Fatalf("Get(%s) served a manifest whose spec does not hash to the key", hashA)
 	}
-	if _, err := store.Install(hashB, src, nil); err != nil {
+	if _, err := store.Install(hashB, src); err != nil {
 		t.Fatal(err)
 	}
 
@@ -180,7 +180,7 @@ func TestStoreResolveFullHashIsDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, err := store.Install(hash, m, nil)
+	path, err := store.Install(hash, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,23 +201,5 @@ func TestStoreResolveFullHashIsDirect(t *testing.T) {
 	}
 	if _, _, err := store.Resolve(hash); err == nil {
 		t.Error("Resolve served a full-hash file that fails verification")
-	}
-}
-
-func TestRunDirIsolatesPerCampaign(t *testing.T) {
-	store, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash := "sha256:" + strings.Repeat("cd", 32)
-	dir, err := store.RunDir(hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(dir, filepath.Join(store.Dir(), "runs")) {
-		t.Errorf("run dir %q escaped the store", dir)
-	}
-	if _, err := store.RunDir("sha256:nope"); err == nil {
-		t.Error("RunDir must reject malformed hashes")
 	}
 }

@@ -331,8 +331,7 @@ func (d *Daemon) viewLocked(c *Campaign) View {
 
 // runnerLoop is one execution slot: dequeue, run, record, repeat. It
 // exits when Drain closes the queue; campaigns still queued at that
-// point are recorded aborted without running (their checkpoint-free
-// state means a resubmission after restart starts clean).
+// point are recorded aborted without running.
 func (d *Daemon) runnerLoop() {
 	defer d.wg.Done()
 	for c := range d.queue {
@@ -362,8 +361,8 @@ func (d *Daemon) runnerLoop() {
 // ledger record. The ledger gets every outcome — completed, failed,
 // aborted — so the store's run history shows unhealthy runs too;
 // points is the completed manifest's point count, and ran the trial
-// count this run actually executed (a resumed run is not credited with
-// checkpointed cells, an aborted one records its partial progress
+// count this run actually executed (a run is not credited with the
+// stored cells it reused, an aborted one records its partial progress
 // honestly).
 func (d *Daemon) finish(c *Campaign, status, manifestPath string, points, ran int, runErr error) {
 	finished := time.Now().UTC()
@@ -392,8 +391,8 @@ func (d *Daemon) finish(c *Campaign, status, manifestPath string, points, ran in
 	}
 	if status == StatusCompleted {
 		// Like cmd/sweep: a completed manifest accounts for the whole
-		// campaign, resumed-over cells included; the rate credits only
-		// the trials this run executed.
+		// campaign, reused cells included; the rate credits only the
+		// trials this run executed.
 		rec.Jobs = c.Spec.NumJobs()
 		rec.Points = points
 	}
@@ -428,10 +427,10 @@ func (d *Daemon) finish(c *Campaign, status, manifestPath string, points, ran in
 
 // Drain shuts the daemon down gracefully: new submissions are refused,
 // queued campaigns are recorded aborted, and in-flight campaigns are
-// cancelled — their engines stop at the next trial boundary and their
-// checkpoints stay in the store's runs/ directory, so resubmitting the
-// same spec after a restart resumes instead of starting over. Drain
-// blocks until every runner has exited.
+// cancelled — their engines stop at the next trial boundary, and the
+// cells they completed are already stored, so resubmitting the same
+// spec after a restart computes only the rest. Drain blocks until every
+// runner has exited.
 func (d *Daemon) Drain() {
 	d.mu.Lock()
 	if d.draining {

@@ -34,7 +34,7 @@ func smallSpec() sim.CampaignSpec {
 }
 
 // multiCellSpec has several (group, N) cells, so a run held mid-way by
-// testTrialHook has some cells checkpointed and some outstanding:
+// testTrialHook has some cells stored and some outstanding:
 // 2 schemes x 3 spares = 6 cells of 4 replicates, 24 trials. Workers
 // is pinned to 1 so the single engine worker stops at the very trial
 // the hook blocks on — no other goroutine can run ahead.
@@ -377,11 +377,11 @@ func TestServiceEndToEnd(t *testing.T) {
 }
 
 // TestDrainAbortsAndResumes exercises the production shutdown path: a
-// drain mid-campaign leaves a resumable checkpoint and honest aborted
-// ledger records (the running campaign and the queued one), refuses
-// new submissions, and a fresh daemon over the same store resumes from
-// the checkpoint instead of starting over — finishing with a manifest
-// byte-identical to an uninterrupted run.
+// drain mid-campaign leaves honest aborted ledger records (the running
+// campaign and the queued one) and refuses new submissions, and the
+// resubmission on a fresh daemon over the same store reuses the cells
+// completed before the drain instead of starting over — finishing with
+// a manifest byte-identical to an uninterrupted run.
 func TestDrainAbortsAndResumes(t *testing.T) {
 	storeDir := filepath.Join(t.TempDir(), "store")
 	store, err := OpenStore(storeDir)
@@ -397,7 +397,7 @@ func TestDrainAbortsAndResumes(t *testing.T) {
 	defer ts.Close()
 
 	// Hold the campaign after its 8th trial — two of six cells complete
-	// and checkpointed — until the drain cancels the daemon context.
+	// and stored — until the drain cancels the daemon context.
 	// Campaigns run far too fast (tens of milliseconds) for wall-clock
 	// racing; the hook makes the mid-run window deterministic.
 	held := make(chan struct{})
@@ -461,19 +461,10 @@ func TestDrainAbortsAndResumes(t *testing.T) {
 		t.Fatalf("ledger has %d aborted records, want 2 (running + queued): %+v", abortedRecs, recs)
 	}
 
-	// The checkpoint is exactly the two cells the hook allowed: a
-	// strict prefix of the campaign.
-	runDir, err := store.RunDir(v.SpecHash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckPath := filepath.Join(runDir, "checkpoint.ndjson")
-	ck, err := experiment.ReadCellLog(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Jobs != 8 {
-		t.Fatalf("checkpoint records %d of %d jobs, want the 8 the hook admitted", ck.Jobs, spec.NumJobs())
+	// The store holds exactly the two cells the hook allowed: a strict
+	// prefix of the campaign.
+	if n := storedLines(t, store); n != 2 {
+		t.Fatalf("store holds %d cells after the drain, want the 2 the hook admitted", n)
 	}
 
 	// A fresh daemon over the same store resumes: the campaign's event
@@ -506,7 +497,7 @@ func TestDrainAbortsAndResumes(t *testing.T) {
 		t.Fatalf("last event frame %q: %v", lines[len(lines)-1], err)
 	}
 	if want := spec.NumJobs() - 8; lastSnap.Fleet.Total != want {
-		t.Errorf("resumed run's total = %d, want %d (checkpointed cells skipped)",
+		t.Errorf("resumed run's total = %d, want %d (stored cells skipped)",
 			lastSnap.Fleet.Total, want)
 	}
 
@@ -517,95 +508,51 @@ func TestDrainAbortsAndResumes(t *testing.T) {
 	if ref := referenceManifest(t, spec, "drainee"); !bytes.Equal(stored, ref) {
 		t.Error("resumed manifest is not byte-identical to an uninterrupted run")
 	}
-	if _, err := os.Stat(ckPath); !os.IsNotExist(err) {
-		t.Errorf("checkpoint should be cleared after completion (stat err %v)", err)
+	if n := storedLines(t, store); n != spec.NumCells() {
+		t.Errorf("store holds %d cells after the resubmission, want each of the %d once", n, spec.NumCells())
 	}
 }
 
-// TestCheckpointLogVetting: an in-process campaign resumes from its
-// run directory's checkpoint log only when the log's header spec
-// re-hashes to the campaign's key, and then only from the complete
-// lines — a torn last cell is rerun. Either way the stored manifest is
-// byte-identical to a cold run.
+// storedLines counts the cell lines in every segment of store.
+func storedLines(t *testing.T, store *Store) int {
+	t.Helper()
+	n := 0
+	for _, path := range segmentPaths(t, store) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += bytes.Count(data, []byte("\n"))
+	}
+	return n
+}
+
+// TestCheckpointLogVetting: an in-process campaign reuses the cells
+// another writer's segment holds only when they verify as its own: a
+// segment of a campaign with another seed serves nothing, and a segment
+// torn in its last line serves every cell but that one. Either way the
+// stored manifest is byte-identical to a cold run.
 func TestCheckpointLogVetting(t *testing.T) {
 	spec, other := smallSpec(), smallSpec()
 	other.BaseSeed++
-	decode := func(data []byte) *experiment.Manifest {
-		t.Helper()
-		var m experiment.Manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			t.Fatal(err)
-		}
-		return &m
-	}
 	cold := referenceManifest(t, spec, "vet")
+	own := cellSegment(t, spec)
 	for _, tc := range []struct {
 		name    string
-		log     *experiment.Manifest // whose header and cells the log holds
-		tear    bool                 // cut the last line short
+		seg     []byte
 		wantRan int
 	}{
-		{"foreign spec", decode(referenceManifest(t, other, "vet")), false, 4},
-		{"torn last line", decode(cold), true, 2},
+		{"foreign spec", cellSegment(t, other), 4},
+		{"torn last line", own[:len(own)-7], 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var mu sync.Mutex
-			ranMax := 0
-			testTrialHook = func(_ *Campaign, ran int) {
-				mu.Lock()
-				defer mu.Unlock()
-				ranMax = max(ranMax, ran)
-			}
-			t.Cleanup(func() { testTrialHook = nil })
-
-			d, store := newTestDaemon(t, Options{})
-			hash, err := telemetry.SpecHash(spec.Normalized())
-			if err != nil {
-				t.Fatal(err)
-			}
-			runDir, err := store.RunDir(hash)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ck := filepath.Join(runDir, "checkpoint.ndjson")
-			recs := make([]experiment.CellRecord, len(tc.log.Points))
-			for i, p := range tc.log.Points {
-				recs[i] = experiment.CellRecord{Point: p, Trials: 2}
-			}
-			log, err := experiment.CreateCellLog(ck, tc.log, recs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			log.Close()
-			if tc.tear {
-				data, err := os.ReadFile(ck)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(ck, data[:len(data)-7], 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			v, created, err := d.Submit(mustJSON(t, spec), "vet")
-			if err != nil || !created {
-				t.Fatalf("Submit = %+v, %v, %v", v, created, err)
-			}
-			if !d.Wait(context.Background(), v.ID) {
-				t.Fatal("campaign never finished")
-			}
-			done, _ := d.Campaign(v.ID)
-			stored, err := os.ReadFile(done.Manifest)
-			if err != nil {
-				t.Fatal(err)
-			}
+			d, _ := daemonWithSegments(t, map[string][]byte{"dead.ndjson": tc.seg})
+			stored, ran := submitCounted(t, d, spec, "vet")
 			if !bytes.Equal(stored, cold) {
 				t.Error("stored manifest differs from a cold run")
 			}
-			mu.Lock()
-			defer mu.Unlock()
-			if ranMax != tc.wantRan {
-				t.Errorf("campaign ran %d trials, want %d", ranMax, tc.wantRan)
+			if ran != tc.wantRan {
+				t.Errorf("campaign ran %d trials, want %d", ran, tc.wantRan)
 			}
 		})
 	}
@@ -654,10 +601,10 @@ func TestNewValidatesOptions(t *testing.T) {
 	}
 }
 
-// TestCompletedCampaignLeavesNoRunDir: once the manifest is installed
-// the campaign's run directory (checkpoint log) is removed, so the
-// store holds exactly one copy of every completed manifest; the
-// ledger's point count comes from that manifest.
+// TestCompletedCampaignLeavesNoRunDir: a completed campaign leaves the
+// store with its manifest, one segment holding each of its cells once,
+// and no per-campaign working directory; the ledger's point count comes
+// from the manifest.
 func TestCompletedCampaignLeavesNoRunDir(t *testing.T) {
 	t.Run("in-process", func(t *testing.T) {
 		d, store := newTestDaemon(t, Options{})
@@ -672,10 +619,19 @@ func TestCompletedCampaignLeavesNoRunDir(t *testing.T) {
 		if done.Status != StatusCompleted {
 			t.Fatalf("status %q (%s), want completed", done.Status, done.Error)
 		}
-		runDir := filepath.Join(store.Dir(), "runs", strings.TrimPrefix(v.SpecHash, "sha256:"))
-		if _, err := os.Stat(runDir); !os.IsNotExist(err) {
-			entries, _ := os.ReadDir(runDir)
-			t.Fatalf("completed campaign left its run directory behind (stat err %v, entries %v)", err, entries)
+		entries, err := os.ReadDir(store.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if strings.Join(names, " ") != "cells ledger.ndjson manifests" {
+			t.Errorf("store holds %v, want only cells, ledger.ndjson and manifests", names)
+		}
+		if n := len(segmentPaths(t, store)); n != 1 || storedLines(t, store) != 6 {
+			t.Errorf("store holds %d segments with %d cells, want 1 with 6", n, storedLines(t, store))
 		}
 		var m experiment.Manifest
 		data, err := os.ReadFile(done.Manifest)

@@ -29,10 +29,11 @@ type Record struct {
 	// Name is the campaign name (the manifest's base name).
 	Name string `json:"name"`
 	// Mode says how the run executed: "run" (single process), "shard"
-	// (one cell block of a larger campaign), "merge" (shard manifests
-	// assembled by cmd/sweep -merge), or "sweepd". Ledgers written
-	// before the fleet supervisor was retired also hold "dispatch"
-	// records, whose extra "shards" and "retries" keys decoding ignores.
+	// (one cell block of a larger campaign), or "sweepd". Older ledgers
+	// also hold "merge" records (shard manifests assembled by the
+	// retired cmd/sweep -merge) and, from before the fleet supervisor
+	// was retired, "dispatch" records, whose extra "shards" and
+	// "retries" keys decoding ignores.
 	Mode string `json:"mode"`
 	// Status says how the run ended: StatusCompleted, StatusFailed (the
 	// engine or an artifact write errored), or StatusAborted (drained on
