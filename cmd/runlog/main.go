@@ -250,15 +250,11 @@ func runShow(w io.Writer, path, storeDir, ref string) error {
 		if serr != nil {
 			return serr
 		}
-		hash, manifest, serr := store.Resolve(ref)
+		hash, manifest, data, serr := store.Resolve(ref)
 		if serr != nil {
 			return err // the original, more helpful resolution error
 		}
-		info, serr := os.Stat(manifest)
-		if serr != nil {
-			return serr
-		}
-		b, serr := json.MarshalIndent(sweepd.Entry{SpecHash: hash, Path: manifest, Bytes: info.Size()}, "", "  ")
+		b, serr := json.MarshalIndent(sweepd.Entry{SpecHash: hash, Path: manifest, Bytes: int64(len(data))}, "", "  ")
 		if serr != nil {
 			return serr
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -213,7 +214,9 @@ func TestRunlogBench(t *testing.T) {
 }
 
 // buildStore populates a sweepd store with one ledgered manifest and
-// one installed by hand (no ledger line).
+// one installed by hand (no ledger line). Each manifest's spec hashes
+// to its key, as a store lookup verifies; the ledgered one has the
+// lower hash, so it lists first.
 func buildStore(t *testing.T) (dir string, ledgered, bare string) {
 	t.Helper()
 	dir = filepath.Join(t.TempDir(), "store")
@@ -221,18 +224,28 @@ func buildStore(t *testing.T) (dir string, ledgered, bare string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var src experiment.Manifest
-	data, err := os.ReadFile(writeManifest(t, t.TempDir(), "daemon-run", 5))
-	if err != nil {
-		t.Fatal(err)
+	manifests := make(map[string]*experiment.Manifest)
+	var hashes []string
+	for seed := int64(1); seed <= 2; seed++ {
+		spec := sim.CampaignSpec{
+			Schemes: []sim.SchemeKind{sim.SR}, Grids: []sim.GridSize{{Cols: 8, Rows: 8}},
+			Spares: []int{8}, Replicates: 4, BaseSeed: seed,
+		}.Normalized()
+		h, err := telemetry.SpecHash(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := experiment.NewManifest("daemon-run", spec, 4, 0, []experiment.Point{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		manifests[h] = m
+		hashes = append(hashes, h)
 	}
-	if err := json.Unmarshal(data, &src); err != nil {
-		t.Fatal(err)
-	}
-	ledgered = "sha256:" + strings.Repeat("aa", 32)
-	bare = "sha256:" + strings.Repeat("bb", 32)
-	for _, h := range []string{ledgered, bare} {
-		if _, err := store.Install(h, &src); err != nil {
+	sort.Strings(hashes)
+	ledgered, bare = hashes[0], hashes[1]
+	for _, h := range hashes {
+		if _, err := store.Install(h, manifests[h]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +285,7 @@ func TestRunlogStoreMode(t *testing.T) {
 		t.Errorf("store show = %s", out.String())
 	}
 	out.Reset()
-	if err := run([]string{"-store", dir, "show", "bbbb"}, &out); err != nil {
+	if err := run([]string{"-store", dir, "show", strings.TrimPrefix(bare, "sha256:")[:8]}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), bare) {

@@ -18,18 +18,27 @@ import (
 // older "failures" list compares equal to one that spells the same
 // workloads.
 func LoadManifest(path string) (experiment.Manifest, sim.CampaignSpec, error) {
-	var m experiment.Manifest
-	var spec sim.CampaignSpec
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return m, spec, err
+		return experiment.Manifest{}, sim.CampaignSpec{}, err
 	}
-	if err := json.Unmarshal(data, &m); err != nil {
+	m, spec, err := parseManifest(data)
+	if err != nil {
 		return m, spec, fmt.Errorf("%s: %w", path, err)
+	}
+	return m, spec, nil
+}
+
+// parseManifest is LoadManifest over bytes already read.
+func parseManifest(data []byte) (experiment.Manifest, sim.CampaignSpec, error) {
+	var m experiment.Manifest
+	var spec sim.CampaignSpec
+	if err := json.Unmarshal(data, &m); err != nil {
+		return m, spec, err
 	}
 	if len(m.Spec) > 0 {
 		if err := sim.UnmarshalSpecJSON(m.Spec, &spec); err != nil {
-			return m, spec, fmt.Errorf("%s: unreadable spec: %w", path, err)
+			return m, spec, fmt.Errorf("unreadable spec: %w", err)
 		}
 	}
 	spec.Workers, spec.FreshBuild = 0, false
@@ -59,6 +68,24 @@ func DiffManifests(pathA, pathB string, tol float64) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	return diffLoaded(a, specA, b, specB, tol), nil
+}
+
+// DiffManifestBytes is DiffManifests over two manifests already read.
+func DiffManifestBytes(dataA, dataB []byte, tol float64) ([]string, error) {
+	a, specA, err := parseManifest(dataA)
+	if err != nil {
+		return nil, fmt.Errorf("manifest a: %w", err)
+	}
+	b, specB, err := parseManifest(dataB)
+	if err != nil {
+		return nil, fmt.Errorf("manifest b: %w", err)
+	}
+	return diffLoaded(a, specA, b, specB, tol), nil
+}
+
+// diffLoaded compares two parsed manifests (see DiffManifests).
+func diffLoaded(a experiment.Manifest, specA sim.CampaignSpec, b experiment.Manifest, specB sim.CampaignSpec, tol float64) []string {
 	var diffs []string
 	add := func(format string, args ...any) { diffs = append(diffs, fmt.Sprintf(format, args...)) }
 
@@ -75,7 +102,7 @@ func DiffManifests(pathA, pathB string, tol float64) ([]string, error) {
 	}
 	if len(a.Points) != len(b.Points) {
 		add("points: %d vs %d", len(a.Points), len(b.Points))
-		return diffs, nil
+		return diffs
 	}
 	close := func(x, y float64) bool { return math.Abs(x-y) <= tol*(1+math.Abs(y)) }
 	for i, pb := range b.Points {
@@ -117,5 +144,5 @@ func DiffManifests(pathA, pathB string, tol float64) ([]string, error) {
 			}
 		}
 	}
-	return diffs, nil
+	return diffs
 }

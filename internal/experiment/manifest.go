@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -47,6 +48,16 @@ func (m *Manifest) Write(w io.Writer) error {
 	return nil
 }
 
+// Encode returns the serialized manifest: exactly the bytes Write
+// emits.
+func (m *Manifest) Encode() ([]byte, error) {
+	var buf bytes.Buffer
+	if err := m.Write(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 // Save writes the manifest to dir/<name>.json, creating dir when needed,
 // and returns the written path. The write is atomic — a uniquely named
 // temp file in dir, renamed over the target — so a reader (or a process
@@ -60,24 +71,31 @@ func (m *Manifest) Save(dir string) (string, error) {
 	return path, m.WriteAtomic(path)
 }
 
-// WriteAtomic atomically replaces path with the serialized manifest:
-// it is encoded into a uniquely named temp file in the same directory,
-// which is then renamed over path, so a reader (or a writer killed
-// mid-write) sees the old content or the new, never a prefix.
-func (m *Manifest) WriteAtomic(path string) error { return writeAtomic(path, m.Write) }
+// WriteAtomic atomically replaces path with the serialized manifest
+// (see WriteFileAtomic).
+func (m *Manifest) WriteAtomic(path string) error {
+	data, err := m.Encode()
+	if err != nil {
+		return err
+	}
+	return WriteFileAtomic(path, data)
+}
 
-// writeAtomic lands what write streams at path via a temp file and a
-// rename. The temp file is removed on every failure path.
-func writeAtomic(path string, write func(io.Writer) error) error {
+// WriteFileAtomic atomically replaces path with data: the bytes go to a
+// uniquely named temp file in the same directory, which is then renamed
+// over path, so a reader (or a writer killed mid-write) sees the old
+// content or the new, never a prefix. The temp file is removed on every
+// failure path.
+func WriteFileAtomic(path string, data []byte) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("experiment: %w", err)
 	}
 	tmp := f.Name()
-	if err := write(f); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return err
+		return fmt.Errorf("experiment: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)

@@ -1,9 +1,12 @@
 package sweepd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
@@ -61,6 +64,44 @@ func BenchmarkSweepdWidened(b *testing.B) {
 				d.Drain()
 			}
 		})
+	}
+}
+
+// BenchmarkSweepdHit times one cache hit of the service-mix base
+// campaign through Daemon.Handler(): the submission the store answers,
+// then the manifest fetch. The base campaign runs once, untimed, so
+// every iteration is a hit on a verified, memoized manifest.
+func BenchmarkSweepdHit(b *testing.B) {
+	base, _ := serviceMixSpecs(1000)
+	store, err := OpenStore(filepath.Join(b.TempDir(), "store"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := New(Options{Store: store})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Drain()
+	benchCampaign(b, d, base)
+	body, err := json.Marshal(base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := d.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rw := httptest.NewRecorder()
+		h.ServeHTTP(rw, httptest.NewRequest("POST", "/api/v1/campaigns?name=hit", bytes.NewReader(body)))
+		var v View
+		if err := json.Unmarshal(rw.Body.Bytes(), &v); err != nil || rw.Code != http.StatusOK || v.Status != StatusCached {
+			b.Fatalf("submit: HTTP %d, %+v, %v; want a cache hit", rw.Code, v, err)
+		}
+		rw = httptest.NewRecorder()
+		h.ServeHTTP(rw, httptest.NewRequest("GET", v.ManifestURL, nil))
+		if rw.Code != http.StatusOK || rw.Body.Len() == 0 {
+			b.Fatalf("manifest fetch: HTTP %d", rw.Code)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"strconv"
 	"time"
 
@@ -163,14 +162,9 @@ func (d *Daemon) handleManifests(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handleManifest(w http.ResponseWriter, r *http.Request) {
-	_, path, err := d.store.Resolve(r.PathValue("hash"))
+	_, _, data, err := d.store.Resolve(r.PathValue("hash"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -186,17 +180,17 @@ func (d *Daemon) handleDiff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("diff needs ?a= and ?b= manifest refs"))
 		return
 	}
-	hashA, pathA, err := d.store.Resolve(refA)
+	hashA, _, dataA, err := d.store.Resolve(refA)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	hashB, pathB, err := d.store.Resolve(refB)
+	hashB, _, dataB, err := d.store.Resolve(refB)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	diffs, err := dispatch.DiffManifests(pathA, pathB, 1e-9)
+	diffs, err := dispatch.DiffManifestBytes(dataA, dataB, 1e-9)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return

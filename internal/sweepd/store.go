@@ -26,11 +26,13 @@
 package sweepd
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"wsncover/internal/dispatch"
 	"wsncover/internal/experiment"
@@ -51,6 +53,20 @@ import (
 // deliberately ignores shard layout and a partial manifest stored
 // under the full campaign's key would poison every later cache hit.
 //
+// A stored manifest is served or counted as a hit only as bytes that
+// passed the full check: they parse, and their echoed spec re-hashes to
+// the key. That check is a pure function of the bytes and the key, so
+// the store memoizes it by content: it keeps the SHA-256 of the bytes
+// that last passed under each key, and a lookup whose file hashes to
+// that digest is verified without decoding. Any other digest (a key
+// seen for the first time, a rewritten file) runs the full check again.
+// A digest match is therefore the full check's own answer, up to a
+// SHA-256 collision. The memo holds one 32-byte digest per manifest
+// the process has verified, so it is bounded by the manifests the store
+// has held. Full-hash and prefix refs go through the same verified read,
+// and every lookup returns the bytes it verified, so nothing serves a
+// file that changed after its check.
+//
 // The cell index is built by one scan of every segment on the first
 // campaign a daemon runs, so opening a store reads nothing. A running
 // daemon therefore sees cells that other processes append to the
@@ -59,6 +75,9 @@ import (
 type Store struct {
 	dir   string
 	cells *dispatch.CellStore
+
+	mu       sync.Mutex
+	verified map[string][sha256.Size]byte // spec hash -> digest of the bytes that last passed
 }
 
 // OpenStore opens (creating if needed) the store rooted at dir.
@@ -66,7 +85,11 @@ func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "manifests"), 0o755); err != nil {
 		return nil, fmt.Errorf("sweepd: store: %w", err)
 	}
-	return &Store{dir: dir, cells: dispatch.OpenCellStore(dir)}, nil
+	return &Store{
+		dir:      dir,
+		cells:    dispatch.OpenCellStore(dir),
+		verified: make(map[string][sha256.Size]byte),
+	}, nil
 }
 
 // Dir returns the store's root directory.
@@ -96,94 +119,125 @@ func (s *Store) manifestPath(hex string) string {
 	return filepath.Join(s.dir, "manifests", "sha256-"+hex+".json")
 }
 
-// Get returns the stored manifest path for hash and whether the store
-// holds a verified manifest for it: one that parses and whose echoed
-// spec re-hashes to hash. Any other file under the key (a truncated or
-// corrupt write, another campaign's manifest) is a miss, so the
-// campaign is recomputed and Install replaces the file.
-func (s *Store) Get(hash string) (string, bool) {
+// Get returns the path and bytes of the manifest stored under hash,
+// and whether they verify: they parse and their echoed spec re-hashes
+// to hash. Any other file under the key (a truncated or corrupt write,
+// another campaign's manifest) is a miss, so the campaign is recomputed
+// and Install replaces the file. The file is read once; bytes whose
+// SHA-256 matches the memo are not decoded again.
+func (s *Store) Get(hash string) (path string, data []byte, ok bool) {
 	hex, err := hashHex(hash)
 	if err != nil {
-		return "", false
+		return "", nil, false
 	}
-	path := s.manifestPath(hex)
-	if err := verifyManifest(path, hash); err != nil {
-		return "", false
+	path = s.manifestPath(hex)
+	data, err = os.ReadFile(path)
+	if err != nil {
+		return "", nil, false
 	}
-	return path, true
+	sum := sha256.Sum256(data)
+	s.mu.Lock()
+	known := s.verified[hash] == sum
+	s.mu.Unlock()
+	if !known {
+		if verifyManifest(data, hash) != nil {
+			return "", nil, false
+		}
+		s.remember(hash, sum)
+	}
+	return path, data, true
 }
 
-// verifyManifest checks that the manifest at path parses and that its
+// remember records sum as the digest of bytes that passed the full
+// check under hash.
+func (s *Store) remember(hash string, sum [sha256.Size]byte) {
+	s.mu.Lock()
+	s.verified[hash] = sum
+	s.mu.Unlock()
+}
+
+// verifyManifest is the full check: data parses as a manifest and its
 // echoed spec re-hashes to wantHash, the key it is stored under.
-func verifyManifest(path, wantHash string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
+func verifyManifest(data []byte, wantHash string) error {
 	var m experiment.Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return fmt.Errorf("unreadable manifest %s: %w", path, err)
+		return fmt.Errorf("unreadable manifest: %w", err)
 	}
 	got, err := telemetry.SpecHash(m.Spec)
 	if err != nil {
 		return err
 	}
 	if got != wantHash {
-		return fmt.Errorf("%s has spec hash %s, want %s", path, got, wantHash)
+		return fmt.Errorf("manifest has spec hash %s, want %s", got, wantHash)
 	}
 	return nil
 }
 
 // Install writes m into the store under hash, atomically (temp +
-// rename), and returns the stored path. Installing the same hash twice
-// is fine: determinism guarantees the bytes match, and the rename just
-// replaces like with like.
+// rename), and returns the stored path. The manifest is encoded once.
+// When m's spec hashes to the key, the written bytes pass the full
+// check by construction — they are encoding/json's own output for a
+// Manifest, and SpecHash reads the spec through the same JSON layer —
+// so their digest is remembered and the next Get reads without
+// decoding. Installing the same hash twice is fine: determinism
+// guarantees the bytes match, and the rename just replaces like with
+// like.
 func (s *Store) Install(hash string, m *experiment.Manifest) (string, error) {
 	hex, err := hashHex(hash)
 	if err != nil {
 		return "", err
 	}
-	dst := s.manifestPath(hex)
-	if err := m.WriteAtomic(dst); err != nil {
+	data, err := m.Encode()
+	if err != nil {
 		return "", fmt.Errorf("sweepd: store install: %w", err)
+	}
+	dst := s.manifestPath(hex)
+	if err := experiment.WriteFileAtomic(dst, data); err != nil {
+		return "", fmt.Errorf("sweepd: store install: %w", err)
+	}
+	if got, err := telemetry.SpecHash(m.Spec); err == nil && got == hash {
+		s.remember(hash, sha256.Sum256(data))
 	}
 	return dst, nil
 }
 
 // Resolve finds the stored manifest a ref names and returns its full
-// hash and path. A full hash (with or without the "sha256:" prefix) is
-// a direct lookup, verified like Get. A shorter ref is a git-style
-// prefix matched against the stored file names only; an unknown or
-// ambiguous prefix errors.
-func (s *Store) Resolve(ref string) (hash, path string, err error) {
+// hash, path and verified bytes. A full hash (with or without the
+// "sha256:" prefix) is a direct lookup; a shorter ref is a git-style
+// prefix of the stored file names. Either way the manifest is read and
+// verified like Get, so a ref whose only match fails the check, like an
+// unknown or ambiguous prefix, errors.
+func (s *Store) Resolve(ref string) (hash, path string, data []byte, err error) {
 	prefix := strings.TrimPrefix(strings.TrimSpace(ref), "sha256:")
 	if prefix == "" {
-		return "", "", fmt.Errorf("sweepd: empty manifest ref")
+		return "", "", nil, fmt.Errorf("sweepd: empty manifest ref")
 	}
-	if len(prefix) == 64 {
-		hash = "sha256:" + prefix
-		if path, ok := s.Get(hash); ok {
-			return hash, path, nil
+	hash = "sha256:" + prefix
+	if len(prefix) != 64 {
+		names, err := s.manifestNames()
+		if err != nil {
+			return "", "", nil, err
 		}
-		return "", "", fmt.Errorf("sweepd: no verified stored manifest for %s", hash)
-	}
-	names, err := s.manifestNames()
-	if err != nil {
-		return "", "", err
-	}
-	var matches []storedName
-	for _, n := range names {
-		if strings.HasPrefix(n.hex, prefix) {
-			matches = append(matches, n)
+		var matches []storedName
+		for _, n := range names {
+			if strings.HasPrefix(n.hex, prefix) {
+				matches = append(matches, n)
+			}
+		}
+		switch len(matches) {
+		case 0:
+			return "", "", nil, fmt.Errorf("sweepd: no stored manifest matches %q", ref)
+		case 1:
+			hash = "sha256:" + matches[0].hex
+		default:
+			return "", "", nil, fmt.Errorf("sweepd: ref %q is ambiguous (%d matches)", ref, len(matches))
 		}
 	}
-	switch len(matches) {
-	case 0:
-		return "", "", fmt.Errorf("sweepd: no stored manifest matches %q", ref)
-	case 1:
-		return "sha256:" + matches[0].hex, s.manifestPath(matches[0].hex), nil
+	path, data, ok := s.Get(hash)
+	if !ok {
+		return "", "", nil, fmt.Errorf("sweepd: no verified stored manifest for %s", hash)
 	}
-	return "", "", fmt.Errorf("sweepd: ref %q is ambiguous (%d matches)", ref, len(matches))
+	return hash, path, data, nil
 }
 
 // Entry is one stored manifest joined with its newest ledger record

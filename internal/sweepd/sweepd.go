@@ -188,7 +188,7 @@ func (d *Daemon) Submit(specJSON []byte, name string) (View, bool, error) {
 	// Cache hit: the store already holds this campaign's manifest.
 	// Register a terminal "cached" campaign so the submission still has
 	// a pollable identity, but run nothing.
-	if path, ok := d.store.Get(hash); ok {
+	if path, _, ok := d.store.Get(hash); ok {
 		c := d.registerLocked(name, hash, spec)
 		// The campaign is born terminal: it never occupies the in-flight
 		// slot, so the next identical submission registers its own
