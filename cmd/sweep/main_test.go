@@ -786,7 +786,7 @@ func TestRunIfCached(t *testing.T) {
 }
 
 // TestListWorkloads pins the discovery surface: -list-workloads prints
-// every registered kind with its parameter list and exits without
+// every kind with its parameter list, byte for byte, and exits without
 // requiring (or running) a campaign.
 func TestListWorkloads(t *testing.T) {
 	old := os.Stdout
@@ -805,16 +805,36 @@ func TestListWorkloads(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	out := buf.String()
-	for _, info := range sim.WorkloadInfos() {
-		if !strings.Contains(out, info.Kind) {
-			t.Errorf("listing missing kind %q:\n%s", info.Kind, out)
-		}
-	}
-	if !strings.Contains(out, "params:") {
-		t.Errorf("listing has no parameter lines:\n%s", out)
+	if got := buf.String(); got != wantWorkloadListing {
+		t.Errorf("-list-workloads output changed:\n%s\nwant:\n%s", got, wantWorkloadListing)
 	}
 }
+
+// wantWorkloadListing is the -list-workloads output, byte for byte: the
+// listing is a user-facing surface, so a change to it is deliberate.
+const wantWorkloadListing = `byzantine  lying monitors spawn phantom repairs; ClaimTTL expiry must clean up (SR, sync)
+           params: holes, frac, prob, count, ttl
+churn      waves of fresh holes while recovery runs
+           params: holes, every, waves
+depletion  movement energy drains nodes until they die mid-run
+           params: holes, every, budget, per_meter, per_move
+holes      vacate random cells before round 0 (the paper's Section 5 model)
+           params: holes
+jam        deploy complete coverage, then disable every node in a jammed disc
+           params: radius
+lossy      holes scenario over a lossy radio; ClaimTTL recovers dropped messages (SR, sync)
+           params: holes, loss, ttl
+mover      adaptive jammer: each strike relocates toward recently repaired cells
+           params: every, waves, radius
+overlay    compose children simultaneously from round 0
+           params: children
+random     seeded random composition over the registered kinds
+           params: pick, count
+resupply   spare nodes arrive mid-run; the scheme retries abandoned holes (sync)
+           params: holes, at, every, batch, count
+sequence   compose children as phases, each shifted by the gap (every)
+           params: children, every
+`
 
 // TestRunTTLDimension drives -ttls end to end: the claim-TTL axis
 // multiplies the campaign's groups, the non-zero TTL shows up in the

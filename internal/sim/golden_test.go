@@ -110,3 +110,114 @@ func TestGoldenCampaignManifestHash(t *testing.T) {
 		t.Errorf("golden campaign hash %s, want engine %d's %s", sum, EngineVersion, want)
 	}
 }
+
+// goldenWorkloadFormsHash pins, per EngineVersion, the SHA-256 of the
+// workload-forms campaigns' manifests: every kind at top level and in
+// its composed form (inside overlay, in sequences, nested, and drawn by
+// random). goldenCampaignHash composes only sequence[jam, churn]; this
+// table covers the composed paths of every other kind. Rows follow the
+// goldenCampaignHash rules: never edited, added with an EngineVersion
+// bump.
+var goldenWorkloadFormsHash = [...]string{
+	1: "35232e770fa6480db95ca990f5ecf12eef1f950d1ee38af13f31fa5fa27cdf4e",
+}
+
+// goldenWorkloadFormsSpecs runs the SR family, AR and the async runner,
+// each over the kinds its trials accept, on a cycle (8x8) and a dual
+// path (9x9) grid.
+func goldenWorkloadFormsSpecs() []CampaignSpec {
+	atoms := []WorkloadSpec{
+		{Kind: WorkloadHoles, Holes: 2},
+		{Kind: WorkloadJam},
+		{Kind: WorkloadChurn, Every: 3, Waves: 2},
+		{Kind: WorkloadDepletion, Budget: 15},
+		{Kind: WorkloadMover, Every: 4, Waves: 2},
+		{Kind: WorkloadResupply, Holes: 3, Batch: 3, At: 4},
+	}
+	srOnly := []WorkloadSpec{
+		{Kind: WorkloadByzantine, Frac: 0.2, Prob: 0.5},
+		{Kind: WorkloadLossy, Loss: 0.2},
+	}
+	randoms := func() []WorkloadSpec {
+		var ws []WorkloadSpec
+		for pick := int64(1); pick <= 12; pick++ {
+			ws = append(ws, WorkloadSpec{Kind: WorkloadRandom, Pick: pick, Count: 1 + int(pick%4)})
+		}
+		return ws
+	}
+	compose := func(kind string, every int, children ...WorkloadSpec) WorkloadSpec {
+		return WorkloadSpec{Kind: kind, Every: every, Children: children}
+	}
+
+	sr := append(append([]WorkloadSpec{}, atoms...), srOnly...)
+	sr = append(sr,
+		compose(WorkloadOverlay, 0, atoms[0], atoms[1], atoms[2], atoms[3]),
+		compose(WorkloadOverlay, 0, atoms[4], atoms[5], srOnly[0], srOnly[1]),
+		compose(WorkloadSequence, 4, atoms[0], atoms[3], srOnly[0]),
+		compose(WorkloadSequence, 0, srOnly[1], atoms[5], atoms[4], atoms[1]),
+		compose(WorkloadOverlay, 0,
+			compose(WorkloadSequence, 3, atoms[1], atoms[0]),
+			compose(WorkloadOverlay, 0, atoms[2], srOnly[1]),
+			WorkloadSpec{Kind: WorkloadRandom, Pick: 99, Count: 3}),
+	)
+	sr = append(sr, randoms()...)
+
+	ar := append([]WorkloadSpec{}, atoms...)
+	ar = append(ar,
+		compose(WorkloadOverlay, 0, atoms[0], atoms[1], atoms[2]),
+		compose(WorkloadSequence, 5, atoms[3], atoms[4], atoms[5]),
+		compose(WorkloadSequence, 0, atoms[2], atoms[0]),
+		compose(WorkloadOverlay, 0,
+			compose(WorkloadSequence, 2, atoms[4], atoms[3]),
+			compose(WorkloadOverlay, 0, atoms[1], atoms[5])),
+	)
+	ar = append(ar, randoms()...)
+
+	async := append([]WorkloadSpec{}, atoms[:5]...)
+	async = append(async,
+		compose(WorkloadOverlay, 0, atoms[0], atoms[4]),
+		compose(WorkloadSequence, 3, atoms[3], atoms[1], atoms[2]),
+	)
+	async = append(async, randoms()...)
+
+	return []CampaignSpec{
+		{
+			Schemes:    []SchemeKind{SR, SRShortcut},
+			Grids:      []GridSize{{8, 8}, {9, 9}},
+			Spares:     []int{5, 20},
+			Workloads:  sr,
+			Replicates: 2,
+			BaseSeed:   707,
+		},
+		{
+			Schemes:    []SchemeKind{AR},
+			Grids:      []GridSize{{8, 8}, {9, 9}},
+			Spares:     []int{5, 20},
+			Workloads:  ar,
+			Replicates: 2,
+			BaseSeed:   808,
+		},
+		{
+			Schemes:    []SchemeKind{SR},
+			Grids:      []GridSize{{8, 8}},
+			Spares:     []int{12},
+			Workloads:  async,
+			Runners:    []RunnerKind{RunAsync},
+			Replicates: 2,
+			BaseSeed:   909,
+		},
+	}
+}
+
+// TestGoldenWorkloadForms pins every workload kind's standalone and
+// composed damage timelines across refactors of the workload engine.
+func TestGoldenWorkloadForms(t *testing.T) {
+	h := sha256.New()
+	for _, spec := range goldenWorkloadFormsSpecs() {
+		h.Write(campaignManifestBytes(t, spec, 2))
+	}
+	sum := hex.EncodeToString(h.Sum(nil))
+	if want := goldenWorkloadFormsHash[EngineVersion]; sum != want {
+		t.Errorf("workload forms hash %s, want engine %d's %s", sum, EngineVersion, want)
+	}
+}
