@@ -1,164 +1,22 @@
-// Scenario grammar: workload combinators that compose registered kinds
-// into damage timelines, turning the registry into a scenario generator.
+// Scenario grammar: workload combinators that compose the kinds into
+// damage timelines, turning the kind table into a scenario generator.
 //
-// A Composable workload can contribute its damage as events at a round
-// offset, instead of owning the deployment. The combinators exploit
-// that: sequence phases children apart in time, overlay stacks them at
-// the same round, and random generates a seeded composition over the
-// registered kinds. Specs nest recursively (Children), bounded by
-// MaxCompositionDepth and MaxChildren so a spec file or a fuzzer cannot
-// build unbounded schedules.
+// A combinator owns the deployment (complete coverage) and takes each
+// child's damage as events at a round offset: the child's opening
+// becomes an event at the offset, ahead of its own events. Sequence
+// phases children apart in time, overlay stacks them at the same round,
+// and random generates a seeded composition over the atomic kinds.
+// Specs nest recursively (Children), bounded by MaxCompositionDepth and
+// MaxChildren so a spec file or a fuzzer cannot build unbounded
+// schedules.
 package sim
 
 import (
+	"cmp"
 	"fmt"
 
-	"wsncover/internal/deploy"
-	"wsncover/internal/network"
-	"wsncover/internal/node"
 	"wsncover/internal/randx"
 )
-
-// Composable is implemented by workloads whose damage can be re-based to
-// a round offset inside a composition. The combinator owns the
-// deployment (complete coverage), so a composable's round-0 damage moves
-// into an event at the offset; configuration-only workloads (byzantine,
-// lossy) mutate cfg and inject their holes as an event.
-type Composable interface {
-	Workload
-	// ComposeEvents returns the workload's damage timeline shifted to
-	// start at round at. It may adjust cfg exactly as Schedule would.
-	ComposeEvents(cfg *TrialConfig, at int) ([]Event, error)
-}
-
-// failHolesEvent vacates a fresh batch of randomly picked cells at the
-// given round — the composed form of the holes deployment (cells already
-// vacant stay as they are, exactly like a churn wave).
-func failHolesEvent(holes int, avoidAdjacent bool, at int) Event {
-	return Event{
-		Round:   at,
-		Barrier: true,
-		Apply: func(net *network.Network, rng *randx.Rand, _ int) error {
-			cells, err := deploy.PickHoleCells(net.System(), holes, avoidAdjacent, rng)
-			if err != nil {
-				return err
-			}
-			deploy.FailCells(net, cells)
-			return nil
-		},
-	}
-}
-
-// resolvedHoles is the spec's hole count with the trial fallback.
-func resolvedHoles(spec WorkloadSpec, cfg *TrialConfig) int {
-	if spec.Holes != 0 {
-		return spec.Holes
-	}
-	return cfg.Holes
-}
-
-// ComposeEvents re-bases the holes deployment as a FailCells event.
-func (w holesWorkload) ComposeEvents(cfg *TrialConfig, at int) ([]Event, error) {
-	return []Event{failHolesEvent(resolvedHoles(w.spec, cfg), !cfg.AdjacentHolesOK, at)}, nil
-}
-
-// ComposeEvents jams a disc at a random center at the offset round.
-func (w jamWorkload) ComposeEvents(cfg *TrialConfig, at int) ([]Event, error) {
-	radius := w.spec.Radius
-	if radius == 0 {
-		radius = cfg.JamRadius
-	}
-	return []Event{{
-		Round:   at,
-		Barrier: true,
-		Apply: func(net *network.Network, rng *randx.Rand, _ int) error {
-			r := radius
-			if r == 0 {
-				r = 1.5 * net.System().CellSize()
-			}
-			deploy.FailRegion(net, rng.InRect(net.System().Bounds()), r)
-			return nil
-		},
-	}}, nil
-}
-
-// ComposeEvents shifts the churn waves by the offset.
-func (w churnWorkload) ComposeEvents(cfg *TrialConfig, at int) ([]Event, error) {
-	holes := resolvedHoles(w.spec, cfg)
-	every := w.spec.Every
-	if every == 0 {
-		every = DefaultChurnEvery
-	}
-	waves := w.spec.Waves
-	if waves == 0 {
-		waves = DefaultChurnWaves
-	}
-	events := make([]Event, 0, waves)
-	for i := 0; i < waves; i++ {
-		events = append(events, failHolesEvent(holes, !cfg.AdjacentHolesOK, at+i*every))
-	}
-	return events, nil
-}
-
-// ComposeEvents installs the energy model, injects the depletion
-// scenario's holes at the offset, and starts the recurring drain check.
-func (w depletionWorkload) ComposeEvents(cfg *TrialConfig, at int) ([]Event, error) {
-	if cfg.EnergyModel == (node.EnergyModel{}) {
-		perMeter := w.spec.PerMeter
-		if perMeter == 0 {
-			perMeter = 1
-		}
-		cfg.EnergyModel = node.EnergyModel{PerMeter: perMeter, PerMove: w.spec.PerMove}
-	}
-	every := w.spec.Every
-	if every == 0 {
-		every = DefaultDepletionEvery
-	}
-	budget := w.spec.Budget
-	if budget == 0 {
-		budget = DefaultDepletionBudget
-	}
-	return []Event{
-		failHolesEvent(resolvedHoles(w.spec, cfg), !cfg.AdjacentHolesOK, at),
-		{
-			Round: at + every,
-			Every: every,
-			Apply: func(net *network.Network, _ *randx.Rand, _ int) error {
-				deploy.FailDepleted(net, budget)
-				return nil
-			},
-		},
-	}, nil
-}
-
-// ComposeEvents shifts the mover's strikes by the offset.
-func (w moverWorkload) ComposeEvents(cfg *TrialConfig, at int) ([]Event, error) {
-	return w.strikes(cfg, at), nil
-}
-
-// ComposeEvents installs the byzantine knobs and injects the scenario's
-// holes at the offset; the lying itself is configuration, not events.
-func (w byzantineWorkload) ComposeEvents(cfg *TrialConfig, at int) ([]Event, error) {
-	w.install(cfg)
-	return []Event{failHolesEvent(resolvedHoles(w.spec, cfg), !cfg.AdjacentHolesOK, at)}, nil
-}
-
-// ComposeEvents injects the resupply scenario's holes at the offset,
-// followed by the shifted arrivals.
-func (w resupplyWorkload) ComposeEvents(cfg *TrialConfig, at int) ([]Event, error) {
-	if cfg.Runner == RunAsync {
-		return nil, fmt.Errorf("sim: the resupply workload requires the sync runner")
-	}
-	events := []Event{failHolesEvent(resolvedHoles(w.spec, cfg), !cfg.AdjacentHolesOK, at)}
-	return append(events, w.arrivals(at)...), nil
-}
-
-// ComposeEvents installs the lossy radio and injects the scenario's
-// holes at the offset.
-func (w lossyWorkload) ComposeEvents(cfg *TrialConfig, at int) ([]Event, error) {
-	w.install(cfg)
-	return []Event{failHolesEvent(resolvedHoles(w.spec, cfg), !cfg.AdjacentHolesOK, at)}, nil
-}
 
 // specDepth measures combinator nesting: atoms are 1, a combinator is
 // one more than its deepest child, and random counts its (atomic)
@@ -177,7 +35,7 @@ func specDepth(spec WorkloadSpec) int {
 }
 
 // validateComposition checks a combinator spec's children: present,
-// bounded fan-out and depth, every child buildable and composable.
+// bounded fan-out and depth, every child a valid spec.
 func validateComposition(spec WorkloadSpec) error {
 	if len(spec.Children) == 0 {
 		return fmt.Errorf("sim: workload %q needs children", spec.Kind)
@@ -191,140 +49,44 @@ func validateComposition(spec WorkloadSpec) error {
 			spec.Kind, d, MaxCompositionDepth)
 	}
 	for i, c := range spec.Children {
-		wl, err := BuildWorkload(c)
-		if err != nil {
+		if _, err := BuildWorkload(c); err != nil {
 			return fmt.Errorf("sim: workload %q child %d: %w", spec.Kind, i, err)
-		}
-		if _, ok := wl.(Composable); !ok {
-			return fmt.Errorf("sim: workload %q child %d: kind %q cannot be composed",
-				spec.Kind, i, wl.Kind())
 		}
 	}
 	return nil
 }
 
-// composeChildren builds every child and collects its events at the
-// per-child offsets.
-func composeChildren(children []WorkloadSpec, cfg *TrialConfig, offset func(i int) int) ([]Event, error) {
+// compose collects a combinator's children at their offsets: a sequence
+// starts child i at at+i*gap, an overlay starts every child at at.
+func compose(spec WorkloadSpec, cfg *TrialConfig, at int) ([]Event, error) {
+	gap := 0
+	if spec.Kind == WorkloadSequence {
+		gap = cmp.Or(spec.Every, DefaultPhaseGap)
+	}
 	var events []Event
-	for i, child := range children {
-		wl, err := BuildWorkload(child)
+	for i, child := range spec.Children {
+		start := at + i*gap
+		open, evs, err := damage(child, cfg, start)
 		if err != nil {
 			return nil, err
 		}
-		comp, ok := wl.(Composable)
-		if !ok {
-			return nil, fmt.Errorf("sim: kind %q cannot be composed", wl.Kind())
-		}
-		evs, err := comp.ComposeEvents(cfg, offset(i))
-		if err != nil {
-			return nil, err
+		if ev, ok := open.event(start); ok {
+			events = append(events, ev)
 		}
 		events = append(events, evs...)
 	}
 	return events, nil
 }
 
-// completeDeploy is the combinator deployment: complete coverage, all
-// damage delivered by events. The rng.Split(2) discipline matches the
-// jam/churn deployments, so composed trials share their stream shape.
-func completeDeploy(spares int) func(*network.Network, *randx.Rand) error {
-	return func(net *network.Network, rng *randx.Rand) error {
-		return deploy.Controlled(net, spares, nil, rng.Split(2))
-	}
-}
-
-// sequenceWorkload phases its children apart in time: child i's damage
-// starts at i*gap rounds.
-type sequenceWorkload struct{ spec WorkloadSpec }
-
-func buildSequenceWorkload(spec WorkloadSpec) (Workload, error) {
-	err := rejectParams(spec, map[string]bool{"children": true, "every": true})
-	if err != nil {
-		return nil, err
-	}
-	if spec.Every < 0 {
-		return nil, fmt.Errorf("sim: negative sequence gap %d", spec.Every)
-	}
-	if err := validateComposition(spec); err != nil {
-		return nil, err
-	}
-	return sequenceWorkload{spec}, nil
-}
-
-func (w sequenceWorkload) Kind() string { return WorkloadSequence }
-
-func (w sequenceWorkload) Schedule(cfg *TrialConfig) (Schedule, error) {
-	events, err := w.ComposeEvents(cfg, 0)
-	if err != nil {
-		return Schedule{}, err
-	}
-	return Schedule{Deploy: completeDeploy(cfg.Spares), Events: events}, nil
-}
-
-func (w sequenceWorkload) ComposeEvents(cfg *TrialConfig, at int) ([]Event, error) {
-	gap := w.spec.Every
-	if gap == 0 {
-		gap = DefaultPhaseGap
-	}
-	return composeChildren(w.spec.Children, cfg, func(i int) int { return at + i*gap })
-}
-
-// overlayWorkload stacks its children's damage simultaneously.
-type overlayWorkload struct{ spec WorkloadSpec }
-
-func buildOverlayWorkload(spec WorkloadSpec) (Workload, error) {
-	err := rejectParams(spec, map[string]bool{"children": true})
-	if err != nil {
-		return nil, err
-	}
-	if err := validateComposition(spec); err != nil {
-		return nil, err
-	}
-	return overlayWorkload{spec}, nil
-}
-
-func (w overlayWorkload) Kind() string { return WorkloadOverlay }
-
-func (w overlayWorkload) Schedule(cfg *TrialConfig) (Schedule, error) {
-	events, err := w.ComposeEvents(cfg, 0)
-	if err != nil {
-		return Schedule{}, err
-	}
-	return Schedule{Deploy: completeDeploy(cfg.Spares), Events: events}, nil
-}
-
-func (w overlayWorkload) ComposeEvents(cfg *TrialConfig, at int) ([]Event, error) {
-	return composeChildren(w.spec.Children, cfg, func(int) int { return at })
-}
-
-// randomWorkload generates a seeded composition over the registered
-// kinds: Pick seeds a private generator (independent of the trial seed,
-// so every replicate of a campaign group faces the same scenario) that
-// draws Count child kinds and a combinator to wrap them in.
-type randomWorkload struct{ spec WorkloadSpec }
-
-func buildRandomWorkload(spec WorkloadSpec) (Workload, error) {
-	err := rejectParams(spec, map[string]bool{"pick": true, "count": true})
-	if err != nil {
-		return nil, err
-	}
-	if spec.Count < 0 || spec.Count > MaxChildren {
-		return nil, fmt.Errorf("sim: random child count %d outside [0,%d]", spec.Count, MaxChildren)
-	}
-	return randomWorkload{spec}, nil
-}
-
-func (w randomWorkload) Kind() string { return WorkloadRandom }
-
-// generate draws the composition. Byzantine and lossy children are only
-// eligible when the trial can host them (SR-family scheme, sync runner).
-func (w randomWorkload) generate(cfg *TrialConfig) WorkloadSpec {
-	count := w.spec.Count
-	if count == 0 {
-		count = DefaultRandomCount
-	}
-	rng := randx.New(w.spec.Pick)
+// generateRandom draws a random spec's composition: Pick seeds a private
+// generator (independent of the trial seed, so every replicate of a
+// campaign group faces the same scenario) that draws Count child kinds
+// and a combinator to wrap them in. Byzantine and lossy children are
+// only eligible when the trial can host them (SR-family scheme, sync
+// runner), resupply only on the sync runner.
+func generateRandom(spec WorkloadSpec, cfg *TrialConfig) WorkloadSpec {
+	count := cmp.Or(spec.Count, DefaultRandomCount)
+	rng := randx.New(spec.Pick)
 	pool := []string{
 		WorkloadHoles, WorkloadJam, WorkloadChurn,
 		WorkloadDepletion, WorkloadMover,
@@ -344,20 +106,4 @@ func (w randomWorkload) generate(cfg *TrialConfig) WorkloadSpec {
 		kind = WorkloadSequence
 	}
 	return WorkloadSpec{Kind: kind, Children: children}
-}
-
-func (w randomWorkload) Schedule(cfg *TrialConfig) (Schedule, error) {
-	wl, err := BuildWorkload(w.generate(cfg))
-	if err != nil {
-		return Schedule{}, err
-	}
-	return wl.Schedule(cfg)
-}
-
-func (w randomWorkload) ComposeEvents(cfg *TrialConfig, at int) ([]Event, error) {
-	wl, err := BuildWorkload(w.generate(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return wl.(Composable).ComposeEvents(cfg, at)
 }

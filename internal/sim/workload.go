@@ -1,21 +1,25 @@
 // Workload API: damage models as first-class, composable campaign
 // dimensions.
 //
-// A Workload owns a trial's damage timeline. It is constructed from a
-// JSON-named WorkloadSpec ({"kind": "churn", "holes": 3, "every": 5}),
-// resolves into a Schedule — a deployment plus round-indexed damage
-// events — and round-trips through CampaignSpec, so every scenario is
-// data in a spec file rather than a new code path. The registry lets
-// later packages add kinds without touching trial assembly.
+// A Workload owns a trial's damage timeline. It is checked from a
+// JSON-named WorkloadSpec ({"kind": "churn", "holes": 3, "every": 5})
+// against a static kind table, resolves into a Schedule — a deployment
+// plus round-indexed damage events — and round-trips through
+// CampaignSpec, so every scenario is data in a spec file rather than a
+// new code path. Each kind is defined once, in damage: its round-0
+// damage (the opening) and the events that follow, from which both the
+// standalone schedule and the composed form inside a combinator derive.
 package sim
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"wsncover/internal/deploy"
+	"wsncover/internal/grid"
 	"wsncover/internal/network"
 	"wsncover/internal/node"
 	"wsncover/internal/randx"
@@ -60,7 +64,7 @@ const (
 	// timelines overlap from round 0.
 	WorkloadOverlay = "overlay"
 	// WorkloadRandom generates a seeded random composition over the
-	// registered kinds — the scenario-generator closure of the grammar.
+	// atomic kinds — the scenario-generator closure of the grammar.
 	WorkloadRandom = "random"
 )
 
@@ -115,16 +119,16 @@ const (
 )
 
 // WorkloadSpec is the JSON-named description of a workload: Kind selects
-// a registered builder, the remaining fields parameterize it and must
-// stay zero when the kind does not use them (builders reject stray
-// parameters, catching spec-file typos). The flat, value-semantics shape
+// a kind of the table, the remaining fields parameterize it and must
+// stay zero when the kind does not use them (BuildWorkload rejects
+// stray parameters, catching spec-file typos). The flat, value-semantics shape
 // is what keeps campaign manifests mergeable and shardable: two jobs
 // belong to the same curve iff their specs are (deeply) equal. Children
 // makes the shape recursive: combinator kinds (sequence, overlay)
-// compose the registered kinds into scenarios.
+// compose the other kinds into scenarios.
 type WorkloadSpec struct {
-	// Kind names the registered workload ("holes", "jam", "churn",
-	// "depletion", ..., or an externally registered kind).
+	// Kind names the workload ("holes", "jam", "churn", "depletion",
+	// ...; see WorkloadKinds).
 	Kind string `json:"kind"`
 	// Holes pins the workload's hole count per injection (the initial
 	// batch for holes/depletion, each wave for churn), overriding the
@@ -276,18 +280,47 @@ func (w WorkloadSpec) usesHolesDim() bool {
 	return w.Holes == 0
 }
 
-// Workload owns deterministic damage injection over a trial's timeline:
-// it resolves a concrete TrialConfig into a Schedule. Implementations
-// must draw randomness only from the streams their schedule functions
-// are handed, so equal (spec, seed) pairs damage the network
-// identically wherever the trial runs.
-type Workload interface {
-	// Kind returns the registered spec name.
-	Kind() string
-	// Schedule resolves the workload for one trial. It may adjust cfg
-	// before the network is built (e.g. depletion installs its energy
-	// model) and must validate its parameters.
-	Schedule(cfg *TrialConfig) (Schedule, error)
+// Workload is a checked workload spec: Schedule resolves it into a
+// trial's damage timeline. Every kind draws randomness only from the
+// streams its schedule functions are handed, so equal (spec, seed)
+// pairs damage the network identically wherever the trial runs.
+type Workload struct{ spec WorkloadSpec }
+
+// BuildWorkload checks a spec against the kind table: a known kind, no
+// parameter the kind does not take, every parameter in range, and for
+// combinators every child. The empty kind is holes.
+func BuildWorkload(spec WorkloadSpec) (Workload, error) {
+	if spec.Kind == "" {
+		spec.Kind = WorkloadHoles
+	}
+	for _, info := range workloadKinds {
+		if info.Kind == spec.Kind {
+			if err := rejectParams(spec, info.Params); err != nil {
+				return Workload{}, err
+			}
+			if err := checkParams(spec); err != nil {
+				return Workload{}, err
+			}
+			return Workload{spec}, nil
+		}
+	}
+	return Workload{}, fmt.Errorf("sim: unknown workload kind %q (registered: %s)",
+		spec.Kind, strings.Join(WorkloadKinds(), ", "))
+}
+
+// Kind returns the spec's kind name.
+func (w Workload) Kind() string { return w.spec.Kind }
+
+// Schedule resolves the workload for one trial: the kind's opening
+// becomes the deployment and its events follow from round 0. It may
+// adjust cfg before the network is built (depletion installs its energy
+// model, byzantine and lossy their protocol knobs).
+func (w Workload) Schedule(cfg *TrialConfig) (Schedule, error) {
+	open, events, err := damage(w.spec, cfg, 0)
+	if err != nil {
+		return Schedule{}, err
+	}
+	return Schedule{Deploy: open.deploy(cfg.Spares), Events: events}, nil
 }
 
 // Schedule is a trial's resolved damage timeline.
@@ -329,53 +362,10 @@ type Event struct {
 	Apply func(net *network.Network, rng *randx.Rand, round int) error
 }
 
-// WorkloadBuilder constructs a workload from its validated spec.
-type WorkloadBuilder func(WorkloadSpec) (Workload, error)
-
-var workloadRegistry = map[string]WorkloadBuilder{}
-
-// RegisterWorkload adds a workload kind to the registry. It panics on an
-// empty or duplicate kind. Registration must happen during package
-// initialization; the registry is read concurrently by trial workers.
-func RegisterWorkload(kind string, build WorkloadBuilder) {
-	if kind == "" {
-		panic("sim: RegisterWorkload with empty kind")
-	}
-	if _, dup := workloadRegistry[kind]; dup {
-		panic(fmt.Sprintf("sim: workload kind %q registered twice", kind))
-	}
-	workloadRegistry[kind] = build
-}
-
-// BuildWorkload resolves a spec through the registry.
-func BuildWorkload(spec WorkloadSpec) (Workload, error) {
-	kind := spec.Kind
-	if kind == "" {
-		kind = WorkloadHoles
-		spec.Kind = kind
-	}
-	build, ok := workloadRegistry[kind]
-	if !ok {
-		return nil, fmt.Errorf("sim: unknown workload kind %q (registered: %s)",
-			kind, strings.Join(WorkloadKinds(), ", "))
-	}
-	return build(spec)
-}
-
-// WorkloadKinds returns the registered kinds, sorted.
-func WorkloadKinds() []string {
-	kinds := make([]string, 0, len(workloadRegistry))
-	for k := range workloadRegistry {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return kinds
-}
-
-// WorkloadInfo documents one registered kind for discovery surfaces
-// (cmd/sweep -list-workloads).
+// WorkloadInfo documents one kind for discovery surfaces (cmd/sweep
+// -list-workloads).
 type WorkloadInfo struct {
-	// Kind is the registered spec name.
+	// Kind is the spec name.
 	Kind string
 	// Params are the spec fields the kind accepts, by JSON name.
 	Params []string
@@ -383,103 +373,50 @@ type WorkloadInfo struct {
 	Help string
 }
 
-var workloadDocs = map[string]WorkloadInfo{}
-
-// DescribeWorkload records the parameter list and help line of a
-// registered kind; discovery surfaces render it verbatim. Kinds without a
-// description still list, with empty params.
-func DescribeWorkload(info WorkloadInfo) {
-	workloadDocs[info.Kind] = info
+// workloadKinds is the kind table, sorted by kind. A kind's Params are
+// the only spec fields it may set: BuildWorkload rejects any other
+// non-zero field, so a spec-file typo fails loudly.
+var workloadKinds = []WorkloadInfo{
+	{WorkloadByzantine, []string{"holes", "frac", "prob", "count", "ttl"},
+		"lying monitors spawn phantom repairs; ClaimTTL expiry must clean up (SR, sync)"},
+	{WorkloadChurn, []string{"holes", "every", "waves"},
+		"waves of fresh holes while recovery runs"},
+	{WorkloadDepletion, []string{"holes", "every", "budget", "per_meter", "per_move"},
+		"movement energy drains nodes until they die mid-run"},
+	{WorkloadHoles, []string{"holes"},
+		"vacate random cells before round 0 (the paper's Section 5 model)"},
+	{WorkloadJam, []string{"radius"},
+		"deploy complete coverage, then disable every node in a jammed disc"},
+	{WorkloadLossy, []string{"holes", "loss", "ttl"},
+		"holes scenario over a lossy radio; ClaimTTL recovers dropped messages (SR, sync)"},
+	{WorkloadMover, []string{"every", "waves", "radius"},
+		"adaptive jammer: each strike relocates toward recently repaired cells"},
+	{WorkloadOverlay, []string{"children"},
+		"compose children simultaneously from round 0"},
+	{WorkloadRandom, []string{"pick", "count"},
+		"seeded random composition over the registered kinds"},
+	{WorkloadResupply, []string{"holes", "at", "every", "batch", "count"},
+		"spare nodes arrive mid-run; the scheme retries abandoned holes (sync)"},
+	{WorkloadSequence, []string{"children", "every"},
+		"compose children as phases, each shifted by the gap (every)"},
 }
 
-// WorkloadInfos returns the registered kinds with their documentation,
-// sorted by kind.
-func WorkloadInfos() []WorkloadInfo {
-	infos := make([]WorkloadInfo, 0, len(workloadRegistry))
-	for _, k := range WorkloadKinds() {
-		if info, ok := workloadDocs[k]; ok {
-			infos = append(infos, info)
-		} else {
-			infos = append(infos, WorkloadInfo{Kind: k})
-		}
+// WorkloadKinds returns the kind names, sorted.
+func WorkloadKinds() []string {
+	kinds := make([]string, len(workloadKinds))
+	for i, info := range workloadKinds {
+		kinds[i] = info.Kind
 	}
-	return infos
+	return kinds
 }
 
-func init() {
-	RegisterWorkload(WorkloadHoles, buildHolesWorkload)
-	DescribeWorkload(WorkloadInfo{
-		Kind:   WorkloadHoles,
-		Params: []string{"holes"},
-		Help:   "vacate random cells before round 0 (the paper's Section 5 model)",
-	})
-	RegisterWorkload(WorkloadJam, buildJamWorkload)
-	DescribeWorkload(WorkloadInfo{
-		Kind:   WorkloadJam,
-		Params: []string{"radius"},
-		Help:   "deploy complete coverage, then disable every node in a jammed disc",
-	})
-	RegisterWorkload(WorkloadChurn, buildChurnWorkload)
-	DescribeWorkload(WorkloadInfo{
-		Kind:   WorkloadChurn,
-		Params: []string{"holes", "every", "waves"},
-		Help:   "waves of fresh holes while recovery runs",
-	})
-	RegisterWorkload(WorkloadDepletion, buildDepletionWorkload)
-	DescribeWorkload(WorkloadInfo{
-		Kind:   WorkloadDepletion,
-		Params: []string{"holes", "every", "budget", "per_meter", "per_move"},
-		Help:   "movement energy drains nodes until they die mid-run",
-	})
-	RegisterWorkload(WorkloadMover, buildMoverWorkload)
-	DescribeWorkload(WorkloadInfo{
-		Kind:   WorkloadMover,
-		Params: []string{"every", "waves", "radius"},
-		Help:   "adaptive jammer: each strike relocates toward recently repaired cells",
-	})
-	RegisterWorkload(WorkloadByzantine, buildByzantineWorkload)
-	DescribeWorkload(WorkloadInfo{
-		Kind:   WorkloadByzantine,
-		Params: []string{"holes", "frac", "prob", "count", "ttl"},
-		Help:   "lying monitors spawn phantom repairs; ClaimTTL expiry must clean up (SR, sync)",
-	})
-	RegisterWorkload(WorkloadResupply, buildResupplyWorkload)
-	DescribeWorkload(WorkloadInfo{
-		Kind:   WorkloadResupply,
-		Params: []string{"holes", "at", "every", "batch", "count"},
-		Help:   "spare nodes arrive mid-run; the scheme retries abandoned holes (sync)",
-	})
-	RegisterWorkload(WorkloadLossy, buildLossyWorkload)
-	DescribeWorkload(WorkloadInfo{
-		Kind:   WorkloadLossy,
-		Params: []string{"holes", "loss", "ttl"},
-		Help:   "holes scenario over a lossy radio; ClaimTTL recovers dropped messages (SR, sync)",
-	})
-	RegisterWorkload(WorkloadSequence, buildSequenceWorkload)
-	DescribeWorkload(WorkloadInfo{
-		Kind:   WorkloadSequence,
-		Params: []string{"children", "every"},
-		Help:   "compose children as phases, each shifted by the gap (every)",
-	})
-	RegisterWorkload(WorkloadOverlay, buildOverlayWorkload)
-	DescribeWorkload(WorkloadInfo{
-		Kind:   WorkloadOverlay,
-		Params: []string{"children"},
-		Help:   "compose children simultaneously from round 0",
-	})
-	RegisterWorkload(WorkloadRandom, buildRandomWorkload)
-	DescribeWorkload(WorkloadInfo{
-		Kind:   WorkloadRandom,
-		Params: []string{"pick", "count"},
-		Help:   "seeded random composition over the registered kinds",
-	})
-}
+// WorkloadInfos returns the kinds with their documentation, sorted by
+// kind.
+func WorkloadInfos() []WorkloadInfo { return slices.Clone(workloadKinds) }
 
-// rejectParams errors when any of the named spec fields is non-zero;
-// builders use it so stray parameters fail loudly instead of being
-// silently ignored.
-func rejectParams(spec WorkloadSpec, fields map[string]bool) error {
-	check := []struct {
+// rejectParams errors when a spec field outside params is non-zero.
+func rejectParams(spec WorkloadSpec, params []string) error {
+	check := [...]struct {
 		name string
 		zero bool
 	}{
@@ -501,200 +438,223 @@ func rejectParams(spec WorkloadSpec, fields map[string]bool) error {
 		{"children", len(spec.Children) == 0},
 	}
 	for _, c := range check {
-		if !c.zero && !fields[c.name] {
+		if !c.zero && !slices.Contains(params, c.name) {
 			return fmt.Errorf("sim: workload %q does not take %q", spec.Kind, c.name)
 		}
 	}
 	return nil
 }
 
-// holesWorkload is the paper's model: vacate random cells before round 0.
-// Its deployment and damage are one act (the hole cells receive no nodes
-// at all): hole cells are picked from seed stream 1, then the network is
-// deployed from stream 2.
-type holesWorkload struct{ spec WorkloadSpec }
-
-func buildHolesWorkload(spec WorkloadSpec) (Workload, error) {
-	if err := rejectParams(spec, map[string]bool{"holes": true}); err != nil {
-		return nil, err
-	}
-	return holesWorkload{spec}, nil
-}
-
-func (w holesWorkload) Kind() string { return WorkloadHoles }
-
-func (w holesWorkload) Schedule(cfg *TrialConfig) (Schedule, error) {
-	holes := w.spec.Holes
-	if holes == 0 {
-		holes = cfg.Holes
-	}
-	spares, avoidAdjacent := cfg.Spares, !cfg.AdjacentHolesOK
-	return Schedule{Deploy: func(net *network.Network, rng *randx.Rand) error {
-		cells, err := deploy.PickHoleCells(net.System(), holes, avoidAdjacent, rng.Split(1))
-		if err != nil {
-			return err
+// checkParams range-checks the parameters a kind takes.
+func checkParams(spec WorkloadSpec) error {
+	switch spec.Kind {
+	case WorkloadJam:
+		if spec.Radius < 0 {
+			return fmt.Errorf("sim: negative jam radius %g", spec.Radius)
 		}
-		return deploy.Controlled(net, spares, cells, rng.Split(2))
-	}}, nil
-}
-
-// jamWorkload deploys complete coverage and jams a disc at a random
-// center; the hole count is emergent from the radius. The disc center
-// draws from seed stream 1 and the deployment from stream 2.
-type jamWorkload struct{ spec WorkloadSpec }
-
-func buildJamWorkload(spec WorkloadSpec) (Workload, error) {
-	if err := rejectParams(spec, map[string]bool{"radius": true}); err != nil {
-		return nil, err
-	}
-	if spec.Radius < 0 {
-		return nil, fmt.Errorf("sim: negative jam radius %g", spec.Radius)
-	}
-	return jamWorkload{spec}, nil
-}
-
-func (w jamWorkload) Kind() string { return WorkloadJam }
-
-func (w jamWorkload) Schedule(cfg *TrialConfig) (Schedule, error) {
-	radius := w.spec.Radius
-	if radius == 0 {
-		radius = cfg.JamRadius
-	}
-	spares := cfg.Spares
-	return Schedule{Deploy: func(net *network.Network, rng *randx.Rand) error {
-		// The damage stream is split before the deployment stream, the
-		// discipline the differential tests pin.
-		damage := rng.Split(1)
-		if err := deploy.Controlled(net, spares, nil, rng.Split(2)); err != nil {
-			return err
+	case WorkloadChurn:
+		if spec.Every < 0 || spec.Waves < 0 || spec.Holes < 0 {
+			return fmt.Errorf("sim: negative churn parameter in %+v", spec)
 		}
-		r := radius
-		if r == 0 {
-			r = 1.5 * net.System().CellSize()
+	case WorkloadDepletion:
+		if spec.Every < 0 || spec.Budget < 0 || spec.PerMeter < 0 || spec.PerMove < 0 {
+			return fmt.Errorf("sim: negative depletion parameter in %+v", spec)
 		}
-		deploy.FailRegion(net, damage.InRect(net.System().Bounds()), r)
-		return nil
-	}}, nil
-}
-
-// churnWorkload deploys complete coverage and then delivers waves of
-// fresh holes while recovery runs — the ongoing-mobility scenario the
-// paper motivates but never evaluates. Wave i fires at round i*Every and
-// vacates Holes cells (cells already vacant are left as they are).
-type churnWorkload struct{ spec WorkloadSpec }
-
-func buildChurnWorkload(spec WorkloadSpec) (Workload, error) {
-	err := rejectParams(spec, map[string]bool{"holes": true, "every": true, "waves": true})
-	if err != nil {
-		return nil, err
-	}
-	if spec.Every < 0 || spec.Waves < 0 || spec.Holes < 0 {
-		return nil, fmt.Errorf("sim: negative churn parameter in %+v", spec)
-	}
-	return churnWorkload{spec}, nil
-}
-
-func (w churnWorkload) Kind() string { return WorkloadChurn }
-
-func (w churnWorkload) Schedule(cfg *TrialConfig) (Schedule, error) {
-	holes := w.spec.Holes
-	if holes == 0 {
-		holes = cfg.Holes
-	}
-	every := w.spec.Every
-	if every == 0 {
-		every = DefaultChurnEvery
-	}
-	waves := w.spec.Waves
-	if waves == 0 {
-		waves = DefaultChurnWaves
-	}
-	spares, avoidAdjacent := cfg.Spares, !cfg.AdjacentHolesOK
-	sched := Schedule{Deploy: func(net *network.Network, rng *randx.Rand) error {
-		return deploy.Controlled(net, spares, nil, rng.Split(2))
-	}}
-	for i := 0; i < waves; i++ {
-		sched.Events = append(sched.Events, Event{
-			Round:   i * every,
-			Barrier: true,
-			Apply: func(net *network.Network, rng *randx.Rand, round int) error {
-				cells, err := deploy.PickHoleCells(net.System(), holes, avoidAdjacent, rng)
-				if err != nil {
-					return err
-				}
-				deploy.FailCells(net, cells)
-				return nil
-			},
-		})
-	}
-	return sched, nil
-}
-
-// depletionWorkload starts from the paper's hole configuration and
-// periodically kills every node whose movement energy account exceeds
-// the budget: recovery movement itself erodes the network, so the trial
-// measures lifetime under repair, not just repair cost. The checks only
-// observe energy spent by movement, so they are not convergence
-// barriers; the trial's quiescence rule still guarantees one check
-// after the last movement, so a node pushed over budget by its final
-// move cannot escape.
-type depletionWorkload struct{ spec WorkloadSpec }
-
-func buildDepletionWorkload(spec WorkloadSpec) (Workload, error) {
-	err := rejectParams(spec, map[string]bool{
-		"holes": true, "every": true, "budget": true, "per_meter": true, "per_move": true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if spec.Every < 0 || spec.Budget < 0 || spec.PerMeter < 0 || spec.PerMove < 0 {
-		return nil, fmt.Errorf("sim: negative depletion parameter in %+v", spec)
-	}
-	return depletionWorkload{spec}, nil
-}
-
-func (w depletionWorkload) Kind() string { return WorkloadDepletion }
-
-func (w depletionWorkload) Schedule(cfg *TrialConfig) (Schedule, error) {
-	holes := w.spec.Holes
-	if holes == 0 {
-		holes = cfg.Holes
-	}
-	every := w.spec.Every
-	if every == 0 {
-		every = DefaultDepletionEvery
-	}
-	budget := w.spec.Budget
-	if budget == 0 {
-		budget = DefaultDepletionBudget
-	}
-	// Depletion needs an energy model to have anything to drain; install
-	// the default linear one unless the trial configured its own.
-	if cfg.EnergyModel == (node.EnergyModel{}) {
-		perMeter := w.spec.PerMeter
-		if perMeter == 0 {
-			perMeter = 1
+	case WorkloadMover:
+		if spec.Every < 0 || spec.Waves < 0 || spec.Radius < 0 {
+			return fmt.Errorf("sim: negative mover parameter in %+v", spec)
 		}
-		cfg.EnergyModel = node.EnergyModel{PerMeter: perMeter, PerMove: w.spec.PerMove}
+	case WorkloadByzantine:
+		if spec.Holes < 0 || spec.Count < 0 || spec.TTL < 0 {
+			return fmt.Errorf("sim: negative byzantine parameter in %+v", spec)
+		}
+		if spec.Frac < 0 || spec.Frac > 1 {
+			return fmt.Errorf("sim: byzantine frac %g outside [0,1]", spec.Frac)
+		}
+		if spec.Prob < 0 || spec.Prob > 1 {
+			return fmt.Errorf("sim: byzantine prob %g outside [0,1]", spec.Prob)
+		}
+	case WorkloadResupply:
+		if spec.Holes < 0 || spec.At < 0 || spec.Every < 0 || spec.Batch < 0 || spec.Count < 0 {
+			return fmt.Errorf("sim: negative resupply parameter in %+v", spec)
+		}
+	case WorkloadLossy:
+		if spec.Holes < 0 || spec.TTL < 0 {
+			return fmt.Errorf("sim: negative lossy parameter in %+v", spec)
+		}
+		if spec.Loss < 0 || spec.Loss >= 1 {
+			return fmt.Errorf("sim: lossy loss %g outside [0,1)", spec.Loss)
+		}
+	case WorkloadSequence:
+		if spec.Every < 0 {
+			return fmt.Errorf("sim: negative sequence gap %d", spec.Every)
+		}
+		return validateComposition(spec)
+	case WorkloadOverlay:
+		return validateComposition(spec)
+	case WorkloadRandom:
+		if spec.Count < 0 || spec.Count > MaxChildren {
+			return fmt.Errorf("sim: random child count %d outside [0,%d]", spec.Count, MaxChildren)
+		}
 	}
-	spares, avoidAdjacent := cfg.Spares, !cfg.AdjacentHolesOK
-	return Schedule{
-		Deploy: func(net *network.Network, rng *randx.Rand) error {
-			cells, err := deploy.PickHoleCells(net.System(), holes, avoidAdjacent, rng.Split(1))
-			if err != nil {
-				return err
-			}
-			return deploy.Controlled(net, spares, cells, rng.Split(2))
-		},
-		Events: []Event{{
-			Round: every,
+	return nil
+}
+
+// damage is the one definition of every kind: for a checked spec it
+// returns the round-0 damage (the opening) and the events that follow,
+// shifted to start at round at, installing the kind's knobs into cfg.
+// Schedule folds the opening into the deployment; a combinator turns a
+// child's opening into an event at the child's offset, so a kind's
+// standalone and composed forms cannot drift apart.
+func damage(spec WorkloadSpec, cfg *TrialConfig, at int) (opening, []Event, error) {
+	vacate := opening{kind: openHoles, holes: cmp.Or(spec.Holes, cfg.Holes), avoidAdjacent: !cfg.AdjacentHolesOK}
+	switch spec.Kind {
+	case "", WorkloadHoles:
+		// The paper's model: the hole cells receive no nodes at all.
+		return vacate, nil, nil
+	case WorkloadJam:
+		// The hole count is emergent from the disc radius.
+		return opening{kind: openJam, radius: cmp.Or(spec.Radius, cfg.JamRadius)}, nil, nil
+	case WorkloadChurn:
+		// Complete coverage, then wave i vacates fresh cells at round
+		// at+i*every (cells already vacant stay as they are).
+		every, waves := cmp.Or(spec.Every, DefaultChurnEvery), cmp.Or(spec.Waves, DefaultChurnWaves)
+		events := make([]Event, waves)
+		for i := range events {
+			events[i] = failHolesEvent(vacate.holes, vacate.avoidAdjacent, at+i*every)
+		}
+		return opening{}, events, nil
+	case WorkloadDepletion:
+		// The holes scenario, then a recurring check kills every node
+		// whose movement energy exceeds the budget. The checks only
+		// observe energy spent by movement, so they are not barriers; the
+		// trial's quiescence rule still fires one after the last move.
+		// Depletion needs an energy model to drain: install the default
+		// linear one unless the trial configured its own.
+		if cfg.EnergyModel == (node.EnergyModel{}) {
+			cfg.EnergyModel = node.EnergyModel{PerMeter: cmp.Or(spec.PerMeter, 1), PerMove: spec.PerMove}
+		}
+		every, budget := cmp.Or(spec.Every, DefaultDepletionEvery), cmp.Or(spec.Budget, DefaultDepletionBudget)
+		return vacate, []Event{{
+			Round: at + every,
 			Every: every,
 			Apply: func(net *network.Network, _ *randx.Rand, _ int) error {
 				deploy.FailDepleted(net, budget)
 				return nil
 			},
-		}},
-	}, nil
+		}}, nil
+	case WorkloadMover:
+		return opening{}, moverStrikes(spec, cfg, at), nil
+	case WorkloadByzantine:
+		installByzantine(spec, cfg)
+		return vacate, nil, nil
+	case WorkloadResupply:
+		if cfg.Runner == RunAsync {
+			return opening{}, nil, fmt.Errorf("sim: the resupply workload requires the sync runner")
+		}
+		return vacate, resupplyArrivals(spec, at), nil
+	case WorkloadLossy:
+		installLossy(spec, cfg)
+		return vacate, nil, nil
+	case WorkloadSequence, WorkloadOverlay:
+		events, err := compose(spec, cfg, at)
+		return opening{}, events, err
+	case WorkloadRandom:
+		return damage(generateRandom(spec, cfg), cfg, at)
+	}
+	return opening{}, nil, fmt.Errorf("sim: unknown workload kind %q", spec.Kind)
+}
+
+// opening is a kind's round-0 damage: none (complete coverage), random
+// holes, or a jammed disc.
+type opening struct {
+	kind          openingKind
+	holes         int
+	avoidAdjacent bool
+	// radius is the jam disc radius; 0 means 1.5 cell sizes.
+	radius float64
+}
+
+type openingKind uint8
+
+const (
+	openNone openingKind = iota
+	openHoles
+	openJam
+)
+
+// deploy folds the opening into the deployment with the stream
+// discipline the differential tests pin: hole cells are picked from
+// stream 1 before Controlled draws from stream 2; the jam center's
+// stream is split off as stream 1 first and drawn after the deployment.
+func (o opening) deploy(spares int) func(*network.Network, *randx.Rand) error {
+	return func(net *network.Network, rng *randx.Rand) error {
+		var cells []grid.Coord
+		var center *randx.Rand
+		switch o.kind {
+		case openHoles:
+			var err error
+			cells, err = deploy.PickHoleCells(net.System(), o.holes, o.avoidAdjacent, rng.Split(1))
+			if err != nil {
+				return err
+			}
+		case openJam:
+			center = rng.Split(1)
+		}
+		if err := deploy.Controlled(net, spares, cells, rng.Split(2)); err != nil {
+			return err
+		}
+		if center != nil {
+			deploy.FailRegion(net, center.InRect(net.System().Bounds()), discRadius(o.radius, net.System()))
+		}
+		return nil
+	}
+}
+
+// event is the opening as a barrier event at round at, drawing from the
+// firing's stream; ok is false when there is no round-0 damage.
+func (o opening) event(at int) (ev Event, ok bool) {
+	switch o.kind {
+	case openHoles:
+		return failHolesEvent(o.holes, o.avoidAdjacent, at), true
+	case openJam:
+		return Event{
+			Round:   at,
+			Barrier: true,
+			Apply: func(net *network.Network, rng *randx.Rand, _ int) error {
+				deploy.FailRegion(net, rng.InRect(net.System().Bounds()), discRadius(o.radius, net.System()))
+				return nil
+			},
+		}, true
+	}
+	return Event{}, false
+}
+
+// failHolesEvent vacates a fresh batch of randomly picked cells at round
+// at (cells already vacant stay as they are): a churn wave, and the
+// composed form of the holes opening.
+func failHolesEvent(holes int, avoidAdjacent bool, at int) Event {
+	return Event{
+		Round:   at,
+		Barrier: true,
+		Apply: func(net *network.Network, rng *randx.Rand, _ int) error {
+			cells, err := deploy.PickHoleCells(net.System(), holes, avoidAdjacent, rng)
+			if err != nil {
+				return err
+			}
+			deploy.FailCells(net, cells)
+			return nil
+		},
+	}
+}
+
+// discRadius resolves a jam or mover disc radius: 0 means 1.5 cell
+// sizes.
+func discRadius(r float64, sys *grid.System) float64 {
+	if r == 0 {
+		return 1.5 * sys.CellSize()
+	}
+	return r
 }
 
 // RunnerKind selects how a trial's controller is stepped: synchronous

@@ -5,11 +5,12 @@
 // the scheme's own repairs, byzantine corrupts the monitors the detector
 // trusts, resupply restores the spare pool mid-run (and rallies the
 // scheme to retry holes it abandoned), and lossy drops messages so only
-// the ClaimTTL expiry path keeps replacement cascades live.
+// the ClaimTTL expiry path keeps replacement cascades live. damage
+// (workload.go) dispatches to the helpers below.
 package sim
 
 import (
-	"fmt"
+	"cmp"
 
 	"wsncover/internal/deploy"
 	"wsncover/internal/geom"
@@ -18,65 +19,16 @@ import (
 	"wsncover/internal/randx"
 )
 
-// holesDeploy is the paper's deployment: pick hole cells, then scatter
-// spares over the rest. Shared by every workload whose round-0 state is
-// the holes configuration.
-func holesDeploy(holes, spares int, avoidAdjacent bool) func(*network.Network, *randx.Rand) error {
-	return func(net *network.Network, rng *randx.Rand) error {
-		cells, err := deploy.PickHoleCells(net.System(), holes, avoidAdjacent, rng.Split(1))
-		if err != nil {
-			return err
-		}
-		return deploy.Controlled(net, spares, cells, rng.Split(2))
-	}
-}
-
-// moverWorkload is the adaptive jammer: complete coverage is deployed,
-// then each strike jams a disc centered on the centroid of the cells the
-// scheme repaired since the previous strike (a jammer tracking the
-// defender's activity). With nothing repaired yet, the strike lands at a
-// random center, like jam.
-type moverWorkload struct{ spec WorkloadSpec }
-
-func buildMoverWorkload(spec WorkloadSpec) (Workload, error) {
-	err := rejectParams(spec, map[string]bool{"every": true, "waves": true, "radius": true})
-	if err != nil {
-		return nil, err
-	}
-	if spec.Every < 0 || spec.Waves < 0 || spec.Radius < 0 {
-		return nil, fmt.Errorf("sim: negative mover parameter in %+v", spec)
-	}
-	return moverWorkload{spec}, nil
-}
-
-func (w moverWorkload) Kind() string { return WorkloadMover }
-
-func (w moverWorkload) Schedule(cfg *TrialConfig) (Schedule, error) {
-	spares := cfg.Spares
-	return Schedule{
-		Deploy: func(net *network.Network, rng *randx.Rand) error {
-			return deploy.Controlled(net, spares, nil, rng.Split(2))
-		},
-		Events: w.strikes(cfg, 0),
-	}, nil
-}
-
-// strikes builds the mover's strike events, shifted by at rounds. The
-// strikes share closure state: the vacant set recorded after each strike
-// is what the next strike diffs against to find repaired cells.
-func (w moverWorkload) strikes(cfg *TrialConfig, at int) []Event {
-	every := w.spec.Every
-	if every == 0 {
-		every = DefaultMoverEvery
-	}
-	waves := w.spec.Waves
-	if waves == 0 {
-		waves = DefaultMoverStrikes
-	}
-	radius := w.spec.Radius
-	if radius == 0 {
-		radius = cfg.JamRadius
-	}
+// moverStrikes builds the adaptive jammer's strikes, shifted by at
+// rounds: over complete coverage, each strike jams a disc centered on
+// the centroid of the cells the scheme repaired since the previous
+// strike (a jammer tracking the defender's activity); with nothing
+// repaired yet, the strike lands at a random center, like jam. The
+// strikes share closure state: the vacant set recorded after each
+// strike is what the next strike diffs against to find repaired cells.
+func moverStrikes(spec WorkloadSpec, cfg *TrialConfig, at int) []Event {
+	every, waves := cmp.Or(spec.Every, DefaultMoverEvery), cmp.Or(spec.Waves, DefaultMoverStrikes)
+	radius := cmp.Or(spec.Radius, cfg.JamRadius)
 	var prevVacant, cur []grid.Coord
 	curSet := map[int]bool{}
 	events := make([]Event, 0, waves)
@@ -111,11 +63,7 @@ func (w moverWorkload) strikes(cfg *TrialConfig, at int) []Event {
 				} else {
 					center = rng.InRect(sys.Bounds())
 				}
-				r := radius
-				if r == 0 {
-					r = 1.5 * sys.CellSize()
-				}
-				deploy.FailRegion(net, center, r)
+				deploy.FailRegion(net, center, discRadius(radius, sys))
 				prevVacant = net.VacantCells(prevVacant[:0])
 				return nil
 			},
@@ -124,123 +72,38 @@ func (w moverWorkload) strikes(cfg *TrialConfig, at int) []Event {
 	return events
 }
 
-// byzantineWorkload corrupts a fraction of monitor heads: liars report
-// false vacancies, spawning phantom replacement processes whose origin
-// claims only the ClaimTTL expiry path can clear. It is pure
-// configuration — the lying happens inside internal/core — so the
-// damage composes with any event timeline. SR-family schemes, sync
+// installByzantine writes the byzantine knobs into the trial config:
+// liars among the monitor heads report false vacancies, spawning
+// phantom replacement processes whose origin claims only the ClaimTTL
+// expiry path can clear. The lying happens inside internal/core, so the
+// kind is configuration plus the holes opening. A spec TTL overrides the
+// campaign's claim_ttls value; with neither, the kind's default applies —
+// phantom claims must be able to expire or the trial can only hit its
+// round budget. SR-family schemes, sync runner only.
+func installByzantine(spec WorkloadSpec, cfg *TrialConfig) {
+	cfg.ByzantineFrac = cmp.Or(spec.Frac, DefaultByzantineFrac)
+	cfg.ByzantineProb = cmp.Or(spec.Prob, DefaultByzantineProb)
+	cfg.ByzantineLies = cmp.Or(spec.Count, DefaultByzantineLies)
+	cfg.ClaimTTL = cmp.Or(spec.TTL, cfg.ClaimTTL, DefaultByzantineTTL)
+}
+
+// installLossy runs the holes scenario over a lossy radio: every
+// delivery drops with probability Loss, so replacement requests and
+// acknowledgements vanish mid-cascade and only ClaimTTL expiry revives
+// the repair. TTL precedence matches byzantine. SR-family schemes, sync
 // runner only.
-type byzantineWorkload struct{ spec WorkloadSpec }
-
-func buildByzantineWorkload(spec WorkloadSpec) (Workload, error) {
-	err := rejectParams(spec, map[string]bool{
-		"holes": true, "frac": true, "prob": true, "count": true, "ttl": true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if spec.Holes < 0 || spec.Count < 0 || spec.TTL < 0 {
-		return nil, fmt.Errorf("sim: negative byzantine parameter in %+v", spec)
-	}
-	if spec.Frac < 0 || spec.Frac > 1 {
-		return nil, fmt.Errorf("sim: byzantine frac %g outside [0,1]", spec.Frac)
-	}
-	if spec.Prob < 0 || spec.Prob > 1 {
-		return nil, fmt.Errorf("sim: byzantine prob %g outside [0,1]", spec.Prob)
-	}
-	return byzantineWorkload{spec}, nil
+func installLossy(spec WorkloadSpec, cfg *TrialConfig) {
+	cfg.MessageLoss = cmp.Or(spec.Loss, DefaultLossyLoss)
+	cfg.ClaimTTL = cmp.Or(spec.TTL, cfg.ClaimTTL, DefaultLossyTTL)
 }
 
-func (w byzantineWorkload) Kind() string { return WorkloadByzantine }
-
-// install writes the byzantine knobs into the trial config. A spec TTL
-// overrides the campaign's claim_ttls value; with neither, the kind's
-// default applies — phantom claims must be able to expire or the trial
-// can only hit its round budget.
-func (w byzantineWorkload) install(cfg *TrialConfig) {
-	frac := w.spec.Frac
-	if frac == 0 {
-		frac = DefaultByzantineFrac
-	}
-	prob := w.spec.Prob
-	if prob == 0 {
-		prob = DefaultByzantineProb
-	}
-	lies := w.spec.Count
-	if lies == 0 {
-		lies = DefaultByzantineLies
-	}
-	cfg.ByzantineFrac, cfg.ByzantineProb, cfg.ByzantineLies = frac, prob, lies
-	if w.spec.TTL != 0 {
-		cfg.ClaimTTL = w.spec.TTL
-	} else if cfg.ClaimTTL == 0 {
-		cfg.ClaimTTL = DefaultByzantineTTL
-	}
-}
-
-func (w byzantineWorkload) Schedule(cfg *TrialConfig) (Schedule, error) {
-	w.install(cfg)
-	holes := w.spec.Holes
-	if holes == 0 {
-		holes = cfg.Holes
-	}
-	return Schedule{Deploy: holesDeploy(holes, cfg.Spares, !cfg.AdjacentHolesOK)}, nil
-}
-
-// resupplyWorkload starts from the holes configuration and delivers
-// batches of fresh spare nodes mid-run, rallying the scheme to retry
-// holes it had written off when the spare pool ran dry.
-type resupplyWorkload struct{ spec WorkloadSpec }
-
-func buildResupplyWorkload(spec WorkloadSpec) (Workload, error) {
-	err := rejectParams(spec, map[string]bool{
-		"holes": true, "at": true, "every": true, "batch": true, "count": true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if spec.Holes < 0 || spec.At < 0 || spec.Every < 0 || spec.Batch < 0 || spec.Count < 0 {
-		return nil, fmt.Errorf("sim: negative resupply parameter in %+v", spec)
-	}
-	return resupplyWorkload{spec}, nil
-}
-
-func (w resupplyWorkload) Kind() string { return WorkloadResupply }
-
-func (w resupplyWorkload) Schedule(cfg *TrialConfig) (Schedule, error) {
-	if cfg.Runner == RunAsync {
-		return Schedule{}, fmt.Errorf("sim: the resupply workload requires the sync runner")
-	}
-	holes := w.spec.Holes
-	if holes == 0 {
-		holes = cfg.Holes
-	}
-	return Schedule{
-		Deploy: holesDeploy(holes, cfg.Spares, !cfg.AdjacentHolesOK),
-		Events: w.arrivals(0),
-	}, nil
-}
-
-// arrivals builds the resupply events, shifted by at rounds. Arrivals
-// are barriers (the trial must witness them) and rallies (the scheme's
-// given-up holes become eligible again once spares exist).
-func (w resupplyWorkload) arrivals(at int) []Event {
-	first := w.spec.At
-	if first == 0 {
-		first = DefaultResupplyAt
-	}
-	every := w.spec.Every
-	if every == 0 {
-		every = DefaultResupplyAt
-	}
-	batch := w.spec.Batch
-	if batch == 0 {
-		batch = DefaultResupplyBatch
-	}
-	count := w.spec.Count
-	if count == 0 {
-		count = 1
-	}
+// resupplyArrivals builds the resupply events, shifted by at rounds:
+// batches of fresh spare nodes that arrive mid-run. Arrivals are
+// barriers (the trial must witness them) and rallies (holes the scheme
+// wrote off when the spare pool ran dry become eligible again).
+func resupplyArrivals(spec WorkloadSpec, at int) []Event {
+	first, every := cmp.Or(spec.At, DefaultResupplyAt), cmp.Or(spec.Every, DefaultResupplyAt)
+	batch, count := cmp.Or(spec.Batch, DefaultResupplyBatch), cmp.Or(spec.Count, 1)
 	events := make([]Event, 0, count)
 	for i := 0; i < count; i++ {
 		events = append(events, Event{
@@ -253,50 +116,4 @@ func (w resupplyWorkload) arrivals(at int) []Event {
 		})
 	}
 	return events
-}
-
-// lossyWorkload runs the holes scenario over a lossy radio: every
-// delivery drops with probability Loss, so replacement requests and
-// acknowledgements vanish mid-cascade and only ClaimTTL expiry revives
-// the repair. SR-family schemes, sync runner only.
-type lossyWorkload struct{ spec WorkloadSpec }
-
-func buildLossyWorkload(spec WorkloadSpec) (Workload, error) {
-	err := rejectParams(spec, map[string]bool{"holes": true, "loss": true, "ttl": true})
-	if err != nil {
-		return nil, err
-	}
-	if spec.Holes < 0 || spec.TTL < 0 {
-		return nil, fmt.Errorf("sim: negative lossy parameter in %+v", spec)
-	}
-	if spec.Loss < 0 || spec.Loss >= 1 {
-		return nil, fmt.Errorf("sim: lossy loss %g outside [0,1)", spec.Loss)
-	}
-	return lossyWorkload{spec}, nil
-}
-
-func (w lossyWorkload) Kind() string { return WorkloadLossy }
-
-// install writes the radio knobs into the trial config; TTL precedence
-// matches byzantine.
-func (w lossyWorkload) install(cfg *TrialConfig) {
-	loss := w.spec.Loss
-	if loss == 0 {
-		loss = DefaultLossyLoss
-	}
-	cfg.MessageLoss = loss
-	if w.spec.TTL != 0 {
-		cfg.ClaimTTL = w.spec.TTL
-	} else if cfg.ClaimTTL == 0 {
-		cfg.ClaimTTL = DefaultLossyTTL
-	}
-}
-
-func (w lossyWorkload) Schedule(cfg *TrialConfig) (Schedule, error) {
-	w.install(cfg)
-	holes := w.spec.Holes
-	if holes == 0 {
-		holes = cfg.Holes
-	}
-	return Schedule{Deploy: holesDeploy(holes, cfg.Spares, !cfg.AdjacentHolesOK)}, nil
 }
