@@ -458,7 +458,7 @@ func run(args []string) (err error) {
 		sparesS    = fs.String("spares", "", "comma-separated spare counts N (default: the paper's x axis)")
 		holesS     = fs.String("holes", "1", "comma-separated simultaneous hole counts")
 		workloadsS = fs.String("workloads", "", "comma-separated workload kinds (default holes): "+strings.Join(sim.WorkloadKinds(), ", ")+" (parameters via -spec)")
-		listWk     = fs.Bool("list-workloads", false, "print the registered workload kinds with parameters and exit")
+		listWk     = fs.Bool("list-workloads", false, "print the workload kinds with parameters and exit")
 		ttlsS      = fs.String("ttls", "", "comma-separated claim TTLs in rounds (adds a campaign dimension; SR-family sync runs only, 0 = claims never expire)")
 		runnersS   = fs.String("runners", "", "comma-separated trial runners: sync, async (default sync)")
 		shardS     = fs.String("shard", "", "cell shard i/n: run only the i-th of n contiguous blocks of campaign cells")

@@ -191,3 +191,60 @@ func TestAdversarialWorkloadGuards(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateMatchesTrialAssembly: a workload that installs knobs a
+// scheme or runner refuses (claim expiry, a lossy radio, byzantine
+// monitors, mid-run resupply) fails Validate, naming the workload and
+// the scheme, instead of failing at its first trial mid-campaign. A
+// random composition draws only kinds its trials accept, so it still
+// validates on AR and on the async runner.
+func TestValidateMatchesTrialAssembly(t *testing.T) {
+	byz := WorkloadSpec{Kind: WorkloadByzantine}
+	lossy := WorkloadSpec{Kind: WorkloadLossy}
+	base := CampaignSpec{Grids: []GridSize{{8, 8}}, Spares: []int{10, 20}, Replicates: 2}
+	for _, tc := range []struct {
+		schemes []SchemeKind
+		runners []RunnerKind
+		wl      WorkloadSpec
+		want    []string
+	}{
+		{[]SchemeKind{SR, AR}, nil, byz, []string{`"byzantine"`, "scheme AR"}},
+		{[]SchemeKind{SRShortcut, AR}, nil, lossy, []string{`"lossy"`, "scheme AR"}},
+		{[]SchemeKind{SR, AR}, nil, WorkloadSpec{Kind: WorkloadOverlay, Children: []WorkloadSpec{byz}},
+			[]string{"overlay [byzantine]", "scheme AR"}},
+		{[]SchemeKind{SR}, []RunnerKind{RunSync, RunAsync}, WorkloadSpec{Kind: WorkloadResupply},
+			[]string{`"resupply"`, "scheme SR", "runner async"}},
+		{[]SchemeKind{SR}, []RunnerKind{RunAsync}, WorkloadSpec{Kind: WorkloadSequence,
+			Children: []WorkloadSpec{{Kind: WorkloadHoles}, lossy}},
+			[]string{"lossy", "scheme SR", "runner async"}},
+	} {
+		spec := base
+		spec.Schemes, spec.Runners, spec.Workloads = tc.schemes, tc.runners, []WorkloadSpec{tc.wl}
+		err := spec.Validate()
+		if err == nil {
+			t.Errorf("%s on %v %v: Validate accepted it", tc.wl, tc.schemes, tc.runners)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s on %v %v: error %q does not name %s", tc.wl, tc.schemes, tc.runners, err, w)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		schemes []SchemeKind
+		runners []RunnerKind
+	}{
+		{[]SchemeKind{SR, SRShortcut, AR}, nil},
+		{[]SchemeKind{SR}, []RunnerKind{RunSync, RunAsync}},
+	} {
+		spec := base
+		spec.Schemes, spec.Runners = tc.schemes, tc.runners
+		for pick := int64(0); pick < 16; pick++ {
+			spec.Workloads = append(spec.Workloads, WorkloadSpec{Kind: WorkloadRandom, Pick: pick, Count: MaxChildren})
+		}
+		if err := spec.Validate(); err != nil {
+			t.Errorf("random compositions on %v %v: %v", tc.schemes, tc.runners, err)
+		}
+	}
+}

@@ -121,9 +121,10 @@ func (s *CampaignSpec) normalize() {
 	}
 }
 
-// Validate rejects specs the job space cannot execute: unregistered
-// workload kinds, a value listed twice in a dimension, bad cell ranges,
-// and runner/scheme pairings the trial assembly would refuse.
+// Validate rejects specs the job space cannot execute: unknown or
+// malformed workloads, a value listed twice in a dimension, bad cell
+// ranges, and the workload/scheme/runner pairings the trial assembly
+// would refuse.
 // RunCampaignStream validates automatically; CLIs call it early for
 // friendlier errors.
 func (s CampaignSpec) Validate() error {
@@ -178,6 +179,22 @@ func (s CampaignSpec) Validate() error {
 		for _, r := range s.runnerDim() {
 			if r != RunSync {
 				return fmt.Errorf("sim: claim_ttls requires the sync runner, not %v", r)
+			}
+		}
+	}
+	// A workload installs knobs (claim TTL, lossy radio, byzantine
+	// monitors) only some schemes and runners accept; resolve one trial
+	// of every (workload block, scheme) pair the way NewTrial would.
+	for _, b := range s.layout().blocks {
+		for _, k := range s.Schemes {
+			j := TrialJob{Scheme: k, Grid: s.Grids[0], Spares: s.Spares[0], Holes: b.holes[0],
+				Workload: b.workload, Runner: b.runner, ClaimTTL: b.ttl}
+			cfg := j.config(s)
+			if err := cfg.normalize(); err != nil {
+				return err
+			}
+			if _, err := resolveSchedule(&cfg); err != nil {
+				return err
 			}
 		}
 	}

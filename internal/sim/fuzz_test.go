@@ -7,7 +7,7 @@ import (
 
 // FuzzScenario drives the seeded scenario generator with fuzzed inputs
 // and holds every generated composition to the CheckInvariants oracle
-// plus rerun determinism. The generator (randomWorkload) is the grammar's
+// plus rerun determinism. The generator (generateRandom) is the grammar's
 // closure: whatever composition the fuzzer reaches, the trial must
 // terminate inside its round budget, keep the claim/spares/coverage
 // bookkeeping consistent, and reproduce byte-for-byte on a second run.

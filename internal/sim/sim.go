@@ -288,12 +288,6 @@ func buildScheme(net *network.Network, cfg TrialConfig, rng *randx.Rand, col *me
 			Scratch:          scratch,
 		})
 	case AR:
-		if cfg.ClaimTTL != 0 {
-			return nil, fmt.Errorf("sim: ClaimTTL is an SR-family knob; the AR baseline has no claim expiry")
-		}
-		if cfg.ByzantineFrac != 0 {
-			return nil, fmt.Errorf("sim: the byzantine workload targets SR-family monitors; AR is unsupported")
-		}
 		var scratch *ar.Scratch
 		if scr != nil {
 			scratch = scr.forAR()

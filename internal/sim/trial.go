@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -55,21 +56,9 @@ func newTrial(cfg TrialConfig, arena *TrialArena) (*Trial, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	wl, err := BuildWorkload(cfg.Workload)
+	sched, err := resolveSchedule(&cfg)
 	if err != nil {
 		return nil, err
-	}
-	sched, err := wl.Schedule(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateEvents(sched.Events); err != nil {
-		return nil, err
-	}
-	// Checked after Schedule because workloads (lossy, byzantine) install
-	// these knobs into cfg there.
-	if cfg.Runner == RunAsync && (cfg.ClaimTTL != 0 || cfg.MessageLoss != 0 || cfg.ByzantineFrac != 0) {
-		return nil, fmt.Errorf("sim: ClaimTTL, MessageLoss, and byzantine monitors require the sync runner")
 	}
 	var rng *randx.Rand
 	var net *network.Network
@@ -135,6 +124,37 @@ func newTrial(cfg TrialConfig, arena *TrialArena) (*Trial, error) {
 		}
 	}
 	return t, nil
+}
+
+// resolveSchedule resolves a normalized config's workload into its
+// schedule, which installs the workload's knobs into cfg (lossy,
+// byzantine), and checks those knobs against the scheme and the runner.
+// NewTrial and CampaignSpec.Validate both call it, so a campaign
+// validates exactly the pairings its trials accept. Its errors name the
+// workload, the scheme and the runner.
+func resolveSchedule(cfg *TrialConfig) (Schedule, error) {
+	wl, err := BuildWorkload(cfg.Workload)
+	if err != nil {
+		return Schedule{}, err
+	}
+	sched, err := wl.Schedule(cfg)
+	if err == nil {
+		err = validateEvents(sched.Events)
+	}
+	switch {
+	case err != nil:
+	case cfg.Runner == RunAsync && (cfg.ClaimTTL != 0 || cfg.MessageLoss != 0 || cfg.ByzantineFrac != 0):
+		err = errors.New("sim: ClaimTTL, MessageLoss, and byzantine monitors require the sync runner")
+	case cfg.Scheme == AR && cfg.ByzantineFrac != 0:
+		err = errors.New("sim: the byzantine workload targets SR-family monitors; AR is unsupported")
+	case cfg.Scheme == AR && cfg.ClaimTTL != 0:
+		err = errors.New("sim: ClaimTTL is an SR-family knob; the AR baseline has no claim expiry")
+	}
+	if err != nil {
+		return Schedule{}, fmt.Errorf("%w (workload %q, scheme %v, runner %v)",
+			err, cfg.Workload.String(), cfg.Scheme, cfg.Runner)
+	}
+	return sched, nil
 }
 
 // Network exposes the trial's network for inspection after Run.

@@ -575,11 +575,12 @@ type opening struct {
 	radius float64
 }
 
+// openingKind is the form of a kind's round-0 damage; the zero value is
+// none.
 type openingKind uint8
 
 const (
-	openNone openingKind = iota
-	openHoles
+	openHoles openingKind = iota + 1
 	openJam
 )
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -23,6 +24,13 @@ const (
 	// no trials ran, the manifest was already content-addressed.
 	StatusCached = "cached"
 )
+
+// maxTerminalCampaigns bounds the terminal (cached, completed, failed,
+// aborted) campaigns the daemon keeps pollable. Past it, the campaign
+// that ended longest ago is dropped: its ID answers 404, while its
+// manifest stays in the store. Queued and running campaigns are never
+// dropped.
+const maxTerminalCampaigns = 256
 
 // Sentinel errors Submit returns; the HTTP layer maps them to status
 // codes (400, 503, 429).
@@ -114,6 +122,7 @@ type Daemon struct {
 	byID     map[int]*Campaign
 	order    []*Campaign
 	inflight map[string]*Campaign // spec hash → queued or running campaign
+	retired  []*Campaign          // terminal campaigns, in the order they ended
 	draining bool
 	nextID   int
 }
@@ -199,6 +208,7 @@ func (d *Daemon) Submit(specJSON []byte, name string) (View, bool, error) {
 		c.ManifestPath = path
 		c.Finished = c.Submitted
 		close(c.done)
+		d.retireLocked(c)
 		d.log.Info("submission served from manifest store",
 			"id", c.ID, "spec_hash", hash, "manifest", path)
 		return d.viewLocked(c), false, nil
@@ -238,6 +248,20 @@ func (d *Daemon) registerLocked(name, hash string, spec sim.CampaignSpec) *Campa
 	return c
 }
 
+// retireLocked records that c reached a terminal status and drops the
+// campaign that ended longest ago once more than maxTerminalCampaigns
+// have ended; callers hold d.mu.
+func (d *Daemon) retireLocked(c *Campaign) {
+	d.retired = append(d.retired, c)
+	if len(d.retired) <= maxTerminalCampaigns {
+		return
+	}
+	old := d.retired[0]
+	d.retired = d.retired[1:]
+	delete(d.byID, old.ID)
+	d.order = slices.DeleteFunc(d.order, func(c *Campaign) bool { return c == old })
+}
+
 // strings8 is the short-hash suffix for default campaign names.
 func strings8(hash string) string {
 	hex := hash
@@ -261,7 +285,8 @@ func (d *Daemon) Campaign(id int) (View, bool) {
 	return d.viewLocked(c), true
 }
 
-// Campaigns lists every campaign in submission order.
+// Campaigns lists the campaigns the daemon keeps (every queued and
+// running one, and the newest terminal ones) in submission order.
 func (d *Daemon) Campaigns() []View {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -411,6 +436,7 @@ func (d *Daemon) finish(c *Campaign, status, manifestPath string, points, ran in
 		c.Err = runErr.Error()
 	}
 	delete(d.inflight, c.SpecHash)
+	d.retireLocked(c)
 	d.mu.Unlock()
 	if c.hub != nil {
 		c.hub.Close()

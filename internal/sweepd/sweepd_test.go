@@ -182,6 +182,72 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsSchemeConflicts: a spec whose workload installs
+// knobs one of its schemes refuses (byzantine monitors or a lossy radio
+// on AR, even inside a combinator) is a bad spec at submission, named
+// in the error, and queues nothing — it must not be accepted and then
+// fail mid-campaign.
+func TestSubmitRejectsSchemeConflicts(t *testing.T) {
+	d, _ := newTestDaemon(t, Options{})
+	for _, wl := range []sim.WorkloadSpec{
+		{Kind: sim.WorkloadByzantine},
+		{Kind: sim.WorkloadLossy},
+		{Kind: sim.WorkloadOverlay, Children: []sim.WorkloadSpec{{Kind: sim.WorkloadByzantine}}},
+	} {
+		spec := smallSpec()
+		spec.Schemes = []sim.SchemeKind{sim.SR, sim.AR}
+		spec.Workloads = []sim.WorkloadSpec{wl}
+		_, created, err := d.Submit(mustJSON(t, spec), "")
+		if !errors.Is(err, ErrBadSpec) || created {
+			t.Errorf("%s on SR,AR: Submit = created %v, %v; want ErrBadSpec", wl, created, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), wl.Kind) || !strings.Contains(err.Error(), "scheme AR") {
+			t.Errorf("%s on SR,AR: error %q does not name the workload and the scheme", wl, err)
+		}
+	}
+	if got := d.Campaigns(); len(got) != 0 {
+		t.Errorf("rejected submissions registered %d campaigns", len(got))
+	}
+	if n := len(d.queue); n != 0 {
+		t.Errorf("rejected submissions queued %d campaigns", n)
+	}
+}
+
+// TestTerminalCampaignsBounded: cache hits register terminal campaigns;
+// the daemon keeps at most maxTerminalCampaigns of them, dropping the
+// one that ended longest ago (its ID answers 404) while the newest
+// still polls.
+func TestTerminalCampaignsBounded(t *testing.T) {
+	d, _ := newTestDaemon(t, Options{})
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+
+	body := mustJSON(t, smallSpec())
+	first, created, err := d.Submit(body, "cold")
+	if err != nil || !created {
+		t.Fatalf("cold submission: created %v, %v", created, err)
+	}
+	waitStatus(t, ts, first.ID, StatusCompleted)
+	var last View
+	for i := 0; i < maxTerminalCampaigns+8; i++ {
+		if last, _, err = d.Submit(body, "hit"); err != nil || last.Status != StatusCached {
+			t.Fatalf("hit %d: %+v, %v", i, last, err)
+		}
+	}
+	if got := len(d.Campaigns()); got > maxTerminalCampaigns {
+		t.Errorf("daemon keeps %d campaigns after %d hits, want at most %d",
+			got, maxTerminalCampaigns+8, maxTerminalCampaigns)
+	}
+	if code := getJSON(t, fmt.Sprintf("%s/api/v1/campaigns/%d", ts.URL, first.ID), nil); code != http.StatusNotFound {
+		t.Errorf("evicted campaign %d: GET status %d, want 404", first.ID, code)
+	}
+	var v View
+	if code := getJSON(t, fmt.Sprintf("%s/api/v1/campaigns/%d", ts.URL, last.ID), &v); code != http.StatusOK || v.Status != StatusCached {
+		t.Errorf("newest campaign %d: GET status %d, view %+v", last.ID, code, v)
+	}
+}
+
 // TestSubmitUnknownWorkloadNamesKind pins the 400 body: a spec naming
 // an unregistered workload kind is refused with an error that echoes
 // the kind and lists the registered ones, so the caller can see which
