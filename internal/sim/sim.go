@@ -196,7 +196,7 @@ func (cfg *TrialConfig) normalize() error {
 		return fmt.Errorf("sim: negative spare count %d", cfg.Spares)
 	}
 	if cfg.Workload.Kind == "" {
-		// Parameters without a kind mean the default kind; the builder
+		// Parameters without a kind mean the default kind; BuildWorkload
 		// then rejects parameters it does not take, so a forgotten Kind
 		// fails loudly instead of being ignored.
 		cfg.Workload.Kind = WorkloadHoles

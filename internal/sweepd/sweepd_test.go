@@ -249,8 +249,8 @@ func TestTerminalCampaignsBounded(t *testing.T) {
 }
 
 // TestSubmitUnknownWorkloadNamesKind pins the 400 body: a spec naming
-// an unregistered workload kind is refused with an error that echoes
-// the kind and lists the registered ones, so the caller can see which
+// an unknown workload kind is refused with an error that echoes the
+// kind and lists the known ones, so the caller can see which
 // entry was wrong without consulting the server's source.
 func TestSubmitUnknownWorkloadNamesKind(t *testing.T) {
 	d, _ := newTestDaemon(t, Options{})
