@@ -11,7 +11,7 @@
 //	Fig 8: total moving distance, experimental vs analytical
 //
 // The full-resolution series (100 trials/point, the paper's x axis) are
-// produced by `go run ./cmd/figures`; see EXPERIMENTS.md.
+// produced by `go run ./cmd/figures`.
 package wsncover_test
 
 import (
@@ -207,7 +207,8 @@ func BenchmarkFiguresAll(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (design choices called out in DESIGN.md) ---
+// --- Ablation benches: SR's design choices against their alternatives
+// (the shortcut extension, the dual-path topology, AR's hop budget) ---
 
 // BenchmarkAblationShortcut compares SR against the future-work shortcut
 // extension on identical layouts.
@@ -598,11 +599,12 @@ func BenchmarkTrialLarge(b *testing.B) {
 // BenchmarkReplicateSteadyState measures the pooled replicate engine in
 // its campaign steady state: one arena running trial after trial of the
 // same cell, the regime every Monte-Carlo campaign spends nearly all
-// its time in. The arena is warmed before the clock starts, so bytes/op
-// and allocs/op are the true per-replicate cost after the pool's
-// high-water marks settle; the "fresh" variants rebuild the world per
-// trial (the executable spec) and are the baseline the ≥5x bytes/op
-// acceptance criterion compares against. Seeds rotate so the steady
+// its time in. The arena is warmed before the clock starts, over the
+// seeds the timed loop rotates through, so bytes/op and allocs/op are
+// the true per-replicate cost after the pool's high-water marks (its
+// deployment-base memo included) settle; the "fresh" variants rebuild
+// the world per trial (the executable spec) and are the baseline the
+// ≥5x bytes/op acceptance criterion compares against. Seeds rotate so the steady
 // state covers varied layouts, exactly as a campaign's replicates do.
 func BenchmarkReplicateSteadyState(b *testing.B) {
 	dims := []struct {
@@ -622,7 +624,7 @@ func BenchmarkReplicateSteadyState(b *testing.B) {
 		}
 		b.Run("pooled-"+d.name, func(b *testing.B) {
 			arena := sim.NewTrialArena()
-			for s := int64(0); s < 4; s++ { // warm the pool across layouts
+			for s := int64(0); s < 8; s++ { // warm the pool across the timed layouts
 				cfg.Seed = s
 				if _, err := arena.RunTrial(cfg); err != nil {
 					b.Fatal(err)
@@ -751,7 +753,7 @@ func BenchmarkTelemetrySteadyState(b *testing.B) {
 		func(s dispatch.FleetSnapshot) { dispatch.PublishFleet(pub, s) })
 	prog.Start()
 	arena := sim.NewTrialArena()
-	for s := int64(0); s < 4; s++ {
+	for s := int64(0); s < 8; s++ { // warm the pool across the timed layouts
 		cfg.Seed = s
 		if _, err := arena.RunTrial(cfg); err != nil {
 			b.Fatal(err)

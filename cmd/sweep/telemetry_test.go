@@ -43,16 +43,17 @@ func TestDashAcceptance(t *testing.T) {
 			}
 			resp.Body.Close()
 		}
+		// The stream's headers arrive once the server has subscribed it,
+		// so no event of the run can slip past it.
+		stream, err := http.Get("http://" + addr + "/events")
+		if err != nil {
+			sseCh <- sseResult{err: err}
+			return
+		}
 		go func() {
 			var res sseResult
-			resp, err := http.Get("http://" + addr + "/events")
-			if err != nil {
-				res.err = err
-				sseCh <- res
-				return
-			}
-			defer resp.Body.Close()
-			sc := bufio.NewScanner(resp.Body)
+			defer stream.Body.Close()
+			sc := bufio.NewScanner(stream.Body)
 			sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 			for sc.Scan() {
 				payload, ok := strings.CutPrefix(strings.TrimSpace(sc.Text()), "data: ")

@@ -22,9 +22,26 @@
 //     robustness gap the paper reports for sparse networks.
 //
 // The exact pseudo-code of [3] is not reproduced in the paper, so this
-// model is calibrated to the behavior the paper reports for AR; see
-// DESIGN.md ("Substitutions") and the calibration tests in the sim
-// package.
+// model is calibrated to the behavior the paper reports for AR, and
+// TestPaperClaims in the sim package checks that calibration on the
+// paper's 16x16 configuration.
+//
+// Substitutions. Where [3] is unspecified, the model substitutes:
+//
+//   - Initiation: each head next to a newly observed hole starts a
+//     process with probability InitProb (DefaultInitProb 0.65), and one
+//     of them is drawn when none does, for the unsynchronized
+//     detection's redundancy. 0.65 reproduces "SR needs fewer than
+//     half of AR's processes".
+//   - Search: a greedy self-avoiding walk over 1-hop knowledge. Each
+//     step goes to an unvisited, occupied, non-departing neighbor,
+//     preferring one with a spare, ties broken uniformly at random.
+//   - Horizon: a process fails past MaxHops hops (DefaultMaxHops 6) or
+//     when the walk is stuck. Six hops reproduces the paper's 10-20%
+//     failure band below N = 55 on the 16x16 grid.
+//   - Suppression: a departing head's grid is claimed by its process,
+//     so other processes neither detect it as a hole nor route through
+//     it. Processes racing for one hole are not suppressed.
 //
 // Controller state is struct-of-arrays, mirroring the core package:
 // processes live in a dense pid-indexed table whose visited sets share

@@ -100,30 +100,91 @@ func Clustered(w *network.Network, count, k int, sigma float64, rng *randx.Rand)
 // empty, so after ElectHeads the network has exactly len(holeCells)
 // simultaneous holes and exactly spares spare nodes (the paper's N).
 func Controlled(w *network.Network, spares int, holeCells []grid.Coord, rng *randx.Rand) error {
+	var b Base
+	if err := b.Place(w, spares, holeCells, rng, false); err != nil {
+		return err
+	}
+	return b.AddSpares(w, spares, rng)
+}
+
+// Base is the half of a Controlled deployment drawn before the spare
+// count is read: the hole cells and the one node placed in every other
+// cell. Place builds it (Controlled is Place then AddSpares); a recorded
+// Base also keeps every placed node's position and the cell it
+// registered in, and Replay adds those nodes to another empty network of
+// the same geometry without drawing or locating them, so a campaign that
+// deploys one seed under many spare counts draws the layout once. The
+// zero value is empty; its buffers are reused from one Place to the
+// next.
+type Base struct {
+	holes holeRanks
+	locs  []geom.Point // recorded nodes, in id order
+	cells []int32      // the cell index each recorded node registered in
+}
+
+// Place validates holeCells, keeps them, and places one node uniformly
+// in every other cell, in index order, drawing from rng — the first half
+// of Controlled. With record set it also keeps every placed node for
+// Replay; otherwise it drops any earlier recording. spares only sizes
+// the node columns for the AddSpares that follows.
+func (b *Base) Place(w *network.Network, spares int, holeCells []grid.Coord, rng *randx.Rand, record bool) error {
 	sys := w.System()
-	holes := make(holeRanks, 0, len(holeCells))
+	b.holes = slices.Grow(b.holes[:0], len(holeCells))
 	for _, h := range holeCells {
 		if !sys.Contains(h) {
 			return fmt.Errorf("controlled deploy: hole %v off-grid", h)
 		}
-		holes = append(holes, sys.Index(h))
+		b.holes = append(b.holes, sys.Index(h))
 	}
-	slices.Sort(holes)
-	holes = slices.Compact(holes)
-	n := sys.NumCells()
-	occupied := n - len(holes)
+	slices.Sort(b.holes)
+	b.holes = slices.Compact(b.holes)
+	b.locs, b.cells = b.locs[:0], b.cells[:0]
+	if record {
+		b.locs = slices.Grow(b.locs, b.occupied(sys))
+		b.cells = slices.Grow(b.cells, b.occupied(sys))
+	}
+	w.GrowNodes(b.occupied(sys) + max(spares, 0))
+	at := func(c grid.Coord) geom.Point { return rng.InRect(sys.CellRect(c)) }
+	if record {
+		at = func(c grid.Coord) geom.Point {
+			p := rng.InRect(sys.CellRect(c))
+			rc, _ := sys.CoordOf(p)
+			b.locs = append(b.locs, p)
+			b.cells = append(b.cells, int32(sys.Index(rc)))
+			return p
+		}
+	}
+	if err := w.AddOnePerCell(b.holes, at); err != nil {
+		b.locs, b.cells = b.locs[:0], b.cells[:0] // an off-field point: nothing to replay
+		return fmt.Errorf("controlled deploy: %w", err)
+	}
+	return nil
+}
+
+// Replay adds the nodes the last recording Place placed to w, which must
+// hold no nodes and have the geometry Place ran on: afterwards w is as
+// that Place left its network, and the stream it drew from must be
+// restored by the caller. spares sizes the node columns like Place.
+func (b *Base) Replay(w *network.Network, spares int) error {
+	if n := b.occupied(w.System()); len(b.locs) != n || w.NumNodes() != 0 {
+		return fmt.Errorf("controlled deploy: replaying %d recorded nodes for %d cells into %d nodes",
+			len(b.locs), n, w.NumNodes())
+	}
+	w.GrowNodes(len(b.locs) + max(spares, 0))
+	return w.AddPlaced(b.locs, b.cells)
+}
+
+// AddSpares scatters spares nodes uniformly over the cells Place did not
+// leave empty, drawing from rng, and elects every cell's head — the
+// second half of Controlled.
+func (b *Base) AddSpares(w *network.Network, spares int, rng *randx.Rand) error {
+	sys := w.System()
+	occupied := b.occupied(sys)
 	if occupied == 0 && spares > 0 {
 		return fmt.Errorf("controlled deploy: no non-hole cells for %d spares", spares)
 	}
-	w.GrowNodes(occupied + max(spares, 0))
-	err := w.AddOnePerCell(holes, func(c grid.Coord) geom.Point {
-		return rng.InRect(sys.CellRect(c))
-	})
-	if err != nil {
-		return fmt.Errorf("controlled deploy: %w", err)
-	}
 	for i := 0; i < spares; i++ {
-		c := sys.CoordAt(holes.cell(rng.Intn(occupied)))
+		c := sys.CoordAt(b.holes.cell(rng.Intn(occupied)))
 		if _, err := w.AddNodeAt(rng.InRect(sys.CellRect(c))); err != nil {
 			return fmt.Errorf("controlled deploy: %w", err)
 		}
@@ -131,6 +192,9 @@ func Controlled(w *network.Network, spares int, holeCells []grid.Coord, rng *ran
 	w.ElectHeads()
 	return nil
 }
+
+// occupied returns the number of cells outside the base's holes.
+func (b *Base) occupied(sys *grid.System) int { return sys.NumCells() - len(b.holes) }
 
 // Resupply scatters count fresh spare nodes uniformly over the occupied
 // (non-vacant) cells, modelling a mid-run delivery of replacement

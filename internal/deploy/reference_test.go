@@ -217,6 +217,69 @@ func TestControlledMatchesOccupiedList(t *testing.T) {
 	}
 }
 
+// TestBaseReplayMatchesControlled records a base under one spare count
+// and replays it under others, into a fresh network with a stream
+// restored to where the recording's layout left it: network and stream
+// must end as Controlled leaves them.
+func TestBaseReplayMatchesControlled(t *testing.T) {
+	sys, err := grid.New(9, 7, 1, geom.Pt(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	holeSets := [][]grid.Coord{
+		nil,
+		{grid.C(8, 6)},
+		{grid.C(4, 3), grid.C(0, 0), grid.C(8, 6), grid.C(4, 3)},
+		sys.AllCoords(),
+	}
+	var b Base // reused across recordings, like a memo slot
+	for i, holes := range holeSets {
+		for seed := int64(0); seed < 4; seed++ {
+			rec := network.New(sys, node.EnergyModel{})
+			recRNG := randx.New(seed)
+			if err := b.Place(rec, 3, holes, recRNG, true); err != nil {
+				t.Fatal(err)
+			}
+			var st randx.State
+			recRNG.Save(&st)
+			for _, spares := range []int{0, 1, 17} {
+				label := fmt.Sprintf("hole set %d spares=%d seed=%d", i, spares, seed)
+				want, wantRNG := network.New(sys, node.EnergyModel{}), randx.New(seed)
+				wantErr := Controlled(want, spares, holes, wantRNG)
+				got, gotRNG := network.New(sys, node.EnergyModel{}), randx.New(-seed)
+				if err := b.Replay(got, spares); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				gotRNG.Restore(&st)
+				gotErr := b.AddSpares(got, spares, gotRNG)
+				if (gotErr == nil) != (wantErr == nil) {
+					t.Fatalf("%s: error %v, Controlled %v", label, gotErr, wantErr)
+				}
+				sameNetwork(t, label, got, want)
+				if !sameStream(gotRNG, wantRNG) {
+					t.Fatalf("%s: stream state diverged", label)
+				}
+			}
+		}
+	}
+	crowded := network.New(sys, node.EnergyModel{})
+	if _, err := crowded.AddNodeAt(geom.Pt(0.5, 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Place(network.New(sys, node.EnergyModel{}), 0, nil, randx.New(1), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Replay(crowded, 0); err == nil {
+		t.Error("replay into a populated network should fail")
+	}
+	if err := b.Place(network.New(sys, node.EnergyModel{}), 0, nil, randx.New(1), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Replay(network.New(sys, node.EnergyModel{}), 0); err == nil {
+		t.Error("replay of an unrecorded base should fail")
+	}
+}
+
 func TestResupplyMatchesOccupiedList(t *testing.T) {
 	sys, err := grid.New(6, 5, 1, geom.Pt(0, 0))
 	if err != nil {

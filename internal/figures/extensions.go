@@ -8,8 +8,9 @@ import (
 )
 
 // Extension experiments beyond the paper's figures: scalability in the
-// grid size and robustness under simultaneous holes. These back the
-// ablation discussion in EXPERIMENTS.md.
+// grid size and robustness under simultaneous holes. cmd/figures runs
+// them beside the figure series, and the BenchmarkExt benchmarks time
+// them.
 
 // ScalabilityConfig parameterizes the grid-size sweep.
 type ScalabilityConfig struct {

@@ -3,7 +3,8 @@
 // from the Theorem 2 model; experimental figures come from seeded
 // simulation sweeps over the spare count N on the paper's 16x16 grid.
 //
-// Figure index (see DESIGN.md and EXPERIMENTS.md):
+// Figure index (cmd/figures writes each series as CSV and an ASCII
+// chart):
 //
 //	fig3a / fig3b : analytical E[moves] per replacement, 4x5 (L=19) and
 //	                16x16 (L=255) grid systems

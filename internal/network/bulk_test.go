@@ -130,34 +130,36 @@ func snapshot(w *Network) string {
 	return b.String()
 }
 
+// bulkCases are the populations the bulk paths are checked on.
+var bulkCases = []bulkCase{
+	{name: "empty-skip", cols: 6, rows: 5, spares: 9},
+	{name: "duplicate-skip", cols: 6, rows: 5, skip: []int{3, 3, 3, 7, 7, 29, 29}, spares: 9},
+	{name: "unsorted-skip", cols: 6, rows: 5, skip: []int{17, 2, 29, 0, 11}, spares: 9},
+	{name: "no-spares", cols: 6, rows: 5, skip: []int{4, 12}},
+	{name: "all-skipped", cols: 2, rows: 2, skip: []int{3, 1, 0, 2, 1}},
+	{
+		name: "already-populated", cols: 6, rows: 5,
+		pre:   []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.25, 0.75), geom.Pt(3.5, 2.5), geom.Pt(5.9, 4.9)},
+		moves: [][2]int{{1, 9}},
+		skip:  []int{0, 21}, spares: 7,
+	},
+	{
+		// Edge points land in a neighbouring cell, so it gets two
+		// members and its own cell none; the last cell's corner folds
+		// back into itself.
+		name: "edge-rounding", cols: 6, rows: 5,
+		skip: []int{8}, edges: []int{1, 7, 14, 29}, spares: 4,
+	},
+	{name: "multi-word", cols: 23, rows: 11, skip: []int{64, 128, 5, 250}, spares: 80},
+}
+
 // TestAddOnePerCellMatchesPerNode is the identity contract of the bulk
 // deployment path: AddOnePerCell followed by ElectHeads must leave the
 // network exactly as per-node AddNodeAt followed by the full election
 // would — nodes, cells, vacancy state and journal, and the order of the
 // HeadElected events.
 func TestAddOnePerCellMatchesPerNode(t *testing.T) {
-	cases := []bulkCase{
-		{name: "empty-skip", cols: 6, rows: 5, spares: 9},
-		{name: "duplicate-skip", cols: 6, rows: 5, skip: []int{3, 3, 3, 7, 7, 29, 29}, spares: 9},
-		{name: "unsorted-skip", cols: 6, rows: 5, skip: []int{17, 2, 29, 0, 11}, spares: 9},
-		{name: "no-spares", cols: 6, rows: 5, skip: []int{4, 12}},
-		{name: "all-skipped", cols: 2, rows: 2, skip: []int{3, 1, 0, 2, 1}},
-		{
-			name: "already-populated", cols: 6, rows: 5,
-			pre:   []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.25, 0.75), geom.Pt(3.5, 2.5), geom.Pt(5.9, 4.9)},
-			moves: [][2]int{{1, 9}},
-			skip:  []int{0, 21}, spares: 7,
-		},
-		{
-			// Edge points land in a neighbouring cell, so it gets two
-			// members and its own cell none; the last cell's corner folds
-			// back into itself.
-			name: "edge-rounding", cols: 6, rows: 5,
-			skip: []int{8}, edges: []int{1, 7, 14, 29}, spares: 4,
-		},
-		{name: "multi-word", cols: 23, rows: 11, skip: []int{64, 128, 5, 250}, spares: 80},
-	}
-	for _, bc := range cases {
+	for _, bc := range bulkCases {
 		t.Run(bc.name, func(t *testing.T) {
 			bulk, bulkEvents := bc.build(t, true)
 			ref, refEvents := bc.build(t, false)
@@ -174,6 +176,84 @@ func TestAddOnePerCellMatchesPerNode(t *testing.T) {
 				t.Errorf("bulk network differs from per-node build:\n--- bulk\n%s--- ref\n%s", got, want)
 			}
 		})
+	}
+}
+
+// TestAddPlacedMatchesAddOnePerCell is the identity contract of the
+// replay path: AddPlaced of the positions AddOnePerCell placed, each
+// with the cell it registered in, must leave the network as
+// AddOnePerCell left it — the same node columns, cell registry (list
+// links included), occupancy bitset and vacancy journal — before and
+// after spares and the election.
+func TestAddPlacedMatchesAddOnePerCell(t *testing.T) {
+	for _, bc := range bulkCases {
+		t.Run(bc.name, func(t *testing.T) {
+			var nets [2]*Network
+			var locs []geom.Point
+			var cells []int32
+			for i := range nets {
+				w := newNet(t, bc.cols, bc.rows, 1)
+				sys := w.System()
+				for _, p := range bc.pre {
+					addAt(t, w, p)
+				}
+				for _, mv := range bc.moves {
+					if err := w.MoveNode(node.ID(mv[0]), sys.Center(sys.CoordAt(mv[1]))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if i == 0 {
+					pts := cellPoints(sys, 11, bc.edges)
+					err := w.AddOnePerCell(slices.Clone(bc.skip), func(c grid.Coord) geom.Point {
+						p := pts[sys.Index(c)]
+						rc, _ := sys.CoordOf(p)
+						locs = append(locs, p)
+						cells = append(cells, int32(sys.Index(rc)))
+						return p
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				} else if err := w.AddPlaced(locs, cells); err != nil {
+					t.Fatal(err)
+				}
+				nets[i] = w
+			}
+			bulk, placed := nets[0], nets[1]
+			same := func(stage string) {
+				t.Helper()
+				if !slices.Equal(placed.cells, bulk.cells) || !slices.Equal(placed.nextInCell, bulk.nextInCell) {
+					t.Errorf("%s: cell registry differs", stage)
+				}
+				if !slices.Equal(placed.occ, bulk.occ) {
+					t.Errorf("%s: occupancy bitset differs", stage)
+				}
+				if !slices.Equal(placed.vacancyEvents, bulk.vacancyEvents) || !slices.Equal(placed.vacancyDirty, bulk.vacancyDirty) {
+					t.Errorf("%s: vacancy journal differs", stage)
+				}
+				if !slices.Equal(placed.store.EnabledWords(), bulk.store.EnabledWords()) {
+					t.Errorf("%s: enabled bitset differs", stage)
+				}
+			}
+			same("placed")
+			for _, w := range nets {
+				rng := randx.New(5)
+				for i := 0; i < bc.spares; i++ {
+					addAt(t, w, rng.InRect(w.System().Bounds()))
+				}
+				w.ElectHeads()
+			}
+			same("elected")
+			if bad := placed.Audit(); len(bad) > 0 {
+				t.Errorf("placed audit: %v", bad)
+			}
+			if got, want := snapshot(placed), snapshot(bulk); got != want {
+				t.Errorf("placed network differs from AddOnePerCell's:\n--- placed\n%s--- bulk\n%s", got, want)
+			}
+		})
+	}
+	if err := newNet(t, 2, 2, 1).AddPlaced(make([]geom.Point, 2), make([]int32, 1)); err == nil {
+		t.Error("AddPlaced with fewer cells than positions should fail")
 	}
 }
 

@@ -354,6 +354,26 @@ func (w *Network) AddOnePerCell(skip []int, at func(c grid.Coord) geom.Point) er
 	return nil
 }
 
+// AddPlaced adds one enabled spare node per entry of locs, node i at
+// locs[i] registered in the cell of index cells[i], in order: the bulk
+// replay of a recorded AddOnePerCell. cells[i] must be the cell
+// grid.CoordOf assigns locs[i], as AddOnePerCell registered it; then
+// the network ends exactly as AddOnePerCell left it — same ids, node
+// columns, registry, occupancy and vacancy journal — without a CoordOf
+// per node.
+func (w *Network) AddPlaced(locs []geom.Point, cells []int32) error {
+	if len(locs) != len(cells) {
+		return fmt.Errorf("network: %d placed nodes with %d cells", len(locs), len(cells))
+	}
+	first := w.store.Len()
+	copy(w.store.Extend(len(locs)), locs)
+	w.nextInCell = slices.Grow(w.nextInCell, len(locs))[:first+len(locs)]
+	for i, idx := range cells {
+		w.link(node.ID(first+i), int(idx))
+	}
+	return nil
+}
+
 // GrowNodes ensures capacity for n more nodes, so a deployment that
 // knows its population up front fills the node columns and the
 // membership list without reallocating them.

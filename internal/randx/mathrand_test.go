@@ -319,6 +319,51 @@ func TestStreamsReseedMidBlock(t *testing.T) {
 	}
 }
 
+// TestRestoreDrawsWhatTheSavedStreamDraws saves a stream at positions
+// inside its first lap, while words are still unseeded (lazy seeding
+// pending), at the lap's end, and after it, and requires a stream
+// restored from the save to draw word for word what the saved stream
+// went on to draw: hot and cold draws alike, over more than a lap, into
+// a fresh stream and into a reused one of a set that had drawn from
+// another seed. The save must also be unaffected by the saved stream's
+// later draws.
+func TestRestoreDrawsWhatTheSavedStreamDraws(t *testing.T) {
+	var set Streams
+	for _, k := range []int{0, 5, rngBlock, rngFeed - 1, rngFeed, rngFeed + 3, rngLen + 40, 3 * rngLen} {
+		r := New(int64(k) + 11)
+		for i := 0; i < k; i++ {
+			r.Int63()
+		}
+		// The lap's end clears the seed only at the next refill.
+		if pending := k <= rngFeed; pending != (r.rng.x0 != 0) {
+			t.Fatalf("after %d draws: seeding pending = %v, want %v", k, r.rng.x0 != 0, pending)
+		}
+		var st State
+		r.Save(&st)
+		var ref []float64
+		for i := 0; i < 2*rngLen; i++ {
+			ref = append(ref, float64(r.Int63()), r.NormFloat64(), float64(r.Intn(1000)))
+		}
+		set.Reset()
+		reused := set.New(int64(k) * 7)
+		for i := 0; i < k%97+3; i++ {
+			reused.Int63()
+		}
+		for _, got := range []*Rand{New(-5), reused} {
+			got.Restore(&st)
+			for i := 0; i < len(ref); i += 3 {
+				draws := []float64{float64(got.Int63()), got.NormFloat64(), float64(got.Intn(1000))}
+				if draws[0] != ref[i] || draws[1] != ref[i+1] || draws[2] != ref[i+2] {
+					t.Fatalf("saved after %d draws: restored draw set %d = %v, want %v", k, i/3, draws, ref[i:i+3])
+				}
+			}
+		}
+		if reused.set != &set {
+			t.Fatalf("saved after %d draws: Restore took a stream out of its set", k)
+		}
+	}
+}
+
 func sameDraws(got, want *Rand, n int) error {
 	for i := 0; i < n; i++ {
 		if g, w := got.Int63(), want.Int63(); g != w {

@@ -233,3 +233,18 @@ func (r *Rand) Sample(n, k int) []int {
 	copy(out, perm[:k])
 	return out
 }
+
+// State is a saved stream position: the source's whole state, its
+// pending lazy seeding included, so a stream restored from it draws
+// word for word what the saved stream went on to draw. Saving and
+// restoring are struct copies of about 4.9 KB; a State holds no
+// reference to the stream it came from.
+type State struct{ src source }
+
+// Save copies r's current position into st.
+func (r *Rand) Save(st *State) { st.src = r.rng }
+
+// Restore moves r to the position saved in st, whatever r drew or was
+// seeded with before. It leaves r's set membership alone, so a stream
+// of a Streams set stays in its set.
+func (r *Rand) Restore(st *State) { r.rng = st.src }

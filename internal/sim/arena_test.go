@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -78,6 +79,23 @@ func samplesManifestBytes(t *testing.T, spec CampaignSpec, samples []experiment.
 	return buf.Bytes()
 }
 
+// arenaManifestBytes runs every job of the campaign, in job order,
+// through the one given arena and serializes the manifest.
+func arenaManifestBytes(t *testing.T, arena *TrialArena, spec CampaignSpec) []byte {
+	t.Helper()
+	js := spec.JobSpace()
+	samples := make([]experiment.Sample, js.Len())
+	for i := range samples {
+		j := js.At(i)
+		res, err := arena.RunTrial(j.config(spec.Normalized()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples[i] = SampleOf(j, res)
+	}
+	return samplesManifestBytes(t, spec, samples)
+}
+
 // TestOneArenaAlternatingCampaignsMatchFresh runs lossy, churn and holes
 // campaigns back to back, twice over, through one arena, so every
 // trial's random streams are ones the previous trial's workload left
@@ -107,17 +125,7 @@ func TestOneArenaAlternatingCampaignsMatchFresh(t *testing.T) {
 	arena := NewTrialArena()
 	for pass := 0; pass < 2; pass++ {
 		for _, c := range campaigns {
-			js := c.spec.JobSpace()
-			samples := make([]experiment.Sample, js.Len())
-			for i := range samples {
-				j := js.At(i)
-				res, err := arena.RunTrial(j.config(c.spec.Normalized()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				samples[i] = SampleOf(j, res)
-			}
-			got := samplesManifestBytes(t, c.spec, samples)
+			got := arenaManifestBytes(t, arena, c.spec)
 			if want := pooledManifestBytes(t, c.spec, true, 1); !bytes.Equal(got, want) {
 				t.Fatalf("pass %d, %s campaign: one-arena manifest differs from FreshBuild", pass, c.name)
 			}
@@ -264,6 +272,20 @@ func TestConcurrentCampaignsShareFreeList(t *testing.T) {
 	wg.Wait()
 }
 
+// warmCampaignSpec is a 256x256 campaign in which no layout recurs: one
+// scheme, one spare count.
+func warmCampaignSpec() CampaignSpec {
+	return CampaignSpec{
+		Schemes:         []SchemeKind{SR},
+		Grids:           []GridSize{{256, 256}},
+		Spares:          []int{1200},
+		Holes:           []int{64},
+		AdjacentHolesOK: true,
+		Replicates:      4,
+		Workers:         1,
+	}
+}
+
 // TestWarmCampaignAllocBudget pins what a campaign allocates per trial
 // once an earlier campaign has left a same-shape arena in the free
 // list: the 256x256 world (node columns, cell registries, controller
@@ -276,15 +298,7 @@ func TestWarmCampaignAllocBudget(t *testing.T) {
 		allocBudget = 40       // allocs/trial (measured 28)
 		byteBudget  = 16 << 10 // bytes/trial (measured 7 KiB)
 	)
-	spec := CampaignSpec{
-		Schemes:         []SchemeKind{SR},
-		Grids:           []GridSize{{256, 256}},
-		Spares:          []int{1200},
-		Holes:           []int{64},
-		AdjacentHolesOK: true,
-		Replicates:      4,
-		Workers:         1,
-	}
+	spec := warmCampaignSpec()
 	run := func() {
 		if err := RunCampaignStream(context.Background(), spec, experiment.Options{},
 			func(TrialJob, experiment.Sample) error { return nil }); err != nil {
@@ -305,5 +319,240 @@ func TestWarmCampaignAllocBudget(t *testing.T) {
 	}
 	if bytesPer > byteBudget {
 		t.Errorf("warm campaign allocates %.0f B per trial, budget %d", bytesPer, byteBudget)
+	}
+}
+
+// TestWarmServiceMixAllocBudget is TestWarmCampaignAllocBudget on the
+// service-mix base campaign, where layouts recur: once a campaign has
+// left an arena with the 16x16 world and its memo of deployment bases
+// in the free list, a rerun allocates only the trials' bookkeeping, the
+// campaign's fixed overhead and nothing for the bases it replays.
+func TestWarmServiceMixAllocBudget(t *testing.T) {
+	const (
+		allocBudget = 12      // allocs/trial (measured 7; 14 before the memo and the group-label table)
+		byteBudget  = 2 << 10 // bytes/trial (measured 1140 B)
+	)
+	spec := serviceMixSpec()
+	run := func() {
+		if err := RunCampaignStream(context.Background(), spec, experiment.Options{},
+			func(TrialJob, experiment.Sample) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm: leaves a 16x16 arena holding the campaign's bases
+	trials := float64(spec.NumJobs())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / trials
+	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / trials
+	t.Logf("warm service-mix campaign: %.1f allocs/trial, %.0f B/trial", allocs, bytesPer)
+	if allocs > allocBudget {
+		t.Errorf("warm campaign allocates %.1f times per trial, budget %d", allocs, allocBudget)
+	}
+	if bytesPer > byteBudget {
+		t.Errorf("warm campaign allocates %.0f B per trial, budget %d", bytesPer, byteBudget)
+	}
+}
+
+// serviceMixSpec is the base campaign of perfbench's service-mix
+// workload: the paper's 16x16 field, SR against AR over 8 spare counts
+// and 2 hole counts, 16 paired replicates.
+func serviceMixSpec() CampaignSpec {
+	return CampaignSpec{
+		Schemes:    []SchemeKind{SR, AR},
+		Grids:      []GridSize{{16, 16}},
+		Spares:     []int{10, 25, 40, 55, 70, 100, 150, 200},
+		Holes:      []int{1, 3},
+		Workloads:  []WorkloadSpec{{Kind: WorkloadHoles}},
+		Replicates: 16,
+		BaseSeed:   1000,
+		Workers:    1,
+	}
+}
+
+// TestRecurringLayoutsMatchFresh is the differential test of the
+// arena's deployment-base memo. Every campaign deploys each replicate's
+// seed under several schemes and spare counts, so its layouts recur and
+// the memo records and replays them; its pooled manifests must equal
+// the FreshBuild ones byte for byte at 1 and 2 workers, and so must a
+// run of all its jobs through one arena, whose memo must have replayed.
+// The openings covered: holes with and without AdjacentHolesOK, jam,
+// none (churn), the combinators of specs/adversarial.json, and the
+// async runner's.
+func TestRecurringLayoutsMatchFresh(t *testing.T) {
+	base := CampaignSpec{
+		Schemes:    []SchemeKind{SR, AR},
+		Grids:      []GridSize{{10, 10}},
+		Spares:     []int{4, 12, 30},
+		Holes:      []int{1, 3},
+		Replicates: 3,
+		BaseSeed:   61,
+	}
+	adjacent, jam, churn, async := base, base, base, base
+	adjacent.AdjacentHolesOK = true
+	jam.Workloads = []WorkloadSpec{{Kind: WorkloadJam}}
+	churn.Workloads = []WorkloadSpec{{Kind: WorkloadChurn, Every: 3, Waves: 2}}
+	async.Schemes = []SchemeKind{SR} // the async runner hosts SR only
+	async.Runners = []RunnerKind{RunSync, RunAsync}
+	async.Workloads = []WorkloadSpec{{Kind: WorkloadHoles}, {Kind: WorkloadJam}, {Kind: WorkloadChurn, Every: 3, Waves: 2}}
+	data, err := os.ReadFile("../../specs/adversarial.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var adversarial CampaignSpec
+	if err := UnmarshalSpecJSON(data, &adversarial); err != nil {
+		t.Fatal(err)
+	}
+	adversarial.Spares = []int{12, 24}
+	adversarial.Replicates = 2
+	cases := []struct {
+		name string
+		spec CampaignSpec
+	}{
+		{"holes", base}, {"holes-adjacent", adjacent}, {"jam", jam}, {"churn", churn},
+		{"async", async}, {"adversarial", adversarial},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ref := pooledManifestBytes(t, c.spec, true, 1)
+			for _, workers := range []int{1, 2} {
+				if got := pooledManifestBytes(t, c.spec, false, workers); !bytes.Equal(got, ref) {
+					t.Errorf("workers=%d: pooled manifest differs from FreshBuild", workers)
+				}
+			}
+			arena := NewTrialArena()
+			if got := arenaManifestBytes(t, arena, c.spec); !bytes.Equal(got, ref) {
+				t.Error("one-arena manifest differs from FreshBuild")
+			}
+			if arena.memo.replays == 0 {
+				t.Errorf("the memo replayed no base (%d recorded)", arena.memo.records)
+			}
+		})
+	}
+}
+
+// TestArenaMemoNeverServesStaleBase runs one arena through blocks of
+// trials that switch grid, communication range and seed, and opening
+// within a geometry, each block long enough for the memo to record and
+// replay bases; geometries recur with the seeds an earlier block
+// recorded under another one. Then a memo too small for its keys
+// evicts bases whose keys recur. Every trial must equal its fresh
+// build.
+func TestArenaMemoNeverServesStaleBase(t *testing.T) {
+	type geometry struct {
+		cols, rows int
+		commRange  float64
+	}
+	geometries := []geometry{{10, 10, 0}, {12, 12, 0}, {10, 10, 3}, {10, 10, 0}, {12, 12, 0}}
+	openings := []TrialConfig{
+		// Dense enough that avoiding adjacency changes the pick.
+		{Holes: 12},
+		{Holes: 12, AdjacentHolesOK: true},
+		{Holes: 3},
+		{Workload: WorkloadSpec{Kind: WorkloadJam}},
+		{Workload: WorkloadSpec{Kind: WorkloadChurn, Every: 2, Waves: 2}},
+	}
+	arena := NewTrialArena()
+	for gi, g := range geometries {
+		for round := 0; round < 3; round++ {
+			for oi, open := range openings {
+				for _, seed := range []int64{int64(gi%3) + 5, 9} {
+					cfg := open
+					cfg.Cols, cfg.Rows, cfg.CommRange = g.cols, g.rows, g.commRange
+					cfg.Scheme = []SchemeKind{SR, AR}[round%2]
+					cfg.Spares = 3 + 7*round
+					cfg.Seed = seed
+					pooled, err := arena.RunTrial(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fresh, err := RunTrial(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if pooled != fresh {
+						t.Fatalf("geometry %d round %d opening %d seed %d: pooled %+v, fresh %+v",
+							gi, round, oi, seed, pooled, fresh)
+					}
+				}
+			}
+		}
+	}
+	if arena.memo.replays == 0 {
+		t.Error("the memo replayed no base")
+	}
+
+	// A 64x64 memo holds 4 bases. Each of 8 seeds deploys 3 times in a
+	// row (sighted, recorded, replayed), twice over, so every recording
+	// past the fourth evicts a base whose seed comes back later.
+	arena = NewTrialArena()
+	for pass := 0; pass < 2; pass++ {
+		for seed := int64(0); seed < 8; seed++ {
+			for spares := 10; spares <= 30; spares += 10 {
+				cfg := TrialConfig{Cols: 64, Rows: 64, Scheme: SR, Spares: spares, Holes: 4, Seed: seed}
+				pooled, err := arena.RunTrial(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := RunTrial(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pooled != fresh {
+					t.Fatalf("64x64 pass %d seed %d spares %d: pooled %+v, fresh %+v", pass, seed, spares, pooled, fresh)
+				}
+			}
+		}
+	}
+	if arena.memo.slots != 4 || arena.memo.records != 16 || arena.memo.replays != 16 {
+		t.Errorf("64x64 runs of 3: %d slots, %d recorded, %d replayed; want 4, 16, 16",
+			arena.memo.slots, arena.memo.records, arena.memo.replays)
+	}
+}
+
+// TestArenaMemoEngagement pins when the memo works: on the service-mix
+// base campaign every replicate's layout recurs across 2 schemes and 8
+// spare counts, so each (seed, holes) key is built plain once, recorded
+// once and replayed on the other 14 trials; a rotation of more seeds
+// than the memo holds records nothing; and on a 256x256 field (the
+// warm-campaign alloc budget's spec) a base does not fit the memo's
+// byte bound, so even a campaign run twice through one arena records
+// nothing.
+func TestArenaMemoEngagement(t *testing.T) {
+	mix := serviceMixSpec()
+	arena := NewTrialArena()
+	arenaManifestBytes(t, arena, mix)
+	keys := mix.Replicates * len(mix.Holes)
+	if got, want := arena.memo.records, keys; got != want {
+		t.Errorf("service-mix: %d bases recorded, want %d", got, want)
+	}
+	if got, want := arena.memo.replays, mix.NumJobs()-2*keys; got != want {
+		t.Errorf("service-mix: %d bases replayed, want %d", got, want)
+	}
+
+	// Eight seeds in rotation do not fit the 4 bases a 64x64 memo holds,
+	// so none is ever recorded: the memo costs such a run nothing.
+	arena = NewTrialArena()
+	for i := 0; i < 24; i++ {
+		cfg := TrialConfig{Cols: 64, Rows: 64, Scheme: SR, Spares: 300, Holes: 16, AdjacentHolesOK: true, Seed: int64(i % 8)}
+		if _, err := arena.RunTrial(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if arena.memo.slots != 4 || arena.memo.records != 0 {
+		t.Errorf("64x64 rotation of 8 seeds: %d slots, %d bases recorded; want 4 and none",
+			arena.memo.slots, arena.memo.records)
+	}
+
+	large := warmCampaignSpec()
+	arena = NewTrialArena()
+	for pass := 0; pass < 2; pass++ {
+		arenaManifestBytes(t, arena, large)
+	}
+	if arena.memo.records != 0 || arena.memo.replays != 0 || len(arena.memo.index) != 0 {
+		t.Errorf("256x256: memo recorded %d, replayed %d, holds %d keys; want none",
+			arena.memo.records, arena.memo.replays, len(arena.memo.index))
 	}
 }

@@ -223,21 +223,30 @@ func (s CampaignSpec) checkCellIdentities() error {
 	}
 	groups := make(map[string]bool)
 	for _, b := range s.layout().blocks {
-		for _, g := range s.Grids {
-			for _, h := range b.holes {
-				for _, k := range s.Schemes {
-					j := TrialJob{Scheme: k, Grid: g, Holes: h, Workload: b.workload, Runner: b.runner, ClaimTTL: b.ttl}
-					grp := j.Group()
-					if groups[grp] {
-						return fmt.Errorf("sim: two of the campaign's cells share the group %q; "+
-							"distinct dimension values must label distinct curves", grp)
-					}
-					groups[grp] = true
-				}
+		for _, grp := range s.groupLabels(b) {
+			if groups[grp] {
+				return fmt.Errorf("sim: two of the campaign's cells share the group %q; "+
+					"distinct dimension values must label distinct curves", grp)
 			}
+			groups[grp] = true
 		}
 	}
 	return nil
+}
+
+// groupLabels returns the labels of a block's groups, one per (grid,
+// holes, scheme) in job order.
+func (s CampaignSpec) groupLabels(b jobBlock) []string {
+	labels := make([]string, 0, len(s.Grids)*len(b.holes)*len(s.Schemes))
+	for _, g := range s.Grids {
+		for _, h := range b.holes {
+			for _, k := range s.Schemes {
+				j := TrialJob{Scheme: k, Grid: g, Holes: h, Workload: b.workload, Runner: b.runner, ClaimTTL: b.ttl}
+				labels = append(labels, j.label())
+			}
+		}
+	}
+	return labels
 }
 
 // repeated reports the first value vals lists twice, naming the list.
@@ -387,6 +396,10 @@ type TrialJob struct {
 	ClaimTTL  int
 	Replicate int
 	Seed      int64
+
+	// group is Group's label as JobSpace.At hands it out, computed once
+	// per group; a job built by hand leaves it empty.
+	group string
 }
 
 // Group names the curve this job belongs to in aggregated output: every
@@ -394,6 +407,14 @@ type TrialJob struct {
 // dimensions keep their historical labels ("SR 16x16", "... jam",
 // "... holes=3"); workload parameters and the async runner extend them.
 func (j TrialJob) Group() string {
+	if j.group != "" {
+		return j.group
+	}
+	return j.label()
+}
+
+// label computes Group's label from the job's dimensions.
+func (j TrialJob) label() string {
 	g := fmt.Sprintf("%s %s", j.Scheme, j.Grid)
 	if lbl := j.Workload.groupLabel(j.Holes); lbl != "" {
 		g += " " + lbl
@@ -448,6 +469,9 @@ type jobBlock struct {
 	holes    []int
 	start    int
 	size     int
+	// groups are the block's group labels in job order (JobSpace fills
+	// them; layout alone leaves them nil).
+	groups []string
 }
 
 // JobSpace normalizes the spec and indexes its job list in the fixed
@@ -462,6 +486,9 @@ func (s CampaignSpec) JobSpace() JobSpace {
 	s.normalize()
 	js := s.layout()
 	js.seeds = experiment.Seeds(s.BaseSeed, s.Replicates)
+	for i := range js.blocks {
+		js.blocks[i].groups = s.groupLabels(js.blocks[i])
+	}
 	return js
 }
 
@@ -508,6 +535,7 @@ func (js JobSpace) At(i int) TrialJob {
 	}
 	s := js.spec
 	j := i - blk.start
+	group := blk.groups[j/(s.Replicates*len(s.Spares))]
 	r := j % s.Replicates
 	j /= s.Replicates
 	spares := s.Spares[j%len(s.Spares)]
@@ -526,6 +554,7 @@ func (js JobSpace) At(i int) TrialJob {
 		ClaimTTL:  blk.ttl,
 		Replicate: r,
 		Seed:      js.seeds[r],
+		group:     group,
 	}
 }
 

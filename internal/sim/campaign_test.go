@@ -508,3 +508,30 @@ func TestValidateUnsharded(t *testing.T) {
 		t.Error("ValidateUnsharded must still apply Validate")
 	}
 }
+
+// TestJobGroupLabelTable checks that JobSpace.At hands out each job's
+// group label from a table built once per group: equal to the label the
+// job's dimensions spell, and free to read.
+func TestJobGroupLabelTable(t *testing.T) {
+	spec := CampaignSpec{
+		Schemes:    []SchemeKind{SR, AR},
+		Grids:      []GridSize{{8, 8}, {9, 9}},
+		Spares:     []int{4, 20},
+		Holes:      []int{1, 3},
+		Workloads:  []WorkloadSpec{{Kind: WorkloadHoles}, {Kind: WorkloadJam}, {Kind: WorkloadChurn, Every: 3}},
+		Runners:    []RunnerKind{RunSync, RunAsync},
+		ClaimTTLs:  []int{0},
+		Replicates: 2,
+	}
+	js := spec.JobSpace()
+	for i := 0; i < js.Len(); i++ {
+		j := js.At(i)
+		if j.group == "" || j.Group() != j.label() {
+			t.Fatalf("job %d: table label %q, computed %q", i, j.group, j.label())
+		}
+	}
+	j := js.At(js.Len() - 1)
+	if allocs := testing.AllocsPerRun(10, func() { _ = j.Group() }); allocs != 0 {
+		t.Errorf("Group of a JobSpace job allocates %.0f times", allocs)
+	}
+}

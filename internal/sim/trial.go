@@ -50,7 +50,7 @@ func NewTrial(cfg TrialConfig) (*Trial, error) { return newTrial(cfg, nil) }
 // newTrial is NewTrial with an optional arena. A nil arena builds every
 // piece of the world fresh (the executable specification); a non-nil
 // arena reuses its pooled network and collector where the configuration
-// matches. The seed's stream-split discipline is identical on both
+// matches, and replays the deployment bases its memo recorded. The seed's stream-split discipline is identical on both
 // paths, so the assembled trials are byte-identical.
 func newTrial(cfg TrialConfig, arena *TrialArena) (*Trial, error) {
 	if err := cfg.normalize(); err != nil {
@@ -64,6 +64,7 @@ func newTrial(cfg TrialConfig, arena *TrialArena) (*Trial, error) {
 	var net *network.Network
 	var col *metrics.Collector
 	var scr *schemeScratch
+	var memo *baseMemo
 	if arena != nil {
 		// The root and every stream split off it are reseeded in place:
 		// the previous trial's streams die here (see randx.Streams).
@@ -76,6 +77,7 @@ func newTrial(cfg TrialConfig, arena *TrialArena) (*Trial, error) {
 			return nil, err
 		}
 		col = arena.col
+		memo = &arena.memo
 	} else {
 		rng = randx.New(cfg.Seed)
 		sys, err := grid.NewForCommRange(cfg.Cols, cfg.Rows, cfg.CommRange, geom.Pt(0, 0))
@@ -84,10 +86,8 @@ func newTrial(cfg TrialConfig, arena *TrialArena) (*Trial, error) {
 		}
 		net = network.New(sys, cfg.EnergyModel)
 	}
-	if sched.Deploy != nil {
-		if err := sched.Deploy(net, rng); err != nil {
-			return nil, err
-		}
+	if err := sched.open.build(net, rng, cfg.Spares, memo, cfg.Seed); err != nil {
+		return nil, err
 	}
 	t := &Trial{cfg: cfg, net: net, sched: sched}
 	if cfg.Runner == RunAsync {

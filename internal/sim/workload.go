@@ -320,17 +320,22 @@ func (w Workload) Schedule(cfg *TrialConfig) (Schedule, error) {
 	if err != nil {
 		return Schedule{}, err
 	}
-	return Schedule{Deploy: open.deploy(cfg.Spares), Events: events}, nil
+	return Schedule{Deploy: open.deploy(cfg.Spares), Events: events, open: open}, nil
 }
 
 // Schedule is a trial's resolved damage timeline.
 type Schedule struct {
 	// Deploy populates the empty network and applies the round-0 damage
 	// that shapes the deployment itself (holes left vacant, jammed
-	// discs). It is called exactly once, before the controller exists.
+	// discs). A trial builds the same deployment from the opening, once,
+	// before the controller exists.
 	Deploy func(net *network.Network, rng *randx.Rand) error
 	// Events are the mid-run damage injections, ordered by round.
 	Events []Event
+
+	// open is the opening Deploy folds in; a TrialArena builds the same
+	// deployment from it through its base memo.
+	open opening
 }
 
 // Event is one round-indexed damage injection of a schedule.
@@ -584,32 +589,54 @@ const (
 	openJam
 )
 
-// deploy folds the opening into the deployment with the stream
-// discipline the differential tests pin: hole cells are picked from
-// stream 1 before Controlled draws from stream 2; the jam center's
-// stream is split off as stream 1 first and drawn after the deployment.
+// deploy folds the opening into the deployment; see build.
 func (o opening) deploy(spares int) func(*network.Network, *randx.Rand) error {
 	return func(net *network.Network, rng *randx.Rand) error {
-		var cells []grid.Coord
-		var center *randx.Rand
-		switch o.kind {
-		case openHoles:
-			var err error
-			cells, err = deploy.PickHoleCells(net.System(), o.holes, o.avoidAdjacent, rng.Split(1))
-			if err != nil {
-				return err
-			}
-		case openJam:
-			center = rng.Split(1)
-		}
-		if err := deploy.Controlled(net, spares, cells, rng.Split(2)); err != nil {
+		return o.build(net, rng, spares, nil, 0)
+	}
+}
+
+// build deploys spares spare nodes with the opening's damage, with the
+// stream discipline the differential tests pin: hole cells are picked
+// from stream 1 before Controlled draws from stream 2; the jam center's
+// stream is split off as stream 1 first and drawn after the deployment.
+// With a memo (a TrialArena's) the hole pick and the one-node-per-cell
+// layout, which do not read spares, are replayed from the base recorded
+// when this seed last deployed this opening; the root stream still
+// splits streams 1 and 2, so every later split is unchanged. A nil memo
+// is the plain deploy.Controlled.
+func (o opening) build(net *network.Network, rng *randx.Rand, spares int, memo *baseMemo, seed int64) error {
+	var s1 *randx.Rand
+	if o.kind != 0 {
+		s1 = rng.Split(1)
+	}
+	s2 := rng.Split(2)
+	key := baseKey{seed: seed, kind: o.kind, holes: o.holes, avoidAdjacent: o.avoidAdjacent}
+	if hit, rec := memo.lookup(key); hit != nil {
+		if err := hit.replay(net, spares, s2); err != nil {
 			return err
 		}
-		if center != nil {
-			deploy.FailRegion(net, center.InRect(net.System().Bounds()), discRadius(o.radius, net.System()))
+	} else {
+		var cells []grid.Coord
+		var err error
+		if o.kind == openHoles {
+			if cells, err = deploy.PickHoleCells(net.System(), o.holes, o.avoidAdjacent, s1); err != nil {
+				return err
+			}
 		}
-		return nil
+		if rec != nil {
+			err = memo.record(rec, net, spares, cells, s2)
+		} else {
+			err = deploy.Controlled(net, spares, cells, s2)
+		}
+		if err != nil {
+			return err
+		}
 	}
+	if o.kind == openJam {
+		deploy.FailRegion(net, s1.InRect(net.System().Bounds()), discRadius(o.radius, net.System()))
+	}
+	return nil
 }
 
 // event is the opening as a barrier event at round at, drawing from the

@@ -137,6 +137,9 @@ func ServeHubEvents(w http.ResponseWriter, r *http.Request, hub *Hub) {
 	}
 	sub := hub.Subscribe()
 	defer hub.Unsubscribe(sub)
+	// Send the headers now: a client whose request has returned is
+	// subscribed and sees every later publish.
+	flusher.Flush()
 	wrote := false
 	for {
 		select {
