@@ -43,14 +43,24 @@ var benchNs = []int{10, 55, 200, 1000}
 
 const benchTrials = 5
 
-func sweepFor(b *testing.B, kind sim.SchemeKind) []sim.SweepPoint {
+// paperSweep runs the reduced SR and AR campaign of the experimental
+// benchmarks and splits its points by scheme.
+func paperSweep(b *testing.B) (sr, ar []sim.SweepPoint) {
 	b.Helper()
-	pts, err := sim.RunSweep(sim.SweepConfig{
-		Template: sim.TrialConfig{Cols: 16, Rows: 16, Scheme: kind},
-		Ns:       benchNs,
-		Trials:   benchTrials,
-		BaseSeed: 777,
+	pts := runSweep(b, sim.CampaignSpec{
+		Schemes:    []sim.SchemeKind{sim.SR, sim.AR},
+		Spares:     benchNs,
+		Replicates: benchTrials,
+		BaseSeed:   777,
 	})
+	return pts[:len(benchNs)], pts[len(benchNs):]
+}
+
+// runSweep runs a campaign through sim.RunSweep, failing the benchmark
+// on error.
+func runSweep(b *testing.B, spec sim.CampaignSpec) []sim.SweepPoint {
+	b.Helper()
+	pts, err := sim.RunSweep(context.Background(), spec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -118,8 +128,7 @@ func BenchmarkFig5Distance1616(b *testing.B) {
 func BenchmarkFig6Processes(b *testing.B) {
 	var srProcs, arProcs int
 	for i := 0; i < b.N; i++ {
-		sr := sweepFor(b, sim.SR)
-		ar := sweepFor(b, sim.AR)
+		sr, ar := paperSweep(b)
 		srProcs, arProcs = 0, 0
 		for j := range sr {
 			srProcs += sr[j].Summary.Initiated
@@ -132,8 +141,7 @@ func BenchmarkFig6Processes(b *testing.B) {
 func BenchmarkFig6SuccessRate(b *testing.B) {
 	var srOK, arOK float64
 	for i := 0; i < b.N; i++ {
-		sr := sweepFor(b, sim.SR)
-		ar := sweepFor(b, sim.AR)
+		sr, ar := paperSweep(b)
 		srOK = sr[0].Summary.SuccessRate() // N=10, the stress point
 		arOK = ar[0].Summary.SuccessRate()
 	}
@@ -144,8 +152,7 @@ func BenchmarkFig6SuccessRate(b *testing.B) {
 func BenchmarkFig7MovesExperimental(b *testing.B) {
 	var srLow, srHigh, arLow, arHigh int
 	for i := 0; i < b.N; i++ {
-		sr := sweepFor(b, sim.SR)
-		ar := sweepFor(b, sim.AR)
+		sr, ar := paperSweep(b)
 		srLow, srHigh = sr[0].Summary.Moves, sr[len(sr)-1].Summary.Moves
 		arLow, arHigh = ar[0].Summary.Moves, ar[len(ar)-1].Summary.Moves
 	}
@@ -171,8 +178,7 @@ func BenchmarkFig7MovesAnalytical(b *testing.B) {
 func BenchmarkFig8DistanceExperimental(b *testing.B) {
 	var srDist, arDist float64
 	for i := 0; i < b.N; i++ {
-		sr := sweepFor(b, sim.SR)
-		ar := sweepFor(b, sim.AR)
+		sr, ar := paperSweep(b)
 		srDist = sr[len(sr)-1].Summary.Distance
 		arDist = ar[len(ar)-1].Summary.Distance
 	}
@@ -217,15 +223,12 @@ func BenchmarkAblationShortcut(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			var moves int
 			for i := 0; i < b.N; i++ {
-				pts, err := sim.RunSweep(sim.SweepConfig{
-					Template: sim.TrialConfig{Cols: 16, Rows: 16, Scheme: kind},
-					Ns:       []int{55},
-					Trials:   benchTrials,
-					BaseSeed: 555,
+				pts := runSweep(b, sim.CampaignSpec{
+					Schemes:    []sim.SchemeKind{kind},
+					Spares:     []int{55},
+					Replicates: benchTrials,
+					BaseSeed:   555,
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
 				moves = pts[0].Summary.Moves
 			}
 			b.ReportMetric(float64(moves)/benchTrials, "moves/trial")
@@ -248,15 +251,13 @@ func BenchmarkAblationDualPath(b *testing.B) {
 		b.Run(d.name, func(b *testing.B) {
 			var moves int
 			for i := 0; i < b.N; i++ {
-				pts, err := sim.RunSweep(sim.SweepConfig{
-					Template: sim.TrialConfig{Cols: d.cols, Rows: d.rows, Scheme: sim.SR},
-					Ns:       []int{100},
-					Trials:   benchTrials,
-					BaseSeed: 321,
+				pts := runSweep(b, sim.CampaignSpec{
+					Schemes:    []sim.SchemeKind{sim.SR},
+					Grids:      []sim.GridSize{{Cols: d.cols, Rows: d.rows}},
+					Spares:     []int{100},
+					Replicates: benchTrials,
+					BaseSeed:   321,
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
 				moves = pts[0].Summary.Moves
 			}
 			b.ReportMetric(float64(moves)/benchTrials, "moves/trial")
@@ -271,17 +272,13 @@ func BenchmarkAblationARMaxHops(b *testing.B) {
 		b.Run(map[int]string{3: "hops3", 6: "hops6", 12: "hops12"}[hops], func(b *testing.B) {
 			var success float64
 			for i := 0; i < b.N; i++ {
-				pts, err := sim.RunSweep(sim.SweepConfig{
-					Template: sim.TrialConfig{
-						Cols: 16, Rows: 16, Scheme: sim.AR, ARMaxHops: hops,
-					},
-					Ns:       []int{40},
-					Trials:   benchTrials,
-					BaseSeed: 654,
+				pts := runSweep(b, sim.CampaignSpec{
+					Schemes:    []sim.SchemeKind{sim.AR},
+					Spares:     []int{40},
+					Replicates: benchTrials,
+					BaseSeed:   654,
+					ARMaxHops:  hops,
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
 				success = pts[0].Summary.SuccessRate()
 			}
 			b.ReportMetric(success, "success%@N=40")
@@ -322,16 +319,16 @@ func BenchmarkExtMultiHole(b *testing.B) {
 
 // --- Experiment engine benches (sequential vs parallel sweep) ---
 
-// sweepBenchConfig is the shared workload of the engine comparison: a
+// sweepBenchSpec is the shared workload of the engine comparison: a
 // figure-style sweep on the paper's grid, sized so one iteration runs a
 // few hundred milliseconds of trial work.
-func sweepBenchConfig(workers int) sim.SweepConfig {
-	return sim.SweepConfig{
-		Template: sim.TrialConfig{Cols: 16, Rows: 16, Scheme: sim.SR},
-		Ns:       []int{10, 55, 200, 1000},
-		Trials:   10,
-		BaseSeed: 777,
-		Workers:  workers,
+func sweepBenchSpec(workers int) sim.CampaignSpec {
+	return sim.CampaignSpec{
+		Schemes:    []sim.SchemeKind{sim.SR},
+		Spares:     []int{10, 55, 200, 1000},
+		Replicates: 10,
+		BaseSeed:   777,
+		Workers:    workers,
 	}
 }
 
@@ -340,10 +337,7 @@ func sweepBenchConfig(workers int) sim.SweepConfig {
 func BenchmarkSweepSequential(b *testing.B) {
 	var moves int
 	for i := 0; i < b.N; i++ {
-		pts, err := sim.RunSweep(sweepBenchConfig(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		pts := runSweep(b, sweepBenchSpec(1))
 		moves = pts[0].Summary.Moves
 	}
 	b.ReportMetric(float64(moves), "moves@N=10")
@@ -355,10 +349,7 @@ func BenchmarkSweepSequential(b *testing.B) {
 func BenchmarkSweepParallel(b *testing.B) {
 	var moves int
 	for i := 0; i < b.N; i++ {
-		pts, err := sim.RunSweep(sweepBenchConfig(0))
-		if err != nil {
-			b.Fatal(err)
-		}
+		pts := runSweep(b, sweepBenchSpec(0))
 		moves = pts[0].Summary.Moves
 	}
 	b.ReportMetric(float64(moves), "moves@N=10")

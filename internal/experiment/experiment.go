@@ -5,20 +5,19 @@
 // of the worker count or the order in which jobs happen to finish.
 //
 // The engine is deliberately domain-agnostic: a job is just an index and
-// a function. Domain layers (internal/sim's sweeps and campaigns, the
-// figure generators, cmd/sweep) enumerate their job space up front, fix
-// every job's random seed before dispatch (see Seeds), and fold the
-// ordered results afterwards. Determinism therefore never depends on
-// scheduling.
+// a function. The domain layer (internal/sim's campaigns, which the
+// figure generators, cmd/sweep and sweepd all run) enumerates its job
+// space up front, fixes every job's random seed before dispatch (see
+// Seeds), and folds the ordered results as RunStream delivers them.
+// Determinism therefore never depends on scheduling.
 //
 // On top of the runner the package supplies an aggregation layer:
 // Sample/Aggregate group replicate measurements into stats.Describe
 // summaries with 95% confidence intervals, Table exports any metric as a
-// plotdata table, and Manifest serializes a whole campaign as JSON. For
-// campaigns too large to hold in memory, RunStream delivers results to a
-// sink in job order and Accumulator folds the sample stream into online
-// (Welford) per-group statistics, keeping memory independent of the
-// replicate count.
+// plotdata table, and Manifest serializes a whole campaign as JSON.
+// Accumulator folds RunStream's sample stream into online (Welford)
+// per-group statistics, keeping memory independent of the replicate
+// count.
 package experiment
 
 import (
@@ -30,15 +29,11 @@ import (
 	"sync/atomic"
 )
 
-// Options configures a Run.
+// Options configures a RunStream.
 type Options struct {
 	// Workers is the size of the goroutine pool; values below 1 mean
 	// runtime.GOMAXPROCS(0). The pool never exceeds the job count.
 	Workers int
-	// Progress, when non-nil, is called after every completed job with
-	// the number of jobs done so far and the total. Calls are serialized
-	// but may come from any worker goroutine; keep it fast.
-	Progress func(done, total int)
 }
 
 // WorkerCount resolves the effective pool size for total jobs: the
@@ -56,67 +51,39 @@ func (o Options) WorkerCount(total int) int {
 	return w
 }
 
-// Run executes fn(ctx, i) for every index i in [0, total) on a worker
-// pool and returns the results ordered by index. The result slice is
-// identical for any worker count because each job is a pure function of
-// its index: jobs must draw randomness only from state fixed before the
-// call (for example a per-index seed from Seeds).
+// RunStream executes fn(ctx, worker, i) for every index i in [0, total)
+// on a worker pool and hands each result to sink exactly once, in
+// strictly increasing index order, then drops it. Out-of-order
+// completions are buffered until the gap closes, and a worker about to
+// start a job too far ahead of the flush point blocks until the gap
+// narrows (the window is a small multiple of the pool size), so the
+// buffer is genuinely O(workers), not O(jobs) — even when one early job
+// is pathologically slow and the rest are fast — which is what lets
+// million-trial campaigns aggregate online.
 //
-// The first failing job cancels the context passed to in-flight jobs,
-// stops unstarted work, and is returned. The reported error is
-// deterministic as well: jobs are claimed in index order and in-flight
-// jobs always finish, so the lowest failing index always runs and wins
-// ties. Jobs interrupted by the cancellation should return ctx.Err();
-// such echoes are not mistaken for the root cause. When the parent
-// context is cancelled first, Run returns its error.
-func Run[T any](ctx context.Context, total int, opts Options, fn func(ctx context.Context, index int) (T, error)) ([]T, error) {
-	if total < 0 {
-		return nil, fmt.Errorf("experiment: negative job count %d", total)
-	}
-	results := make([]T, total)
-	err := RunStream(ctx, total, opts, fn, func(i int, res T) error {
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// RunStream is Run without result retention: each completed job's result
-// is handed to sink exactly once, in strictly increasing index order, and
-// then dropped. Out-of-order completions are buffered until the gap
-// closes, and a worker about to start a job too far ahead of the flush
-// point blocks until the gap narrows (the window is a small multiple of
-// the pool size), so the buffer is genuinely O(workers), not O(jobs) —
-// even when one early job is pathologically slow and the rest are fast —
-// which is what lets million-trial campaigns aggregate online.
+// Each job must be a pure function of its index: it draws randomness
+// only from state fixed before the call (for example a per-index seed
+// from Seeds). worker is the index of the pool goroutine executing the
+// job, a stable id in [0, Options.WorkerCount(total)) used by one
+// goroutine for the whole run, so fn may mutate its worker slot without
+// synchronization; worker-local state may only carry caches whose
+// contents never change results (pooled arenas, scratch buffers).
+// Because delivery order is the job order, a deterministic fold over
+// the stream (for example the streaming Accumulator) is bit-identical
+// at any worker count.
 //
-// sink calls are serialized (no locking needed inside) but may come from
-// any worker goroutine. Because delivery order is the job order, a
-// deterministic fold over the stream (for example the streaming
-// Accumulator) is bit-identical at any worker count, exactly like Run's
-// ordered slice. A sink error stops the run like a failing job. On any
-// error, sink has received some prefix of the job space; no result after
-// the failing index is ever delivered.
-func RunStream[T any](ctx context.Context, total int, opts Options, fn func(ctx context.Context, index int) (T, error), sink func(index int, result T) error) error {
-	if fn == nil {
-		return fmt.Errorf("experiment: nil job function")
-	}
-	return RunStreamWorkers(ctx, total, opts,
-		func(ctx context.Context, _, index int) (T, error) { return fn(ctx, index) }, sink)
-}
-
-// RunStreamWorkers is RunStream with worker identity: fn additionally
-// receives the index of the pool goroutine executing the job, a stable
-// id in [0, Options.WorkerCount(total)). Jobs must remain pure functions
-// of their job index — worker-local state may only carry caches whose
-// contents never change results (pooled arenas, scratch buffers), which
-// is exactly what keeps the output bit-identical at any worker count.
-// Each worker id is used by one goroutine for the whole run, so fn may
-// mutate its worker slot without synchronization.
-func RunStreamWorkers[T any](ctx context.Context, total int, opts Options, fn func(ctx context.Context, worker, index int) (T, error), sink func(index int, result T) error) error {
+// sink calls are serialized (no locking needed inside) but may come
+// from any worker goroutine. The first failing job cancels the context
+// passed to in-flight jobs, stops unstarted work, and is returned; a
+// sink error stops the run the same way. The reported error is
+// deterministic: jobs are claimed in index order and in-flight jobs
+// always finish, so the lowest failing index always runs and wins ties.
+// Jobs interrupted by the cancellation should return ctx.Err(); such
+// echoes are not mistaken for the root cause. When the parent context
+// is cancelled first, RunStream returns its error. On any error, sink
+// has received some prefix of the job space; no result after the
+// failing index is ever delivered.
+func RunStream[T any](ctx context.Context, total int, opts Options, fn func(ctx context.Context, worker, index int) (T, error), sink func(index int, result T) error) error {
 	if fn == nil {
 		return fmt.Errorf("experiment: nil job function")
 	}
@@ -134,9 +101,8 @@ func RunStreamWorkers[T any](ctx context.Context, total int, opts Options, fn fu
 	defer cancel()
 
 	var (
-		next      atomic.Int64 // next job index to claim
-		mu        sync.Mutex   // guards everything below, Progress, sink
-		done      int
+		next      atomic.Int64      // next job index to claim
+		mu        sync.Mutex        // guards everything below and sink
 		pending   = make(map[int]T) // completed but not yet flushed
 		nextFlush int               // lowest index not yet handed to sink
 		firstErr  error
@@ -197,10 +163,6 @@ func RunStreamWorkers[T any](ctx context.Context, total int, opts Options, fn fu
 					return
 				}
 				mu.Lock()
-				done++
-				if opts.Progress != nil {
-					opts.Progress(done, total)
-				}
 				pending[i] = res
 				failed := false
 				advanced := false

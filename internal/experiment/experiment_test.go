@@ -26,11 +26,25 @@ func simulatedJob(seed int64) float64 {
 	return s
 }
 
+// collect runs the jobs on RunStream and gathers their results in job
+// order.
+func collect[T any](ctx context.Context, total int, opts Options, fn func(ctx context.Context, worker, index int) (T, error)) ([]T, error) {
+	var out []T
+	err := RunStream(ctx, total, opts, fn, func(_ int, res T) error {
+		out = append(out, res)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func runBatch(t *testing.T, workers int) []float64 {
 	t.Helper()
 	seeds := Seeds(42, 64)
-	out, err := Run(context.Background(), len(seeds), Options{Workers: workers},
-		func(_ context.Context, i int) (float64, error) {
+	out, err := collect(context.Background(), len(seeds), Options{Workers: workers},
+		func(_ context.Context, _, i int) (float64, error) {
 			return simulatedJob(seeds[i]), nil
 		})
 	if err != nil {
@@ -53,8 +67,8 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestRunResultsInJobOrder(t *testing.T) {
-	out, err := Run(context.Background(), 100, Options{Workers: 8},
-		func(_ context.Context, i int) (int, error) { return i * i, nil })
+	out, err := collect(context.Background(), 100, Options{Workers: 8},
+		func(_ context.Context, _, i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +83,8 @@ func TestRunFirstErrorCancelsInFlight(t *testing.T) {
 	boom := errors.New("boom")
 	var cancelled atomic.Int32
 	inFlight := make(chan struct{}, 1)
-	_, err := Run(context.Background(), 32, Options{Workers: 4},
-		func(ctx context.Context, i int) (int, error) {
+	_, err := collect(context.Background(), 32, Options{Workers: 4},
+		func(ctx context.Context, _, i int) (int, error) {
 			if i == 3 {
 				// Fail only once another job is provably in flight.
 				<-inFlight
@@ -102,8 +116,8 @@ func TestRunLowestIndexErrorWins(t *testing.T) {
 	// Every job fails; the reported error must be job 0's regardless of
 	// which worker lost the race.
 	for trial := 0; trial < 10; trial++ {
-		_, err := Run(context.Background(), 16, Options{Workers: 8},
-			func(_ context.Context, i int) (int, error) {
+		_, err := collect(context.Background(), 16, Options{Workers: 8},
+			func(_ context.Context, _, i int) (int, error) {
 				return 0, fmt.Errorf("fail-%d", i)
 			})
 		if err == nil || !strings.Contains(err.Error(), "job 0") {
@@ -118,8 +132,8 @@ func TestRunParentCancellation(t *testing.T) {
 	var once atomic.Bool
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(ctx, 8, Options{Workers: 2},
-			func(ctx context.Context, i int) (int, error) {
+		_, err := collect(ctx, 8, Options{Workers: 2},
+			func(ctx context.Context, _, i int) (int, error) {
 				if once.CompareAndSwap(false, true) {
 					close(started)
 				}
@@ -135,46 +149,22 @@ func TestRunParentCancellation(t *testing.T) {
 	}
 }
 
-func TestRunProgress(t *testing.T) {
-	var calls []int
-	last := 0
-	_, err := Run(context.Background(), 20, Options{
-		Workers: 4,
-		Progress: func(done, total int) {
-			if total != 20 {
-				t.Errorf("total = %d", total)
-			}
-			if done != last+1 {
-				t.Errorf("progress jumped %d -> %d", last, done)
-			}
-			last = done
-			calls = append(calls, done)
-		},
-	}, func(_ context.Context, i int) (int, error) { return i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != 20 || calls[19] != 20 {
-		t.Fatalf("progress calls = %v", calls)
-	}
-}
-
 func TestRunEdgeCases(t *testing.T) {
-	out, err := Run(context.Background(), 0, Options{},
-		func(_ context.Context, i int) (int, error) { return i, nil })
+	out, err := collect(context.Background(), 0, Options{},
+		func(_ context.Context, _, i int) (int, error) { return i, nil })
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty batch: out=%v err=%v", out, err)
 	}
-	if _, err := Run(context.Background(), -1, Options{},
-		func(_ context.Context, i int) (int, error) { return i, nil }); err == nil {
+	if _, err := collect(context.Background(), -1, Options{},
+		func(_ context.Context, _, i int) (int, error) { return i, nil }); err == nil {
 		t.Error("negative total should fail")
 	}
-	if _, err := Run[int](context.Background(), 3, Options{}, nil); err == nil {
+	if _, err := collect[int](context.Background(), 3, Options{}, nil); err == nil {
 		t.Error("nil fn should fail")
 	}
 	// More workers than jobs must still complete every job exactly once.
-	out, err = Run(context.Background(), 3, Options{Workers: 64},
-		func(_ context.Context, i int) (int, error) { return i + 1, nil })
+	out, err = collect(context.Background(), 3, Options{Workers: 64},
+		func(_ context.Context, _, i int) (int, error) { return i + 1, nil })
 	if err != nil || len(out) != 3 || out[0] != 1 || out[2] != 3 {
 		t.Errorf("overprovisioned pool: out=%v err=%v", out, err)
 	}

@@ -7,7 +7,7 @@ import "wsncover/internal/randx"
 // the indices in order on a single root stream, so the slice depends
 // only on (base, n) — never on worker count or scheduling — and each
 // seed heads an uncorrelated child stream. Callers assign seeds[i] to
-// job i before dispatching the batch to Run.
+// job i before dispatching the batch to RunStream.
 func Seeds(base int64, n int) []int64 {
 	// Each child is drawn from once and released, so the set reseeds one
 	// stream in place instead of allocating n.

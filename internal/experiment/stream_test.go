@@ -20,7 +20,7 @@ func TestRunStreamDeliversInOrder(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		var got []int
 		err := RunStream(context.Background(), 200, Options{Workers: workers},
-			func(_ context.Context, i int) (int, error) { return i * 3, nil },
+			func(_ context.Context, _, i int) (int, error) { return i * 3, nil },
 			func(i, res int) error {
 				if res != i*3 {
 					t.Fatalf("sink(%d) = %d, want %d", i, res, i*3)
@@ -44,7 +44,7 @@ func TestRunStreamJobErrorStopsPrefix(t *testing.T) {
 	boom := errors.New("boom")
 	var delivered []int
 	err := RunStream(context.Background(), 64, Options{Workers: 8},
-		func(_ context.Context, i int) (int, error) {
+		func(_ context.Context, _, i int) (int, error) {
 			if i == 10 {
 				return 0, boom
 			}
@@ -67,7 +67,7 @@ func TestRunStreamJobErrorStopsPrefix(t *testing.T) {
 func TestRunStreamSinkErrorStopsRun(t *testing.T) {
 	sinkErr := errors.New("sink full")
 	err := RunStream(context.Background(), 64, Options{Workers: 8},
-		func(_ context.Context, i int) (int, error) { return i, nil },
+		func(_ context.Context, _, i int) (int, error) { return i, nil },
 		func(i, _ int) error {
 			if i == 5 {
 				return sinkErr
@@ -81,7 +81,7 @@ func TestRunStreamSinkErrorStopsRun(t *testing.T) {
 
 func TestRunStreamEdgeCases(t *testing.T) {
 	noop := func(int, int) error { return nil }
-	job := func(_ context.Context, i int) (int, error) { return i, nil }
+	job := func(_ context.Context, _, i int) (int, error) { return i, nil }
 	if err := RunStream(context.Background(), 0, Options{}, job, noop); err != nil {
 		t.Errorf("empty stream: %v", err)
 	}
@@ -112,7 +112,7 @@ func TestRunStreamBackpressureBoundsSpread(t *testing.T) {
 		close(release)
 	}()
 	err := RunStream(context.Background(), 5000, Options{Workers: workers},
-		func(_ context.Context, i int) (int, error) {
+		func(_ context.Context, _, i int) (int, error) {
 			if i == 0 {
 				<-release
 				return 0, nil
@@ -144,7 +144,7 @@ func TestRunStreamAccumulatorRace(t *testing.T) {
 	build := func(workers int) []Point {
 		acc := NewAccumulator()
 		err := RunStream(context.Background(), 400, Options{Workers: workers},
-			func(_ context.Context, i int) (Sample, error) {
+			func(_ context.Context, _, i int) (Sample, error) {
 				return Sample{
 					Group: []string{"a", "b", "c"}[i%3],
 					X:     float64(i % 5),
@@ -277,7 +277,7 @@ func TestRunStreamManyGroupsStress(t *testing.T) {
 	var collected []Sample
 	acc := NewAccumulator()
 	err := RunStream(context.Background(), 2000, Options{Workers: 8},
-		func(_ context.Context, i int) (Sample, error) {
+		func(_ context.Context, _, i int) (Sample, error) {
 			return Sample{
 				Group:  fmt.Sprintf("g%02d", i%12),
 				X:      float64(i % 4),
@@ -321,7 +321,7 @@ func TestRunStreamWorkersIdentity(t *testing.T) {
 		// verifies single-goroutine ownership of each id.
 		jobsPerWorker := make([]int, n)
 		next := 0
-		err := RunStreamWorkers(context.Background(), total, opts,
+		err := RunStream(context.Background(), total, opts,
 			func(_ context.Context, w, i int) (int, error) {
 				if w < 0 || w >= n {
 					t.Errorf("worker id %d outside [0, %d)", w, n)

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 
 	"wsncover/internal/plotdata"
@@ -40,30 +41,22 @@ func Scalability(cfg ScalabilityConfig) (*plotdata.Table, error) {
 	if cfg.Trials == 0 {
 		cfg.Trials = 30
 	}
-	x := make([]float64, len(cfg.Sizes))
+	x := plotdata.IntsToFloats(cfg.Sizes)
 	srY := make([]float64, len(cfg.Sizes))
 	arY := make([]float64, len(cfg.Sizes))
 	for i, size := range cfg.Sizes {
-		x[i] = float64(size)
-		n := int(cfg.SpareDensity * float64(size*size))
-		for _, kind := range []sim.SchemeKind{sim.SR, sim.AR} {
-			pts, err := sim.RunSweep(sim.SweepConfig{
-				Template: sim.TrialConfig{Cols: size, Rows: size, Scheme: kind},
-				Ns:       []int{n},
-				Trials:   cfg.Trials,
-				BaseSeed: cfg.Seed,
-				Workers:  cfg.Workers,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("figures: scalability %dx%d: %w", size, size, err)
-			}
-			mean := pts[0].MeanMovesPerTrial()
-			if kind == sim.SR {
-				srY[i] = mean
-			} else {
-				arY[i] = mean
-			}
+		pts, err := sim.RunSweep(context.TODO(), sim.CampaignSpec{
+			Schemes:    []sim.SchemeKind{sim.SR, sim.AR},
+			Grids:      []sim.GridSize{{Cols: size, Rows: size}},
+			Spares:     []int{int(cfg.SpareDensity * float64(size*size))},
+			Replicates: cfg.Trials,
+			BaseSeed:   cfg.Seed,
+			Workers:    cfg.Workers,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("figures: scalability %dx%d: %w", size, size, err)
 		}
+		srY[i], arY[i] = pts[0].MeanMovesPerTrial(), pts[1].MeanMovesPerTrial()
 	}
 	return plotdata.NewTable(
 		fmt.Sprintf("Extension: moves per replacement vs grid size (density %.2f spares/cell)",
@@ -104,31 +97,26 @@ func MultiHole(cfg MultiHoleConfig) (*plotdata.Table, error) {
 	if cfg.Trials == 0 {
 		cfg.Trials = 30
 	}
-	x := make([]float64, len(cfg.Holes))
+	pts, err := sim.RunSweep(context.TODO(), sim.CampaignSpec{
+		Schemes:    []sim.SchemeKind{sim.SR, sim.AR},
+		Grids:      []sim.GridSize{{Cols: 16, Rows: 16}},
+		Spares:     []int{cfg.Spares},
+		Holes:      cfg.Holes,
+		Replicates: cfg.Trials,
+		BaseSeed:   cfg.Seed,
+		Workers:    cfg.Workers,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("figures: multihole: %w", err)
+	}
+	// Cells come in (holes, scheme) order: SR then AR at each hole count.
+	x := plotdata.IntsToFloats(cfg.Holes)
 	srY := make([]float64, len(cfg.Holes))
 	arY := make([]float64, len(cfg.Holes))
-	for i, h := range cfg.Holes {
-		x[i] = float64(h)
-		for _, kind := range []sim.SchemeKind{sim.SR, sim.AR} {
-			pts, err := sim.RunSweep(sim.SweepConfig{
-				Template: sim.TrialConfig{
-					Cols: 16, Rows: 16, Scheme: kind, Holes: h,
-				},
-				Ns:       []int{cfg.Spares},
-				Trials:   cfg.Trials,
-				BaseSeed: cfg.Seed,
-				Workers:  cfg.Workers,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("figures: multihole h=%d: %w", h, err)
-			}
-			rate := 100 * float64(pts[0].Recovered) / float64(pts[0].Trials)
-			if kind == sim.SR {
-				srY[i] = rate
-			} else {
-				arY[i] = rate
-			}
-		}
+	for i := range cfg.Holes {
+		sr, ar := pts[2*i], pts[2*i+1]
+		srY[i] = 100 * float64(sr.Recovered) / float64(sr.Trials)
+		arY[i] = 100 * float64(ar.Recovered) / float64(ar.Trials)
 	}
 	return plotdata.NewTable(
 		fmt.Sprintf("Extension: full-recovery rate vs simultaneous holes (N=%d)", cfg.Spares),

@@ -1,7 +1,7 @@
 // Package figures regenerates the data series behind every evaluation
 // figure of the paper (Figures 3, 5, 6, 7, 8). Analytical figures come
-// from the Theorem 2 model; experimental figures come from seeded
-// simulation sweeps over the spare count N on the paper's 16x16 grid.
+// from the Theorem 2 model; experimental figures come from a seeded
+// campaign over the spare count N on the paper's 16x16 grid.
 //
 // Figure index (cmd/figures writes each series as CSV and an ASCII
 // chart):
@@ -16,6 +16,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 
 	"wsncover/internal/analytic"
@@ -23,13 +24,14 @@ import (
 	"wsncover/internal/sim"
 )
 
-// Config parameterizes the experimental sweeps.
+// Config parameterizes the experimental campaign.
 type Config struct {
 	// Trials per (scheme, N) point; the paper aggregates on the order of
 	// a hundred runs per point. Zero means 100.
 	Trials int
-	// Seed anchors all trials; trial t uses Seed+t for both schemes so
-	// they face identical layouts.
+	// Seed anchors all trials: replicate r draws the r-th seed derived
+	// from Seed (experiment.Seeds) under both schemes, so they face
+	// identical layouts.
 	Seed int64
 	// Ns overrides the swept spare counts; nil means sim.PaperNs().
 	Ns []int
@@ -124,8 +126,8 @@ func Fig5() (a, b *plotdata.Table, err error) {
 	return a, b, err
 }
 
-// Experimental bundles the tables of Figures 6, 7, and 8, which share the
-// same pair of simulation sweeps (one per scheme).
+// Experimental bundles the tables of Figures 6, 7, and 8, which share
+// one SR and AR campaign.
 type Experimental struct {
 	Fig6a *plotdata.Table // replacement processes initiated
 	Fig6b *plotdata.Table // success rate (%)
@@ -135,29 +137,24 @@ type Experimental struct {
 	Fig8b *plotdata.Table // analytical total distance, SR
 }
 
-// RunExperimental executes the SR and AR sweeps on the parallel
+// RunExperimental runs one SR and AR campaign on the parallel
 // experiment engine and assembles Figures 6-8.
 func RunExperimental(cfg Config) (*Experimental, error) {
 	cfg.normalize()
-	sweep := func(kind sim.SchemeKind) ([]sim.SweepPoint, error) {
-		return sim.RunSweep(sim.SweepConfig{
-			Template: sim.TrialConfig{
-				Cols: cfg.Cols, Rows: cfg.Rows, Scheme: kind, Holes: cfg.Holes,
-			},
-			Ns:       cfg.Ns,
-			Trials:   cfg.Trials,
-			BaseSeed: cfg.Seed,
-			Workers:  cfg.Workers,
-		})
-	}
-	srPts, err := sweep(sim.SR)
+	pts, err := sim.RunSweep(context.TODO(), sim.CampaignSpec{
+		Schemes:    []sim.SchemeKind{sim.SR, sim.AR},
+		Grids:      []sim.GridSize{{Cols: cfg.Cols, Rows: cfg.Rows}},
+		Spares:     cfg.Ns,
+		Holes:      []int{cfg.Holes},
+		Replicates: cfg.Trials,
+		BaseSeed:   cfg.Seed,
+		Workers:    cfg.Workers,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("figures: SR sweep: %w", err)
+		return nil, fmt.Errorf("figures: %w", err)
 	}
-	arPts, err := sweep(sim.AR)
-	if err != nil {
-		return nil, fmt.Errorf("figures: AR sweep: %w", err)
-	}
+	// Cells come in scheme order: every SR spare count, then every AR one.
+	srPts, arPts := pts[:len(cfg.Ns)], pts[len(cfg.Ns):]
 
 	x := plotdata.IntsToFloats(cfg.Ns)
 	pick := func(pts []sim.SweepPoint, f func(sim.SweepPoint) float64) []float64 {
@@ -248,7 +245,7 @@ func RunExperimental(cfg Config) (*Experimental, error) {
 }
 
 // All returns every figure table keyed by its id, running the experimental
-// sweep with cfg.
+// campaign with cfg.
 func All(cfg Config) (map[string]*plotdata.Table, error) {
 	f3a, f3b, err := Fig3()
 	if err != nil {

@@ -121,14 +121,17 @@ func (s *CampaignSpec) normalize() {
 	}
 }
 
-// Validate rejects specs the job space cannot execute: unknown or
-// malformed workloads, a value listed twice in a dimension, bad cell
-// ranges, and the workload/scheme/runner pairings the trial assembly
-// would refuse.
+// Validate rejects specs the job space cannot execute: out-of-range
+// values, unknown or malformed workloads, a value listed twice in a
+// dimension, bad cell ranges, and the workload/scheme/runner pairings
+// the trial assembly would refuse.
 // RunCampaignStream validates automatically; CLIs call it early for
 // friendlier errors.
 func (s CampaignSpec) Validate() error {
 	s.normalize()
+	if err := s.checkRanges(); err != nil {
+		return err
+	}
 	for _, w := range s.Workloads {
 		if _, err := BuildWorkload(w); err != nil {
 			return err
@@ -197,6 +200,34 @@ func (s CampaignSpec) Validate() error {
 				return err
 			}
 		}
+	}
+	return nil
+}
+
+// checkRanges rejects values no trial can run. A hole count below 1
+// matters even where a trial would accept it: the trial reads 0 as 1,
+// so holes 0 beside holes 1 would run identical trials under two labels.
+func (s CampaignSpec) checkRanges() error {
+	if s.Replicates < 0 {
+		return fmt.Errorf("sim: negative replicate count %d", s.Replicates)
+	}
+	for _, h := range s.Holes {
+		if h < 1 {
+			return fmt.Errorf("sim: hole count %d below 1", h)
+		}
+	}
+	// The float checks are written to fail on NaN as well.
+	if !(s.CommRange >= 0) {
+		return fmt.Errorf("sim: comm_range %g, want >= 0", s.CommRange)
+	}
+	if !(s.JamRadius >= 0) {
+		return fmt.Errorf("sim: jam_radius %g, want >= 0", s.JamRadius)
+	}
+	if s.ARMaxHops < 0 {
+		return fmt.Errorf("sim: negative ar_max_hops %d", s.ARMaxHops)
+	}
+	if !(s.ARInitProb >= 0 && s.ARInitProb <= 1) {
+		return fmt.Errorf("sim: ar_init_prob %g outside [0,1]", s.ARInitProb)
 	}
 	return nil
 }
@@ -683,7 +714,7 @@ func RunCampaignSubset(ctx context.Context, spec CampaignSpec, opts experiment.O
 	}
 	arenas := make([]*TrialArena, opts.WorkerCount(total))
 	defer releaseArenas(arenas)
-	return experiment.RunStreamWorkers(ctx, total, opts,
+	return experiment.RunStream(ctx, total, opts,
 		func(_ context.Context, w, i int) (experiment.Sample, error) {
 			j := jobs.At(lo + index(i))
 			var res TrialResult

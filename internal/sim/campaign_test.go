@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -60,16 +61,15 @@ func TestRunTrialJamFailure(t *testing.T) {
 // criterion at the sweep level: the same spec and seed must produce
 // bit-identical points at any worker count.
 func TestRunSweepWorkerCountInvariance(t *testing.T) {
-	base := SweepConfig{
-		Template: TrialConfig{Cols: 12, Rows: 12, Scheme: AR},
-		Ns:       []int{5, 20, 60},
-		Trials:   8,
-		BaseSeed: 1234,
-	}
 	run := func(workers int) []SweepPoint {
-		cfg := base
-		cfg.Workers = workers
-		pts, err := RunSweep(cfg)
+		pts, err := RunSweep(context.Background(), CampaignSpec{
+			Schemes:    []SchemeKind{AR},
+			Grids:      []GridSize{{12, 12}},
+			Spares:     []int{5, 20, 60},
+			Replicates: 8,
+			BaseSeed:   1234,
+			Workers:    workers,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,11 +86,7 @@ func TestRunSweepWorkerCountInvariance(t *testing.T) {
 func TestRunSweepContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunSweepContext(ctx, SweepConfig{
-		Template: TrialConfig{Cols: 16, Rows: 16, Scheme: SR},
-		Ns:       PaperNs(),
-		Trials:   50,
-	})
+	_, err := RunSweep(ctx, CampaignSpec{Schemes: []SchemeKind{SR}, Replicates: 50})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -473,6 +469,43 @@ func TestCampaignSpecShardValidation(t *testing.T) {
 	base.CellFirst, base.CellCount = 1, 1
 	if err := base.Validate(); err != nil {
 		t.Errorf("valid cell range rejected: %v", err)
+	}
+}
+
+// TestValidateRejectsOutOfRange: values no trial can run fail
+// validation, before any job space is derived from them (a negative
+// replicate count would otherwise panic in the seed derivation, a
+// negative AR hop budget in the first AR trial).
+func TestValidateRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*CampaignSpec)
+		want string // "" means valid
+	}{
+		{"defaults", func(s *CampaignSpec) {}, ""},
+		{"zero replicates mean 20", func(s *CampaignSpec) { s.Replicates = 0 }, ""},
+		{"negative replicates", func(s *CampaignSpec) { s.Replicates = -1 }, "replicate count -1"},
+		{"zero holes", func(s *CampaignSpec) { s.Holes = []int{0, 1} }, "hole count 0"},
+		{"negative holes", func(s *CampaignSpec) { s.Holes = []int{-2} }, "hole count -2"},
+		{"negative comm range", func(s *CampaignSpec) { s.CommRange = -3 }, "comm_range -3"},
+		{"NaN comm range", func(s *CampaignSpec) { s.CommRange = math.NaN() }, "comm_range NaN"},
+		{"negative jam radius", func(s *CampaignSpec) { s.JamRadius = -1 }, "jam_radius -1"},
+		{"negative AR hops", func(s *CampaignSpec) { s.ARMaxHops = -4 }, "ar_max_hops -4"},
+		{"AR prob below 0", func(s *CampaignSpec) { s.ARInitProb = -0.1 }, "ar_init_prob -0.1"},
+		{"AR prob above 1", func(s *CampaignSpec) { s.ARInitProb = 1.5 }, "ar_init_prob 1.5"},
+		{"AR prob 1", func(s *CampaignSpec) { s.ARInitProb = 1 }, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := CampaignSpec{Grids: []GridSize{{8, 8}}, Spares: []int{8}, Replicates: 2}
+			tc.edit(&s)
+			err := s.Validate()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("Validate = %v, want nil", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("Validate = %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

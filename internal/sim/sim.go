@@ -1,13 +1,16 @@
 // Package sim is the experiment harness: it assembles networks in the
 // paper's experimental configuration (Section 5), runs the SR and AR
-// control schemes to convergence, and sweeps the spare-node count N to
-// regenerate the data behind every evaluation figure.
+// control schemes to convergence, and runs campaigns (CampaignSpec) over
+// schemes, grids, spare counts, hole counts and workloads. RunSweep
+// folds a campaign into the per-cell sums behind every evaluation
+// figure.
 package sim
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"wsncover/internal/ar"
@@ -305,11 +308,17 @@ func buildScheme(net *network.Network, cfg TrialConfig, rng *randx.Rand, col *me
 	}
 }
 
-// SweepPoint aggregates the trials of one scheme at one spare count.
+// SweepPoint sums the trials of one campaign cell: one scheme at one
+// hole count and spare count.
 type SweepPoint struct {
+	// Scheme and Holes name the cell's curve.
+	Scheme SchemeKind
+	Holes  int
 	// N is the spare count (x axis of every figure).
 	N int
 	// Summary is the sum over trials, the unit of Figures 6a, 7a, 8a.
+	// It carries Initiated, Converged, Failed, Moves, Distance and
+	// Messages; the other fields are zero.
 	Summary metrics.Summary
 	// Trials is the number of trials aggregated.
 	Trials int
@@ -325,80 +334,39 @@ func (p SweepPoint) MeanMovesPerTrial() float64 {
 	return float64(p.Summary.Moves) / float64(p.Trials)
 }
 
-// SweepConfig describes a parameter sweep over the spare count N.
-type SweepConfig struct {
-	// Template is the trial configuration; Spares and Seed are overridden
-	// per point and trial.
-	Template TrialConfig
-	// Ns is the list of spare counts to evaluate.
-	Ns []int
-	// Trials is the number of independent trials per point.
-	Trials int
-	// BaseSeed derives per-trial seeds.
-	BaseSeed int64
-	// Workers sizes the trial worker pool; values below 1 mean
-	// GOMAXPROCS. Any worker count produces bit-identical points.
-	Workers int
-}
-
-// RunSweep evaluates the scheme over all spare counts, running trials on
-// the parallel experiment engine. Trials at each point use seeds
-// BaseSeed + trialIndex, shared across schemes so that SR and AR face
-// identical hole/spare layouts.
-func RunSweep(cfg SweepConfig) ([]SweepPoint, error) {
-	return RunSweepContext(context.Background(), cfg)
-}
-
-// RunSweepContext is RunSweep with cancellation. It is a thin spec
-// builder over the experiment engine: the (N, trial) job space is
-// enumerated and seeded up front, trials execute in parallel — each
-// worker running consecutive trials inside its own pooled TrialArena —
-// and the ordered results fold into per-N points exactly as the
-// sequential loop did, so sweep output does not depend on the worker
-// count (and, by the arena's differential guarantee, not on pooling).
-func RunSweepContext(ctx context.Context, cfg SweepConfig) ([]SweepPoint, error) {
-	if cfg.Trials < 1 {
-		return nil, fmt.Errorf("sim: sweep needs at least 1 trial")
-	}
-	total := len(cfg.Ns) * cfg.Trials
-	opts := experiment.Options{Workers: cfg.Workers}
-	arenas := make([]*TrialArena, opts.WorkerCount(total))
-	defer releaseArenas(arenas)
-	results := make([]TrialResult, total)
-	err := experiment.RunStreamWorkers(ctx, total, opts,
-		func(_ context.Context, w, i int) (TrialResult, error) {
-			tc := cfg.Template
-			tc.Spares = cfg.Ns[i/cfg.Trials]
-			tc.Seed = cfg.BaseSeed + int64(i%cfg.Trials)
-			if arenas[w] == nil {
-				arenas[w] = acquireArena()
-			}
-			res, err := arenas[w].RunTrial(tc)
-			if err != nil {
-				arenas[w] = nil // see RunCampaignSubset
-				return TrialResult{}, fmt.Errorf("sim: sweep N=%d trial %d: %w",
-					tc.Spares, i%cfg.Trials, err)
-			}
-			return res, nil
-		},
-		func(i int, res TrialResult) error {
-			results[i] = res
-			return nil
+// RunSweep runs the campaign and sums each cell's trials into one
+// SweepPoint, in cell order. The figures need sums rather than the
+// manifest's per-cell means: Figs 6a, 7a and 8a plot totals, and Fig 6b
+// is the pooled rate sum(converged)/sum(initiated). A trial's converged
+// count is recovered exactly from its sample as
+// round(success_rate*initiated/100), and every trial ends with no
+// process active, so the rest are failed.
+func RunSweep(ctx context.Context, spec CampaignSpec) ([]SweepPoint, error) {
+	var out []SweepPoint
+	err := RunCampaignStream(ctx, spec, experiment.Options{}, func(j TrialJob, s experiment.Sample) error {
+		if j.Replicate == 0 {
+			out = append(out, SweepPoint{Scheme: j.Scheme, Holes: j.Holes, N: j.Spares})
+		}
+		p := &out[len(out)-1]
+		v := s.Values
+		initiated := int(v["initiated"])
+		converged := int(math.Round(v["success_rate"] * v["initiated"] / 100))
+		p.Summary = p.Summary.Add(metrics.Summary{
+			Initiated: initiated,
+			Converged: converged,
+			Failed:    initiated - converged,
+			Moves:     int(v["moves"]),
+			Distance:  v["distance"],
+			Messages:  int(v["messages"]),
 		})
+		p.Trials++
+		if v["recovered"] == 1 {
+			p.Recovered++
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]SweepPoint, 0, len(cfg.Ns))
-	for ni, n := range cfg.Ns {
-		pt := SweepPoint{N: n}
-		for _, res := range results[ni*cfg.Trials : (ni+1)*cfg.Trials] {
-			pt.Summary = pt.Summary.Add(res.Summary)
-			pt.Trials++
-			if res.Complete {
-				pt.Recovered++
-			}
-		}
-		out = append(out, pt)
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"wsncover/internal/analytic"
@@ -105,11 +106,12 @@ func TestRunTrialZeroSpares(t *testing.T) {
 }
 
 func TestRunSweepShape(t *testing.T) {
-	pts, err := RunSweep(SweepConfig{
-		Template: TrialConfig{Cols: 8, Rows: 8, Scheme: SR},
-		Ns:       []int{5, 20},
-		Trials:   5,
-		BaseSeed: 100,
+	pts, err := RunSweep(context.Background(), CampaignSpec{
+		Schemes:    []SchemeKind{SR},
+		Grids:      []GridSize{{8, 8}},
+		Spares:     []int{5, 20},
+		Replicates: 5,
+		BaseSeed:   100,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +119,10 @@ func TestRunSweepShape(t *testing.T) {
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
-	for _, p := range pts {
+	for i, p := range pts {
+		if p.Scheme != SR || p.Holes != 1 || p.N != []int{5, 20}[i] {
+			t.Errorf("point %d = %v holes=%d N=%d", i, p.Scheme, p.Holes, p.N)
+		}
 		if p.Trials != 5 {
 			t.Errorf("N=%d trials = %d", p.N, p.Trials)
 		}
@@ -133,8 +138,53 @@ func TestRunSweepShape(t *testing.T) {
 		t.Errorf("moves should decrease with N: %v vs %v",
 			pts[0].MeanMovesPerTrial(), pts[1].MeanMovesPerTrial())
 	}
-	if _, err := RunSweep(SweepConfig{Trials: 0}); err == nil {
-		t.Error("zero trials should fail")
+}
+
+// TestRunSweepMatchesTrialSums is the fold's reference: each point
+// equals the sum of RunTrial over its cell's jobs, for every scheme, two
+// hole counts and a churn workload. Converged and Failed are recovered
+// from the campaign's per-trial samples, so this pins that recovery too.
+func TestRunSweepMatchesTrialSums(t *testing.T) {
+	spec := CampaignSpec{
+		Schemes:    []SchemeKind{SR, SRShortcut, AR},
+		Grids:      []GridSize{{10, 10}},
+		Spares:     []int{6, 30},
+		Holes:      []int{1, 3},
+		Workloads:  []WorkloadSpec{{Kind: WorkloadHoles}, {Kind: WorkloadChurn, Every: 3, Waves: 2}},
+		Replicates: 4,
+		BaseSeed:   2008,
+	}
+	pts, err := RunSweep(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js := spec.JobSpace()
+	if len(pts)*spec.Replicates != js.Len() {
+		t.Fatalf("%d points of %d trials for %d jobs", len(pts), spec.Replicates, js.Len())
+	}
+	for c, got := range pts {
+		var want SweepPoint
+		for r := 0; r < spec.Replicates; r++ {
+			j := js.At(c*spec.Replicates + r)
+			res, err := RunTrial(j.config(spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Scheme, want.Holes, want.N = j.Scheme, j.Holes, j.Spares
+			want.Summary = want.Summary.Add(res.Summary)
+			want.Trials++
+			if res.Complete {
+				want.Recovered++
+			}
+		}
+		if want.Summary.Active != 0 {
+			t.Fatalf("cell %d: %d processes still active after the trials", c, want.Summary.Active)
+		}
+		// The fold does not carry the per-trial maxima.
+		want.Summary.MaxHops, want.Summary.Rounds = 0, 0
+		if got != want {
+			t.Errorf("cell %d:\n got %+v\nwant %+v", c, got, want)
+		}
 	}
 }
 
@@ -159,22 +209,18 @@ func TestPaperClaims(t *testing.T) {
 		t.Skip("calibration sweep is slow")
 	}
 	const trials = 40
-	run := func(kind SchemeKind, n int) SweepPoint {
-		pts, err := RunSweep(SweepConfig{
-			Template: TrialConfig{Cols: 16, Rows: 16, Scheme: kind},
-			Ns:       []int{n},
-			Trials:   trials,
-			BaseSeed: 4000,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pts[0]
+	ns := []int{10, 55, 200}
+	pts, err := RunSweep(context.Background(), CampaignSpec{
+		Schemes:    []SchemeKind{SR, AR},
+		Spares:     ns,
+		Replicates: trials,
+		BaseSeed:   4000,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	for _, n := range []int{10, 55, 200} {
-		sr := run(SR, n)
-		ar := run(AR, n)
+	for i, n := range ns {
+		sr, ar := pts[i], pts[len(ns)+i]
 
 		// Claim: SR initiates exactly one process per hole; AR more than
 		// twice as many ("fewer than 50% replacement processes are
@@ -235,17 +281,18 @@ func TestSRMatchesAnalytic(t *testing.T) {
 		t.Skip("statistical sweep is slow")
 	}
 	const trials = 150
-	for _, n := range []int{55, 200} {
-		pts, err := RunSweep(SweepConfig{
-			Template: TrialConfig{Cols: 16, Rows: 16, Scheme: SR},
-			Ns:       []int{n},
-			Trials:   trials,
-			BaseSeed: 8000,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		obs := pts[0].MeanMovesPerTrial()
+	pts, err := RunSweep(context.Background(), CampaignSpec{
+		Schemes:    []SchemeKind{SR},
+		Spares:     []int{55, 200},
+		Replicates: trials,
+		BaseSeed:   8000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pts {
+		n := p.N
+		obs := p.MeanMovesPerTrial()
 		want, err := analytic.Moves(n, 255)
 		if err != nil {
 			t.Fatal(err)
@@ -264,11 +311,11 @@ func TestSRDistanceMatchesEstimate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical sweep is slow")
 	}
-	pts, err := RunSweep(SweepConfig{
-		Template: TrialConfig{Cols: 16, Rows: 16, Scheme: SR},
-		Ns:       []int{100},
-		Trials:   150,
-		BaseSeed: 9000,
+	pts, err := RunSweep(context.Background(), CampaignSpec{
+		Schemes:    []SchemeKind{SR},
+		Spares:     []int{100},
+		Replicates: 150,
+		BaseSeed:   9000,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -182,6 +182,44 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOutOfRangeSpecs: a spec with a value no trial can
+// run is a 400 at submission. Before validation checked ranges, each of
+// these was accepted and then panicked the daemon's runner goroutine or
+// a worker (a negative replicate count in the seed derivation, a
+// negative AR hop budget in the AR controller); the daemon must still
+// answer afterwards.
+func TestSubmitRejectsOutOfRangeSpecs(t *testing.T) {
+	d, _ := newTestDaemon(t, Options{})
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+
+	for _, body := range []string{
+		`{"replicates":-1}`,
+		`{"schemes":["AR"],"ar_max_hops":-4}`,
+		`{"schemes":["AR"],"ar_init_prob":1.5}`,
+		`{"holes":[0,1]}`,
+		`{"comm_range":-3}`,
+	} {
+		resp, err := http.Post(ts.URL+"/api/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+		if _, _, err := d.Submit([]byte(body), ""); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("Submit(%s) = %v, want ErrBadSpec", body, err)
+		}
+	}
+	if got := d.Campaigns(); len(got) != 0 {
+		t.Errorf("rejected submissions registered %d campaigns", len(got))
+	}
+	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Errorf("healthz after the rejected submissions = %d", code)
+	}
+}
+
 // TestSubmitRejectsSchemeConflicts: a spec whose workload installs
 // knobs one of its schemes refuses (byzantine monitors or a lossy radio
 // on AR, even inside a combinator) is a bad spec at submission, named

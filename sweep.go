@@ -11,22 +11,24 @@ import (
 // count N, the evaluation of Section 5 exposed through the facade.
 type SweepOptions struct {
 	// Schemes to compare; empty means SR and AR (the paper's pairing).
+	// A scheme listed twice is an error.
 	Schemes []Scheme
 	// Cols and Rows size the grid; zero means the paper's 16x16.
 	Cols, Rows int
 	// Spares lists the swept spare counts N; empty means the paper's
-	// x axis (10..1000).
+	// x axis (10..1000). A spare count listed twice is an error.
 	Spares []int
-	// Holes per trial; zero means 1.
+	// Holes per trial; zero means 1, and a negative count is an error.
 	Holes int
 	// Workload selects the damage model over the trial timeline; the
 	// zero value is the paper's random pre-placed holes. See Workload
 	// for the available kinds and parameters.
 	Workload Workload
-	// Trials per (scheme, N) point; zero means 20.
+	// Trials per (scheme, N) point; zero means 20, and a negative count
+	// is an error.
 	Trials int
-	// Seed anchors all trials. Trial t uses the same derived layout for
-	// every scheme, so the schemes face identical damage.
+	// Seed anchors all trials: trial t draws the t-th seed derived from
+	// Seed under every scheme, so the schemes face identical damage.
 	Seed int64
 	// Workers sizes the parallel trial pool; values below 1 mean
 	// GOMAXPROCS. Results are bit-identical for any worker count.
@@ -69,10 +71,10 @@ func (s Scheme) kind() (sim.SchemeKind, error) {
 	}
 }
 
-// Sweep runs seeded recovery trials for every scheme and spare count on
-// the parallel experiment engine and returns one aggregated curve per
-// scheme. Equal options produce bit-identical curves regardless of the
-// worker count or core count.
+// Sweep runs seeded recovery trials for every scheme and spare count as
+// one campaign on the parallel experiment engine and returns one
+// aggregated curve per scheme. Equal options produce bit-identical
+// curves regardless of the worker count or core count.
 func Sweep(ctx context.Context, opts SweepOptions) ([]SweepSeries, error) {
 	if len(opts.Schemes) == 0 {
 		opts.Schemes = []Scheme{SR, AR}
@@ -83,41 +85,41 @@ func Sweep(ctx context.Context, opts SweepOptions) ([]SweepSeries, error) {
 	if opts.Rows == 0 {
 		opts.Rows = 16
 	}
-	if len(opts.Spares) == 0 {
-		opts.Spares = sim.PaperNs()
+	spec := sim.CampaignSpec{
+		Grids:      []sim.GridSize{{Cols: opts.Cols, Rows: opts.Rows}},
+		Spares:     opts.Spares,
+		Replicates: opts.Trials,
+		BaseSeed:   opts.Seed,
+		Workers:    opts.Workers,
 	}
-	if opts.Trials == 0 {
-		opts.Trials = 20
-	}
-	out := make([]SweepSeries, 0, len(opts.Schemes))
 	for _, scheme := range opts.Schemes {
 		kind, err := scheme.kind()
 		if err != nil {
 			return nil, err
 		}
-		template := sim.TrialConfig{
-			Cols: opts.Cols, Rows: opts.Rows, Scheme: kind, Holes: opts.Holes,
-		}
-		// Pass a non-zero workload through even without a Kind: the trial
-		// assembly resolves the default kind and rejects parameters it
-		// does not take, so a forgotten Kind errors instead of silently
-		// sweeping the wrong scenario.
-		if opts.Workload != (Workload{}) {
-			template.Workload = opts.Workload.spec()
-		}
-		pts, err := sim.RunSweepContext(ctx, sim.SweepConfig{
-			Template: template,
-			Ns:       opts.Spares,
-			Trials:   opts.Trials,
-			BaseSeed: opts.Seed,
-			Workers:  opts.Workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("wsncover: %s sweep: %w", scheme, err)
-		}
-		series := SweepSeries{Scheme: scheme, Points: make([]SweepPoint, len(pts))}
-		for i, p := range pts {
-			series.Points[i] = SweepPoint{
+		spec.Schemes = append(spec.Schemes, kind)
+	}
+	if opts.Holes != 0 {
+		spec.Holes = []int{opts.Holes}
+	}
+	// Pass a non-zero workload through even without a Kind: validation
+	// resolves the default kind and rejects parameters it does not take,
+	// so a forgotten Kind errors instead of silently sweeping the wrong
+	// scenario.
+	if opts.Workload != (Workload{}) {
+		spec.Workloads = []sim.WorkloadSpec{opts.Workload.spec()}
+	}
+	pts, err := sim.RunSweep(ctx, spec)
+	if err != nil {
+		return nil, fmt.Errorf("wsncover: sweep: %w", err)
+	}
+	// Cells come in scheme order, each scheme's spare counts in turn.
+	perScheme := len(pts) / len(opts.Schemes)
+	out := make([]SweepSeries, len(opts.Schemes))
+	for i, scheme := range opts.Schemes {
+		out[i] = SweepSeries{Scheme: scheme, Points: make([]SweepPoint, perScheme)}
+		for k, p := range pts[i*perScheme : (i+1)*perScheme] {
+			out[i].Points[k] = SweepPoint{
 				N:            p.N,
 				Trials:       p.Trials,
 				RecoveryRate: 100 * float64(p.Recovered) / float64(p.Trials),
@@ -126,7 +128,6 @@ func Sweep(ctx context.Context, opts SweepOptions) ([]SweepSeries, error) {
 				MeanDistance: p.Summary.Distance / float64(p.Trials),
 			}
 		}
-		out = append(out, series)
 	}
 	return out, nil
 }

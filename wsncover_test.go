@@ -416,4 +416,13 @@ func TestSweepFacade(t *testing.T) {
 	}); err == nil {
 		t.Error("invalid scheme should fail")
 	}
+	for name, bad := range map[string]SweepOptions{
+		"negative trials": {Spares: []int{5}, Trials: -1},
+		"repeated scheme": {Schemes: []Scheme{SR, SR}, Spares: []int{5}, Trials: 1},
+		"repeated spares": {Spares: []int{5, 5}, Trials: 1},
+	} {
+		if _, err := Sweep(context.Background(), bad); err == nil {
+			t.Errorf("%s should fail", name)
+		}
+	}
 }
