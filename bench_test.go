@@ -372,11 +372,16 @@ func BenchmarkCampaign16Cells(b *testing.B) {
 	}
 	var points int
 	for i := 0; i < b.N; i++ {
-		pts, err := sim.RunCampaign(context.Background(), spec, experiment.Options{})
+		acc := experiment.NewAccumulator()
+		err := sim.RunCampaignStream(context.Background(), spec, experiment.Options{},
+			func(_ sim.TrialJob, s experiment.Sample) error {
+				acc.Add(s)
+				return nil
+			})
 		if err != nil {
 			b.Fatal(err)
 		}
-		points = len(pts)
+		points = len(acc.Points())
 	}
 	b.ReportMetric(float64(points), "points")
 }
@@ -718,8 +723,8 @@ func BenchmarkFieldPhases(b *testing.B) {
 
 // BenchmarkTelemetrySteadyState reruns the pooled 64x64 steady state
 // with the full observability pipeline live — hub, a draining SSE-style
-// subscriber, publisher, and the per-trial LocalProgress hook feeding
-// dispatch.PublishFleet — pinning that telemetry adds zero allocations
+// subscriber, and the per-trial LocalProgress hook publishing its
+// snapshots on the hub — pinning that telemetry adds zero allocations
 // to the trial hot path: between throttled snapshots a trial costs a
 // map lookup and a clock read, so allocs/op must match
 // ReplicateSteadyState/pooled-64x64. The total is oversized so no timed
@@ -739,9 +744,7 @@ func BenchmarkTelemetrySteadyState(b *testing.B) {
 		}
 		close(drained)
 	}()
-	pub := telemetry.NewPublisher(hub)
-	prog := dispatch.NewLocalProgress(1<<30, []string{group}, map[string]int{group: 1 << 30},
-		func(s dispatch.FleetSnapshot) { dispatch.PublishFleet(pub, s) })
+	prog := dispatch.NewLocalProgress([]telemetry.GroupView{{Group: group, Total: 1 << 30}}, hub.Publish)
 	prog.Start()
 	arena := sim.NewTrialArena()
 	for s := int64(0); s < 8; s++ { // warm the pool across the timed layouts

@@ -11,7 +11,7 @@
 //	      [-runners sync,async] [-replicates 20] [-seed s]
 //	      [-workers w] [-metrics moves,success_rate|all] [-out dir]
 //	      [-name sweep] [-shard i/n] [-store dir]
-//	      [-progress meter|none] [-ascii] [-quiet]
+//	      [-ascii] [-quiet]
 //	      [-dash addr [-pprof] [-dash-linger d]] [-ledger path|none]
 //	sweep -spec campaign.json [-out dir] [-name sweep] ...
 //
@@ -50,13 +50,12 @@
 // to an unsharded run's. Boxes without a shared filesystem copy their
 // segments into one S/cells/ first.
 //
-// -progress selects the progress display: "meter" is the human line on
-// stderr and "none" is silent. The meter, the dashboard and the
-// ledger's group spans all draw from one stream of
-// dispatch.FleetSnapshot values, throttled once at its source
+// Progress shows as one self-overwriting line on stderr; -quiet turns
+// it off. The meter and the dashboard draw from one stream of
+// telemetry.Snapshot values, stamped and throttled once at their source
 // (dispatch.LocalProgress): the first snapshot is done 0 of the total,
 // and every group's first and last trial and the run's last trial
-// always produce one.
+// always produce one. The ledger's group spans come from the same fold.
 //
 // Observability: -dash addr serves the live telemetry dashboard
 // (internal/telemetry) while the campaign runs — an HTML page at /, the
@@ -110,12 +109,10 @@ var dashNotify func(addr string, hub *telemetry.Hub)
 const dashAddrFileEnv = "WSNSWEEP_DASH_ADDR_FILE"
 
 // dashRig bundles the live-dashboard pieces -dash turns on: the hub the
-// campaign publishes into, the HTTP server over it, and the publisher
-// that stamps snapshots with elapsed/rate/ETA.
+// campaign publishes into and the HTTP server over it.
 type dashRig struct {
 	hub    *telemetry.Hub
 	server *telemetry.Server
-	pub    *telemetry.Publisher
 	addr   string
 	linger time.Duration
 }
@@ -138,7 +135,7 @@ func startDash(addr string, pprof bool, linger time.Duration, logger *slog.Logge
 	if dashNotify != nil {
 		dashNotify(bound, hub)
 	}
-	return &dashRig{hub: hub, server: srv, pub: telemetry.NewPublisher(hub), addr: bound, linger: linger}, nil
+	return &dashRig{hub: hub, server: srv, addr: bound, linger: linger}, nil
 }
 
 // finish shuts the dashboard down; after a successful campaign it first
@@ -152,46 +149,6 @@ func (d *dashRig) finish(runErr error) {
 		time.Sleep(d.linger)
 	}
 	d.server.Close()
-}
-
-// fleetStats rides the progress stream and captures what the ledger
-// records about a run: each group's active wall span, from the first
-// snapshot where the group shows progress to the last where its count
-// advanced. A run snapshots every group's first and last trial, so the
-// spans are exact.
-type fleetStats struct {
-	prevDone  map[string]int
-	groupSpan *telemetry.GroupTimer
-}
-
-func newFleetStats() *fleetStats {
-	return &fleetStats{prevDone: make(map[string]int), groupSpan: telemetry.NewGroupTimer()}
-}
-
-func (f *fleetStats) update(s dispatch.FleetSnapshot) {
-	for _, g := range s.Groups {
-		if g.Done > f.prevDone[g.Group] {
-			f.prevDone[g.Group] = g.Done
-			f.groupSpan.Observe(g.Group)
-		}
-	}
-}
-
-// progressSinks builds the one observer a run hands its snapshots to:
-// the -progress display, the dashboard, and the ledger's stats.
-func progressSinks(mode string, rig *dashRig, stats *fleetStats) func(dispatch.FleetSnapshot) {
-	sinks := []func(dispatch.FleetSnapshot){stats.update}
-	if mode == "meter" {
-		sinks = append(sinks, dispatch.NewFleetMeter(os.Stderr).Update)
-	}
-	if rig != nil {
-		sinks = append(sinks, func(s dispatch.FleetSnapshot) { dispatch.PublishFleet(rig.pub, s) })
-	}
-	return func(s dispatch.FleetSnapshot) {
-		for _, sink := range sinks {
-			sink(s)
-		}
-	}
 }
 
 // resolveLedger turns the -ledger flag into a path: the default is
@@ -219,17 +176,19 @@ type output struct {
 // cmd/runlog surfaces unhealthy history. A completed run saves the
 // manifest, writes the metric tables, prints the summary, and then
 // records itself. ran counts the trials this process executed: the
-// rate is never credited with stored cells.
-func (o *output) finish(mode string, spec sim.CampaignSpec, m *experiment.Manifest, ran int, wall time.Duration, stats *fleetStats, runErr error) error {
+// rate is never credited with stored cells. groupS is the run's group
+// spans (dispatch.LocalRun.GroupSeconds).
+func (o *output) finish(mode string, spec sim.CampaignSpec, m *experiment.Manifest, ran int, wall time.Duration, groupS map[string]float64, runErr error) error {
 	rec := telemetry.Record{
-		Name:      o.name,
-		Mode:      mode,
-		Status:    telemetry.StatusCompleted,
-		Jobs:      ran,
-		Workers:   spec.Workers,
-		CellFirst: spec.CellFirst,
-		CellCount: spec.CellCount,
-		WallS:     wall.Seconds(),
+		Name:         o.name,
+		Mode:         mode,
+		Status:       telemetry.StatusCompleted,
+		Jobs:         ran,
+		Workers:      spec.Workers,
+		CellFirst:    spec.CellFirst,
+		CellCount:    spec.CellCount,
+		WallS:        wall.Seconds(),
+		GroupSeconds: groupS,
 	}
 	if wall > 0 {
 		rec.TrialsPerS = float64(ran) / wall.Seconds()
@@ -249,7 +208,6 @@ func (o *output) finish(mode string, spec sim.CampaignSpec, m *experiment.Manife
 	}
 	printSummary(os.Stdout, m.Points)
 	rec.Manifest, rec.Jobs, rec.Points = path, m.Jobs, len(m.Points)
-	rec.GroupSeconds = stats.groupSpan.Seconds()
 	o.record(rec, spec)
 	return nil
 }
@@ -463,7 +421,6 @@ func run(args []string) (err error) {
 		runnersS   = fs.String("runners", "", "comma-separated trial runners: sync, async (default sync)")
 		shardS     = fs.String("shard", "", "cell shard i/n: run only the i-th of n contiguous blocks of campaign cells")
 		storeS     = fs.String("store", "", "cell store directory: compute only the cells it lacks and store each cell as it completes")
-		progressS  = fs.String("progress", "meter", "progress display: meter, none")
 		replicates = fs.Int("replicates", 20, "trials per campaign cell")
 		seed       = fs.Int64("seed", 1, "base random seed")
 		workers    = fs.Int("workers", 0, "parallel trial workers (0 = all cores)")
@@ -473,7 +430,7 @@ func run(args []string) (err error) {
 		outDir     = fs.String("out", "out", "output directory for artifacts")
 		name       = fs.String("name", "sweep", "campaign name (artifact base name)")
 		ascii      = fs.Bool("ascii", false, "print ASCII previews of exported tables")
-		quiet      = fs.Bool("quiet", false, "suppress the progress meter (alias for -progress none)")
+		quiet      = fs.Bool("quiet", false, "suppress the progress meter")
 		dashS      = fs.String("dash", "", "serve the live telemetry dashboard at this address (host:port; port 0 picks a free one)")
 		dashLinger = fs.Duration("dash-linger", 0, "keep the dashboard serving this long after a successful campaign")
 		pprofF     = fs.Bool("pprof", false, "expose net/http/pprof on the dashboard server (requires -dash)")
@@ -498,15 +455,6 @@ func run(args []string) (err error) {
 
 	logger := telemetry.NewLogger(os.Stderr)
 
-	progressMode := *progressS
-	if *quiet && progressMode == "meter" {
-		progressMode = "none"
-	}
-	switch progressMode {
-	case "meter", "none":
-	default:
-		return fmt.Errorf("unknown -progress mode %q (want meter or none)", progressMode)
-	}
 	if *pprofF && *dashS == "" {
 		return fmt.Errorf("-pprof rides the dashboard server; it requires -dash")
 	}
@@ -583,9 +531,6 @@ func run(args []string) (err error) {
 		defer func() { rig.finish(err) }()
 		dash = rig
 	}
-	stats := newFleetStats()
-	onProgress := progressSinks(progressMode, dash, stats)
-
 	var store *dispatch.CellStore
 	if *storeS != "" {
 		store = dispatch.OpenCellStore(*storeS)
@@ -597,7 +542,18 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	local.OnProgress = onProgress
+	var meter *dispatch.Meter
+	if !*quiet {
+		meter = dispatch.NewMeter(os.Stderr)
+	}
+	local.OnProgress = func(s telemetry.Snapshot) {
+		if meter != nil {
+			meter.Update(s)
+		}
+		if dash != nil {
+			dash.hub.Publish(s)
+		}
+	}
 	if local.Reused > 0 {
 		logger.Info("reusing stored cells", "cells", local.Reused, "of", local.Cells, "store", *storeS)
 	}
@@ -622,5 +578,5 @@ func run(args []string) (err error) {
 	if spec.CellCount > 0 {
 		mode = "shard"
 	}
-	return out.finish(mode, spec, manifest, ran, time.Since(start), stats, err)
+	return out.finish(mode, spec, manifest, ran, time.Since(start), local.GroupSeconds, err)
 }

@@ -96,16 +96,16 @@ func TestShardProgressJSONTotals(t *testing.T) {
 	if len(snaps) < 2 {
 		t.Fatalf("got %d snapshots, want at least the initial and final ones: %+v", len(snaps), snaps)
 	}
-	if first := snaps[0].Fleet; first.Done != 0 || first.Total != 4 {
+	if first := snaps[0].Progress; first.Done != 0 || first.Total != 4 {
 		t.Errorf("initial snapshot %+v, want 0/4 (the shard's own count)", first)
 	}
 	last := snaps[len(snaps)-1]
-	if !last.Final || last.Fleet.Done != 4 || last.Fleet.Total != 4 {
+	if !last.Final || last.Progress.Done != 4 || last.Progress.Total != 4 {
 		t.Errorf("final snapshot %+v, want a final 4/4", last)
 	}
 	for _, s := range snaps {
-		if s.Fleet.Total != 4 {
-			t.Errorf("snapshot %+v does not carry the shard total 4", s.Fleet)
+		if s.Progress.Total != 4 {
+			t.Errorf("snapshot %+v does not carry the shard total 4", s.Progress)
 		}
 	}
 }
@@ -133,20 +133,20 @@ func TestLocalProgressJSONGroupBoundaries(t *testing.T) {
 	if len(snaps) < 2 {
 		t.Fatalf("got %d snapshots: %+v", len(snaps), snaps)
 	}
-	if first := snaps[0].Fleet; first.Done != 0 || first.Total != 24 {
+	if first := snaps[0].Progress; first.Done != 0 || first.Total != 24 {
 		t.Errorf("initial snapshot %+v, want 0/24", first)
 	}
-	if last := snaps[len(snaps)-1]; !last.Final || last.Fleet.Done != 24 || last.Fleet.Total != 24 {
+	if last := snaps[len(snaps)-1]; !last.Final || last.Progress.Done != 24 || last.Progress.Total != 24 {
 		t.Errorf("final snapshot %+v, want a final 24/24", last)
 	}
 	byDone := make(map[int]telemetry.Snapshot, len(snaps))
 	prev := -1
 	for _, s := range snaps {
-		if s.Fleet.Done < prev {
-			t.Errorf("stream regressed: done %d after %d", s.Fleet.Done, prev)
+		if s.Progress.Done < prev {
+			t.Errorf("stream regressed: done %d after %d", s.Progress.Done, prev)
 		}
-		prev = s.Fleet.Done
-		byDone[s.Fleet.Done] = s
+		prev = s.Progress.Done
+		byDone[s.Progress.Done] = s
 	}
 
 	// Where each group's first and last trial fall in the run's trial
@@ -190,7 +190,7 @@ func TestLocalProgressJSONGroupBoundaries(t *testing.T) {
 	if err := run(args); err != nil {
 		t.Fatal(err)
 	}
-	if snaps := snapshots(); len(snaps) != 1 || !snaps[0].Final || snaps[0].Fleet.Total != 0 {
+	if snaps := snapshots(); len(snaps) != 1 || !snaps[0].Final || snaps[0].Progress.Total != 0 {
 		t.Errorf("a rerun with nothing to execute published %+v, want only a final 0/0", snaps)
 	}
 }
@@ -263,7 +263,7 @@ func TestResumeUnshardedAfterShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	snaps := snapshots()
-	if len(snaps) == 0 || snaps[0].Fleet.Total != 6 || snaps[len(snaps)-1].Fleet.Done != 6 {
+	if len(snaps) == 0 || snaps[0].Progress.Total != 6 || snaps[len(snaps)-1].Progress.Done != 6 {
 		t.Errorf("unsharded run's snapshots %+v, want 6 trials: only the other shard's 2 cells", snaps)
 	}
 	coldDir := t.TempDir()
@@ -365,16 +365,15 @@ func assertSameBytes(t *testing.T, gotPath, wantPath string) {
 }
 
 // TestFlagConflicts: flags that cannot compose say so, and the flags
-// of the retired fleet supervisor and of the modes -store replaced are
-// unknown.
+// of the retired fleet supervisor, of the modes -store replaced and the
+// -progress spelling of -quiet are unknown.
 func TestFlagConflicts(t *testing.T) {
 	dir := t.TempDir()
 	cases := []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-progress", "sometimes"}, "unknown -progress mode"},
-		{[]string{"-progress", "json"}, "unknown -progress mode"},
+		{[]string{"-progress", "none"}, "flag provided but not defined: -progress"},
 		{[]string{"-pprof"}, "requires -dash"},
 		{[]string{"-dispatch", "2"}, "flag provided but not defined: -dispatch"},
 		{[]string{"-exec", "ssh box --"}, "flag provided but not defined: -exec"},

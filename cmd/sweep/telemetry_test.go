@@ -110,9 +110,9 @@ func TestDashAcceptance(t *testing.T) {
 	if !last.Final {
 		t.Errorf("last SSE event %+v is not final", last)
 	}
-	if last.Fleet.Done != m.Jobs || last.Fleet.Total != m.Jobs {
+	if last.Progress.Done != m.Jobs || last.Progress.Total != m.Jobs {
 		t.Errorf("terminal SSE event %d/%d, want %d/%d (the manifest's job count)",
-			last.Fleet.Done, last.Fleet.Total, m.Jobs, m.Jobs)
+			last.Progress.Done, last.Progress.Total, m.Jobs, m.Jobs)
 	}
 
 	// Exactly one ledger record, and its spec hash reproduces from the

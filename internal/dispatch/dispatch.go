@@ -12,33 +12,10 @@
 // unsharded run over S, or over the segments copied into it, computes
 // nothing and writes the manifest.
 //
-// LocalProgress folds a run's ordered trial stream into FleetSnapshot
-// values, the one progress shape the meter (FleetMeter), the dashboard
-// (PublishFleet) and the ledger's group spans read. DiffManifests
-// compares two manifests.
+// LocalProgress folds a run's ordered trial stream into
+// telemetry.Snapshot values, stamped once with elapsed time, rate and
+// ETA, and times each group from its first trial to its last. The
+// meter (Meter) renders those snapshots, a dashboard hub publishes them
+// as they are, and LocalRun hands the group spans to the ledger.
+// DiffManifests compares two manifests.
 package dispatch
-
-import "wsncover/internal/experiment"
-
-// GroupProgress counts one campaign group's completed trials against
-// the group's total in the run.
-type GroupProgress struct {
-	Group string
-	Done  int
-	Total int
-}
-
-// FleetSnapshot is one observation of an in-process run, delivered to
-// LocalRun.OnProgress.
-type FleetSnapshot struct {
-	// Fleet is the run's progress: done/total, plus the group of the
-	// latest trial and that group's done count.
-	Fleet experiment.Progress
-	// Groups breaks the progress down by campaign group, in job order.
-	Groups []GroupProgress
-	// final marks the run's last snapshot.
-	final bool
-}
-
-// Terminal reports whether this is the run's last snapshot.
-func (s FleetSnapshot) Terminal() bool { return s.final }

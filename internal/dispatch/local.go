@@ -6,6 +6,7 @@ import (
 
 	"wsncover/internal/experiment"
 	"wsncover/internal/sim"
+	"wsncover/internal/telemetry"
 )
 
 // LocalRun is one campaign executed in this process: the single
@@ -21,25 +22,25 @@ type LocalRun struct {
 	// Executed is the number of trials Run executes: the spec's job
 	// space under its cell range, minus the stored cells' trials.
 	Executed int
-	// GroupOrder lists the groups of the executed trials in job order,
-	// and GroupTotal counts those trials per group.
-	GroupOrder []string
-	GroupTotal map[string]int
 	// Cells is the number of cells in the spec's job space, and Reused
 	// the number of them the store served.
 	Cells, Reused int
 	// OnProgress, when non-nil, observes the run: snapshots folded from
 	// the ordered trial stream by a LocalProgress.
-	OnProgress func(FleetSnapshot)
+	OnProgress func(telemetry.Snapshot)
+	// GroupSeconds, set by Run, is each group's wall span in seconds,
+	// from its first executed trial to its last. A group none of whose
+	// trials executed has no entry.
+	GroupSeconds map[string]float64
 
 	spec      sim.CampaignSpec
 	name      string
 	store     *CellStore
+	now       func() time.Time
 	prior     []experiment.Point
 	priorJobs int
-	cells     []cell // in job order
+	groups    []telemetry.GroupView // executed trials per group, in job order
 	done      map[cell]bool
-	cellTotal map[cell]int
 	addr      map[cell]cellAddr // store runs only
 }
 
@@ -53,34 +54,28 @@ type cell struct {
 // named name over store, which may be nil for a run that neither reuses
 // nor keeps cells.
 func PlanLocal(spec sim.CampaignSpec, name string, store *CellStore) (*LocalRun, error) {
-	r := &LocalRun{
-		GroupTotal: make(map[string]int),
-		spec:       spec,
-		name:       name,
-		store:      store,
-		done:       make(map[cell]bool),
-		cellTotal:  make(map[cell]int),
-	}
-	// One pass over the job space: every cell's trial count under the
-	// cell range, in job order, and its store address.
+	r := &LocalRun{spec: spec, name: name, store: store, now: time.Now, done: make(map[cell]bool)}
+	// One pass over the job space under the cell range: the cells in
+	// job order, each Replicates consecutive jobs opened by replicate 0,
+	// and their store addresses.
+	var cells []cell
 	var addrs []cellAddr
 	var err error
 	spec.ExecutedJobs(nil, func(j sim.TrialJob) {
-		k := cell{j.Group(), float64(j.Spares)}
-		if _, seen := r.cellTotal[k]; !seen {
-			r.cells = append(r.cells, k)
-			if store != nil && err == nil {
-				var a cellAddr
-				a, err = addressCell(spec, j)
-				addrs = append(addrs, a)
-			}
+		if j.Replicate != 0 {
+			return
 		}
-		r.cellTotal[k]++
+		cells = append(cells, cell{j.Group(), float64(j.Spares)})
+		if store != nil && err == nil {
+			var a cellAddr
+			a, err = addressCell(spec, j)
+			addrs = append(addrs, a)
+		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	r.Cells = len(r.cells)
+	r.Cells = len(cells)
 	if store != nil {
 		r.addr = make(map[cell]cellAddr, len(addrs))
 		for _, a := range addrs {
@@ -92,21 +87,23 @@ func PlanLocal(spec sim.CampaignSpec, name string, store *CellStore) (*LocalRun,
 		}
 	}
 	r.Reused = len(r.done)
-	// Every trial of a cell not yet done executes, so a group's first
-	// executed trial is the first job of its earliest such cell: walking
-	// cells in first-appearance order yields the groups in the order
-	// their first executed trial arrives.
-	for _, k := range r.cells {
-		n := r.cellTotal[k]
+	// Every trial of a cell not yet done executes, so walking the cells
+	// in job order yields the groups in the order their first executed
+	// trial arrives.
+	index := make(map[string]int)
+	for _, k := range cells {
 		if r.done[k] {
-			r.priorJobs += n
+			r.priorJobs += spec.Replicates
 			continue
 		}
-		r.Executed += n
-		if _, ok := r.GroupTotal[k.group]; !ok {
-			r.GroupOrder = append(r.GroupOrder, k.group)
+		r.Executed += spec.Replicates
+		i, ok := index[k.group]
+		if !ok {
+			i = len(r.groups)
+			index[k.group] = i
+			r.groups = append(r.groups, telemetry.GroupView{Group: k.group})
 		}
-		r.GroupTotal[k.group] += n
+		r.groups[i].Total += spec.Replicates
 	}
 	return r, nil
 }
@@ -119,8 +116,8 @@ func PlanLocal(spec sim.CampaignSpec, name string, store *CellStore) (*LocalRun,
 // run. The manifest's Jobs is the trials this run executed plus those
 // of the stored cells: the campaign's NumJobs, or a shard's own trial
 // count under a cell range. On error — ctx cancelled included — the
-// store holds every cell completed so far, and OnProgress still gets a
-// terminal snapshot.
+// store holds every cell completed so far, OnProgress still gets a
+// terminal snapshot, and GroupSeconds spans the trials that ran.
 func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) error) (*experiment.Manifest, int, error) {
 	var keep func(sim.TrialJob) bool
 	if len(r.done) > 0 {
@@ -129,35 +126,31 @@ func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) erro
 	// Trials stream into online per-(group, N) accumulators: campaign
 	// memory is O(cells), not O(trials).
 	acc := experiment.NewAccumulator()
-	var prog *LocalProgress
-	if r.OnProgress != nil {
-		prog = NewLocalProgress(r.Executed, r.GroupOrder, r.GroupTotal, r.OnProgress)
-		prog.Start()
-		defer prog.End()
-	}
-	cellDone := make(map[cell]int)
+	prog := NewLocalProgress(r.groups, r.OnProgress)
+	prog.now = r.now
+	prog.Start()
 	ran := 0
-	err := sim.RunCampaignSubset(ctx, r.spec, experiment.Options{Workers: r.spec.Workers}, keep,
+	err := sim.RunCampaignSubset(ctx, r.spec, keep,
 		func(j sim.TrialJob, s experiment.Sample) error {
 			acc.Add(s)
 			ran++
-			if r.store != nil {
+			// The executed stream is whole cells of Replicates
+			// consecutive trials, so every Replicates-th trial
+			// completes one.
+			if r.store != nil && ran%r.spec.Replicates == 0 {
 				k := cell{s.Group, s.X}
-				cellDone[k]++
-				if cellDone[k] == r.cellTotal[k] {
-					if err := r.store.append(r.addr[k], acc.Point(k.group, k.x)); err != nil {
-						return err
-					}
+				if err := r.store.append(r.addr[k], acc.Point(k.group, k.x)); err != nil {
+					return err
 				}
 			}
-			if prog != nil {
-				prog.Trial(s.Group)
-			}
+			prog.Trial(s.Group)
 			if onTrial != nil {
 				return onTrial(j, ran)
 			}
 			return nil
 		})
+	prog.End()
+	r.GroupSeconds = prog.GroupSeconds()
 	if err != nil {
 		return nil, ran, err
 	}
@@ -184,63 +177,74 @@ func mergePoints(prior, fresh []experiment.Point) []experiment.Point {
 const progressThrottle = 200 * time.Millisecond
 
 // LocalProgress folds one process's ordered trial stream into
-// FleetSnapshots: Fleet carries done/total plus the current group and
-// its GroupDone, and Groups follows the run's group order. It is the
-// only progress throttle of a run: a snapshot goes out at the start, at
-// every group's first and last trial, at the end, and otherwise at most
-// every progressThrottle, so every observer — meter, dashboard, ledger
-// — sees each group reach its total.
+// telemetry.Snapshots: done/total plus the current group and its done
+// count, the groups in the run's order, and elapsed time, rate and ETA
+// read off its own clock. It is the only progress throttle of a run: a
+// snapshot goes out at the start, at every group's first and last
+// trial, at the end, and otherwise at most every progressThrottle, so
+// every observer sees each group reach its total. It also records each
+// group's first and latest trial time, the spans GroupSeconds reports.
 // Between snapshots a trial costs a map lookup and a clock read and
 // allocates nothing. Calls must be serialized (the engine's ordered
 // sink).
 type LocalProgress struct {
-	on    func(FleetSnapshot)
-	now   func() time.Time
-	last  time.Time
-	done  int
-	total int
-	order []string
-	index map[string]int
-	// groupDone and groupTotal are indexed like order; cur is the
-	// group of the latest trial (-1 before the first).
-	groupDone, groupTotal []int
-	cur                   int
-	ended                 bool
+	on          func(telemetry.Snapshot) // nil: spans only
+	now         func() time.Time
+	start, last time.Time
+	done, total int
+	groups      []telemetry.GroupView
+	index       map[string]int
+	// first and latest are each group's first and latest trial time,
+	// indexed like groups; cur is the group of the latest trial (-1
+	// before the first).
+	first, latest []time.Time
+	cur           int
+	ended         bool
 }
 
-// NewLocalProgress sizes a fold for total trials over the groups in
-// order, with groupTotal trials each, delivering snapshots to on.
-func NewLocalProgress(total int, order []string, groupTotal map[string]int, on func(FleetSnapshot)) *LocalProgress {
+// NewLocalProgress sizes a fold over groups (each with its Total of
+// trials, in the order the run reaches them), delivering snapshots to
+// on, which may be nil.
+func NewLocalProgress(groups []telemetry.GroupView, on func(telemetry.Snapshot)) *LocalProgress {
 	p := &LocalProgress{
-		on: on, now: time.Now, total: total, order: order, cur: -1,
-		index:      make(map[string]int, len(order)),
-		groupDone:  make([]int, len(order)),
-		groupTotal: make([]int, len(order)),
+		on: on, now: time.Now, cur: -1,
+		groups: make([]telemetry.GroupView, len(groups)),
+		index:  make(map[string]int, len(groups)),
+		first:  make([]time.Time, len(groups)),
+		latest: make([]time.Time, len(groups)),
 	}
-	for i, g := range order {
-		p.index[g] = i
-		p.groupTotal[i] = groupTotal[g]
+	for i, g := range groups {
+		p.groups[i] = telemetry.GroupView{Group: g.Group, Total: g.Total}
+		p.index[g.Group] = i
+		p.total += g.Total
 	}
 	return p
 }
 
-// Start sends the opening snapshot, nothing done out of the total; a
-// run with nothing to execute opens with its terminal snapshot instead.
+// Start starts the run's clock and sends the opening snapshot, nothing
+// done out of the total; a run with nothing to execute sends only the
+// terminal snapshot End sends.
 func (p *LocalProgress) Start() {
+	p.start = p.now()
 	if p.total > 0 {
-		p.emit(p.now(), false)
+		p.emit(p.start, false)
 	}
 }
 
 // Trial records one finished trial of group and sends a snapshot when
 // one is due. The run's last trial sends the terminal snapshot.
 func (p *LocalProgress) Trial(group string) {
-	p.done++
-	i := p.index[group]
-	p.cur = i
-	p.groupDone[i]++
 	now := p.now()
-	if d := p.groupDone[i]; d == 1 || d == p.groupTotal[i] || p.done == p.total ||
+	i := p.index[group]
+	p.done++
+	p.cur = i
+	g := &p.groups[i]
+	g.Done++
+	if g.Done == 1 {
+		p.first[i] = now
+	}
+	p.latest[i] = now
+	if g.Done == 1 || g.Done == g.Total || p.done == p.total ||
 		now.Sub(p.last) >= progressThrottle {
 		p.emit(now, p.done == p.total)
 	}
@@ -255,19 +259,46 @@ func (p *LocalProgress) End() {
 	}
 }
 
+// GroupSeconds returns each group's span in seconds, from its first
+// trial to its latest; a group with no trial yet has no entry, and a
+// fold with no trial at all returns nil.
+func (p *LocalProgress) GroupSeconds() map[string]float64 {
+	var out map[string]float64
+	for i, g := range p.groups {
+		if g.Done == 0 {
+			continue
+		}
+		if out == nil {
+			out = make(map[string]float64, len(p.groups))
+		}
+		out[g.Group] = p.latest[i].Sub(p.first[i]).Seconds()
+	}
+	return out
+}
+
+// emit stamps a snapshot at now and sends it. A terminal snapshot is
+// groupless: a finished run has no current group.
 func (p *LocalProgress) emit(now time.Time, final bool) {
 	p.last = now
 	p.ended = final
-	s := FleetSnapshot{
-		Fleet:  experiment.Progress{Done: p.done, Total: p.total},
-		Groups: make([]GroupProgress, len(p.order)),
-		final:  final,
+	if p.on == nil {
+		return
 	}
-	if p.cur >= 0 {
-		s.Fleet.Group, s.Fleet.GroupDone = p.order[p.cur], p.groupDone[p.cur]
+	s := telemetry.Snapshot{
+		Progress: telemetry.Progress{Done: p.done, Total: p.total},
+		Groups:   append([]telemetry.GroupView(nil), p.groups...),
+		ElapsedS: now.Sub(p.start).Seconds(),
+		ETAS:     -1,
+		Final:    final,
 	}
-	for i, g := range p.order {
-		s.Groups[i] = GroupProgress{Group: g, Done: p.groupDone[i], Total: p.groupTotal[i]}
+	if p.cur >= 0 && !final {
+		s.Progress.Group, s.Progress.GroupDone = p.groups[p.cur].Group, p.groups[p.cur].Done
+	}
+	if s.ElapsedS > 0 {
+		s.TrialsPerS = float64(p.done) / s.ElapsedS
+	}
+	if s.TrialsPerS > 0 && p.total > p.done {
+		s.ETAS = float64(p.total-p.done) / s.TrialsPerS
 	}
 	p.on(s)
 }

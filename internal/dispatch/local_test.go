@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
 
 	"wsncover/internal/experiment"
 	"wsncover/internal/sim"
@@ -157,12 +159,11 @@ func TestPlanLocalDropsOrphans(t *testing.T) {
 	runBytes(t, plan(t, other, OpenCellStore(root)))
 
 	r := plan(t, spec, OpenCellStore(root))
-	group := r.GroupOrder[0]
 	if r.Cells != 2 || r.Reused != 1 {
 		t.Fatalf("Cells, Reused = %d, %d; want 2, 1 (only SR N=4 is shared)", r.Cells, r.Reused)
 	}
-	if r.Executed != 3 || r.GroupTotal[group] != 3 {
-		t.Fatalf("Executed = %d, GroupTotal = %v; want the 3 trials of the N=8 cell", r.Executed, r.GroupTotal)
+	if r.Executed != 3 || len(r.groups) != 1 || r.groups[0].Total != 3 {
+		t.Fatalf("Executed = %d, groups = %+v; want the 3 trials of the N=8 cell", r.Executed, r.groups)
 	}
 	got, _ := runBytes(t, r)
 	if want, _ := runBytes(t, plan(t, spec, nil)); !bytes.Equal(got, want) {
@@ -239,4 +240,101 @@ func TestLocalRunResumesPastTornLog(t *testing.T) {
 			rerun("last line garbled", append(bytes.Clone(seg[:lastStart]), garbage...), cells-1, true)
 		})
 	}
+}
+
+// TestLocalRunGroupSpans: Run's GroupSeconds spans each group exactly
+// from its first executed trial to its last, on the run's clock. The
+// fake clock advances k seconds after the k-th trial, so trial k lands
+// at k(k-1)/2 s and a span off by one trial shows. A group whose cells
+// the store serves executes nothing and gets no span; a run cancelled
+// mid-group spans the trials that ran.
+func TestLocalRunGroupSpans(t *testing.T) {
+	spec := sim.CampaignSpec{
+		Schemes:    []sim.SchemeKind{sim.SR, sim.AR},
+		Grids:      []sim.GridSize{{Cols: 8, Rows: 8}},
+		Spares:     []int{4, 8},
+		Replicates: 3,
+		BaseSeed:   17,
+		Workers:    2,
+	}.Normalized()
+	// run runs r on the fake clock, cancelling it after cancelAt trials
+	// (0: never), and returns the trials it executed.
+	run := func(t *testing.T, r *LocalRun, cancelAt int) int {
+		t.Helper()
+		clock := newTestClock()
+		r.now = clock.now
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		_, ran, err := r.Run(ctx, func(_ sim.TrialJob, ran int) error {
+			clock.advance(time.Duration(ran) * time.Second)
+			if ran == cancelAt {
+				cancel()
+			}
+			return nil
+		})
+		if cancelAt == 0 && err != nil || cancelAt > 0 && !errors.Is(err, context.Canceled) {
+			t.Fatalf("run cancelled at %d: err = %v", cancelAt, err)
+		}
+		return ran
+	}
+	// want is each group's span over the first n trials r executes.
+	want := func(r *LocalRun, n int) map[string]float64 {
+		at := func(k int) float64 { return float64(k * (k - 1) / 2) }
+		first, spans := map[string]int{}, map[string]float64{}
+		k := 0
+		spec.ExecutedJobs(func(j sim.TrialJob) bool { return !r.done[cell{j.Group(), float64(j.Spares)}] },
+			func(j sim.TrialJob) {
+				if k++; k > n {
+					return
+				}
+				g := j.Group()
+				if _, ok := first[g]; !ok {
+					first[g] = k
+				}
+				spans[g] = at(k) - at(first[g])
+			})
+		return spans
+	}
+
+	t.Run("two groups", func(t *testing.T) {
+		r := plan(t, spec, nil)
+		ran := run(t, r, 0)
+		if w := want(r, ran); len(w) != 2 || !reflect.DeepEqual(r.GroupSeconds, w) {
+			t.Errorf("spans = %v, want %v", r.GroupSeconds, w)
+		}
+	})
+	t.Run("store serves a group", func(t *testing.T) {
+		root := t.TempDir()
+		sr := spec
+		sr.Schemes = []sim.SchemeKind{sim.SR}
+		runBytes(t, plan(t, sr, OpenCellStore(root)))
+		r := plan(t, spec, OpenCellStore(root))
+		if r.Reused != 2 {
+			t.Fatalf("store serves %d cells, want SR's 2", r.Reused)
+		}
+		ran := run(t, r, 0)
+		w := want(r, ran)
+		if _, ok := r.GroupSeconds[sr.Jobs()[0].Group()]; ok || len(w) != 1 {
+			t.Errorf("spans = %v: the served group must have none", r.GroupSeconds)
+		}
+		if !reflect.DeepEqual(r.GroupSeconds, w) {
+			t.Errorf("spans = %v, want %v", r.GroupSeconds, w)
+		}
+	})
+	t.Run("cancelled mid-group", func(t *testing.T) {
+		// One worker stops at the trial that cancels: trial 8 is the
+		// second of the second group's six.
+		one := spec
+		one.Workers = 1
+		r := plan(t, one, nil)
+		ran := run(t, r, 8)
+		var groups []string
+		spec.ExecutedJobs(nil, func(j sim.TrialJob) { groups = append(groups, j.Group()) })
+		if ran >= len(groups) || groups[ran-1] != groups[ran] || groups[ran-1] == groups[0] {
+			t.Fatalf("cancelled run stopped after trial %d of %v, want inside the second group", ran, groups)
+		}
+		if w := want(r, ran); !reflect.DeepEqual(r.GroupSeconds, w) {
+			t.Errorf("spans = %v, want %v", r.GroupSeconds, w)
+		}
+	})
 }

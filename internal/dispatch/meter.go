@@ -26,92 +26,62 @@ func FormatETA(d time.Duration) string {
 	}
 }
 
-// FleetMeter renders progress snapshots as one self-overwriting line:
+// Meter renders progress snapshots as one self-overwriting line:
 // done/total, trials/s, and an ETA (elapsed time once the snapshot is
-// terminal). A run with more than one group also shows completed
-// groups and the group being filled, so a day-long multi-dimensional
-// run shows where it is, not just how much is left —
+// final). A run with more than one group also shows completed groups
+// and the group being filled, so a day-long multi-dimensional run shows
+// where it is, not just how much is left —
 //
 //	34/160 trials  12 trials/s  ETA 11s  groups 1/4  [AR 16x16 2/40]
 //
-// Every snapshot redraws: the source throttles (LocalProgress), so the
-// meter does not.
-type FleetMeter struct {
-	w     io.Writer
-	now   func() time.Time
-	start time.Time
+// The meter only renders: the source (LocalProgress) throttles and
+// stamps the rate and ETA, so every snapshot redraws as it is.
+type Meter struct {
+	w io.Writer
 }
 
-// NewFleetMeter returns a meter writing to w.
-func NewFleetMeter(w io.Writer) *FleetMeter {
-	f := &FleetMeter{w: w, now: time.Now}
-	f.start = f.now()
-	return f
-}
-
-// SetClock replaces the time source (tests); call before the first
-// Update.
-func (f *FleetMeter) SetClock(now func() time.Time) {
-	f.now = now
-	f.start = now()
+// NewMeter returns a meter writing to w.
+func NewMeter(w io.Writer) *Meter {
+	return &Meter{w: w}
 }
 
 // Update redraws the line from a snapshot. Snapshots arrive from a
 // serialized progress callback, so no locking is needed.
-func (f *FleetMeter) Update(snap FleetSnapshot) {
-	final := snap.Terminal()
-	now := f.now()
-	agg := snap.Fleet
-	elapsed := now.Sub(f.start)
-	rate := 0.0
-	if elapsed > 0 {
-		rate = float64(agg.Done) / elapsed.Seconds()
-	}
+func (m *Meter) Update(s telemetry.Snapshot) {
+	p := s.Progress
 	tail := ""
-	if len(snap.Groups) > 1 {
-		tail = groupSummary(snap, final)
+	if len(s.Groups) > 1 {
+		tail = groupSummary(s)
 	}
-	when := "in " + FormatETA(elapsed)
-	if !final {
+	when := "in " + FormatETA(seconds(s.ElapsedS))
+	if !s.Final {
 		when = "ETA --"
-		if rate > 0 && agg.Total > agg.Done {
-			when = "ETA " + FormatETA(time.Duration(float64(agg.Total-agg.Done)/rate*float64(time.Second)))
+		if s.ETAS >= 0 {
+			when = "ETA " + FormatETA(seconds(s.ETAS))
 		}
 	}
-	fmt.Fprintf(f.w, "\r%d/%d trials  %.0f trials/s  %s%s   ", agg.Done, agg.Total, rate, when, tail)
-	if final {
-		fmt.Fprintln(f.w)
+	fmt.Fprintf(m.w, "\r%d/%d trials  %.0f trials/s  %s%s   ", p.Done, p.Total, s.TrialsPerS, when, tail)
+	if s.Final {
+		fmt.Fprintln(m.w)
 	}
 }
 
-// groupSummary renders a run's group breakdown: finished
-// groups out of all, then (mid-run) the current group's count.
-func groupSummary(snap FleetSnapshot, final bool) string {
+// seconds converts a snapshot's float seconds to a duration.
+func seconds(s float64) time.Duration {
+	return time.Duration(s * float64(time.Second))
+}
+
+// groupSummary renders a run's group breakdown: finished groups out of
+// all, then (mid-run) the current group's count.
+func groupSummary(s telemetry.Snapshot) string {
 	finished, cur := 0, ""
-	for _, g := range snap.Groups {
+	for _, g := range s.Groups {
 		if g.Done == g.Total {
 			finished++
 		}
-		if !final && g.Group == snap.Fleet.Group {
+		if g.Group == s.Progress.Group {
 			cur = fmt.Sprintf("  [%s %d/%d]", g.Group, g.Done, g.Total)
 		}
 	}
-	return fmt.Sprintf("  groups %d/%d%s", finished, len(snap.Groups), cur)
-}
-
-// PublishFleet forwards a progress snapshot to a dashboard publisher in
-// the telemetry wire shapes. A terminal snapshot publishes as final and
-// groupless: a finished run has no current group. The conversion lives
-// here because telemetry must not import dispatch.
-func PublishFleet(pub *telemetry.Publisher, s FleetSnapshot) {
-	final := s.Terminal()
-	groups := make([]telemetry.GroupView, len(s.Groups))
-	for i, g := range s.Groups {
-		groups[i] = telemetry.GroupView{Group: g.Group, Done: g.Done, Total: g.Total}
-	}
-	fleet := s.Fleet
-	if final {
-		fleet.Group, fleet.GroupDone = "", 0
-	}
-	pub.Publish(fleet, groups, final)
+	return fmt.Sprintf("  groups %d/%d%s", finished, len(s.Groups), cur)
 }

@@ -18,20 +18,30 @@ func newTestClock() *testClock {
 func (c *testClock) now() time.Time          { return c.t }
 func (c *testClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-// localMeter wires a LocalProgress into a FleetMeter, both on clock:
-// the in-process progress line, throttled at its source.
-func localMeter(buf *strings.Builder, clock *testClock, total int, order []string, totals map[string]int) *LocalProgress {
-	m := NewFleetMeter(buf)
-	m.SetClock(clock.now)
-	p := NewLocalProgress(total, order, totals, m.Update)
+// views builds a fold's group list from name/total pairs.
+func views(pairs ...any) []telemetry.GroupView {
+	var out []telemetry.GroupView
+	for i := 0; i < len(pairs); i += 2 {
+		out = append(out, telemetry.GroupView{Group: pairs[i].(string), Total: pairs[i+1].(int)})
+	}
+	return out
+}
+
+// localMeter wires a started LocalProgress on clock into a Meter: the
+// in-process progress line, throttled and stamped at its source. The
+// opening snapshot is not in buf.
+func localMeter(buf *strings.Builder, clock *testClock, groups []telemetry.GroupView) *LocalProgress {
+	p := NewLocalProgress(groups, NewMeter(buf).Update)
 	p.now = clock.now
+	p.Start()
+	buf.Reset()
 	return p
 }
 
 func TestMeter(t *testing.T) {
 	var buf strings.Builder
 	clock := newTestClock()
-	p := localMeter(&buf, clock, 400, []string{"only"}, map[string]int{"only": 400})
+	p := localMeter(&buf, clock, views("only", 400))
 	p.done = 99
 	clock.advance(2 * time.Second)
 	p.Trial("only")
@@ -73,8 +83,7 @@ func TestMeter(t *testing.T) {
 	// A run with nothing left to execute ends on a 0/0 snapshot: no
 	// division by zero, and the elapsed time instead of an ETA.
 	buf.Reset()
-	empty := localMeter(&buf, clock, 0, nil, nil)
-	empty.Start()
+	empty := localMeter(&buf, clock, nil)
 	empty.End()
 	if out := buf.String(); !strings.Contains(out, "0/0 trials  0 trials/s  in ") ||
 		strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
@@ -88,7 +97,7 @@ func TestMeter(t *testing.T) {
 func TestMeterGroupBreakdown(t *testing.T) {
 	var buf strings.Builder
 	clock := newTestClock()
-	p := localMeter(&buf, clock, 4, []string{"SR 16x16", "AR 16x16"}, map[string]int{"SR 16x16": 2, "AR 16x16": 2})
+	p := localMeter(&buf, clock, views("SR 16x16", 2, "AR 16x16", 2))
 
 	clock.advance(2 * time.Second)
 	p.Trial("SR 16x16")
@@ -123,7 +132,7 @@ func TestMeterShardTotals(t *testing.T) {
 	var buf strings.Builder
 	clock := newTestClock()
 	// Campaign: 20 trials; this shard owns 5.
-	p := localMeter(&buf, clock, 5, []string{"SR 8x8"}, map[string]int{"SR 8x8": 5})
+	p := localMeter(&buf, clock, views("SR 8x8", 5))
 	clock.advance(time.Second)
 	p.Trial("SR 8x8")
 	out := buf.String()
@@ -141,13 +150,13 @@ func TestMeterShardTotals(t *testing.T) {
 
 // TestLocalProgressSnapshots pins the source throttle's contract: an
 // opening 0/total snapshot, every group's first and last trial, and the
-// terminal snapshot always go out, and Groups follows the run's group
-// order with no shards.
+// terminal snapshot always go out, Groups follows the run's group
+// order, and the terminal snapshot is groupless.
 func TestLocalProgressSnapshots(t *testing.T) {
 	clock := newTestClock()
-	var got []FleetSnapshot
-	p := NewLocalProgress(5, []string{"SR", "AR"}, map[string]int{"SR": 3, "AR": 2},
-		func(s FleetSnapshot) { got = append(got, s) })
+	var got []telemetry.Snapshot
+	collect := func(s telemetry.Snapshot) { got = append(got, s) }
+	p := NewLocalProgress(views("SR", 3, "AR", 2), collect)
 	p.now = clock.now
 	p.Start()
 	for _, g := range []string{"SR", "SR", "SR", "AR"} {
@@ -162,52 +171,94 @@ func TestLocalProgressSnapshots(t *testing.T) {
 		group           string
 		final           bool
 	}
-	want := []ev{{0, 0, "", false}, {1, 1, "SR", false}, {3, 3, "SR", false}, {4, 1, "AR", false}, {5, 2, "AR", true}}
+	want := []ev{{0, 0, "", false}, {1, 1, "SR", false}, {3, 3, "SR", false}, {4, 1, "AR", false}, {5, 0, "", true}}
 	if len(got) != len(want) {
 		t.Fatalf("got %d snapshots, want %d: %+v", len(got), len(want), got)
 	}
 	for i, s := range got {
-		e := ev{s.Fleet.Done, s.Fleet.GroupDone, s.Fleet.Group, s.Terminal()}
-		if e != want[i] || s.Fleet.Total != 5 {
-			t.Errorf("snapshot %d = %+v (%+v), want %+v of 5", i, e, s.Fleet, want[i])
+		e := ev{s.Progress.Done, s.Progress.GroupDone, s.Progress.Group, s.Final}
+		if e != want[i] || s.Progress.Total != 5 {
+			t.Errorf("snapshot %d = %+v (%+v), want %+v of 5", i, e, s.Progress, want[i])
 		}
 		if len(s.Groups) != 2 || s.Groups[0].Group != "SR" || s.Groups[1].Group != "AR" ||
 			s.Groups[0].Total != 3 || s.Groups[1].Total != 2 {
 			t.Errorf("snapshot %d groups = %+v, want SR/3 then AR/2", i, s.Groups)
 		}
 	}
+	if got[2].Groups[0].Done != 3 || got[1].Groups[0].Done != 1 {
+		t.Errorf("snapshots share group counts: %+v then %+v", got[1].Groups, got[2].Groups)
+	}
 
 	// A run with nothing to execute sends only its terminal snapshot; a
 	// cancelled one ends its stream on End.
 	got = nil
-	empty := NewLocalProgress(0, nil, nil, func(s FleetSnapshot) { got = append(got, s) })
+	empty := NewLocalProgress(nil, collect)
 	empty.Start()
 	empty.End()
-	if len(got) != 1 || !got[0].Terminal() || got[0].Fleet.Total != 0 {
+	if len(got) != 1 || !got[0].Final || got[0].Progress.Total != 0 || got[0].Groups != nil {
 		t.Errorf("empty run snapshots = %+v, want one terminal 0/0", got)
 	}
 	got = nil
-	cut := NewLocalProgress(4, []string{"SR"}, map[string]int{"SR": 4}, func(s FleetSnapshot) { got = append(got, s) })
+	cut := NewLocalProgress(views("SR", 4), collect)
+	cut.Start()
 	cut.Trial("SR")
 	cut.End()
-	if len(got) != 2 || !got[1].Terminal() || got[1].Fleet.Done != 1 {
+	if len(got) != 3 || !got[2].Final || got[2].Progress.Done != 1 {
 		t.Errorf("cancelled run snapshots = %+v, want a terminal 1/4 last", got)
 	}
 }
 
+// TestLocalProgressStamps: LocalProgress stamps each snapshot with the
+// elapsed time since Start, the rate so far and the ETA, off its own
+// clock. A rate of zero, or nothing left to do, makes the ETA unknown
+// (-1), and no state divides by zero.
+func TestLocalProgressStamps(t *testing.T) {
+	clock := newTestClock()
+	var got []telemetry.Snapshot
+	collect := func(s telemetry.Snapshot) { got = append(got, s) }
+	p := NewLocalProgress(views("SR", 4), collect)
+	p.now = clock.now
+	p.Start()
+	clock.advance(2 * time.Second)
+	p.Trial("SR") // a group's first trial: 1 done in 2s
+	p.Trial("SR") // throttled
+	p.Trial("SR") // throttled
+	clock.advance(2 * time.Second)
+	p.Trial("SR") // final
+
+	type stamp struct{ elapsed, rate, eta float64 }
+	want := []stamp{{0, 0, -1}, {2, 0.5, 6}, {4, 1, -1}}
+	if len(got) != len(want) {
+		t.Fatalf("got %d snapshots, want %d: %+v", len(got), len(want), got)
+	}
+	for i, s := range got {
+		if e := (stamp{s.ElapsedS, s.TrialsPerS, s.ETAS}); e != want[i] {
+			t.Errorf("snapshot %d stamped %+v, want %+v", i, e, want[i])
+		}
+	}
+
+	got = nil
+	empty := NewLocalProgress(nil, collect)
+	empty.now = clock.now
+	empty.Start()
+	empty.End()
+	if len(got) != 1 || got[0].ElapsedS != 0 || got[0].TrialsPerS != 0 || got[0].ETAS != -1 {
+		t.Errorf("zero-state snapshot = %+v, want rate 0 and eta -1", got)
+	}
+}
+
 // TestPublishLocalGroupBoundariesAndFinal: an in-process run drives the
-// dashboard through PublishFleet. Throttled trials publish nothing, a
-// group completing forces a publication carrying that group at its
-// total, and the terminal publication is final and groupless.
+// dashboard hub directly. Throttled trials publish nothing, a group
+// completing forces a publication carrying that group at its total,
+// the hub renders the heatmap, and the terminal publication is final
+// and groupless.
 func TestPublishLocalGroupBoundariesAndFinal(t *testing.T) {
 	hub := telemetry.NewHub()
 	sub := hub.Subscribe()
-	pub := telemetry.NewPublisher(hub)
 	clock := newTestClock()
-	pub.SetClock(clock.now)
-	p := NewLocalProgress(5, []string{"SR", "AR"}, map[string]int{"SR": 3, "AR": 2},
-		func(s FleetSnapshot) { PublishFleet(pub, s) })
+	p := NewLocalProgress(views("SR", 3, "AR", 2), hub.Publish)
 	p.now = clock.now
+	p.Start()
 	clock.advance(time.Second)
 	p.Trial("SR") // a group's first trial: publishes
 	p.Trial("SR") // throttled
@@ -224,12 +275,12 @@ func TestPublishLocalGroupBoundariesAndFinal(t *testing.T) {
 		}
 		got = append(got, s)
 	}
-	if len(got) != 4 {
-		t.Fatalf("got %d snapshots, want 4 (first, boundary, first, final): %+v", len(got), got)
+	if len(got) != 5 {
+		t.Fatalf("got %d snapshots, want 5 (opening, first, boundary, first, final): %+v", len(got), got)
 	}
-	boundary := got[1]
-	if boundary.Fleet.Group != "SR" || boundary.Fleet.GroupDone != 3 {
-		t.Errorf("boundary fleet = %+v, want group SR done 3", boundary.Fleet)
+	boundary := got[2]
+	if boundary.Progress.Group != "SR" || boundary.Progress.GroupDone != 3 {
+		t.Errorf("boundary progress = %+v, want group SR done 3", boundary.Progress)
 	}
 	if len(boundary.Groups) != 2 || boundary.Groups[0].Group != "SR" || boundary.Groups[0].Done != 3 {
 		t.Errorf("boundary groups = %+v", boundary.Groups)
@@ -237,14 +288,16 @@ func TestPublishLocalGroupBoundariesAndFinal(t *testing.T) {
 	if boundary.Heatmap == "" || !strings.Contains(boundary.Heatmap, "SR") {
 		t.Errorf("boundary heatmap = %q", boundary.Heatmap)
 	}
-	final := got[3]
-	if !final.Final || final.Fleet.Done != 5 || final.Fleet.Group != "" {
+	final := got[4]
+	if !final.Final || final.Progress.Done != 5 || final.Progress.Group != "" {
 		t.Errorf("final = %+v, want groupless 5/5 final", final)
 	}
-	// AR's first and last trials both published, one second apart: the
-	// span the ledger's group timer reads off the stream is exact.
-	if got[2].Fleet.Group != "AR" || final.ElapsedS-got[2].ElapsedS != 1 {
-		t.Errorf("AR spans %v..%v, want its first and last trial 1s apart", got[2], final)
+	// AR's first and last trials both published, one second apart.
+	if got[3].Progress.Group != "AR" || final.ElapsedS-got[3].ElapsedS != 1 {
+		t.Errorf("AR spans %v..%v, want its first and last trial 1s apart", got[3], final)
+	}
+	if spans := p.GroupSeconds(); len(spans) != 2 || spans["SR"] != 0 || spans["AR"] != 1 {
+		t.Errorf("group spans = %v, want SR 0s and AR 1s", spans)
 	}
 }
 
@@ -265,16 +318,14 @@ func TestFormatETA(t *testing.T) {
 	}
 }
 
-func TestFleetSnapshotTerminal(t *testing.T) {
-	if (FleetSnapshot{}).Terminal() {
-		t.Error("empty snapshot is not terminal")
-	}
-	var got []FleetSnapshot
-	p := NewLocalProgress(2, []string{"SR"}, map[string]int{"SR": 2}, func(s FleetSnapshot) { got = append(got, s) })
+// TestSnapshotFinal: only the run's last snapshot is final.
+func TestSnapshotFinal(t *testing.T) {
+	var got []telemetry.Snapshot
+	p := NewLocalProgress(views("SR", 2), func(s telemetry.Snapshot) { got = append(got, s) })
 	p.Start()
 	p.Trial("SR")
 	p.Trial("SR")
-	if len(got) != 3 || got[0].Terminal() || got[1].Terminal() || !got[2].Terminal() {
-		t.Errorf("snapshots %+v, want only the last terminal", got)
+	if len(got) != 3 || got[0].Final || got[1].Final || !got[2].Final {
+		t.Errorf("snapshots %+v, want only the last final", got)
 	}
 }

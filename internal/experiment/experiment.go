@@ -17,7 +17,9 @@
 // plotdata table, and Manifest serializes a whole campaign as JSON.
 // Accumulator folds RunStream's sample stream into online (Welford)
 // per-group statistics, keeping memory independent of the replicate
-// count.
+// count. Progress is not the engine's concern: a caller that reports
+// it folds the same ordered stream (dispatch.LocalProgress, into
+// telemetry snapshots).
 package experiment
 
 import (

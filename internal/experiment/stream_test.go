@@ -253,6 +253,24 @@ func TestP2MedianConverges(t *testing.T) {
 	}
 }
 
+// TestAccumulatorMarksEstimatedMedians: the streaming fold is exact (and
+// says so) through five observations, an estimate (and says so) beyond.
+func TestAccumulatorMarksEstimatedMedians(t *testing.T) {
+	feed := func(n int) stats.Description {
+		acc := NewAccumulator()
+		for i := 0; i < n; i++ {
+			acc.Add(Sample{Group: "g", X: 1, Values: map[string]float64{"m": float64(i)}})
+		}
+		return acc.Points()[0].Metrics["m"]
+	}
+	if d := feed(5); d.MedianApprox || d.Median != 2 {
+		t.Errorf("n=5: %+v, want exact median 2", d)
+	}
+	if d := feed(6); !d.MedianApprox {
+		t.Errorf("n=6: %+v, want MedianApprox", d)
+	}
+}
+
 // TestAccumulatorEmptyAndSingle covers degenerate cells.
 func TestAccumulatorEmptyAndSingle(t *testing.T) {
 	acc := NewAccumulator()

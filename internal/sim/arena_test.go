@@ -53,10 +53,7 @@ func TestArenaTrialsBitIdenticalToFresh(t *testing.T) {
 func pooledManifestBytes(t *testing.T, spec CampaignSpec, fresh bool, workers int) []byte {
 	t.Helper()
 	spec.FreshBuild = fresh
-	samples, err := RunCampaignSamples(context.Background(), spec, experiment.Options{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
+	samples, _ := runCampaign(t, spec, workers)
 	return samplesManifestBytes(t, spec, samples)
 }
 

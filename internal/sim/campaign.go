@@ -326,8 +326,8 @@ func (s CampaignSpec) runnerDim() []RunnerKind {
 }
 
 // Normalized returns the spec with every empty dimension replaced by
-// its default — the form Jobs and RunCampaign actually execute, and the
-// one to echo into artifact labels and manifests.
+// its default — the form Jobs and RunCampaignStream actually execute,
+// and the one to echo into artifact labels and manifests.
 func (s CampaignSpec) Normalized() CampaignSpec {
 	s.normalize()
 	return s
@@ -672,7 +672,10 @@ func SampleOf(j TrialJob, res TrialResult) experiment.Sample {
 // Workers field when unset; the sink sees a bit-identical stream for any
 // worker count. A sink error aborts the campaign.
 func RunCampaignStream(ctx context.Context, spec CampaignSpec, opts experiment.Options, sink func(TrialJob, experiment.Sample) error) error {
-	return RunCampaignSubset(ctx, spec, opts, nil, sink)
+	if opts.Workers != 0 {
+		spec.Workers = opts.Workers
+	}
+	return RunCampaignSubset(ctx, spec, nil, sink)
 }
 
 // RunCampaignSubset is RunCampaignStream restricted to the jobs keep
@@ -681,7 +684,8 @@ func RunCampaignStream(ctx context.Context, spec CampaignSpec, opts experiment.O
 // job-index order, so a subset campaign is bit-identical to the
 // corresponding slice of the full stream — the property a run over
 // stored cells relies on when it computes only the missing ones, and
-// the spec's cell range relies on for cross-process sharding.
+// the spec's cell range relies on for cross-process sharding. The
+// pool has spec.Workers goroutines.
 //
 // Each worker goroutine runs its trials inside a pooled TrialArena
 // (unless spec.FreshBuild), taken from the process-lived free list and
@@ -689,15 +693,13 @@ func RunCampaignStream(ctx context.Context, spec CampaignSpec, opts experiment.O
 // consecutive campaigns — reuse the previous trial's memory instead of
 // rebuilding the world; the differential tests pin that pooling never
 // changes a byte of output.
-func RunCampaignSubset(ctx context.Context, spec CampaignSpec, opts experiment.Options, keep func(TrialJob) bool, sink func(TrialJob, experiment.Sample) error) error {
+func RunCampaignSubset(ctx context.Context, spec CampaignSpec, keep func(TrialJob) bool, sink func(TrialJob, experiment.Sample) error) error {
 	spec.normalize()
 	if err := spec.Validate(); err != nil {
 		return err
 	}
 	jobs := spec.JobSpace()
-	if opts.Workers == 0 {
-		opts.Workers = spec.Workers
-	}
+	opts := experiment.Options{Workers: spec.Workers}
 	// The executed jobs are lo+index(i) for i in [0, total).
 	lo, hi := spec.jobRange(jobs.Len())
 	index := func(i int) int { return i }
@@ -739,39 +741,4 @@ func RunCampaignSubset(ctx context.Context, spec CampaignSpec, opts experiment.O
 			return SampleOf(j, res), nil
 		},
 		func(i int, s experiment.Sample) error { return sink(jobs.At(index(i)), s) })
-}
-
-// RunCampaign executes the spec and aggregates online: every trial's
-// sample streams into per-(group, N) Welford accumulators, so memory is
-// O(groups) no matter the replicate count — a million-trial campaign
-// holds neither its TrialResults nor its Samples. The returned points are
-// sorted like experiment.Aggregate's and bit-identical for any worker
-// count. Callers needing the raw per-trial stream use RunCampaignStream
-// (or RunCampaignSamples to collect it).
-func RunCampaign(ctx context.Context, spec CampaignSpec, opts experiment.Options) ([]experiment.Point, error) {
-	acc := experiment.NewAccumulator()
-	err := RunCampaignStream(ctx, spec, opts, func(_ TrialJob, s experiment.Sample) error {
-		acc.Add(s)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return acc.Points(), nil
-}
-
-// RunCampaignSamples collects the campaign's per-trial samples in job
-// order. Memory is O(trials); prefer RunCampaign unless the individual
-// replicates are needed (exact-median aggregation, differential tests,
-// custom statistics).
-func RunCampaignSamples(ctx context.Context, spec CampaignSpec, opts experiment.Options) ([]experiment.Sample, error) {
-	samples := make([]experiment.Sample, 0, spec.NumJobs())
-	err := RunCampaignStream(ctx, spec, opts, func(_ TrialJob, s experiment.Sample) error {
-		samples = append(samples, s)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return samples, nil
 }

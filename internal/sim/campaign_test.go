@@ -151,6 +151,25 @@ func TestCampaignJobsExpansion(t *testing.T) {
 	}
 }
 
+// runCampaign runs spec on workers through RunCampaignStream and
+// returns its samples in job order and their streamed (Accumulator)
+// points, failing the test on error.
+func runCampaign(t testing.TB, spec CampaignSpec, workers int) ([]experiment.Sample, []experiment.Point) {
+	t.Helper()
+	var samples []experiment.Sample
+	acc := experiment.NewAccumulator()
+	err := RunCampaignStream(context.Background(), spec, experiment.Options{Workers: workers},
+		func(_ TrialJob, s experiment.Sample) error {
+			samples = append(samples, s)
+			acc.Add(s)
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return samples, acc.Points()
+}
+
 func TestRunCampaignAggregates(t *testing.T) {
 	spec := CampaignSpec{
 		Schemes:    []SchemeKind{SR, AR},
@@ -159,10 +178,7 @@ func TestRunCampaignAggregates(t *testing.T) {
 		Replicates: 4,
 		BaseSeed:   99,
 	}
-	samples, err := RunCampaignSamples(context.Background(), spec, experiment.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	samples, streamed := runCampaign(t, spec, 4)
 	if len(samples) != 2*2*4 {
 		t.Fatalf("samples = %d", len(samples))
 	}
@@ -187,20 +203,13 @@ func TestRunCampaignAggregates(t *testing.T) {
 	}
 
 	// Worker-count invariance holds across the whole campaign too.
-	again, err := RunCampaignSamples(context.Background(), spec, experiment.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	again, streamedSeq := runCampaign(t, spec, 1)
 	if !reflect.DeepEqual(samples, again) {
 		t.Error("campaign results depend on worker count")
 	}
 
 	// The streaming aggregation path agrees with the batch reference on
 	// every exact field and is itself worker-invariant.
-	streamed, err := RunCampaign(context.Background(), spec, experiment.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(streamed) != len(pts) {
 		t.Fatalf("streamed points = %d, want %d", len(streamed), len(pts))
 	}
@@ -218,10 +227,6 @@ func TestRunCampaignAggregates(t *testing.T) {
 				t.Errorf("%s/%g %s: mean %v vs %v", b.Group, b.X, name, bd.Mean, sd.Mean)
 			}
 		}
-	}
-	streamedSeq, err := RunCampaign(context.Background(), spec, experiment.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(streamed, streamedSeq) {
 		t.Error("streaming aggregation depends on worker count")
@@ -431,20 +436,14 @@ func TestShardRangeIsSliceOfFullCampaign(t *testing.T) {
 		Replicates: 5,
 		BaseSeed:   77,
 	}
-	full, err := RunCampaignSamples(context.Background(), spec, experiment.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	full, _ := runCampaign(t, spec, 2)
 	// 4 cells of 5 jobs: cell c is jobs [5c, 5c+5), so the shards below
 	// tile the full run's sample stream in order.
 	var stitched []experiment.Sample
 	for _, sh := range []struct{ first, count int }{{0, 1}, {1, 2}, {3, 1}} {
 		s := spec
 		s.CellFirst, s.CellCount = sh.first, sh.count
-		part, err := RunCampaignSamples(context.Background(), s, experiment.Options{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		part, _ := runCampaign(t, s, 2)
 		if len(part) != sh.count*spec.Replicates {
 			t.Fatalf("cells [%d, +%d) produced %d samples, want %d", sh.first, sh.count, len(part), sh.count*spec.Replicates)
 		}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"testing"
 
 	"wsncover/internal/experiment"
@@ -14,10 +13,7 @@ import (
 func manifestBytes(t *testing.T, spec CampaignSpec, legacy bool, workers int) []byte {
 	t.Helper()
 	spec.legacyDetect = legacy
-	samples, err := RunCampaignSamples(context.Background(), spec, experiment.Options{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
+	samples, _ := runCampaign(t, spec, workers)
 	points := experiment.Aggregate(samples)
 	// The worker count is execution metadata, not a result; pin it so the
 	// byte comparison covers results only.

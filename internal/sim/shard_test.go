@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -78,11 +77,7 @@ func TestShardRangeTilesCells(t *testing.T) {
 	if cells != 12 {
 		t.Fatalf("NumCells = %d, want 12", cells)
 	}
-	opts := experiment.Options{Workers: 2}
-	full, err := RunCampaign(context.Background(), spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, full := runCampaign(t, spec, 2)
 	want := make(map[string]experiment.Point, len(full))
 	for _, p := range full {
 		want[fmt.Sprintf("%s N=%g", p.Group, p.X)] = p
@@ -95,10 +90,7 @@ func TestShardRangeTilesCells(t *testing.T) {
 				t.Errorf("n=%d: shard %d covers [%d, +%d), want to start at %d", n, i+1, sh.CellFirst, sh.CellCount, next)
 			}
 			next = sh.CellFirst + sh.CellCount
-			points, err := RunCampaign(context.Background(), sh, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, points := runCampaign(t, sh, 2)
 			if len(points) != sh.CellCount {
 				t.Errorf("n=%d: shard %d has %d points for %d cells", n, i+1, len(points), sh.CellCount)
 			}
@@ -226,10 +218,7 @@ func TestCellSpecRunsAloneExactly(t *testing.T) {
 		{Schemes: []SchemeKind{SR}, Grids: grid, Spares: []int{6, 20}, ClaimTTLs: []int{0, 3}},
 	} {
 		spec.Replicates, spec.BaseSeed = 3, 41
-		full, err := RunCampaign(context.Background(), spec, experiment.Options{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, full := runCampaign(t, spec, 2)
 		byCell := make(map[string][]byte, len(full))
 		for _, p := range full {
 			byCell[fmt.Sprintf("%s N=%g", p.Group, p.X)] = mustMarshal(t, p)
@@ -244,10 +233,7 @@ func TestCellSpecRunsAloneExactly(t *testing.T) {
 			if n := one.NumCells(); n != 1 {
 				t.Fatalf("%s N=%d: one-cell spec has %d cells", j.Group(), j.Spares, n)
 			}
-			alone, err := RunCampaign(context.Background(), one, experiment.Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, alone := runCampaign(t, one, 1)
 			key := fmt.Sprintf("%s N=%d", j.Group(), j.Spares)
 			if len(alone) != 1 || !bytes.Equal(mustMarshal(t, alone[0]), byCell[key]) {
 				t.Errorf("%s: the one-cell campaign's point differs from the full campaign's", key)

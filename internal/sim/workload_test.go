@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -21,10 +20,7 @@ import (
 // covers results only.
 func assemblyManifestBytes(t *testing.T, spec CampaignSpec, workers int) []byte {
 	t.Helper()
-	samples, err := RunCampaignSamples(context.Background(), spec, experiment.Options{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
+	samples, _ := runCampaign(t, spec, workers)
 	points := experiment.Aggregate(samples)
 	m, err := experiment.NewManifest("diff", spec, len(samples), 0, points)
 	if err != nil {
@@ -80,10 +76,7 @@ func TestLegacySpecBitIdenticalThroughWorkloadPath(t *testing.T) {
 // spec as executed (streaming accumulator, the cmd/sweep path).
 func campaignManifestBytes(t *testing.T, spec CampaignSpec, workers int) []byte {
 	t.Helper()
-	points, err := RunCampaign(context.Background(), spec, experiment.Options{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, points := runCampaign(t, spec, workers)
 	m, err := experiment.NewManifest("det", spec, spec.NumJobs(), 0, points)
 	if err != nil {
 		t.Fatal(err)

@@ -457,3 +457,40 @@ func TestCellStoreConcurrentCampaigns(t *testing.T) {
 		}
 	}
 }
+
+// TestLedgerRecordsGroupSpans: a completed campaign's ledger record
+// carries group_s, naming each group the run executed and no other. A
+// campaign widened by a scheme over stored cells executes, and so
+// spans, only the new scheme's group.
+func TestLedgerRecordsGroupSpans(t *testing.T) {
+	d, store := newTestDaemon(t, Options{})
+	wide := multiCellSpec()
+	base := wide
+	base.Schemes = []sim.SchemeKind{sim.SR}
+	submitCounted(t, d, base, "base")
+	submitCounted(t, d, wide, "wide")
+	recs, err := telemetry.ReadLedger(store.LedgerPath())
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("ledger = %+v, %v; want two records", recs, err)
+	}
+	groups := func(spec sim.CampaignSpec) map[string]bool {
+		out := make(map[string]bool)
+		spec.Normalized().ExecutedJobs(nil, func(j sim.TrialJob) { out[j.Group()] = true })
+		return out
+	}
+	added := groups(wide)
+	for g := range groups(base) {
+		delete(added, g)
+	}
+	for i, want := range []map[string]bool{groups(base), added} {
+		got := recs[i].GroupSeconds
+		if len(got) != len(want) || len(want) != 1 {
+			t.Errorf("record %s spans %v, want exactly the executed groups %v", recs[i].Name, got, want)
+		}
+		for g, s := range got {
+			if !want[g] || s < 0 {
+				t.Errorf("record %s spans group %q for %vs; want only executed groups %v", recs[i].Name, g, s, want)
+			}
+		}
+	}
+}

@@ -12,37 +12,37 @@ import (
 // byte-identical to what the CLI writes for the same submission, and
 // installs the manifest in the store. Cells the store already holds and
 // verifies are not computed again; every cell this run completes is
-// stored the moment it completes. It returns the stored manifest path,
-// the manifest's point count, and how many trials this run executed
-// (for the ledger; a run is not credited with the cells it reused).
-// Progress snapshots publish on the campaign's hub. Cancellation
-// (drain) surfaces as context.Canceled; the cells completed by then
-// are stored, so the next submission of the same spec computes only the
-// rest.
-func (d *Daemon) execute(c *Campaign) (path string, points, ran int, err error) {
+// stored the moment it completes. It returns the run's part of the
+// ledger record: the stored manifest path and its point count, the
+// trials this run executed as Jobs (a run is not credited with the
+// cells it reused), and the run's group spans. Progress snapshots
+// publish on the campaign's hub. Cancellation (drain) surfaces as
+// context.Canceled; the cells completed by then are stored, so the next
+// submission of the same spec computes only the rest.
+func (d *Daemon) execute(c *Campaign) (telemetry.Record, error) {
 	run, err := dispatch.PlanLocal(c.Spec, c.Name, d.store.cells)
 	if err != nil {
-		return "", 0, 0, err
+		return telemetry.Record{}, err
 	}
 	if run.Reused > 0 {
 		d.log.Info("reusing stored cells", "cells", run.Reused, "of", run.Cells)
 	}
-	pub := telemetry.NewPublisher(c.hub)
-	run.OnProgress = func(s dispatch.FleetSnapshot) { dispatch.PublishFleet(pub, s) }
+	run.OnProgress = c.hub.Publish
 	m, ran, err := run.Run(d.ctx, func(_ sim.TrialJob, ran int) error {
 		if testTrialHook != nil {
 			testTrialHook(c, ran)
 		}
 		return nil
 	})
+	rec := telemetry.Record{Jobs: ran, GroupSeconds: run.GroupSeconds}
 	if err != nil {
-		return "", 0, ran, err
+		return rec, err
 	}
-	stored, err := d.store.Install(c.SpecHash, m)
-	if err != nil {
-		return "", 0, ran, err
+	if rec.Manifest, err = d.store.Install(c.SpecHash, m); err != nil {
+		return rec, err
 	}
-	return stored, len(m.Points), ran, nil
+	rec.Points = len(m.Points)
+	return rec, nil
 }
 
 // testTrialHook, when non-nil, observes every completed trial of a

@@ -361,7 +361,7 @@ func (d *Daemon) runnerLoop() {
 	defer d.wg.Done()
 	for c := range d.queue {
 		if d.ctx.Err() != nil {
-			d.finish(c, StatusAborted, "", 0, 0, fmt.Errorf("queued campaign aborted by drain"))
+			d.finish(c, StatusAborted, telemetry.Record{}, fmt.Errorf("queued campaign aborted by drain"))
 			continue
 		}
 		d.mu.Lock()
@@ -369,14 +369,14 @@ func (d *Daemon) runnerLoop() {
 		c.Started = time.Now().UTC()
 		d.mu.Unlock()
 		d.log.Info("campaign started", "id", c.ID, "name", c.Name, "spec_hash", c.SpecHash)
-		path, points, ran, err := d.execute(c)
+		rec, err := d.execute(c)
 		switch {
 		case err == nil:
-			d.finish(c, StatusCompleted, path, points, ran, nil)
+			d.finish(c, StatusCompleted, rec, nil)
 		case errors.Is(err, context.Canceled):
-			d.finish(c, StatusAborted, "", 0, ran, err)
+			d.finish(c, StatusAborted, rec, err)
 		default:
-			d.finish(c, StatusFailed, "", 0, ran, err)
+			d.finish(c, StatusFailed, rec, err)
 		}
 	}
 }
@@ -384,16 +384,16 @@ func (d *Daemon) runnerLoop() {
 // finish moves a campaign to its terminal status, releases its
 // in-flight slot, closes its hub and done channel, and appends the
 // ledger record. The ledger gets every outcome — completed, failed,
-// aborted — so the store's run history shows unhealthy runs too;
-// points is the completed manifest's point count, and ran the trial
-// count this run actually executed (a run is not credited with the
-// stored cells it reused, an aborted one records its partial progress
-// honestly).
-func (d *Daemon) finish(c *Campaign, status, manifestPath string, points, ran int, runErr error) {
+// aborted — so the store's run history shows unhealthy runs too. rec
+// is the run's part of the record (execute's): the manifest and its
+// points, the trials this run executed as Jobs (a run is not credited
+// with the stored cells it reused, an aborted one records its partial
+// progress honestly) and the group spans; finish stamps the rest.
+func (d *Daemon) finish(c *Campaign, status string, rec telemetry.Record, runErr error) {
 	finished := time.Now().UTC()
 	d.mu.Lock()
-	if manifestPath == "" {
-		manifestPath = c.ManifestPath
+	if rec.Manifest == "" {
+		rec.Manifest = c.ManifestPath
 	}
 	d.mu.Unlock()
 	// The record is appended before the terminal status is published, so
@@ -403,23 +403,14 @@ func (d *Daemon) finish(c *Campaign, status, manifestPath string, points, ran in
 	if !c.Started.IsZero() {
 		wall = finished.Sub(c.Started).Seconds()
 	}
-	rec := telemetry.Record{
-		Time:     finished,
-		Name:     c.Name,
-		Mode:     "sweepd",
-		Status:   status,
-		SpecHash: c.SpecHash,
-		Manifest: manifestPath,
-		Jobs:     ran,
-		Workers:  c.Spec.Workers,
-		WallS:    wall,
-	}
+	ran := rec.Jobs
+	rec.Time, rec.Name, rec.Mode, rec.Status = finished, c.Name, "sweepd", status
+	rec.SpecHash, rec.Workers, rec.WallS = c.SpecHash, c.Spec.Workers, wall
 	if status == StatusCompleted {
 		// Like cmd/sweep: a completed manifest accounts for the whole
 		// campaign, reused cells included; the rate credits only the
 		// trials this run executed.
 		rec.Jobs = c.Spec.NumJobs()
-		rec.Points = points
 	}
 	if wall > 0 && ran > 0 {
 		rec.TrialsPerS = float64(ran) / wall
@@ -431,7 +422,7 @@ func (d *Daemon) finish(c *Campaign, status, manifestPath string, points, ran in
 	d.mu.Lock()
 	c.Status = status
 	c.Finished = finished
-	c.ManifestPath = manifestPath
+	c.ManifestPath = rec.Manifest
 	if runErr != nil {
 		c.Err = runErr.Error()
 	}
@@ -445,7 +436,7 @@ func (d *Daemon) finish(c *Campaign, status, manifestPath string, points, ran in
 
 	switch status {
 	case StatusCompleted:
-		d.log.Info("campaign completed", "id", c.ID, "name", c.Name, "manifest", manifestPath, "wall_s", wall)
+		d.log.Info("campaign completed", "id", c.ID, "name", c.Name, "manifest", rec.Manifest, "wall_s", wall)
 	default:
 		d.log.Warn("campaign ended unhealthy", "id", c.ID, "name", c.Name, "status", status, "err", c.Err)
 	}

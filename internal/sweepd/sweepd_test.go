@@ -369,7 +369,7 @@ func TestServiceEndToEnd(t *testing.T) {
 		t.Fatal("event stream delivered no frames")
 	}
 	last := frames[len(frames)-1]
-	if !last.Final || last.Fleet.Done != last.Fleet.Total || last.Fleet.Total != spec.NumJobs() {
+	if !last.Final || last.Progress.Done != last.Progress.Total || last.Progress.Total != spec.NumJobs() {
 		t.Fatalf("last frame = %+v, want final with done == total == %d", last, spec.NumJobs())
 	}
 
@@ -600,9 +600,9 @@ func TestDrainAbortsAndResumes(t *testing.T) {
 	if err := json.Unmarshal(lines[len(lines)-1], &lastSnap); err != nil {
 		t.Fatalf("last event frame %q: %v", lines[len(lines)-1], err)
 	}
-	if want := spec.NumJobs() - 8; lastSnap.Fleet.Total != want {
+	if want := spec.NumJobs() - 8; lastSnap.Progress.Total != want {
 		t.Errorf("resumed run's total = %d, want %d (stored cells skipped)",
-			lastSnap.Fleet.Total, want)
+			lastSnap.Progress.Total, want)
 	}
 
 	stored, err := os.ReadFile(finished.Manifest)

@@ -19,8 +19,8 @@ const (
 )
 
 // Record is one campaign run in the ledger — the append-only NDJSON
-// run-history file cmd/sweep writes when a run ends (successfully or
-// not) and cmd/runlog queries. One line, one run; the spec is keyed by
+// run-history file cmd/sweep and sweepd write when a run ends
+// (successfully or not) and cmd/runlog queries. One line, one run; the spec is keyed by
 // content hash so identical campaigns are recognizable across runs,
 // names, and machines (determinism makes the hash a result key too).
 type Record struct {
@@ -58,8 +58,10 @@ type Record struct {
 	WallS      float64 `json:"wall_s"`
 	CPUS       float64 `json:"cpu_s,omitempty"`
 	TrialsPerS float64 `json:"trials_per_s,omitempty"`
-	// GroupSeconds is each group's active wall span (first to last
-	// completed trial).
+	// GroupSeconds is each executed group's wall span, from its first
+	// completed trial to its last, as the run timed it
+	// (dispatch.LocalRun.GroupSeconds); a run that ended early spans
+	// the trials it ran.
 	GroupSeconds map[string]float64 `json:"group_s,omitempty"`
 }
 

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"wsncover/internal/experiment"
 )
 
 func startTestServer(t *testing.T, pprof bool) (*Server, *Hub, string) {
@@ -102,7 +100,7 @@ func readSSEEvent(t *testing.T, r *bufio.Reader) Snapshot {
 
 func TestServerEventsSSE(t *testing.T) {
 	srv, hub, base := startTestServer(t, false)
-	hub.Publish(Snapshot{Fleet: experiment.Progress{Done: 1, Total: 8}})
+	hub.Publish(Snapshot{Progress: Progress{Done: 1, Total: 8}})
 
 	resp, err := http.Get(base + "/events")
 	if err != nil {
@@ -114,11 +112,11 @@ func TestServerEventsSSE(t *testing.T) {
 	}
 	r := bufio.NewReader(resp.Body)
 	// The pre-subscribe publication replays immediately.
-	if s := readSSEEvent(t, r); s.Fleet.Done != 1 {
+	if s := readSSEEvent(t, r); s.Progress.Done != 1 {
 		t.Errorf("replayed event = %+v", s)
 	}
-	hub.Publish(Snapshot{Fleet: experiment.Progress{Done: 8, Total: 8}, Final: true})
-	if s := readSSEEvent(t, r); !s.Final || s.Fleet.Done != 8 {
+	hub.Publish(Snapshot{Progress: Progress{Done: 8, Total: 8}, Final: true})
+	if s := readSSEEvent(t, r); !s.Final || s.Progress.Done != 8 {
 		t.Errorf("live event = %+v", s)
 	}
 	// Closing the server ends the stream after draining.
@@ -142,7 +140,7 @@ func TestServerEventsSSE(t *testing.T) {
 
 func TestServerEventsNDJSON(t *testing.T) {
 	_, hub, base := startTestServer(t, false)
-	hub.Publish(Snapshot{Fleet: experiment.Progress{Done: 3, Total: 9}})
+	hub.Publish(Snapshot{Progress: Progress{Done: 3, Total: 9}})
 	resp, err := http.Get(base + "/events?format=ndjson")
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +157,7 @@ func TestServerEventsNDJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(line), &s); err != nil {
 		t.Fatalf("bad NDJSON line %q: %v", line, err)
 	}
-	if s.Fleet.Done != 3 || s.Fleet.Total != 9 {
+	if s.Progress.Done != 3 || s.Progress.Total != 9 {
 		t.Errorf("event = %+v", s)
 	}
 }
@@ -173,7 +171,7 @@ func TestServerCloseWithoutStart(t *testing.T) {
 
 func ExampleSnapshot_marshaling() {
 	b, _ := json.Marshal(Snapshot{
-		Fleet:      experiment.Progress{Done: 2, Total: 4, Group: "SR", GroupDone: 2},
+		Progress:   Progress{Done: 2, Total: 4, Group: "SR", GroupDone: 2},
 		ElapsedS:   1,
 		TrialsPerS: 2,
 		ETAS:       1,
