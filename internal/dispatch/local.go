@@ -287,18 +287,11 @@ func (p *LocalProgress) emit(now time.Time, final bool) {
 	s := telemetry.Snapshot{
 		Progress: telemetry.Progress{Done: p.done, Total: p.total},
 		Groups:   append([]telemetry.GroupView(nil), p.groups...),
-		ElapsedS: now.Sub(p.start).Seconds(),
-		ETAS:     -1,
 		Final:    final,
 	}
 	if p.cur >= 0 && !final {
 		s.Progress.Group, s.Progress.GroupDone = p.groups[p.cur].Group, p.groups[p.cur].Done
 	}
-	if s.ElapsedS > 0 {
-		s.TrialsPerS = float64(p.done) / s.ElapsedS
-	}
-	if s.TrialsPerS > 0 && p.total > p.done {
-		s.ETAS = float64(p.total-p.done) / s.TrialsPerS
-	}
+	s.Stamp(now.Sub(p.start))
 	p.on(s)
 }

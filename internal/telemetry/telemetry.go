@@ -7,8 +7,8 @@
 // construction every command shares (log.go).
 //
 // The package only observes: dispatch.LocalProgress builds each
-// Snapshot, stamped with elapsed, rate and ETA, from a run's ordered
-// trial stream, and the hub renders the group heatmap and publishes it
+// Snapshot from a run's ordered trial stream and stamps it with
+// elapsed, rate and ETA (Snapshot.Stamp) off its own clock, and the hub renders the group heatmap and publishes it
 // as it is. Telemetry never touches trial execution, so a campaign run
 // with a dashboard attached writes a byte-identical manifest to one run
 // dark — the differential tests in cmd/sweep pin that. Snapshots arrive
@@ -19,6 +19,7 @@ package telemetry
 import (
 	"encoding/json"
 	"sync"
+	"time"
 
 	"wsncover/internal/visual"
 )
@@ -47,6 +48,19 @@ type Snapshot struct {
 	Heatmap string `json:"heatmap,omitempty"`
 	// Final marks the run's last snapshot.
 	Final bool `json:"final,omitempty"`
+}
+
+// Stamp sets ElapsedS to elapsed and derives TrialsPerS and ETAS from
+// Progress: the rate is 0 until time has passed, and the ETA is -1
+// (unknown) with no rate yet or nothing left to do.
+func (s *Snapshot) Stamp(elapsed time.Duration) {
+	s.ElapsedS, s.TrialsPerS, s.ETAS = elapsed.Seconds(), 0, -1
+	if s.ElapsedS > 0 {
+		s.TrialsPerS = float64(s.Progress.Done) / s.ElapsedS
+	}
+	if s.TrialsPerS > 0 && s.Progress.Total > s.Progress.Done {
+		s.ETAS = float64(s.Progress.Total-s.Progress.Done) / s.TrialsPerS
+	}
 }
 
 // Progress is how many trials of a run are done out of how many it

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
 func drain(sub *Subscriber) []Snapshot {
@@ -106,6 +107,60 @@ func TestHubCloseDrainsBufferedEvents(t *testing.T) {
 		t.Error("post-close subscriber should be closed")
 	}
 	hub.Close() // idempotent
+}
+
+// TestPublisherStamps: a snapshot stamped before it is published
+// reaches subscribers with its elapsed time, the rate so far and the
+// ETA; a completed run's ETA is negative (none left).
+func TestPublisherStamps(t *testing.T) {
+	hub := NewHub()
+	sub := hub.Subscribe()
+	publish := func(p Progress, elapsed time.Duration, final bool) {
+		s := Snapshot{Progress: p, Final: final}
+		s.Stamp(elapsed)
+		hub.Publish(s)
+	}
+	publish(Progress{Done: 10, Total: 40}, 2*time.Second, false)
+	publish(Progress{Done: 11, Total: 40}, 2001*time.Millisecond, false)
+	publish(Progress{Done: 40, Total: 40}, 2001*time.Millisecond, true)
+
+	got := drain(sub)
+	if len(got) != 3 {
+		t.Fatalf("got %d snapshots, want 3", len(got))
+	}
+	first := got[0]
+	if first.ElapsedS != 2 {
+		t.Errorf("elapsed = %v, want 2", first.ElapsedS)
+	}
+	if first.TrialsPerS != 5 {
+		t.Errorf("rate = %v, want 5", first.TrialsPerS)
+	}
+	if first.ETAS != 6 { // 30 remaining / 5 per second
+		t.Errorf("eta = %v, want 6", first.ETAS)
+	}
+	final := got[2]
+	if !final.Final {
+		t.Error("final snapshot unmarked")
+	}
+	if final.ETAS >= 0 {
+		t.Errorf("completed run eta = %v, want negative (unknown/none)", final.ETAS)
+	}
+}
+
+func TestPublisherZeroElapsedNoDivideByZero(t *testing.T) {
+	hub := NewHub()
+	sub := hub.Subscribe()
+	// Zero elapsed, zero done: rate 0, ETA unknown.
+	s := Snapshot{Progress: Progress{Done: 0, Total: 0}, TrialsPerS: 7, ETAS: 7}
+	s.Stamp(0)
+	hub.Publish(s)
+	got := drain(sub)
+	if len(got) != 1 {
+		t.Fatal("want one snapshot")
+	}
+	if got[0].TrialsPerS != 0 || got[0].ETAS != -1 {
+		t.Errorf("zero-state snapshot = %+v, want rate 0 and eta -1", got[0])
+	}
 }
 
 // TestProgressGroupDone pins the dashboard payload's per-group field:
