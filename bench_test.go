@@ -389,9 +389,11 @@ func BenchmarkCampaign16Cells(b *testing.B) {
 // BenchmarkLocalRunCheckpoint runs the service-mix base campaign (32
 // cells, 512 16x16 trials, workers 1) through dispatch.PlanLocal without
 // a cell store and with one, so the cost of storing every cell as it
-// completes is the difference between the two rows. Every stored run
-// starts on an empty store, so it computes every cell, as a cold sweepd
-// campaign does.
+// completes is the difference between the first two rows. Every "store"
+// run starts on an empty store, so it computes every cell, as a cold
+// sweepd campaign does. The "reused" row stores every cell before the
+// timer starts, so each run computes nothing: it times addressing,
+// looking up and verifying 32 stored cells, and the manifest.
 func BenchmarkLocalRunCheckpoint(b *testing.B) {
 	spec := sim.CampaignSpec{
 		Schemes:    []sim.SchemeKind{sim.SR, sim.AR},
@@ -403,25 +405,34 @@ func BenchmarkLocalRunCheckpoint(b *testing.B) {
 		BaseSeed:   1000,
 		Workers:    1,
 	}.Normalized()
-	for _, stored := range []bool{false, true} {
-		name := "none"
-		if stored {
-			name = "store"
+	run := func(b *testing.B, store *dispatch.CellStore) *dispatch.LocalRun {
+		r, err := dispatch.PlanLocal(spec, "camp", store)
+		if err != nil {
+			b.Fatal(err)
 		}
+		if _, _, err := r.Run(context.Background(), nil); err != nil {
+			b.Fatal(err)
+		}
+		return r
+	}
+	for _, name := range []string{"none", "store", "reused"} {
 		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
 			dir := b.TempDir()
+			if name == "reused" {
+				run(b, dispatch.OpenCellStore(dir))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var store *dispatch.CellStore
-				if stored {
+				switch name {
+				case "store":
 					store = dispatch.OpenCellStore(filepath.Join(dir, strconv.Itoa(i)))
+				case "reused":
+					store = dispatch.OpenCellStore(dir)
 				}
-				r, err := dispatch.PlanLocal(spec, "camp", store)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := r.Run(context.Background(), nil); err != nil {
-					b.Fatal(err)
+				if r := run(b, store); name == "reused" && r.Executed != 0 {
+					b.Fatalf("reused run executes %d trials, want none", r.Executed)
 				}
 			}
 		})

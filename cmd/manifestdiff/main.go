@@ -1,15 +1,16 @@
 // Command manifestdiff compares two campaign manifests, so CI and
-// operators can assert that a sharded (or dispatched) campaign
-// reproduced an unsharded reference:
+// operators can assert that a campaign assembled from stored cells (a
+// resumed run, or -shard runs over one cell store) reproduced an
+// unsharded reference:
 //
 //	manifestdiff a.json b.json
 //
 // Structural fields — name, job counts, point identities, metric names,
 // and N, min, max — must match exactly. Mean, standard deviation, and
 // CI95 must agree within a relative tolerance (-tol, default 1e-9):
-// equal specs reproduce them bit for bit, shard merges included, so the
-// tolerance only forgives floating-point noise between manifests
-// computed differently, such as those of older builds. Medians are
+// equal specs reproduce them bit for bit, cells assembled from a store
+// included, so the tolerance only forgives floating-point noise between
+// manifests computed differently, such as those of older builds. Medians are
 // compared only when both sides are exact; a median marked
 // median_approx (the streaming P-squared estimate beyond five
 // replicates) is an estimate and is skipped. Execution metadata —

@@ -68,7 +68,8 @@ func OpenCellStore(root string) *CellStore {
 // serves the cell only when it holds one point at the cell's (group, X)
 // folded from trials trials.
 type cellAddr struct {
-	cell
+	group  string
+	x      float64
 	key    string
 	spec   json.RawMessage
 	trials int
@@ -76,7 +77,7 @@ type cellAddr struct {
 
 // addressCell addresses the cell of job j in spec.
 func addressCell(spec sim.CampaignSpec, j sim.TrialJob) (cellAddr, error) {
-	a := cellAddr{cell: cell{j.Group(), float64(j.Spares)}, trials: spec.Replicates}
+	a := cellAddr{group: j.Group(), x: float64(j.Spares), trials: spec.Replicates}
 	var err error
 	if a.spec, err = json.Marshal(spec.CellSpec(j)); err == nil {
 		a.key, err = telemetry.SpecHash(a.spec)
@@ -99,9 +100,9 @@ type lineAt struct {
 	n   int
 }
 
-// lookup returns the points the store serves for addrs, in addrs order;
-// a cell without a verified line has none.
-func (s *CellStore) lookup(addrs []cellAddr) []experiment.Point {
+// lookup returns one result per address, in addrs order: the point the
+// store serves for it, or nil for a cell without a verified line.
+func (s *CellStore) lookup(addrs []cellAddr) []*experiment.Point {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.indexLocked()
@@ -113,8 +114,8 @@ func (s *CellStore) lookup(addrs []cellAddr) []experiment.Point {
 			}
 		}
 	}()
-	var points []experiment.Point
-	for _, a := range addrs {
+	points := make([]*experiment.Point, len(addrs))
+	for k, a := range addrs {
 		lines := s.index[a.key]
 		for i := len(lines) - 1; i >= 0; i-- {
 			at := lines[i]
@@ -125,7 +126,7 @@ func (s *CellStore) lookup(addrs []cellAddr) []experiment.Point {
 				files[at.seg] = f
 			}
 			if p, err := readCell(f, at, a); err == nil {
-				points = append(points, p)
+				points[k] = p
 				break
 			}
 		}
@@ -183,13 +184,13 @@ func (s *CellStore) indexSegment(name string) {
 
 // readCell reads the line at `at` from f and returns its point if the
 // line verifies as a's.
-func readCell(f *os.File, at lineAt, a cellAddr) (experiment.Point, error) {
+func readCell(f *os.File, at lineAt, a cellAddr) (*experiment.Point, error) {
 	if f == nil {
-		return experiment.Point{}, fmt.Errorf("segment %s unreadable", at.seg)
+		return nil, fmt.Errorf("segment %s unreadable", at.seg)
 	}
 	line := make([]byte, at.n)
 	if _, err := f.ReadAt(line, at.off); err != nil {
-		return experiment.Point{}, err
+		return nil, err
 	}
 	return verifyCellLine(line, a)
 }
@@ -199,29 +200,29 @@ func readCell(f *os.File, at lineAt, a cellAddr) (experiment.Point, error) {
 // strictly (no unknown field, nothing after the object), whose spec
 // re-hashes to a.key, whose one point sits at a's (group, X), and whose
 // trials equal a.trials.
-func verifyCellLine(line []byte, a cellAddr) (experiment.Point, error) {
+func verifyCellLine(line []byte, a cellAddr) (*experiment.Point, error) {
 	body, ok := bytes.CutSuffix(line, []byte("\n"))
 	if !ok || bytes.IndexByte(body, '\n') >= 0 {
-		return experiment.Point{}, fmt.Errorf("not one whole line")
+		return nil, fmt.Errorf("not one whole line")
 	}
 	var l cellLine
 	if err := strictUnmarshal(body, &l); err != nil {
-		return experiment.Point{}, err
+		return nil, err
 	}
 	if l.Engine != sim.EngineVersion {
-		return experiment.Point{}, fmt.Errorf("cell line from engine %d, this is engine %d", l.Engine, sim.EngineVersion)
+		return nil, fmt.Errorf("cell line from engine %d, this is engine %d", l.Engine, sim.EngineVersion)
 	}
 	if len(l.Spec) == 0 || l.Point == nil {
-		return experiment.Point{}, fmt.Errorf("cell line lacks a spec or a point")
+		return nil, fmt.Errorf("cell line lacks a spec or a point")
 	}
 	if key, err := telemetry.SpecHash(l.Spec); err != nil || key != a.key {
-		return experiment.Point{}, fmt.Errorf("cell line's spec does not hash to %s", a.key)
+		return nil, fmt.Errorf("cell line's spec does not hash to %s", a.key)
 	}
 	if l.Point.Group != a.group || l.Point.X != a.x || l.Trials != a.trials {
-		return experiment.Point{}, fmt.Errorf("cell line holds %q N=%g over %d trials, want %q N=%g over %d",
+		return nil, fmt.Errorf("cell line holds %q N=%g over %d trials, want %q N=%g over %d",
 			l.Point.Group, l.Point.X, l.Trials, a.group, a.x, a.trials)
 	}
-	return *l.Point, nil
+	return l.Point, nil
 }
 
 // strictUnmarshal decodes exactly one JSON value with no unknown

@@ -152,6 +152,19 @@ func FuzzCellStore(f *testing.F) {
 	f.Add([]byte("not a cell line\n{}\n\n"), []byte{})
 	f.Add([]byte{}, []byte{})
 
+	// The address of each of spec's cells, by (group, X).
+	type cellKey struct {
+		group string
+		x     float64
+	}
+	addrs := make(map[cellKey]cellAddr)
+	spec.ExecutedCells(func(_ int, j sim.TrialJob) {
+		a, err := addressCell(spec, j)
+		if err != nil {
+			f.Fatal(err)
+		}
+		addrs[cellKey{a.group, a.x}] = a
+	})
 	pointJSON := func(t *testing.T, p experiment.Point) []byte {
 		b, err := json.Marshal(p)
 		if err != nil {
@@ -163,9 +176,9 @@ func FuzzCellStore(f *testing.F) {
 		root := writeSegments(t, map[string][]byte{"a.ndjson": a, "b.ndjson": b})
 		store := OpenCellStore(root)
 		r := plan(t, spec, store)
-		served := make(map[cell][]byte)
+		served := make(map[cellKey][]byte)
 		for _, p := range r.prior {
-			served[cell{p.Group, p.X}] = pointJSON(t, p)
+			served[cellKey{p.Group, p.X}] = pointJSON(t, p)
 		}
 		if len(served) != r.Reused || r.Executed != (r.Cells-r.Reused)*spec.Replicates {
 			t.Fatalf("%d cells served, %d reused, %d trials planned", len(served), r.Reused, r.Executed)
@@ -174,7 +187,7 @@ func FuzzCellStore(f *testing.F) {
 			verified := false
 			for _, seg := range [][]byte{a, b} {
 				for _, line := range bytes.SplitAfter(seg, []byte("\n")) {
-					if q, err := verifyCellLine(line, r.addr[k]); err == nil && bytes.Equal(pointJSON(t, q), p) {
+					if q, err := verifyCellLine(line, addrs[k]); err == nil && bytes.Equal(pointJSON(t, *q), p) {
 						verified = true
 					}
 				}
@@ -192,7 +205,7 @@ func FuzzCellStore(f *testing.F) {
 			t.Fatalf("run executed %d trials, planned %d", ran, r.Executed)
 		}
 		for i, p := range m.Points {
-			k := cell{p.Group, p.X}
+			k := cellKey{p.Group, p.X}
 			if s, ok := served[k]; ok && !bytes.Equal(pointJSON(t, p), s) {
 				t.Fatalf("manifest point %d is not the served one", i)
 			}

@@ -13,7 +13,7 @@ import (
 // LoadManifest reads a manifest and its spec with execution metadata
 // cleared — worker counts, fresh-build and cell-range fields change
 // wall clock or which process computes which cells, never results, so
-// comparisons and merges ignore them. The spec decodes through
+// comparisons ignore them. The spec decodes through
 // sim.UnmarshalSpecJSON, so a manifest that names its damage with the
 // older "failures" list compares equal to one that spells the same
 // workloads.
@@ -51,11 +51,12 @@ func parseManifest(data []byte) (experiment.Manifest, sim.CampaignSpec, error) {
 // Structural fields — name, job counts, point identities, metric names,
 // and N, min, max — must match exactly. Mean, standard deviation, and
 // CI95 must agree within the relative tolerance tol: equal specs
-// reproduce them bit for bit (a shard merge included), so tol only
-// forgives floating-point noise between manifests computed differently,
-// such as those of older builds. Medians are compared only when both
-// sides are exact; median_approx marks the streaming P-squared estimate
-// beyond five replicates, an estimate that is skipped.
+// reproduce them bit for bit (cells assembled from a store included),
+// so tol only forgives floating-point noise between manifests computed
+// differently, such as those of older builds. Medians are compared only
+// when both sides are exact; median_approx marks the streaming
+// P-squared estimate beyond five replicates, an estimate that is
+// skipped.
 //
 // cmd/manifestdiff is the command-line face of this comparison;
 // cmd/runlog diff applies it to the manifests of two ledger records.

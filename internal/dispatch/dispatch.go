@@ -3,8 +3,9 @@
 //
 // LocalRun is the one runner behind every run that computes trials:
 // cmd/sweep's plain and -shard runs, and sweepd's campaigns. CellStore
-// is the one place a computed cell is kept: a run looks up every cell
-// of its spec before it starts and appends each cell as it completes.
+// is the one place a computed cell is kept: a run visits every cell of
+// its spec once, looks it up before it starts, hands the missing cells'
+// indices to sim.RunCells, and appends each cell as it completes.
 // Resume, the cache and shard assembly are all that lookup. A killed
 // run is resumed by running it again over the same store. One campaign
 // spans many boxes when any launcher (xargs -P, an ssh loop, a batch

@@ -33,78 +33,61 @@ type LocalRun struct {
 	// trials executed has no entry.
 	GroupSeconds map[string]float64
 
-	spec      sim.CampaignSpec
-	name      string
-	store     *CellStore
-	now       func() time.Time
-	prior     []experiment.Point
-	priorJobs int
-	groups    []telemetry.GroupView // executed trials per group, in job order
-	done      map[cell]bool
-	addr      map[cell]cellAddr // store runs only
-}
-
-// cell identifies one aggregated campaign cell in a manifest.
-type cell struct {
-	group string
-	x     float64
+	spec   sim.CampaignSpec
+	name   string
+	store  *CellStore
+	now    func() time.Time
+	prior  []experiment.Point    // the stored cells' points, in cell order
+	cells  []int                 // the cells Run executes, ascending
+	addrs  []cellAddr            // their addresses (keys only in store runs)
+	groups []telemetry.GroupView // executed trials per group, in job order
 }
 
 // PlanLocal sizes the in-process run of spec (normalized, validated)
 // named name over store, which may be nil for a run that neither reuses
-// nor keeps cells.
+// nor keeps cells. It visits each cell under the spec's cell range
+// once, addresses it, and looks every address up in one pass: the
+// stored cells are the run's prior, the rest are the cells Run executes.
 func PlanLocal(spec sim.CampaignSpec, name string, store *CellStore) (*LocalRun, error) {
-	r := &LocalRun{spec: spec, name: name, store: store, now: time.Now, done: make(map[cell]bool)}
-	// One pass over the job space under the cell range: the cells in
-	// job order, each Replicates consecutive jobs opened by replicate 0,
-	// and their store addresses.
-	var cells []cell
+	r := &LocalRun{spec: spec, name: name, store: store, now: time.Now}
 	var addrs []cellAddr
 	var err error
-	spec.ExecutedJobs(nil, func(j sim.TrialJob) {
-		if j.Replicate != 0 {
-			return
-		}
-		cells = append(cells, cell{j.Group(), float64(j.Spares)})
+	spec.ExecutedCells(func(c int, j sim.TrialJob) {
+		a := cellAddr{group: j.Group(), x: float64(j.Spares)}
 		if store != nil && err == nil {
-			var a cellAddr
 			a, err = addressCell(spec, j)
-			addrs = append(addrs, a)
 		}
+		r.cells = append(r.cells, c)
+		addrs = append(addrs, a)
 	})
 	if err != nil {
 		return nil, err
 	}
-	r.Cells = len(cells)
+	r.Cells = len(r.cells)
+	stored := make([]*experiment.Point, len(addrs))
 	if store != nil {
-		r.addr = make(map[cell]cellAddr, len(addrs))
-		for _, a := range addrs {
-			r.addr[a.cell] = a
-		}
-		r.prior = store.lookup(addrs)
-		for _, p := range r.prior {
-			r.done[cell{p.Group, p.X}] = true
-		}
+		stored = store.lookup(addrs)
 	}
-	r.Reused = len(r.done)
-	// Every trial of a cell not yet done executes, so walking the cells
-	// in job order yields the groups in the order their first executed
-	// trial arrives.
-	index := make(map[string]int)
-	for _, k := range cells {
-		if r.done[k] {
-			r.priorJobs += spec.Replicates
+	// A group's cells are consecutive in cell order (spare counts vary
+	// fastest), and every trial of a cell not stored executes, so the
+	// walk yields the groups in the order their first executed trial
+	// arrives.
+	missing := r.cells[:0]
+	for i, a := range addrs {
+		if p := stored[i]; p != nil {
+			r.prior = append(r.prior, *p)
 			continue
 		}
-		r.Executed += spec.Replicates
-		i, ok := index[k.group]
-		if !ok {
-			i = len(r.groups)
-			index[k.group] = i
-			r.groups = append(r.groups, telemetry.GroupView{Group: k.group})
+		missing = append(missing, r.cells[i])
+		r.addrs = append(r.addrs, a)
+		if n := len(r.groups); n == 0 || r.groups[n-1].Group != a.group {
+			r.groups = append(r.groups, telemetry.GroupView{Group: a.group})
 		}
-		r.groups[i].Total += spec.Replicates
+		r.groups[len(r.groups)-1].Total += spec.Replicates
 	}
+	r.cells = missing
+	r.Reused = len(r.prior)
+	r.Executed = len(r.cells) * spec.Replicates
 	return r, nil
 }
 
@@ -119,10 +102,6 @@ func PlanLocal(spec sim.CampaignSpec, name string, store *CellStore) (*LocalRun,
 // store holds every cell completed so far, OnProgress still gets a
 // terminal snapshot, and GroupSeconds spans the trials that ran.
 func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) error) (*experiment.Manifest, int, error) {
-	var keep func(sim.TrialJob) bool
-	if len(r.done) > 0 {
-		keep = func(j sim.TrialJob) bool { return !r.done[cell{j.Group(), float64(j.Spares)}] }
-	}
 	// Trials stream into online per-(group, N) accumulators: campaign
 	// memory is O(cells), not O(trials).
 	acc := experiment.NewAccumulator()
@@ -130,16 +109,15 @@ func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) erro
 	prog.now = r.now
 	prog.Start()
 	ran := 0
-	err := sim.RunCampaignSubset(ctx, r.spec, keep,
+	err := sim.RunCells(ctx, r.spec, r.cells,
 		func(j sim.TrialJob, s experiment.Sample) error {
 			acc.Add(s)
 			ran++
 			// The executed stream is whole cells of Replicates
 			// consecutive trials, so every Replicates-th trial
-			// completes one.
+			// completes the next planned cell.
 			if r.store != nil && ran%r.spec.Replicates == 0 {
-				k := cell{s.Group, s.X}
-				if err := r.store.append(r.addr[k], acc.Point(k.group, k.x)); err != nil {
+				if err := r.store.append(r.addrs[ran/r.spec.Replicates-1], acc.Point(s.Group, s.X)); err != nil {
 					return err
 				}
 			}
@@ -154,14 +132,15 @@ func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) erro
 	if err != nil {
 		return nil, ran, err
 	}
-	m, err := experiment.NewManifest(r.name, r.spec, ran+r.priorJobs, r.spec.Workers, mergePoints(r.prior, acc.Points()))
+	jobs := ran + r.Reused*r.spec.Replicates
+	m, err := experiment.NewManifest(r.name, r.spec, jobs, r.spec.Workers, mergePoints(r.prior, acc.Points()))
 	return m, ran, err
 }
 
 // mergePoints combines stored points with fresh ones in the canonical
 // (group, X) order, so a manifest assembled over a store is
-// indistinguishable from a single-run one. The skip filter keeps the
-// two sets disjoint.
+// indistinguishable from a single-run one. PlanLocal keeps the two sets
+// disjoint: a cell is either stored or executed.
 func mergePoints(prior, fresh []experiment.Point) []experiment.Point {
 	if len(prior) == 0 {
 		return fresh // Accumulator.Points is already in canonical order

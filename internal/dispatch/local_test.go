@@ -282,8 +282,15 @@ func TestLocalRunGroupSpans(t *testing.T) {
 		at := func(k int) float64 { return float64(k * (k - 1) / 2) }
 		first, spans := map[string]int{}, map[string]float64{}
 		k := 0
-		spec.ExecutedJobs(func(j sim.TrialJob) bool { return !r.done[cell{j.Group(), float64(j.Spares)}] },
-			func(j sim.TrialJob) {
+		executed := make(map[int]bool)
+		for _, c := range r.cells {
+			executed[c] = true
+		}
+		spec.ExecutedCells(func(c int, j sim.TrialJob) {
+			if !executed[c] {
+				return
+			}
+			for range spec.Replicates {
 				if k++; k > n {
 					return
 				}
@@ -292,7 +299,8 @@ func TestLocalRunGroupSpans(t *testing.T) {
 					first[g] = k
 				}
 				spans[g] = at(k) - at(first[g])
-			})
+			}
+		})
 		return spans
 	}
 

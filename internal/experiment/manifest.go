@@ -11,8 +11,9 @@ import (
 
 // Manifest is the JSON artifact describing one aggregated campaign: the
 // spec that produced it (opaque to this package), the job accounting,
-// and every aggregated point. Map keys marshal sorted and points are
-// pre-sorted by Aggregate, so the serialized form is deterministic.
+// and every aggregated point. Map keys marshal sorted and points come
+// in the canonical (group, X) order of Aggregate, Accumulator.Points
+// and SortPoints, so the serialized form is deterministic.
 type Manifest struct {
 	// Name labels the campaign (used as the artifact base name).
 	Name string `json:"name"`

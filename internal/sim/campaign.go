@@ -123,10 +123,13 @@ func (s *CampaignSpec) normalize() {
 
 // Validate rejects specs the job space cannot execute: out-of-range
 // values, unknown or malformed workloads, a value listed twice in a
-// dimension, bad cell ranges, and the workload/scheme/runner pairings
-// the trial assembly would refuse.
-// RunCampaignStream validates automatically; CLIs call it early for
-// friendlier errors.
+// dimension, bad cell ranges, and any cell whose trials NewTrial would
+// refuse. Every cell's trial configuration is resolved the way a trial
+// resolves it (TrialConfig.normalize, then the workload's schedule), so
+// a per-trial range or a workload/scheme/runner pairing fails here,
+// naming the cell, and never part-way through a campaign.
+// RunCampaignStream and RunCells validate automatically; CLIs call it
+// early for friendlier errors.
 func (s CampaignSpec) Validate() error {
 	s.normalize()
 	if err := s.checkRanges(); err != nil {
@@ -137,7 +140,8 @@ func (s CampaignSpec) Validate() error {
 			return err
 		}
 	}
-	if err := s.checkCellIdentities(); err != nil {
+	js := s.JobSpace()
+	if err := s.checkCellIdentities(js); err != nil {
 		return err
 	}
 	if s.CellFirst < 0 || s.CellCount < 0 {
@@ -146,65 +150,27 @@ func (s CampaignSpec) Validate() error {
 	if s.CellCount == 0 && s.CellFirst != 0 {
 		return fmt.Errorf("sim: cell_first %d without cell_count", s.CellFirst)
 	}
-	if s.CellCount > 0 {
-		if cells := s.NumCells(); s.CellFirst+s.CellCount > cells {
-			return fmt.Errorf("sim: cell range [%d, %d) exceeds the campaign's %d cells",
-				s.CellFirst, s.CellFirst+s.CellCount, cells)
-		}
+	cells := js.total / s.Replicates
+	if s.CellCount > 0 && s.CellFirst+s.CellCount > cells {
+		return fmt.Errorf("sim: cell range [%d, %d) exceeds the campaign's %d cells",
+			s.CellFirst, s.CellFirst+s.CellCount, cells)
 	}
-	for _, r := range s.runnerDim() {
-		if r != RunSync && r != RunAsync {
-			return fmt.Errorf("sim: unknown runner %v", r)
+	for c := 0; c < cells; c++ {
+		j := js.At(c * s.Replicates)
+		cfg := j.config(s)
+		err := cfg.normalize()
+		if err == nil {
+			_, err = resolveSchedule(&cfg)
 		}
-		if r != RunAsync {
-			continue
-		}
-		for _, k := range s.Schemes {
-			if k != SR {
-				return fmt.Errorf("sim: the async runner supports the SR scheme only; "+
-					"scheme %v cannot share a campaign with runner async", k)
-			}
-		}
-	}
-	for _, ttl := range s.ClaimTTLs {
-		if ttl < 0 {
-			return fmt.Errorf("sim: negative claim TTL %d", ttl)
-		}
-		if ttl == 0 {
-			continue
-		}
-		for _, k := range s.Schemes {
-			if k != SR && k != SRShortcut {
-				return fmt.Errorf("sim: claim_ttls is an SR-family dimension; "+
-					"scheme %v cannot share a campaign with claim TTL %d", k, ttl)
-			}
-		}
-		for _, r := range s.runnerDim() {
-			if r != RunSync {
-				return fmt.Errorf("sim: claim_ttls requires the sync runner, not %v", r)
-			}
-		}
-	}
-	// A workload installs knobs (claim TTL, lossy radio, byzantine
-	// monitors) only some schemes and runners accept; resolve one trial
-	// of every (workload block, scheme) pair the way NewTrial would.
-	for _, b := range s.layout().blocks {
-		for _, k := range s.Schemes {
-			j := TrialJob{Scheme: k, Grid: s.Grids[0], Spares: s.Spares[0], Holes: b.holes[0],
-				Workload: b.workload, Runner: b.runner, ClaimTTL: b.ttl}
-			cfg := j.config(s)
-			if err := cfg.normalize(); err != nil {
-				return err
-			}
-			if _, err := resolveSchedule(&cfg); err != nil {
-				return err
-			}
+		if err != nil {
+			return fmt.Errorf("sim: cell %d (%s N=%d): %w", c, j.Group(), j.Spares, err)
 		}
 	}
 	return nil
 }
 
-// checkRanges rejects values no trial can run. A hole count below 1
+// checkRanges rejects the layout values no job space can hold; the
+// per-trial ranges are TrialConfig.normalize's. A hole count below 1
 // matters even where a trial would accept it: the trial reads 0 as 1,
 // so holes 0 beside holes 1 would run identical trials under two labels.
 func (s CampaignSpec) checkRanges() error {
@@ -216,19 +182,6 @@ func (s CampaignSpec) checkRanges() error {
 			return fmt.Errorf("sim: hole count %d below 1", h)
 		}
 	}
-	// The float checks are written to fail on NaN as well.
-	if !(s.CommRange >= 0) {
-		return fmt.Errorf("sim: comm_range %g, want >= 0", s.CommRange)
-	}
-	if !(s.JamRadius >= 0) {
-		return fmt.Errorf("sim: jam_radius %g, want >= 0", s.JamRadius)
-	}
-	if s.ARMaxHops < 0 {
-		return fmt.Errorf("sim: negative ar_max_hops %d", s.ARMaxHops)
-	}
-	if !(s.ARInitProb >= 0 && s.ARInitProb <= 1) {
-		return fmt.Errorf("sim: ar_init_prob %g outside [0,1]", s.ARInitProb)
-	}
 	return nil
 }
 
@@ -238,7 +191,7 @@ func (s CampaignSpec) checkRanges() error {
 // identity, and the engine would fold them into one point of twice the
 // replicates, every seed counted twice: a point no shard merge accepts
 // and no one-cell content address (CellSpec) describes.
-func (s CampaignSpec) checkCellIdentities() error {
+func (s CampaignSpec) checkCellIdentities(js JobSpace) error {
 	for _, err := range []error{
 		repeated("schemes", s.Schemes, equal),
 		repeated("grids", s.Grids, equal),
@@ -253,8 +206,8 @@ func (s CampaignSpec) checkCellIdentities() error {
 		}
 	}
 	groups := make(map[string]bool)
-	for _, b := range s.layout().blocks {
-		for _, grp := range s.groupLabels(b) {
+	for _, b := range js.blocks {
+		for _, grp := range b.groups {
 			if groups[grp] {
 				return fmt.Errorf("sim: two of the campaign's cells share the group %q; "+
 					"distinct dimension values must label distinct curves", grp)
@@ -603,27 +556,36 @@ func (s CampaignSpec) NumCells() int {
 	return s.layout().total / s.Replicates
 }
 
-// jobRange returns the job-index range [lo, hi) the spec's cell range
-// selects out of its total jobs. It is the single definition of "which
-// jobs execute": RunCampaignSubset and ExecutedJobs both walk it.
-func (s CampaignSpec) jobRange(total int) (lo, hi int) {
+// executed returns the job space of the normalized spec and the cells
+// [lo, hi) it executes: its cell range, or every cell when CellCount
+// is 0. It is the single definition of "which cells execute":
+// ExecutedCells, ExecutedJobs, RunCampaignStream and RunCells all use
+// it.
+func (s CampaignSpec) executed() (js JobSpace, lo, hi int) {
+	js = s.JobSpace()
 	if s.CellCount == 0 {
-		return 0, total
+		return js, 0, js.total / js.spec.Replicates
 	}
-	return s.CellFirst * s.Replicates, (s.CellFirst + s.CellCount) * s.Replicates
+	return js, s.CellFirst, s.CellFirst + s.CellCount
 }
 
-// ExecutedJobs calls fn for every job RunCampaignSubset would execute
-// under keep (nil keeps every job) — the cell range applied — in
-// job-index order. cmd/sweep sizes its progress meter and shard
-// manifests with it.
+// ExecutedCells calls fn for every cell the spec executes — the cell
+// range applied — in cell order, with the cell's index and its first
+// job (replicate 0). PlanLocal sizes and addresses a run with it, one
+// visit per cell.
+func (s CampaignSpec) ExecutedCells(fn func(cell int, first TrialJob)) {
+	js, lo, hi := s.executed()
+	for c := lo; c < hi; c++ {
+		fn(c, js.At(c*js.spec.Replicates))
+	}
+}
+
+// ExecutedJobs calls fn for every job of the cells the spec executes
+// that keep admits (nil keeps every job), in job-index order.
 func (s CampaignSpec) ExecutedJobs(keep func(TrialJob) bool, fn func(TrialJob)) {
-	s.normalize()
-	js := s.JobSpace()
-	lo, hi := s.jobRange(js.Len())
-	for i := lo; i < hi; i++ {
-		j := js.At(i)
-		if keep == nil || keep(j) {
+	js, lo, hi := s.executed()
+	for i := lo * js.spec.Replicates; i < hi*js.spec.Replicates; i++ {
+		if j := js.At(i); keep == nil || keep(j) {
 			fn(j)
 		}
 	}
@@ -665,27 +627,36 @@ func SampleOf(j TrialJob, res TrialResult) experiment.Sample {
 	}
 }
 
-// RunCampaignStream executes every job of the spec on the parallel engine
-// and hands each trial's sample to sink in job-index order, never
-// retaining a TrialResult: each result is converted to its Sample inside
-// the worker and dropped once sunk. opts.Workers defaults to the spec's
-// Workers field when unset; the sink sees a bit-identical stream for any
-// worker count. A sink error aborts the campaign.
+// RunCampaignStream executes every cell the spec executes — the cell
+// range applied — and hands each trial's sample to sink in job-index
+// order, never retaining a TrialResult: each result is converted to its
+// Sample inside the worker and dropped once sunk. opts.Workers defaults
+// to the spec's Workers field when unset; the sink sees a bit-identical
+// stream for any worker count. A sink error aborts the campaign.
 func RunCampaignStream(ctx context.Context, spec CampaignSpec, opts experiment.Options, sink func(TrialJob, experiment.Sample) error) error {
 	if opts.Workers != 0 {
 		spec.Workers = opts.Workers
 	}
-	return RunCampaignSubset(ctx, spec, nil, sink)
+	spec.normalize()
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	js, lo, hi := spec.executed()
+	cells := make([]int, hi-lo)
+	for i := range cells {
+		cells[i] = lo + i
+	}
+	return runCells(ctx, spec, js, cells, sink)
 }
 
-// RunCampaignSubset is RunCampaignStream restricted to the jobs keep
-// admits (nil keeps every job). Skipped jobs cost no work and do not
-// reach the sink; the surviving jobs still execute and deliver in
-// job-index order, so a subset campaign is bit-identical to the
-// corresponding slice of the full stream — the property a run over
+// RunCells executes the given cells of the spec, which must lie in the
+// cells it executes (its cell range, or every cell) and ascend strictly:
+// replicate r of cell c is job c*Replicates+r. Each trial's sample goes
+// to sink with its job, in that order, so the stream is bit-identical
+// to the matching slice of RunCampaignStream's — the property a run over
 // stored cells relies on when it computes only the missing ones, and
-// the spec's cell range relies on for cross-process sharding. The
-// pool has spec.Workers goroutines.
+// the cell range relies on for cross-process sharding. The pool has
+// spec.Workers goroutines.
 //
 // Each worker goroutine runs its trials inside a pooled TrialArena
 // (unless spec.FreshBuild), taken from the process-lived free list and
@@ -693,32 +664,35 @@ func RunCampaignStream(ctx context.Context, spec CampaignSpec, opts experiment.O
 // consecutive campaigns — reuse the previous trial's memory instead of
 // rebuilding the world; the differential tests pin that pooling never
 // changes a byte of output.
-func RunCampaignSubset(ctx context.Context, spec CampaignSpec, keep func(TrialJob) bool, sink func(TrialJob, experiment.Sample) error) error {
+func RunCells(ctx context.Context, spec CampaignSpec, cells []int, sink func(TrialJob, experiment.Sample) error) error {
 	spec.normalize()
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	jobs := spec.JobSpace()
-	opts := experiment.Options{Workers: spec.Workers}
-	// The executed jobs are lo+index(i) for i in [0, total).
-	lo, hi := spec.jobRange(jobs.Len())
-	index := func(i int) int { return i }
-	total := hi - lo
-	if keep != nil {
-		included := make([]int, 0, total)
-		for i := 0; i < total; i++ {
-			if keep(jobs.At(lo + i)) {
-				included = append(included, i)
-			}
+	js, lo, hi := spec.executed()
+	for i, c := range cells {
+		if c < lo || c >= hi {
+			return fmt.Errorf("sim: cell %d outside the executed cells [%d, %d)", c, lo, hi)
 		}
-		index = func(i int) int { return included[i] }
-		total = len(included)
+		if i > 0 && c <= cells[i-1] {
+			return fmt.Errorf("sim: cell %d after cell %d; cells must ascend", c, cells[i-1])
+		}
 	}
+	return runCells(ctx, spec, js, cells, sink)
+}
+
+// runCells is RunCells on a validated, normalized spec, its job space
+// and checked cells.
+func runCells(ctx context.Context, spec CampaignSpec, js JobSpace, cells []int, sink func(TrialJob, experiment.Sample) error) error {
+	r := spec.Replicates
+	job := func(i int) TrialJob { return js.At(cells[i/r]*r + i%r) }
+	total := len(cells) * r
+	opts := experiment.Options{Workers: spec.Workers}
 	arenas := make([]*TrialArena, opts.WorkerCount(total))
 	defer releaseArenas(arenas)
 	return experiment.RunStream(ctx, total, opts,
 		func(_ context.Context, w, i int) (experiment.Sample, error) {
-			j := jobs.At(lo + index(i))
+			j := job(i)
 			var res TrialResult
 			var err error
 			if spec.FreshBuild {
@@ -740,5 +714,5 @@ func RunCampaignSubset(ctx context.Context, spec CampaignSpec, keep func(TrialJo
 			}
 			return SampleOf(j, res), nil
 		},
-		func(i int, s experiment.Sample) error { return sink(jobs.At(index(i)), s) })
+		func(i int, s experiment.Sample) error { return sink(job(i), s) })
 }

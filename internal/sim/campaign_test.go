@@ -493,6 +493,9 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 		{"AR prob below 0", func(s *CampaignSpec) { s.ARInitProb = -0.1 }, "ar_init_prob -0.1"},
 		{"AR prob above 1", func(s *CampaignSpec) { s.ARInitProb = 1.5 }, "ar_init_prob 1.5"},
 		{"AR prob 1", func(s *CampaignSpec) { s.ARInitProb = 1 }, ""},
+		// Every cell is checked, not only the first grid and spare count.
+		{"negative second spare count", func(s *CampaignSpec) { s.Spares = []int{10, -5} }, "-5"},
+		{"second grid too small", func(s *CampaignSpec) { s.Grids = []GridSize{{8, 8}, {1, 1}} }, "1x1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := CampaignSpec{Grids: []GridSize{{8, 8}}, Spares: []int{8}, Replicates: 2}
@@ -503,6 +506,39 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 				t.Fatalf("Validate = %v, want nil", err)
 			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 				t.Fatalf("Validate = %v, want an error naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestRunTrialRejectsOutOfRange: a trial configuration outside the
+// range its controller can run is an error from RunTrial, never a panic
+// and never a run.
+func TestRunTrialRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*TrialConfig)
+		want string
+	}{
+		{"negative AR hops", func(c *TrialConfig) { c.ARMaxHops = -4 }, "ar_max_hops -4"},
+		{"AR prob 2", func(c *TrialConfig) { c.ARInitProb = 2 }, "ar_init_prob 2"},
+		{"AR prob NaN", func(c *TrialConfig) { c.ARInitProb = math.NaN() }, "ar_init_prob NaN"},
+		{"negative comm range", func(c *TrialConfig) { c.CommRange = -3 }, "comm_range -3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := TrialConfig{Cols: 8, Rows: 8, Scheme: AR, Spares: 10, Seed: 3}
+			tc.edit(&cfg)
+			var err error
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("RunTrial panicked: %v", p)
+					}
+				}()
+				_, err = RunTrial(cfg)
+			}()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunTrial = %v, want an error naming %q", err, tc.want)
 			}
 		})
 	}

@@ -253,3 +253,96 @@ func mustMarshal(t *testing.T, v any) []byte {
 	}
 	return b
 }
+
+// TestCellRangeStreamJobs: under a cell range, the job RunCampaignStream
+// hands the sink with each sample is the job that sample ran — the one
+// ExecutedJobs lists at the same position — so its group and N label the
+// sample's curve and X, and RunSweep labels its points with the range's
+// cells.
+func TestCellRangeStreamJobs(t *testing.T) {
+	base := CampaignSpec{
+		Schemes:    []SchemeKind{SR, AR},
+		Grids:      []GridSize{{8, 8}},
+		Spares:     []int{5, 10, 15},
+		Replicates: 2,
+		BaseSeed:   41,
+	}
+	for _, rng := range [][2]int{{1, 1}, {1, 4}, {3, 3}, {5, 1}} {
+		spec := base
+		spec.CellFirst, spec.CellCount = rng[0], rng[1]
+		t.Run(fmt.Sprintf("cells %d+%d", rng[0], rng[1]), func(t *testing.T) {
+			var want []TrialJob
+			spec.ExecutedJobs(nil, func(j TrialJob) { want = append(want, j) })
+			i := 0
+			err := RunCampaignStream(t.Context(), spec, experiment.Options{Workers: 2},
+				func(j TrialJob, s experiment.Sample) error {
+					if i >= len(want) {
+						return fmt.Errorf("sink got job %d of %d", i+1, len(want))
+					}
+					if !reflect.DeepEqual(j, want[i]) {
+						t.Errorf("sink job %d = %+v, want %+v", i, j, want[i])
+					}
+					if j.Group() != s.Group || float64(j.Spares) != s.X {
+						t.Errorf("sink job %d is %s N=%d, its sample %s X=%g", i, j.Group(), j.Spares, s.Group, s.X)
+					}
+					i++
+					return nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i != len(want) {
+				t.Fatalf("sink got %d jobs, want %d", i, len(want))
+			}
+
+			pts, err := RunSweep(t.Context(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cells []SweepPoint
+			spec.ExecutedCells(func(_ int, j TrialJob) {
+				cells = append(cells, SweepPoint{Scheme: j.Scheme, Holes: j.Holes, N: j.Spares})
+			})
+			if len(pts) != len(cells) {
+				t.Fatalf("RunSweep returned %d points for %d cells", len(pts), len(cells))
+			}
+			for k, p := range pts {
+				if p.Scheme != cells[k].Scheme || p.Holes != cells[k].Holes || p.N != cells[k].N {
+					t.Errorf("point %d is %v holes=%d N=%d, want cell %v holes=%d N=%d",
+						k, p.Scheme, p.Holes, p.N, cells[k].Scheme, cells[k].Holes, cells[k].N)
+				}
+			}
+		})
+	}
+}
+
+// TestRunCellsRejectsBadCells: RunCells runs only cells the spec
+// executes, in strictly ascending order, and fails before any trial
+// otherwise.
+func TestRunCellsRejectsBadCells(t *testing.T) {
+	spec := CampaignSpec{Schemes: []SchemeKind{SR}, Grids: []GridSize{{8, 8}}, Spares: []int{5, 10, 15}, Replicates: 2}
+	shard := spec
+	shard.CellFirst, shard.CellCount = 1, 2
+	for _, tc := range []struct {
+		spec  CampaignSpec
+		cells []int
+		want  string
+	}{
+		{spec, []int{-1}, "outside"},
+		{spec, []int{3}, "outside"},
+		{shard, []int{0}, "outside"},
+		{shard, []int{1, 3}, "outside"},
+		{spec, []int{1, 1}, "ascend"},
+		{spec, []int{2, 0}, "ascend"},
+	} {
+		ran := 0
+		err := RunCells(t.Context(), tc.spec, tc.cells, func(TrialJob, experiment.Sample) error {
+			ran++
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.want) || ran != 0 {
+			t.Errorf("RunCells(cells %v of [%d, +%d)) = %v after %d trials, want an error naming %q before any",
+				tc.cells, tc.spec.CellFirst, tc.spec.CellCount, err, ran, tc.want)
+		}
+	}
+}

@@ -1,9 +1,12 @@
 // Package sim is the experiment harness: it assembles networks in the
 // paper's experimental configuration (Section 5), runs the SR and AR
 // control schemes to convergence, and runs campaigns (CampaignSpec) over
-// schemes, grids, spare counts, hole counts and workloads. RunSweep
-// folds a campaign into the per-cell sums behind every evaluation
-// figure.
+// schemes, grids, spare counts, hole counts and workloads. A campaign's
+// unit is the cell, one (group, N) pair with all its replicates:
+// Validate resolves every cell's trial configuration, ExecutedCells
+// visits the cells a spec executes, and RunCells runs chosen cells by
+// index (RunCampaignStream runs all of them). RunSweep folds a campaign
+// into the per-cell sums behind every evaluation figure.
 package sim
 
 import (
@@ -183,6 +186,10 @@ func (cfg *TrialConfig) normalize() error {
 	if cfg.Cols < 2 || cfg.Rows < 2 {
 		return fmt.Errorf("sim: grid %dx%d too small", cfg.Cols, cfg.Rows)
 	}
+	// The float checks are written to fail on NaN as well.
+	if !(cfg.CommRange >= 0) {
+		return fmt.Errorf("sim: comm_range %g, want >= 0", cfg.CommRange)
+	}
 	if cfg.CommRange == 0 {
 		cfg.CommRange = PaperCommRange
 	}
@@ -210,8 +217,14 @@ func (cfg *TrialConfig) normalize() error {
 	if cfg.Runner == RunAsync && cfg.Scheme != SR {
 		return fmt.Errorf("sim: the async runner supports the SR scheme only, not %v", cfg.Scheme)
 	}
-	if cfg.JamRadius < 0 {
-		return fmt.Errorf("sim: negative jam radius %g", cfg.JamRadius)
+	if !(cfg.JamRadius >= 0) {
+		return fmt.Errorf("sim: jam_radius %g, want >= 0", cfg.JamRadius)
+	}
+	if !(cfg.ARInitProb >= 0 && cfg.ARInitProb <= 1) {
+		return fmt.Errorf("sim: ar_init_prob %g outside [0,1]", cfg.ARInitProb)
+	}
+	if cfg.ARMaxHops < 0 {
+		return fmt.Errorf("sim: negative ar_max_hops %d", cfg.ARMaxHops)
 	}
 	if cfg.ClaimTTL < 0 {
 		return fmt.Errorf("sim: negative claim TTL %d", cfg.ClaimTTL)

@@ -187,7 +187,8 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 // these was accepted and then panicked the daemon's runner goroutine or
 // a worker (a negative replicate count in the seed derivation, a
 // negative AR hop budget in the AR controller); the daemon must still
-// answer afterwards.
+// answer afterwards. A bad value in any cell counts, not only in the
+// first grid and spare count.
 func TestSubmitRejectsOutOfRangeSpecs(t *testing.T) {
 	d, _ := newTestDaemon(t, Options{})
 	ts := httptest.NewServer(d.Handler())
@@ -199,6 +200,8 @@ func TestSubmitRejectsOutOfRangeSpecs(t *testing.T) {
 		`{"schemes":["AR"],"ar_init_prob":1.5}`,
 		`{"holes":[0,1]}`,
 		`{"comm_range":-3}`,
+		`{"spares":[10,-5]}`,
+		`{"grids":[{"cols":8,"rows":8},{"cols":1,"rows":1}]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -23,8 +23,9 @@ var dashHTML []byte
 //	GET /healthz          liveness: {"status":"ok","uptime_s":...}
 //	GET /debug/pprof/...  net/http/pprof, only when built with Pprof
 //
-// cmd/sweep starts one under -dash; the future sweepd embeds the same
-// server, which is why it lives here and not in the command.
+// cmd/sweep starts one under -dash. sweepd does not embed it: it serves
+// each campaign's hub through ServeHubEvents, the handler behind
+// /events, which is why both live here and not in a command.
 type Server struct {
 	hub *Hub
 	// Pprof opts the profiling endpoints in; off by default because a
