@@ -389,11 +389,13 @@ func BenchmarkCampaign16Cells(b *testing.B) {
 // BenchmarkLocalRunCheckpoint runs the service-mix base campaign (32
 // cells, 512 16x16 trials, workers 1) through dispatch.PlanLocal without
 // a cell store and with one, so the cost of storing every cell as it
-// completes is the difference between the first two rows. Every "store"
-// run starts on an empty store, so it computes every cell, as a cold
-// sweepd campaign does. The "reused" row stores every cell before the
-// timer starts, so each run computes nothing: it times addressing,
-// looking up and verifying 32 stored cells, and the manifest.
+// completes is the difference between the first two rows. Each op
+// validates the spec into its job space first, the one validation a
+// real run pays. Every "store" run starts on an empty store, so it
+// computes every cell, as a cold sweepd campaign does. The "reused" row
+// stores every cell before the timer starts, so each run computes
+// nothing: it times validating, addressing, looking up and verifying 32
+// stored cells, and the manifest.
 func BenchmarkLocalRunCheckpoint(b *testing.B) {
 	spec := sim.CampaignSpec{
 		Schemes:    []sim.SchemeKind{sim.SR, sim.AR},
@@ -404,9 +406,13 @@ func BenchmarkLocalRunCheckpoint(b *testing.B) {
 		Replicates: 16,
 		BaseSeed:   1000,
 		Workers:    1,
-	}.Normalized()
+	}
 	run := func(b *testing.B, store *dispatch.CellStore) *dispatch.LocalRun {
-		r, err := dispatch.PlanLocal(spec, "camp", store)
+		js, err := spec.JobSpace()
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := dispatch.PlanLocal(js, "camp", store)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -270,64 +270,33 @@ func splitList(s string) []string {
 	return out
 }
 
-func parseInts(s string) ([]int, error) {
-	var out []int
+// parseList parses each entry of a comma-separated flag value.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, f := range splitList(s) {
-		n, err := strconv.Atoi(f)
+		v, err := parse(f)
 		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", f)
+			return nil, err
 		}
-		out = append(out, n)
+		out = append(out, v)
 	}
 	return out, nil
 }
 
-func parseSchemes(s string) ([]sim.SchemeKind, error) {
-	var out []sim.SchemeKind
-	for _, f := range splitList(s) {
-		k, err := sim.ParseSchemeKind(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
+// atoi is strconv.Atoi with an error naming the entry.
+func atoi(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("bad integer %q", s)
 	}
-	return out, nil
+	return n, nil
 }
 
-func parseGrids(s string) ([]sim.GridSize, error) {
-	var out []sim.GridSize
-	for _, f := range splitList(s) {
-		g, err := sim.ParseGridSize(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, g)
-	}
-	return out, nil
-}
-
-func parseWorkloads(s string) ([]sim.WorkloadSpec, error) {
-	var out []sim.WorkloadSpec
-	for _, f := range splitList(s) {
-		spec := sim.WorkloadSpec{Kind: strings.ToLower(f)}
-		if _, err := sim.BuildWorkload(spec); err != nil {
-			return nil, err
-		}
-		out = append(out, spec)
-	}
-	return out, nil
-}
-
-func parseRunners(s string) ([]sim.RunnerKind, error) {
-	var out []sim.RunnerKind
-	for _, f := range splitList(s) {
-		r, err := sim.ParseRunnerKind(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+// parseWorkload resolves a bare workload kind, which must exist.
+func parseWorkload(s string) (sim.WorkloadSpec, error) {
+	spec := sim.WorkloadSpec{Kind: strings.ToLower(s)}
+	_, err := sim.BuildWorkload(spec)
+	return spec, err
 }
 
 // parseShard resolves "-shard i/n" (1-based) into the contiguous cell
@@ -472,26 +441,15 @@ func run(args []string) (err error) {
 		}
 		spec = loaded
 	} else {
-		var err error
-		if spec.Schemes, err = parseSchemes(*schemesS); err != nil {
-			return err
-		}
-		if spec.Grids, err = parseGrids(*gridsS); err != nil {
-			return err
-		}
-		if spec.Spares, err = parseInts(*sparesS); err != nil {
-			return err
-		}
-		if spec.Holes, err = parseInts(*holesS); err != nil {
-			return err
-		}
-		if spec.ClaimTTLs, err = parseInts(*ttlsS); err != nil {
-			return err
-		}
-		if spec.Workloads, err = parseWorkloads(*workloadsS); err != nil {
-			return err
-		}
-		if spec.Runners, err = parseRunners(*runnersS); err != nil {
+		var errs [7]error
+		spec.Schemes, errs[0] = parseList(*schemesS, sim.ParseSchemeKind)
+		spec.Grids, errs[1] = parseList(*gridsS, sim.ParseGridSize)
+		spec.Spares, errs[2] = parseList(*sparesS, atoi)
+		spec.Holes, errs[3] = parseList(*holesS, atoi)
+		spec.ClaimTTLs, errs[4] = parseList(*ttlsS, atoi)
+		spec.Workloads, errs[5] = parseList(*workloadsS, parseWorkload)
+		spec.Runners, errs[6] = parseList(*runnersS, sim.ParseRunnerKind)
+		if err := errors.Join(errs[:]...); err != nil {
 			return err
 		}
 		spec.Replicates = *replicates
@@ -506,7 +464,6 @@ func run(args []string) (err error) {
 	if workersFlagSet || spec.Workers == 0 {
 		spec.Workers = *workers
 	}
-	spec = spec.Normalized()
 	if *shardS != "" {
 		if spec.CellCount > 0 {
 			return fmt.Errorf("the spec file already pins a cell range; drop -shard or the spec fields")
@@ -517,9 +474,13 @@ func run(args []string) (err error) {
 		}
 		spec.CellFirst, spec.CellCount = first, count
 	}
-	if err := spec.Validate(); err != nil {
+	// The one validation of the run: the job space carries the campaign
+	// from here to its last trial.
+	jobs, err := spec.JobSpace()
+	if err != nil {
 		return err
 	}
+	spec = jobs.Spec()
 
 	if *dashS != "" {
 		rig, derr := startDash(*dashS, *pprofF, *dashLinger, logger)
@@ -538,7 +499,7 @@ func run(args []string) (err error) {
 	// Progress counts only the trials that will actually run (after the
 	// shard range and the stored cells): under -shard the total is the
 	// shard's own trial count, never the full campaign's.
-	local, err := dispatch.PlanLocal(spec, *name, store)
+	local, err := dispatch.PlanLocal(jobs, *name, store)
 	if err != nil {
 		return err
 	}

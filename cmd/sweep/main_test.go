@@ -19,32 +19,32 @@ import (
 )
 
 func TestParseHelpers(t *testing.T) {
-	ints, err := parseInts("10, 55,200")
+	ints, err := parseList("10, 55,200", atoi)
 	if err != nil || !reflect.DeepEqual(ints, []int{10, 55, 200}) {
-		t.Errorf("parseInts = %v, %v", ints, err)
+		t.Errorf("parseList(atoi) = %v, %v", ints, err)
 	}
-	if _, err := parseInts("10,x"); err == nil {
+	if _, err := parseList("10,x", atoi); err == nil {
 		t.Error("bad int should fail")
 	}
-	if ints, err := parseInts(""); err != nil || ints != nil {
+	if ints, err := parseList("", atoi); err != nil || ints != nil {
 		t.Errorf("empty list = %v, %v", ints, err)
 	}
 
-	schemes, err := parseSchemes("SR,ar")
+	schemes, err := parseList("SR,ar", sim.ParseSchemeKind)
 	if err != nil || !reflect.DeepEqual(schemes, []sim.SchemeKind{sim.SR, sim.AR}) {
-		t.Errorf("parseSchemes = %v, %v", schemes, err)
+		t.Errorf("parseList(ParseSchemeKind) = %v, %v", schemes, err)
 	}
-	if _, err := parseSchemes("SR,XY"); err == nil {
+	if _, err := parseList("SR,XY", sim.ParseSchemeKind); err == nil {
 		t.Error("bad scheme should fail")
 	}
 
-	grids, err := parseGrids("16x16,8x12")
+	grids, err := parseList("16x16,8x12", sim.ParseGridSize)
 	if err != nil || !reflect.DeepEqual(grids, []sim.GridSize{{Cols: 16, Rows: 16}, {Cols: 8, Rows: 12}}) {
-		t.Errorf("parseGrids = %v, %v", grids, err)
+		t.Errorf("parseList(ParseGridSize) = %v, %v", grids, err)
 	}
 	for _, bad := range []string{"16by16", "16x16x3", "8x8junk"} {
-		if _, err := parseGrids(bad); err == nil {
-			t.Errorf("parseGrids(%q) should fail", bad)
+		if _, err := parseList(bad, sim.ParseGridSize); err == nil {
+			t.Errorf("grid list %q should fail", bad)
 		}
 	}
 }
@@ -113,18 +113,18 @@ func TestRunSpecFile(t *testing.T) {
 }
 
 func TestParseWorkloadsAndRunners(t *testing.T) {
-	wls, err := parseWorkloads("holes, churn")
+	wls, err := parseList("holes, churn", parseWorkload)
 	if err != nil || !reflect.DeepEqual(wls, []sim.WorkloadSpec{{Kind: "holes"}, {Kind: "churn"}}) {
-		t.Errorf("parseWorkloads = %v, %v", wls, err)
+		t.Errorf("parseList(parseWorkload) = %v, %v", wls, err)
 	}
-	if _, err := parseWorkloads("meteor"); err == nil {
+	if _, err := parseList("meteor", parseWorkload); err == nil {
 		t.Error("unknown workload kind should fail")
 	}
-	rs, err := parseRunners("sync,async")
+	rs, err := parseList("sync,async", sim.ParseRunnerKind)
 	if err != nil || !reflect.DeepEqual(rs, []sim.RunnerKind{sim.RunSync, sim.RunAsync}) {
-		t.Errorf("parseRunners = %v, %v", rs, err)
+		t.Errorf("parseList(ParseRunnerKind) = %v, %v", rs, err)
 	}
-	if _, err := parseRunners("warp"); err == nil {
+	if _, err := parseList("warp", sim.ParseRunnerKind); err == nil {
 		t.Error("unknown runner should fail")
 	}
 }

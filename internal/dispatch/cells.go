@@ -37,11 +37,13 @@ import (
 //
 // The index from key to lines covers every segment and is built by one
 // scan on the first lookup, so opening a store reads nothing; lines
-// this store appends are indexed as they land. Appends from other
-// processes after the scan are not seen until the store is opened
-// again. A lookup re-reads a key's lines, latest first, and serves the
-// first that verifies (verifyCellLine); a cell without one is a miss,
-// and is recomputed.
+// this store appends are indexed as they land. The index stays live: a
+// later lookup that misses re-scans each segment that appeared or grew
+// since it was scanned, from the end of the last whole line it indexed,
+// so cells other processes append to the directory are served without
+// reopening the store, and no line is indexed twice. A lookup re-reads
+// a key's lines, latest first, and serves the first that verifies
+// (verifyCellLine); a cell without one is a miss, and is recomputed.
 //
 // A line records the sim.EngineVersion that computed it and a line of
 // another version is a miss, so a change of results never serves a
@@ -52,9 +54,10 @@ type CellStore struct {
 	writer string // this store's segment file name
 
 	// mu guards the index and the segment.
-	mu    sync.Mutex
-	index map[string][]lineAt // nil until the first lookup
-	size  int64               // bytes appended to the segment
+	mu      sync.Mutex
+	index   map[string][]lineAt // nil until the first lookup
+	scanned map[string]int64    // per segment, the bytes of whole lines indexed
+	size    int64               // bytes appended to the segment
 }
 
 // OpenCellStore opens the cell store rooted at root. It reads and
@@ -101,72 +104,95 @@ type lineAt struct {
 }
 
 // lookup returns one result per address, in addrs order: the point the
-// store serves for it, or nil for a cell without a verified line.
+// store serves for it, or nil for a cell without a verified line. The
+// first miss scans the segments for lines appended since the last scan
+// (every line, on the first lookup) before it counts.
 func (s *CellStore) lookup(addrs []cellAddr) []*experiment.Point {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.indexLocked()
+	if s.index == nil {
+		s.index, s.scanned = make(map[string][]lineAt), make(map[string]int64)
+	}
 	files := make(map[string]*os.File)
 	defer func() {
 		for _, f := range files {
-			if f != nil {
-				f.Close()
-			}
+			f.Close() // a nil file (one that would not open) is a no-op error
 		}
 	}()
 	points := make([]*experiment.Point, len(addrs))
+	rescanned := false
 	for k, a := range addrs {
-		lines := s.index[a.key]
-		for i := len(lines) - 1; i >= 0; i-- {
-			at := lines[i]
-			f, opened := files[at.seg]
-			if !opened {
-				// A segment that will not open stays nil, and its lines miss.
-				f, _ = os.Open(filepath.Join(s.dir, at.seg))
-				files[at.seg] = f
-			}
-			if p, err := readCell(f, at, a); err == nil {
-				points[k] = p
-				break
-			}
+		if points[k] = s.serveLocked(a, files); points[k] == nil && !rescanned {
+			rescanned = true
+			s.scanLocked()
+			points[k] = s.serveLocked(a, files)
 		}
 	}
 	return points
 }
 
-// indexLocked builds the index on first use from every segment, in
-// file-name order.
-func (s *CellStore) indexLocked() {
-	if s.index != nil {
-		return
+// serveLocked returns the point of a's latest line that verifies, or
+// nil, reading segments through files (each opened on first use).
+func (s *CellStore) serveLocked(a cellAddr, files map[string]*os.File) *experiment.Point {
+	lines := s.index[a.key]
+	for i := len(lines) - 1; i >= 0; i-- {
+		at := lines[i]
+		f, opened := files[at.seg]
+		if !opened {
+			// A segment that will not open stays nil, and its lines
+			// miss: reading a nil file is an error.
+			f, _ = os.Open(filepath.Join(s.dir, at.seg))
+			files[at.seg] = f
+		}
+		line := make([]byte, at.n)
+		if _, err := f.ReadAt(line, at.off); err == nil {
+			if p, err := verifyCellLine(line, a); err == nil {
+				return p
+			}
+		}
 	}
-	s.index = make(map[string][]lineAt)
+	return nil
+}
+
+// scanLocked indexes the whole lines each segment gained since it was
+// last scanned — every line of a segment not seen before — in file-name
+// order.
+func (s *CellStore) scanLocked() {
 	des, err := os.ReadDir(s.dir)
 	if err != nil {
 		return // nothing stored yet (or an unreadable directory: every lookup misses)
 	}
 	for _, de := range des {
-		if !de.IsDir() && strings.HasSuffix(de.Name(), ".ndjson") {
-			s.indexSegment(de.Name())
+		name := de.Name()
+		if de.IsDir() || !strings.HasSuffix(name, ".ndjson") {
+			continue
+		}
+		if info, err := de.Info(); err == nil && info.Size() > s.scanned[name] {
+			s.indexSegment(name)
 		}
 	}
 }
 
-// indexSegment adds each whole line of segment name to the lines of
-// the key its spec hashes to. Lines of another engine version or
-// without a readable spec are skipped, and a torn last line is not
-// indexed; their cells are misses.
+// indexSegment adds each whole line of segment name past its scanned
+// offset to the lines of the key its spec hashes to, and advances the
+// offset past them. Lines of another engine version or without a
+// readable spec are skipped, and a torn last line is left unscanned;
+// their cells are misses until a later scan finds the line whole.
 func (s *CellStore) indexSegment(name string) {
 	f, err := os.Open(filepath.Join(s.dir, name))
 	if err != nil {
 		return
 	}
 	defer f.Close()
+	off := s.scanned[name]
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return
+	}
 	r := bufio.NewReader(f)
-	var off int64
 	for {
 		line, err := r.ReadBytes('\n')
 		if err != nil {
+			s.scanned[name] = off
 			return // EOF, possibly after a torn last line
 		}
 		var l struct {
@@ -180,19 +206,6 @@ func (s *CellStore) indexSegment(name string) {
 		}
 		off += int64(len(line))
 	}
-}
-
-// readCell reads the line at `at` from f and returns its point if the
-// line verifies as a's.
-func readCell(f *os.File, at lineAt, a cellAddr) (*experiment.Point, error) {
-	if f == nil {
-		return nil, fmt.Errorf("segment %s unreadable", at.seg)
-	}
-	line := make([]byte, at.n)
-	if _, err := f.ReadAt(line, at.off); err != nil {
-		return nil, err
-	}
-	return verifyCellLine(line, a)
 }
 
 // verifyCellLine returns line's point when line is one whole,
@@ -241,7 +254,8 @@ func strictUnmarshal(data []byte, v any) error {
 
 // append stores p as the cell a with one write(2) to this store's
 // segment, creating the segment on the first append, and indexes the
-// line if the index is built (an unbuilt index finds it when it scans).
+// line if the index is built (an unbuilt index finds it when it scans),
+// marking it scanned so no re-scan indexes it again.
 // The segment is opened and closed around each line, so a store holds
 // no file between appends.
 func (s *CellStore) append(a cellAddr, p experiment.Point) error {
@@ -270,6 +284,7 @@ func (s *CellStore) append(a cellAddr, p experiment.Point) error {
 	}
 	if s.index != nil {
 		s.index[a.key] = append(s.index[a.key], lineAt{s.writer, s.size, len(line)})
+		s.scanned[s.writer] = s.size + int64(len(line))
 	}
 	s.size += int64(len(line))
 	return nil

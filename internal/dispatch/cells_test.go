@@ -131,6 +131,52 @@ func TestCellStoreSegments(t *testing.T) {
 	})
 }
 
+// TestCellStoreLiveIndex: a store whose index is built serves cells
+// another store appends to the same directory later, without being
+// reopened, including a line that was torn when it was first scanned
+// and completed since. Its own appends are indexed once: a re-scan
+// after them adds only the other writer's lines.
+func TestCellStoreLiveIndex(t *testing.T) {
+	spec := resumeSpecs()["unsharded"] // 6 cells
+	shard := func(first, count int) sim.CampaignSpec {
+		s := spec
+		s.CellFirst, s.CellCount = first, count
+		return s
+	}
+	root := t.TempDir()
+	a := OpenCellStore(root)
+	// A builds its index over an empty directory and stores cells 0-1.
+	runBytes(t, plan(t, shard(0, 2), a))
+	// Another store appends cells 2-3, and a dead writer left cell 4
+	// with its last bytes missing.
+	runBytes(t, plan(t, shard(2, 2), OpenCellStore(root)))
+	seg := storedSegment(t, shard(4, 1))
+	dead := filepath.Join(root, "cells", "dead.ndjson")
+	if err := os.WriteFile(dead, seg[:len(seg)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if r := plan(t, spec, a); r.Reused != 4 {
+		t.Fatalf("store reuses %d cells after another writer's appends, want 4", r.Reused)
+	}
+	// The dead writer's line is completed; A finds it on its next miss.
+	if err := os.WriteFile(dead, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := plan(t, spec, a)
+	if r.Reused != 5 {
+		t.Fatalf("store reuses %d cells after the torn line was completed, want 5", r.Reused)
+	}
+	for key, lines := range a.index {
+		if len(lines) != 1 {
+			t.Errorf("key %s indexed %d times: %v", key, len(lines), lines)
+		}
+	}
+	want, _ := runBytes(t, plan(t, spec, nil))
+	if got, _ := runBytes(t, r); !bytes.Equal(got, want) {
+		t.Error("manifest over the live index differs from a run without a store")
+	}
+}
+
 // FuzzCellStore: whatever two segments of a store directory hold, the
 // store never panics and serves a cell only from a whole line of one of
 // them that verifies as that cell's. A run over the store then computes
@@ -158,13 +204,14 @@ func FuzzCellStore(f *testing.F) {
 		x     float64
 	}
 	addrs := make(map[cellKey]cellAddr)
-	spec.ExecutedCells(func(_ int, j sim.TrialJob) {
+	err := jobSpace(f, spec).Cells(func(_ int, j sim.TrialJob) error {
 		a, err := addressCell(spec, j)
-		if err != nil {
-			f.Fatal(err)
-		}
 		addrs[cellKey{a.group, a.x}] = a
+		return err
 	})
+	if err != nil {
+		f.Fatal(err)
+	}
 	pointJSON := func(t *testing.T, p experiment.Point) []byte {
 		b, err := json.Marshal(p)
 		if err != nil {

@@ -2,10 +2,12 @@
 // cells.
 //
 // LocalRun is the one runner behind every run that computes trials:
-// cmd/sweep's plain and -shard runs, and sweepd's campaigns. CellStore
-// is the one place a computed cell is kept: a run visits every cell of
-// its spec once, looks it up before it starts, hands the missing cells'
-// indices to sim.RunCells, and appends each cell as it completes.
+// cmd/sweep's plain and -shard runs, and sweepd's campaigns. Each plans
+// from the campaign's sim.JobSpace, which its caller validated once.
+// CellStore is the one place a computed cell is kept: a run visits every
+// cell of its job space once, looks it up before it starts, hands the
+// missing cells' indices to JobSpace.RunCells, and appends each cell as
+// it completes.
 // Resume, the cache and shard assembly are all that lookup. A killed
 // run is resumed by running it again over the same store. One campaign
 // spans many boxes when any launcher (xargs -P, an ssh loop, a batch

@@ -10,19 +10,20 @@ import (
 )
 
 // LocalRun is one campaign executed in this process: the single
-// runner behind every cmd/sweep run and behind sweepd's campaigns. With
-// a CellStore it looks every cell of its spec up before running, and
-// the cells the store serves are the run's prior, skipped and carried
-// into the manifest; it appends each cell the moment the cell
-// completes, which is the run's checkpoint. A killed run is resumed by
+// runner behind every cmd/sweep run and behind sweepd's campaigns. It
+// plans and runs from the campaign's JobSpace, validated once by the
+// caller. With a CellStore it looks every cell it executes up before
+// running, and the cells the store serves are the run's prior, skipped
+// and carried into the manifest; it appends each cell the moment the
+// cell completes, which is the run's checkpoint. A killed run is resumed by
 // running it again over the same store, shards of one campaign on many
 // boxes are assembled by one run over the union of their segments, and
 // a run whose cells are all stored computes nothing.
 type LocalRun struct {
-	// Executed is the number of trials Run executes: the spec's job
-	// space under its cell range, minus the stored cells' trials.
+	// Executed is the number of trials Run executes: the job space's
+	// executed cells, minus the stored cells' trials.
 	Executed int
-	// Cells is the number of cells in the spec's job space, and Reused
+	// Cells is the number of cells the job space executes, and Reused
 	// the number of them the store served.
 	Cells, Reused int
 	// OnProgress, when non-nil, observes the run: snapshots folded from
@@ -33,7 +34,7 @@ type LocalRun struct {
 	// trials executed has no entry.
 	GroupSeconds map[string]float64
 
-	spec   sim.CampaignSpec
+	jobs   sim.JobSpace
 	name   string
 	store  *CellStore
 	now    func() time.Time
@@ -43,22 +44,24 @@ type LocalRun struct {
 	groups []telemetry.GroupView // executed trials per group, in job order
 }
 
-// PlanLocal sizes the in-process run of spec (normalized, validated)
-// named name over store, which may be nil for a run that neither reuses
-// nor keeps cells. It visits each cell under the spec's cell range
-// once, addresses it, and looks every address up in one pass: the
-// stored cells are the run's prior, the rest are the cells Run executes.
-func PlanLocal(spec sim.CampaignSpec, name string, store *CellStore) (*LocalRun, error) {
-	r := &LocalRun{spec: spec, name: name, store: store, now: time.Now}
+// PlanLocal sizes the in-process run of the validated campaign js named
+// name over store, which may be nil for a run that neither reuses nor
+// keeps cells. It visits each cell js executes once, addresses it, and
+// looks every address up in one pass: the stored cells are the run's
+// prior, the rest are the cells Run executes. A zero JobSpace is an
+// error.
+func PlanLocal(js sim.JobSpace, name string, store *CellStore) (*LocalRun, error) {
+	spec := js.Spec()
+	r := &LocalRun{jobs: js, name: name, store: store, now: time.Now}
 	var addrs []cellAddr
-	var err error
-	spec.ExecutedCells(func(c int, j sim.TrialJob) {
+	err := js.Cells(func(c int, j sim.TrialJob) (err error) {
 		a := cellAddr{group: j.Group(), x: float64(j.Spares)}
-		if store != nil && err == nil {
+		if store != nil {
 			a, err = addressCell(spec, j)
 		}
 		r.cells = append(r.cells, c)
 		addrs = append(addrs, a)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -108,16 +111,17 @@ func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) erro
 	prog := NewLocalProgress(r.groups, r.OnProgress)
 	prog.now = r.now
 	prog.Start()
+	spec := r.jobs.Spec()
 	ran := 0
-	err := sim.RunCells(ctx, r.spec, r.cells,
+	err := r.jobs.RunCells(ctx, r.cells,
 		func(j sim.TrialJob, s experiment.Sample) error {
 			acc.Add(s)
 			ran++
 			// The executed stream is whole cells of Replicates
 			// consecutive trials, so every Replicates-th trial
 			// completes the next planned cell.
-			if r.store != nil && ran%r.spec.Replicates == 0 {
-				if err := r.store.append(r.addrs[ran/r.spec.Replicates-1], acc.Point(s.Group, s.X)); err != nil {
+			if r.store != nil && ran%spec.Replicates == 0 {
+				if err := r.store.append(r.addrs[ran/spec.Replicates-1], acc.Point(s.Group, s.X)); err != nil {
 					return err
 				}
 			}
@@ -132,8 +136,8 @@ func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) erro
 	if err != nil {
 		return nil, ran, err
 	}
-	jobs := ran + r.Reused*r.spec.Replicates
-	m, err := experiment.NewManifest(r.name, r.spec, jobs, r.spec.Workers, mergePoints(r.prior, acc.Points()))
+	jobs := ran + r.Reused*spec.Replicates
+	m, err := experiment.NewManifest(r.name, spec, jobs, spec.Workers, mergePoints(r.prior, acc.Points()))
 	return m, ran, err
 }
 

@@ -24,14 +24,36 @@ func manifestBytes(t *testing.T, m *experiment.Manifest) []byte {
 	return buf.Bytes()
 }
 
-// plan is PlanLocal that fails the test on error.
+// jobSpace is sim.CampaignSpec.JobSpace that fails the test on error.
+func jobSpace(t testing.TB, spec sim.CampaignSpec) sim.JobSpace {
+	t.Helper()
+	js, err := spec.JobSpace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return js
+}
+
+// plan validates spec and plans its run with PlanLocal, failing the
+// test on error.
 func plan(t testing.TB, spec sim.CampaignSpec, store *CellStore) *LocalRun {
 	t.Helper()
-	r, err := PlanLocal(spec, "camp", store)
+	r, err := PlanLocal(jobSpace(t, spec), "camp", store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// TestPlanLocalRejectsZeroJobSpace: a JobSpace not built by validation
+// plans nothing, with or without a store; PlanLocal returns an error
+// and does not panic.
+func TestPlanLocalRejectsZeroJobSpace(t *testing.T) {
+	for _, store := range []*CellStore{nil, OpenCellStore(t.TempDir())} {
+		if r, err := PlanLocal(sim.JobSpace{}, "camp", store); err == nil {
+			t.Errorf("PlanLocal(zero JobSpace) = %+v, want an error", r)
+		}
+	}
 }
 
 // runBytes runs r to completion and returns its manifest's bytes and
@@ -278,7 +300,7 @@ func TestLocalRunGroupSpans(t *testing.T) {
 		return ran
 	}
 	// want is each group's span over the first n trials r executes.
-	want := func(r *LocalRun, n int) map[string]float64 {
+	want := func(t *testing.T, r *LocalRun, n int) map[string]float64 {
 		at := func(k int) float64 { return float64(k * (k - 1) / 2) }
 		first, spans := map[string]int{}, map[string]float64{}
 		k := 0
@@ -286,13 +308,13 @@ func TestLocalRunGroupSpans(t *testing.T) {
 		for _, c := range r.cells {
 			executed[c] = true
 		}
-		spec.ExecutedCells(func(c int, j sim.TrialJob) {
+		err := r.jobs.Cells(func(c int, j sim.TrialJob) error {
 			if !executed[c] {
-				return
+				return nil
 			}
 			for range spec.Replicates {
 				if k++; k > n {
-					return
+					return nil
 				}
 				g := j.Group()
 				if _, ok := first[g]; !ok {
@@ -300,14 +322,18 @@ func TestLocalRunGroupSpans(t *testing.T) {
 				}
 				spans[g] = at(k) - at(first[g])
 			}
+			return nil
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return spans
 	}
 
 	t.Run("two groups", func(t *testing.T) {
 		r := plan(t, spec, nil)
 		ran := run(t, r, 0)
-		if w := want(r, ran); len(w) != 2 || !reflect.DeepEqual(r.GroupSeconds, w) {
+		if w := want(t, r, ran); len(w) != 2 || !reflect.DeepEqual(r.GroupSeconds, w) {
 			t.Errorf("spans = %v, want %v", r.GroupSeconds, w)
 		}
 	})
@@ -321,8 +347,8 @@ func TestLocalRunGroupSpans(t *testing.T) {
 			t.Fatalf("store serves %d cells, want SR's 2", r.Reused)
 		}
 		ran := run(t, r, 0)
-		w := want(r, ran)
-		if _, ok := r.GroupSeconds[sr.Jobs()[0].Group()]; ok || len(w) != 1 {
+		w := want(t, r, ran)
+		if _, ok := r.GroupSeconds[jobSpace(t, sr).At(0).Group()]; ok || len(w) != 1 {
 			t.Errorf("spans = %v: the served group must have none", r.GroupSeconds)
 		}
 		if !reflect.DeepEqual(r.GroupSeconds, w) {
@@ -341,7 +367,7 @@ func TestLocalRunGroupSpans(t *testing.T) {
 		if ran >= len(groups) || groups[ran-1] != groups[ran] || groups[ran-1] == groups[0] {
 			t.Fatalf("cancelled run stopped after trial %d of %v, want inside the second group", ran, groups)
 		}
-		if w := want(r, ran); !reflect.DeepEqual(r.GroupSeconds, w) {
+		if w := want(t, r, ran); !reflect.DeepEqual(r.GroupSeconds, w) {
 			t.Errorf("spans = %v, want %v", r.GroupSeconds, w)
 		}
 	})

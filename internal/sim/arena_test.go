@@ -80,7 +80,7 @@ func samplesManifestBytes(t *testing.T, spec CampaignSpec, samples []experiment.
 // through the one given arena and serializes the manifest.
 func arenaManifestBytes(t *testing.T, arena *TrialArena, spec CampaignSpec) []byte {
 	t.Helper()
-	js := spec.JobSpace()
+	js := jobSpace(t, spec)
 	samples := make([]experiment.Sample, js.Len())
 	for i := range samples {
 		j := js.At(i)

@@ -121,52 +121,12 @@ func (s *CampaignSpec) normalize() {
 	}
 }
 
-// Validate rejects specs the job space cannot execute: out-of-range
-// values, unknown or malformed workloads, a value listed twice in a
-// dimension, bad cell ranges, and any cell whose trials NewTrial would
-// refuse. Every cell's trial configuration is resolved the way a trial
-// resolves it (TrialConfig.normalize, then the workload's schedule), so
-// a per-trial range or a workload/scheme/runner pairing fails here,
-// naming the cell, and never part-way through a campaign.
-// RunCampaignStream and RunCells validate automatically; CLIs call it
-// early for friendlier errors.
+// Validate rejects every spec JobSpace rejects, with the same error. A
+// caller that goes on to run the campaign calls JobSpace instead and
+// keeps the job space, so the checks run once.
 func (s CampaignSpec) Validate() error {
-	s.normalize()
-	if err := s.checkRanges(); err != nil {
-		return err
-	}
-	for _, w := range s.Workloads {
-		if _, err := BuildWorkload(w); err != nil {
-			return err
-		}
-	}
-	js := s.JobSpace()
-	if err := s.checkCellIdentities(js); err != nil {
-		return err
-	}
-	if s.CellFirst < 0 || s.CellCount < 0 {
-		return fmt.Errorf("sim: negative cell range [%d, +%d)", s.CellFirst, s.CellCount)
-	}
-	if s.CellCount == 0 && s.CellFirst != 0 {
-		return fmt.Errorf("sim: cell_first %d without cell_count", s.CellFirst)
-	}
-	cells := js.total / s.Replicates
-	if s.CellCount > 0 && s.CellFirst+s.CellCount > cells {
-		return fmt.Errorf("sim: cell range [%d, %d) exceeds the campaign's %d cells",
-			s.CellFirst, s.CellFirst+s.CellCount, cells)
-	}
-	for c := 0; c < cells; c++ {
-		j := js.At(c * s.Replicates)
-		cfg := j.config(s)
-		err := cfg.normalize()
-		if err == nil {
-			_, err = resolveSchedule(&cfg)
-		}
-		if err != nil {
-			return fmt.Errorf("sim: cell %d (%s N=%d): %w", c, j.Group(), j.Spares, err)
-		}
-	}
-	return nil
+	_, err := s.JobSpace()
+	return err
 }
 
 // checkRanges rejects the layout values no job space can hold; the
@@ -249,7 +209,7 @@ func equal[T comparable](a, b T) bool { return a == b }
 
 // ValidateUnsharded is the submission surface for services and caches
 // that address whole campaigns: Validate plus a rejection of specs
-// pinning a cell range. A shard spec's manifest covers only some of the
+// pinning a cell range, which it checks first. A shard spec's manifest covers only some of the
 // campaign's cells, so content-addressing it under the full campaign's
 // spec hash — which deliberately ignores shard layout — would poison
 // the cache with partial results.
@@ -279,8 +239,8 @@ func (s CampaignSpec) runnerDim() []RunnerKind {
 }
 
 // Normalized returns the spec with every empty dimension replaced by
-// its default — the form Jobs and RunCampaignStream actually execute,
-// and the one to echo into artifact labels and manifests.
+// its default — the form a JobSpace holds and executes, and the one to
+// echo into artifact labels and manifests.
 func (s CampaignSpec) Normalized() CampaignSpec {
 	s.normalize()
 	return s
@@ -433,15 +393,21 @@ func (j TrialJob) config(s CampaignSpec) TrialConfig {
 	}
 }
 
-// JobSpace is the lazily indexed job space of a normalized spec: job i is
-// computed arithmetically from its index instead of materializing the
-// whole cross product, so a 10^6-trial campaign costs O(replicates) setup
-// memory (the shared seed table), not O(trials).
+// JobSpace is a validated campaign: the lazily indexed job space of a
+// normalized spec that passed every check, and the cells it executes.
+// Job i is computed arithmetically from its index instead of
+// materializing the whole cross product, so a 10^6-trial campaign
+// costs O(replicates) setup memory (the shared seed table), not
+// O(trials). Only CampaignSpec.JobSpace builds one; the zero JobSpace
+// plans and runs nothing, with an error.
 type JobSpace struct {
 	spec   CampaignSpec
 	seeds  []int64
 	blocks []jobBlock
 	total  int
+	// lo and hi bound the cells [lo, hi) the job space executes: the
+	// spec's cell range, or every cell.
+	lo, hi int
 }
 
 // jobBlock is one (workload, runner, claim TTL) triple's contiguous
@@ -458,22 +424,68 @@ type jobBlock struct {
 	groups []string
 }
 
-// JobSpace normalizes the spec and indexes its job list in the fixed
-// nested order (workload, runner, ttl, grid, holes, scheme, spares,
-// replicate); specs with one sync runner and the {0} TTL dimension keep
-// the indexing they had before those dimensions existed. Replicate r
-// uses the r-th seed derived from BaseSeed across every cell, so all
-// schemes and configurations face statistically paired layouts,
-// mirroring the paper's methodology of comparing SR and AR on identical
-// damage.
-func (s CampaignSpec) JobSpace() JobSpace {
+// JobSpace validates the spec and lays out its job space, once. It
+// rejects out-of-range values, unknown or malformed workloads, a value
+// listed twice in a dimension, bad cell ranges, and any cell whose
+// trials NewTrial would refuse: every cell's trial configuration is
+// resolved the way a trial resolves it (TrialConfig.normalize, then the
+// workload's schedule), so a per-trial range or a workload/scheme/runner
+// pairing fails here, naming the cell, and never part-way through a
+// campaign. The job space records the cells the spec executes; callers
+// plan and run from it and never validate again.
+//
+// Jobs are indexed in the fixed nested order (workload, runner, ttl,
+// grid, holes, scheme, spares, replicate); specs with one sync runner
+// and the {0} TTL dimension keep the indexing they had before those
+// dimensions existed. Replicate r uses the r-th seed derived from
+// BaseSeed across every cell, so all schemes and configurations face
+// statistically paired layouts, mirroring the paper's methodology of
+// comparing SR and AR on identical damage.
+func (s CampaignSpec) JobSpace() (JobSpace, error) {
 	s.normalize()
+	if err := s.checkRanges(); err != nil {
+		return JobSpace{}, err
+	}
+	for _, w := range s.Workloads {
+		if _, err := BuildWorkload(w); err != nil {
+			return JobSpace{}, err
+		}
+	}
 	js := s.layout()
 	js.seeds = experiment.Seeds(s.BaseSeed, s.Replicates)
 	for i := range js.blocks {
 		js.blocks[i].groups = s.groupLabels(js.blocks[i])
 	}
-	return js
+	if err := s.checkCellIdentities(js); err != nil {
+		return JobSpace{}, err
+	}
+	if s.CellFirst < 0 || s.CellCount < 0 {
+		return JobSpace{}, fmt.Errorf("sim: negative cell range [%d, +%d)", s.CellFirst, s.CellCount)
+	}
+	if s.CellCount == 0 && s.CellFirst != 0 {
+		return JobSpace{}, fmt.Errorf("sim: cell_first %d without cell_count", s.CellFirst)
+	}
+	cells := js.total / s.Replicates
+	if s.CellCount > 0 && s.CellFirst+s.CellCount > cells {
+		return JobSpace{}, fmt.Errorf("sim: cell range [%d, %d) exceeds the campaign's %d cells",
+			s.CellFirst, s.CellFirst+s.CellCount, cells)
+	}
+	for c := 0; c < cells; c++ {
+		j := js.At(c * s.Replicates)
+		cfg := j.config(s)
+		err := cfg.normalize()
+		if err == nil {
+			_, err = resolveSchedule(&cfg)
+		}
+		if err != nil {
+			return JobSpace{}, fmt.Errorf("sim: cell %d (%s N=%d): %w", c, j.Group(), j.Spares, err)
+		}
+	}
+	js.lo, js.hi = 0, cells
+	if s.CellCount > 0 {
+		js.lo, js.hi = s.CellFirst, s.CellFirst+s.CellCount
+	}
+	return js, nil
 }
 
 // layout lays out the normalized spec's job blocks without deriving the
@@ -504,6 +516,18 @@ func (s CampaignSpec) layout() JobSpace {
 
 // Len returns the total number of jobs.
 func (js JobSpace) Len() int { return js.total }
+
+// Spec returns the normalized spec the job space was built from.
+func (js JobSpace) Spec() CampaignSpec { return js.spec }
+
+// built rejects a job space CampaignSpec.JobSpace did not build: a
+// validated one holds at least one job.
+func (js JobSpace) built() error {
+	if js.total == 0 {
+		return fmt.Errorf("sim: job space not built by CampaignSpec.JobSpace")
+	}
+	return nil
+}
 
 // At returns job i. It panics when i is out of range.
 func (js JobSpace) At(i int) TrialJob {
@@ -556,50 +580,35 @@ func (s CampaignSpec) NumCells() int {
 	return s.layout().total / s.Replicates
 }
 
-// executed returns the job space of the normalized spec and the cells
-// [lo, hi) it executes: its cell range, or every cell when CellCount
-// is 0. It is the single definition of "which cells execute":
-// ExecutedCells, ExecutedJobs, RunCampaignStream and RunCells all use
-// it.
-func (s CampaignSpec) executed() (js JobSpace, lo, hi int) {
-	js = s.JobSpace()
-	if s.CellCount == 0 {
-		return js, 0, js.total / js.spec.Replicates
-	}
-	return js, s.CellFirst, s.CellFirst + s.CellCount
-}
-
-// ExecutedCells calls fn for every cell the spec executes — the cell
+// Cells calls fn for every cell the job space executes — the cell
 // range applied — in cell order, with the cell's index and its first
-// job (replicate 0). PlanLocal sizes and addresses a run with it, one
-// visit per cell.
-func (s CampaignSpec) ExecutedCells(fn func(cell int, first TrialJob)) {
-	js, lo, hi := s.executed()
-	for c := lo; c < hi; c++ {
-		fn(c, js.At(c*js.spec.Replicates))
+// job (replicate 0), and returns fn's first error. PlanLocal sizes and
+// addresses a run with it, one visit per cell.
+func (js JobSpace) Cells(fn func(cell int, first TrialJob) error) error {
+	if err := js.built(); err != nil {
+		return err
 	}
+	for c := js.lo; c < js.hi; c++ {
+		if err := fn(c, js.At(c*js.spec.Replicates)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ExecutedJobs calls fn for every job of the cells the spec executes
-// that keep admits (nil keeps every job), in job-index order.
+// that keep admits (nil keeps every job), in job-index order. A spec
+// that fails validation executes no job.
 func (s CampaignSpec) ExecutedJobs(keep func(TrialJob) bool, fn func(TrialJob)) {
-	js, lo, hi := s.executed()
-	for i := lo * js.spec.Replicates; i < hi*js.spec.Replicates; i++ {
+	js, err := s.JobSpace()
+	if err != nil {
+		return
+	}
+	for i := js.lo * js.spec.Replicates; i < js.hi*js.spec.Replicates; i++ {
 		if j := js.At(i); keep == nil || keep(j) {
 			fn(j)
 		}
 	}
-}
-
-// Jobs materializes the spec's job list. Prefer JobSpace for large
-// campaigns; Jobs exists for inspection and tests.
-func (s CampaignSpec) Jobs() []TrialJob {
-	js := s.JobSpace()
-	jobs := make([]TrialJob, js.Len())
-	for i := range jobs {
-		jobs[i] = js.At(i)
-	}
-	return jobs
 }
 
 // SampleOf converts one trial outcome into the engine's aggregation
@@ -627,63 +636,56 @@ func SampleOf(j TrialJob, res TrialResult) experiment.Sample {
 	}
 }
 
-// RunCampaignStream executes every cell the spec executes — the cell
-// range applied — and hands each trial's sample to sink in job-index
-// order, never retaining a TrialResult: each result is converted to its
-// Sample inside the worker and dropped once sunk. opts.Workers defaults
-// to the spec's Workers field when unset; the sink sees a bit-identical
-// stream for any worker count. A sink error aborts the campaign.
+// RunCampaignStream validates the spec and executes every cell it
+// executes — the cell range applied — handing each trial's sample to
+// sink in job-index order, never retaining a TrialResult: each result is
+// converted to its Sample inside the worker and dropped once sunk.
+// opts.Workers defaults to the spec's Workers field when unset; the
+// sink sees a bit-identical stream for any worker count. A sink error
+// aborts the campaign.
 func RunCampaignStream(ctx context.Context, spec CampaignSpec, opts experiment.Options, sink func(TrialJob, experiment.Sample) error) error {
 	if opts.Workers != 0 {
 		spec.Workers = opts.Workers
 	}
-	spec.normalize()
-	if err := spec.Validate(); err != nil {
+	js, err := spec.JobSpace()
+	if err != nil {
 		return err
 	}
-	js, lo, hi := spec.executed()
-	cells := make([]int, hi-lo)
+	cells := make([]int, js.hi-js.lo)
 	for i := range cells {
-		cells[i] = lo + i
+		cells[i] = js.lo + i
 	}
-	return runCells(ctx, spec, js, cells, sink)
+	return js.RunCells(ctx, cells, sink)
 }
 
-// RunCells executes the given cells of the spec, which must lie in the
-// cells it executes (its cell range, or every cell) and ascend strictly:
-// replicate r of cell c is job c*Replicates+r. Each trial's sample goes
-// to sink with its job, in that order, so the stream is bit-identical
-// to the matching slice of RunCampaignStream's — the property a run over
-// stored cells relies on when it computes only the missing ones, and
-// the cell range relies on for cross-process sharding. The pool has
-// spec.Workers goroutines.
+// RunCells executes the given cells, which must lie in the cells the
+// job space executes (its cell range, or every cell) and ascend
+// strictly: replicate r of cell c is job c*Replicates+r. Each trial's
+// sample goes to sink with its job, in that order, so the stream is
+// bit-identical to the matching slice of RunCampaignStream's — the
+// property a run over stored cells relies on when it computes only the
+// missing ones, and the cell range relies on for cross-process
+// sharding. The pool has the spec's Workers goroutines.
 //
 // Each worker goroutine runs its trials inside a pooled TrialArena
-// (unless spec.FreshBuild), taken from the process-lived free list and
-// returned when the campaign ends, so consecutive replicates — and
-// consecutive campaigns — reuse the previous trial's memory instead of
-// rebuilding the world; the differential tests pin that pooling never
-// changes a byte of output.
-func RunCells(ctx context.Context, spec CampaignSpec, cells []int, sink func(TrialJob, experiment.Sample) error) error {
-	spec.normalize()
-	if err := spec.Validate(); err != nil {
+// (unless the spec's FreshBuild), taken from the process-lived free
+// list and returned when the campaign ends, so consecutive replicates —
+// and consecutive campaigns — reuse the previous trial's memory instead
+// of rebuilding the world; the differential tests pin that pooling
+// never changes a byte of output.
+func (js JobSpace) RunCells(ctx context.Context, cells []int, sink func(TrialJob, experiment.Sample) error) error {
+	if err := js.built(); err != nil {
 		return err
 	}
-	js, lo, hi := spec.executed()
 	for i, c := range cells {
-		if c < lo || c >= hi {
-			return fmt.Errorf("sim: cell %d outside the executed cells [%d, %d)", c, lo, hi)
+		if c < js.lo || c >= js.hi {
+			return fmt.Errorf("sim: cell %d outside the executed cells [%d, %d)", c, js.lo, js.hi)
 		}
 		if i > 0 && c <= cells[i-1] {
 			return fmt.Errorf("sim: cell %d after cell %d; cells must ascend", c, cells[i-1])
 		}
 	}
-	return runCells(ctx, spec, js, cells, sink)
-}
-
-// runCells is RunCells on a validated, normalized spec, its job space
-// and checked cells.
-func runCells(ctx context.Context, spec CampaignSpec, js JobSpace, cells []int, sink func(TrialJob, experiment.Sample) error) error {
+	spec := js.spec
 	r := spec.Replicates
 	job := func(i int) TrialJob { return js.At(cells[i/r]*r + i%r) }
 	total := len(cells) * r

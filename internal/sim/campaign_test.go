@@ -15,6 +15,23 @@ import (
 	"wsncover/internal/telemetry"
 )
 
+// jobSpace is CampaignSpec.JobSpace that fails the test on error.
+func jobSpace(t testing.TB, spec CampaignSpec) JobSpace {
+	t.Helper()
+	js, err := spec.JobSpace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return js
+}
+
+// executedJobs lists the jobs spec executes, through ExecutedJobs.
+func executedJobs(spec CampaignSpec) []TrialJob {
+	var jobs []TrialJob
+	spec.ExecutedJobs(nil, func(j TrialJob) { jobs = append(jobs, j) })
+	return jobs
+}
+
 func TestRunTrialJamFailure(t *testing.T) {
 	res, err := RunTrial(TrialConfig{
 		Cols: 16, Rows: 16, Scheme: SR, Spares: 80,
@@ -102,7 +119,7 @@ func TestCampaignJobsExpansion(t *testing.T) {
 		Replicates: 3,
 		BaseSeed:   77,
 	}
-	jobs := spec.Jobs()
+	jobs := executedJobs(spec)
 	// holes expands the holes dimension; jam ignores hole counts
 	// (the disc decides), so it contributes a single holes value — no
 	// duplicate (config, seed) jobs inflating the jam statistics.
@@ -130,8 +147,8 @@ func TestCampaignJobsExpansion(t *testing.T) {
 		}
 	}
 	// Expansion is deterministic.
-	if !reflect.DeepEqual(jobs, spec.Jobs()) {
-		t.Error("Jobs() not reproducible")
+	if !reflect.DeepEqual(jobs, executedJobs(spec)) {
+		t.Error("ExecutedJobs not reproducible")
 	}
 	// Group naming: scheme + grid, with non-default damage called out.
 	if g := jobs[0].Group(); g != "SR 8x8" {
@@ -243,8 +260,8 @@ func TestJobSpaceMatchesJobs(t *testing.T) {
 		Replicates: 3,
 		BaseSeed:   5,
 	}
-	jobs := spec.Jobs()
-	js := spec.JobSpace()
+	jobs := executedJobs(spec)
+	js := jobSpace(t, spec)
 	if js.Len() != len(jobs) || spec.NumJobs() != len(jobs) {
 		t.Fatalf("Len = %d, NumJobs = %d, want %d", js.Len(), spec.NumJobs(), len(jobs))
 	}
@@ -286,7 +303,7 @@ func TestNumJobsMatchesJobSpace(t *testing.T) {
 		specs[filepath.Base(p)] = spec
 	}
 	for name, spec := range specs {
-		if got, want := spec.NumJobs(), spec.JobSpace().Len(); got != want {
+		if got, want := spec.NumJobs(), jobSpace(t, spec).Len(); got != want {
 			t.Errorf("%s: NumJobs = %d, JobSpace().Len() = %d", name, got, want)
 		}
 	}
@@ -345,7 +362,7 @@ func TestCampaignSpecJSON(t *testing.T) {
 		if errA != nil || errB != nil || ha != hb {
 			t.Errorf("%s: spec hash %s, want %s (%v, %v)", old, ha, hb, errA, errB)
 		}
-		if a.NumJobs() != b.NumJobs() || !reflect.DeepEqual(a.Jobs(), b.Jobs()) {
+		if a.NumJobs() != b.NumJobs() || !reflect.DeepEqual(executedJobs(a), executedJobs(b)) {
 			t.Errorf("%s: job list differs from its workloads equivalent", old)
 		}
 	}
@@ -579,7 +596,8 @@ func TestValidateUnsharded(t *testing.T) {
 
 // TestJobGroupLabelTable checks that JobSpace.At hands out each job's
 // group label from a table built once per group: equal to the label the
-// job's dimensions spell, and free to read.
+// job's dimensions spell, and free to read. The async runner hosts SR
+// only, so the runner dimension is swept on an SR-only campaign.
 func TestJobGroupLabelTable(t *testing.T) {
 	spec := CampaignSpec{
 		Schemes:    []SchemeKind{SR, AR},
@@ -587,19 +605,22 @@ func TestJobGroupLabelTable(t *testing.T) {
 		Spares:     []int{4, 20},
 		Holes:      []int{1, 3},
 		Workloads:  []WorkloadSpec{{Kind: WorkloadHoles}, {Kind: WorkloadJam}, {Kind: WorkloadChurn, Every: 3}},
-		Runners:    []RunnerKind{RunSync, RunAsync},
 		ClaimTTLs:  []int{0},
 		Replicates: 2,
 	}
-	js := spec.JobSpace()
-	for i := 0; i < js.Len(); i++ {
-		j := js.At(i)
-		if j.group == "" || j.Group() != j.label() {
-			t.Fatalf("job %d: table label %q, computed %q", i, j.group, j.label())
+	async := spec
+	async.Schemes, async.Runners = []SchemeKind{SR}, []RunnerKind{RunSync, RunAsync}
+	for _, spec := range []CampaignSpec{spec, async} {
+		js := jobSpace(t, spec)
+		for i := 0; i < js.Len(); i++ {
+			j := js.At(i)
+			if j.group == "" || j.Group() != j.label() {
+				t.Fatalf("job %d: table label %q, computed %q", i, j.group, j.label())
+			}
 		}
-	}
-	j := js.At(js.Len() - 1)
-	if allocs := testing.AllocsPerRun(10, func() { _ = j.Group() }); allocs != 0 {
-		t.Errorf("Group of a JobSpace job allocates %.0f times", allocs)
+		j := js.At(js.Len() - 1)
+		if allocs := testing.AllocsPerRun(10, func() { _ = j.Group() }); allocs != 0 {
+			t.Errorf("Group of a JobSpace job allocates %.0f times", allocs)
+		}
 	}
 }

@@ -125,7 +125,7 @@ func referenceTrial(cfg TrialConfig) (TrialResult, error) {
 // manifest exactly as assemblyManifestBytes does for the workload path.
 func referenceManifestBytes(t *testing.T, spec CampaignSpec) []byte {
 	t.Helper()
-	js := spec.JobSpace()
+	js := jobSpace(t, spec)
 	samples := make([]experiment.Sample, 0, js.Len())
 	for i := 0; i < js.Len(); i++ {
 		j := js.At(i)

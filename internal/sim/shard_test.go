@@ -300,9 +300,13 @@ func TestCellRangeStreamJobs(t *testing.T) {
 				t.Fatal(err)
 			}
 			var cells []SweepPoint
-			spec.ExecutedCells(func(_ int, j TrialJob) {
+			err = jobSpace(t, spec).Cells(func(_ int, j TrialJob) error {
 				cells = append(cells, SweepPoint{Scheme: j.Scheme, Holes: j.Holes, N: j.Spares})
+				return nil
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(pts) != len(cells) {
 				t.Fatalf("RunSweep returned %d points for %d cells", len(pts), len(cells))
 			}
@@ -316,9 +320,9 @@ func TestCellRangeStreamJobs(t *testing.T) {
 	}
 }
 
-// TestRunCellsRejectsBadCells: RunCells runs only cells the spec
-// executes, in strictly ascending order, and fails before any trial
-// otherwise.
+// TestRunCellsRejectsBadCells: JobSpace.RunCells runs only cells the
+// job space executes, in strictly ascending order, and fails before any
+// trial otherwise.
 func TestRunCellsRejectsBadCells(t *testing.T) {
 	spec := CampaignSpec{Schemes: []SchemeKind{SR}, Grids: []GridSize{{8, 8}}, Spares: []int{5, 10, 15}, Replicates: 2}
 	shard := spec
@@ -336,13 +340,33 @@ func TestRunCellsRejectsBadCells(t *testing.T) {
 		{spec, []int{2, 0}, "ascend"},
 	} {
 		ran := 0
-		err := RunCells(t.Context(), tc.spec, tc.cells, func(TrialJob, experiment.Sample) error {
+		err := jobSpace(t, tc.spec).RunCells(t.Context(), tc.cells, func(TrialJob, experiment.Sample) error {
 			ran++
 			return nil
 		})
 		if err == nil || !strings.Contains(err.Error(), tc.want) || ran != 0 {
 			t.Errorf("RunCells(cells %v of [%d, +%d)) = %v after %d trials, want an error naming %q before any",
 				tc.cells, tc.spec.CellFirst, tc.spec.CellCount, err, ran, tc.want)
+		}
+	}
+}
+
+// TestZeroJobSpaceFails: a JobSpace not built by CampaignSpec.JobSpace
+// visits and runs nothing; it returns an error and does not panic.
+func TestZeroJobSpaceFails(t *testing.T) {
+	var js JobSpace
+	visited := 0
+	if err := js.Cells(func(int, TrialJob) error { visited++; return nil }); err == nil || visited != 0 {
+		t.Errorf("zero JobSpace Cells = %v after %d visits, want an error before any", err, visited)
+	}
+	for _, cells := range [][]int{nil, {0}} {
+		ran := 0
+		err := js.RunCells(t.Context(), cells, func(TrialJob, experiment.Sample) error {
+			ran++
+			return nil
+		})
+		if err == nil || ran != 0 {
+			t.Errorf("zero JobSpace RunCells(%v) = %v after %d trials, want an error before any", cells, err, ran)
 		}
 	}
 }

@@ -2,11 +2,13 @@
 // paper's experimental configuration (Section 5), runs the SR and AR
 // control schemes to convergence, and runs campaigns (CampaignSpec) over
 // schemes, grids, spare counts, hole counts and workloads. A campaign's
-// unit is the cell, one (group, N) pair with all its replicates:
-// Validate resolves every cell's trial configuration, ExecutedCells
-// visits the cells a spec executes, and RunCells runs chosen cells by
-// index (RunCampaignStream runs all of them). RunSweep folds a campaign
-// into the per-cell sums behind every evaluation figure.
+// unit is the cell, one (group, N) pair with all its replicates.
+// CampaignSpec.JobSpace validates a spec once, resolving every cell's
+// trial configuration, and returns its JobSpace: the validated campaign
+// that every later layer plans and runs from. JobSpace.Cells visits the
+// cells it executes and JobSpace.RunCells runs chosen cells by index
+// (RunCampaignStream validates and runs all of them). RunSweep folds a
+// campaign into the per-cell sums behind every evaluation figure.
 package sim
 
 import (

@@ -158,7 +158,7 @@ func TestRunSweepMatchesTrialSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	js := spec.JobSpace()
+	js := jobSpace(t, spec)
 	if len(pts)*spec.Replicates != js.Len() {
 		t.Fatalf("%d points of %d trials for %d jobs", len(pts), spec.Replicates, js.Len())
 	}

@@ -129,7 +129,7 @@ func newTrial(cfg TrialConfig, arena *TrialArena) (*Trial, error) {
 // resolveSchedule resolves a normalized config's workload into its
 // schedule, which installs the workload's knobs into cfg (lossy,
 // byzantine), and checks those knobs against the scheme and the runner.
-// NewTrial and CampaignSpec.Validate both call it, so a campaign
+// NewTrial and CampaignSpec.JobSpace both call it, so a campaign
 // validates exactly the pairings its trials accept. Its errors name the
 // workload, the scheme and the runner.
 func resolveSchedule(cfg *TrialConfig) (Schedule, error) {

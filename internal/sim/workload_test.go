@@ -453,13 +453,13 @@ func TestJobSpaceWorkloadRunnerAxes(t *testing.T) {
 		Replicates: 2,
 		BaseSeed:   8,
 	}
-	jobs := spec.Jobs()
+	jobs := executedJobs(spec)
 	// First churn sweeps the holes dimension; the pinned one collapses it.
 	want := (1*2*1*2*2)*2 + (1*1*1*2*2)*2
 	if len(jobs) != want {
 		t.Fatalf("jobs = %d, want %d", len(jobs), want)
 	}
-	js := spec.JobSpace()
+	js := jobSpace(t, spec)
 	if js.Len() != len(jobs) {
 		t.Fatalf("JobSpace.Len = %d, want %d", js.Len(), len(jobs))
 	}

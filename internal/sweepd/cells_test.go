@@ -181,7 +181,11 @@ func TestCellKeyPinned(t *testing.T) {
 	if first.Engine != sim.EngineVersion {
 		t.Errorf("stored cell records engine %d, want %d", first.Engine, sim.EngineVersion)
 	}
-	one := spec.CellSpec(spec.Normalized().Jobs()[0])
+	js, err := spec.JobSpace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := spec.CellSpec(js.At(0))
 	if key, err := telemetry.SpecHash(one); err != nil || key != want {
 		t.Errorf("SpecHash(CellSpec) = %s, %v; want %s", key, err, want)
 	}

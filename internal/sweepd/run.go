@@ -20,7 +20,7 @@ import (
 // context.Canceled; the cells completed by then are stored, so the next
 // submission of the same spec computes only the rest.
 func (d *Daemon) execute(c *Campaign) (telemetry.Record, error) {
-	run, err := dispatch.PlanLocal(c.Spec, c.Name, d.store.cells)
+	run, err := dispatch.PlanLocal(c.jobs, c.Name, d.store.cells)
 	if err != nil {
 		return telemetry.Record{}, err
 	}

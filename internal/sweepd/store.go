@@ -68,10 +68,11 @@ import (
 // file that changed after its check.
 //
 // The cell index is built by one scan of every segment on the first
-// campaign a daemon runs, so opening a store reads nothing. A running
-// daemon therefore sees cells that other processes append to the
-// directory later (cmd/sweep -store runs) only after a restart; until
-// then it recomputes them, with the same bytes.
+// campaign a daemon runs, so opening a store reads nothing. It stays
+// live: a campaign that misses a cell re-scans the segments that
+// appeared or grew since, so cells other processes append to the
+// directory later (cmd/sweep -store runs) are served without a
+// restart.
 type Store struct {
 	dir   string
 	cells *dispatch.CellStore

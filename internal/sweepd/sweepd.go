@@ -68,7 +68,6 @@ type Campaign struct {
 	ID       int
 	Name     string
 	SpecHash string
-	Spec     sim.CampaignSpec
 
 	Status       string
 	Cached       bool
@@ -78,6 +77,9 @@ type Campaign struct {
 	Started      time.Time
 	Finished     time.Time
 
+	// jobs is the campaign's job space, validated once by Submit; the
+	// run plans from it.
+	jobs sim.JobSpace
 	// hub streams the campaign's live progress snapshots; nil for
 	// cache-hit campaigns, which never run.
 	hub *telemetry.Hub
@@ -170,11 +172,14 @@ func (d *Daemon) Submit(specJSON []byte, name string) (View, bool, error) {
 	if err := sim.UnmarshalSpecJSON(specJSON, &spec); err != nil {
 		return View{}, false, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	spec = spec.Normalized()
-	if err := spec.ValidateUnsharded(); err != nil {
+	if spec.CellFirst != 0 || spec.CellCount != 0 { // ValidateUnsharded names the pinned range
+		return View{}, false, fmt.Errorf("%w: %v", ErrBadSpec, spec.ValidateUnsharded())
+	}
+	js, err := spec.JobSpace()
+	if err != nil {
 		return View{}, false, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	hash, err := telemetry.SpecHash(spec)
+	hash, err := telemetry.SpecHash(js.Spec())
 	if err != nil {
 		return View{}, false, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
@@ -198,7 +203,7 @@ func (d *Daemon) Submit(specJSON []byte, name string) (View, bool, error) {
 	// Register a terminal "cached" campaign so the submission still has
 	// a pollable identity, but run nothing.
 	if path, _, ok := d.store.Get(hash); ok {
-		c := d.registerLocked(name, hash, spec)
+		c := d.registerLocked(name, hash, js)
 		// The campaign is born terminal: it never occupies the in-flight
 		// slot, so the next identical submission registers its own
 		// cache-hit identity instead of coalescing onto this one.
@@ -213,7 +218,7 @@ func (d *Daemon) Submit(specJSON []byte, name string) (View, bool, error) {
 			"id", c.ID, "spec_hash", hash, "manifest", path)
 		return d.viewLocked(c), false, nil
 	}
-	c := d.registerLocked(name, hash, spec)
+	c := d.registerLocked(name, hash, js)
 	c.hub = telemetry.NewHub()
 	select {
 	case d.queue <- c:
@@ -226,18 +231,18 @@ func (d *Daemon) Submit(specJSON []byte, name string) (View, bool, error) {
 		return View{}, false, ErrQueueFull
 	}
 	d.log.Info("campaign queued", "id", c.ID, "name", name, "spec_hash", hash,
-		"jobs", spec.NumJobs(), "queue_len", len(d.queue))
+		"jobs", js.Len(), "queue_len", len(d.queue))
 	return d.viewLocked(c), true, nil
 }
 
 // registerLocked allocates and indexes a campaign; callers hold d.mu.
-func (d *Daemon) registerLocked(name, hash string, spec sim.CampaignSpec) *Campaign {
+func (d *Daemon) registerLocked(name, hash string, js sim.JobSpace) *Campaign {
 	d.nextID++
 	c := &Campaign{
 		ID:        d.nextID,
 		Name:      name,
 		SpecHash:  hash,
-		Spec:      spec,
+		jobs:      js,
 		Status:    StatusQueued,
 		Submitted: time.Now().UTC(),
 		done:      make(chan struct{}),
@@ -405,12 +410,12 @@ func (d *Daemon) finish(c *Campaign, status string, rec telemetry.Record, runErr
 	}
 	ran := rec.Jobs
 	rec.Time, rec.Name, rec.Mode, rec.Status = finished, c.Name, "sweepd", status
-	rec.SpecHash, rec.Workers, rec.WallS = c.SpecHash, c.Spec.Workers, wall
+	rec.SpecHash, rec.Workers, rec.WallS = c.SpecHash, c.jobs.Spec().Workers, wall
 	if status == StatusCompleted {
 		// Like cmd/sweep: a completed manifest accounts for the whole
 		// campaign, reused cells included; the rate credits only the
 		// trials this run executed.
-		rec.Jobs = c.Spec.NumJobs()
+		rec.Jobs = c.jobs.Len()
 	}
 	if wall > 0 && ran > 0 {
 		rec.TrialsPerS = float64(ran) / wall
