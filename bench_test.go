@@ -395,9 +395,12 @@ func BenchmarkCampaign16Cells(b *testing.B) {
 // computes every cell, as a cold sweepd campaign does. The "reused" row
 // stores every cell before the timer starts, so each run computes
 // nothing: it times validating, addressing, looking up and verifying 32
-// stored cells, and the manifest.
+// stored cells, and the manifest. The "widen" row runs service-mix's
+// widened campaign (12 spare counts up to 600, 48 cells, 768 trials)
+// with no store, the path where the arena replays each replicate's
+// spares.
 func BenchmarkLocalRunCheckpoint(b *testing.B) {
-	spec := sim.CampaignSpec{
+	base := sim.CampaignSpec{
 		Schemes:    []sim.SchemeKind{sim.SR, sim.AR},
 		Grids:      []sim.GridSize{{Cols: 16, Rows: 16}},
 		Spares:     []int{10, 25, 40, 55, 70, 100, 150, 200},
@@ -407,7 +410,9 @@ func BenchmarkLocalRunCheckpoint(b *testing.B) {
 		BaseSeed:   1000,
 		Workers:    1,
 	}
-	run := func(b *testing.B, store *dispatch.CellStore) *dispatch.LocalRun {
+	widened := base
+	widened.Spares = []int{10, 25, 40, 55, 70, 100, 150, 200, 300, 400, 500, 600}
+	run := func(b *testing.B, spec sim.CampaignSpec, store *dispatch.CellStore) *dispatch.LocalRun {
 		js, err := spec.JobSpace()
 		if err != nil {
 			b.Fatal(err)
@@ -421,11 +426,15 @@ func BenchmarkLocalRunCheckpoint(b *testing.B) {
 		}
 		return r
 	}
-	for _, name := range []string{"none", "store", "reused"} {
+	for _, name := range []string{"none", "store", "reused", "widen"} {
 		b.Run(name, func(b *testing.B) {
+			spec := base
+			if name == "widen" {
+				spec = widened
+			}
 			dir := b.TempDir()
 			if name == "reused" {
-				run(b, dispatch.OpenCellStore(dir))
+				run(b, spec, dispatch.OpenCellStore(dir))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -437,7 +446,7 @@ func BenchmarkLocalRunCheckpoint(b *testing.B) {
 				case "reused":
 					store = dispatch.OpenCellStore(dir)
 				}
-				if r := run(b, store); name == "reused" && r.Executed != 0 {
+				if r := run(b, spec, store); name == "reused" && r.Executed != 0 {
 					b.Fatalf("reused run executes %d trials, want none", r.Executed)
 				}
 			}

@@ -49,7 +49,7 @@ func TestHolesAndComplete(t *testing.T) {
 
 func TestCompleteAfterFullDeploy(t *testing.T) {
 	w := newNet(t, 3, 3, 1)
-	if err := deploy.PerGrid(w, 1, randx.New(1)); err != nil {
+	if err := deploy.Controlled(w, 0, nil, randx.New(1)); err != nil {
 		t.Fatal(err)
 	}
 	w.ElectHeads()

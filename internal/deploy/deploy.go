@@ -1,18 +1,19 @@
 // Package deploy populates a network with sensor nodes and injects the
 // failures that create coverage holes.
 //
-// Deployment strategies cover the paper's uniform random placement plus
-// the clustered and per-grid layouts used by the examples and ablation
-// benches. Failure injectors model random node failure, the region-wide
-// jamming attack of Xu et al. cited in the paper's introduction, and
-// battery depletion proportional to distance traveled.
+// Controlled builds the experimental configuration of the paper's
+// Section 5 (one node per cell outside the holes, then an exact number
+// of spares) and Resupply drops spares mid-run. Failure injectors model
+// random node failure, the region-wide jamming attack of Xu et al. cited
+// in the paper's introduction, and battery depletion proportional to
+// distance traveled.
 package deploy
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"wsncover/internal/geom"
 	"wsncover/internal/grid"
@@ -35,70 +36,14 @@ func (h holeRanks) cell(k int) int {
 	return k + sort.Search(len(h), func(j int) bool { return h[j]-j > k })
 }
 
-// Uniform scatters count nodes uniformly at random over the whole field.
-// This is the paper's deployment model.
-func Uniform(w *network.Network, count int, rng *randx.Rand) error {
-	bounds := w.System().Bounds()
-	for i := 0; i < count; i++ {
-		if _, err := w.AddNodeAt(rng.InRect(bounds)); err != nil {
-			return fmt.Errorf("uniform deploy: %w", err)
-		}
-	}
-	return nil
-}
-
-// PerGrid places exactly perCell nodes uniformly inside every cell,
-// producing a perfectly balanced deployment (the idealized layout the
-// density arguments of [3] and [6] assume).
-func PerGrid(w *network.Network, perCell int, rng *randx.Rand) error {
-	sys := w.System()
-	for _, c := range sys.AllCoords() {
-		rect := sys.CellRect(c)
-		for i := 0; i < perCell; i++ {
-			if _, err := w.AddNodeAt(rng.InRect(rect)); err != nil {
-				return fmt.Errorf("per-grid deploy: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
-// Clustered drops count nodes around k cluster centers with a Gaussian
-// spread of sigma, clamped to the field. It models air-dropped
-// deployments whose density is uneven, the situation in which holes are
-// most likely.
-func Clustered(w *network.Network, count, k int, sigma float64, rng *randx.Rand) error {
-	if k < 1 {
-		return fmt.Errorf("clustered deploy: k=%d clusters", k)
-	}
-	bounds := w.System().Bounds()
-	centers := make([]geom.Point, k)
-	for i := range centers {
-		centers[i] = rng.InRect(bounds)
-	}
-	for i := 0; i < count; i++ {
-		c := centers[rng.Intn(k)]
-		p := geom.Pt(
-			c.X+rng.NormFloat64()*sigma,
-			c.Y+rng.NormFloat64()*sigma,
-		)
-		p = bounds.Clamp(p)
-		// Clamp can land on the exclusive north/east boundary; nudge in.
-		p.X = math.Min(p.X, bounds.Max.X-1e-9)
-		p.Y = math.Min(p.Y, bounds.Max.Y-1e-9)
-		if _, err := w.AddNodeAt(p); err != nil {
-			return fmt.Errorf("clustered deploy: %w", err)
-		}
-	}
-	return nil
-}
-
 // Controlled builds the experimental configuration of Section 5 with an
-// exact spare budget: every cell outside holeCells receives one node (the
-// future head) at a uniform position, then spares additional nodes are
-// scattered uniformly over the non-hole cells. The cells in holeCells stay
-// empty, so after ElectHeads the network has exactly len(holeCells)
-// simultaneous holes and exactly spares spare nodes (the paper's N).
+// exact spare budget into w, which must hold no nodes: every cell outside
+// holeCells receives one node (the future head) at a uniform position,
+// then spares additional nodes are scattered uniformly over the non-hole
+// cells, and each cell elects its head as its nodes land
+// (network.DeployNodeAt). The cells in holeCells stay empty, so the
+// network ends with exactly len(holeCells) simultaneous holes and
+// exactly spares spare nodes (the paper's N).
 func Controlled(w *network.Network, spares int, holeCells []grid.Coord, rng *randx.Rand) error {
 	var b Base
 	if err := b.Place(w, spares, holeCells, rng, false); err != nil {
@@ -107,28 +52,42 @@ func Controlled(w *network.Network, spares int, holeCells []grid.Coord, rng *ran
 	return b.AddSpares(w, spares, rng)
 }
 
-// Base is the half of a Controlled deployment drawn before the spare
-// count is read: the hole cells and the one node placed in every other
-// cell. Place builds it (Controlled is Place then AddSpares); a recorded
-// Base also keeps every placed node's position and the cell it
-// registered in, and Replay adds those nodes to another empty network of
-// the same geometry without drawing or locating them, so a campaign that
-// deploys one seed under many spare counts draws the layout once. The
-// zero value is empty; its buffers are reused from one Place to the
-// next.
+// Base is a Controlled deployment split at the spare count: the hole
+// cells and the one node placed in every other cell, then the spares.
+// Place builds the first half and AddSpares the second (Controlled is
+// the two in turn). A recording Base also keeps every node it deployed,
+// in id order — the placed nodes, then the spares in draw order — with
+// its position and network.Landing, and the stream's state after the
+// last. Replay deploys the placed nodes and a prefix of the spares into
+// another empty network of the same geometry from the recording, with
+// no draw, no cell lookup and no election distance, and draws only the
+// spares past the recording. A campaign deploys one seed under many
+// spare counts from one point of the stream, so the spares of a smaller
+// count are the first spares of a larger one, and one recording serves
+// them all. The zero value is empty; its buffers are reused from one
+// Place to the next.
 type Base struct {
-	holes holeRanks
-	locs  []geom.Point // recorded nodes, in id order
-	cells []int32      // the cell index each recorded node registered in
+	holes  holeRanks
+	record bool              // the last Place recorded
+	placed int               // recorded nodes Place placed; the rest are spares
+	locs   []geom.Point      // recorded nodes, in id order
+	landed []network.Landing // where each recorded node landed
+	state  randx.State       // the stream right after the last recorded node
 }
 
 // Place validates holeCells, keeps them, and places one node uniformly
-// in every other cell, in index order, drawing from rng — the first half
-// of Controlled. With record set it also keeps every placed node for
-// Replay; otherwise it drops any earlier recording. spares only sizes
-// the node columns for the AddSpares that follows.
+// in every other cell of w, which must hold no nodes, in index order,
+// drawing from rng — the first half of Controlled. With record set it
+// starts a recording (see Base) with the placed nodes and the stream's
+// state after them; otherwise it drops any earlier one. spares only
+// sizes the node columns for the AddSpares that follows.
 func (b *Base) Place(w *network.Network, spares int, holeCells []grid.Coord, rng *randx.Rand, record bool) error {
 	sys := w.System()
+	b.record = false
+	b.locs, b.landed = b.locs[:0], b.landed[:0]
+	if w.NumNodes() != 0 {
+		return fmt.Errorf("controlled deploy: network already holds %d nodes", w.NumNodes())
+	}
 	b.holes = slices.Grow(b.holes[:0], len(holeCells))
 	for _, h := range holeCells {
 		if !sys.Contains(h) {
@@ -138,59 +97,128 @@ func (b *Base) Place(w *network.Network, spares int, holeCells []grid.Coord, rng
 	}
 	slices.Sort(b.holes)
 	b.holes = slices.Compact(b.holes)
-	b.locs, b.cells = b.locs[:0], b.cells[:0]
-	if record {
-		b.locs = slices.Grow(b.locs, b.occupied(sys))
-		b.cells = slices.Grow(b.cells, b.occupied(sys))
-	}
-	w.GrowNodes(b.occupied(sys) + max(spares, 0))
+	occupied := b.occupied(sys)
+	w.GrowNodes(occupied + max(spares, 0))
 	at := func(c grid.Coord) geom.Point { return rng.InRect(sys.CellRect(c)) }
+	var rec *[]network.Landing
 	if record {
+		b.reserve(occupied + max(spares, 0))
+		rec = &b.landed
 		at = func(c grid.Coord) geom.Point {
 			p := rng.InRect(sys.CellRect(c))
-			rc, _ := sys.CoordOf(p)
 			b.locs = append(b.locs, p)
-			b.cells = append(b.cells, int32(sys.Index(rc)))
 			return p
 		}
 	}
-	if err := w.AddOnePerCell(b.holes, at); err != nil {
-		b.locs, b.cells = b.locs[:0], b.cells[:0] // an off-field point: nothing to replay
+	if err := w.AddOnePerCell(b.holes, at, rec); err != nil {
+		b.locs, b.landed = b.locs[:0], b.landed[:0] // an off-field point: nothing to replay
 		return fmt.Errorf("controlled deploy: %w", err)
+	}
+	b.record, b.placed = record, len(b.locs)
+	if record {
+		rng.Save(&b.state)
 	}
 	return nil
 }
 
-// Replay adds the nodes the last recording Place placed to w, which must
-// hold no nodes and have the geometry Place ran on: afterwards w is as
-// that Place left its network, and the stream it drew from must be
-// restored by the caller. spares sizes the node columns like Place.
-func (b *Base) Replay(w *network.Network, spares int) error {
-	if n := b.occupied(w.System()); len(b.locs) != n || w.NumNodes() != 0 {
-		return fmt.Errorf("controlled deploy: replaying %d recorded nodes for %d cells into %d nodes",
-			len(b.locs), n, w.NumNodes())
+// AddSpares scatters spares nodes uniformly over the cells Place did not
+// leave empty, drawing from rng, each electing as it lands — the second
+// half of Controlled. A recording Base records them and the stream's
+// state after them; when that fails, it keeps what it recorded before.
+// HeadElected events, when w has an observer, fire
+// here, once per head in cell index order.
+func (b *Base) AddSpares(w *network.Network, spares int, rng *randx.Rand) error {
+	if err := b.addSpares(w, spares, rng, b.record); err != nil {
+		return err
 	}
-	w.GrowNodes(len(b.locs) + max(spares, 0))
-	return w.AddPlaced(b.locs, b.cells)
+	w.AnnounceHeads()
+	return nil
 }
 
-// AddSpares scatters spares nodes uniformly over the cells Place did not
-// leave empty, drawing from rng, and elects every cell's head — the
-// second half of Controlled.
-func (b *Base) AddSpares(w *network.Network, spares int, rng *randx.Rand) error {
+// Recorded returns how many spares the recording holds.
+func (b *Base) Recorded() int { return len(b.locs) - b.placed }
+
+// Replay deploys the recording into w, which must hold no nodes and
+// have the geometry the recording was made on: the placed nodes and the
+// first min(spares, Recorded()) spares, from the recording alone. The
+// spares past the recording are drawn from rng, first moved to the
+// recorded state, and are recorded too when extend is set; an extension
+// that fails leaves the recording as it was. Afterwards w is as
+// Controlled leaves it. rng is left where the last draw left it, or
+// untouched when nothing was drawn: it is not where Controlled leaves
+// it, so the caller must not read it again.
+func (b *Base) Replay(w *network.Network, spares int, rng *randx.Rand, extend bool) error {
+	if !b.record || w.NumNodes() != 0 {
+		return fmt.Errorf("controlled deploy: replaying a recording of %d nodes (recorded: %v) into %d nodes",
+			len(b.locs), b.record, w.NumNodes())
+	}
+	n := b.placed + min(max(spares, 0), b.Recorded())
+	w.GrowNodes(b.placed + max(spares, 0))
+	if err := w.AddPlaced(b.locs[:n], b.landed[:n]); err != nil {
+		return err
+	}
+	if more := spares - (n - b.placed); more > 0 {
+		rng.Restore(&b.state)
+		if err := b.addSpares(w, more, rng, extend); err != nil {
+			return err
+		}
+	}
+	w.AnnounceHeads()
+	return nil
+}
+
+// addSpares draws spares spares as AddSpares does, appending them to
+// the recording when record is set and saving the stream's state after
+// them. On an error it cuts the recording back to where it was.
+func (b *Base) addSpares(w *network.Network, spares int, rng *randx.Rand, record bool) error {
 	sys := w.System()
 	occupied := b.occupied(sys)
 	if occupied == 0 && spares > 0 {
 		return fmt.Errorf("controlled deploy: no non-hole cells for %d spares", spares)
 	}
+	n := len(b.locs)
+	if record {
+		b.reserve(n + spares)
+	}
 	for i := 0; i < spares; i++ {
 		c := sys.CoordAt(b.holes.cell(rng.Intn(occupied)))
-		if _, err := w.AddNodeAt(rng.InRect(sys.CellRect(c))); err != nil {
+		p := rng.InRect(sys.CellRect(c))
+		l, err := w.DeployNodeAt(p)
+		if err != nil {
+			b.locs, b.landed = b.locs[:n], b.landed[:n]
 			return fmt.Errorf("controlled deploy: %w", err)
 		}
+		if record {
+			b.locs = append(b.locs, p)
+			b.landed = append(b.landed, l)
+		}
 	}
-	w.ElectHeads()
+	if record {
+		rng.Save(&b.state)
+	}
 	return nil
+}
+
+// reserve makes room for n recorded nodes, growing the buffers to
+// exactly n when they are smaller, so Bytes counts no slack that
+// append's growth would add.
+func (b *Base) reserve(n int) {
+	if cap(b.locs) < n {
+		b.locs = append(make([]geom.Point, 0, n), b.locs...)
+	}
+	if cap(b.landed) < n {
+		b.landed = append(make([]network.Landing, 0, n), b.landed...)
+	}
+}
+
+// Bytes returns the memory the Base holds once its recording has room
+// for spares spares: the saved stream state and the buffers' capacity,
+// grown to fit them if smaller. Bytes(0) is what it holds now.
+func (b *Base) Bytes(spares int) int {
+	nodes := b.placed + spares
+	return int(unsafe.Sizeof(*b)) + cap(b.holes)*int(unsafe.Sizeof(0)) +
+		max(cap(b.locs), nodes)*int(unsafe.Sizeof(geom.Point{})) +
+		max(cap(b.landed), nodes)*int(unsafe.Sizeof(network.Landing(0)))
 }
 
 // occupied returns the number of cells outside the base's holes.

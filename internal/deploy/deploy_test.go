@@ -19,76 +19,6 @@ func newNet(t *testing.T, cols, rows int, cell float64) *network.Network {
 	return network.New(sys, node.EnergyModel{})
 }
 
-func TestUniform(t *testing.T) {
-	w := newNet(t, 8, 8, 2)
-	if err := Uniform(w, 500, randx.New(1)); err != nil {
-		t.Fatal(err)
-	}
-	if w.NumNodes() != 500 {
-		t.Errorf("NumNodes = %d", w.NumNodes())
-	}
-	// All nodes inside the field.
-	bounds := w.System().Bounds()
-	for id := node.ID(0); int(id) < w.NumNodes(); id++ {
-		if !bounds.Contains(w.Node(id).Location()) {
-			t.Fatalf("node %d at %v outside field", id, w.Node(id).Location())
-		}
-	}
-	// With 500 nodes over 64 cells almost certainly every cell is hit;
-	// check the deployment is reasonably spread instead of exact.
-	w.ElectHeads()
-	occupied := 0
-	for _, c := range w.System().AllCoords() {
-		if !w.IsVacant(c) {
-			occupied++
-		}
-	}
-	if occupied < 55 {
-		t.Errorf("only %d/64 cells occupied; uniform spread suspect", occupied)
-	}
-}
-
-func TestPerGrid(t *testing.T) {
-	w := newNet(t, 4, 3, 1)
-	if err := PerGrid(w, 3, randx.New(2)); err != nil {
-		t.Fatal(err)
-	}
-	if w.NumNodes() != 36 {
-		t.Errorf("NumNodes = %d, want 36", w.NumNodes())
-	}
-	w.ElectHeads()
-	for _, c := range w.System().AllCoords() {
-		if got := w.SpareCount(c); got != 2 {
-			t.Errorf("cell %v spare count = %d, want 2", c, got)
-		}
-	}
-}
-
-func TestClustered(t *testing.T) {
-	w := newNet(t, 10, 10, 1)
-	if err := Clustered(w, 300, 3, 1.5, randx.New(3)); err != nil {
-		t.Fatal(err)
-	}
-	if w.NumNodes() != 300 {
-		t.Errorf("NumNodes = %d", w.NumNodes())
-	}
-	bounds := w.System().Bounds()
-	for id := node.ID(0); int(id) < w.NumNodes(); id++ {
-		if !bounds.Contains(w.Node(id).Location()) {
-			t.Fatalf("node %d outside field", id)
-		}
-	}
-	// Clustering should leave some cells empty (3 tight clusters cannot
-	// blanket 100 cells with 300 points of sigma 1.5).
-	w.ElectHeads()
-	if len(w.VacantCells(nil)) == 0 {
-		t.Error("clustered deployment left no holes; distribution suspect")
-	}
-	if err := Clustered(w, 10, 0, 1, randx.New(1)); err == nil {
-		t.Error("k=0 should fail")
-	}
-}
-
 func TestControlled(t *testing.T) {
 	w := newNet(t, 16, 16, 4.4721)
 	holes := []grid.Coord{grid.C(3, 3), grid.C(10, 12)}
@@ -138,13 +68,30 @@ func TestControlledValidation(t *testing.T) {
 	if err := Controlled(w3, 0, allHoles, randx.New(1)); err != nil {
 		t.Errorf("zero-spare all-hole deploy: %v", err)
 	}
+	// Cells elect as their nodes land, which equals the election only
+	// on a network without nodes.
+	w4 := newNet(t, 4, 4, 1)
+	if err := Controlled(w4, 3, nil, randx.New(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := Controlled(w4, 3, nil, randx.New(2)); err == nil {
+		t.Error("deploying into a populated network should fail")
+	}
+}
+
+// addUniform adds count nodes at uniform points of the field.
+func addUniform(t *testing.T, w *network.Network, count int, rng *randx.Rand) {
+	t.Helper()
+	for i := 0; i < count; i++ {
+		if _, err := w.AddNodeAt(rng.InRect(w.System().Bounds())); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestFailRandom(t *testing.T) {
 	w := newNet(t, 4, 4, 1)
-	if err := Uniform(w, 100, randx.New(5)); err != nil {
-		t.Fatal(err)
-	}
+	addUniform(t, w, 100, randx.New(5))
 	got := FailRandom(w, 30, randx.New(6))
 	if got != 30 {
 		t.Errorf("disabled %d, want 30", got)
@@ -183,8 +130,13 @@ func TestFailRegion(t *testing.T) {
 
 func TestFailCells(t *testing.T) {
 	w := newNet(t, 3, 1, 1)
-	if err := PerGrid(w, 2, randx.New(8)); err != nil {
-		t.Fatal(err)
+	rng := randx.New(8)
+	for _, c := range w.System().AllCoords() {
+		for i := 0; i < 2; i++ {
+			if _, err := w.AddNodeAt(rng.InRect(w.System().CellRect(c))); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	got := FailCells(w, []grid.Coord{grid.C(0, 0), grid.C(2, 0)})
 	if got != 4 {

@@ -200,7 +200,8 @@ func TestControlledMatchesOccupiedList(t *testing.T) {
 	for i, holes := range holeSets {
 		for _, spares := range []int{0, 1, 17} {
 			for seed := int64(0); seed < 5; seed++ {
-				got, want := network.New(sys, node.EnergyModel{}), network.New(sys, node.EnergyModel{})
+				got, gotLog := observed(sys)
+				want, wantLog := observed(sys)
 				a, b := randx.New(seed), randx.New(seed)
 				gotErr := Controlled(got, spares, holes, a)
 				wantErr := refControlled(want, spares, holes, b)
@@ -209,6 +210,9 @@ func TestControlledMatchesOccupiedList(t *testing.T) {
 					t.Fatalf("%s: error %v, reference %v", label, gotErr, wantErr)
 				}
 				sameNetwork(t, label, got, want)
+				if gotErr == nil && fmt.Sprint(gotLog.events) != fmt.Sprint(wantLog.events) {
+					t.Fatalf("%s: HeadElected events %v, reference %v", label, gotLog.events, wantLog.events)
+				}
 				if !sameStream(a, b) {
 					t.Fatalf("%s: stream state diverged", label)
 				}
@@ -217,10 +221,31 @@ func TestControlledMatchesOccupiedList(t *testing.T) {
 	}
 }
 
-// TestBaseReplayMatchesControlled records a base under one spare count
-// and replays it under others, into a fresh network with a stream
-// restored to where the recording's layout left it: network and stream
-// must end as Controlled leaves them.
+// electionLog records a network's HeadElected events in order.
+type electionLog struct{ events []string }
+
+func (l *electionLog) NodeMoved(node.ID, geom.Point, geom.Point, grid.Coord, grid.Coord) {}
+func (l *electionLog) MessageSent(network.Message)                                       {}
+func (l *electionLog) NodeDisabled(node.ID, grid.Coord)                                  {}
+func (l *electionLog) RoundStarted(int)                                                  {}
+func (l *electionLog) HeadElected(id node.ID, c grid.Coord) {
+	l.events = append(l.events, fmt.Sprintf("%d@%v", id, c))
+}
+
+// observed returns a network over sys with an election log attached.
+func observed(sys *grid.System) (*network.Network, *electionLog) {
+	w, log := network.New(sys, node.EnergyModel{}), &electionLog{}
+	w.SetObserver(log)
+	return w, log
+}
+
+// TestBaseReplayMatchesControlled records a base with 5 spares and
+// replays it under spare counts below, at and above the recording, with
+// and without extending it, into fresh networks whose streams start
+// elsewhere: each network must end as Controlled leaves it, with the
+// same HeadElected events, and after drawing spares past the recording
+// the stream must be where Controlled leaves it too. Only an extending
+// replay grows the recording, and a replay that fails leaves it whole.
 func TestBaseReplayMatchesControlled(t *testing.T) {
 	sys, err := grid.New(9, 7, 1, geom.Pt(0, 0))
 	if err != nil {
@@ -232,36 +257,83 @@ func TestBaseReplayMatchesControlled(t *testing.T) {
 		{grid.C(4, 3), grid.C(0, 0), grid.C(8, 6), grid.C(4, 3)},
 		sys.AllCoords(),
 	}
-	var b Base // reused across recordings, like a memo slot
+	steps := []struct {
+		spares int
+		extend bool
+	}{{0, false}, {3, false}, {5, true}, {9, false}, {9, true}, {4, false}, {40, true}, {12, false}, {41, false}}
+	var b Base // reused across recordings, like a memo entry
 	for i, holes := range holeSets {
+		recorded := 5
+		if len(holes) == sys.NumCells() {
+			recorded = 0 // no cell to scatter spares over
+		}
 		for seed := int64(0); seed < 4; seed++ {
-			rec := network.New(sys, node.EnergyModel{})
+			rec, recLog := observed(sys)
 			recRNG := randx.New(seed)
-			if err := b.Place(rec, 3, holes, recRNG, true); err != nil {
+			if err := b.Place(rec, recorded, holes, recRNG, true); err != nil {
 				t.Fatal(err)
 			}
-			var st randx.State
-			recRNG.Save(&st)
-			for _, spares := range []int{0, 1, 17} {
-				label := fmt.Sprintf("hole set %d spares=%d seed=%d", i, spares, seed)
-				want, wantRNG := network.New(sys, node.EnergyModel{}), randx.New(seed)
-				wantErr := Controlled(want, spares, holes, wantRNG)
-				got, gotRNG := network.New(sys, node.EnergyModel{}), randx.New(-seed)
-				if err := b.Replay(got, spares); err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				gotRNG.Restore(&st)
-				gotErr := b.AddSpares(got, spares, gotRNG)
+			if err := b.AddSpares(rec, recorded, recRNG); err != nil {
+				t.Fatal(err)
+			}
+			ref, refLog := observed(sys)
+			refRNG := randx.New(seed)
+			if err := refControlled(ref, recorded, holes, refRNG); err != nil {
+				t.Fatal(err)
+			}
+			sameNetwork(t, "recording", rec, ref)
+			if fmt.Sprint(recLog.events) != fmt.Sprint(refLog.events) || !sameStream(recRNG, refRNG) {
+				t.Fatalf("hole set %d seed %d: the recording's events or stream differ from the reference", i, seed)
+			}
+			for _, st := range steps {
+				label := fmt.Sprintf("hole set %d seed=%d spares=%d extend=%v", i, seed, st.spares, st.extend)
+				want, wantLog := observed(sys)
+				wantRNG := randx.New(seed)
+				wantErr := refControlled(want, st.spares, holes, wantRNG)
+				got, gotLog := observed(sys)
+				gotRNG := randx.New(-seed - 1)
+				before := b.Recorded()
+				gotErr := b.Replay(got, st.spares, gotRNG, st.extend)
 				if (gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("%s: error %v, Controlled %v", label, gotErr, wantErr)
+					t.Fatalf("%s: error %v, reference %v", label, gotErr, wantErr)
+				}
+				wantRecorded := before
+				if st.extend && gotErr == nil {
+					wantRecorded = max(before, st.spares)
+				}
+				if b.Recorded() != wantRecorded {
+					t.Fatalf("%s: recording holds %d spares, want %d", label, b.Recorded(), wantRecorded)
+				}
+				if gotErr != nil {
+					continue
 				}
 				sameNetwork(t, label, got, want)
-				if !sameStream(gotRNG, wantRNG) {
+				if fmt.Sprint(gotLog.events) != fmt.Sprint(wantLog.events) {
+					t.Fatalf("%s: HeadElected events %v, reference %v", label, gotLog.events, wantLog.events)
+				}
+				if st.spares > before && !sameStream(gotRNG, wantRNG) {
 					t.Fatalf("%s: stream state diverged", label)
 				}
 			}
 		}
 	}
+	// A recording of the placed nodes alone serves every spare count.
+	if err := b.Place(network.New(sys, node.EnergyModel{}), 0, holeSets[2], randx.New(3), true); err != nil {
+		t.Fatal(err)
+	}
+	got, gotRNG := network.New(sys, node.EnergyModel{}), randx.New(99)
+	if err := b.Replay(got, 7, gotRNG, true); err != nil {
+		t.Fatal(err)
+	}
+	want, wantRNG := network.New(sys, node.EnergyModel{}), randx.New(3)
+	if err := refControlled(want, 7, holeSets[2], wantRNG); err != nil {
+		t.Fatal(err)
+	}
+	sameNetwork(t, "placed-only recording", got, want)
+	if !sameStream(gotRNG, wantRNG) || b.Recorded() != 7 {
+		t.Fatalf("placed-only recording: stream diverged or %d spares recorded, want 7", b.Recorded())
+	}
+
 	crowded := network.New(sys, node.EnergyModel{})
 	if _, err := crowded.AddNodeAt(geom.Pt(0.5, 0.5)); err != nil {
 		t.Fatal(err)
@@ -269,13 +341,13 @@ func TestBaseReplayMatchesControlled(t *testing.T) {
 	if err := b.Place(network.New(sys, node.EnergyModel{}), 0, nil, randx.New(1), true); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Replay(crowded, 0); err == nil {
+	if err := b.Replay(crowded, 0, randx.New(1), false); err == nil {
 		t.Error("replay into a populated network should fail")
 	}
 	if err := b.Place(network.New(sys, node.EnergyModel{}), 0, nil, randx.New(1), false); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Replay(network.New(sys, node.EnergyModel{}), 0); err == nil {
+	if err := b.Replay(network.New(sys, node.EnergyModel{}), 0, randx.New(1), false); err == nil {
 		t.Error("replay of an unrecorded base should fail")
 	}
 }

@@ -33,20 +33,21 @@ func (w *Network) electAll() {
 	}
 }
 
-// bulkCase is one population built both ways: pre nodes added (and pre
-// moves made) before the per-cell pass, skip handed to it, then spares
-// added node by node.
+// bulkCase is one population deployed into an empty network: the pre
+// nodes, then one node per cell outside skip, then spares nodes at
+// random points, then one more node at each listed cell's point (a tie
+// with that cell's node, which must not displace it).
 type bulkCase struct {
 	name       string
 	cols, rows int
 	pre        []geom.Point
-	moves      [][2]int // pre node index, destination cell index
 	skip       []int
 	spares     int
 	// edges lists cells whose point is the north-east corner of their
 	// rect, which grid.CoordOf assigns to another cell (or folds back on
 	// the field's outer edge).
 	edges []int
+	ties  []int
 }
 
 // cellPoints draws one point per cell from seed, then moves the listed
@@ -63,46 +64,88 @@ func cellPoints(sys *grid.System, seed int64, edges []int) []geom.Point {
 	return pts
 }
 
-// build runs the case on a fresh network, either through AddOnePerCell
-// and ElectHeads or through per-node AddNodeAt and the full election,
-// and returns the network and its election events.
-func (bc bulkCase) build(t *testing.T, bulk bool) (*Network, []string) {
+// points returns the case's cell points and its later nodes' points.
+func (bc bulkCase) points(sys *grid.System) (cellPts, later []geom.Point) {
+	cellPts = cellPoints(sys, 11, bc.edges)
+	rng := randx.New(5)
+	for i := 0; i < bc.spares; i++ {
+		later = append(later, rng.InRect(sys.Bounds()))
+	}
+	for _, idx := range bc.ties {
+		later = append(later, cellPts[idx])
+	}
+	return cellPts, later
+}
+
+// buildMode is how a bulkCase is deployed.
+type buildMode int
+
+const (
+	// landed: AddOnePerCell, then DeployNodeAt for the later nodes, then
+	// AnnounceHeads — elected as the nodes land.
+	landed buildMode = iota
+	// elected: AddNodeAt for every node, then ElectHeads.
+	elected
+	// full: AddNodeAt for every node, then the full election in every
+	// cell (electAll), the specification of ElectHeads' shortcuts.
+	full
+)
+
+// build deploys the case into a fresh network in the given mode and
+// returns the network, its election events and, when landed, every
+// node's position and Landing in id order.
+func (bc bulkCase) build(t *testing.T, mode buildMode) (*Network, []string, []geom.Point, []Landing) {
 	t.Helper()
 	w := newNet(t, bc.cols, bc.rows, 1)
 	sys := w.System()
 	log := &electionLog{}
 	w.SetObserver(log)
+	cellPts, later := bc.points(sys)
+	var locs []geom.Point
+	var landings []Landing
+	if mode == landed {
+		for _, p := range bc.pre {
+			l, err := w.DeployNodeAt(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			locs, landings = append(locs, p), append(landings, l)
+		}
+		err := w.AddOnePerCell(slices.Clone(bc.skip), func(c grid.Coord) geom.Point {
+			p := cellPts[sys.Index(c)]
+			locs = append(locs, p)
+			return p
+		}, &landings)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range later {
+			l, err := w.DeployNodeAt(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			locs, landings = append(locs, p), append(landings, l)
+		}
+		w.AnnounceHeads()
+		return w, log.events, locs, landings
+	}
 	for _, p := range bc.pre {
 		addAt(t, w, p)
 	}
-	for _, mv := range bc.moves {
-		if err := w.MoveNode(node.ID(mv[0]), sys.Center(sys.CoordAt(mv[1]))); err != nil {
-			t.Fatal(err)
+	for idx, p := range cellPts {
+		if !slices.Contains(bc.skip, idx) {
+			addAt(t, w, p)
 		}
 	}
-	pts := cellPoints(sys, 11, bc.edges)
-	skip := slices.Clone(bc.skip)
-	if bulk {
-		if err := w.AddOnePerCell(skip, func(c grid.Coord) geom.Point { return pts[sys.Index(c)] }); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		for idx := range pts {
-			if !slices.Contains(skip, idx) {
-				addAt(t, w, pts[idx])
-			}
-		}
+	for _, p := range later {
+		addAt(t, w, p)
 	}
-	rng := randx.New(5)
-	for i := 0; i < bc.spares; i++ {
-		addAt(t, w, rng.InRect(sys.Bounds()))
-	}
-	if bulk {
+	if mode == elected {
 		w.ElectHeads()
 	} else {
 		w.electAll()
 	}
-	return w, log.events
+	return w, log.events, nil, nil
 }
 
 // snapshot renders everything the identity tests compare: every node's
@@ -138,122 +181,124 @@ var bulkCases = []bulkCase{
 	{name: "no-spares", cols: 6, rows: 5, skip: []int{4, 12}},
 	{name: "all-skipped", cols: 2, rows: 2, skip: []int{3, 1, 0, 2, 1}},
 	{
+		// The per-cell pass lands in cells that already have a head,
+		// one of them twice, and nearer the centre than some.
 		name: "already-populated", cols: 6, rows: 5,
-		pre:   []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.25, 0.75), geom.Pt(3.5, 2.5), geom.Pt(5.9, 4.9)},
-		moves: [][2]int{{1, 9}},
-		skip:  []int{0, 21}, spares: 7,
+		pre:  []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.25, 0.75), geom.Pt(3.5, 2.5), geom.Pt(5.9, 4.9), geom.Pt(2.02, 1.97)},
+		skip: []int{0, 21}, spares: 7,
 	},
 	{
 		// Edge points land in a neighbouring cell, so it gets two
 		// members and its own cell none; the last cell's corner folds
-		// back into itself.
+		// back into itself. A tie lands on an edge point too.
 		name: "edge-rounding", cols: 6, rows: 5,
-		skip: []int{8}, edges: []int{1, 7, 14, 29}, spares: 4,
+		skip: []int{8}, edges: []int{1, 7, 14, 29}, spares: 4, ties: []int{7, 20},
 	},
-	{name: "multi-word", cols: 23, rows: 11, skip: []int{64, 128, 5, 250}, spares: 80},
+	{name: "ties", cols: 4, rows: 4, spares: 6, ties: []int{0, 5, 5, 15}},
+	{name: "multi-word", cols: 23, rows: 11, skip: []int{64, 128, 5, 250}, spares: 400},
 }
 
-// TestAddOnePerCellMatchesPerNode is the identity contract of the bulk
-// deployment path: AddOnePerCell followed by ElectHeads must leave the
-// network exactly as per-node AddNodeAt followed by the full election
-// would — nodes, cells, vacancy state and journal, and the order of the
-// HeadElected events.
+// TestAddOnePerCellMatchesPerNode is the identity contract of election
+// as nodes land: AddOnePerCell, DeployNodeAt for the later nodes and
+// AnnounceHeads must leave an empty network exactly as AddNodeAt for
+// every node followed by ElectHeads (and by the full election) would —
+// nodes and roles, cells and heads, vacancy state and journal, and the
+// HeadElected events in order.
 func TestAddOnePerCellMatchesPerNode(t *testing.T) {
+	displaced := 0
 	for _, bc := range bulkCases {
 		t.Run(bc.name, func(t *testing.T) {
-			bulk, bulkEvents := bc.build(t, true)
-			ref, refEvents := bc.build(t, false)
-			if !slices.Equal(bulkEvents, refEvents) {
-				t.Errorf("HeadElected order differs:\nbulk %v\nref  %v", bulkEvents, refEvents)
+			got, gotEvents, _, landings := bc.build(t, landed)
+			if bad := got.Audit(); len(bad) > 0 {
+				t.Errorf("landed audit: %v", bad)
 			}
-			if bad := bulk.Audit(); len(bad) > 0 {
-				t.Errorf("bulk audit: %v", bad)
+			gotSnap := snapshot(got)
+			for _, mode := range []buildMode{elected, full} {
+				ref, refEvents, _, _ := bc.build(t, mode)
+				if !slices.Equal(gotEvents, refEvents) {
+					t.Errorf("mode %d: HeadElected events differ:\nlanded %v\nref    %v", mode, gotEvents, refEvents)
+				}
+				if bad := ref.Audit(); len(bad) > 0 {
+					t.Errorf("mode %d audit: %v", mode, bad)
+				}
+				if g, w := gotSnap, snapshot(ref); g != w {
+					t.Errorf("landed network differs from mode %d:\n--- landed\n%s--- ref\n%s", mode, g, w)
+				}
 			}
-			if bad := ref.Audit(); len(bad) > 0 {
-				t.Errorf("reference audit: %v", bad)
+			// Every occupied cell's first node took its head; any other
+			// node that did displaced one.
+			for _, l := range landings {
+				if l.Head() {
+					displaced++
+				}
 			}
-			if got, want := snapshot(bulk), snapshot(ref); got != want {
-				t.Errorf("bulk network differs from per-node build:\n--- bulk\n%s--- ref\n%s", got, want)
-			}
+			displaced -= got.EnabledCount() - got.TotalSpares()
 		})
+	}
+	if displaced == 0 {
+		t.Error("no later node displaced a head: the nearer-newcomer rule went unchecked")
 	}
 }
 
-// TestAddPlacedMatchesAddOnePerCell is the identity contract of the
-// replay path: AddPlaced of the positions AddOnePerCell placed, each
-// with the cell it registered in, must leave the network as
-// AddOnePerCell left it — the same node columns, cell registry (list
-// links included), occupancy bitset and vacancy journal — before and
-// after spares and the election.
+// TestAddPlacedMatchesAddOnePerCell is the identity contract of the replay
+// path: AddPlaced of the positions and Landings a landed deployment
+// (AddOnePerCell and DeployNodeAt) recorded must leave an empty network
+// as that deployment left it — the
+// same node columns, cell registry (list links included), heads,
+// occupancy bitset, vacancy journal and HeadElected events — and so must
+// AddPlaced of a prefix followed by DeployNodeAt of the rest.
 func TestAddPlacedMatchesAddOnePerCell(t *testing.T) {
 	for _, bc := range bulkCases {
 		t.Run(bc.name, func(t *testing.T) {
-			var nets [2]*Network
-			var locs []geom.Point
-			var cells []int32
-			for i := range nets {
-				w := newNet(t, bc.cols, bc.rows, 1)
-				sys := w.System()
-				for _, p := range bc.pre {
-					addAt(t, w, p)
+			want, wantEvents, locs, landings := bc.build(t, landed)
+			wantJournal := slices.Clone(want.vacancyEvents)
+			wantSnap := snapshot(want) // drains want's journal
+			for _, prefix := range []int{len(locs), len(locs) - bc.spares - len(bc.ties), len(bc.pre), len(locs) - 1} {
+				if prefix < 0 {
+					continue
 				}
-				for _, mv := range bc.moves {
-					if err := w.MoveNode(node.ID(mv[0]), sys.Center(sys.CoordAt(mv[1]))); err != nil {
-						t.Fatal(err)
-					}
+				got := newNet(t, bc.cols, bc.rows, 1)
+				log := &electionLog{}
+				got.SetObserver(log)
+				if err := got.AddPlaced(locs[:prefix], landings[:prefix]); err != nil {
+					t.Fatal(err)
 				}
-				if i == 0 {
-					pts := cellPoints(sys, 11, bc.edges)
-					err := w.AddOnePerCell(slices.Clone(bc.skip), func(c grid.Coord) geom.Point {
-						p := pts[sys.Index(c)]
-						rc, _ := sys.CoordOf(p)
-						locs = append(locs, p)
-						cells = append(cells, int32(sys.Index(rc)))
-						return p
-					})
+				for i, p := range locs[prefix:] {
+					l, err := got.DeployNodeAt(p)
 					if err != nil {
 						t.Fatal(err)
 					}
-				} else if err := w.AddPlaced(locs, cells); err != nil {
-					t.Fatal(err)
+					if l != landings[prefix+i] {
+						t.Errorf("prefix %d: node %d landed %d, recorded %d", prefix, prefix+i, l, landings[prefix+i])
+					}
 				}
-				nets[i] = w
-			}
-			bulk, placed := nets[0], nets[1]
-			same := func(stage string) {
-				t.Helper()
-				if !slices.Equal(placed.cells, bulk.cells) || !slices.Equal(placed.nextInCell, bulk.nextInCell) {
-					t.Errorf("%s: cell registry differs", stage)
+				got.AnnounceHeads()
+				if !slices.Equal(got.cells, want.cells) || !slices.Equal(got.nextInCell, want.nextInCell) {
+					t.Errorf("prefix %d: cell registry differs", prefix)
 				}
-				if !slices.Equal(placed.occ, bulk.occ) {
-					t.Errorf("%s: occupancy bitset differs", stage)
+				if !slices.Equal(got.occ, want.occ) {
+					t.Errorf("prefix %d: occupancy bitset differs", prefix)
 				}
-				if !slices.Equal(placed.vacancyEvents, bulk.vacancyEvents) || !slices.Equal(placed.vacancyDirty, bulk.vacancyDirty) {
-					t.Errorf("%s: vacancy journal differs", stage)
+				if !slices.Equal(got.vacancyEvents, wantJournal) {
+					t.Errorf("prefix %d: vacancy journal differs", prefix)
 				}
-				if !slices.Equal(placed.store.EnabledWords(), bulk.store.EnabledWords()) {
-					t.Errorf("%s: enabled bitset differs", stage)
+				if !slices.Equal(got.store.EnabledWords(), want.store.EnabledWords()) {
+					t.Errorf("prefix %d: enabled bitset differs", prefix)
 				}
-			}
-			same("placed")
-			for _, w := range nets {
-				rng := randx.New(5)
-				for i := 0; i < bc.spares; i++ {
-					addAt(t, w, rng.InRect(w.System().Bounds()))
+				if !slices.Equal(log.events, wantEvents) {
+					t.Errorf("prefix %d: HeadElected events differ", prefix)
 				}
-				w.ElectHeads()
-			}
-			same("elected")
-			if bad := placed.Audit(); len(bad) > 0 {
-				t.Errorf("placed audit: %v", bad)
-			}
-			if got, want := snapshot(placed), snapshot(bulk); got != want {
-				t.Errorf("placed network differs from AddOnePerCell's:\n--- placed\n%s--- bulk\n%s", got, want)
+				if bad := got.Audit(); len(bad) > 0 {
+					t.Errorf("prefix %d audit: %v", prefix, bad)
+				}
+				if g, w := snapshot(got), wantSnap; g != w {
+					t.Errorf("prefix %d: placed network differs:\n--- placed\n%s--- landed\n%s", prefix, g, w)
+				}
 			}
 		})
 	}
-	if err := newNet(t, 2, 2, 1).AddPlaced(make([]geom.Point, 2), make([]int32, 1)); err == nil {
-		t.Error("AddPlaced with fewer cells than positions should fail")
+	if err := newNet(t, 2, 2, 1).AddPlaced(make([]geom.Point, 2), make([]Landing, 1)); err == nil {
+		t.Error("AddPlaced with fewer landings than positions should fail")
 	}
 }
 
@@ -262,10 +307,10 @@ func TestAddPlacedMatchesAddOnePerCell(t *testing.T) {
 // the nodes before it, exactly as the AddNodeAt loop it replaces would.
 func TestAddOnePerCellErrors(t *testing.T) {
 	w := newNet(t, 4, 3, 1)
-	if err := w.AddOnePerCell([]int{2, 12}, func(grid.Coord) geom.Point { return geom.Pt(0.5, 0.5) }); err == nil {
+	if err := w.AddOnePerCell([]int{2, 12}, func(grid.Coord) geom.Point { return geom.Pt(0.5, 0.5) }, nil); err == nil {
 		t.Error("skip index 12 on a 12-cell grid should fail")
 	}
-	if err := w.AddOnePerCell([]int{-1}, func(grid.Coord) geom.Point { return geom.Pt(0.5, 0.5) }); err == nil {
+	if err := w.AddOnePerCell([]int{-1}, func(grid.Coord) geom.Point { return geom.Pt(0.5, 0.5) }, nil); err == nil {
 		t.Error("negative skip index should fail")
 	}
 	if w.NumNodes() != 0 || len(w.DrainVacancyEvents(nil)) != 0 {
@@ -276,7 +321,7 @@ func TestAddOnePerCellErrors(t *testing.T) {
 	pts[6] = geom.Pt(-1, 0.5) // off-field
 	bulk := newNet(t, 4, 3, 1)
 	addAt(t, bulk, geom.Pt(3.5, 2.5))
-	if err := bulk.AddOnePerCell([]int{1}, func(c grid.Coord) geom.Point { return pts[bulk.System().Index(c)] }); err == nil {
+	if err := bulk.AddOnePerCell([]int{1}, func(c grid.Coord) geom.Point { return pts[bulk.System().Index(c)] }, nil); err == nil {
 		t.Fatal("off-field point should fail")
 	}
 	ref := newNet(t, 4, 3, 1)

@@ -121,11 +121,10 @@ type Network struct {
 	// idScratch backs DisableAllInCell so bulk failure injection does not
 	// allocate a fresh id slice per call.
 	idScratch []node.ID
-	// bfsVisited/bfsQueue/bfsNbr back HeadGraphConnected's search so the
+	// bfsVisited/bfsQueue back HeadGraphConnected's search so the
 	// per-trial connectivity check does not allocate O(cells) each call.
 	bfsVisited []uint64
 	bfsQueue   []int32
-	bfsNbr     []grid.Coord
 }
 
 // cell is one cell's registry record. Its fields are read together by
@@ -278,14 +277,25 @@ func (w *Network) MessagesLost() int { return w.msgsLost }
 // store's arrays and the membership list grow by appends, so redeploying
 // a pooled network allocates only when it grows past its high-water mark.
 func (w *Network) AddNodeAt(p geom.Point) (node.ID, error) {
+	id, idx, err := w.add(p)
+	if err != nil {
+		return node.Invalid, err
+	}
+	w.link(id, idx)
+	return id, nil
+}
+
+// add appends an enabled spare node at p to the store, with a slot in
+// the membership list, and returns its id and the index of the cell p
+// lies in, which it has yet to be linked into.
+func (w *Network) add(p geom.Point) (node.ID, int, error) {
 	c, ok := w.sys.CoordOf(p)
 	if !ok {
-		return node.Invalid, fmt.Errorf("network: point %v outside field %v", p, w.sys.Bounds())
+		return node.Invalid, 0, fmt.Errorf("network: point %v outside field %v", p, w.sys.Bounds())
 	}
 	id := w.store.Add(p)
 	w.nextInCell = append(w.nextInCell, 0)
-	w.link(id, w.sys.Index(c))
-	return id, nil
+	return id, w.sys.Index(c), nil
 }
 
 // link pushes node id onto the membership list of cell idx, counts it,
@@ -302,17 +312,113 @@ func (w *Network) link(id node.ID, idx int) {
 	cl.count++
 }
 
-// AddOnePerCell adds one enabled spare node to every cell whose index is
-// not in skip, visiting cells in index order and placing each node at
-// the point at returns for its cell. It is equivalent to calling
-// AddNodeAt(at(c)) for those cells in that order — same ids, same
-// registry, same vacancy journal; each point registers in the cell
+// Landing records where a deployed node registered and whether it took
+// its cell's head as it landed: the cell index, complemented when it
+// did. AddPlaced replays a sequence of them.
+type Landing int32
+
+// Cell returns the index of the cell the node registered in.
+func (l Landing) Cell() int {
+	if l < 0 {
+		return int(^l)
+	}
+	return int(l)
+}
+
+// Head reports whether the node took its cell's head as it landed.
+func (l Landing) Head() bool { return l < 0 }
+
+// DeployNodeAt adds an enabled node at p, as AddNodeAt does, and elects
+// as it lands: the first member of a cell becomes its head, and a later
+// one displaces the head only when it is strictly nearer the cell's
+// centre. A newcomer has the highest id, so that is electLocked's rule
+// (the nearest member, ties to the lower id), kept member by member.
+// Deployed into a network without nodes, a sequence of nodes therefore
+// ends with the heads, roles and head count that AddNodeAt for each and
+// then ElectHeads would leave, without the pass over every cell. No
+// HeadElected event fires; AnnounceHeads sends them once deployment
+// ends. It returns the node's Landing.
+func (w *Network) DeployNodeAt(p geom.Point) (Landing, error) {
+	id, idx, err := w.add(p)
+	if err != nil {
+		return 0, err
+	}
+	return w.land(id, idx, node.Spare), nil
+}
+
+// land registers node id, whose record holds the role preset, in cell
+// idx and elects as DeployNodeAt describes, writing only the roles the
+// election changes: a bulk deployment whose nodes nearly all take their
+// cell's head presets Head and leaves their records alone. It links the
+// node as link does, written out so that a deployment pays one call per
+// node.
+func (w *Network) land(id node.ID, idx int, preset node.Role) Landing {
+	cl := &w.cells[idx]
+	w.nextInCell[id] = cl.first
+	cl.first = int32(id) + 1
+	if cl.count++; cl.count == 1 {
+		w.occ[idx>>6] |= 1 << (uint(idx) & 63)
+		w.noteVacancyFlip(idx)
+	}
+	if h := cl.head; h != 0 {
+		center := w.sys.Center(w.sys.CoordAt(idx))
+		if w.store.Ref(id).Location().Dist2(center) >= w.store.Ref(node.ID(h-1)).Location().Dist2(center) {
+			if preset != node.Spare {
+				w.store.Ref(id).SetRole(node.Spare)
+			}
+			return Landing(idx)
+		}
+		w.store.Ref(node.ID(h - 1)).SetRole(node.Spare)
+	} else {
+		w.headCount++
+	}
+	cl.head = int32(id) + 1
+	if preset != node.Head {
+		w.store.Ref(id).SetRole(node.Head)
+	}
+	return ^Landing(idx)
+}
+
+// crown makes node id, a member of cell idx, the cell's head, demoting
+// the head it displaces.
+func (w *Network) crown(id node.ID, idx int) {
+	cl := &w.cells[idx]
+	if cl.head != 0 {
+		w.store.Ref(node.ID(cl.head - 1)).SetRole(node.Spare)
+	} else {
+		w.headCount++
+	}
+	cl.head = int32(id) + 1
+	w.store.Ref(id).SetRole(node.Head)
+}
+
+// AnnounceHeads sends HeadElected for every head, in cell index order:
+// the events ElectHeads sends after a deployment into a network without
+// nodes, for a deployment that elected as nodes landed. Without an
+// observer it does nothing.
+func (w *Network) AnnounceHeads() {
+	if w.obs == nil {
+		return
+	}
+	for idx := range w.cells {
+		if h := w.cells[idx].head; h != 0 {
+			w.obs.HeadElected(node.ID(h-1), w.sys.CoordAt(idx))
+		}
+	}
+}
+
+// AddOnePerCell deploys one node into every cell whose index is not in
+// skip, visiting cells in index order and placing each node at the point
+// at returns for its cell. It is equivalent to calling
+// DeployNodeAt(at(c)) for those cells in that order — same ids,
+// registry, heads and vacancy journal; each point registers in the cell
 // grid.CoordOf assigns it, which for a point on a cell edge need not be
 // c — but grows the node columns once and fills them in bulk instead of
-// appending node by node. skip may be unsorted and hold duplicates; it
-// is sorted in place. When a point lies outside the field, the nodes
-// before it stay added and an error is returned, as AddNodeAt would.
-func (w *Network) AddOnePerCell(skip []int, at func(c grid.Coord) geom.Point) error {
+// appending node by node. With rec non-nil, each node's Landing is
+// appended to *rec. skip may be unsorted and hold duplicates; it is
+// sorted in place. When a point lies outside the field, the nodes before
+// it stay added and an error is returned, as DeployNodeAt would.
+func (w *Network) AddOnePerCell(skip []int, at func(c grid.Coord) geom.Point, rec *[]Landing) error {
 	n := w.sys.NumCells()
 	if !slices.IsSorted(skip) {
 		slices.Sort(skip)
@@ -327,7 +433,7 @@ func (w *Network) AddOnePerCell(skip []int, at func(c grid.Coord) geom.Point) er
 		}
 	}
 	first := w.store.Len()
-	locs := w.store.Extend(n - distinct)
+	locs := w.store.Extend(n-distinct, node.Head)
 	w.nextInCell = slices.Grow(w.nextInCell, len(locs))[:first+len(locs)]
 	id, next, idx := first, 0, -1
 	for y := 0; y < w.sys.Rows(); y++ {
@@ -347,29 +453,35 @@ func (w *Network) AddOnePerCell(skip []int, at func(c grid.Coord) geom.Point) er
 				return fmt.Errorf("network: point %v outside field %v", p, w.sys.Bounds())
 			}
 			locs[id-first] = p
-			w.link(node.ID(id), w.sys.Index(c))
+			l := w.land(node.ID(id), w.sys.Index(c), node.Head)
+			if rec != nil {
+				*rec = append(*rec, l)
+			}
 			id++
 		}
 	}
 	return nil
 }
 
-// AddPlaced adds one enabled spare node per entry of locs, node i at
-// locs[i] registered in the cell of index cells[i], in order: the bulk
-// replay of a recorded AddOnePerCell. cells[i] must be the cell
-// grid.CoordOf assigns locs[i], as AddOnePerCell registered it; then
-// the network ends exactly as AddOnePerCell left it — same ids, node
-// columns, registry, occupancy and vacancy journal — without a CoordOf
-// per node.
-func (w *Network) AddPlaced(locs []geom.Point, cells []int32) error {
-	if len(locs) != len(cells) {
-		return fmt.Errorf("network: %d placed nodes with %d cells", len(locs), len(cells))
+// AddPlaced adds one enabled node per entry of locs, node i at locs[i]
+// with the Landing landed[i], in order: the replay of a recorded
+// deployment (AddOnePerCell and DeployNodeAt). Replayed onto a network
+// in the state the recording started from, it ends exactly as the
+// recording did — same ids, node columns, registry, heads, occupancy and
+// vacancy journal — without a CoordOf or a distance per node.
+func (w *Network) AddPlaced(locs []geom.Point, landed []Landing) error {
+	if len(locs) != len(landed) {
+		return fmt.Errorf("network: %d placed nodes with %d landings", len(locs), len(landed))
 	}
 	first := w.store.Len()
-	copy(w.store.Extend(len(locs)), locs)
+	copy(w.store.Extend(len(locs), node.Spare), locs)
 	w.nextInCell = slices.Grow(w.nextInCell, len(locs))[:first+len(locs)]
-	for i, idx := range cells {
-		w.link(node.ID(first+i), int(idx))
+	for i, l := range landed {
+		id, idx := node.ID(first+i), l.Cell()
+		w.link(id, idx)
+		if l.Head() {
+			w.crown(id, idx)
+		}
 	}
 	return nil
 }
@@ -802,7 +914,8 @@ func (w *Network) HeadGraphConnected() bool {
 }
 
 // headGraphSearch returns the number of head cells reachable from the
-// lowest-index head cell under grid adjacency; there must be one.
+// lowest-index head cell under grid adjacency; there must be one. It
+// walks cell indices: ±1 within a row, ±cols across rows.
 func (w *Network) headGraphSearch() int {
 	start := -1
 	for idx := range w.cells {
@@ -819,22 +932,32 @@ func (w *Network) headGraphSearch() int {
 	queue := append(w.bfsQueue[:0], int32(start))
 	visited[start>>6] |= 1 << (uint(start) & 63)
 	reached := 1
-	buf := w.bfsNbr
+	cols := w.sys.Cols()
+	visit := func(nidx int) {
+		bit := uint64(1) << (uint(nidx) & 63)
+		if w.cells[nidx].head != 0 && visited[nidx>>6]&bit == 0 {
+			visited[nidx>>6] |= bit
+			reached++
+			queue = append(queue, int32(nidx))
+		}
+	}
 	for head := 0; head < len(queue); head++ {
 		idx := int(queue[head])
-		buf = w.sys.Neighbors(buf[:0], w.sys.CoordAt(idx))
-		for _, nb := range buf {
-			nidx := w.sys.Index(nb)
-			bit := uint64(1) << (uint(nidx) & 63)
-			if w.cells[nidx].head != 0 && visited[nidx>>6]&bit == 0 {
-				visited[nidx>>6] |= bit
-				reached++
-				queue = append(queue, int32(nidx))
-			}
+		x := idx % cols
+		if idx+cols < len(w.cells) {
+			visit(idx + cols)
+		}
+		if x+1 < cols {
+			visit(idx + 1)
+		}
+		if idx >= cols {
+			visit(idx - cols)
+		}
+		if x > 0 {
+			visit(idx - 1)
 		}
 	}
 	w.bfsQueue = queue[:0]
-	w.bfsNbr = buf
 	return reached
 }
 

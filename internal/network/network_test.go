@@ -484,3 +484,67 @@ func TestHeadGraphFullCoverageFastPath(t *testing.T) {
 		}
 	}
 }
+
+// refHeadGraphSearch is the breadth-first search headGraphSearch makes,
+// written over grid coordinates and System.Neighbors: the number of
+// head cells reachable from the lowest-index head cell.
+func refHeadGraphSearch(w *Network) int {
+	sys := w.System()
+	seen := map[grid.Coord]bool{}
+	var queue []grid.Coord
+	for _, c := range sys.AllCoords() {
+		if w.HeadOf(c) != node.Invalid {
+			queue = append(queue, c)
+			seen[c] = true
+			break
+		}
+	}
+	for len(queue) > 0 {
+		c := queue[0]
+		queue = queue[1:]
+		for _, nb := range sys.Neighbors(nil, c) {
+			if !seen[nb] && w.HeadOf(nb) != node.Invalid {
+				seen[nb] = true
+				queue = append(queue, nb)
+			}
+		}
+	}
+	return len(seen)
+}
+
+// TestHeadGraphSearchMatchesReference checks the index walk of
+// headGraphSearch (±1 within a row, ±cols across rows) against the
+// coordinate search on random head sets: single rows and columns,
+// rectangles of either orientation and sizes around a bitset word,
+// at head densities from sparse to nearly full, where rows wrap in the
+// index space but not on the grid.
+func TestHeadGraphSearchMatchesReference(t *testing.T) {
+	rng := randx.New(17)
+	dims := [][2]int{{1, 1}, {1, 9}, {9, 1}, {2, 3}, {3, 2}, {7, 5}, {5, 7}, {8, 8}, {13, 5}, {11, 11}}
+	disconnected := 0
+	for _, dim := range dims {
+		for trial := 0; trial < 40; trial++ {
+			w := newNet(t, dim[0], dim[1], 1)
+			density := 0.3 + 0.65*rng.Float64()
+			for _, c := range w.System().AllCoords() {
+				if rng.Float64() < density {
+					addAt(t, w, w.System().Center(c))
+				}
+			}
+			w.ElectHeads()
+			if w.headCount == 0 {
+				continue
+			}
+			got, want := w.headGraphSearch(), refHeadGraphSearch(w)
+			if got != want {
+				t.Fatalf("%dx%d trial %d: index walk reached %d head cells, reference %d", dim[0], dim[1], trial, got, want)
+			}
+			if got < w.headCount {
+				disconnected++
+			}
+		}
+	}
+	if disconnected == 0 {
+		t.Error("no random head set was disconnected")
+	}
+}

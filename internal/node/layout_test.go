@@ -20,12 +20,13 @@ func TestRecordSize(t *testing.T) {
 }
 
 // TestExtendMatchesAdd checks that Extend leaves the store exactly as
-// the same number of Adds would — ids, records, enabled bits — for runs
+// the same number of Adds, each followed by SetRole of the role Extend
+// was given, would — ids, records, enabled bits — for runs
 // that start and end inside, on and across bitset word boundaries, and
 // that Truncate then cuts back to any prefix as if the later nodes had
 // never been added.
 func TestExtendMatchesAdd(t *testing.T) {
-	for _, tc := range []struct{ start, n, cut int }{
+	for k, tc := range []struct{ start, n, cut int }{
 		{0, 0, 0}, {0, 5, 3}, {0, 64, 64}, {0, 130, 64}, {3, 5, 4}, {3, 61, 10}, {70, 10, 75},
 		{3, 200, 70}, {64, 1, 64}, {70, 58, 127}, {70, 400, 71},
 	} {
@@ -39,13 +40,14 @@ func TestExtendMatchesAdd(t *testing.T) {
 			bulk.Ref(0).Disable()
 			ref.Ref(0).Disable()
 		}
-		locs := bulk.Extend(tc.n)
+		role := []Role{Spare, Head}[k%2]
+		locs := bulk.Extend(tc.n, role)
 		if len(locs) != tc.n {
 			t.Fatalf("%+v: Extend returned %d slots", tc, len(locs))
 		}
 		for i := range locs {
 			locs[i] = geom.Pt(float64(i), 1)
-			ref.Add(locs[i])
+			ref.Ref(ref.Add(locs[i])).SetRole(role)
 		}
 		same := func(what string, a, b *Store) {
 			t.Helper()
@@ -71,7 +73,7 @@ func TestExtendMatchesAdd(t *testing.T) {
 		bulk.Truncate(tc.cut)
 		var cut Store
 		for id := ID(0); int(id) < tc.cut; id++ {
-			cut.Add(ref.Ref(id).Location())
+			cut.Ref(cut.Add(ref.Ref(id).Location())).SetRole(ref.Ref(id).Role())
 		}
 		if tc.start > 0 && tc.cut > 0 {
 			cut.Ref(0).Disable()

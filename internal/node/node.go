@@ -162,18 +162,21 @@ func (s *Store) Add(loc geom.Point) ID {
 	return id
 }
 
-// Extend appends n enabled spare nodes in one step — each column grows
-// once and the records and enabled bits are filled in bulk — and returns
-// their location slots, ids Len()-n through Len()-1 in order. The slots
-// hold stale data until the caller writes them; every one must be
-// written (or cut off by Truncate) before the nodes are used.
-func (s *Store) Extend(n int) []geom.Point {
+// Extend appends n enabled nodes of the given role in one step — each
+// column grows once and the records and enabled bits are filled in bulk
+// — and returns their location slots, ids Len()-n through Len()-1 in
+// order. The slots hold stale data until the caller writes them; every
+// one must be written (or cut off by Truncate) before the nodes are
+// used.
+func (s *Store) Extend(n int, role Role) []geom.Point {
 	lo := len(s.loc)
 	hi := lo + n
 	s.loc = slices.Grow(s.loc, n)[:hi]
 	s.recs = slices.Grow(s.recs, n)[:hi]
+	rec := fresh
+	rec.role = uint8(role)
 	for i := range s.recs[lo:] {
-		s.recs[lo+i] = fresh
+		s.recs[lo+i] = rec
 	}
 	words := (hi + 63) / 64
 	s.enabled = slices.Grow(s.enabled, words-len(s.enabled))

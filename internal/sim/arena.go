@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -61,25 +62,37 @@ func (s *schemeScratch) forAsync() *async.Scratch {
 // process-lived free list (acquireArena), so the reuse spans campaigns
 // too.
 //
-// The memo serves the part of a trial's deployment that depends on the
-// seed but not on the spare count. A campaign gives replicate r the
-// same seed in every cell (JobSpace), so a replicate's hole pick and
-// one-node-per-cell layout recur across schemes and spare counts; the
-// arena records such a base (hole cells, placed nodes with their cells,
-// stream 2's state after them) on the second sighting of its key (seed,
-// opening kind, holes, avoid-adjacent) and replays it after that, then
-// draws the spares as usual. It holds at most memoBytes of bases, and
-// as many keys sighted once as it has room for bases, oldest evicted
-// first; a geometry that does not fit one base (256x256 and up) turns
-// it off. Replicate is the innermost job dimension, so its working set
-// is one base per replicate of the current opening. networkFor empties
-// it whenever it rebuilds the network.
+// The memo serves a trial's deployment when its layout recurs. A
+// campaign gives replicate r the same seed in every cell (JobSpace), and
+// Controlled draws the hole pick, the one-node-per-cell layout and then
+// the spares one by one from the same point of stream 2, so the spares
+// of a smaller spare count are the first spares of a larger one. On the
+// second sighting of a key (seed, opening kind, holes, avoid-adjacent)
+// the arena records the deployment (deploy.Base): the hole cells, every
+// node in draw order with its cell and whether it took its cell's head
+// as it landed, and stream 2's state after the last. After that, a
+// trial with N spares at most the recorded ones replays the base and
+// the first N spares (network.AddPlaced), with no draw, no cell lookup
+// and no election distance; a larger N replays what is recorded,
+// restores stream 2, and draws and records only the rest. The memo
+// holds at most memoBytes of recordings, counted by their buffers'
+// capacity, and as many keys sighted once as it has room for bases
+// without spares, oldest evicted first; a geometry that does not fit
+// one base (256x256 and up) turns it off. Replicate is the innermost
+// job dimension, so its working set is one base per replicate of the
+// current opening. networkFor empties it whenever it rebuilds the
+// network.
+//
+// A replay that draws nothing leaves stream 2 where it was seeded, not
+// where the spare draws leave it. That is safe because nothing reads
+// stream 2 after deployment: the jam centre draws from stream 1, and the
+// scheme and the events split off the root (TestReplayLeavesStream2Unread).
 //
 // Pooling is purely a memory optimization: an arena-run trial is
 // byte-identical to the fresh-built RunTrial for the same TrialConfig —
 // network.Reset restores the pristine post-construction state, a
-// replayed base rebuilds the nodes and the stream state its recording
-// left, and the differential tests compare whole campaign manifests
+// replayed base rebuilds the nodes, heads and journal its recording
+// built, and the differential tests compare whole campaign manifests
 // across the two paths. The fresh path (NewTrial, FreshBuild) never
 // uses the memo and remains the executable specification.
 //
@@ -189,12 +202,14 @@ func (a *TrialArena) RunTrial(cfg TrialConfig) (TrialResult, error) {
 	return t.Run()
 }
 
-// memoBytes bounds the deployment bases one arena's memo holds. A base
-// costs 20 bytes per cell plus ~5 KB, most of it the stream state, so
-// the bound admits 38 bases of the paper's 16x16 field (two openings of
-// 16 replicates), 15 of a 32x32 one, 4 of a 64x64 one and none from
-// 256x256 up. It is the memo's whole cost in memory: per arena, and
-// live for as long as the arena idles in the free list.
+// memoBytes bounds the deployment bases one arena's memo holds,
+// recorded spares included. A base costs 20 bytes per recorded node (one
+// per non-hole cell, then the spares) plus ~5 KB, most of it the stream
+// state. So the bound admits 38 bases of the paper's 16x16 field with no
+// spares, 27 with 200 and 17 with 600 (one opening's 16 replicates
+// fit); 15 of a 32x32 field, 4 of a 64x64 one, 1 of a 128x128 one and
+// none from 256x256 up. It is the memo's whole cost in memory: per
+// arena, and live for as long as the arena idles in the free list.
 const memoBytes = 384 << 10
 
 // baseKey identifies a deployment base under the arena's geometry: the
@@ -206,119 +221,178 @@ type baseKey struct {
 	avoidAdjacent bool
 }
 
-// memoBase is one recorded deployment base and its memo slot.
+// memoBase is one recorded deployment base.
 type memoBase struct {
-	slot  int
 	key   baseKey
-	base  deploy.Base
-	state randx.State // stream 2 right after the layout
+	base  deploy.Base // the recording: placed nodes, spares, stream 2's state
+	bytes int         // base.Bytes(0) as the memo last counted it
 }
 
-// replay deploys spares spares over the recorded base: its nodes, stream
-// 2 moved to where their draws left it, then the spares as Controlled
-// draws them.
-func (e *memoBase) replay(net *network.Network, spares int, s2 *randx.Rand) error {
-	if err := e.base.Replay(net, spares); err != nil {
-		return err
-	}
-	s2.Restore(&e.state)
-	return e.base.AddSpares(net, spares, s2)
+// memoSlot is where the memo holds a key: its recorded base, or, for a
+// key sighted once, its position in the seen ring.
+type memoSlot struct {
+	base *memoBase
+	seen int
 }
+
+// nodeBytes is what a base records per node: its position and landing.
+const nodeBytes = int(unsafe.Sizeof(geom.Point{}) + unsafe.Sizeof(network.Landing(0)))
 
 // baseMemo is a TrialArena's bounded memo of deployment bases (see
 // TrialArena). The zero value is off until reset sizes it.
 type baseMemo struct {
-	// slots is the number of bases memoBytes admits at the current
-	// geometry; 0 turns the memo off. It also bounds the keys sighted
-	// once: a working set that does not fit is never recorded.
-	slots int
-	// index maps a key to its base's slot, or to -1-i for a key sighted
-	// once and held at seen[i].
-	index    map[baseKey]int
+	// cells is the geometry's cell count. slots is the number of bases
+	// with no spares memoBytes admits at it; 0 turns the memo off. It
+	// bounds the bases held and the keys sighted once: a working set
+	// that does not fit is never recorded.
+	cells, slots int
+	// index maps a key to its recorded base or its place in seen.
+	index    map[baseKey]memoSlot
 	seen     []baseKey // ring of keys sighted once; seenNext is the oldest
 	seenNext int
-	bases    []*memoBase // ring of recorded bases; next is the oldest
-	next     int
-	// replays and records count the bases served and recorded.
-	replays, records int
+	bases    []*memoBase // recorded bases, oldest first
+	bytes    int         // the bases' Bytes, never more than memoBytes
+	// replays and records count the bases served and recorded;
+	// extensions counts the replays that drew spares past the recording.
+	replays, records, extensions int
 }
 
 // reset empties the memo and sizes it for a geometry of cells cells.
 // Bases recorded at another geometry are dropped, buffers included, so
 // the memo never holds more than memoBytes of them.
 func (m *baseMemo) reset(cells int) {
-	perBase := cells*int(unsafe.Sizeof(geom.Point{})+unsafe.Sizeof(int32(0))) + int(unsafe.Sizeof(memoBase{}))
-	m.slots = memoBytes / perBase
+	m.cells = cells
+	m.slots = memoBytes / (cells*nodeBytes + int(unsafe.Sizeof(memoBase{})))
 	if m.index == nil && m.slots > 0 {
-		m.index = make(map[baseKey]int)
+		m.index = make(map[baseKey]memoSlot)
 	}
 	clear(m.index)
 	m.seen, m.seenNext = m.seen[:0], 0
 	clear(m.bases)
-	m.bases, m.next = m.bases[:0], 0
+	m.bases, m.bytes = m.bases[:0], 0
 }
 
 // lookup returns the recorded base of k, if any. On k's second sighting
-// it returns instead the slot to record k's base into (record commits
-// it), evicting the oldest base when the memo is full; on the first it
-// notes k and returns neither. A nil or off memo returns neither.
-func (m *baseMemo) lookup(k baseKey) (hit, rec *memoBase) {
+// it returns instead an entry to record k's base of spares spares into
+// (record commits it), when one fits; on the first it notes k and
+// returns neither. A nil or off memo returns neither.
+func (m *baseMemo) lookup(k baseKey, spares int) (hit, rec *memoBase) {
 	if m == nil || m.slots == 0 {
 		return nil, nil
 	}
 	if v, ok := m.index[k]; ok {
-		if v >= 0 {
+		if v.base != nil {
 			m.replays++
-			return m.bases[v], nil
+			return v.base, nil
 		}
-		return nil, m.claim(k)
+		return nil, m.claim(k, m.cells+max(spares, 0))
 	}
 	i := m.seenNext
 	if len(m.seen) < m.slots {
 		i = len(m.seen)
 		m.seen = append(m.seen, k)
 	} else {
-		m.forget(m.seen[i], -1-i)
+		if old := m.seen[i]; m.index[old] == (memoSlot{seen: i}) {
+			delete(m.index, old)
+		}
 		m.seen[i] = k
 		m.seenNext = (i + 1) % m.slots
 	}
-	m.index[k] = -1 - i
+	m.index[k] = memoSlot{seen: i}
 	return nil, nil
 }
 
-// claim returns a slot for k's base: a fresh one while the memo has
-// room, else the oldest, whose key no longer finds it. The index finds
-// the slot once record commits it.
-func (m *baseMemo) claim(k baseKey) *memoBase {
+// claim returns an entry for k's base of at most nodes nodes, or nil
+// when such a base alone exceeds memoBytes. It evicts the oldest bases
+// until a base that size fits beside the rest, and reuses the buffers of
+// the last one evicted. A base is made room for at the size the oldest
+// one reached, too: a campaign's keys share its spare counts, so a new
+// recording tends to be extended that far, and a memo kept full of such
+// bases recycles their buffers instead of allocating new ones and
+// growing them.
+func (m *baseMemo) claim(k baseKey, nodes int) *memoBase {
+	need := nodes*nodeBytes + int(unsafe.Sizeof(memoBase{}))
+	if need > memoBytes {
+		return nil
+	}
+	if len(m.bases) > 0 {
+		need = max(need, m.bases[0].bytes)
+	}
 	var e *memoBase
-	if len(m.bases) < m.slots {
-		e = &memoBase{slot: len(m.bases)}
-		m.bases = append(m.bases, e)
-	} else {
-		e = m.bases[m.next]
-		m.forget(e.key, e.slot)
-		m.next = (m.next + 1) % m.slots
+	for len(m.bases) == m.slots || m.bytes+need > memoBytes {
+		e = m.evict(nil)
+	}
+	if e == nil {
+		e = new(memoBase)
 	}
 	e.key = k
 	return e
 }
 
-// forget drops k from the index if it still maps to v.
-func (m *baseMemo) forget(k baseKey, v int) {
-	if w, ok := m.index[k]; ok && w == v {
-		delete(m.index, k)
+// evict drops the oldest base other than keep and returns it, or nil
+// when there is none.
+func (m *baseMemo) evict(keep *memoBase) *memoBase {
+	for i, e := range m.bases {
+		if e == keep {
+			continue
+		}
+		m.bases = slices.Delete(m.bases, i, i+1)
+		m.bytes -= e.bytes
+		delete(m.index, e.key)
+		return e
 	}
+	return nil
+}
+
+// recount brings e's bytes up to date and evicts the oldest other bases
+// until the memo fits memoBytes; it reports whether e still fits.
+func (m *baseMemo) recount(e *memoBase) bool {
+	b := e.base.Bytes(0)
+	m.bytes += b - e.bytes
+	e.bytes = b
+	for m.bytes > memoBytes {
+		if m.evict(e) == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // record deploys spares spares with the given hole cells as
-// deploy.Controlled does, recording the base into the claimed slot e on
-// the way.
+// deploy.Controlled does, recording the base and its spares into the
+// claimed entry e on the way.
 func (m *baseMemo) record(e *memoBase, net *network.Network, spares int, holes []grid.Coord, s2 *randx.Rand) error {
 	if err := e.base.Place(net, spares, holes, s2, true); err != nil {
 		return err
 	}
-	s2.Save(&e.state)
-	m.index[e.key] = e.slot
+	if err := e.base.AddSpares(net, spares, s2); err != nil {
+		return err
+	}
+	e.bytes = 0
+	m.bases = append(m.bases, e)
+	m.index[e.key] = memoSlot{base: e}
 	m.records++
-	return e.base.AddSpares(net, spares, s2)
+	if !m.recount(e) {
+		m.evict(nil) // e, the only base left
+	}
+	return nil
+}
+
+// replay deploys spares spares from the recorded base e: the recorded
+// nodes, then, past the recording, spares drawn from stream 2 at its
+// recorded state, which extend the recording when the memo can make
+// room for them.
+func (m *baseMemo) replay(e *memoBase, net *network.Network, spares int, s2 *randx.Rand) error {
+	extend := false
+	if spares > e.base.Recorded() {
+		m.extensions++
+		grown := e.base.Bytes(spares)
+		extend = grown <= memoBytes
+		for extend && m.bytes-e.bytes+grown > memoBytes {
+			extend = m.evict(e) != nil
+		}
+	}
+	err := e.base.Replay(net, spares, s2, extend)
+	m.recount(e)
+	return err
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"runtime"
 	"sync"
@@ -551,5 +552,176 @@ func TestArenaMemoEngagement(t *testing.T) {
 	if arena.memo.records != 0 || arena.memo.replays != 0 || len(arena.memo.index) != 0 {
 		t.Errorf("256x256: memo recorded %d, replayed %d, holds %d keys; want none",
 			arena.memo.records, arena.memo.replays, len(arena.memo.index))
+	}
+}
+
+// checkMemoBytes fails the test unless the memo's byte count is what
+// its bases hold, within memoBytes, over at most slots bases, each of
+// them indexed under its key.
+func checkMemoBytes(t *testing.T, label string, m *baseMemo) {
+	t.Helper()
+	sum := 0
+	for _, e := range m.bases {
+		sum += e.base.Bytes(0)
+		if m.index[e.key].base != e {
+			t.Fatalf("%s: base of %+v not indexed", label, e.key)
+		}
+	}
+	if m.bytes != sum || m.bytes > memoBytes || len(m.bases) > m.slots {
+		t.Fatalf("%s: memo counts %d bytes, its %d bases hold %d; bound %d bytes, %d slots",
+			label, m.bytes, len(m.bases), sum, memoBytes, m.slots)
+	}
+}
+
+// TestArenaSpareSequencesMatchRunTrial runs one arena through sequences
+// of spare counts for recurring (seed, opening) keys, so the memo
+// records a base with its spares, replays a prefix of them, replays all
+// of them and extends them: ascending, descending and repeated counts,
+// N=0, keys interleaved with another seed and with the other opening,
+// the jam opening, and a rotation of more 600-spare bases than the
+// memo's bytes admit, which evicts. Every TrialResult must equal
+// RunTrial's, and the memo's bytes must stay within its bound.
+func TestArenaSpareSequencesMatchRunTrial(t *testing.T) {
+	type step struct {
+		seed   int64
+		jam    bool
+		spares int
+	}
+	seq := func(seed int64, jam bool, spares ...int) []step {
+		var out []step
+		for _, n := range spares {
+			out = append(out, step{seed, jam, n})
+		}
+		return out
+	}
+	var rotation []step
+	for _, n := range []int{600, 600, 300} {
+		for seed := int64(100); seed < 124; seed++ {
+			rotation = append(rotation, step{seed, seed%5 == 0, n})
+		}
+	}
+	sequences := []struct {
+		name  string
+		steps []step
+	}{
+		{"ascending", seq(1, false, 0, 10, 25, 60, 200, 201)},
+		{"descending", seq(2, false, 200, 60, 25, 10, 1, 0)},
+		{"repeated", seq(3, false, 25, 25, 25, 25)},
+		{"zero", seq(4, false, 0, 0, 0, 5, 0)},
+		{"interleaved", []step{
+			{5, false, 30}, {6, false, 30}, {5, true, 30}, {5, false, 45}, {6, false, 5},
+			{5, true, 0}, {5, false, 2}, {6, false, 90}, {5, true, 70}, {5, false, 45},
+		}},
+		{"jam", seq(7, true, 0, 50, 10, 100, 100, 3)},
+		{"evicting", rotation},
+	}
+	arena := NewTrialArena()
+	for _, sq := range sequences {
+		t.Run(sq.name, func(t *testing.T) {
+			records, replays := arena.memo.records, arena.memo.replays
+			for i, st := range sq.steps {
+				cfg := TrialConfig{Cols: 16, Rows: 16, Scheme: []SchemeKind{SR, AR}[i%2], Spares: st.spares, Holes: 2, Seed: st.seed}
+				if st.jam {
+					cfg.Holes = 0
+					cfg.Workload = WorkloadSpec{Kind: WorkloadJam}
+				}
+				pooled, err := arena.RunTrial(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := RunTrial(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pooled != fresh {
+					t.Fatalf("step %d %+v: pooled %+v, fresh %+v", i, st, pooled, fresh)
+				}
+				checkMemoBytes(t, fmt.Sprintf("step %d", i), &arena.memo)
+			}
+			if arena.memo.records == records || arena.memo.replays == replays {
+				t.Errorf("the memo recorded %d and replayed %d bases; want some of each",
+					arena.memo.records-records, arena.memo.replays-replays)
+			}
+		})
+	}
+	if arena.memo.extensions == 0 || arena.memo.extensions == arena.memo.replays {
+		t.Errorf("%d of %d replays extended a recording; want some and not all", arena.memo.extensions, arena.memo.replays)
+	}
+	// The rotation's 24 keys outgrow the memo's bytes at 600 spares but
+	// not its slots, so bases were recorded, evicted for bytes, and
+	// recorded again.
+	if n := len(arena.memo.bases); n >= 24 || n > arena.memo.slots {
+		t.Errorf("the memo holds %d bases after the rotation; want fewer than 24", n)
+	}
+}
+
+// TestArenaMemoBytesWithinBound drives the memo at geometries where its
+// byte bound binds: 16x16 bases with thousands of spares, 64x64 bases
+// that fill it four at a time, and a 128x128 base that fits it alone,
+// whose extensions past the bound must be drawn unrecorded. After every
+// trial its count must equal what its bases hold, within memoBytes, and
+// every result must equal RunTrial's.
+func TestArenaMemoBytesWithinBound(t *testing.T) {
+	cases := []struct {
+		size   int
+		seeds  int64
+		spares []int
+	}{
+		{16, 6, []int{3000, 9000, 100, 12000}},
+		{64, 5, []int{300, 2000, 50, 4000}},
+		{128, 1, []int{1000, 1000, 2500, 4000, 20, 3000}},
+	}
+	arena := NewTrialArena()
+	extended := false
+	for _, c := range cases {
+		for _, n := range c.spares {
+			for seed := int64(0); seed < c.seeds; seed++ {
+				cfg := TrialConfig{Cols: c.size, Rows: c.size, Scheme: SR, Spares: n, Holes: 4, Seed: seed}
+				pooled, err := arena.RunTrial(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := RunTrial(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pooled != fresh {
+					t.Fatalf("%dx%d seed %d spares %d: pooled %+v, fresh %+v", c.size, c.size, seed, n, pooled, fresh)
+				}
+				label := fmt.Sprintf("%dx%d seed %d spares %d", c.size, c.size, seed, n)
+				checkMemoBytes(t, label, &arena.memo)
+				if c.size == 128 && arena.memo.bytes > memoBytes-2000*nodeBytes {
+					extended = true
+				}
+			}
+		}
+		if arena.memo.records == 0 {
+			t.Errorf("%dx%d: nothing recorded", c.size, c.size)
+		}
+	}
+	if !extended {
+		t.Error("the 128x128 base never grew near the bound")
+	}
+}
+
+// TestReplayLeavesStream2Unread pins the hazard a spare replay relies
+// on. A replay that draws nothing leaves stream 2 where it was seeded,
+// not where Controlled's spare draws leave it, so it is byte-identical
+// only because nothing reads stream 2 after deployment: the jam centre
+// draws from stream 1, and the scheme and the events split off the
+// root. Every workload kind, alone and composed, runs here through one
+// arena with spare counts that recur below a recording, and each
+// manifest must equal the FreshBuild one.
+func TestReplayLeavesStream2Unread(t *testing.T) {
+	arena := NewTrialArena()
+	for i, spec := range goldenWorkloadFormsSpecs() {
+		spec.Spares = []int{5, 20}
+		spec.Replicates = 1
+		if got, want := arenaManifestBytes(t, arena, spec), pooledManifestBytes(t, spec, true, 1); !bytes.Equal(got, want) {
+			t.Errorf("forms spec %d: one-arena manifest differs from FreshBuild", i)
+		}
+	}
+	if prefix := arena.memo.replays - arena.memo.extensions; prefix == 0 {
+		t.Error("no replay left stream 2 unread")
 	}
 }

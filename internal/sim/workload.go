@@ -600,11 +600,11 @@ func (o opening) deploy(spares int) func(*network.Network, *randx.Rand) error {
 // stream discipline the differential tests pin: hole cells are picked
 // from stream 1 before Controlled draws from stream 2; the jam center's
 // stream is split off as stream 1 first and drawn after the deployment.
-// With a memo (a TrialArena's) the hole pick and the one-node-per-cell
-// layout, which do not read spares, are replayed from the base recorded
-// when this seed last deployed this opening; the root stream still
-// splits streams 1 and 2, so every later split is unchanged. A nil memo
-// is the plain deploy.Controlled.
+// With a memo (a TrialArena's) the hole pick, the one-node-per-cell
+// layout and the spares it recorded when this seed last deployed this
+// opening are replayed, and only spares past the recording are drawn;
+// the root stream still splits streams 1 and 2, so every later split is
+// unchanged. A nil memo is the plain deploy.Controlled.
 func (o opening) build(net *network.Network, rng *randx.Rand, spares int, memo *baseMemo, seed int64) error {
 	var s1 *randx.Rand
 	if o.kind != 0 {
@@ -612,8 +612,8 @@ func (o opening) build(net *network.Network, rng *randx.Rand, spares int, memo *
 	}
 	s2 := rng.Split(2)
 	key := baseKey{seed: seed, kind: o.kind, holes: o.holes, avoidAdjacent: o.avoidAdjacent}
-	if hit, rec := memo.lookup(key); hit != nil {
-		if err := hit.replay(net, spares, s2); err != nil {
+	if hit, rec := memo.lookup(key, spares); hit != nil {
+		if err := memo.replay(hit, net, spares, s2); err != nil {
 			return err
 		}
 	} else {
