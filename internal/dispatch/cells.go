@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -45,6 +47,20 @@ import (
 // a key's lines, latest first, and serves the first that verifies
 // (verifyCellLine); a cell without one is a miss, and is recomputed.
 //
+// That check is a pure function of the line's bytes and the cell's
+// address, so the store memoizes it by content, as sweepd's manifest
+// store does: it remembers the last cellMemoLines lines that passed,
+// by the SHA-256 of their bytes, with the address they passed under and
+// their decoded point. A lookup still re-reads every line it tries and
+// hashes it; a line whose digest and address are remembered is served
+// without decoding it or re-hashing its spec, and any other line (one
+// rewritten in place, one never checked) runs the full check. A
+// remembered line is therefore the full check's own answer, up to a
+// SHA-256 collision. The lines this store appends are remembered as
+// they land: they are json.Marshal's own output for a spec that hashes
+// to the key. A served point is shared with the memo, so callers must
+// not modify it.
+//
 // A line records the sim.EngineVersion that computed it and a line of
 // another version is a miss, so a change of results never serves a
 // stale cell. There is no fsync: a killed process loses at most the
@@ -53,11 +69,62 @@ type CellStore struct {
 	dir    string // <root>/cells
 	writer string // this store's segment file name
 
-	// mu guards the index and the segment.
-	mu      sync.Mutex
-	index   map[string][]lineAt // nil until the first lookup
-	scanned map[string]int64    // per segment, the bytes of whole lines indexed
-	size    int64               // bytes appended to the segment
+	// mu guards the index, the memo and the segment.
+	mu       sync.Mutex
+	index    map[string][]lineAt // nil until the first lookup
+	scanned  map[string]int64    // per segment, the bytes of whole lines indexed
+	size     int64               // bytes appended to the segment
+	verified lineMemo
+	buf      []byte // the line serveLocked is reading
+}
+
+// cellMemoLines bounds the verified lines a CellStore remembers; past
+// it the oldest is forgotten first. It holds a widened service-mix
+// campaign's 48 cells.
+const cellMemoLines = 64
+
+// lineMemo remembers lines that passed verifyCellLine, by the SHA-256
+// of their bytes: the address each passed under and its point.
+type lineMemo struct {
+	lines map[[sha256.Size]byte]verifiedLine
+	order [][sha256.Size]byte // the remembered digests, a ring; next is the oldest
+	next  int
+}
+
+// verifiedLine is a line the full check accepted: the address it was
+// checked against (its spec left out) and the point it holds.
+type verifiedLine struct {
+	addr  cellAddr
+	point *experiment.Point
+}
+
+// get returns the point of the line with digest sum when it passed
+// the check under an address equal to a's, and nil otherwise.
+func (m *lineMemo) get(sum [sha256.Size]byte, a cellAddr) *experiment.Point {
+	v, ok := m.lines[sum]
+	if !ok || v.addr.key != a.key || v.addr.group != a.group || v.addr.x != a.x || v.addr.trials != a.trials {
+		return nil
+	}
+	return v.point
+}
+
+// put remembers that the line with digest sum passed the check under
+// a with point p, forgetting the oldest line when the memo is full.
+func (m *lineMemo) put(sum [sha256.Size]byte, a cellAddr, p *experiment.Point) {
+	if m.lines == nil {
+		m.lines = make(map[[sha256.Size]byte]verifiedLine, cellMemoLines)
+	}
+	a.spec = nil
+	if _, ok := m.lines[sum]; !ok {
+		if len(m.order) < cellMemoLines {
+			m.order = append(m.order, sum)
+		} else {
+			delete(m.lines, m.order[m.next])
+			m.order[m.next] = sum
+			m.next = (m.next + 1) % cellMemoLines
+		}
+	}
+	m.lines[sum] = verifiedLine{a, p}
 }
 
 // OpenCellStore opens the cell store rooted at root. It reads and
@@ -132,7 +199,8 @@ func (s *CellStore) lookup(addrs []cellAddr) []*experiment.Point {
 }
 
 // serveLocked returns the point of a's latest line that verifies, or
-// nil, reading segments through files (each opened on first use).
+// nil, reading segments through files (each opened on first use). A
+// line the memo remembers under a is served without the full check.
 func (s *CellStore) serveLocked(a cellAddr, files map[string]*os.File) *experiment.Point {
 	lines := s.index[a.key]
 	for i := len(lines) - 1; i >= 0; i-- {
@@ -144,11 +212,17 @@ func (s *CellStore) serveLocked(a cellAddr, files map[string]*os.File) *experime
 			f, _ = os.Open(filepath.Join(s.dir, at.seg))
 			files[at.seg] = f
 		}
-		line := make([]byte, at.n)
-		if _, err := f.ReadAt(line, at.off); err == nil {
-			if p, err := verifyCellLine(line, a); err == nil {
-				return p
-			}
+		s.buf = slices.Grow(s.buf[:0], at.n)[:at.n]
+		if _, err := f.ReadAt(s.buf, at.off); err != nil {
+			continue
+		}
+		sum := sha256.Sum256(s.buf)
+		if p := s.verified.get(sum, a); p != nil {
+			return p
+		}
+		if p, err := verifyCellLine(s.buf, a); err == nil {
+			s.verified.put(sum, a, p)
+			return p
 		}
 	}
 	return nil
@@ -255,7 +329,9 @@ func strictUnmarshal(data []byte, v any) error {
 // append stores p as the cell a with one write(2) to this store's
 // segment, creating the segment on the first append, and indexes the
 // line if the index is built (an unbuilt index finds it when it scans),
-// marking it scanned so no re-scan indexes it again.
+// marking it scanned so no re-scan indexes it again. The line is
+// remembered as verified: it is what verifyCellLine accepts for a, since
+// a.spec hashes to a.key (addressCell) and the rest is p's encoding.
 // The segment is opened and closed around each line, so a store holds
 // no file between appends.
 func (s *CellStore) append(a cellAddr, p experiment.Point) error {
@@ -287,5 +363,6 @@ func (s *CellStore) append(a cellAddr, p experiment.Point) error {
 		s.scanned[s.writer] = s.size + int64(len(line))
 	}
 	s.size += int64(len(line))
+	s.verified.put(sha256.Sum256(line), a, &p)
 	return nil
 }

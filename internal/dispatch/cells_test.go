@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -177,9 +178,144 @@ func TestCellStoreLiveIndex(t *testing.T) {
 	}
 }
 
+// addresses returns the store address of each of spec's cells, in cell
+// order.
+func addresses(t testing.TB, spec sim.CampaignSpec) []cellAddr {
+	t.Helper()
+	var addrs []cellAddr
+	err := jobSpace(t, spec).Cells(func(_ int, j sim.TrialJob) error {
+		a, err := addressCell(spec, j)
+		addrs = append(addrs, a)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return addrs
+}
+
+// TestCellStoreMemo: a store remembers the lines it appends and the
+// lines it verifies, by digest, and serves a remembered line only when
+// the bytes it re-reads hash to that digest under the same address.
+// Every line an append remembers is one verifyCellLine accepts with
+// the remembered point; a line rewritten in place to the same length is
+// checked in full again, served with its new point when it still
+// verifies and missed (and recomputed) when it does not; and a digest
+// hit under another address misses.
+func TestCellStoreMemo(t *testing.T) {
+	spec := resumeSpecs()["unsharded"] // 6 cells
+	want, _ := runBytes(t, plan(t, spec, nil))
+	addrs := addresses(t, spec)
+	// stored runs spec into a new store and returns the store, its one
+	// segment's path and the segment's lines, in cell order.
+	stored := func(t *testing.T) (*CellStore, string, [][]byte) {
+		root := t.TempDir()
+		store := OpenCellStore(root)
+		runBytes(t, plan(t, spec, store))
+		seg := segments(t, root)[0]
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		return store, seg, lines[:len(lines)-1]
+	}
+	pointJSON := func(t *testing.T, p *experiment.Point) []byte {
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// rewrite replaces old by new, of the same length, in the segment's
+	// first line, in place.
+	rewrite := func(t *testing.T, seg string, lines [][]byte, old, new string) {
+		line := bytes.Replace(lines[0], []byte(old), []byte(new), 1)
+		if bytes.Equal(line, lines[0]) || len(line) != len(lines[0]) {
+			t.Fatalf("rewriting %q as %q leaves a line of %d bytes, was %d", old, new, len(line), len(lines[0]))
+		}
+		data := bytes.Join(append([][]byte{line}, lines[1:]...), nil)
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("appended lines verify", func(t *testing.T) {
+		store, _, lines := stored(t)
+		if n := len(store.verified.lines); n != len(lines) {
+			t.Fatalf("the store remembers %d lines, appended %d", n, len(lines))
+		}
+		for i, line := range lines {
+			v, ok := store.verified.lines[sha256.Sum256(line)]
+			if !ok {
+				t.Fatalf("line %d is not remembered", i)
+			}
+			p, err := verifyCellLine(line, v.addr)
+			if err != nil {
+				t.Fatalf("remembered line %d does not verify: %v", i, err)
+			}
+			if !bytes.Equal(pointJSON(t, p), pointJSON(t, v.point)) {
+				t.Fatalf("line %d decodes to another point than the remembered one", i)
+			}
+		}
+		r := plan(t, spec, store)
+		if r.Reused != r.Cells {
+			t.Fatalf("%d of %d remembered cells served", r.Reused, r.Cells)
+		}
+		if got, _ := runBytes(t, r); !bytes.Equal(got, want) {
+			t.Error("manifest from remembered cells differs from a run without a store")
+		}
+	})
+
+	t.Run("rewritten line that verifies is served anew", func(t *testing.T) {
+		store, seg, lines := stored(t)
+		rewrite(t, seg, lines, `"holes_before":{"N":4,"Mean":1,`, `"holes_before":{"N":4,"Mean":2,`)
+		r := plan(t, spec, store)
+		if r.Reused != r.Cells {
+			t.Fatalf("%d of %d cells served", r.Reused, r.Cells)
+		}
+		if got := r.prior[0].Metrics["holes_before"].Mean; got != 2 {
+			t.Errorf("rewritten cell served with holes_before mean %g, want the rewritten 2", got)
+		}
+	})
+
+	t.Run("rewritten line that fails is recomputed", func(t *testing.T) {
+		store, seg, lines := stored(t)
+		rewrite(t, seg, lines, `"trials":4}`, `"trials":5}`)
+		r := plan(t, spec, store)
+		if r.Reused != r.Cells-1 || r.Executed != spec.Replicates {
+			t.Fatalf("%d of %d cells served, %d trials planned; want all but the rewritten one", r.Reused, r.Cells, r.Executed)
+		}
+		if got, _ := runBytes(t, r); !bytes.Equal(got, want) {
+			t.Error("manifest with the rewritten cell recomputed differs from a run without a store")
+		}
+	})
+
+	t.Run("digest hit under another address misses", func(t *testing.T) {
+		store, _, lines := stored(t)
+		if _, ok := store.verified.lines[sha256.Sum256(lines[0])]; !ok {
+			t.Fatal("the first line is not remembered")
+		}
+		moreTrials, otherGroup, otherX := addrs[0], addrs[0], addrs[0]
+		moreTrials.trials++
+		otherGroup.group += " other"
+		otherX.x++
+		got := store.lookup([]cellAddr{moreTrials, otherGroup, otherX, addrs[0]})
+		for i, p := range got[:3] {
+			if p != nil {
+				t.Errorf("address %d, another than the line's, served %q N=%g", i, p.Group, p.X)
+			}
+		}
+		if got[3] == nil {
+			t.Error("the line's own address missed")
+		}
+	})
+}
+
 // FuzzCellStore: whatever two segments of a store directory hold, the
 // store never panics and serves a cell only from a whole line of one of
-// them that verifies as that cell's. A run over the store then computes
+// them that verifies as that cell's, and a second lookup, warm with the
+// lines the first verified, serves the same. A run over the store then computes
 // exactly the cells it missed, byte-identical to a run without a store,
 // and afterwards every cell is served with the manifest's point, by this
 // store and by a reopened one.
@@ -204,13 +340,8 @@ func FuzzCellStore(f *testing.F) {
 		x     float64
 	}
 	addrs := make(map[cellKey]cellAddr)
-	err := jobSpace(f, spec).Cells(func(_ int, j sim.TrialJob) error {
-		a, err := addressCell(spec, j)
+	for _, a := range addresses(f, spec) {
 		addrs[cellKey{a.group, a.x}] = a
-		return err
-	})
-	if err != nil {
-		f.Fatal(err)
 	}
 	pointJSON := func(t *testing.T, p experiment.Point) []byte {
 		b, err := json.Marshal(p)
@@ -229,6 +360,18 @@ func FuzzCellStore(f *testing.F) {
 		}
 		if len(served) != r.Reused || r.Executed != (r.Cells-r.Reused)*spec.Replicates {
 			t.Fatalf("%d cells served, %d reused, %d trials planned", len(served), r.Reused, r.Executed)
+		}
+		// A warm pass, served from the lines the cold one verified, must
+		// give the cold pass's answers.
+		warm := plan(t, spec, store)
+		if warm.Reused != r.Reused || warm.Executed != r.Executed {
+			t.Fatalf("warm pass reuses %d cells and plans %d trials, cold %d and %d",
+				warm.Reused, warm.Executed, r.Reused, r.Executed)
+		}
+		for _, p := range warm.prior {
+			if !bytes.Equal(pointJSON(t, p), served[cellKey{p.Group, p.X}]) {
+				t.Fatalf("warm pass serves %q N=%g with another point than the cold pass", p.Group, p.X)
+			}
 		}
 		for k, p := range served {
 			verified := false

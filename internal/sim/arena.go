@@ -66,22 +66,24 @@ func (s *schemeScratch) forAsync() *async.Scratch {
 // campaign gives replicate r the same seed in every cell (JobSpace), and
 // Controlled draws the hole pick, the one-node-per-cell layout and then
 // the spares one by one from the same point of stream 2, so the spares
-// of a smaller spare count are the first spares of a larger one. On the
-// second sighting of a key (seed, opening kind, holes, avoid-adjacent)
-// the arena records the deployment (deploy.Base): the hole cells, every
-// node in draw order with its cell and whether it took its cell's head
-// as it landed, and stream 2's state after the last. After that, a
-// trial with N spares at most the recorded ones replays the base and
-// the first N spares (network.AddPlaced), with no draw, no cell lookup
-// and no election distance; a larger N replays what is recorded,
-// restores stream 2, and draws and records only the rest. The memo
-// holds at most memoBytes of recordings, counted by their buffers'
-// capacity, and as many keys sighted once as it has room for bases
-// without spares, oldest evicted first; a geometry that does not fit
-// one base (256x256 and up) turns it off. Replicate is the innermost
-// job dimension, so its working set is one base per replicate of the
-// current opening. networkFor empties it whenever it rebuilds the
-// network.
+// of a smaller spare count are the first spares of a larger one. The
+// first time the memo sees a key (seed, opening kind, holes,
+// avoid-adjacent) the arena records the deployment as it builds it
+// (deploy.Base): the hole cells, every node in draw order with its cell
+// and whether it took its cell's head as it landed, and stream 2's
+// state after the last. Recording costs what the plain build costs, so
+// a key that never recurs loses nothing to it. After that, a trial with
+// N spares at most the recorded ones replays the base and the first N
+// spares (network.AddPlaced), with no draw, no cell lookup and no
+// election distance; a larger N replays what is recorded, restores
+// stream 2, and draws and records only the rest. The memo holds at most
+// memoBytes of recordings, counted by their buffers' capacity, oldest
+// evicted first, so a working set larger than the bound costs one
+// recording per evicted key when it comes back; a geometry that does
+// not fit one base (256x256 and up) turns it off. Replicate is the
+// innermost job dimension, so its working set is one base per
+// replicate of the current opening. networkFor empties it whenever it
+// rebuilds the network.
 //
 // A replay that draws nothing leaves stream 2 where it was seeded, not
 // where the spare draws leave it. That is safe because nothing reads
@@ -209,7 +211,10 @@ func (a *TrialArena) RunTrial(cfg TrialConfig) (TrialResult, error) {
 // spares, 27 with 200 and 17 with 600 (one opening's 16 replicates
 // fit); 15 of a 32x32 field, 4 of a 64x64 one, 1 of a 128x128 one and
 // none from 256x256 up. It is the memo's whole cost in memory: per
-// arena, and live for as long as the arena idles in the free list.
+// arena, and live for as long as the arena idles in the free list. A
+// base campaign and its widened sweep at 600 spares use 32 keys, more
+// than it holds, so such rounds cycle it and re-record every key, once
+// each; holding them all would take about 740 KiB per arena.
 const memoBytes = 384 << 10
 
 // baseKey identifies a deployment base under the arena's geometry: the
@@ -228,30 +233,22 @@ type memoBase struct {
 	bytes int         // base.Bytes(0) as the memo last counted it
 }
 
-// memoSlot is where the memo holds a key: its recorded base, or, for a
-// key sighted once, its position in the seen ring.
-type memoSlot struct {
-	base *memoBase
-	seen int
-}
-
 // nodeBytes is what a base records per node: its position and landing.
 const nodeBytes = int(unsafe.Sizeof(geom.Point{}) + unsafe.Sizeof(network.Landing(0)))
 
 // baseMemo is a TrialArena's bounded memo of deployment bases (see
-// TrialArena). The zero value is off until reset sizes it.
+// TrialArena): a key is recorded the first time it is built and
+// replayed while it is held. The zero value is off until reset sizes
+// it.
 type baseMemo struct {
-	// cells is the geometry's cell count. slots is the number of bases
-	// with no spares memoBytes admits at it; 0 turns the memo off. It
-	// bounds the bases held and the keys sighted once: a working set
-	// that does not fit is never recorded.
-	cells, slots int
-	// index maps a key to its recorded base or its place in seen.
-	index    map[baseKey]memoSlot
-	seen     []baseKey // ring of keys sighted once; seenNext is the oldest
-	seenNext int
-	bases    []*memoBase // recorded bases, oldest first
-	bytes    int         // the bases' Bytes, never more than memoBytes
+	// cells is the geometry's cell count. on is whether a base with no
+	// spares fits memoBytes at it; the memo does nothing when it does
+	// not.
+	cells int
+	on    bool
+	index map[baseKey]*memoBase // the recorded base of each key held
+	bases []*memoBase           // recorded bases, oldest first
+	bytes int                   // the bases' Bytes, never more than memoBytes
 	// replays and records count the bases served and recorded;
 	// extensions counts the replays that drew spares past the recording.
 	replays, records, extensions int
@@ -262,44 +259,30 @@ type baseMemo struct {
 // the memo never holds more than memoBytes of them.
 func (m *baseMemo) reset(cells int) {
 	m.cells = cells
-	m.slots = memoBytes / (cells*nodeBytes + int(unsafe.Sizeof(memoBase{})))
-	if m.index == nil && m.slots > 0 {
-		m.index = make(map[baseKey]memoSlot)
+	m.on = baseBytes(cells) <= memoBytes
+	if m.index == nil && m.on {
+		m.index = make(map[baseKey]*memoBase)
 	}
 	clear(m.index)
-	m.seen, m.seenNext = m.seen[:0], 0
 	clear(m.bases)
 	m.bases, m.bytes = m.bases[:0], 0
 }
 
-// lookup returns the recorded base of k, if any. On k's second sighting
-// it returns instead an entry to record k's base of spares spares into
-// (record commits it), when one fits; on the first it notes k and
-// returns neither. A nil or off memo returns neither.
+// baseBytes is the least a base of nodes recorded nodes can hold.
+func baseBytes(nodes int) int { return nodes*nodeBytes + int(unsafe.Sizeof(memoBase{})) }
+
+// lookup returns the recorded base of k, if any. When there is none it
+// returns instead an entry to record k's base of spares spares into
+// (record commits it), when one fits. A nil or off memo returns neither.
 func (m *baseMemo) lookup(k baseKey, spares int) (hit, rec *memoBase) {
-	if m == nil || m.slots == 0 {
+	if m == nil || !m.on {
 		return nil, nil
 	}
-	if v, ok := m.index[k]; ok {
-		if v.base != nil {
-			m.replays++
-			return v.base, nil
-		}
-		return nil, m.claim(k, m.cells+max(spares, 0))
+	if e, ok := m.index[k]; ok {
+		m.replays++
+		return e, nil
 	}
-	i := m.seenNext
-	if len(m.seen) < m.slots {
-		i = len(m.seen)
-		m.seen = append(m.seen, k)
-	} else {
-		if old := m.seen[i]; m.index[old] == (memoSlot{seen: i}) {
-			delete(m.index, old)
-		}
-		m.seen[i] = k
-		m.seenNext = (i + 1) % m.slots
-	}
-	m.index[k] = memoSlot{seen: i}
-	return nil, nil
+	return nil, m.claim(k, m.cells+max(spares, 0))
 }
 
 // claim returns an entry for k's base of at most nodes nodes, or nil
@@ -311,7 +294,7 @@ func (m *baseMemo) lookup(k baseKey, spares int) (hit, rec *memoBase) {
 // bases recycles their buffers instead of allocating new ones and
 // growing them.
 func (m *baseMemo) claim(k baseKey, nodes int) *memoBase {
-	need := nodes*nodeBytes + int(unsafe.Sizeof(memoBase{}))
+	need := baseBytes(nodes)
 	if need > memoBytes {
 		return nil
 	}
@@ -319,7 +302,7 @@ func (m *baseMemo) claim(k baseKey, nodes int) *memoBase {
 		need = max(need, m.bases[0].bytes)
 	}
 	var e *memoBase
-	for len(m.bases) == m.slots || m.bytes+need > memoBytes {
+	for m.bytes+need > memoBytes {
 		e = m.evict(nil)
 	}
 	if e == nil {
@@ -370,7 +353,7 @@ func (m *baseMemo) record(e *memoBase, net *network.Network, spares int, holes [
 	}
 	e.bytes = 0
 	m.bases = append(m.bases, e)
-	m.index[e.key] = memoSlot{base: e}
+	m.index[e.key] = e
 	m.records++
 	if !m.recount(e) {
 		m.evict(nil) // e, the only base left

@@ -327,8 +327,8 @@ func TestWarmCampaignAllocBudget(t *testing.T) {
 // campaign's fixed overhead and nothing for the bases it replays.
 func TestWarmServiceMixAllocBudget(t *testing.T) {
 	const (
-		allocBudget = 12      // allocs/trial (measured 7; 14 before the memo and the group-label table)
-		byteBudget  = 2 << 10 // bytes/trial (measured 1140 B)
+		allocBudget = 9    // allocs/trial (measured 6.3; 7.5 with a Deploy closure per trial, 14 before the memo and the group-label table)
+		byteBudget  = 1536 // bytes/trial (measured 1199 B)
 	)
 	spec := serviceMixSpec()
 	run := func() {
@@ -483,8 +483,9 @@ func TestArenaMemoNeverServesStaleBase(t *testing.T) {
 	}
 
 	// A 64x64 memo holds 4 bases. Each of 8 seeds deploys 3 times in a
-	// row (sighted, recorded, replayed), twice over, so every recording
-	// past the fourth evicts a base whose seed comes back later.
+	// row (recorded, then replayed twice), twice over, so every
+	// recording past the fourth evicts a base whose seed comes back
+	// later, and comes back to be recorded again.
 	arena = NewTrialArena()
 	for pass := 0; pass < 2; pass++ {
 		for seed := int64(0); seed < 8; seed++ {
@@ -504,20 +505,23 @@ func TestArenaMemoNeverServesStaleBase(t *testing.T) {
 			}
 		}
 	}
-	if arena.memo.slots != 4 || arena.memo.records != 16 || arena.memo.replays != 16 {
-		t.Errorf("64x64 runs of 3: %d slots, %d recorded, %d replayed; want 4, 16, 16",
-			arena.memo.slots, arena.memo.records, arena.memo.replays)
+	if n := len(arena.memo.bases); n != 4 || arena.memo.records != 16 || arena.memo.replays != 32 {
+		t.Errorf("64x64 runs of 3: %d bases held, %d recorded, %d replayed; want 4, 16, 32",
+			n, arena.memo.records, arena.memo.replays)
 	}
 }
 
 // TestArenaMemoEngagement pins when the memo works: on the service-mix
 // base campaign every replicate's layout recurs across 2 schemes and 8
-// spare counts, so each (seed, holes) key is built plain once, recorded
-// once and replayed on the other 14 trials; a rotation of more seeds
-// than the memo holds records nothing; and on a 256x256 field (the
-// warm-campaign alloc budget's spec) a base does not fit the memo's
-// byte bound, so even a campaign run twice through one arena records
-// nothing.
+// spare counts, so each (seed, holes) key is recorded the first time it
+// is built and replayed on the other 15 trials; rounds of the base
+// campaign and its widened sweep (12 spare counts up to 600) outgrow
+// the memo's bytes, so each round records all 32 keys of each campaign
+// again, but every trial is recorded or replayed and none is built
+// plain; a rotation of more seeds than the memo holds records every
+// trial and replays none; and on a 256x256 field (the warm-campaign
+// alloc budget's spec) a base does not fit the memo's byte bound, so
+// even a campaign run twice through one arena records nothing.
 func TestArenaMemoEngagement(t *testing.T) {
 	mix := serviceMixSpec()
 	arena := NewTrialArena()
@@ -526,12 +530,29 @@ func TestArenaMemoEngagement(t *testing.T) {
 	if got, want := arena.memo.records, keys; got != want {
 		t.Errorf("service-mix: %d bases recorded, want %d", got, want)
 	}
-	if got, want := arena.memo.replays, mix.NumJobs()-2*keys; got != want {
+	if got, want := arena.memo.replays, mix.NumJobs()-keys; got != want {
 		t.Errorf("service-mix: %d bases replayed, want %d", got, want)
 	}
 
+	widened := mix
+	widened.Spares = []int{10, 25, 40, 55, 70, 100, 150, 200, 300, 400, 500, 600}
+	arena = NewTrialArena()
+	for round := 0; round < 3; round++ {
+		for _, spec := range []CampaignSpec{mix, widened} {
+			records, replays := arena.memo.records, arena.memo.replays
+			arenaManifestBytes(t, arena, spec)
+			records, replays = arena.memo.records-records, arena.memo.replays-replays
+			if records != keys || replays != spec.NumJobs()-keys {
+				t.Errorf("round %d, %d spare counts: %d bases recorded, %d replayed; want %d, %d",
+					round, len(spec.Spares), records, replays, keys, spec.NumJobs()-keys)
+			}
+		}
+	}
+
 	// Eight seeds in rotation do not fit the 4 bases a 64x64 memo holds,
-	// so none is ever recorded: the memo costs such a run nothing.
+	// so each trial records its seed's base over the oldest one and
+	// nothing is replayed: such a run pays one recording per trial,
+	// which costs what the plain build does.
 	arena = NewTrialArena()
 	for i := 0; i < 24; i++ {
 		cfg := TrialConfig{Cols: 64, Rows: 64, Scheme: SR, Spares: 300, Holes: 16, AdjacentHolesOK: true, Seed: int64(i % 8)}
@@ -539,9 +560,9 @@ func TestArenaMemoEngagement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if arena.memo.slots != 4 || arena.memo.records != 0 {
-		t.Errorf("64x64 rotation of 8 seeds: %d slots, %d bases recorded; want 4 and none",
-			arena.memo.slots, arena.memo.records)
+	if n := len(arena.memo.bases); n != 4 || arena.memo.records != 24 || arena.memo.replays != 0 {
+		t.Errorf("64x64 rotation of 8 seeds: %d bases held, %d recorded, %d replayed; want 4, 24, none",
+			n, arena.memo.records, arena.memo.replays)
 	}
 
 	large := warmCampaignSpec()
@@ -556,20 +577,20 @@ func TestArenaMemoEngagement(t *testing.T) {
 }
 
 // checkMemoBytes fails the test unless the memo's byte count is what
-// its bases hold, within memoBytes, over at most slots bases, each of
-// them indexed under its key.
+// its bases hold, within memoBytes, and it indexes exactly its bases,
+// each under its key.
 func checkMemoBytes(t *testing.T, label string, m *baseMemo) {
 	t.Helper()
 	sum := 0
 	for _, e := range m.bases {
 		sum += e.base.Bytes(0)
-		if m.index[e.key].base != e {
+		if m.index[e.key] != e {
 			t.Fatalf("%s: base of %+v not indexed", label, e.key)
 		}
 	}
-	if m.bytes != sum || m.bytes > memoBytes || len(m.bases) > m.slots {
-		t.Fatalf("%s: memo counts %d bytes, its %d bases hold %d; bound %d bytes, %d slots",
-			label, m.bytes, len(m.bases), sum, memoBytes, m.slots)
+	if m.bytes != sum || m.bytes > memoBytes || len(m.index) != len(m.bases) {
+		t.Fatalf("%s: memo counts %d bytes, its %d bases hold %d, %d keys indexed; bound %d bytes",
+			label, m.bytes, len(m.bases), sum, len(m.index), memoBytes)
 	}
 }
 
@@ -579,8 +600,9 @@ func checkMemoBytes(t *testing.T, label string, m *baseMemo) {
 // of them and extends them: ascending, descending and repeated counts,
 // N=0, keys interleaved with another seed and with the other opening,
 // the jam opening, and a rotation of more 600-spare bases than the
-// memo's bytes admit, which evicts. Every TrialResult must equal
-// RunTrial's, and the memo's bytes must stay within its bound.
+// memo's bytes admit, which evicts, followed by extending replays of
+// the bases it left. Every TrialResult must equal RunTrial's, and the
+// memo's bytes must stay within its bound.
 func TestArenaSpareSequencesMatchRunTrial(t *testing.T) {
 	type step struct {
 		seed   int64
@@ -599,6 +621,12 @@ func TestArenaSpareSequencesMatchRunTrial(t *testing.T) {
 		for seed := int64(100); seed < 124; seed++ {
 			rotation = append(rotation, step{seed, seed%5 == 0, n})
 		}
+	}
+	// A rotation that outgrows the memo replays nothing: each key is
+	// evicted before it comes back. The last seeds it recorded are still
+	// held, so they replay, and extend past 300 spares, evicting others.
+	for seed := int64(116); seed < 124; seed++ {
+		rotation = append(rotation, step{seed, seed%5 == 0, 450})
 	}
 	sequences := []struct {
 		name  string
@@ -647,10 +675,9 @@ func TestArenaSpareSequencesMatchRunTrial(t *testing.T) {
 	if arena.memo.extensions == 0 || arena.memo.extensions == arena.memo.replays {
 		t.Errorf("%d of %d replays extended a recording; want some and not all", arena.memo.extensions, arena.memo.replays)
 	}
-	// The rotation's 24 keys outgrow the memo's bytes at 600 spares but
-	// not its slots, so bases were recorded, evicted for bytes, and
-	// recorded again.
-	if n := len(arena.memo.bases); n >= 24 || n > arena.memo.slots {
+	// The rotation's 24 keys outgrow the memo's bytes at 600 spares, so
+	// bases were recorded, evicted for bytes, and recorded again.
+	if n := len(arena.memo.bases); n >= 24 {
 		t.Errorf("the memo holds %d bases after the rotation; want fewer than 24", n)
 	}
 }

@@ -129,6 +129,7 @@ func newTrial(cfg TrialConfig, arena *TrialArena) (*Trial, error) {
 // resolveSchedule resolves a normalized config's workload into its
 // schedule, which installs the workload's knobs into cfg (lossy,
 // byzantine), and checks those knobs against the scheme and the runner.
+// The schedule has no Deploy: a trial deploys from its opening.
 // NewTrial and CampaignSpec.JobSpace both call it, so a campaign
 // validates exactly the pairings its trials accept. Its errors name the
 // workload, the scheme and the runner.
@@ -137,7 +138,7 @@ func resolveSchedule(cfg *TrialConfig) (Schedule, error) {
 	if err != nil {
 		return Schedule{}, err
 	}
-	sched, err := wl.Schedule(cfg)
+	sched, err := wl.schedule(cfg)
 	if err == nil {
 		err = validateEvents(sched.Events)
 	}

@@ -316,11 +316,21 @@ func (w Workload) Kind() string { return w.spec.Kind }
 // adjust cfg before the network is built (depletion installs its energy
 // model, byzantine and lossy their protocol knobs).
 func (w Workload) Schedule(cfg *TrialConfig) (Schedule, error) {
+	sched, err := w.schedule(cfg)
+	if err == nil {
+		sched.Deploy = sched.open.deploy(cfg.Spares)
+	}
+	return sched, err
+}
+
+// schedule is Schedule without Deploy, which a trial never calls: it
+// builds the deployment from the opening (see opening.build).
+func (w Workload) schedule(cfg *TrialConfig) (Schedule, error) {
 	open, events, err := damage(w.spec, cfg, 0)
 	if err != nil {
 		return Schedule{}, err
 	}
-	return Schedule{Deploy: open.deploy(cfg.Spares), Events: events, open: open}, nil
+	return Schedule{Events: events, open: open}, nil
 }
 
 // Schedule is a trial's resolved damage timeline.

@@ -45,6 +45,7 @@ func BenchmarkSweepdWidened(b *testing.B) {
 	}{{"base-stored", true}, {"cold", false}} {
 		b.Run(tc.name, func(b *testing.B) {
 			root := b.TempDir()
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				store, err := OpenStore(filepath.Join(root, fmt.Sprint(i)))

@@ -15,8 +15,10 @@
 // moment it completes, and a campaign sharing cells with earlier ones
 // (a widened sweep, a resubmission after a drain, the shards cmd/sweep
 // ran with -store on this directory) computes only the cells it lacks.
-// Every stored cell is re-verified when it is reused; one that fails
-// is recomputed.
+// A stored cell is reused only from a line that passes the cell
+// store's check, one that fails is recomputed, and the check is
+// memoized by the line's content: a line the daemon verified or wrote
+// before is re-read and hashed, not decoded again.
 //
 // The package splits along the same seams as the rest of the repo:
 // store.go is the artifact store, sweepd.go the daemon (submission,
