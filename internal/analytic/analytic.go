@@ -1,6 +1,6 @@
 // Package analytic implements the paper's analytical cost model for a
-// single snake-like replacement process (Theorem 2 and Corollary 2) and
-// the moving-distance estimate of Section 4.
+// single snake-like replacement process (Theorem 2) and the
+// moving-distance estimate of Section 4.
 //
 // Model: a hole turns the directed Hamilton cycle into a directed Hamilton
 // path of length L hops; N spare nodes are distributed uniformly and
@@ -21,15 +21,6 @@ import (
 // r: each mover travels from its current position to a random point in the
 // central area of the target grid, averaging 1.08*r.
 const MeanHopDistanceFactor = 1.08
-
-// MinHopDistanceFactor is the minimum per-movement distance, r/4: from the
-// shared cell edge to the nearest face of the target's central area.
-const MinHopDistanceFactor = 0.25
-
-// MaxHopDistanceFactor is the maximum per-movement distance,
-// sqrt(58)/4 * r: from the far corner of the source cell to the far corner
-// of the target's central area.
-var MaxHopDistanceFactor = math.Sqrt(58) / 4
 
 // P returns the probability that a replacement process converges at hop i
 // of a directed Hamilton path of length L when N spare nodes are placed
@@ -82,13 +73,6 @@ func Moves(n, l int) (float64, error) {
 	return m, nil
 }
 
-// MovesDualPath returns the Corollary 2 estimate for a grid system of
-// cols x rows cells threaded by the dual-path Hamilton cycle:
-// M ~= M(cols*rows - 2).
-func MovesDualPath(n, cols, rows int) (float64, error) {
-	return Moves(n, cols*rows-2)
-}
-
 // Distance returns the estimated total moving distance of one converged
 // replacement: the expected movement count times the mean per-hop distance
 // 1.08*r (Section 4, Figure 5).
@@ -98,12 +82,6 @@ func Distance(n, l int, r float64) (float64, error) {
 		return 0, err
 	}
 	return m * MeanHopDistanceFactor * r, nil
-}
-
-// HopDistanceBounds returns the minimum and maximum distance of a single
-// movement between neighboring grids of size r.
-func HopDistanceBounds(r float64) (min, max float64) {
-	return MinHopDistanceFactor * r, MaxHopDistanceFactor * r
 }
 
 // Series evaluates Moves over a sweep of spare counts, returning one value
@@ -132,42 +110,4 @@ func DistanceSeries(ns []int, l int, r float64) ([]float64, error) {
 		out[i] = d
 	}
 	return out, nil
-}
-
-// SpareDensityForTargetMoves returns the smallest spare count N at which
-// the expected movement count drops to at most target on a path of length
-// L. It reproduces the paper's observation that a density of about 1.68
-// enabled nodes per grid holds M at 2 in the 16x16 system.
-func SpareDensityForTargetMoves(target float64, l int) (int, error) {
-	if target < 1 {
-		return 0, fmt.Errorf("analytic: target %v below 1 movement is unattainable", target)
-	}
-	lo, hi := 1, 1
-	for {
-		m, err := Moves(hi, l)
-		if err != nil {
-			return 0, err
-		}
-		if m <= target {
-			break
-		}
-		lo = hi
-		hi *= 2
-		if hi > 1<<26 {
-			return 0, fmt.Errorf("analytic: target %v not reached below N=%d", target, hi)
-		}
-	}
-	for lo < hi {
-		mid := (lo + hi) / 2
-		m, err := Moves(mid, l)
-		if err != nil {
-			return 0, err
-		}
-		if m <= target {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return hi, nil
 }

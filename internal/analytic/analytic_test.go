@@ -148,21 +148,6 @@ func TestMovesErrors(t *testing.T) {
 	}
 }
 
-func TestMovesDualPath(t *testing.T) {
-	// Corollary 2: M ~= M(m*n-2).
-	got, err := MovesDualPath(12, 5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Moves(12, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("MovesDualPath = %v, want %v", got, want)
-	}
-}
-
 func TestDistance(t *testing.T) {
 	// Figure 5 setting: r = 10, so distance = 10.8 * M.
 	m, err := Moves(12, 19)
@@ -178,20 +163,6 @@ func TestDistance(t *testing.T) {
 	}
 	if _, err := Distance(1, 1, 10); err == nil {
 		t.Error("Distance with L=1 should fail")
-	}
-}
-
-func TestHopDistanceBounds(t *testing.T) {
-	min, max := HopDistanceBounds(10)
-	if math.Abs(min-2.5) > 1e-12 {
-		t.Errorf("min = %v, want 2.5", min)
-	}
-	if math.Abs(max-math.Sqrt(58)/4*10) > 1e-12 {
-		t.Errorf("max = %v, want sqrt(58)/4*10", max)
-	}
-	// The 1.08 mean factor must sit inside the bounds.
-	if MeanHopDistanceFactor < MinHopDistanceFactor || MeanHopDistanceFactor > MaxHopDistanceFactor {
-		t.Error("mean hop factor outside [min, max]")
 	}
 }
 
@@ -224,37 +195,5 @@ func TestSeries(t *testing.T) {
 	}
 	if _, err := DistanceSeries(ns, 0, 10); err == nil {
 		t.Error("invalid L should fail")
-	}
-}
-
-func TestSpareDensityForTargetMoves(t *testing.T) {
-	n, err := SpareDensityForTargetMoves(2, 255)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Verify minimality: Moves(n) <= 2 < Moves(n-1).
-	m, err := Moves(n, 255)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m > 2 {
-		t.Errorf("Moves(%d, 255) = %v > 2", n, m)
-	}
-	if n > 1 {
-		mPrev, err := Moves(n-1, 255)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mPrev <= 2 {
-			t.Errorf("N=%d not minimal: Moves(N-1) = %v", n, mPrev)
-		}
-	}
-	// The paper's observation: total density ~1.68 per grid, i.e.
-	// N ~ 0.68*256 ~ 174 spares. Accept the ballpark.
-	if n < 100 || n > 260 {
-		t.Errorf("threshold N = %d, expected within [100, 260] (paper: ~174)", n)
-	}
-	if _, err := SpareDensityForTargetMoves(0.5, 255); err == nil {
-		t.Error("target below 1 should fail")
 	}
 }

@@ -70,7 +70,7 @@ func TestDefaults(t *testing.T) {
 	if c.initProb != DefaultInitProb || c.maxHops != DefaultMaxHops {
 		t.Error("defaults not applied")
 	}
-	if c.ActiveProcesses() != 0 || !c.Done() {
+	if c.active != 0 || !c.Done() {
 		t.Error("fresh controller should be idle")
 	}
 }
@@ -204,7 +204,7 @@ func TestPrefersSpareNeighbor(t *testing.T) {
 	}
 	// The converging process must have used the greedy spare preference:
 	// short cascade, not a wander.
-	for _, p := range c.Collector().Processes() {
+	for _, p := range records(c.Collector()) {
 		if p.Outcome == metrics.Converged && p.Hops > 4 {
 			t.Errorf("process %d took %d hops; greedy spare preference suspect", p.ID, p.Hops)
 		}
@@ -276,4 +276,13 @@ func TestFinalizeFailsActive(t *testing.T) {
 	if s.Active != 0 || s.Failed == 0 {
 		t.Errorf("summary = %v", s)
 	}
+}
+
+// records returns a copy of every process record of col, in start order.
+func records(col *metrics.Collector) []metrics.Replacement {
+	out := make([]metrics.Replacement, col.Summarize().Initiated)
+	for id := range out {
+		out[id] = *col.Process(id)
+	}
+	return out
 }

@@ -117,9 +117,9 @@ func runARDiff(t *testing.T, sc arDiffScenario, seed int64) {
 		if a, b := arFingerprint(netEvent), arFingerprint(netScan); a != b {
 			t.Fatalf("seed %d: diverged at round %d:\nevent: %s\nscan:  %s", seed, r, a, b)
 		}
-		if event.ActiveProcesses() != scan.ActiveProcesses() {
+		if event.active != scan.active {
 			t.Fatalf("seed %d round %d: procs %d vs %d",
-				seed, r, event.ActiveProcesses(), scan.ActiveProcesses())
+				seed, r, event.active, scan.active)
 		}
 		if event.Done() && scan.Done() {
 			idle++
@@ -131,9 +131,9 @@ func runARDiff(t *testing.T, sc arDiffScenario, seed int64) {
 		}
 	}
 
-	if !reflect.DeepEqual(event.Collector().Processes(), scan.Collector().Processes()) {
+	if !reflect.DeepEqual(records(event.Collector()), records(scan.Collector())) {
 		t.Fatalf("seed %d: process logs differ:\n%+v\nvs\n%+v",
-			seed, event.Collector().Processes(), scan.Collector().Processes())
+			seed, records(event.Collector()), records(scan.Collector()))
 	}
 	if a, b := event.Collector().Summarize(), scan.Collector().Summarize(); a != b {
 		t.Fatalf("seed %d: summaries differ: %+v vs %+v", seed, a, b)

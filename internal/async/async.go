@@ -219,9 +219,6 @@ func New(net *network.Network, cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// Name identifies the scheme in experiment output.
-func (c *Controller) Name() string { return "SR-async" }
-
 // Collector exposes the metrics collected so far.
 func (c *Controller) Collector() *metrics.Collector { return c.col }
 

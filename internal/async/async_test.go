@@ -73,10 +73,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(net, Config{Topology: otherTopo}); err == nil {
 		t.Error("mismatched grids should fail")
 	}
-	c := newCtrl(t, net, topo, 1)
-	if c.Name() != "SR-async" {
-		t.Errorf("Name = %q", c.Name())
-	}
+	newCtrl(t, net, topo, 1)
 }
 
 func TestNoHolesNoProcesses(t *testing.T) {

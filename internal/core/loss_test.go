@@ -85,7 +85,7 @@ func TestClaimTTLCountsExtraProcesses(t *testing.T) {
 			sawRetry = true
 			// The last process converged; earlier ones failed by expiry.
 			var converged int
-			for _, p := range c.Collector().Processes() {
+			for _, p := range records(c.Collector()) {
 				if p.Outcome == metrics.Converged {
 					converged++
 				}

@@ -311,9 +311,6 @@ func (c *Controller) Collector() *metrics.Collector { return c.col }
 // Done reports whether no replacement process is active.
 func (c *Controller) Done() bool { return c.active == 0 }
 
-// ActiveProcesses returns the number of processes still cascading.
-func (c *Controller) ActiveProcesses() int { return c.active }
-
 // alive reports whether pid names a still-running process.
 func (c *Controller) alive(pid int) bool {
 	return pid >= 0 && pid < len(c.procs) && !c.procs[pid].done

@@ -224,7 +224,7 @@ func TestExactlyOneProcessPerHole(t *testing.T) {
 	}
 	// Origins must be exactly the holes, no duplicates.
 	seen := map[grid.Coord]int{}
-	for _, p := range c.Collector().Processes() {
+	for _, p := range records(c.Collector()) {
 		seen[p.Origin]++
 	}
 	for _, h := range holes {
@@ -471,7 +471,7 @@ func TestConvergedMovesEqualHops(t *testing.T) {
 	net, topo := scenario(t, 16, 16, []grid.Coord{grid.C(8, 8)}, []grid.Coord{grid.C(0, 15)})
 	c := newSR(t, net, topo)
 	run(t, c, 700)
-	for _, p := range c.Collector().Processes() {
+	for _, p := range records(c.Collector()) {
 		if p.Outcome != metrics.Converged {
 			t.Fatalf("process %d: %v", p.ID, p.Outcome)
 		}
@@ -558,9 +558,36 @@ func TestConnectivityMaintainedThroughout(t *testing.T) {
 	if !coverage.Complete(net) || !net.HeadGraphConnected() {
 		t.Error("network must end complete and connected")
 	}
-	if !net.PhysicallyConnected(net.System().CommRange()) {
+	if !physicallyConnected(net, net.System().CommRange()) {
 		t.Error("physical connectivity at R=sqrt(5)r must hold")
 	}
+}
+
+// physicallyConnected reports whether the enabled nodes form a single
+// connected component under the disc communication model with the given
+// range, by a breadth-first search over all pairs.
+func physicallyConnected(net *network.Network, commRange float64) bool {
+	var ids []node.ID
+	for id := node.ID(0); int(id) < net.NumNodes(); id++ {
+		if net.Node(id).Enabled() {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) == 0 {
+		return false
+	}
+	r2 := commRange * commRange
+	reached := map[node.ID]bool{ids[0]: true}
+	for queue := []node.ID{ids[0]}; len(queue) > 0; queue = queue[1:] {
+		p := net.Node(queue[0]).Location()
+		for _, id := range ids {
+			if !reached[id] && net.Node(id).Location().Dist2(p) <= r2 {
+				reached[id] = true
+				queue = append(queue, id)
+			}
+		}
+	}
+	return len(reached) == len(ids)
 }
 
 func TestConvergenceSpeedTracksHops(t *testing.T) {
@@ -599,17 +626,17 @@ func TestConvergenceSpeedTracksHops(t *testing.T) {
 func TestActiveProcessesAccounting(t *testing.T) {
 	net, topo := scenario(t, 8, 8, []grid.Coord{grid.C(4, 4)}, []grid.Coord{grid.C(0, 0)})
 	c := newSR(t, net, topo)
-	if c.ActiveProcesses() != 0 {
+	if c.active != 0 {
 		t.Error("no processes before start")
 	}
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if c.ActiveProcesses() != 1 {
-		t.Errorf("ActiveProcesses = %d, want 1", c.ActiveProcesses())
+	if c.active != 1 {
+		t.Errorf("active processes = %d, want 1", c.active)
 	}
 	run(t, c, 300)
-	if c.ActiveProcesses() != 0 {
+	if c.active != 0 {
 		t.Error("processes should drain")
 	}
 }
@@ -635,8 +662,8 @@ func TestDeadCommittedHeadReleasesClaim(t *testing.T) {
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if c.ActiveProcesses() != 1 {
-		t.Fatalf("processes = %d, want 1", c.ActiveProcesses())
+	if c.active != 1 {
+		t.Fatalf("processes = %d, want 1", c.active)
 	}
 	head := net.HeadOf(monitor)
 	if head == node.Invalid {
@@ -660,4 +687,13 @@ func TestDeadCommittedHeadReleasesClaim(t *testing.T) {
 		t.Fatalf("coverage not restored after committed head died: %d vacant cells",
 			net.VacantCount())
 	}
+}
+
+// records returns a copy of every process record of col, in start order.
+func records(col *metrics.Collector) []metrics.Replacement {
+	out := make([]metrics.Replacement, col.Summarize().Initiated)
+	for id := range out {
+		out[id] = *col.Process(id)
+	}
+	return out
 }

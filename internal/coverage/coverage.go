@@ -1,16 +1,11 @@
-// Package coverage evaluates how completely the enabled nodes blanket the
-// surveillance field: per-grid occupancy (the paper's hole criterion) and
-// disc-model area coverage estimated by stratified Monte Carlo sampling.
+// Package coverage evaluates the paper's coverage criterion over the
+// virtual grid: the holes are the grids with no enabled node, and
+// coverage is complete when every grid has its own head.
 package coverage
 
 import (
-	"fmt"
-
-	"wsncover/internal/geom"
 	"wsncover/internal/grid"
 	"wsncover/internal/network"
-	"wsncover/internal/node"
-	"wsncover/internal/randx"
 )
 
 // Holes returns the vacant cells of the network: the grids with no enabled
@@ -24,89 +19,3 @@ func HoleCount(w *network.Network) int { return w.VacantCount() }
 // Complete reports the paper's complete-coverage condition: every grid has
 // its own head.
 func Complete(w *network.Network) bool { return w.AllHeadsPresent() }
-
-// GridFraction returns the fraction of cells that are occupied, a cheap
-// coverage proxy in [0, 1].
-func GridFraction(w *network.Network) float64 {
-	total := w.System().NumCells()
-	return float64(total-HoleCount(w)) / float64(total)
-}
-
-// Options configures area-coverage estimation.
-type Options struct {
-	// SensingRange is the disc radius of each sensor.
-	SensingRange float64
-	// SamplesPerCell is the number of stratified sample points per cell;
-	// values below 1 default to 16.
-	SamplesPerCell int
-	// HeadsOnly restricts sensing duty to grid heads, the paper's duty
-	// cycle (spares sleep to save energy).
-	HeadsOnly bool
-}
-
-// AreaFraction estimates the fraction of the field's area sensed by at
-// least one eligible node, by stratified uniform sampling per cell.
-func AreaFraction(w *network.Network, opt Options, rng *randx.Rand) (float64, error) {
-	if opt.SensingRange <= 0 {
-		return 0, fmt.Errorf("coverage: sensing range %v must be positive", opt.SensingRange)
-	}
-	samples := opt.SamplesPerCell
-	if samples < 1 {
-		samples = 16
-	}
-	sys := w.System()
-	covered, total := 0, 0
-	var buf []node.ID
-	for _, c := range sys.AllCoords() {
-		rect := sys.CellRect(c)
-		for i := 0; i < samples; i++ {
-			p := rng.InRect(rect)
-			total++
-			if pointCovered(w, p, opt, &buf) {
-				covered++
-			}
-		}
-	}
-	return float64(covered) / float64(total), nil
-}
-
-// pointCovered reports whether any eligible node senses p.
-func pointCovered(w *network.Network, p geom.Point, opt Options, buf *[]node.ID) bool {
-	*buf = w.NodesWithin((*buf)[:0], p, opt.SensingRange)
-	for _, id := range *buf {
-		if !opt.HeadsOnly || w.Node(id).IsHead() {
-			return true
-		}
-	}
-	return false
-}
-
-// MinHeadSensingRange returns the sensing radius at which a head anywhere
-// in its cell is guaranteed to cover the whole cell: the cell diagonal
-// sqrt(2)*r (worst case: head in one corner, target point in the opposite
-// corner).
-func MinHeadSensingRange(sys *grid.System) float64 {
-	return sys.CellSize() * 1.4142135623730951
-}
-
-// Report is a coverage snapshot used by examples and experiment logs.
-type Report struct {
-	// Holes is the number of vacant cells.
-	Holes int
-	// GridFraction is the occupied-cell fraction.
-	GridFraction float64
-	// HeadConnected reports head-overlay connectivity.
-	HeadConnected bool
-	// Complete reports whether every cell has a head.
-	Complete bool
-}
-
-// Snapshot gathers a Report from the network's current state.
-func Snapshot(w *network.Network) Report {
-	return Report{
-		Holes:         HoleCount(w),
-		GridFraction:  GridFraction(w),
-		HeadConnected: w.HeadGraphConnected(),
-		Complete:      Complete(w),
-	}
-}

@@ -7,8 +7,6 @@
 // subsequent trials cost one memclr instead of an allocation.
 package dense
 
-import "math/bits"
-
 // Words returns the number of 64-bit words needed to hold n bits.
 func Words(n int) int { return (n + 63) / 64 }
 
@@ -31,15 +29,6 @@ func Clear(b []uint64, i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
 
 // Has reports whether bit i is set.
 func Has(b []uint64, i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-// Count returns the number of set bits.
-func Count(b []uint64) int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
 
 // Int32s returns s resized to n elements, all zero, reusing capacity.
 func Int32s(s []int32, n int) []int32 { return Zeroed(s, n) }

@@ -1,6 +1,18 @@
 package dense
 
-import "testing"
+import (
+	"math/bits"
+	"testing"
+)
+
+// count returns the number of set bits of b.
+func count(b []uint64) int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 func TestBitsReuseAndClear(t *testing.T) {
 	b := Bits(nil, 130)
@@ -10,11 +22,11 @@ func TestBitsReuseAndClear(t *testing.T) {
 	Set(b, 0)
 	Set(b, 64)
 	Set(b, 129)
-	if Count(b) != 3 || !Has(b, 64) || Has(b, 65) {
-		t.Fatalf("bit ops inconsistent: count=%d", Count(b))
+	if count(b) != 3 || !Has(b, 64) || Has(b, 65) {
+		t.Fatalf("bit ops inconsistent: count=%d", count(b))
 	}
 	Clear(b, 64)
-	if Count(b) != 2 || Has(b, 64) {
+	if count(b) != 2 || Has(b, 64) {
 		t.Fatalf("Clear left bit set")
 	}
 	old := &b[0]
@@ -22,8 +34,8 @@ func TestBitsReuseAndClear(t *testing.T) {
 	if &b[0] != old {
 		t.Error("shrinking resize reallocated")
 	}
-	if Count(b) != 0 {
-		t.Errorf("resize left %d stale bits", Count(b))
+	if count(b) != 0 {
+		t.Errorf("resize left %d stale bits", count(b))
 	}
 }
 

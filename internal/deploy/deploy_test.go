@@ -162,7 +162,7 @@ func TestFailDepleted(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.ElectHeads()
-	if err := w.MoveNode(mover, geom.Pt(14, 5)); err != nil {
+	if _, err := w.MoveNodeDist(mover, geom.Pt(14, 5)); err != nil {
 		t.Fatal(err)
 	}
 	got := FailDepleted(w, 5)

@@ -24,8 +24,7 @@ import (
 // not safe for concurrent use — RunStream serializes sink calls, which
 // is the intended feeding discipline.
 type Accumulator struct {
-	cells   map[accKey]*accCell
-	samples int
+	cells map[accKey]*accCell
 }
 
 type accKey struct {
@@ -62,11 +61,7 @@ func (a *Accumulator) Add(s Sample) {
 		}
 		st.add(v)
 	}
-	a.samples++
 }
-
-// Samples returns the number of samples folded so far.
-func (a *Accumulator) Samples() int { return a.samples }
 
 // Points materializes the aggregate as the same sorted Point set
 // Aggregate produces, ready for Table and Manifest.

@@ -28,9 +28,6 @@ type Point struct {
 	Metrics map[string]stats.Description `json:"metrics"`
 }
 
-// Mean returns the mean of the named metric, or 0 when absent.
-func (p Point) Mean(metric string) float64 { return p.Metrics[metric].Mean }
-
 // SortPoints sorts points into the canonical manifest order: by group,
 // then by X.
 func SortPoints(pts []Point) {

@@ -232,8 +232,8 @@ func TestAggregate(t *testing.T) {
 	if d.CI95 == 0 {
 		t.Error("CI95 should be positive for 4 distinct replicates")
 	}
-	if pts[0].Mean("dist") != 21.5 {
-		t.Errorf("AR/10 dist mean = %v", pts[0].Mean("dist"))
+	if got := pts[0].Metrics["dist"].Mean; got != 21.5 {
+		t.Errorf("AR/10 dist mean = %v", got)
 	}
 	if got := MetricNames(pts); len(got) != 2 || got[0] != "dist" || got[1] != "moves" {
 		t.Errorf("metric names = %v", got)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -178,9 +179,6 @@ func TestAccumulatorMatchesAggregate(t *testing.T) {
 	for _, s := range samples {
 		acc.Add(s)
 	}
-	if acc.Samples() != len(samples) {
-		t.Fatalf("Samples = %d, want %d", acc.Samples(), len(samples))
-	}
 	stream := acc.Points()
 	if len(stream) != len(batch) {
 		t.Fatalf("points = %d, want %d", len(stream), len(batch))
@@ -229,7 +227,9 @@ func TestP2MedianConverges(t *testing.T) {
 			xs = append(xs, x)
 		}
 		exact := stats.Median(xs)
-		spread := stats.Percentile(xs, 75) - stats.Percentile(xs, 25)
+		sorted := slices.Clone(xs)
+		slices.Sort(sorted)
+		spread := sorted[len(sorted)*3/4-1] - sorted[len(sorted)/4-1]
 		if math.Abs(m.value()-exact) > 0.05*spread {
 			t.Errorf("%s: P2 median %v vs exact %v (IQR %v)", name, m.value(), exact, spread)
 		}

@@ -1,6 +1,5 @@
 // Package geom provides the 2-D geometry primitives used throughout the
-// sensor-network simulator: points, vectors, rectangles, and uniform
-// sampling helpers.
+// sensor-network simulator: points and axis-aligned rectangles.
 //
 // The surveillance field is modelled as a subset of the Euclidean plane
 // with the X axis growing east and the Y axis growing north, matching the
@@ -13,8 +12,7 @@ import (
 	"math"
 )
 
-// Point is a location in the plane. It doubles as a displacement vector;
-// the Add/Sub/Scale methods treat it as such.
+// Point is a location in the plane.
 type Point struct {
 	X float64
 	Y float64
@@ -22,21 +20,6 @@ type Point struct {
 
 // Pt is shorthand for Point{x, y}.
 func Pt(x, y float64) Point { return Point{X: x, Y: y} }
-
-// Add returns p + q component-wise.
-func (p Point) Add(q Point) Point { return Point{X: p.X + q.X, Y: p.Y + q.Y} }
-
-// Sub returns p - q component-wise.
-func (p Point) Sub(q Point) Point { return Point{X: p.X - q.X, Y: p.Y - q.Y} }
-
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{X: p.X * s, Y: p.Y * s} }
-
-// Dot returns the dot product of p and q viewed as vectors.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
-// Norm returns the Euclidean length of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
@@ -47,19 +30,6 @@ func (p Point) Dist2(q Point) float64 {
 	dx := p.X - q.X
 	dy := p.Y - q.Y
 	return dx*dx + dy*dy
-}
-
-// Lerp linearly interpolates from p to q; t=0 yields p, t=1 yields q.
-func (p Point) Lerp(q Point, t float64) Point {
-	return Point{X: p.X + (q.X-p.X)*t, Y: p.Y + (q.Y-p.Y)*t}
-}
-
-// Eq reports whether p and q are exactly equal.
-func (p Point) Eq(q Point) bool { return p.X == q.X && p.Y == q.Y }
-
-// AlmostEq reports whether p and q agree within eps in both coordinates.
-func (p Point) AlmostEq(q Point, eps float64) bool {
-	return math.Abs(p.X-q.X) <= eps && math.Abs(p.Y-q.Y) <= eps
 }
 
 // String implements fmt.Stringer.
@@ -84,19 +54,9 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
-// Area returns the area of r.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
 // Center returns the midpoint of r.
 func (r Rect) Center() Point {
 	return Point{X: (r.Min.X + r.Max.X) / 2, Y: (r.Min.Y + r.Max.Y) / 2}
-}
-
-// Contains reports whether p lies inside r. The south and west edges are
-// inclusive and the north and east edges exclusive, so adjacent cells of a
-// partition claim each point exactly once.
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X < r.Max.X && p.Y >= r.Min.Y && p.Y < r.Max.Y
 }
 
 // ContainsClosed reports whether p lies inside r with all edges inclusive.
@@ -130,53 +90,5 @@ func (r Rect) Inset(d float64) Rect {
 	return out
 }
 
-// Intersects reports whether r and s share interior area.
-func (r Rect) Intersects(s Rect) bool {
-	return r.Min.X < s.Max.X && s.Min.X < r.Max.X &&
-		r.Min.Y < s.Max.Y && s.Min.Y < r.Max.Y
-}
-
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	return Rect{
-		Min: Point{X: math.Min(r.Min.X, s.Min.X), Y: math.Min(r.Min.Y, s.Min.Y)},
-		Max: Point{X: math.Max(r.Max.X, s.Max.X), Y: math.Max(r.Max.Y, s.Max.Y)},
-	}
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string { return fmt.Sprintf("[%v - %v]", r.Min, r.Max) }
-
-// Circle is a disc with the given center and radius, used for the sensing
-// model: a node senses every point within its sensing range.
-type Circle struct {
-	Center Point
-	Radius float64
-}
-
-// Contains reports whether p lies within the closed disc c.
-func (c Circle) Contains(p Point) bool {
-	return c.Center.Dist2(p) <= c.Radius*c.Radius
-}
-
-// IntersectsRect reports whether the disc c and rectangle r overlap.
-func (c Circle) IntersectsRect(r Rect) bool {
-	return c.Center.Dist2(r.Clamp(c.Center)) <= c.Radius*c.Radius
-}
-
-// CoversRect reports whether the disc c fully covers the rectangle r, which
-// holds exactly when all four corners lie inside the disc.
-func (c Circle) CoversRect(r Rect) bool {
-	corners := [4]Point{
-		r.Min,
-		{X: r.Max.X, Y: r.Min.Y},
-		{X: r.Min.X, Y: r.Max.Y},
-		r.Max,
-	}
-	for _, p := range corners {
-		if !c.Contains(p) {
-			return false
-		}
-	}
-	return true
-}

@@ -48,22 +48,6 @@ func (d Direction) String() string {
 	}
 }
 
-// Opposite returns the reverse direction.
-func (d Direction) Opposite() Direction {
-	switch d {
-	case North:
-		return South
-	case East:
-		return West
-	case South:
-		return North
-	case West:
-		return East
-	default:
-		return d
-	}
-}
-
 // Delta returns the coordinate offset of one step in direction d.
 func (d Direction) Delta() Coord {
 	switch d {
@@ -261,18 +245,6 @@ func (s *System) Neighbors(dst []Coord, c Coord) []Coord {
 	return dst
 }
 
-// NeighborCount returns the number of in-bounds edge neighbors of c:
-// 2 at corners, 3 on edges, 4 in the interior.
-func (s *System) NeighborCount(c Coord) int {
-	n := 0
-	for _, d := range Directions {
-		if s.Contains(c.Step(d)) {
-			n++
-		}
-	}
-	return n
-}
-
 // AllCoords returns every cell address in index order.
 func (s *System) AllCoords() []Coord {
 	out := make([]Coord, 0, s.NumCells())
@@ -282,23 +254,6 @@ func (s *System) AllCoords() []Coord {
 		}
 	}
 	return out
-}
-
-// MaxNeighborDistance returns the largest possible distance between a point
-// in cell a and a point in an edge-adjacent cell b, which is sqrt(5)*r.
-// This is the worst case the communication range must cover for the
-// virtual-grid connectivity guarantee.
-func (s *System) MaxNeighborDistance() float64 {
-	// Opposite corners of a 1 x 2 cell domino: sqrt(r^2 + (2r)^2).
-	return s.cellSize * Sqrt5
-}
-
-// MaxDiagonalNeighborDistance returns the largest distance between points
-// of two diagonally adjacent cells, 2*sqrt(2)*r. The paper notes that
-// monitoring diagonal neighbors would require this larger range, which is
-// why the scheme restricts surveillance to edge neighbors.
-func (s *System) MaxDiagonalNeighborDistance() float64 {
-	return s.cellSize * 2 * math.Sqrt2
 }
 
 // String implements fmt.Stringer.

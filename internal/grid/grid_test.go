@@ -60,19 +60,9 @@ func TestNewForCommRangePaperSetup(t *testing.T) {
 
 func TestDirectionBasics(t *testing.T) {
 	for _, d := range Directions {
-		if d.Opposite().Opposite() != d {
-			t.Errorf("%v: double opposite is not identity", d)
-		}
-		sum := d.Delta().Add(d.Opposite().Delta())
-		if sum != (Coord{}) {
-			t.Errorf("%v: delta + opposite delta = %v, want origin", d, sum)
-		}
 		if d.String() == "" {
 			t.Errorf("%v: empty String", d)
 		}
-	}
-	if Direction(99).Opposite() != Direction(99) {
-		t.Error("invalid direction Opposite should be identity")
 	}
 	if Direction(99).Delta() != (Coord{}) {
 		t.Error("invalid direction Delta should be zero")
@@ -161,7 +151,7 @@ func TestCellRectAndCenter(t *testing.T) {
 	if r.Min != geom.Pt(12, 24) || r.Max != geom.Pt(14, 26) {
 		t.Errorf("CellRect = %v", r)
 	}
-	if got := s.Center(C(1, 2)); !got.Eq(geom.Pt(13, 25)) {
+	if got := s.Center(C(1, 2)); got != geom.Pt(13, 25) {
 		t.Errorf("Center = %v", got)
 	}
 	b := s.Bounds()
@@ -177,7 +167,7 @@ func TestCentralAreaGeometry(t *testing.T) {
 	if ca.Width() != 2 || ca.Height() != 2 {
 		t.Errorf("central area should be r/2 square, got %v x %v", ca.Width(), ca.Height())
 	}
-	if !ca.Center().Eq(cell.Center()) {
+	if ca.Center() != cell.Center() {
 		t.Error("central area should be concentric with the cell")
 	}
 }
@@ -286,9 +276,6 @@ func TestNeighbors(t *testing.T) {
 		if len(got) != tt.want {
 			t.Errorf("Neighbors(%v) = %v (%d), want %d", tt.c, got, len(got), tt.want)
 		}
-		if n := s.NeighborCount(tt.c); n != tt.want {
-			t.Errorf("NeighborCount(%v) = %d, want %d", tt.c, n, tt.want)
-		}
 		for _, nb := range got {
 			if !s.Contains(nb) {
 				t.Errorf("neighbor %v of %v out of bounds", nb, tt.c)
@@ -307,21 +294,6 @@ func TestNeighborsAppendsToDst(t *testing.T) {
 	out := s.Neighbors(buf, C(1, 1))
 	if len(out) != 5 || out[0] != C(9, 9) {
 		t.Errorf("Neighbors should append, got %v", out)
-	}
-}
-
-func TestRangeConstants(t *testing.T) {
-	s := mustNew(t, 4, 4, 3)
-	if got, want := s.MaxNeighborDistance(), 3*math.Sqrt(5); math.Abs(got-want) > 1e-12 {
-		t.Errorf("MaxNeighborDistance = %v, want %v", got, want)
-	}
-	if got, want := s.MaxDiagonalNeighborDistance(), 3*2*math.Sqrt2; math.Abs(got-want) > 1e-12 {
-		t.Errorf("MaxDiagonalNeighborDistance = %v, want %v", got, want)
-	}
-	// The paper's observation: monitoring diagonal neighbors needs a
-	// strictly larger communication range (2*sqrt(2) > sqrt(5)).
-	if s.MaxDiagonalNeighborDistance() <= s.MaxNeighborDistance() {
-		t.Error("diagonal surveillance range should exceed edge surveillance range")
 	}
 }
 

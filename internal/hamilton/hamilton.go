@@ -165,13 +165,6 @@ func (t *Topology) Succ(g grid.Coord) grid.Coord {
 	return t.sys.CoordAt(int(t.succ[t.sys.Index(g)]))
 }
 
-// Pred returns the predecessor of cell g around a single Hamilton cycle,
-// which on a cycle is g's monitor. It must only be called on a KindCycle
-// topology.
-func (t *Topology) Pred(g grid.Coord) grid.Coord {
-	return t.MonitorOf(g)
-}
-
 // MonitorOf returns the unique grid whose head is responsible for
 // detecting a vacancy of g and initiating its replacement process:
 //
@@ -186,17 +179,12 @@ func (t *Topology) MonitorOf(g grid.Coord) grid.Coord {
 	return t.sys.CoordAt(int(t.scanKey[t.sys.Index(g)] >> 1))
 }
 
-// MonitorRank returns g's position within MonitorOf(g)'s Monitored list.
-// It is 0 for every grid except B of the dual-path construction, whose
-// monitor C watches A at rank 0 and B at rank 1. Detection schemes use
-// (monitor index, rank) as the scan-order key that reproduces a full
+// ScanKey returns 2*Index(MonitorOf(g)) + rank, the detection scan-order
+// key of g, in one lookup. The rank is g's position within
+// MonitorOf(g)'s Monitored list: 0 for every grid except B of the
+// dual-path construction, whose monitor C watches A at rank 0 and B at
+// rank 1. Detection schemes order by this key to reproduce a full
 // index-order sweep over monitors.
-func (t *Topology) MonitorRank(g grid.Coord) int {
-	return int(t.scanKey[t.sys.Index(g)] & 1)
-}
-
-// ScanKey returns 2*Index(MonitorOf(g)) + MonitorRank(g), the
-// detection scan-order key of g, in one lookup.
 func (t *Topology) ScanKey(g grid.Coord) int { return int(t.scanKey[t.sys.Index(g)]) }
 
 // Monitored appends to dst the grids whose vacancy the head of g must
@@ -251,12 +239,11 @@ type SpareProbe func(grid.Coord) bool
 // steps backward along the topology, applying the Algorithm 2 preferences
 // at C and D.
 type Walk struct {
-	topo    *Topology
-	origin  grid.Coord
-	cur     grid.Coord
-	hops    int
-	done    bool
-	started bool
+	topo   *Topology
+	origin grid.Coord
+	cur    grid.Coord
+	hops   int
+	done   bool
 }
 
 // NewWalk returns the walk for a hole at origin. The walk's first grid is
@@ -287,9 +274,6 @@ func (w *Walk) Hops() int {
 	}
 	return w.hops + 1
 }
-
-// Exhausted reports whether the walk has run out of grids to ask.
-func (w *Walk) Exhausted() bool { return w.done }
 
 // Advance moves the walk to the next grid to notify, applying the
 // dual-path preference rules with probe at decision points. It returns

@@ -47,7 +47,7 @@ func TestSharedCachesPerGeometry(t *testing.T) {
 	}
 	for idx := 0; idx < sysA.NumCells(); idx++ {
 		g := sysA.CoordAt(idx)
-		if a.MonitorOf(g) != ref.MonitorOf(g) || a.MonitorRank(g) != ref.MonitorRank(g) {
+		if a.MonitorOf(g) != ref.MonitorOf(g) || a.ScanKey(g) != ref.ScanKey(g) {
 			t.Fatalf("cached topology diverges from Build at %v", g)
 		}
 	}

@@ -123,13 +123,6 @@ func (c *Collector) Finish(id int, outcome Outcome, round int) {
 	}
 }
 
-// Processes returns a copy of all process records.
-func (c *Collector) Processes() []Replacement {
-	out := make([]Replacement, len(c.procs))
-	copy(out, c.procs)
-	return out
-}
-
 // Summary aggregates a run's cost measures, in the units the paper's
 // figures use.
 type Summary struct {

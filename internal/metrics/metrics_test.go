@@ -120,16 +120,6 @@ func TestSummaryAdd(t *testing.T) {
 	}
 }
 
-func TestProcessesCopy(t *testing.T) {
-	c := NewCollector()
-	c.StartProcess(grid.C(0, 0), 0)
-	procs := c.Processes()
-	procs[0].Moves = 99
-	if c.Process(0).Moves == 99 {
-		t.Error("Processes must return a copy")
-	}
-}
-
 func TestOutcomeString(t *testing.T) {
 	if Active.String() != "active" || Converged.String() != "converged" || Failed.String() != "failed" {
 		t.Error("Outcome strings")

@@ -51,7 +51,7 @@ func TestAuditSurvivesChurn(t *testing.T) {
 				if len(ids) > 0 {
 					id := ids[rng.Intn(len(ids))]
 					if w.Node(id).Enabled() {
-						if err := w.MoveNode(id, rng.InRect(sys.Bounds())); err != nil {
+						if _, err := w.MoveNodeDist(id, rng.InRect(sys.Bounds())); err != nil {
 							return false
 						}
 					}
@@ -89,7 +89,7 @@ func TestPopcountCountsMatchBruteForce(t *testing.T) {
 					continue
 				}
 				enabled++
-				c, ok := w.CellOf(id)
+				c, ok := sys.CoordOf(w.Node(id).Location())
 				if !ok {
 					return false
 				}
@@ -131,7 +131,7 @@ func TestPopcountCountsMatchBruteForce(t *testing.T) {
 				if len(ids) > 0 {
 					id := ids[rng.Intn(len(ids))]
 					if w.Node(id).Enabled() {
-						if err := w.MoveNode(id, rng.InRect(sys.Bounds())); err != nil {
+						if _, err := w.MoveNodeDist(id, rng.InRect(sys.Bounds())); err != nil {
 							return false
 						}
 					}
@@ -152,9 +152,11 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	w := newNet(t, 2, 2, 1)
 	id := addAt(t, w, geom.Pt(0.5, 0.5))
 	w.ElectHeads()
-	// Corrupt: teleport the node out of its registered cell behind the
+	// Corrupt: move the node out of its registered cell behind the
 	// registry's back.
-	w.Node(id).Teleport(geom.Pt(1.5, 1.5))
+	if _, err := w.Node(id).MoveTo(geom.Pt(1.5, 1.5), node.EnergyModel{}); err != nil {
+		t.Fatal(err)
+	}
 	bad := w.Audit()
 	if len(bad) == 0 {
 		t.Error("audit should flag a node outside its registered cell")

@@ -149,15 +149,15 @@ func (bc bulkCase) build(t *testing.T, mode buildMode) (*Network, []string, []ge
 }
 
 // snapshot renders everything the identity tests compare: every node's
-// location, status, role and odometer; every cell's head, count and
+// location, status, role and energy; every cell's head, count and
 // member set; the vacant cells; and the drained vacancy journal (drained
 // last, since draining mutates it).
 func snapshot(w *Network) string {
 	var b strings.Builder
 	for id := node.ID(0); int(id) < w.NumNodes(); id++ {
 		nd := w.Node(id)
-		fmt.Fprintf(&b, "n%d %v %v %v %d %.17g %.17g\n", id, nd.Location(), nd.Status(),
-			nd.Role(), nd.Moves(), nd.Traveled(), nd.EnergySpent())
+		fmt.Fprintf(&b, "n%d %v %v %v %.17g\n", id, nd.Location(), nd.Status(),
+			nd.Role(), nd.EnergySpent())
 	}
 	for idx := range w.cells {
 		var members []int

@@ -46,7 +46,7 @@ func TestVacancyJournalTransitions(t *testing.T) {
 	// transition); the destination (3,3) flips to occupied.
 	w.ElectHeads()
 	drain(w) // elections do not touch emptiness, but clear defensively
-	if err := w.MoveNode(b, geom.Pt(3.5, 3.5)); err != nil {
+	if _, err := w.MoveNodeDist(b, geom.Pt(3.5, 3.5)); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := drain(w), []grid.Coord{grid.C(3, 3)}; !reflect.DeepEqual(got, want) {
@@ -136,7 +136,7 @@ func TestIncrementalCountersMatchRecount(t *testing.T) {
 		if !nd.Valid() || !nd.Enabled() {
 			continue
 		}
-		if err := w.MoveNode(node.ID(id), geom.Pt(4.5, 4.5)); err != nil {
+		if _, err := w.MoveNodeDist(node.ID(id), geom.Pt(4.5, 4.5)); err != nil {
 			t.Fatal(err)
 		}
 		check("moved")
@@ -147,8 +147,6 @@ func TestIncrementalCountersMatchRecount(t *testing.T) {
 		}
 		check("disabled")
 	}
-	w.RotateHead(grid.C(4, 4))
-	check("rotated")
 }
 
 // TestDisableAllInCellScratchReuse proves repeated bulk disables reuse the

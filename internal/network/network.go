@@ -79,8 +79,8 @@ type Network struct {
 	// id (id+1, 0 = empty) of one enabled node of the cell,
 	// nextInCell[id] the biased id of the next member. New members are
 	// pushed at the front; every consumer of a cell's membership is an
-	// order-independent reduction (min-distance election, min-id rotation,
-	// counts), so list order is unobservable.
+	// order-independent reduction (min-distance election, counts), so
+	// list order is unobservable.
 	cells      []cell
 	nextInCell []int32
 	// occ is the occupancy bitset: bit idx set iff cell idx has at least
@@ -508,27 +508,6 @@ func (w *Network) NumNodes() int { return w.store.Len() }
 // store's enabled bitset words.
 func (w *Network) EnabledCount() int { return w.store.EnabledCount() }
 
-// EnabledIDs appends the ids of all enabled nodes to dst in ascending id
-// order, scanning the enabled bitset word-parallel.
-func (w *Network) EnabledIDs(dst []node.ID) []node.ID {
-	for wi, word := range w.store.EnabledWords() {
-		for word != 0 {
-			dst = append(dst, node.ID(wi<<6+bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-	}
-	return dst
-}
-
-// CellOf returns the cell currently containing node id.
-func (w *Network) CellOf(id node.ID) (grid.Coord, bool) {
-	nd := w.Node(id)
-	if !nd.Valid() {
-		return grid.Coord{}, false
-	}
-	return w.sys.CoordOf(nd.Location())
-}
-
 // removeFromCell unlinks id from the cell's membership list.
 func (w *Network) removeFromCell(id node.ID, c grid.Coord) {
 	idx := w.sys.Index(c)
@@ -655,31 +634,6 @@ func (w *Network) ElectHeads() {
 	}
 }
 
-// RotateHead hands the head role of cell c to another enabled node of the
-// cell, if one exists, and returns the new head. The paper notes the head
-// role can be rotated within the grid to balance energy.
-func (w *Network) RotateHead(c grid.Coord) node.ID {
-	idx := w.sys.Index(c)
-	curHead := node.ID(w.cells[idx].head - 1)
-	if w.cells[idx].head == 0 || w.cells[idx].count < 2 {
-		return curHead
-	}
-	next := node.Invalid
-	for cur := w.cells[idx].first; cur != 0; cur = w.nextInCell[cur-1] {
-		id := node.ID(cur - 1)
-		if id == curHead {
-			continue
-		}
-		if next == node.Invalid || id < next {
-			next = id
-		}
-	}
-	w.store.Ref(curHead).SetRole(node.Spare)
-	w.store.Ref(next).SetRole(node.Head)
-	w.cells[idx].head = int32(next) + 1
-	return next
-}
-
 // HeadOf returns the head of cell c, or node.Invalid when vacant.
 func (w *Network) HeadOf(c grid.Coord) node.ID {
 	return node.ID(w.cells[w.sys.Index(c)].head - 1)
@@ -690,17 +644,6 @@ func (w *Network) HeadOf(c grid.Coord) node.ID {
 func (w *Network) IsVacant(c grid.Coord) bool {
 	idx := w.sys.Index(c)
 	return w.occ[idx>>6]&(1<<(uint(idx)&63)) == 0
-}
-
-// Spares appends the enabled non-head nodes of cell c to dst.
-func (w *Network) Spares(dst []node.ID, c grid.Coord) []node.ID {
-	cl := &w.cells[w.sys.Index(c)]
-	for cur := cl.first; cur != 0; cur = w.nextInCell[cur-1] {
-		if cur != cl.head {
-			dst = append(dst, node.ID(cur-1))
-		}
-	}
-	return dst
 }
 
 // SpareCount returns the number of spare nodes in cell c.
@@ -779,19 +722,13 @@ func (w *Network) CentralTarget(c grid.Coord, rng *randx.Rand) geom.Point {
 	return rng.InRect(w.sys.CentralArea(c))
 }
 
-// MoveNode relocates an enabled node to target, maintaining the cell
-// registry, head roles, and the movement accounting. If the destination
-// cell has no head the mover is promoted on arrival; if the origin cell
-// retains enabled nodes a new head is elected there.
-func (w *Network) MoveNode(id node.ID, target geom.Point) error {
-	_, err := w.MoveNodeDist(id, target)
-	return err
-}
-
-// MoveNodeDist is MoveNode returning the distance moved. The distance is
-// computed exactly once (inside the node's odometer) and shared with the
-// caller, so controllers charging per-move metrics do not redo the
-// square root.
+// MoveNodeDist relocates an enabled node to target, maintaining the cell
+// registry, head roles, and the movement accounting, and returns the
+// distance moved. If the destination cell has no head the mover is
+// promoted on arrival; if the origin cell retains enabled nodes a new head
+// is elected there. The distance is computed exactly once (by the node's
+// MoveTo) and shared with the caller, so controllers charging per-move
+// metrics do not redo the square root.
 func (w *Network) MoveNodeDist(id node.ID, target geom.Point) (float64, error) {
 	nd := w.Node(id)
 	if !nd.Valid() {
@@ -990,31 +927,4 @@ func (w *Network) NodesWithin(dst []node.ID, p geom.Point, radius float64) []nod
 		}
 	}
 	return dst
-}
-
-// PhysicallyConnected reports whether the enabled nodes form a single
-// connected component under the disc communication model with the given
-// range. It is O(V * neighborhood) via the cell index and intended for
-// validation and tests, not hot paths.
-func (w *Network) PhysicallyConnected(commRange float64) bool {
-	enabled := w.EnabledIDs(nil)
-	if len(enabled) == 0 {
-		return false
-	}
-	visited := make(map[node.ID]bool, len(enabled))
-	queue := []node.ID{enabled[0]}
-	visited[enabled[0]] = true
-	var buf []node.ID
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		buf = w.NodesWithin(buf[:0], w.store.Ref(id).Location(), commRange)
-		for _, other := range buf {
-			if !visited[other] {
-				visited[other] = true
-				queue = append(queue, other)
-			}
-		}
-	}
-	return len(visited) == len(enabled)
 }

@@ -37,18 +37,15 @@ func TestAddNodeAt(t *testing.T) {
 	if w.NumNodes() != 1 || w.EnabledCount() != 1 {
 		t.Error("counts wrong")
 	}
-	c, ok := w.CellOf(id)
+	c, ok := w.System().CoordOf(w.Node(id).Location())
 	if !ok || c != grid.C(0, 0) {
-		t.Errorf("CellOf = %v, %v", c, ok)
+		t.Errorf("cell = %v, %v", c, ok)
 	}
 	if _, err := w.AddNodeAt(geom.Pt(-1, 0)); err == nil {
 		t.Error("off-field add should fail")
 	}
 	if w.Node(node.ID(99)).Valid() {
 		t.Error("unknown id should yield an invalid ref")
-	}
-	if _, ok := w.CellOf(node.ID(99)); ok {
-		t.Error("unknown id should have no cell")
 	}
 }
 
@@ -89,15 +86,6 @@ func TestVacancyAndSpares(t *testing.T) {
 	}
 	if !w.HasSpare(grid.C(0, 0)) {
 		t.Error("HasSpare should be true")
-	}
-	spares := w.Spares(nil, grid.C(0, 0))
-	if len(spares) != 2 {
-		t.Fatalf("Spares = %v", spares)
-	}
-	for _, id := range spares {
-		if id == w.HeadOf(grid.C(0, 0)) {
-			t.Error("head listed among spares")
-		}
 	}
 	if got := w.TotalSpares(); got != 2 {
 		t.Errorf("TotalSpares = %d, want 2", got)
@@ -187,31 +175,6 @@ func TestDisableAllInCell(t *testing.T) {
 	}
 }
 
-func TestRotateHead(t *testing.T) {
-	w := newNet(t, 1, 1, 1)
-	a := addAt(t, w, geom.Pt(0.5, 0.5))
-	b := addAt(t, w, geom.Pt(0.1, 0.1))
-	w.ElectHeads()
-	first := w.HeadOf(grid.C(0, 0))
-	next := w.RotateHead(grid.C(0, 0))
-	if next == first {
-		t.Error("rotation should change the head")
-	}
-	if w.Node(first).Role() != node.Spare || w.Node(next).Role() != node.Head {
-		t.Error("roles not swapped")
-	}
-	_ = a
-	_ = b
-
-	// Rotation with a single node is a no-op.
-	w2 := newNet(t, 1, 1, 1)
-	only := addAt(t, w2, geom.Pt(0.5, 0.5))
-	w2.ElectHeads()
-	if got := w2.RotateHead(grid.C(0, 0)); got != only {
-		t.Errorf("single-node rotation = %v", got)
-	}
-}
-
 func TestMoveNodeBetweenCells(t *testing.T) {
 	w := newNet(t, 2, 1, 10)
 	h := addAt(t, w, geom.Pt(5, 5))
@@ -219,7 +182,7 @@ func TestMoveNodeBetweenCells(t *testing.T) {
 	w.ElectHeads()
 
 	// Spare moves into the vacant cell and is promoted to head there.
-	if err := w.MoveNode(s, geom.Pt(15, 5)); err != nil {
+	if _, err := w.MoveNodeDist(s, geom.Pt(15, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.HeadOf(grid.C(1, 0)); got != s {
@@ -239,7 +202,7 @@ func TestMoveNodeBetweenCells(t *testing.T) {
 	}
 
 	// Moving into an occupied cell demotes the mover to spare.
-	if err := w.MoveNode(h, geom.Pt(14, 5)); err != nil {
+	if _, err := w.MoveNodeDist(h, geom.Pt(14, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if w.Node(h).Role() != node.Spare {
@@ -256,7 +219,7 @@ func TestMoveHeadElectsReplacement(t *testing.T) {
 	spare := addAt(t, w, geom.Pt(2, 2))
 	w.ElectHeads()
 	head := w.HeadOf(grid.C(0, 0))
-	if err := w.MoveNode(head, geom.Pt(15, 5)); err != nil {
+	if _, err := w.MoveNodeDist(head, geom.Pt(15, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.HeadOf(grid.C(0, 0)); got != spare {
@@ -268,14 +231,14 @@ func TestMoveNodeErrors(t *testing.T) {
 	w := newNet(t, 2, 1, 10)
 	id := addAt(t, w, geom.Pt(5, 5))
 	w.ElectHeads()
-	if err := w.MoveNode(node.ID(9), geom.Pt(1, 1)); err == nil {
+	if _, err := w.MoveNodeDist(node.ID(9), geom.Pt(1, 1)); err == nil {
 		t.Error("unknown node should fail")
 	}
-	if err := w.MoveNode(id, geom.Pt(100, 100)); err == nil {
+	if _, err := w.MoveNodeDist(id, geom.Pt(100, 100)); err == nil {
 		t.Error("off-field target should fail")
 	}
 	w.Node(id).Disable()
-	if err := w.MoveNode(id, geom.Pt(1, 1)); err == nil {
+	if _, err := w.MoveNodeDist(id, geom.Pt(1, 1)); err == nil {
 		t.Error("disabled node should fail to move")
 	}
 }
@@ -402,18 +365,49 @@ func (w *Network) removeTestHelper(id node.ID) {
 	w.removeFromCell(id, c)
 }
 
+// physicallyConnected reports whether the enabled nodes form a single
+// connected component under the disc communication model with the given
+// range.
+func physicallyConnected(w *Network, commRange float64) bool {
+	var enabled []node.ID
+	for id := node.ID(0); int(id) < w.NumNodes(); id++ {
+		if w.Node(id).Enabled() {
+			enabled = append(enabled, id)
+		}
+	}
+	if len(enabled) == 0 {
+		return false
+	}
+	visited := make(map[node.ID]bool, len(enabled))
+	queue := []node.ID{enabled[0]}
+	visited[enabled[0]] = true
+	var buf []node.ID
+	for len(queue) > 0 {
+		id := queue[0]
+		queue = queue[1:]
+		buf = w.NodesWithin(buf[:0], w.Node(id).Location(), commRange)
+		for _, other := range buf {
+			if !visited[other] {
+				visited[other] = true
+				queue = append(queue, other)
+			}
+		}
+	}
+	return len(visited) == len(enabled)
+}
+
 func TestPhysicallyConnected(t *testing.T) {
 	w := newNet(t, 4, 1, 1)
-	if w.PhysicallyConnected(10) {
+	if physicallyConnected(w, 10) {
 		t.Error("empty network: disconnected")
 	}
 	addAt(t, w, geom.Pt(0.5, 0.5))
 	addAt(t, w, geom.Pt(1.5, 0.5))
 	addAt(t, w, geom.Pt(3.5, 0.5))
-	if w.PhysicallyConnected(1.2) {
+	if physicallyConnected(w, 1.2) {
 		t.Error("gap of 2 cells should disconnect at range 1.2")
 	}
-	if !w.PhysicallyConnected(2.5) {
+	if !physicallyConnected(w, 2.5) {
 		t.Error("range 2.5 should connect all three")
 	}
 }
@@ -432,7 +426,7 @@ func TestHeadConnectivityUnderCommRange(t *testing.T) {
 	if !w.AllHeadsPresent() {
 		t.Fatal("setup: all cells should have heads")
 	}
-	if !w.PhysicallyConnected(w.System().CommRange()) {
+	if !physicallyConnected(w, w.System().CommRange()) {
 		t.Error("full head occupancy must imply physical connectivity at R=sqrt(5)r")
 	}
 	if !w.HeadGraphConnected() {

@@ -36,7 +36,7 @@ func exercise(t *testing.T, w *Network, seed int64) {
 		w.StepRound()
 		id := node.ID(rng.Intn(w.NumNodes()))
 		if w.Node(id).Enabled() {
-			if err := w.MoveNode(id, rng.InRect(bounds)); err != nil {
+			if _, err := w.MoveNodeDist(id, rng.InRect(bounds)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -51,8 +51,8 @@ func stateFingerprint(w *Network) string {
 		w.Round(), w.TotalMoves(), w.TotalDistance(), w.MessagesSent(), w.MessagesLost())
 	for id := 0; id < w.NumNodes(); id++ {
 		nd := w.Node(node.ID(id))
-		s += fmt.Sprintf("n%d %v %v %v %d %.12g %.12g\n",
-			id, nd.Location(), nd.Status(), nd.Role(), nd.Moves(), nd.Traveled(), nd.EnergySpent())
+		s += fmt.Sprintf("n%d %v %v %v %.12g\n",
+			id, nd.Location(), nd.Status(), nd.Role(), nd.EnergySpent())
 	}
 	sys := w.System()
 	for idx := 0; idx < sys.NumCells(); idx++ {

@@ -11,11 +11,11 @@ import (
 // and writes one node's record, so the record's size decides how much
 // of a cache line each hop pulls in: growing it past a cache-line
 // fraction is a performance regression, not a refactor, and needs the
-// benchmarks to justify it. 24 bytes is the 22 bytes of the attributes
+// benchmarks to justify it. 16 bytes is the 10 bytes of the attributes
 // plus alignment padding.
 func TestRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(record{}); got > 24 {
-		t.Errorf("node record is %d bytes, want at most 24", got)
+	if got := unsafe.Sizeof(record{}); got > 16 {
+		t.Errorf("node record is %d bytes, want at most 16", got)
 	}
 }
 
@@ -58,7 +58,7 @@ func TestExtendMatchesAdd(t *testing.T) {
 			for id := ID(0); int(id) < a.Len(); id++ {
 				x, y := a.Ref(id), b.Ref(id)
 				if x.Location() != y.Location() || x.Status() != y.Status() || x.Role() != y.Role() ||
-					x.Enabled() != y.Enabled() || x.Moves() != 0 || x.Traveled() != y.Traveled() {
+					x.Enabled() != y.Enabled() || x.EnergySpent() != y.EnergySpent() {
 					t.Fatalf("%+v %s: node %d differs: %v vs %v", tc, what, id, x, y)
 				}
 			}

@@ -1,16 +1,15 @@
 // Package node models the individual mobile sensor devices: identity,
 // location, enabled/disabled status, role within a grid (head or spare),
-// and a movement odometer with a simple energy account.
+// and a simple movement energy account.
 //
 // Storage is a struct of three dense columns indexed by ID: locations,
 // one packed record per node holding everything a movement reads or
-// writes besides the location (status, role, move count, distance
-// traveled, energy spent), and a bitset of enabled ids. Locations stay a
-// column of their own because head election and spare selection scan
-// them across a cell's members; the other attributes are always touched
-// together, one node at a time, so packing them puts a move's
-// bookkeeping on one cache line (two for a quarter of the records)
-// instead of five. A Ref is a value handle (store pointer + id) exposing
+// writes besides the location (status, role, energy spent), and a
+// bitset of enabled ids. Locations stay a column of their own because
+// head election and spare selection scan them across a cell's members;
+// the other attributes are always touched together, one node at a time,
+// so packing them puts a move's bookkeeping on one cache line instead
+// of three. A Ref is a value handle (store pointer + id) exposing
 // the per-node API; it is what the rest of the system passes around
 // instead of a heap object, and trial resets are slice truncations
 // rather than object-graph rebuilds.
@@ -97,18 +96,16 @@ func (m EnergyModel) Cost(distance float64) float64 {
 }
 
 // record is the packed per-node state: every attribute except the
-// location. Fields are ordered widest first so the record is 22 bytes of
-// data padded to 24.
+// location. Fields are ordered widest first so the record is 10 bytes of
+// data padded to 16.
 type record struct {
-	traveled float64
-	energy   float64
-	moves    int32
-	status   uint8 // Status
-	role     uint8 // Role
+	energy float64
+	status uint8 // Status
+	role   uint8 // Role
 }
 
-// fresh is the record of a newly added node: an enabled spare with a
-// zero odometer.
+// fresh is the record of a newly added node: an enabled spare that has
+// spent no energy.
 var fresh = record{status: uint8(Enabled), role: uint8(Spare)}
 
 // Store is the columnar backing of a node population: locations, packed
@@ -234,9 +231,6 @@ type Ref struct {
 // Valid reports whether the handle designates a node in its store.
 func (r Ref) Valid() bool { return r.s != nil && r.id >= 0 && int(r.id) < len(r.s.loc) }
 
-// ID returns the node's identity.
-func (r Ref) ID() ID { return r.id }
-
 // Location returns the node's current position.
 func (r Ref) Location() geom.Point { return r.s.loc[r.id] }
 
@@ -259,12 +253,6 @@ func (r Ref) IsHead() bool {
 	return Status(rec.status) == Enabled && Role(rec.role) == Head
 }
 
-// Moves returns how many movements the node has performed.
-func (r Ref) Moves() int { return int(r.s.recs[r.id].moves) }
-
-// Traveled returns the node's total moving distance.
-func (r Ref) Traveled() float64 { return r.s.recs[r.id].traveled }
-
 // EnergySpent returns the accumulated movement energy under the models
 // passed to MoveTo.
 func (r Ref) EnergySpent() float64 { return r.s.recs[r.id].energy }
@@ -278,18 +266,10 @@ func (r Ref) Disable() {
 	r.s.enabled[int(r.id)>>6] &^= 1 << (uint(r.id) & 63)
 }
 
-// Enable returns the node to the collaboration as a spare.
-func (r Ref) Enable() {
-	rec := &r.s.recs[r.id]
-	rec.status = uint8(Enabled)
-	rec.role = uint8(Spare)
-	r.s.enabled[int(r.id)>>6] |= 1 << (uint(r.id) & 63)
-}
-
-// MoveTo relocates the node to target, charging the odometer and the
-// energy account, and returns the distance moved (0 on error). Disabled
-// nodes cannot move. Returning the distance lets the network and the
-// controllers share one computation per move instead of re-deriving it.
+// MoveTo relocates the node to target, charging the energy account, and
+// returns the distance moved (0 on error). Disabled nodes cannot move.
+// Returning the distance lets the network and the controllers share one
+// computation per move instead of re-deriving it.
 func (r Ref) MoveTo(target geom.Point, energy EnergyModel) (float64, error) {
 	rec := &r.s.recs[r.id]
 	if Status(rec.status) != Enabled {
@@ -297,15 +277,9 @@ func (r Ref) MoveTo(target geom.Point, energy EnergyModel) (float64, error) {
 	}
 	d := r.s.loc[r.id].Dist(target)
 	r.s.loc[r.id] = target
-	rec.moves++
-	rec.traveled += d
 	rec.energy += energy.Cost(d)
 	return d, nil
 }
-
-// Teleport places the node at target without charging the odometer. It is
-// used during deployment, before the simulation starts.
-func (r Ref) Teleport(target geom.Point) { r.s.loc[r.id] = target }
 
 // String implements fmt.Stringer.
 func (r Ref) String() string {

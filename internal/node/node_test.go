@@ -17,10 +17,7 @@ func TestAddDefaults(t *testing.T) {
 	s.Add(geom.Pt(9, 9))
 	s.Add(geom.Pt(9, 9))
 	n := add(&s, geom.Pt(1, 2))
-	if n.ID() != 3 {
-		t.Errorf("ID = %v", n.ID())
-	}
-	if !n.Location().Eq(geom.Pt(1, 2)) {
+	if n.Location() != geom.Pt(1, 2) {
 		t.Errorf("Location = %v", n.Location())
 	}
 	if n.Status() != Enabled || !n.Enabled() {
@@ -32,8 +29,8 @@ func TestAddDefaults(t *testing.T) {
 	if n.IsHead() {
 		t.Error("new node should not be head")
 	}
-	if n.Moves() != 0 || n.Traveled() != 0 || n.EnergySpent() != 0 {
-		t.Error("odometer should start at zero")
+	if n.EnergySpent() != 0 {
+		t.Error("energy account should start at zero")
 	}
 	if s.Len() != 4 {
 		t.Errorf("Len = %d", s.Len())
@@ -72,10 +69,6 @@ func TestRoleTransitions(t *testing.T) {
 	if n.Enabled() {
 		t.Error("disabled node must not be enabled")
 	}
-	n.Enable()
-	if !n.Enabled() || n.Role() != Spare {
-		t.Error("re-enabled node should come back as spare")
-	}
 }
 
 func TestMoveToAccounting(t *testing.T) {
@@ -89,20 +82,14 @@ func TestMoveToAccounting(t *testing.T) {
 	if math.Abs(d-5) > 1e-12 {
 		t.Errorf("MoveTo distance = %v, want 5", d)
 	}
-	if n.Moves() != 1 {
-		t.Errorf("Moves = %d", n.Moves())
-	}
-	if math.Abs(n.Traveled()-5) > 1e-12 {
-		t.Errorf("Traveled = %v, want 5", n.Traveled())
-	}
 	if math.Abs(n.EnergySpent()-11) > 1e-12 {
 		t.Errorf("EnergySpent = %v, want 11", n.EnergySpent())
 	}
-	if _, err := n.MoveTo(geom.Pt(3, 5), em); err != nil {
-		t.Fatal(err)
+	if d, err := n.MoveTo(geom.Pt(3, 5), em); err != nil || d != 1 {
+		t.Fatalf("second MoveTo = %v, %v, want 1", d, err)
 	}
-	if n.Moves() != 2 || math.Abs(n.Traveled()-6) > 1e-12 {
-		t.Errorf("after second move: moves=%d traveled=%v", n.Moves(), n.Traveled())
+	if n.Location() != geom.Pt(3, 5) || math.Abs(n.EnergySpent()-14) > 1e-12 {
+		t.Errorf("after second move: at %v, energy %v, want (3, 5) and 14", n.Location(), n.EnergySpent())
 	}
 }
 
@@ -113,25 +100,13 @@ func TestMoveDisabledFails(t *testing.T) {
 	if _, err := n.MoveTo(geom.Pt(1, 1), EnergyModel{}); err == nil {
 		t.Error("moving a disabled node should fail")
 	}
-	if n.Moves() != 0 {
-		t.Error("failed move must not charge the odometer")
-	}
-}
-
-func TestTeleportDoesNotCharge(t *testing.T) {
-	var s Store
-	n := add(&s, geom.Pt(0, 0))
-	n.Teleport(geom.Pt(100, 100))
-	if !n.Location().Eq(geom.Pt(100, 100)) {
-		t.Errorf("Location = %v", n.Location())
-	}
-	if n.Moves() != 0 || n.Traveled() != 0 {
-		t.Error("teleport must not charge the odometer")
+	if n.Location() != geom.Pt(0, 0) || n.EnergySpent() != 0 {
+		t.Error("failed move must not move the node or charge its energy")
 	}
 }
 
 // TestEnabledBitset drives the enabled words through add / disable /
-// enable / reset cycles — including word-boundary ids and capacity reuse
+// reset cycles — including word-boundary ids and capacity reuse
 // after Reset — and requires the popcount to agree with a brute-force
 // status scan throughout.
 func TestEnabledBitset(t *testing.T) {
@@ -169,8 +144,6 @@ func TestEnabledBitset(t *testing.T) {
 	s.Ref(63).Disable()
 	s.Ref(64).Disable()
 	check(&s, "word-boundary disable")
-	s.Ref(63).Enable()
-	check(&s, "word-boundary enable")
 	s.Reset()
 	if s.Len() != 0 || s.EnabledCount() != 0 || len(s.EnabledWords()) != 0 {
 		t.Fatal("reset store must be empty")

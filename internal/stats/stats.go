@@ -21,15 +21,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // StdDev returns the sample standard deviation (n-1 denominator), or 0
 // when fewer than two samples exist.
 func StdDev(xs []float64) float64 {
@@ -90,28 +81,6 @@ func Median(xs []float64) float64 {
 		return s[mid]
 	}
 	return (s[mid-1] + s[mid]) / 2
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// nearest-rank on a sorted copy; it returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(s)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return s[rank]
 }
 
 // Description bundles the descriptive statistics of one sample.

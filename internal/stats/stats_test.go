@@ -16,12 +16,6 @@ func TestMeanSum(t *testing.T) {
 	if !almost(Mean([]float64{1, 2, 3, 4}), 2.5) {
 		t.Error("Mean")
 	}
-	if !almost(Sum([]float64{1, 2, 3}), 6) {
-		t.Error("Sum")
-	}
-	if Sum(nil) != 0 {
-		t.Error("Sum(nil)")
-	}
 }
 
 func TestStdDev(t *testing.T) {
@@ -74,22 +68,6 @@ func TestMedian(t *testing.T) {
 	Median(xs)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Error("Median mutated input")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if Percentile(xs, 0) != 1 || Percentile(xs, 100) != 10 {
-		t.Error("extreme percentiles")
-	}
-	if Percentile(xs, 50) != 5 {
-		t.Errorf("P50 = %v", Percentile(xs, 50))
-	}
-	if Percentile(xs, 90) != 9 {
-		t.Errorf("P90 = %v", Percentile(xs, 90))
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile")
 	}
 }
 

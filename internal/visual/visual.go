@@ -38,28 +38,6 @@ func Network(w *network.Network) string {
 	return b.String()
 }
 
-// Roles renders head/spare/vacant state: 'H' for a cell with only a head,
-// 'S' for a head plus spares, '.' for a hole.
-func Roles(w *network.Network) string {
-	sys := w.System()
-	var b strings.Builder
-	for y := sys.Rows() - 1; y >= 0; y-- {
-		for x := 0; x < sys.Cols(); x++ {
-			c := grid.C(x, y)
-			switch {
-			case w.IsVacant(c):
-				b.WriteString(" .")
-			case w.HasSpare(c):
-				b.WriteString(" S")
-			default:
-				b.WriteString(" H")
-			}
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
 // HeatRow is one labeled completion fraction for Heatmap: a campaign
 // group (curve) with its completed and total trial counts.
 type HeatRow struct {

@@ -50,17 +50,6 @@ func TestNetworkRender(t *testing.T) {
 	}
 }
 
-func TestRolesRender(t *testing.T) {
-	w := netWith(t, 3, 1, map[grid.Coord]int{
-		grid.C(0, 0): 1,
-		grid.C(1, 0): 2,
-	})
-	out := strings.TrimSpace(Roles(w))
-	if out != "H S ." {
-		t.Errorf("Roles = %q", out)
-	}
-}
-
 func TestCycleRenderSingle(t *testing.T) {
 	sys, err := grid.New(4, 4, 1, geom.Pt(0, 0))
 	if err != nil {
