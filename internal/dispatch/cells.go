@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -57,9 +58,12 @@ import (
 // rewritten in place, one never checked) runs the full check. A
 // remembered line is therefore the full check's own answer, up to a
 // SHA-256 collision. The lines this store appends are remembered as
-// they land: they are json.Marshal's own output for a spec that hashes
-// to the key. A served point is shared with the memo, so callers must
-// not modify it.
+// they land, unchecked: append writes, without reflection, the bytes
+// json.Marshal writes for a cellLine whose spec hashes to the key, so
+// each is a line the full check accepts. That is not true by
+// construction of the full check, so a test empties the memo and serves
+// every appended line through it (TestCellStoreAppendsVerify). A served
+// point is shared with the memo, so callers must not modify it.
 //
 // A line records the sim.EngineVersion that computed it and a line of
 // another version is a miss, so a change of results never serves a
@@ -330,16 +334,28 @@ func strictUnmarshal(data []byte, v any) error {
 // segment, creating the segment on the first append, and indexes the
 // line if the index is built (an unbuilt index finds it when it scans),
 // marking it scanned so no re-scan indexes it again. The line is
-// remembered as verified: it is what verifyCellLine accepts for a, since
-// a.spec hashes to a.key (addressCell) and the rest is p's encoding.
+// {"engine":E,"spec":<a.spec>,"point":<p>,"trials":R}, appended
+// directly: a.spec is json.Marshal's compact output and
+// Point.AppendJSON writes json.Marshal's bytes for p, so the line is
+// json.Marshal's for the cellLine. It is remembered as verified: it is
+// what verifyCellLine accepts for a, since a.spec hashes to a.key
+// (addressCell).
 // The segment is opened and closed around each line, so a store holds
 // no file between appends.
 func (s *CellStore) append(a cellAddr, p experiment.Point) error {
-	line, err := json.Marshal(cellLine{Engine: sim.EngineVersion, Spec: a.spec, Point: &p, Trials: a.trials})
+	line := make([]byte, 0, 64+len(a.spec)+192*(1+len(p.Metrics)))
+	line = append(line, `{"engine":`...)
+	line = strconv.AppendInt(line, sim.EngineVersion, 10)
+	line = append(line, `,"spec":`...)
+	line = append(line, a.spec...)
+	line = append(line, `,"point":`...)
+	line, err := p.AppendJSON(line)
 	if err != nil {
 		return err
 	}
-	line = append(line, '\n')
+	line = append(line, `,"trials":`...)
+	line = strconv.AppendInt(line, int64(a.trials), 10)
+	line = append(line, "}\n"...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.size == 0 {

@@ -312,6 +312,68 @@ func TestCellStoreMemo(t *testing.T) {
 	})
 }
 
+// TestCellStoreAppendsVerify: the lines a store appends, written
+// without reflection and remembered unchecked, are the bytes
+// json.Marshal writes for their cellLine, and with the memo emptied a
+// lookup serves every one of the service-mix base campaign's 32 cells
+// through the full check (verifyCellLine), as does a store reopened on
+// the directory.
+func TestCellStoreAppendsVerify(t *testing.T) {
+	spec := sim.CampaignSpec{
+		Schemes:    []sim.SchemeKind{sim.SR, sim.AR},
+		Grids:      []sim.GridSize{{Cols: 16, Rows: 16}},
+		Spares:     []int{10, 25, 40, 55, 70, 100, 150, 200},
+		Holes:      []int{1, 3},
+		Replicates: 16,
+		BaseSeed:   1000,
+	}.Normalized()
+	root := t.TempDir()
+	store := OpenCellStore(root)
+	want, _ := runBytes(t, plan(t, spec, store))
+	data, err := os.ReadFile(segments(t, root)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	lines = lines[:len(lines)-1]
+	for i, line := range lines {
+		var l cellLine
+		if err := strictUnmarshal(line[:len(line)-1], &l); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		ref, err := json.Marshal(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(line, append(ref, '\n')) {
+			t.Fatalf("line %d:\n got %s want %s", i, line, ref)
+		}
+	}
+
+	store.verified = lineMemo{}
+	addrs := addresses(t, spec)
+	if len(addrs) != 32 || len(lines) != len(addrs) {
+		t.Fatalf("%d cells, %d lines; want 32 of each", len(addrs), len(lines))
+	}
+	for k, p := range store.lookup(addrs) {
+		if p == nil {
+			t.Fatalf("cell %d (%s N=%g) is not served once the memo is emptied", k, addrs[k].group, addrs[k].x)
+		}
+	}
+	if n := len(store.verified.lines); n != len(addrs) {
+		t.Fatalf("the full check passed %d lines, want %d", n, len(addrs))
+	}
+	for _, s := range []*CellStore{store, OpenCellStore(root)} {
+		r := plan(t, spec, s)
+		if r.Reused != r.Cells {
+			t.Fatalf("%d of %d cells reused", r.Reused, r.Cells)
+		}
+		if got, _ := runBytes(t, r); !bytes.Equal(got, want) {
+			t.Error("manifest from the verified cells differs from the computing run's")
+		}
+	}
+}
+
 // FuzzCellStore: whatever two segments of a store directory hold, the
 // store never panics and serves a cell only from a whole line of one of
 // them that verifies as that cell's, and a second lookup, warm with the

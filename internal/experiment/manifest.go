@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +13,12 @@ import (
 // and every aggregated point. Map keys marshal sorted and points come
 // in the canonical (group, X) order of Aggregate, Accumulator.Points
 // and SortPoints, so the serialized form is deterministic.
+//
+// One encoder writes it (Encode, and Point.AppendJSON for a cell line's
+// point): it appends the bytes encoding/json writes for these types
+// directly, and encoding/json, through the field tags below, is the
+// reference its tests compare against and the decoder that reads a
+// manifest back.
 type Manifest struct {
 	// Name labels the campaign (used as the artifact base name).
 	Name string `json:"name"`
@@ -39,24 +44,27 @@ func NewManifest(name string, spec any, jobs, workers int, points []Point) (*Man
 	return m, nil
 }
 
-// Write serializes the manifest as indented JSON.
+// Write writes the manifest's serialized form, Encode's bytes.
 func (m *Manifest) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(m); err != nil {
-		return fmt.Errorf("experiment: encode manifest: %w", err)
+	data, err := m.Encode()
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(data); err != nil {
+		return fmt.Errorf("experiment: write manifest: %w", err)
 	}
 	return nil
 }
 
-// Encode returns the serialized manifest: exactly the bytes Write
-// emits.
+// Encode returns the serialized manifest: exactly the bytes a
+// json.Encoder with SetIndent("", "  ") writes for m, final newline
+// included, built without reflection.
 func (m *Manifest) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := m.Write(&buf); err != nil {
-		return nil, err
+	data, err := m.encode()
+	if err != nil {
+		return nil, fmt.Errorf("experiment: encode manifest: %w", err)
 	}
-	return buf.Bytes(), nil
+	return data, nil
 }
 
 // Save writes the manifest to dir/<name>.json, creating dir when needed,

@@ -129,18 +129,67 @@ func (s CampaignSpec) Validate() error {
 	return err
 }
 
-// checkRanges rejects the layout values no job space can hold; the
-// per-trial ranges are TrialConfig.normalize's. A hole count below 1
-// matters even where a trial would accept it: the trial reads 0 as 1,
-// so holes 0 beside holes 1 would run identical trials under two labels.
+// The campaign size limits: fixed bounds, far above every campaign the
+// repository runs (the largest grid is 1024x1024 with 4,800 spares, the
+// most replicates a few thousand), that keep one submitted spec from
+// asking the engine for memory out of proportion to the request. Each
+// is checked before the job space is laid out or a seed is derived.
+const (
+	maxReplicates = 1 << 20 // trials per cell
+	maxGridCells  = 1 << 22 // cells per grid: 2048x2048
+	maxSpares     = 1 << 20 // spare nodes per cell
+	maxCells      = 1 << 16 // campaign cells, and so manifest points
+	maxJobs       = 1 << 30 // trials in the campaign
+)
+
+// checkRanges rejects the layout values no job space can hold, and the
+// sizes over the campaign limits; the per-trial ranges are
+// TrialConfig.normalize's. A hole count below 1 matters even where a
+// trial would accept it: the trial reads 0 as 1, so holes 0 beside
+// holes 1 would run identical trials under two labels.
 func (s CampaignSpec) checkRanges() error {
 	if s.Replicates < 0 {
 		return fmt.Errorf("sim: negative replicate count %d", s.Replicates)
+	}
+	if s.Replicates > maxReplicates {
+		return fmt.Errorf("sim: replicates %d exceeds the limit of %d", s.Replicates, maxReplicates)
 	}
 	for _, h := range s.Holes {
 		if h < 1 {
 			return fmt.Errorf("sim: hole count %d below 1", h)
 		}
+	}
+	for _, g := range s.Grids {
+		if g.Cols > maxGridCells || g.Rows > maxGridCells || g.Cols > 0 && g.Rows > 0 && g.Cols*g.Rows > maxGridCells {
+			return fmt.Errorf("sim: grids: %s exceeds the limit of %d cells per grid", g, maxGridCells)
+		}
+	}
+	for _, n := range s.Spares {
+		if n > maxSpares {
+			return fmt.Errorf("sim: spares: %d exceeds the limit of %d spares per cell", n, maxSpares)
+		}
+	}
+	// Count the cells as layout will lay them out, stopping at the limit
+	// so no product overflows.
+	cells := 0
+	for _, wl := range s.Workloads {
+		block := 1
+		holes := len(s.Holes)
+		if !wl.usesHolesDim() {
+			holes = 1
+		}
+		for _, n := range []int{len(s.runnerDim()), len(s.ttlDim()), len(s.Grids), holes, len(s.Schemes), len(s.Spares)} {
+			if block *= n; block > maxCells {
+				break
+			}
+		}
+		if cells += block; cells > maxCells {
+			return fmt.Errorf("sim: the campaign has over the limit of %d cells "+
+				"(schemes x grids x spares x holes x workloads x runners x claim_ttls)", maxCells)
+		}
+	}
+	if jobs := cells * s.Replicates; jobs > maxJobs {
+		return fmt.Errorf("sim: the campaign has %d jobs (cells x replicates), over the limit of %d", jobs, maxJobs)
 	}
 	return nil
 }

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -526,6 +528,73 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestValidateBoundsCampaignSize: a spec asking for more replicates,
+// grid cells, spares (resupplied ones included), campaign cells or
+// jobs than the campaign limits
+// fails validation naming the field and the limit, before anything is
+// allocated in proportion to the request; a spec at every limit passes
+// the size checks.
+func TestValidateBoundsCampaignSize(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want []string
+	}{
+		{`{"replicates":1000000000}`, []string{"replicates 1000000000", "1048576"}},
+		{`{"spares":[10,1000000000]}`, []string{"spares: 1000000000", "1048576"}},
+		{`{"grids":[{"cols":100000,"rows":100000}]}`, []string{"grids: 100000x100000", "4194304"}},
+		{`{"grids":[{"cols":8,"rows":8},{"cols":5000000,"rows":1}]}`, []string{"grids: 5000000x1", "4194304"}},
+		{`{"claim_ttls":[` + intList(300) + `],"spares":[` + intList(300) + `]}`, []string{"cells", "65536"}},
+		{`{"spares":[` + intList(1000) + `],"replicates":1048576}`, []string{"jobs", "1073741824"}},
+		{`{"workloads":[{"kind":"resupply","batch":100000000,"count":1000}]}`, []string{"resupply batch 100000000 x count 1000", "1048576"}},
+		{`{"workloads":[{"kind":"sequence","children":[{"kind":"holes"},{"kind":"resupply","count":1000000000}]}]}`, []string{"count 1000000000", "1048576"}},
+	} {
+		var spec CampaignSpec
+		if err := UnmarshalSpecJSON([]byte(tc.spec), &spec); err != nil {
+			t.Fatalf("%.60s: %v", tc.spec, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := spec.Validate()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%.60s: Validate = nil, want a size error", tc.spec)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%.60s: Validate = %v, want it to name %q", tc.spec, err, w)
+			}
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%.60s: Validate allocated %d bytes before rejecting it", tc.spec, got)
+		}
+	}
+	atLimit := CampaignSpec{
+		Schemes: []SchemeKind{SR}, Grids: []GridSize{{2048, 2048}}, Spares: []int{maxSpares},
+		Replicates: maxReplicates, Workloads: []WorkloadSpec{{Kind: WorkloadHoles}},
+	}
+	atLimit.normalize()
+	if err := atLimit.checkRanges(); err != nil {
+		t.Errorf("a spec at the limits: %v", err)
+	}
+	atLimit.Spares, atLimit.ClaimTTLs = make([]int, maxCells/8), make([]int, 8)
+	atLimit.Replicates = maxJobs / maxCells
+	if err := atLimit.checkRanges(); err != nil {
+		t.Errorf("a spec of %d cells and %d jobs: %v", maxCells, maxJobs, err)
+	}
+}
+
+// intList returns "1,2,...,n".
+func intList(n int) string {
+	var b strings.Builder
+	for i := 1; i <= n; i++ {
+		if i > 1 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(i))
+	}
+	return b.String()
 }
 
 // TestRunTrialRejectsOutOfRange: a trial configuration outside the

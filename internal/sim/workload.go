@@ -490,6 +490,11 @@ func checkParams(spec WorkloadSpec) error {
 		if spec.Holes < 0 || spec.At < 0 || spec.Every < 0 || spec.Batch < 0 || spec.Count < 0 {
 			return fmt.Errorf("sim: negative resupply parameter in %+v", spec)
 		}
+		// The arrivals add spares to the cell: bound them as its spares.
+		batch, count := cmp.Or(spec.Batch, DefaultResupplyBatch), cmp.Or(spec.Count, 1)
+		if batch > maxSpares || count > maxSpares || batch*count > maxSpares {
+			return fmt.Errorf("sim: resupply batch %d x count %d exceeds the limit of %d spares per cell", batch, count, maxSpares)
+		}
 	case WorkloadLossy:
 		if spec.Holes < 0 || spec.TTL < 0 {
 			return fmt.Errorf("sim: negative lossy parameter in %+v", spec)

@@ -179,12 +179,14 @@ func verifyManifest(data []byte, wantHash string) error {
 // Install writes m into the store under hash, atomically (temp +
 // rename), and returns the stored path. The manifest is encoded once.
 // When m's spec hashes to the key, the written bytes pass the full
-// check by construction — they are encoding/json's own output for a
-// Manifest, and SpecHash reads the spec through the same JSON layer —
-// so their digest is remembered and the next Get reads without
-// decoding. Installing the same hash twice is fine: determinism
-// guarantees the bytes match, and the rename just replaces like with
-// like.
+// check, so their digest is remembered and the next Get reads without
+// decoding: Manifest.Encode writes the bytes encoding/json writes for
+// m, which decode back to m's spec, and SpecHash of that spec is the
+// key. The encoder is not encoding/json, so that is not true by
+// construction; TestStoreInstalledManifestVerifies empties the memo and
+// holds the written bytes to the full check. Installing the same hash
+// twice is fine: determinism guarantees the bytes match, and the rename
+// just replaces like with like.
 func (s *Store) Install(hash string, m *experiment.Manifest) (string, error) {
 	hex, err := hashHex(hash)
 	if err != nil {

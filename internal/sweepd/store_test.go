@@ -347,3 +347,54 @@ func TestStoreGetMemoizedAllocs(t *testing.T) {
 		t.Errorf("memoized Get: %v allocs per call, want at most %d", n, bound)
 	}
 }
+
+// TestStoreInstalledManifestVerifies: the bytes Install writes, built by
+// the direct manifest encoder and remembered unchecked, pass the full
+// check. The service-mix base campaign's manifest is encoding/json's
+// bytes for the manifest it decodes to, and with the memo emptied Get
+// serves it through the decode and spec re-hash, and remembers it.
+func TestStoreInstalledManifestVerifies(t *testing.T) {
+	d, store := newTestDaemon(t, Options{})
+	base, _ := serviceMixSpecs(1000)
+	v, _, err := d.Submit(mustJSON(t, base), "installed")
+	if err != nil || !d.Wait(context.Background(), v.ID) {
+		t.Fatalf("Submit = %+v, %v", v, err)
+	}
+	path, data, ok := store.Get(v.SpecHash)
+	if !ok {
+		t.Fatal("completed campaign is not a store hit")
+	}
+	var m experiment.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Points) != 32 {
+		t.Fatalf("manifest holds %d points, want 32", len(m.Points))
+	}
+	var ref bytes.Buffer
+	enc := json.NewEncoder(&ref)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, ref.Bytes()) {
+		t.Fatal("the installed manifest is not encoding/json's bytes for what it decodes to")
+	}
+
+	// Install what the file decodes to afresh, then forget every check.
+	if p, err := store.Install(v.SpecHash, &m); err != nil || p != path {
+		t.Fatalf("Install = %s, %v; want %s", p, err, path)
+	}
+	store.mu.Lock()
+	clear(store.verified)
+	store.mu.Unlock()
+	if _, got, ok := store.Get(v.SpecHash); !ok || !bytes.Equal(got, data) {
+		t.Fatalf("with the memo emptied, Get = %v (equal bytes %v)", ok, bytes.Equal(got, data))
+	}
+	store.mu.Lock()
+	remembered := store.verified[v.SpecHash] == sha256.Sum256(data)
+	store.mu.Unlock()
+	if !remembered {
+		t.Error("the full check's pass was not remembered")
+	}
+}

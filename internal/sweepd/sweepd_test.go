@@ -188,7 +188,9 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 // a worker (a negative replicate count in the seed derivation, a
 // negative AR hop budget in the AR controller); the daemon must still
 // answer afterwards. A bad value in any cell counts, not only in the
-// first grid and spare count.
+// first grid and spare count. So does a size over the campaign limits,
+// which would otherwise have the daemon allocate a seed per requested
+// replicate, or build worlds of that many cells or spares.
 func TestSubmitRejectsOutOfRangeSpecs(t *testing.T) {
 	d, _ := newTestDaemon(t, Options{})
 	ts := httptest.NewServer(d.Handler())
@@ -202,6 +204,11 @@ func TestSubmitRejectsOutOfRangeSpecs(t *testing.T) {
 		`{"comm_range":-3}`,
 		`{"spares":[10,-5]}`,
 		`{"grids":[{"cols":8,"rows":8},{"cols":1,"rows":1}]}`,
+		// Sizes over the campaign limits fail before anything is
+		// allocated for them.
+		`{"replicates":1000000000}`,
+		`{"spares":[1000000000]}`,
+		`{"grids":[{"cols":100000,"rows":100000}]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -2,10 +2,13 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 )
 
@@ -79,24 +82,153 @@ var execOnlySpecKeys = []string{"workers", "fresh_build", "cell_first", "cell_co
 // stripped object re-marshals with sorted keys and the original raw
 // field values, so equal science hashes equal regardless of where, how
 // parallel, or in which field order it ran.
+//
+// The canonical form is defined by a round trip through
+// map[string]json.RawMessage: unmarshal, delete the execution-only
+// keys, marshal. A spec marshals to a compact object whose keys and
+// strings need no escaping, and for that the round trip only sorts the
+// members and drops some, so canonicalSpec does exactly that to the
+// marshalled bytes without decoding them. Any other input (not an
+// object, whitespace, a key listed twice, a key or string holding a
+// backslash, <, >, & or a non-ASCII byte) takes the round trip itself.
+// Non-object specs hash their raw form.
 func SpecHash(spec any) (string, error) {
 	b, err := json.Marshal(spec)
 	if err != nil {
 		return "", fmt.Errorf("telemetry: marshal spec for hashing: %w", err)
 	}
-	// Strip at the JSON layer rather than on a concrete spec type so the
-	// package stays agnostic of what a spec is. Non-object specs hash
-	// their raw form.
+	var buf [1024]byte
+	c, ok := appendCanonicalSpec(buf[:0], b)
+	if !ok {
+		c = canonicalSpecRoundTrip(b)
+	}
+	sum := sha256.Sum256(c)
+	var out [len("sha256:") + 2*sha256.Size]byte
+	return string(hex.AppendEncode(append(out[:0], "sha256:"...), sum[:])), nil
+}
+
+// canonicalSpecRoundTrip is SpecHash's canonical form by definition:
+// b's members, when b is a JSON object, through a map with the
+// execution-only keys deleted and marshalled again; otherwise b itself.
+// Stripping at the JSON layer rather than on a concrete spec type keeps
+// the package agnostic of what a spec is.
+func canonicalSpecRoundTrip(b []byte) []byte {
 	var fields map[string]json.RawMessage
 	if err := json.Unmarshal(b, &fields); err == nil && fields != nil {
 		for _, k := range execOnlySpecKeys {
 			delete(fields, k)
 		}
 		if nb, err := json.Marshal(fields); err == nil {
-			b = nb
+			return nb
 		}
 	}
-	return fmt.Sprintf("sha256:%x", sha256.Sum256(b)), nil
+	return b
+}
+
+// specMember is one top-level member of a compact JSON object: its key
+// and its whole "key":value text.
+type specMember struct {
+	key, text []byte
+}
+
+// appendCanonicalSpec appends canonicalSpecRoundTrip(b)'s bytes to dst
+// when b, json.Marshal's output, is an object the fast form covers: its
+// members sorted by key and joined, the execution-only ones left out.
+// It reports false, having appended nothing, for any input it does not
+// cover.
+func appendCanonicalSpec(dst, b []byte) ([]byte, bool) {
+	if len(b) < 2 || b[0] != '{' || b[len(b)-1] != '}' {
+		return dst, false
+	}
+	var buf [32]specMember
+	members := buf[:0]
+	for i := 1; i < len(b)-1; {
+		// A key: plain ASCII, nothing JSON would escape.
+		if b[i] != '"' {
+			return dst, false
+		}
+		k := i + 1
+		for k < len(b) && b[k] != '"' {
+			if !plainByte(b[k]) {
+				return dst, false
+			}
+			k++
+		}
+		if k+1 >= len(b) || b[k+1] != ':' {
+			return dst, false
+		}
+		end, ok := skipCompactValue(b, k+2)
+		if !ok {
+			return dst, false
+		}
+		members = append(members, specMember{key: b[i+1 : k], text: b[i:end]})
+		if b[end] == ',' {
+			end++
+		} else if end != len(b)-1 {
+			return dst, false
+		}
+		i = end
+	}
+	if len(b) > 2 && b[len(b)-2] == ',' {
+		return dst, false
+	}
+	slices.SortFunc(members, func(x, y specMember) int { return bytes.Compare(x.key, y.key) })
+	for i := 1; i < len(members); i++ {
+		if bytes.Equal(members[i].key, members[i-1].key) {
+			return dst, false // the map keeps the last; leave that to the round trip
+		}
+	}
+	dst = append(dst, '{')
+	first := true
+	for _, m := range members {
+		if slices.Contains(execOnlySpecKeys, string(m.key)) {
+			continue
+		}
+		if !first {
+			dst = append(dst, ',')
+		}
+		dst, first = append(dst, m.text...), false
+	}
+	return append(dst, '}'), true
+}
+
+// plainByte reports whether c stands for itself in a JSON string that
+// encoding/json writes: printable ASCII other than the quote, the
+// backslash and the HTML-escaped <, > and &.
+func plainByte(c byte) bool {
+	return c >= 0x20 && c < 0x80 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+}
+
+// skipCompactValue returns the end of the compact JSON value starting
+// at b[i]: the index of the ',' or '}' closing the member it belongs
+// to. It reports false for an empty value, for whitespace, and for a
+// string holding a byte plainByte rejects.
+func skipCompactValue(b []byte, i int) (int, bool) {
+	start, depth := i, 0
+	for ; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			for i++; i < len(b) && b[i] != '"'; i++ {
+				if !plainByte(b[i]) {
+					return 0, false
+				}
+			}
+		case '{', '[':
+			depth++
+		case ',':
+			if depth == 0 {
+				return i, i > start
+			}
+		case '}', ']':
+			if depth == 0 {
+				return i, i > start
+			}
+			depth--
+		case ' ', '\t', '\n', '\r':
+			return 0, false
+		}
+	}
+	return 0, false
 }
 
 // AppendRecord appends one record to the ledger at path (created if
