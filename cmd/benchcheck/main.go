@@ -18,18 +18,13 @@
 // should use generous ratios if used at all. The baseline for a name is
 // the most recent history entry that records it.
 //
-// -trend NAME:METRIC (repeatable) prints the same measured-vs-baseline
-// comparison as a report-only row — never a failure, and a missing
-// baseline or measurement is tolerated. It exists for wall-clock
-// metrics: ns_op on shared CI boxes is too noisy to gate, but the trend
-// line in the log makes a 10x cliff visible the day it happens.
-//
-// -soft NAME:METRIC:MAXRATIO (repeatable) sits between the two: the
+// -soft NAME:METRIC:MAXRATIO (repeatable) is the report-only form: the
 // ratio is checked like -check and a breach prints a loud SOFT-WARN
-// row, but the exit status stays zero. It is the right shape for ns_op
-// budgets — a 1.3x warn threshold surfaces real slowdowns in the log
-// without letting a noisy shared box fail the build; missing baselines
-// or measurements are tolerated like -trend.
+// row, but the exit status stays zero, and a missing baseline or
+// measurement prints as such. It is the right shape for ns_op budgets —
+// ns_op on shared CI boxes is too noisy to gate, but a 1.3x warn
+// threshold surfaces real slowdowns in the log without letting a noisy
+// shared box fail the build.
 package main
 
 import (
@@ -75,23 +70,6 @@ func validMetric(m string) error {
 		return nil
 	}
 	return fmt.Errorf("bad metric %q (want ns_op, bytes_op, or allocs_op)", m)
-}
-
-// trendList collects -trend NAME:METRIC report-only comparisons.
-type trendList []checkSpec
-
-func (c *trendList) String() string { return fmt.Sprintf("%v", []checkSpec(*c)) }
-
-func (c *trendList) Set(s string) error {
-	name, metric, ok := strings.Cut(s, ":")
-	if !ok || name == "" {
-		return fmt.Errorf("bad trend %q (want NAME:METRIC)", s)
-	}
-	if err := validMetric(metric); err != nil {
-		return err
-	}
-	*c = append(*c, checkSpec{name: name, metric: metric})
-	return nil
 }
 
 // baselineFile mirrors the slice of BENCH_trial.json benchcheck needs.
@@ -146,14 +124,12 @@ func parseBench(lines *bufio.Scanner) (map[string]map[string]float64, error) {
 
 func run() error {
 	var checks, softs checkList
-	var trends trendList
 	baselinePath := flag.String("baseline", "BENCH_trial.json", "benchmark history file")
 	flag.Var(&checks, "check", "NAME:METRIC:MAXRATIO assertion (repeatable)")
 	flag.Var(&softs, "soft", "NAME:METRIC:MAXRATIO report-only warning, never a failure (repeatable)")
-	flag.Var(&trends, "trend", "NAME:METRIC report-only comparison, never a failure (repeatable)")
 	flag.Parse()
-	if len(checks) == 0 && len(softs) == 0 && len(trends) == 0 {
-		return fmt.Errorf("no -check assertions, -soft warnings, or -trend reports given")
+	if len(checks) == 0 && len(softs) == 0 {
+		return fmt.Errorf("no -check assertions or -soft warnings given")
 	}
 	data, err := os.ReadFile(*baselinePath)
 	if err != nil {
@@ -195,7 +171,7 @@ func run() error {
 			c.name, c.metric, gotVal, baseVal, ratio, c.maxRatio, status)
 	}
 	// Soft gates warn loudly past their ratio but never fail the run;
-	// missing baselines or measurements are tolerated like trends.
+	// missing baselines or measurements are reported, not fatal.
 	for _, c := range softs {
 		gotVal, haveGot := measured[c.name][c.metric]
 		base, _ := baseline.baselineFor(c.name)
@@ -213,22 +189,6 @@ func run() error {
 			}
 			fmt.Printf("%-50s %-10s %12.0f vs baseline %12.0f  (%.2fx, warn %.2fx) %s\n",
 				c.name, c.metric, gotVal, baseVal, ratio, c.maxRatio, status)
-		}
-	}
-	// Trend rows report, never gate: a missing baseline or measurement
-	// prints as such instead of failing the run.
-	for _, c := range trends {
-		gotVal, haveGot := measured[c.name][c.metric]
-		base, _ := baseline.baselineFor(c.name)
-		baseVal, haveBase := base[c.metric]
-		switch {
-		case !haveGot:
-			fmt.Printf("%-50s %-10s not in the piped bench output (trend)\n", c.name, c.metric)
-		case !haveBase || baseVal <= 0:
-			fmt.Printf("%-50s %-10s %12.0f — no baseline (trend)\n", c.name, c.metric, gotVal)
-		default:
-			fmt.Printf("%-50s %-10s %12.0f vs baseline %12.0f  (%.2fx) trend\n",
-				c.name, c.metric, gotVal, baseVal, gotVal/baseVal)
 		}
 	}
 	if failed > 0 {

@@ -50,20 +50,3 @@ func TestCheckListParsing(t *testing.T) {
 		}
 	}
 }
-
-func TestTrendListParsing(t *testing.T) {
-	var tr trendList
-	if err := tr.Set("ReplicateSteadyState/pooled-64x64:ns_op"); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr) != 1 || tr[0].name != "ReplicateSteadyState/pooled-64x64" || tr[0].metric != "ns_op" {
-		t.Errorf("trendList = %+v", tr)
-	}
-	// Trends never carry a ratio and reject the same junk checks do.
-	for _, bad := range []string{"", "name-only", ":ns_op", "a:watts"} {
-		var tl trendList
-		if err := tl.Set(bad); err == nil {
-			t.Errorf("Set(%q) should fail", bad)
-		}
-	}
-}

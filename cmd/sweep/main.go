@@ -175,62 +175,39 @@ type output struct {
 // itself in the ledger, with the status saying how it ended, so
 // cmd/runlog surfaces unhealthy history. A completed run saves the
 // manifest, writes the metric tables, prints the summary, and then
-// records itself. ran counts the trials this process executed: the
-// rate is never credited with stored cells. groupS is the run's group
-// spans (dispatch.LocalRun.GroupSeconds).
-func (o *output) finish(mode string, spec sim.CampaignSpec, m *experiment.Manifest, ran int, wall time.Duration, groupS map[string]float64, runErr error) error {
-	rec := telemetry.Record{
-		Name:         o.name,
-		Mode:         mode,
-		Status:       telemetry.StatusCompleted,
-		Jobs:         ran,
-		Workers:      spec.Workers,
-		CellFirst:    spec.CellFirst,
-		CellCount:    spec.CellCount,
-		WallS:        wall.Seconds(),
-		GroupSeconds: groupS,
+// records itself. m, ran and groupS are what the run returned and set,
+// and wall spans the run without the artifact writes:
+// dispatch.RunRecord builds the record from them, and finish stamps
+// this process's name, mode, manifest path and CPU time on it. A
+// ledger failure is logged but never fails a campaign.
+func (o *output) finish(mode string, js sim.JobSpace, m *experiment.Manifest, ran int, wall time.Duration, groupS map[string]float64, runErr error) error {
+	path := ""
+	if runErr == nil {
+		var err error
+		if path, err = m.Save(o.dir); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stdout, "wrote %s (%d jobs, %d points)\n", path, m.Jobs, len(m.Points))
+		if err := writeTables(os.Stdout, m.Points, o.metrics, o.dir, o.name, js.Spec().Replicates, o.ascii); err != nil {
+			return err
+		}
+		printSummary(os.Stdout, m.Points)
 	}
-	if wall > 0 {
-		rec.TrialsPerS = float64(ran) / wall.Seconds()
-	}
-	if runErr != nil {
-		rec.Status = runStatus(runErr)
-		o.record(rec, spec)
+	if o.ledger == "" {
 		return runErr
 	}
-	path, err := m.Save(o.dir)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stdout, "wrote %s (%d jobs, %d points)\n", path, m.Jobs, len(m.Points))
-	if err := writeTables(os.Stdout, m.Points, o.metrics, o.dir, o.name, spec.Replicates, o.ascii); err != nil {
-		return err
-	}
-	printSummary(os.Stdout, m.Points)
-	rec.Manifest, rec.Jobs, rec.Points = path, m.Jobs, len(m.Points)
-	o.record(rec, spec)
-	return nil
-}
-
-// record stamps the spec hash and CPU time on rec and appends it to
-// the ledger, if one is enabled; a ledger failure is logged but never
-// fails a campaign.
-func (o *output) record(rec telemetry.Record, spec sim.CampaignSpec) {
-	if o.ledger == "" {
-		return
-	}
-	hash, err := telemetry.SpecHash(spec)
+	rec, err := dispatch.RunRecord(js, m, ran, wall, groupS, runErr)
 	if err != nil {
 		o.logger.Error("ledger: hashing spec", "err", err)
-		return
+		return runErr
 	}
-	rec.SpecHash = hash
-	rec.CPUS = telemetry.CPUSeconds()
+	rec.Name, rec.Mode, rec.Manifest, rec.CPUS = o.name, mode, path, telemetry.CPUSeconds()
 	if err := telemetry.AppendRecord(o.ledger, rec); err != nil {
 		o.logger.Error("ledger append failed", "path", o.ledger, "err", err)
-		return
+		return runErr
 	}
-	o.logger.Debug("ledger appended", "path", o.ledger, "mode", rec.Mode, "spec_hash", hash)
+	o.logger.Debug("ledger appended", "path", o.ledger, "mode", mode, "spec_hash", rec.SpecHash)
+	return runErr
 }
 
 // writeTables exports one CSV/gnuplot table per requested metric,
@@ -322,16 +299,6 @@ func loadSpec(path string) (sim.CampaignSpec, error) {
 		return spec, fmt.Errorf("spec %s: %w", path, err)
 	}
 	return spec, nil
-}
-
-// runStatus classifies how a run ended for the ledger: a context
-// cancellation (SIGINT/SIGTERM drain, a second Ctrl-C racing the first)
-// is an abort; anything else is a failure.
-func runStatus(err error) string {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return telemetry.StatusAborted
-	}
-	return telemetry.StatusFailed
 }
 
 // signalContext cancels the returned context on the first SIGINT or
@@ -539,5 +506,5 @@ func run(args []string) (err error) {
 	if spec.CellCount > 0 {
 		mode = "shard"
 	}
-	return out.finish(mode, spec, manifest, ran, time.Since(start), local.GroupSeconds, err)
+	return out.finish(mode, jobs, manifest, ran, time.Since(start), local.GroupSeconds, err)
 }

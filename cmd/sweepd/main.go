@@ -25,10 +25,10 @@
 // uses every core. A campaign too big for one box runs as cmd/sweep
 // "-shard i/n -store <store>" pieces on many boxes, which fill the
 // store's cells/ directory; a daemon started on that directory
-// afterwards computes none of those cells. A running daemon indexes the
-// store's cells once, so it sees cells other processes append later
-// only after a restart, and recomputes them (with the same bytes) until
-// then.
+// afterwards computes none of those cells. The daemon's cell index is
+// live: a campaign that misses a cell re-scans the segments that
+// appeared or grew since the last scan, so cells other processes append
+// while it runs are served without a restart.
 //
 // The API is documented on sweepd.Daemon.Handler; see the README's
 // "Running as a service" section for the curl cookbook. Logs are

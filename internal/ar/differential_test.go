@@ -49,10 +49,11 @@ func buildARDiffNet(t *testing.T, sc arDiffScenario, seed int64) *network.Networ
 	return net
 }
 
-// arFingerprint summarizes the externally observable network state; any
-// behavioral divergence between the detectors changes it within a round
-// or two (positions feed off the shared RNG stream).
-func arFingerprint(net *network.Network) string {
+// arFingerprint summarizes the externally observable network state and
+// the controller's sent-message count; any behavioral divergence between
+// the detectors changes it within a round or two (positions feed off the
+// shared RNG stream).
+func arFingerprint(net *network.Network, c *Controller) string {
 	sum := 0.0
 	for id := 0; id < net.NumNodes(); id++ {
 		nd := net.Node(node.ID(id))
@@ -63,7 +64,7 @@ func arFingerprint(net *network.Network) string {
 		}
 	}
 	return fmt.Sprintf("moves=%d dist=%.9g msgs=%d vacant=%d heads=%v pos=%.9g",
-		net.TotalMoves(), net.TotalDistance(), net.MessagesSent(),
+		net.TotalMoves(), net.TotalDistance(), c.Collector().Summarize().Messages,
 		net.VacantCount(), net.AllHeadsPresent(), sum)
 }
 
@@ -114,7 +115,7 @@ func runARDiff(t *testing.T, sc arDiffScenario, seed int64) {
 		if err := scan.Step(); err != nil {
 			t.Fatalf("seed %d round %d: scan: %v", seed, r, err)
 		}
-		if a, b := arFingerprint(netEvent), arFingerprint(netScan); a != b {
+		if a, b := arFingerprint(netEvent, event), arFingerprint(netScan, scan); a != b {
 			t.Fatalf("seed %d: diverged at round %d:\nevent: %s\nscan:  %s", seed, r, a, b)
 		}
 		if event.active != scan.active {

@@ -60,10 +60,11 @@ func buildDiffNet(t *testing.T, sc diffScenario, seed int64) (*network.Network, 
 	return net, topo
 }
 
-// netFingerprint summarizes the externally observable network state; any
-// behavioral divergence between the two detectors changes it within a
-// round or two (positions feed off the shared RNG stream).
-func netFingerprint(net *network.Network) string {
+// netFingerprint summarizes the externally observable network state and
+// the controller's sent-message count; any behavioral divergence between
+// the two detectors changes it within a round or two (positions feed off
+// the shared RNG stream).
+func netFingerprint(net *network.Network, c *Controller) string {
 	sum := 0.0
 	for id := 0; id < net.NumNodes(); id++ {
 		nd := net.Node(node.ID(id))
@@ -74,7 +75,7 @@ func netFingerprint(net *network.Network) string {
 		}
 	}
 	return fmt.Sprintf("moves=%d dist=%.9g msgs=%d lost=%d vacant=%d heads=%v pos=%.9g",
-		net.TotalMoves(), net.TotalDistance(), net.MessagesSent(), net.MessagesLost(),
+		net.TotalMoves(), net.TotalDistance(), c.Collector().Summarize().Messages, net.MessagesLost(),
 		net.VacantCount(), net.AllHeadsPresent(), sum)
 }
 
@@ -146,7 +147,7 @@ func runDiff(t *testing.T, sc diffScenario, seed int64) {
 		if err := scan.Step(); err != nil {
 			t.Fatalf("seed %d round %d: scan: %v", seed, r, err)
 		}
-		if a, b := netFingerprint(netEvent), netFingerprint(netScan); a != b {
+		if a, b := netFingerprint(netEvent, event), netFingerprint(netScan, scan); a != b {
 			t.Fatalf("seed %d: diverged at round %d:\nevent: %s\nscan:  %s", seed, r, a, b)
 		}
 		if event.active != scan.active {

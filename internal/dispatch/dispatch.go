@@ -20,5 +20,7 @@
 // ETA, and times each group from its first trial to its last. The
 // meter (Meter) renders those snapshots, a dashboard hub publishes them
 // as they are, and LocalRun hands the group spans to the ledger.
+// RunRecord is the one builder of a run's ledger record: cmd/sweep and
+// sweepd both call it and add only their own name, mode and manifest.
 // DiffManifests compares two manifests.
 package dispatch

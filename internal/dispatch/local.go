@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"wsncover/internal/experiment"
@@ -139,6 +140,45 @@ func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) erro
 	jobs := ran + r.Reused*spec.Replicates
 	m, err := experiment.NewManifest(r.name, spec, jobs, spec.Workers, mergePoints(r.prior, acc.Points()))
 	return m, ran, err
+}
+
+// RunRecord builds the ledger record of one run of the campaign js,
+// for cmd/sweep and sweepd alike: m, ran and groupS are what Run
+// returned and set (m nil, ran 0 and groupS nil for a run that never
+// started), wall is the caller's span of the run, and runErr is how it
+// ended. A cancelled run (a drain, a signal, a deadline) is aborted,
+// any other error failed. A completed run is credited with its
+// manifest's jobs and points, stored cells included; any other run
+// with the trials it executed. The rate counts only executed trials,
+// never stored cells. The caller adds what is its own: the name, the
+// mode, the manifest path, the time and the CPU seconds. The error
+// reports only a spec that does not hash; the record is complete but
+// for its spec hash then.
+func RunRecord(js sim.JobSpace, m *experiment.Manifest, ran int, wall time.Duration, groupS map[string]float64, runErr error) (telemetry.Record, error) {
+	spec := js.Spec()
+	rec := telemetry.Record{
+		Status:       telemetry.StatusCompleted,
+		Jobs:         ran,
+		Workers:      spec.Workers,
+		CellFirst:    spec.CellFirst,
+		CellCount:    spec.CellCount,
+		WallS:        wall.Seconds(),
+		GroupSeconds: groupS,
+	}
+	if wall > 0 {
+		rec.TrialsPerS = float64(ran) / wall.Seconds()
+	}
+	switch {
+	case errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded):
+		rec.Status = telemetry.StatusAborted
+	case runErr != nil:
+		rec.Status = telemetry.StatusFailed
+	default:
+		rec.Jobs, rec.Points = m.Jobs, len(m.Points)
+	}
+	var err error
+	rec.SpecHash, err = telemetry.SpecHash(spec)
+	return rec, err
 }
 
 // mergePoints combines stored points with fresh ones in the canonical

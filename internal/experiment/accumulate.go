@@ -24,7 +24,7 @@ import (
 // not safe for concurrent use — RunStream serializes sink calls, which
 // is the intended feeding discipline.
 type Accumulator struct {
-	cells map[accKey]*accCell
+	cells map[accKey]map[string]*onlineStat // each cell's metric streams
 }
 
 type accKey struct {
@@ -32,16 +32,9 @@ type accKey struct {
 	x     float64
 }
 
-type accCell struct {
-	// names preserves first-seen metric order (diagnostics only; Points
-	// sorts output by name via the map anyway).
-	names   []string
-	metrics map[string]*onlineStat
-}
-
 // NewAccumulator returns an empty streaming aggregator.
 func NewAccumulator() *Accumulator {
-	return &Accumulator{cells: make(map[accKey]*accCell)}
+	return &Accumulator{cells: make(map[accKey]map[string]*onlineStat)}
 }
 
 // Add folds one sample into its (Group, X) cell.
@@ -49,15 +42,14 @@ func (a *Accumulator) Add(s Sample) {
 	k := accKey{s.Group, s.X}
 	c, ok := a.cells[k]
 	if !ok {
-		c = &accCell{metrics: make(map[string]*onlineStat)}
+		c = make(map[string]*onlineStat)
 		a.cells[k] = c
 	}
 	for name, v := range s.Values {
-		st, ok := c.metrics[name]
+		st, ok := c[name]
 		if !ok {
 			st = &onlineStat{}
-			c.metrics[name] = st
-			c.names = append(c.names, name)
+			c[name] = st
 		}
 		st.add(v)
 	}
@@ -90,8 +82,8 @@ func (a *Accumulator) Point(group string, x float64) Point {
 	if !ok {
 		return Point{Group: group, X: x, Metrics: map[string]stats.Description{}}
 	}
-	metrics := make(map[string]stats.Description, len(c.metrics))
-	for name, st := range c.metrics {
+	metrics := make(map[string]stats.Description, len(c))
+	for name, st := range c {
 		metrics[name] = st.describe()
 	}
 	return Point{Group: group, X: x, Metrics: metrics}

@@ -102,7 +102,6 @@ type Network struct {
 	inbox      []Message
 	outbox     []Message
 	requeued   []Message
-	msgsSent   int
 	msgsLost   int
 	totalMoves int
 	totalDist  float64
@@ -238,7 +237,6 @@ func (w *Network) Reset() {
 	w.inbox = w.inbox[:0]
 	w.outbox = w.outbox[:0]
 	w.requeued = w.requeued[:0]
-	w.msgsSent = 0
 	w.msgsLost = 0
 	w.totalMoves = 0
 	w.totalDist = 0
@@ -790,15 +788,11 @@ func (w *Network) Send(m Message) error {
 		return fmt.Errorf("network: message %v -> %v off-grid", m.From, m.To)
 	}
 	w.outbox = append(w.outbox, m)
-	w.msgsSent++
 	if w.obs != nil {
 		w.obs.MessageSent(m)
 	}
 	return nil
 }
-
-// MessagesSent returns the total number of control messages sent.
-func (w *Network) MessagesSent() int { return w.msgsSent }
 
 // StepRound advances the synchronous clock: messages sent during the
 // previous round become deliverable now.

@@ -46,9 +46,9 @@ func exercise(t *testing.T, w *Network, seed int64) {
 
 // stateFingerprint captures the externally observable network state.
 func stateFingerprint(w *Network) string {
-	s := fmt.Sprintf("nodes=%d enabled=%d spares=%d vacant=%d round=%d moves=%d dist=%.12g sent=%d lost=%d\n",
+	s := fmt.Sprintf("nodes=%d enabled=%d spares=%d vacant=%d round=%d moves=%d dist=%.12g lost=%d\n",
 		w.NumNodes(), w.EnabledCount(), w.TotalSpares(), w.VacantCount(),
-		w.Round(), w.TotalMoves(), w.TotalDistance(), w.MessagesSent(), w.MessagesLost())
+		w.Round(), w.TotalMoves(), w.TotalDistance(), w.MessagesLost())
 	for id := 0; id < w.NumNodes(); id++ {
 		nd := w.Node(node.ID(id))
 		s += fmt.Sprintf("n%d %v %v %v %.12g\n",

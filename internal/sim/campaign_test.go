@@ -531,8 +531,8 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 }
 
 // TestValidateBoundsCampaignSize: a spec asking for more replicates,
-// grid cells, spares (resupplied ones included), campaign cells or
-// jobs than the campaign limits
+// grid cells, spares (resupplied ones included), campaign cells, jobs
+// or scheduled workload events (alone or composed) than the limits
 // fails validation naming the field and the limit, before anything is
 // allocated in proportion to the request; a spec at every limit passes
 // the size checks.
@@ -549,6 +549,10 @@ func TestValidateBoundsCampaignSize(t *testing.T) {
 		{`{"spares":[` + intList(1000) + `],"replicates":1048576}`, []string{"jobs", "1073741824"}},
 		{`{"workloads":[{"kind":"resupply","batch":100000000,"count":1000}]}`, []string{"resupply batch 100000000 x count 1000", "1048576"}},
 		{`{"workloads":[{"kind":"sequence","children":[{"kind":"holes"},{"kind":"resupply","count":1000000000}]}]}`, []string{"count 1000000000", "1048576"}},
+		{`{"workloads":[{"kind":"churn","waves":1000000000}]}`, []string{"churn waves 1000000000", "4096"}},
+		{`{"workloads":[{"kind":"mover","waves":5000}]}`, []string{"mover waves 5000", "4096"}},
+		{`{"workloads":[{"kind":"resupply","count":5000}]}`, []string{"resupply count 5000", "4096"}},
+		{`{"workloads":[` + nestedOverlay(MaxCompositionDepth) + `]}`, []string{"overlay", "4096"}},
 	} {
 		var spec CampaignSpec
 		if err := UnmarshalSpecJSON([]byte(tc.spec), &spec); err != nil {
@@ -578,11 +582,32 @@ func TestValidateBoundsCampaignSize(t *testing.T) {
 	if err := atLimit.checkRanges(); err != nil {
 		t.Errorf("a spec at the limits: %v", err)
 	}
+	for _, w := range []WorkloadSpec{
+		{Kind: WorkloadChurn, Waves: maxEvents},
+		{Kind: WorkloadResupply, Count: maxEvents},
+		{Kind: WorkloadSequence, Children: []WorkloadSpec{{Kind: WorkloadChurn, Waves: maxEvents / 2}, {Kind: WorkloadMover, Waves: maxEvents/2 - 2}}},
+	} {
+		if _, err := BuildWorkload(w); err != nil {
+			t.Errorf("a workload at the event limit: %v", err)
+		}
+	}
 	atLimit.Spares, atLimit.ClaimTTLs = make([]int, maxCells/8), make([]int, 8)
 	atLimit.Replicates = maxJobs / maxCells
 	if err := atLimit.checkRanges(); err != nil {
 		t.Errorf("a spec of %d cells and %d jobs: %v", maxCells, maxJobs, err)
 	}
+}
+
+// nestedOverlay returns an overlay spec nested depth deep (the leaves
+// counted as one level), every node with MaxChildren children and every
+// leaf a 100-wave churn: each leaf and each inner overlay below the
+// root is under the event limit, the root's total is over it.
+func nestedOverlay(depth int) string {
+	if depth == 1 {
+		return `{"kind":"churn","waves":100}`
+	}
+	child := nestedOverlay(depth - 1)
+	return `{"kind":"overlay","children":[` + strings.Repeat(child+",", MaxChildren-1) + child + `]}`
 }
 
 // intList returns "1,2,...,n".

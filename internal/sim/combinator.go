@@ -35,7 +35,8 @@ func specDepth(spec WorkloadSpec) int {
 }
 
 // validateComposition checks a combinator spec's children: present,
-// bounded fan-out and depth, every child a valid spec.
+// bounded fan-out and depth, every child a valid spec, and their events
+// together within maxEvents.
 func validateComposition(spec WorkloadSpec) error {
 	if len(spec.Children) == 0 {
 		return fmt.Errorf("sim: workload %q needs children", spec.Kind)
@@ -53,7 +54,34 @@ func validateComposition(spec WorkloadSpec) error {
 			return fmt.Errorf("sim: workload %q child %d: %w", spec.Kind, i, err)
 		}
 	}
+	if n := scheduledEvents(spec); n > maxEvents {
+		return fmt.Errorf("sim: workload %q children schedule %d events, over the limit of %d", spec.Kind, n, maxEvents)
+	}
 	return nil
+}
+
+// scheduledEvents counts the events a valid spec's schedule holds, from
+// the spec alone: a churn or mover wave, a resupply arrival, and each
+// composed child's opening and events count one each. Every child is
+// within maxEvents and there are at most MaxChildren of them, so the
+// sum cannot overflow. A random composition draws a few default
+// children, so it counts as none.
+func scheduledEvents(spec WorkloadSpec) int {
+	switch spec.Kind {
+	case WorkloadChurn:
+		return cmp.Or(spec.Waves, DefaultChurnWaves)
+	case WorkloadMover:
+		return cmp.Or(spec.Waves, DefaultMoverStrikes)
+	case WorkloadResupply:
+		return cmp.Or(spec.Count, 1)
+	case WorkloadSequence, WorkloadOverlay:
+		n := 0
+		for _, c := range spec.Children {
+			n += 1 + scheduledEvents(c)
+		}
+		return n
+	}
+	return 0
 }
 
 // compose collects a combinator's children at their offsets: a sequence

@@ -118,6 +118,13 @@ const (
 	MaxChildren = 6
 )
 
+// maxEvents bounds the events one workload schedules (churn and mover
+// waves, resupply arrivals, and a composition's children together),
+// checked from the spec before any event is built, so a submitted spec
+// cannot make every cell's schedule allocate out of proportion to the
+// request. The repository's longest schedule is 40 churn waves.
+const maxEvents = 1 << 12
+
 // WorkloadSpec is the JSON-named description of a workload: Kind selects
 // a kind of the table, the remaining fields parameterize it and must
 // stay zero when the kind does not use them (BuildWorkload rejects
@@ -457,7 +464,8 @@ func rejectParams(spec WorkloadSpec, params []string) error {
 	return nil
 }
 
-// checkParams range-checks the parameters a kind takes.
+// checkParams range-checks the parameters a kind takes, the events its
+// schedule would hold included.
 func checkParams(spec WorkloadSpec) error {
 	switch spec.Kind {
 	case WorkloadJam:
@@ -468,6 +476,9 @@ func checkParams(spec WorkloadSpec) error {
 		if spec.Every < 0 || spec.Waves < 0 || spec.Holes < 0 {
 			return fmt.Errorf("sim: negative churn parameter in %+v", spec)
 		}
+		if spec.Waves > maxEvents {
+			return fmt.Errorf("sim: churn waves %d exceed the limit of %d events", spec.Waves, maxEvents)
+		}
 	case WorkloadDepletion:
 		if spec.Every < 0 || spec.Budget < 0 || spec.PerMeter < 0 || spec.PerMove < 0 {
 			return fmt.Errorf("sim: negative depletion parameter in %+v", spec)
@@ -475,6 +486,9 @@ func checkParams(spec WorkloadSpec) error {
 	case WorkloadMover:
 		if spec.Every < 0 || spec.Waves < 0 || spec.Radius < 0 {
 			return fmt.Errorf("sim: negative mover parameter in %+v", spec)
+		}
+		if spec.Waves > maxEvents {
+			return fmt.Errorf("sim: mover waves %d exceed the limit of %d events", spec.Waves, maxEvents)
 		}
 	case WorkloadByzantine:
 		if spec.Holes < 0 || spec.Count < 0 || spec.TTL < 0 {
@@ -494,6 +508,9 @@ func checkParams(spec WorkloadSpec) error {
 		batch, count := cmp.Or(spec.Batch, DefaultResupplyBatch), cmp.Or(spec.Count, 1)
 		if batch > maxSpares || count > maxSpares || batch*count > maxSpares {
 			return fmt.Errorf("sim: resupply batch %d x count %d exceeds the limit of %d spares per cell", batch, count, maxSpares)
+		}
+		if count > maxEvents {
+			return fmt.Errorf("sim: resupply count %d exceeds the limit of %d events", count, maxEvents)
 		}
 	case WorkloadLossy:
 		if spec.Holes < 0 || spec.TTL < 0 {

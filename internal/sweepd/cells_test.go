@@ -262,7 +262,7 @@ func TestDrainedWidenedCampaignResumes(t *testing.T) {
 	<-held
 	d.Drain()
 	testTrialHook = nil
-	if aborted, _ := d.Campaign(v.ID); aborted.Status != StatusAborted {
+	if aborted, _ := d.Campaign(v.ID); aborted.Status != telemetry.StatusAborted {
 		t.Fatalf("drained campaign is %q, want aborted", aborted.Status)
 	}
 

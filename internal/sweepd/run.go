@@ -1,7 +1,10 @@
 package sweepd
 
 import (
+	"time"
+
 	"wsncover/internal/dispatch"
+	"wsncover/internal/experiment"
 	"wsncover/internal/sim"
 	"wsncover/internal/telemetry"
 )
@@ -12,37 +15,42 @@ import (
 // byte-identical to what the CLI writes for the same submission, and
 // installs the manifest in the store. Cells the store already holds and
 // verifies are not computed again; every cell this run completes is
-// stored the moment it completes. It returns the run's part of the
-// ledger record: the stored manifest path and its point count, the
-// trials this run executed as Jobs (a run is not credited with the
-// cells it reused), and the run's group spans. Progress snapshots
-// publish on the campaign's hub. Cancellation (drain) surfaces as
-// context.Canceled; the cells completed by then are stored, so the next
-// submission of the same spec computes only the rest.
+// stored the moment it completes. It returns the run's ledger record,
+// built by dispatch.RunRecord over a span that covers the plan, the
+// run and the install, with the stored manifest's path, and how the run
+// ended. Progress snapshots publish on the campaign's hub. Cancellation
+// (drain) surfaces as context.Canceled; the cells completed by then
+// are stored, so the next submission of the same spec computes only
+// the rest.
 func (d *Daemon) execute(c *Campaign) (telemetry.Record, error) {
+	start := time.Now()
+	var (
+		m      *experiment.Manifest
+		ran    int
+		groupS map[string]float64
+		path   string
+	)
 	run, err := dispatch.PlanLocal(c.jobs, c.Name, d.store.cells)
-	if err != nil {
-		return telemetry.Record{}, err
-	}
-	if run.Reused > 0 {
-		d.log.Info("reusing stored cells", "cells", run.Reused, "of", run.Cells)
-	}
-	run.OnProgress = c.hub.Publish
-	m, ran, err := run.Run(d.ctx, func(_ sim.TrialJob, ran int) error {
-		if testTrialHook != nil {
-			testTrialHook(c, ran)
+	if err == nil {
+		if run.Reused > 0 {
+			d.log.Info("reusing stored cells", "cells", run.Reused, "of", run.Cells)
 		}
-		return nil
-	})
-	rec := telemetry.Record{Jobs: ran, GroupSeconds: run.GroupSeconds}
-	if err != nil {
-		return rec, err
+		run.OnProgress = c.hub.Publish
+		m, ran, err = run.Run(d.ctx, func(_ sim.TrialJob, ran int) error {
+			if testTrialHook != nil {
+				testTrialHook(c, ran)
+			}
+			return nil
+		})
+		groupS = run.GroupSeconds
 	}
-	if rec.Manifest, err = d.store.Install(c.SpecHash, m); err != nil {
-		return rec, err
+	if err == nil {
+		path, err = d.store.Install(c.SpecHash, m)
 	}
-	rec.Points = len(m.Points)
-	return rec, nil
+	// Submit hashed this spec, so the record's hash cannot fail.
+	rec, _ := dispatch.RunRecord(c.jobs, m, ran, time.Since(start), groupS, err)
+	rec.Manifest = path
+	return rec, err
 }
 
 // testTrialHook, when non-nil, observes every completed trial of a

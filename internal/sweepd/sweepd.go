@@ -5,21 +5,23 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"slices"
 	"sync"
 	"time"
 
+	"wsncover/internal/dispatch"
 	"wsncover/internal/sim"
 	"wsncover/internal/telemetry"
 )
 
-// Campaign lifecycle statuses, as served by the API.
+// Campaign lifecycle statuses, as served by the API. A campaign that
+// ran ends with its ledger record's status: StatusCompleted, or
+// telemetry.StatusFailed or telemetry.StatusAborted.
 const (
 	StatusQueued    = "queued"
 	StatusRunning   = "running"
-	StatusCompleted = "completed"
-	StatusFailed    = "failed"
-	StatusAborted   = "aborted"
+	StatusCompleted = telemetry.StatusCompleted
 	// StatusCached marks a submission answered straight from the store:
 	// no trials ran, the manifest was already content-addressed.
 	StatusCached = "cached"
@@ -62,20 +64,12 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// Campaign is one submitted campaign's full state. Fields are guarded
-// by the daemon's mutex; View snapshots them for serving.
+// Campaign is one submitted campaign's full state. The embedded View
+// is its served state, kept once and guarded by the daemon's mutex
+// (ID, Name and SpecHash never change after registration); it leaves
+// the two URLs empty, which viewLocked adds.
 type Campaign struct {
-	ID       int
-	Name     string
-	SpecHash string
-
-	Status       string
-	Cached       bool
-	Err          string
-	ManifestPath string
-	Submitted    time.Time
-	Started      time.Time
-	Finished     time.Time
+	View
 
 	// jobs is the campaign's job space, validated once by Submit; the
 	// run plans from it.
@@ -121,8 +115,7 @@ type Daemon struct {
 	wg    sync.WaitGroup
 
 	mu       sync.Mutex
-	byID     map[int]*Campaign
-	order    []*Campaign
+	byID     map[int]*Campaign    // IDs count up in submission order
 	inflight map[string]*Campaign // spec hash → queued or running campaign
 	retired  []*Campaign          // terminal campaigns, in the order they ended
 	draining bool
@@ -210,7 +203,7 @@ func (d *Daemon) Submit(specJSON []byte, name string) (View, bool, error) {
 		delete(d.inflight, hash)
 		c.Status = StatusCached
 		c.Cached = true
-		c.ManifestPath = path
+		c.Manifest = path
 		c.Finished = c.Submitted
 		close(c.done)
 		d.retireLocked(c)
@@ -227,7 +220,6 @@ func (d *Daemon) Submit(specJSON []byte, name string) (View, bool, error) {
 		// an ID or shadow a later retry in the in-flight set.
 		delete(d.byID, c.ID)
 		delete(d.inflight, hash)
-		d.order = d.order[:len(d.order)-1]
 		return View{}, false, ErrQueueFull
 	}
 	d.log.Info("campaign queued", "id", c.ID, "name", name, "spec_hash", hash,
@@ -239,16 +231,17 @@ func (d *Daemon) Submit(specJSON []byte, name string) (View, bool, error) {
 func (d *Daemon) registerLocked(name, hash string, js sim.JobSpace) *Campaign {
 	d.nextID++
 	c := &Campaign{
-		ID:        d.nextID,
-		Name:      name,
-		SpecHash:  hash,
-		jobs:      js,
-		Status:    StatusQueued,
-		Submitted: time.Now().UTC(),
-		done:      make(chan struct{}),
+		View: View{
+			ID:        d.nextID,
+			Name:      name,
+			SpecHash:  hash,
+			Status:    StatusQueued,
+			Submitted: time.Now().UTC(),
+		},
+		jobs: js,
+		done: make(chan struct{}),
 	}
 	d.byID[c.ID] = c
-	d.order = append(d.order, c)
 	d.inflight[hash] = c
 	return c
 }
@@ -264,7 +257,6 @@ func (d *Daemon) retireLocked(c *Campaign) {
 	old := d.retired[0]
 	d.retired = d.retired[1:]
 	delete(d.byID, old.ID)
-	d.order = slices.DeleteFunc(d.order, func(c *Campaign) bool { return c == old })
 }
 
 // strings8 is the short-hash suffix for default campaign names.
@@ -295,9 +287,10 @@ func (d *Daemon) Campaign(id int) (View, bool) {
 func (d *Daemon) Campaigns() []View {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]View, len(d.order))
-	for i, c := range d.order {
-		out[i] = d.viewLocked(c)
+	ids := slices.Sorted(maps.Keys(d.byID))
+	out := make([]View, len(ids))
+	for i, id := range ids {
+		out[i] = d.viewLocked(d.byID[id])
 	}
 	return out
 }
@@ -337,20 +330,10 @@ func (d *Daemon) Wait(ctx context.Context, id int) bool {
 	}
 }
 
+// viewLocked serves c's state with its API URLs; callers hold d.mu.
 func (d *Daemon) viewLocked(c *Campaign) View {
-	v := View{
-		ID:        c.ID,
-		Name:      c.Name,
-		SpecHash:  c.SpecHash,
-		Status:    c.Status,
-		Cached:    c.Cached,
-		Error:     c.Err,
-		Manifest:  c.ManifestPath,
-		Submitted: c.Submitted,
-		Started:   c.Started,
-		Finished:  c.Finished,
-	}
-	if c.ManifestPath != "" {
+	v := c.View
+	if v.Manifest != "" {
 		v.ManifestURL = "/api/v1/manifests/" + c.SpecHash
 	}
 	if c.hub != nil {
@@ -359,6 +342,10 @@ func (d *Daemon) viewLocked(c *Campaign) View {
 	return v
 }
 
+// errDrainedQueued ends a campaign the drain caught still queued: an
+// abort, like the cancellation of a running one.
+var errDrainedQueued = fmt.Errorf("queued campaign aborted by drain: %w", context.Canceled)
+
 // runnerLoop is one execution slot: dequeue, run, record, repeat. It
 // exits when Drain closes the queue; campaigns still queued at that
 // point are recorded aborted without running.
@@ -366,7 +353,9 @@ func (d *Daemon) runnerLoop() {
 	defer d.wg.Done()
 	for c := range d.queue {
 		if d.ctx.Err() != nil {
-			d.finish(c, StatusAborted, telemetry.Record{}, fmt.Errorf("queued campaign aborted by drain"))
+			// Submit hashed this spec, so the record's hash cannot fail.
+			rec, _ := dispatch.RunRecord(c.jobs, nil, 0, 0, nil, errDrainedQueued)
+			d.finish(c, rec, errDrainedQueued)
 			continue
 		}
 		d.mu.Lock()
@@ -375,61 +364,31 @@ func (d *Daemon) runnerLoop() {
 		d.mu.Unlock()
 		d.log.Info("campaign started", "id", c.ID, "name", c.Name, "spec_hash", c.SpecHash)
 		rec, err := d.execute(c)
-		switch {
-		case err == nil:
-			d.finish(c, StatusCompleted, rec, nil)
-		case errors.Is(err, context.Canceled):
-			d.finish(c, StatusAborted, rec, err)
-		default:
-			d.finish(c, StatusFailed, rec, err)
-		}
+		d.finish(c, rec, err)
 	}
 }
 
-// finish moves a campaign to its terminal status, releases its
-// in-flight slot, closes its hub and done channel, and appends the
-// ledger record. The ledger gets every outcome — completed, failed,
-// aborted — so the store's run history shows unhealthy runs too. rec
-// is the run's part of the record (execute's): the manifest and its
-// points, the trials this run executed as Jobs (a run is not credited
-// with the stored cells it reused, an aborted one records its partial
-// progress honestly) and the group spans; finish stamps the rest.
-func (d *Daemon) finish(c *Campaign, status string, rec telemetry.Record, runErr error) {
-	finished := time.Now().UTC()
-	d.mu.Lock()
-	if rec.Manifest == "" {
-		rec.Manifest = c.ManifestPath
-	}
-	d.mu.Unlock()
+// finish moves a campaign to its terminal status, the status of its
+// ledger record rec (dispatch.RunRecord's, with the manifest path),
+// releases its in-flight slot, closes its hub and done channel, and
+// appends rec stamped with the campaign's name, mode "sweepd" and the
+// time. The ledger gets every outcome — completed, failed, aborted — so
+// the store's run history shows unhealthy runs too.
+func (d *Daemon) finish(c *Campaign, rec telemetry.Record, runErr error) {
 	// The record is appended before the terminal status is published, so
 	// a client that sees the status (or the done channel) also sees the
 	// run in the ledger.
-	wall := 0.0
-	if !c.Started.IsZero() {
-		wall = finished.Sub(c.Started).Seconds()
-	}
-	ran := rec.Jobs
-	rec.Time, rec.Name, rec.Mode, rec.Status = finished, c.Name, "sweepd", status
-	rec.SpecHash, rec.Workers, rec.WallS = c.SpecHash, c.jobs.Spec().Workers, wall
-	if status == StatusCompleted {
-		// Like cmd/sweep: a completed manifest accounts for the whole
-		// campaign, reused cells included; the rate credits only the
-		// trials this run executed.
-		rec.Jobs = c.jobs.Len()
-	}
-	if wall > 0 && ran > 0 {
-		rec.TrialsPerS = float64(ran) / wall
-	}
+	rec.Time, rec.Name, rec.Mode = time.Now().UTC(), c.Name, "sweepd"
 	if err := telemetry.AppendRecord(d.store.LedgerPath(), rec); err != nil {
 		d.log.Error("ledger append failed", "path", d.store.LedgerPath(), "err", err)
 	}
 
 	d.mu.Lock()
-	c.Status = status
-	c.Finished = finished
-	c.ManifestPath = rec.Manifest
+	c.Status = rec.Status
+	c.Finished = rec.Time
+	c.Manifest = rec.Manifest
 	if runErr != nil {
-		c.Err = runErr.Error()
+		c.Error = runErr.Error()
 	}
 	delete(d.inflight, c.SpecHash)
 	d.retireLocked(c)
@@ -439,11 +398,10 @@ func (d *Daemon) finish(c *Campaign, status string, rec telemetry.Record, runErr
 	}
 	close(c.done)
 
-	switch status {
-	case StatusCompleted:
-		d.log.Info("campaign completed", "id", c.ID, "name", c.Name, "manifest", rec.Manifest, "wall_s", wall)
-	default:
-		d.log.Warn("campaign ended unhealthy", "id", c.ID, "name", c.Name, "status", status, "err", c.Err)
+	if rec.Status == StatusCompleted {
+		d.log.Info("campaign completed", "id", c.ID, "name", c.Name, "manifest", rec.Manifest, "wall_s", rec.WallS)
+	} else {
+		d.log.Warn("campaign ended unhealthy", "id", c.ID, "name", c.Name, "status", rec.Status, "err", c.Error)
 	}
 }
 

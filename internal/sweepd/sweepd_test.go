@@ -122,7 +122,7 @@ func waitStatus(t *testing.T, ts *httptest.Server, id int, want string) View {
 			return v
 		}
 		switch v.Status {
-		case StatusCompleted, StatusFailed, StatusAborted, StatusCached:
+		case StatusCompleted, telemetry.StatusFailed, telemetry.StatusAborted, StatusCached:
 			t.Fatalf("campaign %d ended %q (err %q), want %q", id, v.Status, v.Error, want)
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -209,6 +209,10 @@ func TestSubmitRejectsOutOfRangeSpecs(t *testing.T) {
 		`{"replicates":1000000000}`,
 		`{"spares":[1000000000]}`,
 		`{"grids":[{"cols":100000,"rows":100000}]}`,
+		// So is a workload scheduling more events than the limit,
+		// alone or composed.
+		`{"workloads":[{"kind":"churn","waves":1000000000}]}`,
+		`{"workloads":[{"kind":"overlay","children":[{"kind":"churn","waves":3000},{"kind":"churn","waves":3000}]}]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -552,12 +556,12 @@ func TestDrainAbortsAndResumes(t *testing.T) {
 	}
 	var aborted View
 	getJSON(t, fmt.Sprintf("%s/api/v1/campaigns/%d", ts.URL, v.ID), &aborted)
-	if aborted.Status != StatusAborted {
+	if aborted.Status != telemetry.StatusAborted {
 		t.Fatalf("drained campaign status = %q, want aborted", aborted.Status)
 	}
 	var neverRan View
 	getJSON(t, fmt.Sprintf("%s/api/v1/campaigns/%d", ts.URL, queued.ID), &neverRan)
-	if neverRan.Status != StatusAborted {
+	if neverRan.Status != telemetry.StatusAborted {
 		t.Fatalf("queued campaign status = %q, want aborted", neverRan.Status)
 	}
 
