@@ -473,14 +473,15 @@ func BenchmarkLocalRunCheckpoint(b *testing.B) {
 func BenchmarkCampaignAggregation(b *testing.B) {
 	const groups, xs, replicates = 6, 16, 200
 	mkSample := func(i int) experiment.Sample {
-		return experiment.Sample{
+		s := experiment.Sample{
 			Group: [groups]string{"SR", "AR", "SRS", "SR jam", "AR jam", "SRS jam"}[i%groups],
 			X:     float64(10 * ((i / groups) % xs)),
-			Values: map[string]float64{
-				"moves": float64(i % 97), "distance": float64(i%31) * 1.7,
-				"success_rate": float64(i % 101), "rounds": float64(i % 53),
-			},
 		}
+		s.Values[experiment.Moves] = float64(i % 97)
+		s.Values[experiment.Distance] = float64(i%31) * 1.7
+		s.Values[experiment.SuccessRate] = float64(i % 101)
+		s.Values[experiment.Rounds] = float64(i % 53)
+		return s
 	}
 	total := groups * xs * replicates
 	heapLive := func() float64 {

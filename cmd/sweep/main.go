@@ -173,25 +173,18 @@ type output struct {
 
 // finish ends every campaign run. A failed or drained run only records
 // itself in the ledger, with the status saying how it ended, so
-// cmd/runlog surfaces unhealthy history. A completed run saves the
-// manifest, writes the metric tables, prints the summary, and then
-// records itself. m, ran and groupS are what the run returned and set,
-// and wall spans the run without the artifact writes:
+// cmd/runlog surfaces unhealthy history. A completed run saves its
+// artifacts and then records itself; when an artifact write fails, the
+// run has failed: its record says so, with the trials it executed, and
+// finish returns the write's error. m, ran and groupS are what the run
+// returned and set, and wall spans the run without the artifact writes:
 // dispatch.RunRecord builds the record from them, and finish stamps
 // this process's name, mode, manifest path and CPU time on it. A
 // ledger failure is logged but never fails a campaign.
 func (o *output) finish(mode string, js sim.JobSpace, m *experiment.Manifest, ran int, wall time.Duration, groupS map[string]float64, runErr error) error {
 	path := ""
 	if runErr == nil {
-		var err error
-		if path, err = m.Save(o.dir); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stdout, "wrote %s (%d jobs, %d points)\n", path, m.Jobs, len(m.Points))
-		if err := writeTables(os.Stdout, m.Points, o.metrics, o.dir, o.name, js.Spec().Replicates, o.ascii); err != nil {
-			return err
-		}
-		printSummary(os.Stdout, m.Points)
+		path, runErr = o.save(js, m)
 	}
 	if o.ledger == "" {
 		return runErr
@@ -208,6 +201,21 @@ func (o *output) finish(mode string, js sim.JobSpace, m *experiment.Manifest, ra
 	}
 	o.logger.Debug("ledger appended", "path", o.ledger, "mode", mode, "spec_hash", rec.SpecHash)
 	return runErr
+}
+
+// save writes a completed run's artifacts: the manifest, whose path it
+// returns once written, then the metric tables and the summary.
+func (o *output) save(js sim.JobSpace, m *experiment.Manifest) (string, error) {
+	path, err := m.Save(o.dir)
+	if err != nil {
+		return "", err
+	}
+	fmt.Fprintf(os.Stdout, "wrote %s (%d jobs, %d points)\n", path, m.Jobs, len(m.Points))
+	if err := writeTables(os.Stdout, m.Points, o.metrics, o.dir, o.name, js.Spec().Replicates, o.ascii); err != nil {
+		return path, err
+	}
+	printSummary(os.Stdout, m.Points)
+	return path, nil
 }
 
 // writeTables exports one CSV/gnuplot table per requested metric,

@@ -176,6 +176,29 @@ func TestRunRecordsAgree(t *testing.T) {
 	})
 }
 
+// TestArtifactWriteFailureRecorded: a run whose manifest cannot be
+// written (its -out is a regular file) exits non-zero and still appends
+// exactly one record, failed, credited with the trials it executed and
+// naming no manifest.
+func TestArtifactWriteFailureRecorded(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out")
+	if err := os.WriteFile(out, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ledger := filepath.Join(dir, "L")
+	if err := run([]string{"-grids", "8x8", "-spares", "8", "-replicates", "2", "-out", out, "-ledger", ledger, "-quiet"}); err == nil {
+		t.Fatal("a run writing into a regular file succeeded")
+	}
+	recs, err := telemetry.ReadLedger(ledger)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("ledger = %+v, %v; want one record", recs, err)
+	}
+	if rec := recs[0]; rec.Status != telemetry.StatusFailed || rec.Jobs != 4 || rec.Points != 0 || rec.Manifest != "" {
+		t.Errorf("record = %+v, want failed with the 4 executed trials (SR and AR, 2 replicates), no points or manifest", rec)
+	}
+}
+
 // TestAbortedRunRecords: a run cancelled mid-way records itself aborted
 // on both paths, credited with the trials it executed (its terminal
 // progress snapshot's count) and timing the groups those trials

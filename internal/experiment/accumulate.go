@@ -8,9 +8,10 @@ import (
 )
 
 // Accumulator folds a stream of Samples into per-(Group, X) online
-// statistics without retaining the samples. Memory is O(groups x
-// metrics) at any replicate count, which is what makes million-trial
-// campaigns feasible; the batch Aggregate needs the whole sample slice.
+// statistics without retaining the samples. Memory is one fixed array
+// of metric streams per (Group, X) cell at any replicate count, which is
+// what makes million-trial campaigns feasible; the batch Aggregate needs
+// the whole sample slice.
 //
 // Mean and variance use Welford's online algorithm, min/max are exact,
 // and the median is the P-squared streaming estimate (exact through five
@@ -24,7 +25,7 @@ import (
 // not safe for concurrent use — RunStream serializes sink calls, which
 // is the intended feeding discipline.
 type Accumulator struct {
-	cells map[accKey]map[string]*onlineStat // each cell's metric streams
+	cells map[accKey]*[numMetrics]onlineStat // each cell's metric streams
 }
 
 type accKey struct {
@@ -34,24 +35,20 @@ type accKey struct {
 
 // NewAccumulator returns an empty streaming aggregator.
 func NewAccumulator() *Accumulator {
-	return &Accumulator{cells: make(map[accKey]map[string]*onlineStat)}
+	return &Accumulator{cells: make(map[accKey]*[numMetrics]onlineStat)}
 }
 
-// Add folds one sample into its (Group, X) cell.
+// Add folds one sample into its (Group, X) cell. Only a cell's first
+// sample allocates.
 func (a *Accumulator) Add(s Sample) {
 	k := accKey{s.Group, s.X}
-	c, ok := a.cells[k]
-	if !ok {
-		c = make(map[string]*onlineStat)
+	c := a.cells[k]
+	if c == nil {
+		c = new([numMetrics]onlineStat)
 		a.cells[k] = c
 	}
-	for name, v := range s.Values {
-		st, ok := c[name]
-		if !ok {
-			st = &onlineStat{}
-			c[name] = st
-		}
-		st.add(v)
+	for m, v := range s.Values {
+		c[m].add(v)
 	}
 }
 
@@ -82,9 +79,9 @@ func (a *Accumulator) Point(group string, x float64) Point {
 	if !ok {
 		return Point{Group: group, X: x, Metrics: map[string]stats.Description{}}
 	}
-	metrics := make(map[string]stats.Description, len(c))
-	for name, st := range c {
-		metrics[name] = st.describe()
+	metrics := make(map[string]stats.Description, numMetrics)
+	for m := range c {
+		metrics[Metric(m).String()] = c[m].describe()
 	}
 	return Point{Group: group, X: x, Metrics: metrics}
 }

@@ -9,14 +9,44 @@ import (
 	"wsncover/internal/stats"
 )
 
+// Metric indexes a Sample's values: one of the per-trial measurements
+// the paper's figures are built from. Its String is the measurement's
+// name in manifest points, cell lines and cmd/sweep's -metrics list.
+type Metric int
+
+const (
+	Initiated   Metric = iota // replacement processes started
+	Moves                     // node movements
+	Distance                  // total moving distance
+	Messages                  // control messages sent
+	SuccessRate               // converged processes, percent of those initiated
+	Recovered                 // 1 when the trial ended with complete coverage, else 0
+	Rounds                    // rounds the trial ran
+	HolesBefore               // holes the initial damage left
+	HolesAfter                // holes at the trial's end
+	numMetrics
+)
+
+var metricNames = [numMetrics]string{
+	"initiated", "moves", "distance", "messages", "success_rate",
+	"recovered", "rounds", "holes_before", "holes_after",
+}
+
+func (m Metric) String() string { return metricNames[m] }
+
 // Sample is one replicate's measurements at one sweep point. Group names
 // the curve the point belongs to (typically scheme + configuration), X
-// is the abscissa (typically the spare count N), and Values holds the
-// named metrics observed in this replicate.
+// is the abscissa (typically the spare count N), and Values holds every
+// metric observed in this replicate, indexed by Metric. Converged and
+// Failed are the replicate's exact process counts, which no aggregated
+// point holds; sweeps that need exact sums (sim.RunSweep) read them. A
+// Sample holds no pointer but its group name, so producing and folding
+// one allocates nothing.
 type Sample struct {
-	Group  string             `json:"group"`
-	X      float64            `json:"x"`
-	Values map[string]float64 `json:"values"`
+	Group             string
+	X                 float64
+	Values            [numMetrics]float64
+	Converged, Failed int
 }
 
 // Point is the aggregate of every replicate that shares one (Group, X)
@@ -47,7 +77,7 @@ func Aggregate(samples []Sample) []Point {
 	type cell struct {
 		group  string
 		x      float64
-		values map[string][]float64
+		values [numMetrics][]float64
 	}
 	type key struct {
 		group string
@@ -59,12 +89,12 @@ func Aggregate(samples []Sample) []Point {
 		k := key{s.Group, s.X}
 		c, ok := cells[k]
 		if !ok {
-			c = &cell{group: s.Group, x: s.X, values: make(map[string][]float64)}
+			c = &cell{group: s.Group, x: s.X}
 			cells[k] = c
 			order = append(order, k)
 		}
-		for name, v := range s.Values {
-			c.values[name] = append(c.values[name], v)
+		for m, v := range s.Values {
+			c.values[m] = append(c.values[m], v)
 		}
 	}
 	sort.Slice(order, func(i, j int) bool {
@@ -76,9 +106,9 @@ func Aggregate(samples []Sample) []Point {
 	out := make([]Point, 0, len(order))
 	for _, k := range order {
 		c := cells[k]
-		metrics := make(map[string]stats.Description, len(c.values))
-		for name, xs := range c.values {
-			metrics[name] = stats.Describe(xs)
+		metrics := make(map[string]stats.Description, numMetrics)
+		for m, xs := range c.values {
+			metrics[Metric(m).String()] = stats.Describe(xs)
 		}
 		out = append(out, Point{Group: c.group, X: c.x, Metrics: metrics})
 	}

@@ -11,10 +11,11 @@
 // Seeds), and folds the ordered results as RunStream delivers them.
 // Determinism therefore never depends on scheduling.
 //
-// On top of the runner the package supplies an aggregation layer:
-// Sample/Aggregate group replicate measurements into stats.Describe
-// summaries with 95% confidence intervals, Table exports any metric as a
-// plotdata table, and Manifest serializes a whole campaign as JSON.
+// On top of the runner the package supplies an aggregation layer over
+// the fixed set of per-trial metrics (Metric): Sample/Aggregate group
+// replicate measurements into stats.Describe summaries with 95%
+// confidence intervals, Table exports any metric as a plotdata table,
+// and Manifest serializes a whole campaign as JSON.
 // Accumulator folds RunStream's sample stream into online (Welford)
 // per-group statistics, keeping memory independent of the replicate
 // count. Progress is not the engine's concern: a caller that reports

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -197,19 +198,24 @@ func TestSeedsDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
+// sample is a Sample of the given metric values; the rest are zero.
+func sample(group string, x float64, values map[Metric]float64) Sample {
+	s := Sample{Group: group, X: x}
+	for m, v := range values {
+		s.Values[m] = v
+	}
+	return s
+}
+
 func sampleFixture() []Sample {
 	var out []Sample
 	for _, g := range []string{"SR", "AR"} {
 		for _, x := range []float64{10, 55} {
 			for rep := 0; rep < 4; rep++ {
-				out = append(out, Sample{
-					Group: g,
-					X:     x,
-					Values: map[string]float64{
-						"moves": x + float64(rep),
-						"dist":  2*x + float64(rep),
-					},
-				})
+				out = append(out, sample(g, x, map[Metric]float64{
+					Moves:    x + float64(rep),
+					Distance: 2*x + float64(rep),
+				}))
 			}
 		}
 	}
@@ -232,11 +238,16 @@ func TestAggregate(t *testing.T) {
 	if d.CI95 == 0 {
 		t.Error("CI95 should be positive for 4 distinct replicates")
 	}
-	if got := pts[0].Metrics["dist"].Mean; got != 21.5 {
-		t.Errorf("AR/10 dist mean = %v", got)
+	if got := pts[0].Metrics["distance"].Mean; got != 21.5 {
+		t.Errorf("AR/10 distance mean = %v", got)
 	}
-	if got := MetricNames(pts); len(got) != 2 || got[0] != "dist" || got[1] != "moves" {
-		t.Errorf("metric names = %v", got)
+	// Every point describes every metric, those a sample left zero too.
+	want := []string{"distance", "holes_after", "holes_before", "initiated", "messages", "moves", "recovered", "rounds", "success_rate"}
+	if got := MetricNames(pts); !slices.Equal(got, want) {
+		t.Errorf("metric names = %v, want %v", got, want)
+	}
+	if d := pts[0].Metrics["rounds"]; d.N != 4 || d.Mean != 0 || d.Max != 0 {
+		t.Errorf("AR/10 rounds = %+v, want four zeros", d)
 	}
 }
 
@@ -262,9 +273,7 @@ func TestTable(t *testing.T) {
 		t.Error("empty points should fail")
 	}
 	// A group missing one X cell yields NaN, not a length error.
-	sparse := append(sampleFixture(), Sample{
-		Group: "SRS", X: 55, Values: map[string]float64{"moves": 1},
-	})
+	sparse := append(sampleFixture(), sample("SRS", 55, map[Metric]float64{Moves: 1}))
 	tb, err = Table(Aggregate(sparse), "moves", "t", "x", "y")
 	if err != nil {
 		t.Fatal(err)

@@ -146,14 +146,10 @@ func TestRunStreamAccumulatorRace(t *testing.T) {
 		acc := NewAccumulator()
 		err := RunStream(context.Background(), 400, Options{Workers: workers},
 			func(_ context.Context, _, i int) (Sample, error) {
-				return Sample{
-					Group: []string{"a", "b", "c"}[i%3],
-					X:     float64(i % 5),
-					Values: map[string]float64{
-						"m": math.Sqrt(float64(i + 1)),
-						"d": float64(i) / 7,
-					},
-				}, nil
+				return sample([]string{"a", "b", "c"}[i%3], float64(i%5), map[Metric]float64{
+					Moves:    math.Sqrt(float64(i + 1)),
+					Distance: float64(i) / 7,
+				}), nil
 			},
 			func(_ int, s Sample) error { acc.Add(s); return nil })
 		if err != nil {
@@ -259,9 +255,9 @@ func TestAccumulatorMarksEstimatedMedians(t *testing.T) {
 	feed := func(n int) stats.Description {
 		acc := NewAccumulator()
 		for i := 0; i < n; i++ {
-			acc.Add(Sample{Group: "g", X: 1, Values: map[string]float64{"m": float64(i)}})
+			acc.Add(sample("g", 1, map[Metric]float64{Moves: float64(i)}))
 		}
-		return acc.Points()[0].Metrics["m"]
+		return acc.Points()[0].Metrics["moves"]
 	}
 	if d := feed(5); d.MedianApprox || d.Median != 2 {
 		t.Errorf("n=5: %+v, want exact median 2", d)
@@ -277,12 +273,12 @@ func TestAccumulatorEmptyAndSingle(t *testing.T) {
 	if pts := acc.Points(); len(pts) != 0 {
 		t.Fatalf("empty accumulator points = %v", pts)
 	}
-	acc.Add(Sample{Group: "g", X: 1, Values: map[string]float64{"m": 3}})
+	acc.Add(sample("g", 1, map[Metric]float64{Moves: 3}))
 	pts := acc.Points()
 	if len(pts) != 1 {
 		t.Fatalf("points = %d", len(pts))
 	}
-	d := pts[0].Metrics["m"]
+	d := pts[0].Metrics["moves"]
 	want := stats.Describe([]float64{3})
 	if d != want {
 		t.Errorf("single-sample description %+v, want %+v", d, want)
@@ -296,11 +292,9 @@ func TestRunStreamManyGroupsStress(t *testing.T) {
 	acc := NewAccumulator()
 	err := RunStream(context.Background(), 2000, Options{Workers: 8},
 		func(_ context.Context, _, i int) (Sample, error) {
-			return Sample{
-				Group:  fmt.Sprintf("g%02d", i%12),
-				X:      float64(i % 4),
-				Values: map[string]float64{"v": float64((i*2654435761)%1000) / 10},
-			}, nil
+			return sample(fmt.Sprintf("g%02d", i%12), float64(i%4), map[Metric]float64{
+				Distance: float64((i*2654435761)%1000) / 10,
+			}), nil
 		},
 		func(_ int, s Sample) error {
 			collected = append(collected, s)
@@ -317,7 +311,7 @@ func TestRunStreamManyGroupsStress(t *testing.T) {
 	}
 	for i := range batch {
 		b, s := batch[i], stream[i]
-		bd, sd := b.Metrics["v"], s.Metrics["v"]
+		bd, sd := b.Metrics["distance"], s.Metrics["distance"]
 		if b.Group != s.Group || b.X != s.X || bd.N != sd.N || bd.Min != sd.Min || bd.Max != sd.Max {
 			t.Fatalf("cell %s/%g mismatch: %+v vs %+v", b.Group, b.X, bd, sd)
 		}

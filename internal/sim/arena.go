@@ -111,6 +111,7 @@ type TrialArena struct {
 	scr     schemeScratch
 	streams randx.Streams
 	memo    baseMemo
+	trial   Trial // the trial RunTrial reassembles in place
 
 	// Geometry and physics the pooled network was built with; a trial
 	// that differs in any of them rebuilds instead of resetting.

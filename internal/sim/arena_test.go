@@ -183,11 +183,10 @@ func TestCampaignManifestsBitIdenticalAcrossPooling(t *testing.T) {
 // topology cache amortize across replicates and deployment no longer
 // materializes, and the controllers' tables, which live in pooled dense
 // scratch (core/ar Scratch). The trial's random streams are reseeded in
-// the arena's randx.Streams, so they allocate nothing either; what
-// remains is the trial's own bookkeeping: the Trial, its schedule and
-// event cursor, and the workload closures.
+// the arena's randx.Streams, and the arena reassembles its own Trial and
+// event cursor in place, so a warm trial allocates nothing at all.
 func TestSteadyStateReplicateAllocBudget(t *testing.T) {
-	const budget = 16 // allocs/trial (measured 8 for both SR and AR; fresh 16x16 builds cost ~200)
+	const budget = 0 // allocs/trial (2 before the arena held the Trial and its cursor; fresh 16x16 builds cost ~200)
 	for _, scheme := range []SchemeKind{SR, AR} {
 		arena := NewTrialArena()
 		cfg := TrialConfig{Cols: 16, Rows: 16, Scheme: scheme, Spares: 40, Holes: 2}
@@ -293,8 +292,8 @@ func warmCampaignSpec() CampaignSpec {
 // instead measured 129 allocs and 4.4 MB per trial here.
 func TestWarmCampaignAllocBudget(t *testing.T) {
 	const (
-		allocBudget = 40       // allocs/trial (measured 28)
-		byteBudget  = 16 << 10 // bytes/trial (measured 7 KiB)
+		allocBudget = 24      // allocs/trial (measured 14-16; 20-22 before the arena held the Trial and the Sample was typed)
+		byteBudget  = 8 << 10 // bytes/trial (measured 5.6-6.4 KiB; 6.4-6.6 KiB before)
 	)
 	spec := warmCampaignSpec()
 	run := func() {
@@ -323,12 +322,12 @@ func TestWarmCampaignAllocBudget(t *testing.T) {
 // TestWarmServiceMixAllocBudget is TestWarmCampaignAllocBudget on the
 // service-mix base campaign, where layouts recur: once a campaign has
 // left an arena with the 16x16 world and its memo of deployment bases
-// in the free list, a rerun allocates only the trials' bookkeeping, the
-// campaign's fixed overhead and nothing for the bases it replays.
+// in the free list, a rerun allocates only the campaign's fixed
+// overhead: nothing per trial, and nothing for the bases it replays.
 func TestWarmServiceMixAllocBudget(t *testing.T) {
 	const (
-		allocBudget = 9    // allocs/trial (measured 6.3; 7.5 with a Deploy closure per trial, 14 before the memo and the group-label table)
-		byteBudget  = 1536 // bytes/trial (measured 1199 B)
+		allocBudget = 1   // allocs/trial (measured 0.3; 6.3 with a map Sample and a heap Trial per trial, 14 before the memo and the group-label table)
+		byteBudget  = 256 // bytes/trial (measured 136 B; 1,199 B before)
 	)
 	spec := serviceMixSpec()
 	run := func() {

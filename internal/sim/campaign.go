@@ -661,28 +661,31 @@ func (s CampaignSpec) ExecutedJobs(keep func(TrialJob) bool, fn func(TrialJob)) 
 }
 
 // SampleOf converts one trial outcome into the engine's aggregation
-// currency: the job's curve identity, the spare count as X, and the
-// per-trial metrics the paper's figures are built from.
+// currency: the job's curve identity, the spare count as X, every
+// per-trial metric the paper's figures are built from in its
+// experiment.Metric slot, and the exact converged and failed process
+// counts. It allocates nothing: the group label comes from the job
+// space's table.
 func SampleOf(j TrialJob, res TrialResult) experiment.Sample {
-	recovered := 0.0
+	s := experiment.Sample{
+		Group:     j.Group(),
+		X:         float64(j.Spares),
+		Converged: res.Summary.Converged,
+		Failed:    res.Summary.Failed,
+	}
+	v := &s.Values
+	v[experiment.Initiated] = float64(res.Summary.Initiated)
+	v[experiment.Moves] = float64(res.Summary.Moves)
+	v[experiment.Distance] = res.Summary.Distance
+	v[experiment.Messages] = float64(res.Summary.Messages)
+	v[experiment.SuccessRate] = res.Summary.SuccessRate()
 	if res.Complete {
-		recovered = 1
+		v[experiment.Recovered] = 1
 	}
-	return experiment.Sample{
-		Group: j.Group(),
-		X:     float64(j.Spares),
-		Values: map[string]float64{
-			"initiated":    float64(res.Summary.Initiated),
-			"moves":        float64(res.Summary.Moves),
-			"distance":     res.Summary.Distance,
-			"messages":     float64(res.Summary.Messages),
-			"success_rate": res.Summary.SuccessRate(),
-			"recovered":    recovered,
-			"rounds":       float64(res.Rounds),
-			"holes_before": float64(res.HolesBefore),
-			"holes_after":  float64(res.HolesAfter),
-		},
-	}
+	v[experiment.Rounds] = float64(res.Rounds)
+	v[experiment.HolesBefore] = float64(res.HolesBefore)
+	v[experiment.HolesAfter] = float64(res.HolesAfter)
+	return s
 }
 
 // RunCampaignStream validates the spec and executes every cell it

@@ -15,7 +15,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"strings"
 
 	"wsncover/internal/ar"
@@ -352,10 +351,10 @@ func (p SweepPoint) MeanMovesPerTrial() float64 {
 // RunSweep runs the campaign and sums each cell's trials into one
 // SweepPoint, in cell order. The figures need sums rather than the
 // manifest's per-cell means: Figs 6a, 7a and 8a plot totals, and Fig 6b
-// is the pooled rate sum(converged)/sum(initiated). A trial's converged
-// count is recovered exactly from its sample as
-// round(success_rate*initiated/100), and every trial ends with no
-// process active, so the rest are failed.
+// is the pooled rate sum(converged)/sum(initiated). Every count is
+// exact: the converged and failed counts come from the sample's integer
+// counters, and the other counts are integers the sample carries as
+// float64 values, which hold them exactly.
 func RunSweep(ctx context.Context, spec CampaignSpec) ([]SweepPoint, error) {
 	var out []SweepPoint
 	err := RunCampaignStream(ctx, spec, experiment.Options{}, func(j TrialJob, s experiment.Sample) error {
@@ -363,19 +362,17 @@ func RunSweep(ctx context.Context, spec CampaignSpec) ([]SweepPoint, error) {
 			out = append(out, SweepPoint{Scheme: j.Scheme, Holes: j.Holes, N: j.Spares})
 		}
 		p := &out[len(out)-1]
-		v := s.Values
-		initiated := int(v["initiated"])
-		converged := int(math.Round(v["success_rate"] * v["initiated"] / 100))
+		v := &s.Values
 		p.Summary = p.Summary.Add(metrics.Summary{
-			Initiated: initiated,
-			Converged: converged,
-			Failed:    initiated - converged,
-			Moves:     int(v["moves"]),
-			Distance:  v["distance"],
-			Messages:  int(v["messages"]),
+			Initiated: int(v[experiment.Initiated]),
+			Converged: s.Converged,
+			Failed:    s.Failed,
+			Moves:     int(v[experiment.Moves]),
+			Distance:  v[experiment.Distance],
+			Messages:  int(v[experiment.Messages]),
 		})
 		p.Trials++
-		if v["recovered"] == 1 {
+		if v[experiment.Recovered] == 1 {
 			p.Recovered++
 		}
 		return nil

@@ -141,15 +141,18 @@ func TestRunSweepShape(t *testing.T) {
 }
 
 // TestRunSweepMatchesTrialSums is the fold's reference: each point
-// equals the sum of RunTrial over its cell's jobs, for every scheme, two
-// hole counts and a churn workload. Converged and Failed are recovered
-// from the campaign's per-trial samples, so this pins that recovery too.
+// equals the sum of RunTrial over its cell's jobs, for every scheme, three
+// hole counts and a churn workload. Converged and Failed come from the
+// samples' integer counters, so the sums are exact even for a trial
+// whose success rate does not give its converged count back exactly in
+// floating point (success_rate*initiated/100 != converged); the test
+// requires the spec to hold such a trial.
 func TestRunSweepMatchesTrialSums(t *testing.T) {
 	spec := CampaignSpec{
 		Schemes:    []SchemeKind{SR, SRShortcut, AR},
 		Grids:      []GridSize{{10, 10}},
 		Spares:     []int{6, 30},
-		Holes:      []int{1, 3},
+		Holes:      []int{1, 3, 10},
 		Workloads:  []WorkloadSpec{{Kind: WorkloadHoles}, {Kind: WorkloadChurn, Every: 3, Waves: 2}},
 		Replicates: 4,
 		BaseSeed:   2008,
@@ -162,6 +165,7 @@ func TestRunSweepMatchesTrialSums(t *testing.T) {
 	if len(pts)*spec.Replicates != js.Len() {
 		t.Fatalf("%d points of %d trials for %d jobs", len(pts), spec.Replicates, js.Len())
 	}
+	inexact := 0
 	for c, got := range pts {
 		var want SweepPoint
 		for r := 0; r < spec.Replicates; r++ {
@@ -169,6 +173,9 @@ func TestRunSweepMatchesTrialSums(t *testing.T) {
 			res, err := RunTrial(j.config(spec))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if sum := res.Summary; sum.SuccessRate()*float64(sum.Initiated)/100 != float64(sum.Converged) {
+				inexact++
 			}
 			want.Scheme, want.Holes, want.N = j.Scheme, j.Holes, j.Spares
 			want.Summary = want.Summary.Add(res.Summary)
@@ -186,6 +193,10 @@ func TestRunSweepMatchesTrialSums(t *testing.T) {
 			t.Errorf("cell %d:\n got %+v\nwant %+v", c, got, want)
 		}
 	}
+	if inexact == 0 {
+		t.Error("no trial's converged count is inexact in floating point; the spec no longer probes exactness")
+	}
+	t.Logf("%d of %d trials have an inexact success_rate*initiated/100", inexact, js.Len())
 }
 
 func TestPaperNs(t *testing.T) {

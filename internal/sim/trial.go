@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"wsncover/internal/async"
 	"wsncover/internal/coverage"
@@ -38,6 +39,10 @@ type Trial struct {
 	// schedule, so equal (spec, seed) trials see equal streams — but
 	// reordering a schedule's firings reorders every subsequent stream.
 	evRNG *randx.Rand
+
+	// cur walks sched's events as the event loop fires them. An arena's
+	// trial keeps its buffers from one trial to the next.
+	cur eventCursor
 }
 
 // NewTrial resolves the configured workload into its schedule, deploys
@@ -50,7 +55,9 @@ func NewTrial(cfg TrialConfig) (*Trial, error) { return newTrial(cfg, nil) }
 // newTrial is NewTrial with an optional arena. A nil arena builds every
 // piece of the world fresh (the executable specification); a non-nil
 // arena reuses its pooled network and collector where the configuration
-// matches, and replays the deployment bases its memo recorded. The seed's stream-split discipline is identical on both
+// matches, replays the deployment bases its memo recorded, and
+// reassembles its own Trial in place, so a warm arena's trial allocates
+// nothing. The seed's stream-split discipline is identical on both
 // paths, so the assembled trials are byte-identical.
 func newTrial(cfg TrialConfig, arena *TrialArena) (*Trial, error) {
 	if err := cfg.normalize(); err != nil {
@@ -89,7 +96,13 @@ func newTrial(cfg TrialConfig, arena *TrialArena) (*Trial, error) {
 	if err := sched.open.build(net, rng, cfg.Spares, memo, cfg.Seed); err != nil {
 		return nil, err
 	}
-	t := &Trial{cfg: cfg, net: net, sched: sched}
+	var t *Trial
+	if arena != nil {
+		t = &arena.trial
+		*t = Trial{cfg: cfg, net: net, sched: sched, cur: t.cur}
+	} else {
+		t = &Trial{cfg: cfg, net: net, sched: sched}
+	}
 	if cfg.Runner == RunAsync {
 		topo, err := hamilton.Shared(net.System())
 		if err != nil {
@@ -226,8 +239,16 @@ type eventCursor struct {
 	fired       []int // most recent firing round per recurring event
 }
 
-func newEventCursor(events []Event) *eventCursor {
-	c := &eventCursor{lastBarrier: -1}
+// reset points the cursor at the first firing of events, reusing its
+// buffers.
+func (c *eventCursor) reset(events []Event) {
+	*c = eventCursor{
+		oneShot:     c.oneShot[:0],
+		lastBarrier: -1,
+		recur:       c.recur[:0],
+		fire:        c.fire[:0],
+		fired:       c.fired[:0],
+	}
 	for _, ev := range events {
 		if ev.Every > 0 {
 			c.recur = append(c.recur, ev)
@@ -237,15 +258,12 @@ func newEventCursor(events []Event) *eventCursor {
 			c.oneShot = append(c.oneShot, ev)
 		}
 	}
-	sort.SliceStable(c.oneShot, func(i, j int) bool {
-		return c.oneShot[i].Round < c.oneShot[j].Round
-	})
+	slices.SortStableFunc(c.oneShot, func(a, b Event) int { return cmp.Compare(a.Round, b.Round) })
 	for i, ev := range c.oneShot {
 		if ev.Barrier {
 			c.lastBarrier = i
 		}
 	}
-	return c
 }
 
 // pop returns the next event due at or before round, if any.
@@ -303,9 +321,9 @@ func (c *eventCursor) quiescent(since int) bool {
 // function of the schedule, so equal trials see equal streams. A firing's
 // stream lives only for its Apply call: on an arena it is Released
 // afterwards, so a trial of any length holds one event stream.
-func (t *Trial) applyDue(cur *eventCursor, round int) error {
+func (t *Trial) applyDue(round int) error {
 	for {
-		ev, ok := cur.pop(round)
+		ev, ok := t.cur.pop(round)
 		if !ok {
 			return nil
 		}
@@ -336,10 +354,11 @@ func (t *Trial) applyDue(cur *eventCursor, round int) error {
 // processes are failed.
 func (t *Trial) runSync() (rounds, holesBefore int, err error) {
 	const idleGrace = 3
-	cur := newEventCursor(t.sched.Events)
+	cur := &t.cur
+	cur.reset(t.sched.Events)
 	idle, lastActive := 0, 0
 	for rounds < t.cfg.MaxRounds {
-		if err := t.applyDue(cur, rounds); err != nil {
+		if err := t.applyDue(rounds); err != nil {
 			return rounds, holesBefore, err
 		}
 		if rounds == 0 {
@@ -377,10 +396,11 @@ func (t *Trial) runSync() (rounds, holesBefore int, err error) {
 // event's round maps to round*pollInterval seconds of simulated time,
 // and the round budget to MaxRounds poll periods.
 func (t *Trial) runAsync() (rounds, holesBefore int, err error) {
-	cur := newEventCursor(t.sched.Events)
+	cur := &t.cur
+	cur.reset(t.sched.Events)
 	// Round-0 events are part of the initial damage and fire before any
 	// simulated time elapses.
-	if err := t.applyDue(cur, 0); err != nil {
+	if err := t.applyDue(0); err != nil {
 		return 0, 0, err
 	}
 	holesBefore = coverage.HoleCount(t.net)
@@ -392,7 +412,7 @@ func (t *Trial) runAsync() (rounds, holesBefore int, err error) {
 		if _, err := t.actrl.RunUntil(float64(due) * asyncPollInterval); err != nil {
 			return t.asyncRounds(), holesBefore, err
 		}
-		if err := t.applyDue(cur, due); err != nil {
+		if err := t.applyDue(due); err != nil {
 			return t.asyncRounds(), holesBefore, err
 		}
 	}
