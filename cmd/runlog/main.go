@@ -11,7 +11,6 @@
 //	runlog [-ledger out/ledger.ndjson | -store dir] [-json] list
 //	runlog [-ledger ... | -store dir] show <ref>
 //	runlog [-ledger ...] diff [-tol t] <refA> <refB>
-//	runlog bench [-baseline BENCH_trial.json] [-metric ns_op]
 //
 // A <ref> names one record: a 1-based index into the ledger (append
 // order, so 1 is the oldest), a spec-hash prefix (with or without the
@@ -35,10 +34,6 @@
 // produce equivalent manifests, and diff proves it — across machines
 // and shard layouts. Exit status 1 means the manifests
 // differ, 2 usage or read errors.
-//
-// bench is the wall-clock companion: it tabulates each benchmark's
-// metric across the BENCH_trial.json history (newest first), the trend
-// table CI prints next to the gated alloc checks.
 package main
 
 import (
@@ -49,7 +44,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -80,10 +74,8 @@ func run(args []string, w io.Writer) error {
 	storeDir := fs.String("store", "", "sweepd manifest store directory (implies its ledger; list adds the stored manifests)")
 	jsonOut := fs.Bool("json", false, "list: emit a JSON object instead of the table")
 	tol := fs.Float64("tol", 1e-9, "diff: relative tolerance for mean/stddev/CI95")
-	baseline := fs.String("baseline", "BENCH_trial.json", "bench: benchmark history file")
-	metric := fs.String("metric", "ns_op", "bench: metric to tabulate (ns_op, bytes_op, allocs_op)")
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: runlog [flags] list | show <ref> | diff <refA> <refB> | bench")
+		fmt.Fprintln(fs.Output(), "usage: runlog [flags] list | show <ref> | diff <refA> <refB>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -115,10 +107,8 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("diff takes two record refs")
 		}
 		return runDiff(w, *ledgerPath, rest[0], rest[1], *tol)
-	case "bench":
-		return runBench(w, *baseline, *metric)
 	}
-	return fmt.Errorf("unknown subcommand %q (want list, show, diff, or bench)", sub)
+	return fmt.Errorf("unknown subcommand %q (want list, show, or diff)", sub)
 }
 
 // resolve finds the record a ref names: a 1-based ledger index, a
@@ -300,63 +290,5 @@ func runDiff(w io.Writer, path, refA, refB string, tol float64) error {
 	}
 	fmt.Fprintf(w, "%s and %s are equivalent (modulo estimated medians and execution metadata)\n",
 		a.Manifest, b.Manifest)
-	return nil
-}
-
-// benchHistory mirrors the slice of BENCH_trial.json runlog needs.
-type benchHistory struct {
-	History []struct {
-		PR         int                           `json:"pr"`
-		Date       string                        `json:"date"`
-		Benchmarks map[string]map[string]float64 `json:"benchmarks"`
-	} `json:"history"`
-}
-
-// runBench prints one row per benchmark, one column per history entry
-// (newest first), for the chosen metric — the per-PR trend table.
-func runBench(w io.Writer, path, metric string) error {
-	switch metric {
-	case "ns_op", "bytes_op", "allocs_op":
-	default:
-		return fmt.Errorf("bad -metric %q (want ns_op, bytes_op, or allocs_op)", metric)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var hist benchHistory
-	if err := json.Unmarshal(data, &hist); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if len(hist.History) == 0 {
-		return fmt.Errorf("%s has no history entries", path)
-	}
-	names := map[string]bool{}
-	for _, e := range hist.History {
-		for n := range e.Benchmarks {
-			names[n] = true
-		}
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	fmt.Fprintf(w, "%-44s", metric)
-	for _, e := range hist.History {
-		fmt.Fprintf(w, " %12s", fmt.Sprintf("pr%d", e.PR))
-	}
-	fmt.Fprintln(w)
-	for _, n := range sorted {
-		fmt.Fprintf(w, "%-44s", n)
-		for _, e := range hist.History {
-			if v, ok := e.Benchmarks[n][metric]; ok {
-				fmt.Fprintf(w, " %12.0f", v)
-			} else {
-				fmt.Fprintf(w, " %12s", "-")
-			}
-		}
-		fmt.Fprintln(w)
-	}
 	return nil
 }

@@ -174,45 +174,6 @@ func TestRunlogDiff(t *testing.T) {
 	}
 }
 
-func TestRunlogBench(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_trial.json")
-	hist := `{"history": [
-		{"pr": 5, "date": "2026-08-01", "benchmarks": {
-			"ReplicateSteadyState/pooled-64x64": {"ns_op": 500000, "bytes_op": 41000, "allocs_op": 145}}},
-		{"pr": 4, "date": "2026-07-29", "benchmarks": {
-			"ReplicateSteadyState/pooled-64x64": {"ns_op": 544336, "bytes_op": 41370, "allocs_op": 145},
-			"TrialLarge/64x64": {"ns_op": 1355868}}}
-	]}`
-	if err := os.WriteFile(path, []byte(hist), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	if err := run([]string{"bench", "-baseline", path}, &out); err == nil {
-		t.Log("flags after subcommand are not parsed; expected usage is flags first")
-	}
-	out.Reset()
-	if err := run([]string{"-baseline", path, "bench"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"pr5", "pr4", "500000", "544336", "ReplicateSteadyState/pooled-64x64"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("bench table missing %q:\n%s", want, s)
-		}
-	}
-	// TrialLarge has no pr5 entry: its row carries a dash.
-	for _, line := range strings.Split(s, "\n") {
-		if strings.HasPrefix(line, "TrialLarge/64x64") && !strings.Contains(line, "-") {
-			t.Errorf("missing-entry dash absent: %q", line)
-		}
-	}
-	out.Reset()
-	if err := run([]string{"-baseline", path, "-metric", "watts", "bench"}, &out); err == nil {
-		t.Error("bad metric should error")
-	}
-}
-
 // buildStore populates a sweepd store with one ledgered manifest and
 // one installed by hand (no ledger line). Each manifest's spec hashes
 // to its key, as a store lookup verifies; the ledgered one has the

@@ -284,17 +284,17 @@ func parseWorkload(s string) (sim.WorkloadSpec, error) {
 	return spec, err
 }
 
-// parseShard resolves "-shard i/n" (1-based) into the contiguous cell
-// block [first, first+count) of shard i; the even-split math is
-// sim.ShardRange.
-func parseShard(s string, cells int) (first, count int, err error) {
+// parseShard resolves "-shard i/n" (1-based) into shard i of n of the
+// campaign js: its i-th contiguous cell block, as sim.JobSpace.Shard
+// splits the cells.
+func parseShard(s string, js sim.JobSpace) (sim.JobSpace, error) {
 	is, ns, ok := strings.Cut(strings.TrimSpace(s), "/")
 	i, errI := strconv.Atoi(is)
 	n, errN := strconv.Atoi(ns)
 	if !ok || errI != nil || errN != nil {
-		return 0, 0, fmt.Errorf("bad shard %q (want i/n, e.g. 2/4)", s)
+		return sim.JobSpace{}, fmt.Errorf("bad shard %q (want i/n, e.g. 2/4)", s)
 	}
-	return sim.ShardRange(i, n, cells)
+	return js.Shard(i, n)
 }
 
 func loadSpec(path string) (sim.CampaignSpec, error) {
@@ -439,23 +439,17 @@ func run(args []string) (err error) {
 	if workersFlagSet || spec.Workers == 0 {
 		spec.Workers = *workers
 	}
-	if *shardS != "" {
-		if spec.CellCount > 0 {
-			return fmt.Errorf("the spec file already pins a cell range; drop -shard or the spec fields")
-		}
-		first, count, err := parseShard(*shardS, spec.NumCells())
-		if err != nil {
-			return err
-		}
-		spec.CellFirst, spec.CellCount = first, count
-	}
 	// The one validation of the run: the job space carries the campaign
 	// from here to its last trial.
 	jobs, err := spec.JobSpace()
 	if err != nil {
 		return err
 	}
-	spec = jobs.Spec()
+	if *shardS != "" {
+		if jobs, err = parseShard(*shardS, jobs); err != nil {
+			return err
+		}
+	}
 
 	if *dashS != "" {
 		rig, derr := startDash(*dashS, *pprofF, *dashLinger, logger)
@@ -511,7 +505,7 @@ func run(args []string) (err error) {
 		return nil
 	})
 	mode := "run"
-	if spec.CellCount > 0 {
+	if _, count := jobs.CellRange(); count > 0 {
 		mode = "shard"
 	}
 	return out.finish(mode, jobs, manifest, ran, time.Since(start), local.GroupSeconds, err)

@@ -563,6 +563,12 @@ func TestRunSpecFileRejectsUnknownFields(t *testing.T) {
 
 func TestParseShard(t *testing.T) {
 	// 10 cells over 3 shards: blocks of 4, 3, 3.
+	js, err := sim.CampaignSpec{
+		Schemes: []sim.SchemeKind{sim.SR}, Spares: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, Replicates: 1,
+	}.JobSpace()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		s            string
 		first, count int
@@ -573,29 +579,33 @@ func TestParseShard(t *testing.T) {
 		{"1/1", 0, 10},
 	}
 	for _, c := range cases {
-		first, count, err := parseShard(c.s, 10)
+		sh, err := parseShard(c.s, js)
+		first, count := sh.CellRange()
 		if err != nil || first != c.first || count != c.count {
-			t.Errorf("parseShard(%q, 10) = (%d, %d, %v), want (%d, %d)",
+			t.Errorf("parseShard(%q) = (%d, %d, %v), want (%d, %d)",
 				c.s, first, count, err, c.first, c.count)
 		}
 	}
 	for _, bad := range []string{"", "2", "0/3", "4/3", "a/b", "2/20"} {
-		if _, _, err := parseShard(bad, 10); err == nil {
-			t.Errorf("parseShard(%q, 10) should fail", bad)
+		if _, err := parseShard(bad, js); err == nil {
+			t.Errorf("parseShard(%q) should fail", bad)
 		}
 	}
 
-	// A spec that already pins a cell range is a shard; it cannot be
-	// sharded again.
+	// A spec names a whole campaign: a cell range in a spec file is an
+	// unknown field, and the run writes nothing.
 	dir := t.TempDir()
 	pinned := filepath.Join(dir, "pinned.json")
 	if err := os.WriteFile(pinned, []byte(`{"schemes": ["SR"], "spares": [8, 24], "replicates": 4,
 		"cell_first": 0, "cell_count": 1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := run([]string{"-spec", pinned, "-shard", "1/2", "-out", dir, "-quiet"})
-	if err == nil || !strings.Contains(err.Error(), "already pins a cell range") {
-		t.Errorf("-shard on a pinned spec = %v, want the already-pinned error", err)
+	err = run([]string{"-spec", pinned, "-shard", "1/2", "-out", dir, "-quiet"})
+	if err == nil || !strings.Contains(err.Error(), `unknown field "cell_first"`) {
+		t.Errorf("a spec with a cell range = %v, want the unknown-field error", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("the rejected run left %d files beside its spec, want none", len(entries)-1)
 	}
 }
 
@@ -685,8 +695,9 @@ func TestMergeSingleShardDegenerate(t *testing.T) {
 	}
 }
 
-// TestShardManifestRecordsRange: a shard's manifest must carry its
-// cell range, and account for its own trials only.
+// TestShardManifestRecordsRange: a shard's ledger record carries its
+// cell range and mode, its manifest echoes the whole campaign's spec,
+// and the manifest accounts for the shard's own trials only.
 func TestShardManifestRecordsRange(t *testing.T) {
 	dir := t.TempDir()
 	err := run([]string{
@@ -695,6 +706,13 @@ func TestShardManifestRecordsRange(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	recs, err := telemetry.ReadLedger(filepath.Join(dir, "ledger.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Mode != "shard" || recs[0].CellFirst != 1 || recs[0].CellCount != 1 {
+		t.Fatalf("ledger = %+v, want one shard record of cell range [1, +1)", recs)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "s.json"))
 	if err != nil {
@@ -705,11 +723,11 @@ func TestShardManifestRecordsRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	var spec sim.CampaignSpec
-	if err := json.Unmarshal(m.Spec, &spec); err != nil {
+	if err := sim.UnmarshalSpecJSON(m.Spec, &spec); err != nil {
 		t.Fatal(err)
 	}
-	if spec.CellFirst != 1 || spec.CellCount != 1 {
-		t.Errorf("cell range [%d, +%d), want [1, +1)", spec.CellFirst, spec.CellCount)
+	if hash, err := telemetry.SpecHash(spec); err != nil || hash != recs[0].SpecHash {
+		t.Errorf("manifest spec hashes to %s (%v), want the record's %s", hash, err, recs[0].SpecHash)
 	}
 	if m.Jobs != 4 || len(m.Points) != 1 {
 		t.Errorf("shard manifest jobs = %d, points = %d; want 4 jobs (its own trials), 1 point", m.Jobs, len(m.Points))

@@ -7,6 +7,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -176,27 +177,100 @@ func TestRunRecordsAgree(t *testing.T) {
 	})
 }
 
-// TestArtifactWriteFailureRecorded: a run whose manifest cannot be
-// written (its -out is a regular file) exits non-zero and still appends
-// exactly one record, failed, credited with the trials it executed and
-// naming no manifest.
+// TestArtifactWriteFailureRecorded: a run whose artifacts cannot be
+// written exits non-zero and still appends exactly one record, failed,
+// credited with the trials it executed (SR and AR, 2 replicates) and
+// naming the manifest when it was written: the manifest itself failing
+// (its -out is a regular file), or a metric table after it (a directory
+// stands where <out>/<name>-moves.csv goes). A failed ledger append (a
+// -ledger path under a regular file) is the other way round: it is
+// logged once and fails nothing, so the run exits 0 with its manifest
+// and tables written and no record.
 func TestArtifactWriteFailureRecorded(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "out")
-	if err := os.WriteFile(out, nil, 0o644); err != nil {
+	for _, tc := range []struct {
+		name string
+		// block puts a regular file or a directory at path.
+		block string
+		dir   bool
+		// ledger is the -ledger path under the test directory.
+		ledger   string
+		fail     bool // the run exits non-zero, with one failed record
+		manifest bool // the manifest is written
+	}{
+		{name: "manifest", block: "out", ledger: "L", fail: true},
+		{name: "metric table", block: "out/sweep-moves.csv", dir: true, ledger: "L", fail: true, manifest: true},
+		{name: "ledger append", block: "F", ledger: "F/L", manifest: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			out, ledger := filepath.Join(dir, "out"), filepath.Join(dir, tc.ledger)
+			block := filepath.Join(dir, tc.block)
+			var err error
+			if tc.dir {
+				err = os.MkdirAll(block, 0o755)
+			} else {
+				err = os.WriteFile(block, nil, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var runErr error
+			logs := captureStderr(t, func() {
+				runErr = run([]string{"-grids", "8x8", "-spares", "8", "-replicates", "2", "-out", out, "-ledger", ledger, "-quiet"})
+			})
+			if (runErr != nil) != tc.fail {
+				t.Fatalf("run = %v, want failure %v", runErr, tc.fail)
+			}
+			manifest := filepath.Join(out, "sweep.json")
+			if _, err := os.Stat(manifest); (err == nil) != tc.manifest {
+				t.Errorf("manifest written = %v, want %v", err == nil, tc.manifest)
+			}
+			appendFailed := strings.Count(logs, "ledger append failed")
+			if !tc.fail {
+				if _, err := os.Stat(filepath.Join(out, "sweep-moves.csv")); err != nil {
+					t.Errorf("tables not written: %v", err)
+				}
+				if _, err := os.Stat(ledger); err == nil || appendFailed != 1 {
+					t.Errorf("ledger stat = %v, %d \"ledger append failed\" lines in %q; want no ledger and one line", err, appendFailed, logs)
+				}
+				return
+			}
+			if appendFailed != 0 {
+				t.Errorf("log %q reports a failed append", logs)
+			}
+			recs, err := telemetry.ReadLedger(ledger)
+			if err != nil || len(recs) != 1 {
+				t.Fatalf("ledger = %+v, %v; want one record", recs, err)
+			}
+			wantPath := ""
+			if tc.manifest {
+				wantPath = manifest
+			}
+			if rec := recs[0]; rec.Status != telemetry.StatusFailed || rec.Jobs != 4 || rec.Points != 0 || rec.Manifest != wantPath {
+				t.Errorf("record = %+v, want failed with the 4 executed trials, no points, manifest %q", rec, wantPath)
+			}
+		})
+	}
+}
+
+// captureStderr runs fn with os.Stderr redirected to a file, and
+// returns what fn wrote there.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	ledger := filepath.Join(dir, "L")
-	if err := run([]string{"-grids", "8x8", "-spares", "8", "-replicates", "2", "-out", out, "-ledger", ledger, "-quiet"}); err == nil {
-		t.Fatal("a run writing into a regular file succeeded")
+	defer f.Close()
+	old := os.Stderr
+	os.Stderr = f
+	fn()
+	os.Stderr = old
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
 	}
-	recs, err := telemetry.ReadLedger(ledger)
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("ledger = %+v, %v; want one record", recs, err)
-	}
-	if rec := recs[0]; rec.Status != telemetry.StatusFailed || rec.Jobs != 4 || rec.Points != 0 || rec.Manifest != "" {
-		t.Errorf("record = %+v, want failed with the 4 executed trials (SR and AR, 2 replicates), no points or manifest", rec)
-	}
+	return string(data)
 }
 
 // TestAbortedRunRecords: a run cancelled mid-way records itself aborted

@@ -23,12 +23,12 @@ func smallSpec() sim.CampaignSpec {
 	}.Normalized()
 }
 
-// storedSegment runs spec over a fresh store and returns the one
+// storedSegment runs js over a fresh store and returns the one
 // segment the run wrote.
-func storedSegment(t testing.TB, spec sim.CampaignSpec) []byte {
+func storedSegment(t testing.TB, js sim.JobSpace) []byte {
 	t.Helper()
 	root := t.TempDir()
-	runBytes(t, plan(t, spec, OpenCellStore(root)))
+	runBytes(t, planJobs(t, js, OpenCellStore(root)))
 	segs := segments(t, root)
 	if len(segs) != 1 {
 		t.Fatalf("run wrote %d segments, want 1", len(segs))
@@ -61,13 +61,9 @@ func writeSegments(t testing.TB, segs map[string][]byte) string {
 // serves a cell only from a line of this engine version. Every run ends
 // byte-identical to a run without a store.
 func TestCellStoreSegments(t *testing.T) {
-	spec := resumeSpecs()["unsharded"] // 6 cells
+	spec := resumeSpec() // 6 cells
 	want, _ := runBytes(t, plan(t, spec, nil))
-	shard := func(first, count int) sim.CampaignSpec {
-		s := spec
-		s.CellFirst, s.CellCount = first, count
-		return s
-	}
+	shard := func(i, n int) sim.JobSpace { return shardOf(t, spec, i, n) }
 	check := func(t *testing.T, root string, wantReused int) {
 		t.Helper()
 		r := plan(t, spec, OpenCellStore(root))
@@ -82,8 +78,8 @@ func TestCellStoreSegments(t *testing.T) {
 
 	t.Run("two writers unioned", func(t *testing.T) {
 		root := t.TempDir()
-		runBytes(t, plan(t, shard(0, 3), OpenCellStore(root)))
-		runBytes(t, plan(t, shard(3, 3), OpenCellStore(root)))
+		runBytes(t, planJobs(t, shard(1, 2), OpenCellStore(root)))
+		runBytes(t, planJobs(t, shard(2, 2), OpenCellStore(root)))
 		if n := len(segments(t, root)); n != 2 {
 			t.Fatalf("two writers left %d segments, want 2", n)
 		}
@@ -91,19 +87,19 @@ func TestCellStoreSegments(t *testing.T) {
 	})
 
 	t.Run("segment copied from another store", func(t *testing.T) {
-		root := writeSegments(t, map[string][]byte{"box-b.ndjson": storedSegment(t, shard(2, 4))})
-		runBytes(t, plan(t, shard(0, 2), OpenCellStore(root)))
+		root := writeSegments(t, map[string][]byte{"box-b.ndjson": storedSegment(t, shard(2, 2))})
+		runBytes(t, planJobs(t, shard(1, 2), OpenCellStore(root)))
 		check(t, root, 6)
 	})
 
 	t.Run("torn tail in another writer's segment", func(t *testing.T) {
-		seg := storedSegment(t, spec)
+		seg := storedSegment(t, jobSpace(t, spec))
 		root := writeSegments(t, map[string][]byte{"dead.ndjson": seg[:len(seg)-5]})
 		check(t, root, 5)
 	})
 
 	t.Run("wrong engine misses", func(t *testing.T) {
-		lines := bytes.SplitAfter(storedSegment(t, spec), []byte("\n"))
+		lines := bytes.SplitAfter(storedSegment(t, jobSpace(t, spec)), []byte("\n"))
 		engine := []byte(`{"engine":1,`)
 		if !bytes.HasPrefix(lines[0], engine) {
 			t.Fatalf("cell line %q does not open with the engine version", lines[0])
@@ -118,14 +114,14 @@ func TestCellStoreSegments(t *testing.T) {
 
 	t.Run("top-level file not read", func(t *testing.T) {
 		root := t.TempDir()
-		if err := os.WriteFile(filepath.Join(root, "cells.ndjson"), storedSegment(t, spec), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(root, "cells.ndjson"), storedSegment(t, jobSpace(t, spec)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		check(t, root, 0)
 	})
 
 	t.Run("an invalid later line does not shadow a valid one", func(t *testing.T) {
-		seg := storedSegment(t, spec)
+		seg := storedSegment(t, jobSpace(t, spec))
 		bad := bytes.ReplaceAll(seg, []byte(`"trials":4}`), []byte(`"trials":5}`))
 		root := writeSegments(t, map[string][]byte{"a.ndjson": seg, "b.ndjson": bad})
 		check(t, root, 6)
@@ -138,20 +134,16 @@ func TestCellStoreSegments(t *testing.T) {
 // and completed since. Its own appends are indexed once: a re-scan
 // after them adds only the other writer's lines.
 func TestCellStoreLiveIndex(t *testing.T) {
-	spec := resumeSpecs()["unsharded"] // 6 cells
-	shard := func(first, count int) sim.CampaignSpec {
-		s := spec
-		s.CellFirst, s.CellCount = first, count
-		return s
-	}
+	spec := resumeSpec() // 6 cells
+	shard := func(i, n int) sim.JobSpace { return shardOf(t, spec, i, n) }
 	root := t.TempDir()
 	a := OpenCellStore(root)
 	// A builds its index over an empty directory and stores cells 0-1.
-	runBytes(t, plan(t, shard(0, 2), a))
+	runBytes(t, planJobs(t, shard(1, 3), a))
 	// Another store appends cells 2-3, and a dead writer left cell 4
 	// with its last bytes missing.
-	runBytes(t, plan(t, shard(2, 2), OpenCellStore(root)))
-	seg := storedSegment(t, shard(4, 1))
+	runBytes(t, planJobs(t, shard(2, 3), OpenCellStore(root)))
+	seg := storedSegment(t, shard(5, 6))
 	dead := filepath.Join(root, "cells", "dead.ndjson")
 	if err := os.WriteFile(dead, seg[:len(seg)-5], 0o644); err != nil {
 		t.Fatal(err)
@@ -203,7 +195,7 @@ func addresses(t testing.TB, spec sim.CampaignSpec) []cellAddr {
 // verifies and missed (and recomputed) when it does not; and a digest
 // hit under another address misses.
 func TestCellStoreMemo(t *testing.T) {
-	spec := resumeSpecs()["unsharded"] // 6 cells
+	spec := resumeSpec() // 6 cells
 	want, _ := runBytes(t, plan(t, spec, nil))
 	addrs := addresses(t, spec)
 	// stored runs spec into a new store and returns the store, its one
@@ -388,7 +380,7 @@ func FuzzCellStore(f *testing.F) {
 	if err := json.Unmarshal(ref, &refM); err != nil {
 		f.Fatal(err)
 	}
-	good := storedSegment(f, spec)
+	good := storedSegment(f, jobSpace(f, spec))
 	f.Add(good, []byte{})
 	f.Add(good[:len(good)-9], good)
 	f.Add(append(bytes.Clone(good), good...), []byte{})

@@ -11,9 +11,8 @@ import (
 )
 
 // LoadManifest reads a manifest and its spec with execution metadata
-// cleared — worker counts, fresh-build and cell-range fields change
-// wall clock or which process computes which cells, never results, so
-// comparisons ignore them. The spec decodes through
+// cleared — worker counts and fresh-build change wall clock, never
+// results, so comparisons ignore them. The spec decodes through
 // sim.UnmarshalSpecJSON, so a manifest that names its damage with the
 // older "failures" list compares equal to one that spells the same
 // workloads.
@@ -42,7 +41,6 @@ func parseManifest(data []byte) (experiment.Manifest, sim.CampaignSpec, error) {
 		}
 	}
 	spec.Workers, spec.FreshBuild = 0, false
-	spec.CellFirst, spec.CellCount = 0, 0
 	return m, spec, nil
 }
 

@@ -37,13 +37,13 @@ func TestDiffManifests(t *testing.T) {
 		Schemes: []sim.SchemeKind{sim.SR}, Grids: []sim.GridSize{{Cols: 8, Rows: 8}},
 		Spares: []int{8}, Replicates: 4, BaseSeed: 1,
 	}.Normalized()
-	shardSpec := spec
-	shardSpec.CellFirst, shardSpec.CellCount, shardSpec.Workers = 0, 1, 8
+	execSpec := spec
+	execSpec.Workers, execSpec.FreshBuild = 8, true
 
 	a := saveManifest(t, dir, "a", spec, onePoint(5, 4, false))
 	// Same statistics modulo: float wobble on the mean, an estimated
 	// median, and execution metadata in the spec.
-	b := saveManifest(t, dir, "a2", shardSpec, onePoint(5+1e-13, 99, true))
+	b := saveManifest(t, dir, "a2", execSpec, onePoint(5+1e-13, 99, true))
 	diffs, err := DiffManifests(a, b, 1e-9)
 	if err != nil {
 		t.Fatal(err)

@@ -13,9 +13,10 @@ import (
 // LocalRun is one campaign executed in this process: the single
 // runner behind every cmd/sweep run and behind sweepd's campaigns. It
 // plans and runs from the campaign's JobSpace, validated once by the
-// caller. With a CellStore it looks every cell it executes up before
-// running, and the cells the store serves are the run's prior, skipped
-// and carried into the manifest; it appends each cell the moment the
+// caller: the whole campaign, or one shard of it (JobSpace.Shard).
+// With a CellStore it looks every cell it executes up before running,
+// and the cells the store serves are the run's prior, skipped and
+// carried into the manifest; it appends each cell the moment the
 // cell completes, which is the run's checkpoint. A killed run is resumed by
 // running it again over the same store, shards of one campaign on many
 // boxes are assembled by one run over the union of their segments, and
@@ -102,9 +103,9 @@ func PlanLocal(js sim.JobSpace, name string, store *CellStore) (*LocalRun, error
 // been stored and OnProgress has seen it; an error from it stops the
 // run. The manifest's Jobs is the trials this run executed plus those
 // of the stored cells: the campaign's NumJobs, or a shard's own trial
-// count under a cell range. On error — ctx cancelled included — the
-// store holds every cell completed so far, OnProgress still gets a
-// terminal snapshot, and GroupSeconds spans the trials that ran.
+// count. On error — ctx cancelled included — the store holds every
+// cell completed so far, OnProgress still gets a terminal snapshot,
+// and GroupSeconds spans the trials that ran.
 func (r *LocalRun) Run(ctx context.Context, onTrial func(sim.TrialJob, int) error) (*experiment.Manifest, int, error) {
 	// Trials stream into online per-(group, N) accumulators: campaign
 	// memory is O(cells), not O(trials).
@@ -160,11 +161,10 @@ func RunRecord(js sim.JobSpace, m *experiment.Manifest, ran int, wall time.Durat
 		Status:       telemetry.StatusCompleted,
 		Jobs:         ran,
 		Workers:      spec.Workers,
-		CellFirst:    spec.CellFirst,
-		CellCount:    spec.CellCount,
 		WallS:        wall.Seconds(),
 		GroupSeconds: groupS,
 	}
+	rec.CellFirst, rec.CellCount = js.CellRange()
 	if wall > 0 {
 		rec.TrialsPerS = float64(ran) / wall.Seconds()
 	}

@@ -38,11 +38,29 @@ func jobSpace(t testing.TB, spec sim.CampaignSpec) sim.JobSpace {
 // test on error.
 func plan(t testing.TB, spec sim.CampaignSpec, store *CellStore) *LocalRun {
 	t.Helper()
-	r, err := PlanLocal(jobSpace(t, spec), "camp", store)
+	return planJobs(t, jobSpace(t, spec), store)
+}
+
+// planJobs plans the run of js with PlanLocal, failing the test on
+// error.
+func planJobs(t testing.TB, js sim.JobSpace, store *CellStore) *LocalRun {
+	t.Helper()
+	r, err := PlanLocal(js, "camp", store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// shardOf is shard i of n of spec's job space, failing the test on
+// error.
+func shardOf(t testing.TB, spec sim.CampaignSpec, i, n int) sim.JobSpace {
+	t.Helper()
+	js, err := jobSpace(t, spec).Shard(i, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return js
 }
 
 // TestPlanLocalRejectsZeroJobSpace: a JobSpace not built by validation
@@ -81,10 +99,10 @@ func segments(t testing.TB, root string) []string {
 	return paths
 }
 
-// resumeSpecs are the campaigns the kill-and-rerun tests interrupt:
-// 6 cells of 4 replicates, unsharded and under a 3-cell range.
-func resumeSpecs() map[string]sim.CampaignSpec {
-	base := sim.CampaignSpec{
+// resumeSpec is the campaign the kill-and-rerun tests interrupt: 6
+// cells of 4 replicates.
+func resumeSpec() sim.CampaignSpec {
+	return sim.CampaignSpec{
 		Schemes:    []sim.SchemeKind{sim.SR, sim.AR},
 		Grids:      []sim.GridSize{{Cols: 8, Rows: 8}},
 		Spares:     []int{4, 8, 12},
@@ -92,18 +110,21 @@ func resumeSpecs() map[string]sim.CampaignSpec {
 		BaseSeed:   31,
 		Workers:    1,
 	}.Normalized()
-	sharded := base
-	sharded.CellFirst, sharded.CellCount = 1, 3
-	return map[string]sim.CampaignSpec{"unsharded": base, "sharded": sharded}
 }
 
-// cancelAfter runs spec over store, cancelling it from its trial
+// resumeRuns are the runs of resumeSpec the kill-and-rerun tests
+// interrupt: unsharded, and its 3-cell shard 2/2.
+func resumeRuns(t testing.TB) map[string]sim.JobSpace {
+	return map[string]sim.JobSpace{"unsharded": jobSpace(t, resumeSpec()), "sharded": shardOf(t, resumeSpec(), 2, 2)}
+}
+
+// cancelAfter runs js over store, cancelling it from its trial
 // observer after k trials, and returns the trials it executed.
-func cancelAfter(t *testing.T, spec sim.CampaignSpec, store *CellStore, k int) int {
+func cancelAfter(t *testing.T, js sim.JobSpace, store *CellStore, k int) int {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, ran, err := plan(t, spec, store).Run(ctx, func(_ sim.TrialJob, ran int) error {
+	_, ran, err := planJobs(t, js, store).Run(ctx, func(_ sim.TrialJob, ran int) error {
 		if ran == k {
 			cancel()
 		}
@@ -119,22 +140,23 @@ func cancelAfter(t *testing.T, spec sim.CampaignSpec, store *CellStore, k int) i
 // store from its trial observer after k trials and reruns it over the
 // same store directory: the rerun reuses exactly the cells the first
 // run completed, computes the rest, and its manifest is byte-identical
-// to an uninterrupted run's — unsharded, and under a cell range. The
+// to an uninterrupted run's — unsharded, and as a shard. The
 // manifest's Jobs counts the reused cells' trials too. A third run
 // computes nothing and writes the same bytes.
 func TestLocalRunResumeMatchesUninterrupted(t *testing.T) {
 	for name, k := range map[string]int{"unsharded": 6, "sharded": 5} {
 		t.Run(name, func(t *testing.T) {
-			spec := resumeSpecs()[name]
-			full := plan(t, spec, nil)
+			js := resumeRuns(t)[name]
+			spec := js.Spec()
+			full := planJobs(t, js, nil)
 			want, ranRef := runBytes(t, full)
 			if ranRef != full.Executed {
 				t.Fatalf("uninterrupted run executed %d trials, planned %d", ranRef, full.Executed)
 			}
 
 			root := t.TempDir()
-			ran := cancelAfter(t, spec, OpenCellStore(root), k)
-			rerun := plan(t, spec, OpenCellStore(root))
+			ran := cancelAfter(t, js, OpenCellStore(root), k)
+			rerun := planJobs(t, js, OpenCellStore(root))
 			stored := rerun.Reused * spec.Replicates
 			if rerun.Reused == 0 || stored > ran || rerun.Executed+stored != full.Executed {
 				t.Fatalf("rerun reuses %d cells after %d trials and plans %d of %d trials; want a strict, non-empty prefix",
@@ -148,7 +170,7 @@ func TestLocalRunResumeMatchesUninterrupted(t *testing.T) {
 				t.Error("rerun manifest is not byte-identical to an uninterrupted run")
 			}
 
-			again := plan(t, spec, OpenCellStore(root))
+			again := planJobs(t, js, OpenCellStore(root))
 			if again.Executed != 0 || again.Reused != again.Cells {
 				t.Fatalf("third run plans %d trials and reuses %d of %d cells; want everything stored",
 					again.Executed, again.Reused, again.Cells)
@@ -200,15 +222,15 @@ func TestPlanLocalDropsOrphans(t *testing.T) {
 // every cell is stored. The damaged segment is another writer's: each
 // rerun appends to its own. Every cut is looked up; the first, middle
 // and last cut, and the garbage cases, are also rerun to the end.
-// Unsharded and under a cell range.
+// Unsharded and as a shard.
 func TestLocalRunResumesPastTornLog(t *testing.T) {
-	for name := range resumeSpecs() {
+	for name, js := range resumeRuns(t) {
 		t.Run(name, func(t *testing.T) {
-			spec := resumeSpecs()[name]
-			want, _ := runBytes(t, plan(t, spec, nil))
+			spec := js.Spec()
+			want, _ := runBytes(t, planJobs(t, js, nil))
 
 			root := t.TempDir()
-			cancelAfter(t, spec, OpenCellStore(root), 10) // two whole cells and a partial one
+			cancelAfter(t, js, OpenCellStore(root), 10) // two whole cells and a partial one
 			segs := segments(t, root)
 			if len(segs) != 1 {
 				t.Fatalf("cancelled run left %d segments, want 1", len(segs))
@@ -234,7 +256,7 @@ func TestLocalRunResumesPastTornLog(t *testing.T) {
 				if err := os.WriteFile(filepath.Join(dir, "cells", "dead.ndjson"), data, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				r := plan(t, spec, OpenCellStore(dir))
+				r := planJobs(t, js, OpenCellStore(dir))
 				if r.Reused != wantCells || r.Executed+wantCells*spec.Replicates != r.Cells*spec.Replicates {
 					t.Fatalf("%s: rerun reuses %d cells and runs %d trials; want %d cells reused",
 						what, r.Reused, r.Executed, wantCells)
@@ -249,7 +271,7 @@ func TestLocalRunResumesPastTornLog(t *testing.T) {
 				if !bytes.Equal(got, want) {
 					t.Fatalf("%s: rerun manifest is not byte-identical to an uninterrupted run", what)
 				}
-				if again := plan(t, spec, OpenCellStore(dir)); again.Reused != again.Cells {
+				if again := planJobs(t, js, OpenCellStore(dir)); again.Reused != again.Cells {
 					t.Fatalf("%s: after the rerun %d of %d cells are stored", what, again.Reused, again.Cells)
 				}
 			}

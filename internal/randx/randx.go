@@ -11,23 +11,15 @@
 // fixed across Go releases. randx owns the source
 // (see source.go): it computes math/rand's outputs in blocks and seeds
 // its state words lazily, so a stream costs what it draws, and it lands
-// on the same words. The hot draws (Int63, Float64, Bool, InRect, Intn
-// up to 2^31-1, PermInto, PermPrefixInto) restate the Go-1-frozen
-// algorithms over that source, so its draw inlines into them; the cold
-// ones (Perm, larger Intn) still run math/rand's *rand.Rand over the
-// same source, so both paths share one state.
+// on the same words. Every draw restates the Go-1-frozen algorithm
+// over that source, so its draw inlines into the hot ones.
 package randx
 
-import (
-	"math/rand"
+import "wsncover/internal/geom"
 
-	"wsncover/internal/geom"
-)
-
-// Rand is a seeded pseudo-random stream. It wraps math/rand.Rand and adds
-// the geometry-aware helpers the simulator needs.
+// Rand is a seeded pseudo-random stream: math/rand's draws plus the
+// geometry-aware helpers the simulator needs.
 type Rand struct {
-	src *rand.Rand
 	// set is the Streams this stream came from, and the one its Split
 	// children come from; idx is its position there. A stream from New
 	// has no set.
@@ -40,7 +32,6 @@ type Rand struct {
 func New(seed int64) *Rand {
 	r := new(Rand)
 	r.rng.Seed(seed)
-	r.src = rand.New(&r.rng)
 	return r
 }
 
@@ -85,7 +76,7 @@ func (s *Streams) New(seed int64) *Rand {
 	if s.used < len(s.list) {
 		r := s.list[s.used]
 		s.used++
-		r.src.Seed(seed)
+		r.rng.Seed(seed)
 		return r
 	}
 	r := New(seed)
@@ -108,15 +99,29 @@ func (r *Rand) Release() {
 // Int63 returns a non-negative 63-bit integer.
 func (r *Rand) Int63() int64 { return int64(r.rng.Uint64() & (1<<63 - 1)) }
 
-// Intn returns a uniform integer in [0, n). n must be positive.
+// Intn returns a uniform integer in [0, n). It panics when n is not
+// positive.
 //
 // Up to 2^31-1 it is math/rand's Int31n: a power of two masks one Int31,
 // any other n redraws an Int31 above the largest multiple of n and takes
 // the rest. No v <= 2^31-1-n lies above that multiple, so the division
-// that finds it runs only for the rare v beyond.
+// that finds it runs only for the rare v beyond. Past 2^31-1 it is
+// math/rand's Int63n, the same algorithm over Int63.
 func (r *Rand) Intn(n int) int {
-	if n <= 0 || n > 1<<31-1 {
-		return r.src.Intn(n)
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	if n > 1<<31-1 {
+		m := int64(n)
+		if m&(m-1) == 0 {
+			return int(r.Int63() & (m - 1))
+		}
+		max := int64(1<<63 - 1 - (1<<63)%uint64(m))
+		v := r.Int63()
+		for v > max {
+			v = r.Int63()
+		}
+		return int(v % m)
 	}
 	m := int32(n)
 	v := int32(r.rng.Uint64() >> 32 & (1<<31 - 1))
@@ -145,8 +150,8 @@ func (r *Rand) Float64() float64 {
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
+// Perm returns a random permutation of [0, n) in a new slice.
+func (r *Rand) Perm(n int) []int { return r.PermInto(make([]int, n), n) }
 
 // PermInto writes a random permutation of [0, n) into dst, reusing its
 // capacity, and returns it. It draws exactly the variates math/rand's

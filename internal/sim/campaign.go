@@ -35,7 +35,10 @@ func ParseGridSize(s string) (GridSize, error) {
 // CampaignSpec describes a multi-dimensional Monte-Carlo campaign: the
 // cross product of schemes, grid sizes, spare counts, hole counts,
 // workloads, and runners, each cell replicated Replicates times. The
-// JSON form is what cmd/sweep reads as a spec file.
+// JSON form is what cmd/sweep reads as a spec file. A spec always names
+// a whole campaign: running only some of its cells is a property of the
+// run (JobSpace.Shard), never of the spec, so no spec, and no
+// telemetry.SpecHash of one, describes a partial campaign.
 type CampaignSpec struct {
 	// Schemes to compare; empty means SR and AR (the paper's pairing).
 	Schemes []SchemeKind `json:"schemes,omitempty"`
@@ -67,18 +70,6 @@ type CampaignSpec struct {
 	BaseSeed int64 `json:"seed,omitempty"`
 	// Workers sizes the worker pool; values below 1 mean GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
-	// CellFirst and CellCount restrict execution to the campaign cells
-	// [CellFirst, CellFirst+CellCount), for sharding one campaign across
-	// processes or machines. A cell is one (group, N) pair: in job order
-	// it is Replicates consecutive jobs, so cell c is jobs
-	// [c*Replicates, (c+1)*Replicates). A cell's trials depend only on
-	// its own dimension values, the seed and the replicate count, so a
-	// shard computes its cells byte for byte as the unsharded campaign
-	// does, and the cells of disjoint shards stored in one
-	// dispatch.CellStore assemble into the unsharded manifest. A zero
-	// CellCount means every cell.
-	CellFirst int `json:"cell_first,omitempty"`
-	CellCount int `json:"cell_count,omitempty"`
 	// FreshBuild routes every trial through the fresh world-building
 	// path instead of the pooled per-worker TrialArena. Results are
 	// byte-identical either way (the differential tests compare whole
@@ -256,19 +247,9 @@ func repeated[T any](list string, vals []T, same func(a, b T) bool) error {
 
 func equal[T comparable](a, b T) bool { return a == b }
 
-// ValidateUnsharded is the submission surface for services and caches
-// that address whole campaigns: Validate plus a rejection of specs
-// pinning a cell range, which it checks first. A shard spec's manifest covers only some of the
-// campaign's cells, so content-addressing it under the full campaign's
-// spec hash — which deliberately ignores shard layout — would poison
-// the cache with partial results.
-func (s CampaignSpec) ValidateUnsharded() error {
-	if s.CellFirst != 0 || s.CellCount != 0 {
-		return fmt.Errorf("sim: campaign pins the cell range [%d, +%d); "+
-			"submit the unsharded spec", s.CellFirst, s.CellCount)
-	}
-	return s.Validate()
-}
+// ValidateUnsharded is Validate, since no spec names a cell range; it
+// remains for perfbench, which calls it.
+func (s CampaignSpec) ValidateUnsharded() error { return s.Validate() }
 
 // ttlDim resolves the claim-TTL dimension; empty means {0} (claims
 // never expire), so legacy specs keep their job indexing.
@@ -306,8 +287,7 @@ const EngineVersion = 1
 // CellSpec returns the one-cell campaign of job j's cell: the
 // normalized spec with every dimension list pinned to j's value (a
 // workload that collapses the holes dimension pins the collapsed 1)
-// and the execution-only fields — workers, fresh_build, the cell range
-// — cleared. A cell's trials depend only on its own dimension values,
+// and the execution-only fields, workers and fresh_build, cleared. A cell's trials depend only on its own dimension values,
 // the seed and the replicate count, so the one-cell campaign computes
 // that cell byte for byte as s does, and its telemetry.SpecHash
 // addresses the cell in any campaign that contains it.
@@ -320,7 +300,7 @@ func (s CampaignSpec) CellSpec(j TrialJob) CampaignSpec {
 	s.Workloads = []WorkloadSpec{j.Workload}
 	s.Runners = []RunnerKind{j.Runner}
 	s.ClaimTTLs = []int{j.ClaimTTL}
-	s.Workers, s.FreshBuild, s.CellFirst, s.CellCount = 0, false, 0, 0
+	s.Workers, s.FreshBuild = 0, false
 	return s
 }
 
@@ -328,6 +308,9 @@ func (s CampaignSpec) CellSpec(j TrialJob) CampaignSpec {
 // an error, so a typoed dimension name fails loudly instead of silently
 // running the default campaign. Every reader of a spec decodes through
 // it: cmd/sweep's -spec files, manifest diffs and sweepd submissions.
+// A cell range in any spelling (cell_first/cell_count, or the older
+// shard_first/shard_count) is an unknown field like any other: a spec
+// names a whole campaign, and cmd/sweep -shard runs part of one.
 //
 // It is also the one place that reads the older spelling of the damage
 // dimension, a "failures" list of names ("holes" or "jam", any case;
@@ -335,26 +318,15 @@ func (s CampaignSpec) CellSpec(j TrialJob) CampaignSpec {
 // kind, in order, so an old spec file, manifest or shard runs the same
 // jobs and hashes like its "workloads" equivalent. A spec that sets
 // both lists is rejected.
-//
-// The older shard range, "shard_first"/"shard_count", addressed
-// replicate blocks of every cell; shards now split whole cells
-// (CellFirst/CellCount), so such a spec is rejected with that reason:
-// the shard has to be re-run.
 func UnmarshalSpecJSON(data []byte, spec *CampaignSpec) error {
 	in := struct {
 		*CampaignSpec
-		Failures   []string        `json:"failures"`
-		ShardFirst json.RawMessage `json:"shard_first"`
-		ShardCount json.RawMessage `json:"shard_count"`
+		Failures []string `json:"failures"`
 	}{CampaignSpec: spec}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&in); err != nil {
 		return fmt.Errorf("sim: campaign spec: %w", err)
-	}
-	if in.ShardFirst != nil || in.ShardCount != nil {
-		return fmt.Errorf("sim: campaign spec: shard_first/shard_count split every cell's replicates, " +
-			"which shards no longer do: shards now split whole cells (cell_first/cell_count); re-run the shard")
 	}
 	if len(in.Failures) > 0 && len(spec.Workloads) > 0 {
 		return fmt.Errorf("sim: campaign spec sets both failures and workloads; use workloads")
@@ -454,9 +426,10 @@ type JobSpace struct {
 	seeds  []int64
 	blocks []jobBlock
 	total  int
-	// lo and hi bound the cells [lo, hi) the job space executes: the
-	// spec's cell range, or every cell.
-	lo, hi int
+	// lo and hi bound the cells [lo, hi) the job space executes: every
+	// cell, or a shard's block (sharded).
+	lo, hi  int
+	sharded bool
 }
 
 // jobBlock is one (workload, runner, claim TTL) triple's contiguous
@@ -475,13 +448,12 @@ type jobBlock struct {
 
 // JobSpace validates the spec and lays out its job space, once. It
 // rejects out-of-range values, unknown or malformed workloads, a value
-// listed twice in a dimension, bad cell ranges, and any cell whose
-// trials NewTrial would refuse: every cell's trial configuration is
-// resolved the way a trial resolves it (TrialConfig.normalize, then the
-// workload's schedule), so a per-trial range or a workload/scheme/runner
-// pairing fails here, naming the cell, and never part-way through a
-// campaign. The job space records the cells the spec executes; callers
-// plan and run from it and never validate again.
+// listed twice in a dimension, and any cell whose trials NewTrial
+// would refuse: every cell's trial configuration is resolved the way a
+// trial resolves it (TrialConfig.normalize, then the workload's
+// schedule), so a per-trial range or a workload/scheme/runner pairing
+// fails here, naming the cell, and never part-way through a campaign. The job space executes every cell until Shard limits it;
+// callers plan and run from it and never validate again.
 //
 // Jobs are indexed in the fixed nested order (workload, runner, ttl,
 // grid, holes, scheme, spares, replicate); specs with one sync runner
@@ -508,17 +480,7 @@ func (s CampaignSpec) JobSpace() (JobSpace, error) {
 	if err := s.checkCellIdentities(js); err != nil {
 		return JobSpace{}, err
 	}
-	if s.CellFirst < 0 || s.CellCount < 0 {
-		return JobSpace{}, fmt.Errorf("sim: negative cell range [%d, +%d)", s.CellFirst, s.CellCount)
-	}
-	if s.CellCount == 0 && s.CellFirst != 0 {
-		return JobSpace{}, fmt.Errorf("sim: cell_first %d without cell_count", s.CellFirst)
-	}
 	cells := js.total / s.Replicates
-	if s.CellCount > 0 && s.CellFirst+s.CellCount > cells {
-		return JobSpace{}, fmt.Errorf("sim: cell range [%d, %d) exceeds the campaign's %d cells",
-			s.CellFirst, s.CellFirst+s.CellCount, cells)
-	}
 	for c := 0; c < cells; c++ {
 		j := js.At(c * s.Replicates)
 		cfg := j.config(s)
@@ -531,9 +493,6 @@ func (s CampaignSpec) JobSpace() (JobSpace, error) {
 		}
 	}
 	js.lo, js.hi = 0, cells
-	if s.CellCount > 0 {
-		js.lo, js.hi = s.CellFirst, s.CellFirst+s.CellCount
-	}
 	return js, nil
 }
 
@@ -622,16 +581,9 @@ func (s CampaignSpec) NumJobs() int {
 	return s.layout().total
 }
 
-// NumCells returns the cell count of the normalized spec: one cell per
-// (group, N) pair, each Replicates consecutive jobs.
-func (s CampaignSpec) NumCells() int {
-	s.normalize()
-	return s.layout().total / s.Replicates
-}
-
-// Cells calls fn for every cell the job space executes — the cell
-// range applied — in cell order, with the cell's index and its first
-// job (replicate 0), and returns fn's first error. PlanLocal sizes and
+// Cells calls fn for every cell the job space executes — a shard's
+// block, or every cell — in cell order, with the cell's index and its
+// first job (replicate 0), and returns fn's first error. PlanLocal sizes and
 // addresses a run with it, one visit per cell.
 func (js JobSpace) Cells(fn func(cell int, first TrialJob) error) error {
 	if err := js.built(); err != nil {
@@ -645,15 +597,15 @@ func (js JobSpace) Cells(fn func(cell int, first TrialJob) error) error {
 	return nil
 }
 
-// ExecutedJobs calls fn for every job of the cells the spec executes
-// that keep admits (nil keeps every job), in job-index order. A spec
-// that fails validation executes no job.
+// ExecutedJobs calls fn for every job of the campaign that keep admits
+// (nil keeps every job), in job-index order. A spec that fails
+// validation executes no job.
 func (s CampaignSpec) ExecutedJobs(keep func(TrialJob) bool, fn func(TrialJob)) {
 	js, err := s.JobSpace()
 	if err != nil {
 		return
 	}
-	for i := js.lo * js.spec.Replicates; i < js.hi*js.spec.Replicates; i++ {
+	for i := 0; i < js.total; i++ {
 		if j := js.At(i); keep == nil || keep(j) {
 			fn(j)
 		}
@@ -688,10 +640,10 @@ func SampleOf(j TrialJob, res TrialResult) experiment.Sample {
 	return s
 }
 
-// RunCampaignStream validates the spec and executes every cell it
-// executes — the cell range applied — handing each trial's sample to
-// sink in job-index order, never retaining a TrialResult: each result is
-// converted to its Sample inside the worker and dropped once sunk.
+// RunCampaignStream validates the spec and executes every cell of the
+// campaign, handing each trial's sample to sink in job-index order,
+// never retaining a TrialResult: each result is converted to its Sample
+// inside the worker and dropped once sunk.
 // opts.Workers defaults to the spec's Workers field when unset; the
 // sink sees a bit-identical stream for any worker count. A sink error
 // aborts the campaign.
@@ -703,21 +655,21 @@ func RunCampaignStream(ctx context.Context, spec CampaignSpec, opts experiment.O
 	if err != nil {
 		return err
 	}
-	cells := make([]int, js.hi-js.lo)
+	cells := make([]int, js.hi)
 	for i := range cells {
-		cells[i] = js.lo + i
+		cells[i] = i
 	}
 	return js.RunCells(ctx, cells, sink)
 }
 
 // RunCells executes the given cells, which must lie in the cells the
-// job space executes (its cell range, or every cell) and ascend
+// job space executes (a shard's block, or every cell) and ascend
 // strictly: replicate r of cell c is job c*Replicates+r. Each trial's
 // sample goes to sink with its job, in that order, so the stream is
 // bit-identical to the matching slice of RunCampaignStream's — the
 // property a run over stored cells relies on when it computes only the
-// missing ones, and the cell range relies on for cross-process
-// sharding. The pool has the spec's Workers goroutines.
+// missing ones, and Shard relies on for cross-process sharding. The
+// pool has the spec's Workers goroutines.
 //
 // Each worker goroutine runs its trials inside a pooled TrialArena
 // (unless the spec's FreshBuild), taken from the process-lived free

@@ -445,8 +445,8 @@ func TestParseSchemeKindAndFailureMode(t *testing.T) {
 }
 
 // TestShardRangeIsSliceOfFullCampaign pins the sharding contract: a
-// spec restricted to a cell range computes exactly the trials of those
-// cells in the unsharded campaign, byte for byte and in job order.
+// shard computes exactly the trials of its cells in the unsharded
+// campaign, byte for byte and in job order.
 func TestShardRangeIsSliceOfFullCampaign(t *testing.T) {
 	spec := CampaignSpec{
 		Schemes:    []SchemeKind{SR, AR},
@@ -454,17 +454,16 @@ func TestShardRangeIsSliceOfFullCampaign(t *testing.T) {
 		Spares:     []int{6, 18},
 		Replicates: 5,
 		BaseSeed:   77,
+		Workers:    2,
 	}
 	full, _ := runCampaign(t, spec, 2)
-	// 4 cells of 5 jobs: cell c is jobs [5c, 5c+5), so the shards below
-	// tile the full run's sample stream in order.
+	// 4 cells of 5 jobs over 3 shards: cells [0, 2), [2, 3) and [3, 4),
+	// which tile the full run's sample stream in order.
 	var stitched []experiment.Sample
-	for _, sh := range []struct{ first, count int }{{0, 1}, {1, 2}, {3, 1}} {
-		s := spec
-		s.CellFirst, s.CellCount = sh.first, sh.count
-		part, _ := runCampaign(t, s, 2)
-		if len(part) != sh.count*spec.Replicates {
-			t.Fatalf("cells [%d, +%d) produced %d samples, want %d", sh.first, sh.count, len(part), sh.count*spec.Replicates)
+	for _, sh := range shardsOf(t, spec, 3) {
+		part, _ := runShard(t, sh)
+		if _, count := sh.CellRange(); len(part) != count*spec.Replicates {
+			t.Fatalf("%d cells produced %d samples, want %d", count, len(part), count*spec.Replicates)
 		}
 		stitched = append(stitched, part...)
 	}
@@ -473,20 +472,36 @@ func TestShardRangeIsSliceOfFullCampaign(t *testing.T) {
 	}
 }
 
-// TestCampaignSpecShardValidation rejects malformed cell ranges.
+// TestCampaignSpecShardValidation: a spec names a whole campaign, so
+// the cell_first/cell_count fields a shard manifest once echoed are
+// unknown fields.
 func TestCampaignSpecShardValidation(t *testing.T) {
-	// SR x {8, 24}: 2 cells.
-	base := CampaignSpec{Schemes: []SchemeKind{SR}, Spares: []int{8, 24}, Replicates: 10}
-	for _, r := range [][2]int{{-1, 2}, {0, -2}, {1, 0}, {1, 2}, {2, 1}} {
-		spec := base
-		spec.CellFirst, spec.CellCount = r[0], r[1]
-		if err := spec.Validate(); err == nil {
-			t.Errorf("cell range %v should fail validation", r)
+	for _, field := range []string{"cell_first", "cell_count"} {
+		data := `{"schemes":["SR"],"spares":[8,24],"replicates":4,"` + field + `":1}`
+		var spec CampaignSpec
+		err := UnmarshalSpecJSON([]byte(data), &spec)
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+field+`"`) {
+			t.Errorf("UnmarshalSpecJSON(%s) = %v, want the unknown-field error naming %s", data, err, field)
 		}
 	}
-	base.CellFirst, base.CellCount = 1, 1
-	if err := base.Validate(); err != nil {
-		t.Errorf("valid cell range rejected: %v", err)
+}
+
+// TestUnmarshalSpecJSONRejectsReplicateShards: the older replicate-block
+// range, shard_first/shard_count, gets no special case either; alone or
+// together, each spelling is the strict unknown-field error naming it.
+func TestUnmarshalSpecJSONRejectsReplicateShards(t *testing.T) {
+	const head = `{"schemes":["SR","AR"],"grids":[{"cols":8,"rows":8}],"spares":[8,24],"holes":[1],` +
+		`"workloads":[{"kind":"holes"}],"replicates":4,"seed":21`
+	for _, tc := range []struct{ tail, field string }{
+		{`,"shard_first":2}`, "shard_first"},
+		{`,"shard_count":2}`, "shard_count"},
+		{`,"shard_first":2,"shard_count":2}`, "shard_first"},
+	} {
+		var spec CampaignSpec
+		err := UnmarshalSpecJSON([]byte(head+tc.tail), &spec)
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
+			t.Errorf("UnmarshalSpecJSON(...%s) = %v, want the unknown-field error naming %s", tc.tail, err, tc.field)
+		}
 	}
 }
 
@@ -655,36 +670,14 @@ func TestRunTrialRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-// TestUnmarshalSpecJSONRejectsReplicateShards: a shard spec written
-// before shards split whole cells (here the spec echoed by such a shard
-// manifest) fails with the reason, not a bare unknown-field error.
-func TestUnmarshalSpecJSONRejectsReplicateShards(t *testing.T) {
-	old := `{"schemes":["SR","AR"],"grids":[{"cols":8,"rows":8}],"spares":[8,24],"holes":[1],` +
-		`"workloads":[{"kind":"holes"}],"replicates":4,"seed":21,"shard_first":2,"shard_count":2}`
-	var spec CampaignSpec
-	err := UnmarshalSpecJSON([]byte(old), &spec)
-	if err == nil || !strings.Contains(err.Error(), "whole cells") || !strings.Contains(err.Error(), "re-run the shard") {
-		t.Fatalf("UnmarshalSpecJSON(old shard spec) = %v, want the shards-split-cells error", err)
-	}
-	if strings.Contains(err.Error(), "unknown field") {
-		t.Errorf("error %q is the bare unknown-field error", err)
-	}
-}
-
-// TestValidateUnsharded pins the service submission surface: a shard
-// spec must not reach a whole-campaign cache or queue.
+// TestValidateUnsharded: ValidateUnsharded is Validate.
 func TestValidateUnsharded(t *testing.T) {
-	spec := CampaignSpec{Replicates: 10}
-	if err := spec.ValidateUnsharded(); err != nil {
-		t.Errorf("unsharded spec rejected: %v", err)
-	}
-	spec.CellFirst, spec.CellCount = 0, 1
-	if err := spec.ValidateUnsharded(); err == nil {
-		t.Error("shard-pinned spec must be rejected by ValidateUnsharded")
+	if err := (CampaignSpec{Replicates: 10}).ValidateUnsharded(); err != nil {
+		t.Errorf("valid spec rejected: %v", err)
 	}
 	bad := CampaignSpec{Replicates: 10, Workloads: []WorkloadSpec{{Kind: "flood"}}}
 	if err := bad.ValidateUnsharded(); err == nil {
-		t.Error("ValidateUnsharded must still apply Validate")
+		t.Error("ValidateUnsharded must apply Validate")
 	}
 }
 

@@ -24,44 +24,85 @@ func TestShardRange(t *testing.T) {
 		{2, 5, 5, 1, 1},
 	}
 	for _, c := range cases {
-		first, count, err := ShardRange(c.i, c.n, c.cells)
+		first, count, err := shardRange(c.i, c.n, c.cells)
 		if err != nil || first != c.first || count != c.count {
-			t.Errorf("ShardRange(%d, %d, %d) = (%d, %d, %v), want (%d, %d)",
+			t.Errorf("shardRange(%d, %d, %d) = (%d, %d, %v), want (%d, %d)",
 				c.i, c.n, c.cells, first, count, err, c.first, c.count)
 		}
 	}
 	for _, bad := range [][3]int{{0, 3, 10}, {4, 3, 10}, {1, 0, 10}, {1, 20, 10}} {
-		if _, _, err := ShardRange(bad[0], bad[1], bad[2]); err == nil {
-			t.Errorf("ShardRange(%v) should fail", bad)
+		if _, _, err := shardRange(bad[0], bad[1], bad[2]); err == nil {
+			t.Errorf("shardRange(%v) should fail", bad)
 		}
 	}
 }
 
-// shardsOf builds the n shard specs of spec the way cmd/sweep -shard
-// i/n does: the normalized campaign with ShardRange's cell block.
-func shardsOf(t *testing.T, spec CampaignSpec, n int) []CampaignSpec {
+// shardsOf builds the n shards of spec the way cmd/sweep -shard i/n
+// does: the campaign's job space, then JobSpace.Shard.
+func shardsOf(t *testing.T, spec CampaignSpec, n int) []JobSpace {
 	t.Helper()
-	spec = spec.Normalized()
-	shards := make([]CampaignSpec, n)
+	js := jobSpace(t, spec)
+	shards := make([]JobSpace, n)
 	for i := 1; i <= n; i++ {
-		first, count, err := ShardRange(i, n, spec.NumCells())
+		sh, err := js.Shard(i, n)
 		if err != nil {
-			t.Fatal(err)
-		}
-		shards[i-1] = spec
-		shards[i-1].CellFirst, shards[i-1].CellCount = first, count
-		if err := shards[i-1].Validate(); err != nil {
 			t.Fatalf("shard %d/%d: %v", i, n, err)
 		}
+		shards[i-1] = sh
 	}
 	return shards
 }
 
+// numCells returns the campaign's cell count.
+func numCells(t *testing.T, spec CampaignSpec) int {
+	t.Helper()
+	js := jobSpace(t, spec)
+	return js.Len() / js.Spec().Replicates
+}
+
+// shardJobs lists the jobs js executes, in job order.
+func shardJobs(t *testing.T, js JobSpace) []TrialJob {
+	t.Helper()
+	var jobs []TrialJob
+	err := js.Cells(func(c int, _ TrialJob) error {
+		for r := 0; r < js.Spec().Replicates; r++ {
+			jobs = append(jobs, js.At(c*js.Spec().Replicates+r))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs
+}
+
+// runShard runs every cell js executes, returning the sample stream
+// and the aggregated points.
+func runShard(t *testing.T, js JobSpace) ([]experiment.Sample, []experiment.Point) {
+	t.Helper()
+	var cells []int
+	if err := js.Cells(func(c int, _ TrialJob) error { cells = append(cells, c); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	var samples []experiment.Sample
+	acc := experiment.NewAccumulator()
+	err := js.RunCells(t.Context(), cells, func(_ TrialJob, s experiment.Sample) error {
+		samples = append(samples, s)
+		acc.Add(s)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return samples, acc.Points()
+}
+
 // TestShardRangeTilesCells: for every shard count n from 1 to the
-// cell count, the ShardRange blocks tile the campaign's cells exactly,
-// and each shard's aggregated points equal the unsharded run's points
-// for the same cells. The jam workload collapses the holes dimension,
-// so cells are not a plain product of the dimension lists.
+// cell count, the Shard blocks tile the campaign's cells exactly, each
+// reports its block through CellRange, and each shard's aggregated
+// points equal the unsharded run's points for the same cells. The jam
+// workload collapses the holes dimension, so cells are not a plain
+// product of the dimension lists.
 func TestShardRangeTilesCells(t *testing.T) {
 	spec := CampaignSpec{
 		Schemes:    []SchemeKind{SR, AR},
@@ -71,11 +112,15 @@ func TestShardRangeTilesCells(t *testing.T) {
 		Workloads:  []WorkloadSpec{{Kind: WorkloadHoles}, {Kind: WorkloadJam}},
 		Replicates: 3,
 		BaseSeed:   7,
+		Workers:    2,
 	}
 	// holes: 2 holes x 2 schemes x 2 spares; jam: 1 x 2 x 2.
-	cells := spec.NumCells()
+	cells := numCells(t, spec)
 	if cells != 12 {
-		t.Fatalf("NumCells = %d, want 12", cells)
+		t.Fatalf("%d cells, want 12", cells)
+	}
+	if first, count := jobSpace(t, spec).CellRange(); first != 0 || count != 0 {
+		t.Errorf("unsharded CellRange = (%d, %d), want (0, 0)", first, count)
 	}
 	_, full := runCampaign(t, spec, 2)
 	want := make(map[string]experiment.Point, len(full))
@@ -86,13 +131,14 @@ func TestShardRangeTilesCells(t *testing.T) {
 		next := 0
 		seen := 0
 		for i, sh := range shardsOf(t, spec, n) {
-			if sh.CellFirst != next || sh.CellCount < 1 {
-				t.Errorf("n=%d: shard %d covers [%d, +%d), want to start at %d", n, i+1, sh.CellFirst, sh.CellCount, next)
+			first, count := sh.CellRange()
+			if first != next || count < 1 {
+				t.Errorf("n=%d: shard %d covers [%d, +%d), want to start at %d", n, i+1, first, count, next)
 			}
-			next = sh.CellFirst + sh.CellCount
-			_, points := runCampaign(t, sh, 2)
-			if len(points) != sh.CellCount {
-				t.Errorf("n=%d: shard %d has %d points for %d cells", n, i+1, len(points), sh.CellCount)
+			next = first + count
+			_, points := runShard(t, sh)
+			if len(points) != count {
+				t.Errorf("n=%d: shard %d has %d points for %d cells", n, i+1, len(points), count)
 			}
 			for _, p := range points {
 				key := fmt.Sprintf("%s N=%g", p.Group, p.X)
@@ -122,15 +168,17 @@ func TestShardRangeJobsEqualUnshardedJobs(t *testing.T) {
 		Replicates: 5,
 		BaseSeed:   3,
 	}
-	for n := 1; n <= spec.NumCells(); n++ {
+	for n := 1; n <= numCells(t, spec); n++ {
 		// TrialJob is not comparable (its workload spec holds child
 		// slices), so key the coverage count by its printed form.
 		sharded := make(map[string]int)
 		for _, sh := range shardsOf(t, spec, n) {
-			sh.ExecutedJobs(nil, func(j TrialJob) { sharded[fmt.Sprintf("%+v", j)]++ })
+			for _, j := range shardJobs(t, sh) {
+				sharded[fmt.Sprintf("%+v", j)]++
+			}
 		}
 		full := 0
-		spec.Normalized().ExecutedJobs(nil, func(j TrialJob) {
+		spec.ExecutedJobs(nil, func(j TrialJob) {
 			full++
 			if c := sharded[fmt.Sprintf("%+v", j)]; c != 1 {
 				t.Errorf("n=%d: job %+v covered %d times, want exactly once", n, j, c)
@@ -143,18 +191,20 @@ func TestShardRangeJobsEqualUnshardedJobs(t *testing.T) {
 }
 
 // TestShardRangeErrors: a campaign cannot split into more shards than
-// it has cells, and a shard number must lie in 1..n. (cmd/sweep's
-// TestParseShard covers re-sharding a spec that already pins a range.)
+// it has cells, a shard number must lie in 1..n, and the zero JobSpace
+// has no shards.
 func TestShardRangeErrors(t *testing.T) {
-	spec := CampaignSpec{Schemes: []SchemeKind{SR}, Spares: []int{8, 24}, Replicates: 4}
-	cells := spec.Normalized().NumCells()
-	if _, _, err := ShardRange(3, 3, cells); err == nil {
+	js := jobSpace(t, CampaignSpec{Schemes: []SchemeKind{SR}, Spares: []int{8, 24}, Replicates: 4})
+	if _, err := js.Shard(3, 3); err == nil {
 		t.Error("splitting 2 cells into 3 shards should fail")
 	}
 	for _, in := range [][2]int{{0, 2}, {3, 2}, {1, 0}} {
-		if _, _, err := ShardRange(in[0], in[1], cells); err == nil {
-			t.Errorf("shard %d/%d of %d cells should fail", in[0], in[1], cells)
+		if _, err := js.Shard(in[0], in[1]); err == nil {
+			t.Errorf("shard %d/%d of 2 cells should fail", in[0], in[1])
 		}
+	}
+	if _, err := (JobSpace{}).Shard(1, 1); err == nil {
+		t.Error("the zero JobSpace has no shards")
 	}
 }
 
@@ -230,7 +280,7 @@ func TestCellSpecRunsAloneExactly(t *testing.T) {
 			}
 			cells++
 			one := spec.CellSpec(j)
-			if n := one.NumCells(); n != 1 {
+			if n := numCells(t, one); n != 1 {
 				t.Fatalf("%s N=%d: one-cell spec has %d cells", j.Group(), j.Spares, n)
 			}
 			_, alone := runCampaign(t, one, 1)
@@ -239,8 +289,8 @@ func TestCellSpecRunsAloneExactly(t *testing.T) {
 				t.Errorf("%s: the one-cell campaign's point differs from the full campaign's", key)
 			}
 		})
-		if cells != len(full) || cells != spec.NumCells() {
-			t.Errorf("walked %d cells, campaign has %d points and %d cells", cells, len(full), spec.NumCells())
+		if n := numCells(t, spec); cells != len(full) || cells != n {
+			t.Errorf("walked %d cells, campaign has %d points and %d cells", cells, len(full), n)
 		}
 	}
 }
@@ -254,69 +304,74 @@ func mustMarshal(t *testing.T, v any) []byte {
 	return b
 }
 
-// TestCellRangeStreamJobs: under a cell range, the job RunCampaignStream
-// hands the sink with each sample is the job that sample ran — the one
-// ExecutedJobs lists at the same position — so its group and N label the
-// sample's curve and X, and RunSweep labels its points with the range's
-// cells.
+// TestCellRangeStreamJobs: for any ascending run of cells, the job
+// RunCells hands the sink with each sample is the job that sample ran —
+// replicate r of cell c is job c*Replicates+r — so its group and N label
+// the sample's curve and X. RunSweep labels its points with the
+// campaign's cells.
 func TestCellRangeStreamJobs(t *testing.T) {
-	base := CampaignSpec{
+	spec := CampaignSpec{
 		Schemes:    []SchemeKind{SR, AR},
 		Grids:      []GridSize{{8, 8}},
 		Spares:     []int{5, 10, 15},
 		Replicates: 2,
 		BaseSeed:   41,
+		Workers:    2,
 	}
+	js := jobSpace(t, spec)
 	for _, rng := range [][2]int{{1, 1}, {1, 4}, {3, 3}, {5, 1}} {
-		spec := base
-		spec.CellFirst, spec.CellCount = rng[0], rng[1]
 		t.Run(fmt.Sprintf("cells %d+%d", rng[0], rng[1]), func(t *testing.T) {
+			var cells []int
 			var want []TrialJob
-			spec.ExecutedJobs(nil, func(j TrialJob) { want = append(want, j) })
+			for c := rng[0]; c < rng[0]+rng[1]; c++ {
+				cells = append(cells, c)
+				for r := 0; r < spec.Replicates; r++ {
+					want = append(want, js.At(c*spec.Replicates+r))
+				}
+			}
 			i := 0
-			err := RunCampaignStream(t.Context(), spec, experiment.Options{Workers: 2},
-				func(j TrialJob, s experiment.Sample) error {
-					if i >= len(want) {
-						return fmt.Errorf("sink got job %d of %d", i+1, len(want))
-					}
-					if !reflect.DeepEqual(j, want[i]) {
-						t.Errorf("sink job %d = %+v, want %+v", i, j, want[i])
-					}
-					if j.Group() != s.Group || float64(j.Spares) != s.X {
-						t.Errorf("sink job %d is %s N=%d, its sample %s X=%g", i, j.Group(), j.Spares, s.Group, s.X)
-					}
-					i++
-					return nil
-				})
+			err := js.RunCells(t.Context(), cells, func(j TrialJob, s experiment.Sample) error {
+				if i >= len(want) {
+					return fmt.Errorf("sink got job %d of %d", i+1, len(want))
+				}
+				if !reflect.DeepEqual(j, want[i]) {
+					t.Errorf("sink job %d = %+v, want %+v", i, j, want[i])
+				}
+				if j.Group() != s.Group || float64(j.Spares) != s.X {
+					t.Errorf("sink job %d is %s N=%d, its sample %s X=%g", i, j.Group(), j.Spares, s.Group, s.X)
+				}
+				i++
+				return nil
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if i != len(want) {
 				t.Fatalf("sink got %d jobs, want %d", i, len(want))
 			}
-
-			pts, err := RunSweep(t.Context(), spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var cells []SweepPoint
-			err = jobSpace(t, spec).Cells(func(_ int, j TrialJob) error {
-				cells = append(cells, SweepPoint{Scheme: j.Scheme, Holes: j.Holes, N: j.Spares})
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(pts) != len(cells) {
-				t.Fatalf("RunSweep returned %d points for %d cells", len(pts), len(cells))
-			}
-			for k, p := range pts {
-				if p.Scheme != cells[k].Scheme || p.Holes != cells[k].Holes || p.N != cells[k].N {
-					t.Errorf("point %d is %v holes=%d N=%d, want cell %v holes=%d N=%d",
-						k, p.Scheme, p.Holes, p.N, cells[k].Scheme, cells[k].Holes, cells[k].N)
-				}
-			}
 		})
+	}
+
+	pts, err := RunSweep(t.Context(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []SweepPoint
+	err = js.Cells(func(_ int, j TrialJob) error {
+		cells = append(cells, SweepPoint{Scheme: j.Scheme, Holes: j.Holes, N: j.Spares})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != len(cells) {
+		t.Fatalf("RunSweep returned %d points for %d cells", len(pts), len(cells))
+	}
+	for k, p := range pts {
+		if p.Scheme != cells[k].Scheme || p.Holes != cells[k].Holes || p.N != cells[k].N {
+			t.Errorf("point %d is %v holes=%d N=%d, want cell %v holes=%d N=%d",
+				k, p.Scheme, p.Holes, p.N, cells[k].Scheme, cells[k].Holes, cells[k].N)
+		}
 	}
 }
 
@@ -324,29 +379,33 @@ func TestCellRangeStreamJobs(t *testing.T) {
 // job space executes, in strictly ascending order, and fails before any
 // trial otherwise.
 func TestRunCellsRejectsBadCells(t *testing.T) {
-	spec := CampaignSpec{Schemes: []SchemeKind{SR}, Grids: []GridSize{{8, 8}}, Spares: []int{5, 10, 15}, Replicates: 2}
-	shard := spec
-	shard.CellFirst, shard.CellCount = 1, 2
+	js := jobSpace(t, CampaignSpec{Schemes: []SchemeKind{SR}, Grids: []GridSize{{8, 8}}, Spares: []int{5, 10, 15}, Replicates: 2})
+	// 3 cells over 2 shards: [0, 2) and [2, 3).
+	shard, err := js.Shard(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		spec  CampaignSpec
+		js    JobSpace
 		cells []int
 		want  string
 	}{
-		{spec, []int{-1}, "outside"},
-		{spec, []int{3}, "outside"},
-		{shard, []int{0}, "outside"},
-		{shard, []int{1, 3}, "outside"},
-		{spec, []int{1, 1}, "ascend"},
-		{spec, []int{2, 0}, "ascend"},
+		{js, []int{-1}, "outside"},
+		{js, []int{3}, "outside"},
+		{shard, []int{1}, "outside"},
+		{shard, []int{2, 3}, "outside"},
+		{js, []int{1, 1}, "ascend"},
+		{js, []int{2, 0}, "ascend"},
 	} {
 		ran := 0
-		err := jobSpace(t, tc.spec).RunCells(t.Context(), tc.cells, func(TrialJob, experiment.Sample) error {
+		err := tc.js.RunCells(t.Context(), tc.cells, func(TrialJob, experiment.Sample) error {
 			ran++
 			return nil
 		})
 		if err == nil || !strings.Contains(err.Error(), tc.want) || ran != 0 {
-			t.Errorf("RunCells(cells %v of [%d, +%d)) = %v after %d trials, want an error naming %q before any",
-				tc.cells, tc.spec.CellFirst, tc.spec.CellCount, err, ran, tc.want)
+			first, count := tc.js.CellRange()
+			t.Errorf("RunCells(cells %v of range (%d, %d)) = %v after %d trials, want an error naming %q before any",
+				tc.cells, first, count, err, ran, tc.want)
 		}
 	}
 }

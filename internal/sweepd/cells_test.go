@@ -142,6 +142,9 @@ func storedCells(t *testing.T, store *Store) *Daemon {
 	return d
 }
 
+// numCells is spec's cell count: one cell per (group, N) pair.
+func numCells(spec sim.CampaignSpec) int { return spec.NumJobs() / spec.Normalized().Replicates }
+
 // TestCellKeyPinned pins one cell's content address, the SpecHash of
 // its one-cell spec, to a literal: a cell key can only move in a
 // recorded step, like TestSpecHashPinned's campaign key. The campaign
@@ -158,8 +161,8 @@ func TestCellKeyPinned(t *testing.T) {
 	}
 	const want = "sha256:06138fcc1f785dc0496033834eb9872f3749fd11e6139aee97d1272ead3bc18c"
 	lines := bytes.SplitAfter(cellSegment(t, spec), []byte("\n"))
-	if got := len(lines) - 1; got != spec.NumCells() {
-		t.Fatalf("%d stored cells, want %d", got, spec.NumCells())
+	if got := len(lines) - 1; got != numCells(spec) {
+		t.Fatalf("%d stored cells, want %d", got, numCells(spec))
 	}
 	var first struct {
 		Engine int             `json:"engine"`
@@ -337,8 +340,8 @@ func TestCellStoreMissesOnDamagedLines(t *testing.T) {
 	good := cellSegment(t, spec)
 	lines := bytes.SplitAfter(good, []byte("\n"))
 	lines = lines[:len(lines)-1] // the empty remainder after the last newline
-	if len(lines) != spec.NumCells() {
-		t.Fatalf("segment holds %d lines, want %d", len(lines), spec.NumCells())
+	if len(lines) != numCells(spec) {
+		t.Fatalf("segment holds %d lines, want %d", len(lines), numCells(spec))
 	}
 	edit := func(f func(ls [][]byte)) []byte {
 		ls := make([][]byte, len(lines))

@@ -3,9 +3,9 @@
 // engine cmd/sweep drives, and serves the resulting manifests from a
 // content-addressed store keyed by telemetry.SpecHash. Determinism is
 // what makes the store a cache: the spec hash ignores execution-only
-// fields (worker count, shard layout), and a campaign's manifest is
-// byte-identical at any worker count and under any shard layout, so
-// one stored manifest answers every future submission of the same
+// fields (worker count, arena pooling), and a campaign's manifest is
+// byte-identical at any worker count and when assembled from shards,
+// so one stored manifest answers every future submission of the same
 // science.
 //
 // The same argument holds one level down. A cell — one (group, N) pair
@@ -49,11 +49,11 @@ import (
 //	                                    one append-only segment per process
 //	<dir>/ledger.ndjson                 the run ledger (telemetry.Record)
 //
-// Keys are telemetry.SpecHash values ("sha256:<64 hex>"). Only full,
-// unsharded campaign manifests are installed — Daemon.Submit enforces
-// that with sim.CampaignSpec.ValidateUnsharded, because the hash
-// deliberately ignores shard layout and a partial manifest stored
-// under the full campaign's key would poison every later cache hit.
+// Keys are telemetry.SpecHash values ("sha256:<64 hex>"). Only full
+// campaign manifests are installed, by the spec's type: a
+// sim.CampaignSpec cannot name a cell range (sharding is a property of a
+// cmd/sweep run), so no submission can ask for a partial manifest that
+// would poison its campaign's key.
 //
 // A stored manifest is served or counted as a hit only as bytes that
 // passed the full check: they parse, and their echoed spec re-hashes to

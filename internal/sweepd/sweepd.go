@@ -165,9 +165,6 @@ func (d *Daemon) Submit(specJSON []byte, name string) (View, bool, error) {
 	if err := sim.UnmarshalSpecJSON(specJSON, &spec); err != nil {
 		return View{}, false, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	if spec.CellFirst != 0 || spec.CellCount != 0 { // ValidateUnsharded names the pinned range
-		return View{}, false, fmt.Errorf("%w: %v", ErrBadSpec, spec.ValidateUnsharded())
-	}
 	js, err := spec.JobSpace()
 	if err != nil {
 		return View{}, false, fmt.Errorf("%w: %v", ErrBadSpec, err)

@@ -166,6 +166,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		"not json":      "{",
 		"unknown field": `{"schemes":["SR"],"turbo":true}`,
 		"shard pinned":  `{"replicates":10,"cell_first":0,"cell_count":1}`,
+		"old shard":     `{"replicates":10,"shard_first":0,"shard_count":1}`,
 		"bad workload":  `{"workloads":[{"kind":"earthquake"}]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/campaigns", "application/json", strings.NewReader(body))
@@ -626,8 +627,8 @@ func TestDrainAbortsAndResumes(t *testing.T) {
 	if ref := referenceManifest(t, spec, "drainee"); !bytes.Equal(stored, ref) {
 		t.Error("resumed manifest is not byte-identical to an uninterrupted run")
 	}
-	if n := storedLines(t, store); n != spec.NumCells() {
-		t.Errorf("store holds %d cells after the resubmission, want each of the %d once", n, spec.NumCells())
+	if n := storedLines(t, store); n != numCells(spec) {
+		t.Errorf("store holds %d cells after the resubmission, want each of the %d once", n, numCells(spec))
 	}
 }
 

@@ -53,7 +53,8 @@ type Record struct {
 	Points int `json:"points"`
 	// Workers is the per-process pool size (0 = all cores).
 	Workers int `json:"workers,omitempty"`
-	// CellFirst/CellCount echo a shard run's cell range.
+	// CellFirst/CellCount echo a shard run's cell range
+	// (sim.JobSpace.CellRange).
 	CellFirst int `json:"cell_first,omitempty"`
 	CellCount int `json:"cell_count,omitempty"`
 	// WallS is the run's wall-clock seconds, CPUS the process's CPU
@@ -69,13 +70,12 @@ type Record struct {
 }
 
 // execOnlySpecKeys are the top-level campaign-spec JSON fields that
-// change how a run executes — parallelism, memory pooling, which of the
-// campaign's cells a process computes — but never what the full
-// campaign computes. The spec hash strips them so it identifies the
-// science alone: a campaign run with -workers 1, -workers 8, or split
-// into -shard runs and merged hashes to the same key, and the
-// content-addressed manifest store dedupes them to one entry.
-var execOnlySpecKeys = []string{"workers", "fresh_build", "cell_first", "cell_count"}
+// change how a run executes — parallelism, memory pooling — but never
+// what the campaign computes. The spec hash strips them so it
+// identifies the science alone: a campaign run with -workers 1 or
+// -workers 8 hashes to the same key, and the content-addressed
+// manifest store dedupes them to one entry.
+var execOnlySpecKeys = []string{"workers", "fresh_build"}
 
 // SpecHash content-addresses a campaign spec: "sha256:" plus the hex
 // digest of its JSON form with execution-only fields removed. The

@@ -108,9 +108,8 @@ func TestSpecHashDeterministicAndDiscriminating(t *testing.T) {
 
 // TestSpecHashIgnoresExecutionOnlyFields pins the cache-key contract:
 // two differently-parallelized submissions of the same science must
-// collide to one content-addressed store entry. Worker pool size,
-// arena pooling, and shard layout change wall clock or which process
-// computes which slice — never the merged campaign results.
+// collide to one content-addressed store entry. Worker pool size and
+// arena pooling change wall clock, never the campaign results.
 func TestSpecHashIgnoresExecutionOnlyFields(t *testing.T) {
 	base := sim.CampaignSpec{
 		Schemes: []sim.SchemeKind{sim.SR, sim.AR},
@@ -122,10 +121,9 @@ func TestSpecHashIgnoresExecutionOnlyFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	variants := map[string]func(*sim.CampaignSpec){
-		"workers=1":    func(s *sim.CampaignSpec) { s.Workers = 1 },
-		"workers=8":    func(s *sim.CampaignSpec) { s.Workers = 8 },
-		"fresh_build":  func(s *sim.CampaignSpec) { s.FreshBuild = true },
-		"shard layout": func(s *sim.CampaignSpec) { s.CellFirst, s.CellCount = 1, 2 },
+		"workers=1":   func(s *sim.CampaignSpec) { s.Workers = 1 },
+		"workers=8":   func(s *sim.CampaignSpec) { s.Workers = 8 },
+		"fresh_build": func(s *sim.CampaignSpec) { s.FreshBuild = true },
 	}
 	for name, mutate := range variants {
 		v := base

@@ -63,7 +63,7 @@ func specSeeds(t testing.TB) (files [][]byte, marshalled [][]byte) {
 			return nil
 		})
 	}
-	add(sim.CampaignSpec{Workers: 8, FreshBuild: true, CellFirst: 1, CellCount: 2, BaseSeed: 3, CommRange: 1.5})
+	add(sim.CampaignSpec{Workers: 8, FreshBuild: true, BaseSeed: 3, CommRange: 1.5})
 	add(sim.CampaignSpec{})
 	return files, marshalled
 }

@@ -25,7 +25,6 @@ var unusedAllowlist = map[string]string{
 	"wsncover/internal/sim.CheckInvariants":          "the invariant oracle FuzzScenario and the trial tests call; the planned per-round audit runs it from the runners",
 	"wsncover/internal/network.Network.SetObserver":  "the network's event hook: the network and deploy tests attach observers through it, and the planned trial replay will",
 	"wsncover/internal/experiment.Aggregate":         "the batch reference TestAccumulatorMatchesAggregate and BenchmarkCampaignAggregation compare the streaming Accumulator against",
-	"wsncover/internal/randx.Rand.PermInto":          "the reference behind deploy/reference_test.go and the math/rand differential",
 	"wsncover/internal/network.Network.MessagesLost": "test probe: the lossy-radio and pooled-vs-fresh tests read the radio's drop count",
 }
 
